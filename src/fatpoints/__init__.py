@@ -66,6 +66,7 @@ from .unexpected import (
     UnexpectedCurveReport,
     detect_unexpected,
     fermat_unexpected_range,
+    generic_dim,
     is_semistable_gate,
     multiplicity_dim,
     splitting_type,

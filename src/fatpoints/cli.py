@@ -189,7 +189,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .verify import search_uniqueness
+    from .verify import run_timed, search_uniqueness
 
     space = SearchSpace(
         n=args.n,
@@ -199,7 +199,7 @@ def cmd_search(args) -> int:
         limit=args.limit,
     )
     inject = (example_quartic_config(),) if args.inject_example else ()
-    res = search_uniqueness(space, inject=inject, strategy=_strategy(args))
+    res = run_timed(search_uniqueness, space, inject=inject, strategy=_strategy(args))
     _emit(res.to_dict(), args.pretty)
     return EXIT_OK if res.passed else EXIT_CLAIM_FAILURE
 

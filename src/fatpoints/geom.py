@@ -432,18 +432,11 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
 
 
 def _equivalent_degenerate(Z1, Z2):
-    # no general-position quadruple in Z1: every point set of that shape with
-    # the same histogram and size is equivalent only in the tiny cases we
-    # need (all collinear, or size <= 3); handle them via direct frames
-    n = len(Z1)
-    if n <= 2:
+    # no general-position quadruple in Z1, and the caller has matched the
+    # line histograms; beyond two points (collinear sets need cross-ratio
+    # classification) this is out of scope for the sets this artifact studies
+    if len(Z1) <= 2:
         return True, None
-    s1 = analyze_lines(Z1)
-    s2 = analyze_lines(Z2)
-    if s1.histogram_key() != s2.histogram_key():
-        return False, None
-    if s1.max_richness == n:
-        # all collinear on both sides: cross-ratio classification is out of
-        # scope for the sets this artifact studies; report by brute frames
-        raise NotImplementedError("equivalence of fully collinear sets is not supported")
-    raise NotImplementedError("equivalence without a general-position quadruple")
+    if analyze_lines(Z1).max_richness == len(Z1):
+        raise DegenerateInputError("equivalence of fully collinear sets is not supported")
+    raise DegenerateInputError("equivalence without a general-position quadruple")

@@ -1,11 +1,21 @@
 """Fat-point schemes and exact dimensions of linear systems of plane curves.
 
 A point of multiplicity m imposes C(m+1, 2) linear conditions on forms of
-degree d: the vanishing of all partial derivatives of order below m, taken
-in the two variables of an affine chart containing the point.  The chart is
-the one whose coordinate is the point's last nonzero coordinate; vanishing
-to order m there is equivalent to scheme-theoretic vanishing, and the row
-count matches the virtual-dimension bookkeeping exactly.
+degree d: the vanishing at the point of all partial derivatives of order
+below m in the two variables u, v other than the point's last nonzero
+coordinate c.  Vanishing to order m there is equivalent to
+scheme-theoretic vanishing, and the row count matches the virtual-dimension
+bookkeeping exactly.
+
+One builder makes every condition row, straight from a homogeneous
+coordinate triple x of the point: the row of the derivative order
+(a_u, a_v) holds falling(e_u, a_u) * falling(e_v, a_v) * x^(e - a) in the
+column of each monomial x^e.  Its entries live in the triple's own ring:
+ints for the primitive integer triple of a rational point, Scalars over
+Q(zeta_n), and parameter polynomials for the general point [a, b, 1].
+Dividing the row by the nonzero scalar x_c^(d - a_u - a_v) gives the
+derivative row in the affine chart x_c = 1, so the row space, the ranks,
+the RREF nullspace bases and every witness are those of the chart rows.
 
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.
@@ -14,15 +24,13 @@ forms in the fixed graded-lex monomial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .field import Field, FieldMismatchError, Scalar
+from .field import Field, FieldMismatchError
 from .geom import PointConfiguration, ProjectivePoint
 from .poly import (
     ExactMatrix,
     Form,
-    ParamPoly,
     ParamRing,
     exact_rank,
     monomial_basis,
@@ -79,16 +87,11 @@ class FatPointScheme:
         )
 
 
-def _chart_index(p: ProjectivePoint) -> int:
+def _chart_index(coords) -> int:
     for i in (2, 1, 0):
-        if p.coeffs[i]:
+        if coords[i]:
             return i
     raise AssertionError("unreachable: zero point")
-
-
-def _chart_scaled(p: ProjectivePoint, chart: int):
-    inv = p.coeffs[chart].inverse()
-    return tuple(c * inv for c in p.coeffs)
 
 
 def _derivative_orders(m: int):
@@ -107,19 +110,37 @@ def _falling(e: int, k: int) -> int:
     return out
 
 
-def _condition_rows_q(X: FatPointScheme, d: int) -> list:
-    """Condition rows as plain Fractions; rational fields only (hot path)."""
+def _row_triple(p: ProjectivePoint) -> tuple:
+    """Coordinates the rows of p are built from.
+
+    Over Q the primitive integer triple with a positive chart coordinate
+    (the stored first nonzero coordinate is 1, so clearing denominators
+    already leaves gcd 1); over Q(zeta_n) the stored Scalars.
+    """
+    if p.field.degree != 1:
+        return p.coeffs
+    fr = [c.coeffs[0] for c in p.coeffs]
+    den = lcm(*(x.denominator for x in fr))
+    if fr[_chart_index(fr)] < 0:
+        den = -den
+    return tuple(int(x * den) for x in fr)
+
+
+def _condition_rows(parts, d: int) -> list:
+    """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
+
+    Each point's entries stay in the ring of its triple.
+    """
     basis = monomial_basis(d)
-    zero = Fraction(0)
     rows = []
-    for p, m in X.parts:
-        chart = _chart_index(p)
+    for coords, m in parts:
+        chart = _chart_index(coords)
         u, v = [i for i in range(3) if i != chart]
-        inv = 1 / p.coeffs[chart].coeffs[0]
-        coords = [c.coeffs[0] * inv for c in p.coeffs]
+        one = coords[chart] ** 0
+        zero = 0 * one
         powers = []
         for c in coords:
-            row = [Fraction(1)]
+            row = [one]
             for _ in range(d):
                 row.append(row[-1] * c)
             powers.append(row)
@@ -138,6 +159,10 @@ def _condition_rows_q(X: FatPointScheme, d: int) -> list:
     return rows
 
 
+def _scheme_rows(X: FatPointScheme, d: int) -> list:
+    return _condition_rows([(_row_triple(p), m) for p, m in X.parts], d)
+
+
 def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """Interpolation matrix whose nullspace is I(X)_d as coefficient vectors.
 
@@ -146,37 +171,7 @@ def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    field = X.field
-    if field.degree == 1:
-        raw = _condition_rows_q(X, d)
-        rows = [[Scalar(field, (x,)) for x in row] for row in raw]
-        return ExactMatrix(field, rows)
-    basis = monomial_basis(d)
-    rows = []
-    for p, m in X.parts:
-        chart = _chart_index(p)
-        u, v = [i for i in range(3) if i != chart]
-        coords = _chart_scaled(p, chart)
-        powers = []
-        for c in coords:
-            row = [field.one]
-            for _ in range(d):
-                row.append(row[-1] * c)
-            powers.append(row)
-        for au, av in _derivative_orders(m):
-            row = []
-            for e in basis:
-                if e[u] < au or e[v] < av:
-                    row.append(field.zero)
-                    continue
-                coef = _falling(e[u], au) * _falling(e[v], av)
-                e2 = list(e)
-                e2[u] -= au
-                e2[v] -= av
-                val = powers[0][e2[0]] * powers[1][e2[1]] * powers[2][e2[2]]
-                row.append(val * coef)
-            rows.append(row)
-    return ExactMatrix(field, rows)
+    return ExactMatrix(X.field, _scheme_rows(X, d))
 
 
 def system_dimension(X: FatPointScheme, d: int) -> int:
@@ -187,7 +182,7 @@ def system_dimension(X: FatPointScheme, d: int) -> int:
     if not X.parts:
         return ncols
     if X.field.degree == 1:
-        return ncols - rank_of_fraction_rows(_condition_rows_q(X, d), ncols)
+        return ncols - rank_of_fraction_rows(_scheme_rows(X, d), ncols)
     return ncols - exact_rank(conditions_matrix(X, d))
 
 
@@ -244,7 +239,7 @@ def _check_vanishing(f: Form, X: FatPointScheme) -> None:
     from .poly import evaluate, partial_derivative
 
     for p, m in X.parts:
-        chart = _chart_index(p)
+        chart = _chart_index(p.coeffs)
         u, v = [i for i in range(3) if i != chart]
         for au, av in _derivative_orders(m):
             g = f
@@ -299,20 +294,6 @@ def symbolic_conditions_matrix(
     """
     if ring is None:
         ring = ParamRing(Z.field)
-    field = Z.field
-    basis = monomial_basis(d)
-    rows = []
-    concrete = conditions_matrix(FatPointScheme.of(Z), d)
-    for row in concrete.rows:
-        rows.append([ring.coerce(e) for e in row])
-    for au, av in _derivative_orders(j):
-        row = []
-        for e in basis:
-            if e[0] < au or e[1] < av:
-                row.append(ring.zero)
-                continue
-            coef = _falling(e[0], au) * _falling(e[1], av)
-            term = {(e[0] - au, e[1] - av): field.scalar(coef)}
-            row.append(ParamPoly(field, term))
-        rows.append(row)
-    return ExactMatrix(ring, rows)
+    parts = [(_row_triple(p), 1) for p in Z.points]
+    parts.append(((ring.a, ring.b, ring.one), j))
+    return ExactMatrix(ring, _condition_rows(parts, d))

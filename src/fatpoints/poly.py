@@ -587,7 +587,7 @@ def exact_rank(M: ExactMatrix) -> int:
 
 
 def rank_of_fraction_rows(rows, ncols: int) -> int:
-    """Rank of plain Fraction rows over Q; the wrapper-free hot path."""
+    """Rank of plain int or Fraction rows over Q; the wrapper-free hot path."""
     if not rows or ncols == 0:
         return 0
     int_rows = []
@@ -657,7 +657,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
 
 
 def determinant(M: ExactMatrix):
-    """Determinant of a square matrix; works over ParamRing up to 3x3."""
+    """Determinant of a square matrix of size at most 3, over any ring."""
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
     n = M.nrows
@@ -674,29 +674,7 @@ def determinant(M: ExactMatrix):
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
-    if not isinstance(M.ring, Field):
-        raise NotImplementedError("large symbolic determinants are not needed here")
-    # plain field elimination; not performance critical at these sizes
-    rows = [list(row) for row in M.rows]
-    det = M.ring.one
-    for c in range(n):
-        piv = None
-        for rr in range(c, n):
-            if rows[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            return M.ring.zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for rr in range(c + 1, n):
-            f = rows[rr][c] * inv
-            if f:
-                rows[rr] = [e2 - f * e for e2, e in zip(rows[rr], rows[c])]
-    return det
+    raise NotImplementedError("determinants above 3x3 are not needed here")
 
 
 @dataclass(frozen=True)

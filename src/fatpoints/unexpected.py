@@ -88,17 +88,21 @@ def _certified_dim(Z: PointConfiguration, j: int, d: int) -> int:
     return comb(d + 2, 2) - cert.rank
 
 
-def multiplicity_dim(Z: PointConfiguration, j: int, strategy=DEFAULT_STRATEGY) -> int:
-    """m(j): the generic value of dim I(Z + jP)_(j+1)."""
+def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY) -> int:
+    """The generic value of dim I(Z + jP)_d: certified, or the sampled minimum."""
     if j < 0:
         raise ValueError("multiplicity must be nonnegative")
-    d = j + 1
     if j == 0:
         return system_dimension(FatPointScheme.of(Z), d)
     if strategy.mode == "certified":
         return _certified_dim(Z, j, d)
     dims = _sampled_dims(Z, j, d, strategy, stop_at=0)
     return min(dim for _, dim in dims)
+
+
+def multiplicity_dim(Z: PointConfiguration, j: int, strategy=DEFAULT_STRATEGY) -> int:
+    """m(j): the generic value of dim I(Z + jP)_(j+1)."""
+    return generic_dim(Z, j, j + 1, strategy)
 
 
 @dataclass(frozen=True)

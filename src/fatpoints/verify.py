@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
-from math import comb
 
 from .field import QQ, make_field, primitive_root
 from .geom import (
@@ -45,7 +44,7 @@ from .unexpected import (
     GeneralPointStrategy,
     detect_unexpected,
     fermat_unexpected_range,
-    multiplicity_dim,
+    generic_dim,
     splitting_type,
 )
 from .configs import (
@@ -84,26 +83,6 @@ class ClaimResult:
         }
 
 
-def _timed(claim_id):
-    def wrap(fn):
-        def inner(*args, **kwargs):
-            t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            out.runtime = time.perf_counter() - t0
-            return out
-
-        inner.__name__ = fn.__name__
-        inner.__doc__ = fn.__doc__
-        inner.claim_id = claim_id
-        return inner
-
-    return wrap
-
-
-def _config_dump(Z: PointConfiguration) -> dict:
-    return Z.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # symbolic certificate for the unexpected quartic
 # ---------------------------------------------------------------------------
@@ -118,7 +97,6 @@ def _symbolic_join(ring: ParamRing, P, Q):
     )
 
 
-@_timed("hessian-certificate")
 def check_hessian_certificate() -> ClaimResult:
     """The three reducible quartics through the nine points with a double
     point at a symbolic P = [a, b, 1] are each singular at P, are linearly
@@ -205,22 +183,12 @@ def check_two_and_four(Z: PointConfiguration, d: int, strategy=None) -> ClaimRes
             "skipped",
             {"reason": "structural hypothesis does not hold", "degree": d},
         )
-    dim = multiplicity_dim_at(Z, d - 1, d, strategy)
+    dim = generic_dim(Z, d - 1, d, strategy)
     status = "pass" if dim == 0 else "fail"
-    failures = [] if dim == 0 else [_config_dump(Z)]
+    failures = [] if dim == 0 else [Z.to_dict()]
     return ClaimResult(
         "two-and-four", status, {"degree": d, "generic dim": dim}, failures=failures
     )
-
-
-def multiplicity_dim_at(Z, j, d, strategy) -> int:
-    """Generic dim of I(Z + jP)_d (the checker-facing sampled minimum)."""
-    from .unexpected import _certified_dim, _sampled_dims
-
-    if strategy.mode == "certified":
-        return _certified_dim(Z, j, d)
-    dims = _sampled_dims(Z, j, d, strategy, stop_at=0)
-    return min(dim for _, dim in dims)
 
 
 def _two_and_four_instances(d: int, count: int, seed, field=QQ):
@@ -249,7 +217,6 @@ def _two_and_four_instances(d: int, count: int, seed, field=QQ):
         yield Z
 
 
-@_timed("two-and-four")
 def check_two_and_four_corpus(d: int, count: int = 100, seed=0, strategy=None) -> ClaimResult:
     strategy = strategy or GeneralPointStrategy()
     failures = []
@@ -301,12 +268,12 @@ def check_family_emptiness(family_id: str, params: dict, d: int, strategy=None) 
     }
     failures = []
     if rep.unexpected != expected:
-        failures.append(_config_dump(Z))
+        failures.append(Z.to_dict())
     if excluded_pair and rep.unexpected:
         eq, _ = projective_equivalent(Z, example_quartic_config())
         details["equivalent to the example configuration"] = eq
         if not eq:
-            failures.append(_config_dump(Z))
+            failures.append(Z.to_dict())
     status = "pass" if not failures else "fail"
     return ClaimResult(claim, status, details, failures=failures)
 
@@ -316,7 +283,6 @@ def check_family_emptiness(family_id: str, params: dict, d: int, strategy=None) 
 # ---------------------------------------------------------------------------
 
 
-@_timed("cubic-nonexistence")
 def check_cubic_nonexistence(n_random: int = 500, seed=1, strategy=None) -> ClaimResult:
     """No tested set of points admits an unexpected cubic (or conic)."""
     strategy = strategy or GeneralPointStrategy()
@@ -326,23 +292,23 @@ def check_cubic_nonexistence(n_random: int = 500, seed=1, strategy=None) -> Clai
         Z = random_config(7, 1000, (seed, i))
         tested["random7"] += 1
         if detect_unexpected(Z, 3, strategy).unexpected:
-            failures.append(_config_dump(Z))
+            failures.append(Z.to_dict())
     fig2_params = [Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1)]
     for a in fig2_params:
         Z = family("figure2-cubic", {"a": a})
         tested["figure2"] += 1
         if detect_unexpected(Z, 3, strategy).unexpected:
-            failures.append(_config_dump(Z))
+            failures.append(Z.to_dict())
     f6 = make_field("cyclotomic", 6)
     Z6 = family("figure2-cubic", {"a": primitive_root(f6)})
     tested["figure2"] += 1
     if detect_unexpected(Z6, 3, strategy).unexpected:
-        failures.append(_config_dump(Z6))
+        failures.append(Z6.to_dict())
     for i in range(10):
         Z = random_config(5, 1000, (seed, "conic", i))
         tested["conics5"] += 1
         if detect_unexpected(Z, 2, strategy).unexpected:
-            failures.append(_config_dump(Z))
+            failures.append(Z.to_dict())
     status = "pass" if not failures else "fail"
     return ClaimResult("cubic-nonexistence", status, tested, failures=failures)
 
@@ -352,7 +318,6 @@ def check_cubic_nonexistence(n_random: int = 500, seed=1, strategy=None) -> Clai
 # ---------------------------------------------------------------------------
 
 
-@_timed("dejonquieres")
 def check_dejonquieres(seeds=(0, 1, 2, 3, 4)) -> ClaimResult:
     """The degree-four map with centers 3P + Z1..Z6 sends Z7, Z8, Z9 to
     collinear points, for seeded random rational P."""
@@ -388,7 +353,6 @@ def check_dejonquieres(seeds=(0, 1, 2, 3, 4)) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-@_timed("quartic-uniqueness-grid")
 def search_uniqueness(space: SearchSpace, inject=(), strategy=None) -> ClaimResult:
     """Every unexpected-quartic hit in the stream is projectively equivalent
     to the nine-point example configuration."""
@@ -411,7 +375,7 @@ def search_uniqueness(space: SearchSpace, inject=(), strategy=None) -> ClaimResu
         if eq:
             equivalent += 1
         else:
-            failures.append(_config_dump(Z))
+            failures.append(Z.to_dict())
     details = {
         "space": {
             "n": space.n,
@@ -429,7 +393,6 @@ def search_uniqueness(space: SearchSpace, inject=(), strategy=None) -> ClaimResu
     return ClaimResult("quartic-uniqueness-grid", status, details, failures=failures)
 
 
-@_timed("quartic-uniqueness-random")
 def check_random_nine(count: int = 200, seed=2, strategy=None) -> ClaimResult:
     """Random nine-point configurations admit no unexpected quartic."""
     strategy = strategy or GeneralPointStrategy()
@@ -437,14 +400,13 @@ def check_random_nine(count: int = 200, seed=2, strategy=None) -> ClaimResult:
     for i in range(count):
         Z = random_config(9, 1000, (seed, i))
         if detect_unexpected(Z, 4, strategy).unexpected:
-            failures.append(_config_dump(Z))
+            failures.append(Z.to_dict())
     status = "pass" if not failures else "fail"
     return ClaimResult(
         "quartic-uniqueness-random", status, {"instances": count}, failures=failures
     )
 
 
-@_timed("superset-persistence")
 def check_superset_persistence(strategy=None) -> ClaimResult:
     """No tested ten-point superset of the example keeps the unexpected
     quartic, and no eight-point subset carries one."""
@@ -461,13 +423,13 @@ def check_superset_persistence(strategy=None) -> ClaimResult:
         V = PointConfiguration(QQ, list(Z.points) + [q])
         supersets += 1
         if detect_unexpected(V, 4, strategy).unexpected:
-            failures.append(_config_dump(V))
+            failures.append(V.to_dict())
     subsets = 0
     for skip in range(9):
         W = PointConfiguration(QQ, [p for i, p in enumerate(Z.points) if i != skip])
         subsets += 1
         if detect_unexpected(W, 4, strategy).unexpected:
-            failures.append(_config_dump(W))
+            failures.append(W.to_dict())
     status = "pass" if not failures else "fail"
     return ClaimResult(
         "superset-persistence",
@@ -482,7 +444,6 @@ def check_superset_persistence(strategy=None) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-@_timed("fermat3-combinatorics")
 def check_fermat3_combinatorics() -> ClaimResult:
     """Twelve 3-rich lines, no simple lines, nothing richer, and exactly
     four 3-rich lines through every point."""
@@ -505,11 +466,10 @@ def check_fermat3_combinatorics() -> ClaimResult:
         "fermat3-combinatorics",
         "pass" if ok else "fail",
         details,
-        failures=[] if ok else [_config_dump(Z)],
+        failures=[] if ok else [Z.to_dict()],
     )
 
 
-@_timed("fermat3-no-unexpected")
 def check_fermat3_no_unexpected(strategy=None) -> ClaimResult:
     strategy = strategy or GeneralPointStrategy()
     Z = dual_fermat(3)
@@ -525,11 +485,10 @@ def check_fermat3_no_unexpected(strategy=None) -> ClaimResult:
         "fermat3-no-unexpected",
         "pass" if ok else "fail",
         details,
-        failures=[] if ok else [_config_dump(Z)],
+        failures=[] if ok else [Z.to_dict()],
     )
 
 
-@_timed("fermat5-degree7")
 def check_fermat5_degree7(strategy=None) -> ClaimResult:
     """F5 over Q(zeta_5) has an unexpected degree-7 curve and the range scan
     over [3, 7] finds exactly degree 7."""
@@ -549,7 +508,7 @@ def check_fermat5_degree7(strategy=None) -> ClaimResult:
         "fermat5-degree7",
         "pass" if ok else "fail",
         details,
-        failures=[] if ok else [_config_dump(Z)],
+        failures=[] if ok else [Z.to_dict()],
     )
 
 
@@ -558,7 +517,6 @@ def check_fermat5_degree7(strategy=None) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-@_timed("w5-splitting")
 def check_w5_splitting(strategy=None) -> ClaimResult:
     """The five-point family has m(1) = 0, m(2) = 2 and splitting type (2,2)."""
     strategy = strategy or GeneralPointStrategy()
@@ -583,7 +541,6 @@ def check_w5_splitting(strategy=None) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-@_timed("example-quartic-unexpected")
 def check_example_unexpected() -> ClaimResult:
     """Sampled (seeds 0, 1, 2) and certified modes agree: generic dimension 1
     against threshold 0."""
@@ -612,7 +569,6 @@ def check_example_unexpected() -> ClaimResult:
     return ClaimResult("example-quartic-unexpected", status, details, failures=failures)
 
 
-@_timed("example-double-point-basis")
 def check_example_double_point(n_points: int = 5, seed=3) -> ClaimResult:
     """dim I(Z + 2P)_4 = 3 at random rational P, every basis form singular
     at P (all three first partials vanish)."""
@@ -637,7 +593,6 @@ def check_example_double_point(n_points: int = 5, seed=3) -> ClaimResult:
     )
 
 
-@_timed("example-splitting")
 def check_example_splitting(strategy=None) -> ClaimResult:
     """The example configuration has splitting type (3, 5): unbalanced."""
     strategy = strategy or GeneralPointStrategy()
@@ -653,7 +608,6 @@ def check_example_splitting(strategy=None) -> ClaimResult:
     )
 
 
-@_timed("example-equivalences")
 def check_example_equivalences() -> ClaimResult:
     """The three construction variants are pairwise equivalent; the example
     is not equivalent to the dual Fermat configuration."""
@@ -683,12 +637,9 @@ def check_example_equivalences() -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-@_timed("oracle-coherence")
 def check_oracle_coherence(count: int = 50, seed=4) -> ClaimResult:
     """Sampled and certified generic dimensions agree on random small
     instances, and dim >= edim on every computed system."""
-    from .unexpected import _certified_dim
-
     rng = random.Random(f"fatpoints:oracle:{seed}")
     failures = []
     agreements = 0
@@ -697,18 +648,18 @@ def check_oracle_coherence(count: int = 50, seed=4) -> ClaimResult:
         Z = random_config(r, 8, ("oracle", seed, t))
         j = rng.randint(1, 2)
         d = j + rng.randint(1, 2)
-        sampled = multiplicity_dim_at(Z, j, d, GeneralPointStrategy(seed=t))
-        certified = _certified_dim(Z, j, d)
+        sampled = generic_dim(Z, j, d, GeneralPointStrategy(seed=t))
+        certified = generic_dim(Z, j, d, GeneralPointStrategy(mode="certified"))
         if sampled == certified:
             agreements += 1
         else:
             failures.append(
-                {"config": _config_dump(Z), "j": j, "d": d, "sampled": sampled, "certified": certified}
+                {"config": Z.to_dict(), "j": j, "d": d, "sampled": sampled, "certified": certified}
             )
         P = GeneralPointStrategy(seed=t).sample_point(QQ, 0, set(Z.points))
         rep = dim_linear_system(FatPointScheme.of(Z, (P, j)), d)
         if rep.dim < rep.edim:
-            failures.append({"config": _config_dump(Z), "dim": rep.dim, "edim": rep.edim})
+            failures.append({"config": Z.to_dict(), "dim": rep.dim, "edim": rep.edim})
     status = "pass" if not failures else "fail"
     return ClaimResult(
         "oracle-coherence",
@@ -732,6 +683,81 @@ CERTIFIABLE_CLAIMS = frozenset(
 )
 
 
+def _family_instances():
+    out = []
+    for params in ({"a": 3, "b": 5}, {"a": Fraction(-1, 2), "b": Fraction(1, 4)}, {"a": 2, "b": -3}):
+        out.append(("prop31", params, 4))
+    for params in ({"a": 2, "b": 3}, {"a": -1, "b": 2}, {"a": Fraction(1, 2), "b": 3}):
+        out.append(("prop33-case3", params, 4))
+    out.append(("prop33-case3", {"a": -1, "b": 1}, 4))  # the excluded pair
+    for params in ({"a": 2}, {"a": -3}, {"a": Fraction(2, 5)}):
+        out.append(("prop33-first", params, 4))
+    f6 = make_field("cyclotomic", 6)
+    out.append(("prop33-first", {"a": primitive_root(f6)}, 4))
+    return out
+
+
+def check_families(strategy=None) -> ClaimResult:
+    """check_family_emptiness passes on every family instance of the suite."""
+    failures = []
+    tested = []
+    for fam, params, d in _family_instances():
+        res = check_family_emptiness(fam, params, d, strategy)
+        tested.append(
+            {
+                "family": fam,
+                "params": {k: str(v) for k, v in params.items()},
+                "pass": res.passed,
+            }
+        )
+        if not res.passed:
+            failures.extend(res.failures or [res.details])
+    return ClaimResult(
+        "family-emptiness",
+        "pass" if not failures else "fail",
+        {"instances": tested},
+        failures=failures,
+    )
+
+
+# claim id -> runner(seed, sampled strategy, strategy of the certifiable
+# claims), in suite order
+CLAIM_RUNNERS = {
+    "hessian-certificate": lambda seed, s, c: check_hessian_certificate(),
+    "two-and-four-d3": lambda seed, s, c: check_two_and_four_corpus(3, 100, seed, s),
+    "two-and-four-d4": lambda seed, s, c: check_two_and_four_corpus(4, 100, seed, s),
+    "family-emptiness": lambda seed, s, c: check_families(c),
+    "cubic-nonexistence": lambda seed, s, c: check_cubic_nonexistence(500, seed + 1, s),
+    "dejonquieres": lambda seed, s, c: check_dejonquieres(),
+    "quartic-uniqueness-grid": lambda seed, s, c: search_uniqueness(
+        SearchSpace(n=4, r=9, constraint="4-rich-line", seed=seed, limit=300),
+        inject=(example_quartic_config(),),
+        strategy=s,
+    ),
+    "quartic-uniqueness-random": lambda seed, s, c: check_random_nine(200, seed + 2, s),
+    "superset-persistence": lambda seed, s, c: check_superset_persistence(c),
+    "fermat3-combinatorics": lambda seed, s, c: check_fermat3_combinatorics(),
+    "fermat3-no-unexpected": lambda seed, s, c: check_fermat3_no_unexpected(c),
+    "fermat5-degree7": lambda seed, s, c: check_fermat5_degree7(s),
+    "w5-splitting": lambda seed, s, c: check_w5_splitting(s),
+    "example-quartic-unexpected": lambda seed, s, c: check_example_unexpected(),
+    "example-double-point-basis": lambda seed, s, c: check_example_double_point(seed=seed + 3),
+    "example-splitting": lambda seed, s, c: check_example_splitting(s),
+    "example-equivalences": lambda seed, s, c: check_example_equivalences(),
+    "oracle-coherence": lambda seed, s, c: check_oracle_coherence(50, seed + 4),
+}
+
+SUITE_CLAIMS = tuple(CLAIM_RUNNERS)
+
+
+def run_timed(checker, *args, **kwargs) -> ClaimResult:
+    """Call a claim checker and record its wall time as the result's runtime."""
+    t0 = time.perf_counter()
+    result = checker(*args, **kwargs)
+    result.runtime = time.perf_counter() - t0
+    return result
+
+
 def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[ClaimResult]:
     """Run every claim checker; deterministic given the seed.
 
@@ -743,95 +769,13 @@ def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[C
     certified_strategy = (
         GeneralPointStrategy(mode="certified", seed=seed) if certify else strategy
     )
-
-    def _families():
-        out = []
-        for params in ({"a": 3, "b": 5}, {"a": Fraction(-1, 2), "b": Fraction(1, 4)}, {"a": 2, "b": -3}):
-            out.append(("prop31", params, 4))
-        for params in ({"a": 2, "b": 3}, {"a": -1, "b": 2}, {"a": Fraction(1, 2), "b": 3}):
-            out.append(("prop33-case3", params, 4))
-        out.append(("prop33-case3", {"a": -1, "b": 1}, 4))  # the excluded pair
-        for params in ({"a": 2}, {"a": -3}, {"a": Fraction(2, 5)}):
-            out.append(("prop33-first", params, 4))
-        f6 = make_field("cyclotomic", 6)
-        out.append(("prop33-first", {"a": primitive_root(f6)}, 4))
-        return out
-
-    def families_claim():
-        t0 = time.perf_counter()
-        failures = []
-        tested = []
-        for fam, params, d in _families():
-            res = check_family_emptiness(fam, params, d, certified_strategy)
-            tested.append(
-                {
-                    "family": fam,
-                    "params": {k: str(v) for k, v in params.items()},
-                    "pass": res.passed,
-                }
-            )
-            if not res.passed:
-                failures.extend(res.failures or [res.details])
-        out = ClaimResult(
-            "family-emptiness",
-            "pass" if not failures else "fail",
-            {"instances": tested},
-            failures=failures,
-        )
-        out.runtime = time.perf_counter() - t0
-        return out
-
-    def grid_claim():
-        space = SearchSpace(n=4, r=9, constraint="4-rich-line", seed=seed, limit=300)
-        return search_uniqueness(space, inject=(example_quartic_config(),), strategy=strategy)
-
-    runners = {
-        "hessian-certificate": lambda: check_hessian_certificate(),
-        "two-and-four-d3": lambda: check_two_and_four_corpus(3, 100, seed, strategy),
-        "two-and-four-d4": lambda: check_two_and_four_corpus(4, 100, seed, strategy),
-        "family-emptiness": families_claim,
-        "cubic-nonexistence": lambda: check_cubic_nonexistence(500, seed + 1, strategy),
-        "dejonquieres": lambda: check_dejonquieres(),
-        "quartic-uniqueness-grid": grid_claim,
-        "quartic-uniqueness-random": lambda: check_random_nine(200, seed + 2, strategy),
-        "superset-persistence": lambda: check_superset_persistence(certified_strategy),
-        "fermat3-combinatorics": lambda: check_fermat3_combinatorics(),
-        "fermat3-no-unexpected": lambda: check_fermat3_no_unexpected(certified_strategy),
-        "fermat5-degree7": lambda: check_fermat5_degree7(strategy),
-        "w5-splitting": lambda: check_w5_splitting(strategy),
-        "example-quartic-unexpected": lambda: check_example_unexpected(),
-        "example-double-point-basis": lambda: check_example_double_point(seed=seed + 3),
-        "example-splitting": lambda: check_example_splitting(strategy),
-        "example-equivalences": lambda: check_example_equivalences(),
-        "oracle-coherence": lambda: check_oracle_coherence(50, seed + 4),
-    }
     if claims:
-        unknown = set(claims) - set(runners)
+        unknown = set(claims) - set(CLAIM_RUNNERS)
         if unknown:
             raise ValueError(f"unknown claims: {sorted(unknown)}")
-        selected = [c for c in runners if c in set(claims)]
+        selected = [c for c in SUITE_CLAIMS if c in set(claims)]
     else:
-        selected = list(runners)
-    return [runners[c]() for c in selected]
-
-
-SUITE_CLAIMS = (
-    "hessian-certificate",
-    "two-and-four-d3",
-    "two-and-four-d4",
-    "family-emptiness",
-    "cubic-nonexistence",
-    "dejonquieres",
-    "quartic-uniqueness-grid",
-    "quartic-uniqueness-random",
-    "superset-persistence",
-    "fermat3-combinatorics",
-    "fermat3-no-unexpected",
-    "fermat5-degree7",
-    "w5-splitting",
-    "example-quartic-unexpected",
-    "example-double-point-basis",
-    "example-splitting",
-    "example-equivalences",
-    "oracle-coherence",
-)
+        selected = SUITE_CLAIMS
+    return [
+        run_timed(CLAIM_RUNNERS[c], seed, strategy, certified_strategy) for c in selected
+    ]

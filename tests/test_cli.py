@@ -89,6 +89,27 @@ def test_equiv_command(tmp_path, capsys):
     assert "witness" in data
 
 
+def test_equiv_collinear_sets_is_an_input_error(tmp_path, capsys):
+    line = {"field": {"type": "rational"}, "points": [[t, 2 * t + 1, 1] for t in range(4)]}
+    other = {"field": {"type": "rational"}, "points": [[t, 0, 1] for t in (0, 1, 3, 7)]}
+    f1 = tmp_path / "a.json"
+    f2 = tmp_path / "b.json"
+    f1.write_text(json.dumps(line))
+    f2.write_text(json.dumps(other))
+    code, _, err = run_cli(capsys, "equiv", str(f1), str(f2))
+    assert code == 3
+    assert json.loads(err)["error"]["code"] == "input"
+    assert "Traceback" not in err
+
+
+def test_search_reports_measured_runtime(capsys):
+    code, out, _ = run_cli(capsys, "search", "--limit", "3", "--inject-example")
+    assert code == 0
+    res = json.loads(out)
+    assert res["details"]["hits"] == 1
+    assert res["runtime"] > 0
+
+
 def test_verify_selected_claims(tmp_path, capsys):
     out_file = tmp_path / "results.json"
     code, _, err = run_cli(

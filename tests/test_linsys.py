@@ -17,6 +17,7 @@ from fatpoints import (
     dim_linear_system,
     evaluate,
     example_quartic_config,
+    family,
     make_field,
     partial_derivative,
     random_config,
@@ -26,6 +27,7 @@ from fatpoints import (
 )
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import system_dimension
+from fatpoints.poly import _int_param_rows
 from fatpoints.unexpected import GeneralPointStrategy
 
 
@@ -239,3 +241,65 @@ def test_cyclotomic_system():
     for f in rep.basis:
         for p in pts:
             assert evaluate(f, p.coeffs).is_zero()
+
+
+# points in every chart: z != 0 (twice); z = 0 with y != 0, whose y is
+# negative once the first coordinate is scaled to 1; and [1:0:0]
+_CHART_POINTS = (
+    (Fraction(2, 3), -1, 5),
+    (3, -2, 0),
+    (1, 0, 0),
+    (0, 1, 2),
+)
+_ORACLE_SCHEMES = (
+    ((0, 1),), ((0, 2),), ((0, 3),),
+    ((1, 1),), ((1, 2),), ((1, 3),),
+    ((2, 1),), ((2, 2),), ((2, 3),),
+    ((0, 2), (1, 3), (2, 1)),
+    ((0, 3), (1, 1), (2, 2), (3, 1)),
+    ((1, 2), (2, 3), (3, 2)),
+)  # fmt: skip
+
+
+def _degree_exponents(d):
+    return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
+
+
+def _sympy_corank(sympy, parts, d):
+    # chart-free oracle: every partial of order < m in x, y, z vanishes at
+    # the point, built with sympy's own differentiation and rank
+    x, y, z = sympy.symbols("x y z")
+    monomials = [x**e[0] * y**e[1] * z**e[2] for e in _degree_exponents(d)]
+    rows = []
+    for k, m in parts:
+        at = dict(zip((x, y, z), (sympy.Rational(str(Fraction(c))) for c in _CHART_POINTS[k])))
+        for o in range(m):
+            for i in range(o + 1):
+                for j in range(o - i + 1):
+                    orders = (x, i, y, j, z, o - i - j)
+                    rows.append([sympy.diff(mono, *orders).subs(at) for mono in monomials])
+    if not rows:
+        return len(monomials)
+    return len(monomials) - sympy.Matrix(rows).rank()
+
+
+def test_dimensions_match_sympy_oracle_in_every_chart():
+    sympy = pytest.importorskip("sympy")
+    f3 = make_field("cyclotomic", 3)
+    for parts in _ORACLE_SCHEMES:
+        X = FatPointScheme(QQ, [(_point(*_CHART_POINTS[k]), m) for k, m in parts])
+        X3 = FatPointScheme(
+            f3, [(_point(*_CHART_POINTS[k], field=f3), m) for k, m in parts]
+        )
+        for d in range(6):
+            expected = _sympy_corank(sympy, parts, d)
+            assert system_dimension(X, d) == expected, (parts, d)
+            assert dim_linear_system(X, d).dim == expected, (parts, d)
+            assert system_dimension(X3, d) == expected, (parts, d)
+
+
+def test_symbolic_rows_of_non_integer_family_stay_integral():
+    # homogeneous rows from primitive integer triples keep the certified
+    # rank on its integer path even when the family parameters are fractions
+    Z = family("prop31", {"a": Fraction(-1, 2), "b": Fraction(1, 4)})
+    assert _int_param_rows(symbolic_conditions_matrix(Z, 3, 4)) is not None

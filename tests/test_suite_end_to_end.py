@@ -1,6 +1,12 @@
 """The complete reproduction suite must pass end to end."""
 
+import json
+from pathlib import Path
+
 from fatpoints.verify import SUITE_CLAIMS, run_paper_suite
+
+# the suite's JSON for seed 0 with runtimes removed: the output contract
+EXPECTED = Path(__file__).parent / "data" / "suite_seed0.json"
 
 
 def test_full_paper_suite_passes():
@@ -15,3 +21,5 @@ def test_full_paper_suite_passes():
     assert by_claim["cubic-nonexistence"].details["random7"] == 500
     assert by_claim["quartic-uniqueness-random"].details["instances"] == 200
     assert by_claim["quartic-uniqueness-grid"].details["hits"] >= 1
+    reports = [{k: v for k, v in r.to_dict().items() if k != "runtime"} for r in results]
+    assert json.loads(json.dumps(reports)) == json.loads(EXPECTED.read_text())

@@ -14,6 +14,7 @@ from fatpoints import (
     example_quartic_config,
     family,
     fermat_unexpected_range,
+    generic_dim,
     is_semistable_gate,
     multiplicity_dim,
     random_config,
@@ -30,6 +31,17 @@ def test_multiplicity_dim_examples():
     Z = PointConfiguration(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
     assert multiplicity_dim(Z, 0) == 0
     assert multiplicity_dim(example_quartic_config(), 3) == 1
+
+
+def test_generic_dim_modes_and_validation():
+    Z = example_quartic_config()
+    certified = GeneralPointStrategy(mode="certified")
+    # the unexpected quartic: a triple point through the nine points at d = 4
+    assert generic_dim(Z, 3, 4) == generic_dim(Z, 3, 4, certified) == 1
+    assert generic_dim(Z, 2, 4) == generic_dim(Z, 2, 4, certified) == 3
+    assert generic_dim(Z, 0, 4) == 6  # j = 0 is dim I(Z)_4 itself
+    with pytest.raises(ValueError):
+        generic_dim(Z, -1, 4)
 
 
 def test_splitting_type_examples():
