@@ -228,8 +228,6 @@ class LineStats:
 
 def analyze_lines(Z: PointConfiguration) -> LineStats:
     """Every line through two or more points of Z, with incident indices."""
-    if len(Z) < 2:
-        raise ValueError("need at least two points to analyze lines")
     seen: dict[tuple, list] = {}
     order: list[tuple] = []
     n = len(Z)
@@ -395,9 +393,8 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
         raise FieldMismatchError("configurations over different fields")
     if len(Z1) != len(Z2):
         raise ValueError("equivalence needs configurations of equal size")
-    if len(Z1) >= 2:
-        if analyze_lines(Z1).histogram_key() != analyze_lines(Z2).histogram_key():
-            return False, None
+    if analyze_lines(Z1).histogram_key() != analyze_lines(Z2).histogram_key():
+        return False, None
     src = _anchor_quadruple(Z1)
     if src is None:
         # fewer than 4 points in general position on both sides or neither:

@@ -12,7 +12,9 @@ echelon form, so they are canonical regardless of pivot choices.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
-integer grid larger than the degree bound of the relevant minors.
+integer grid larger than the degree bound of the relevant minors.  Grid
+certificates evaluate integral coefficients at integer points, so every
+grid rank is one integer elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .field import Field, FieldMismatchError, Scalar
+from .field import QQ, Field, FieldMismatchError, Scalar
+from .geom import mat3_det
 
 
 @lru_cache(maxsize=None)
@@ -445,27 +448,25 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
 
 
-def _scaled_int_rows(M: ExactMatrix):
-    """Clear denominators row by row; rank and nullspace are unchanged.
+def _integral_rows(rows, field: Field) -> list:
+    """Each row times the lcm of its denominators: int rows over Q, int-tuple
+    rows over Q(zeta_n).  Entries are Scalars of field, or over Q also ints
+    and Fractions; a row is all Scalars or none.
 
-    Returns plain int rows for Q and int-tuple rows for Q(zeta_n).
+    The one place denominators are cleared; scaling a row by a nonzero
+    constant keeps the rank, the row space and the nullspace.
     """
-    field = M.ring
-    if field.degree == 1:
-        out = []
-        for row in M.rows:
-            den = 1
-            for s in row:
-                den = lcm(den, s.coeffs[0].denominator)
-            out.append([int(s.coeffs[0] * den) for s in row])
-        return out
     out = []
-    for row in M.rows:
-        den = 1
-        for s in row:
-            for c in s.coeffs:
-                den = lcm(den, c.denominator)
-        out.append([tuple(int(c * den) for c in s.coeffs) for s in row])
+    if field.degree == 1:
+        for row in rows:
+            if row and isinstance(row[0], Scalar):
+                row = [x.coeffs[0] for x in row]
+            den = lcm(*[x.denominator for x in row])
+            out.append([x.numerator * (den // x.denominator) for x in row])
+        return out
+    for row in rows:
+        den = lcm(*[c.denominator for s in row for c in s.coeffs])
+        out.append([tuple(c.numerator * (den // c.denominator) for c in s.coeffs) for s in row])
     return out
 
 
@@ -572,31 +573,24 @@ def _echelon_cyc(rows, ncols, field: Field):
     return len(pivots), pivots
 
 
+def _echelon(rows, ncols: int, field: Field):
+    """Forward elimination of _integral_rows output in place: (rank, pivot cols)."""
+    if field.degree == 1:
+        return _echelon_int(rows, ncols)
+    return _echelon_cyc(rows, ncols, field)
+
+
 def exact_rank(M: ExactMatrix) -> int:
     """Rank over the field, by fraction-free elimination with exact pivoting."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
-    if M.nrows == 0 or M.ncols == 0:
-        return 0
-    rows = _scaled_int_rows(M)
-    if M.ring.degree == 1:
-        rank, _ = _echelon_int(rows, M.ncols)
-    else:
-        rank, _ = _echelon_cyc(rows, M.ncols, M.ring)
+    rank, _ = _echelon(_integral_rows(M.rows, M.ring), M.ncols, M.ring)
     return rank
 
 
 def rank_of_fraction_rows(rows, ncols: int) -> int:
     """Rank of plain int or Fraction rows over Q; the wrapper-free hot path."""
-    if not rows or ncols == 0:
-        return 0
-    int_rows = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        int_rows.append([int(x * den) for x in row])
-    rank, _ = _echelon_int(int_rows, ncols)
+    rank, _ = _echelon(_integral_rows(rows, QQ), ncols, QQ)
     return rank
 
 
@@ -630,18 +624,8 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    if M.nrows == 0:
-        eye = []
-        for c in range(M.ncols):
-            v = [field.zero] * M.ncols
-            v[c] = field.one
-            eye.append(tuple(v))
-        return eye
-    rows = _scaled_int_rows(M)
-    if field.degree == 1:
-        rank, pivots = _echelon_int(rows, M.ncols)
-    else:
-        rank, pivots = _echelon_cyc(rows, M.ncols, field)
+    rows = _integral_rows(M.rows, field)
+    _, pivots = _echelon(rows, M.ncols, field)
     rref = _rref_from_echelon(field, rows, pivots, M.ncols)
     pivset = set(pivots)
     basis = []
@@ -669,11 +653,7 @@ def determinant(M: ExactMatrix):
     if n == 2:
         return r[0][0] * r[1][1] - r[0][1] * r[1][0]
     if n == 3:
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        return mat3_det(r)
     raise NotImplementedError("determinants above 3x3 are not needed here")
 
 
@@ -695,54 +675,50 @@ class GenericRankCertificate:
 
 
 def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
-    """Certified generic rank of a matrix with ParamPoly entries."""
+    """Certified generic rank of a matrix with ParamPoly entries.
+
+    Each row is scaled once to integral term coefficients, so every grid
+    point is evaluated and eliminated in integer arithmetic.
+    """
     if not isinstance(M.ring, ParamRing):
         raise TypeError("symbolic_rank_bound needs a matrix over a parameter ring")
     field = M.ring.field
-    if M.nrows == 0 or M.ncols == 0:
-        return GenericRankCertificate(0, (0, 0), 0, 0, 1)
     da = sum(max((e.deg_a() for e in row), default=0) for row in M.rows)
     db = sum(max((e.deg_b() for e in row), default=0) for row in M.rows)
-    int_rows = _int_param_rows(M) if field.degree == 1 else None
+    # entries as [(deg_a, deg_b, integral coefficient)] term lists
+    rows = []
+    for row in M.rows:
+        (coeffs,) = _integral_rows([[c for e in row for c in e.terms.values()]], field)
+        coeffs = iter(coeffs)
+        rows.append([[(i, j, next(coeffs)) for i, j in e.terms] for e in row])
+    if field.degree == 1:
+
+        def value(terms, pa, pb):
+            total = 0
+            for i, j, c in terms:
+                total += c * pa[i] * pb[j]
+            return total
+
+    else:
+
+        def value(terms, pa, pb):
+            total = [0] * field.degree
+            for i, j, c in terms:
+                w = pa[i] * pb[j]
+                for k, x in enumerate(c):
+                    total[k] += x * w
+            return tuple(total)
+
+    n = max(da, db) + 1
+    powers = [[x**k for k in range(n)] for x in range(n)]
     best = -1
     witness = (0, 0)
     for a0 in range(da + 1):
         for b0 in range(db + 1):
-            if int_rows is not None:
-                rows = [
-                    [_eval_int_poly(e, a0, b0) for e in row] for row in int_rows
-                ]
-                rank, _ = _echelon_int(rows, M.ncols)
-            else:
-                sa = field.scalar(a0)
-                sb = field.scalar(b0)
-                rows = [[e.evaluate(sa, sb) for e in row] for row in M.rows]
-                rank = exact_rank(ExactMatrix(field, rows))
+            pa, pb = powers[a0], powers[b0]
+            grid_rows = [[value(e, pa, pb) for e in row] for row in rows]
+            rank, _ = _echelon(grid_rows, M.ncols, field)
             if rank > best:
                 best = rank
                 witness = (a0, b0)
     return GenericRankCertificate(best, witness, da, db, (da + 1) * (db + 1))
-
-
-def _int_param_rows(M: ExactMatrix):
-    """Entries as {(i, j): int} dicts when every coefficient is integral."""
-    out = []
-    for row in M.rows:
-        orow = []
-        for e in row:
-            d = {}
-            for k, c in e.terms.items():
-                fr = c.coeffs[0]
-                if fr.denominator != 1:
-                    return None
-                d[k] = fr.numerator
-            orow.append(d)
-        out.append(orow)
-    return out
-
-
-def _eval_int_poly(terms: dict, a0: int, b0: int) -> int:
-    total = 0
-    for (i, j), c in terms.items():
-        total += c * (a0**i) * (b0**j)
-    return total

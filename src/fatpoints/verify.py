@@ -19,6 +19,7 @@ from .field import QQ, make_field, primitive_root
 from .geom import (
     PointConfiguration,
     ProjectivePoint,
+    _cross,
     analyze_lines,
     mat3_det,
     meet,
@@ -88,15 +89,6 @@ class ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_join(ring: ParamRing, P, Q):
-    """Line through two points with ParamPoly coordinates."""
-    return (
-        P[1] * Q[2] - P[2] * Q[1],
-        P[2] * Q[0] - P[0] * Q[2],
-        P[0] * Q[1] - P[1] * Q[0],
-    )
-
-
 def check_hessian_certificate() -> ClaimResult:
     """The three reducible quartics through the nine points with a double
     point at a symbolic P = [a, b, 1] are each singular at P, are linearly
@@ -109,7 +101,7 @@ def check_hessian_certificate() -> ClaimResult:
     L1 = Form.variable(ring, "y")
     L2 = Form.variable(ring, "x")
     L3 = Form.variable(ring, "z")
-    M = {j: Form.linear(ring, _symbolic_join(ring, P, lifted[j - 1])) for j in range(1, 10)}
+    M = {j: Form.linear(ring, _cross(P, lifted[j - 1])) for j in range(1, 10)}
     G1 = product([L1, L2, M[6], M[7]])
     G2 = product([L1, L3, M[2], M[4]])
     G3 = product([L2, L3, M[1], M[3]])

@@ -2,7 +2,7 @@
 
 import json
 
-from fatpoints import PointConfiguration, apply_transform, example_quartic_config
+from fatpoints import QQ, PointConfiguration, apply_transform, example_quartic_config
 from fatpoints.cli import main
 
 
@@ -42,6 +42,16 @@ def test_analyze_reports_rich_lines(tmp_path, capsys):
     data = json.loads(out)
     assert data["lineStats"]["rich"]["4"] == 3
     assert data["systems"][3]["dim"] == 6
+
+
+def test_analyze_one_point_configuration(tmp_path, capsys):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps(PointConfiguration(QQ, [[1, 2, 3]]).to_dict()))
+    code, out, _ = run_cli(capsys, "analyze", str(cfg))
+    assert code == 0
+    data = json.loads(out)
+    assert data["lineStats"] == {"simple": 0, "rich": {}, "lines": []}
+    assert [(s["degree"], s["dim"]) for s in data["systems"]] == [(1, 2), (2, 5), (3, 9), (4, 14)]
 
 
 def test_unexpected_command(tmp_path, capsys):

@@ -27,7 +27,6 @@ from fatpoints import (
 )
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import system_dimension
-from fatpoints.poly import _int_param_rows
 from fatpoints.unexpected import GeneralPointStrategy
 
 
@@ -71,6 +70,12 @@ def test_dim_examples():
     P = _point(7, 3, 1)
     rep = dim_linear_system(FatPointScheme.of(Z, (P, 2)), 4)
     assert rep.dim == 3
+    # the empty scheme imposes nothing: every conic, with the identity basis
+    rep = dim_linear_system(FatPointScheme(QQ, []), 2)
+    assert (rep.vdim, rep.dim, rep.special) == (6, 6, False)
+    assert [f.coeffs for f in rep.basis] == [
+        tuple(QQ.one if i == k else QQ.zero for i in range(6)) for k in range(6)
+    ]
 
 
 def test_scheme_validation():
@@ -299,7 +304,9 @@ def test_dimensions_match_sympy_oracle_in_every_chart():
 
 
 def test_symbolic_rows_of_non_integer_family_stay_integral():
-    # homogeneous rows from primitive integer triples keep the certified
-    # rank on its integer path even when the family parameters are fractions
+    # homogeneous rows from primitive integer triples keep every term
+    # coefficient integral even when the family parameters are fractions
     Z = family("prop31", {"a": Fraction(-1, 2), "b": Fraction(1, 4)})
-    assert _int_param_rows(symbolic_conditions_matrix(Z, 3, 4)) is not None
+    M = symbolic_conditions_matrix(Z, 3, 4)
+    coeffs = [c.coeffs[0] for row in M.rows for e in row for c in e.terms.values()]
+    assert coeffs and all(c.denominator == 1 for c in coeffs)

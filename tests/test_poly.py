@@ -10,6 +10,7 @@ import pytest
 from fatpoints import (
     ExactMatrix,
     Form,
+    GenericRankCertificate,
     ParamRing,
     QQ,
     evaluate,
@@ -220,6 +221,8 @@ def test_nullspace_exactness_and_dimension():
             assert len(basis) == n - rank
             for v in basis:
                 assert all(s.is_zero() for s in M.matvec(v))
+        empty = ExactMatrix(field, [])
+        assert (exact_rank(empty), nullspace_basis(empty)) == (0, [])
 
 
 def test_rank_invariances():
@@ -250,27 +253,40 @@ def test_symbolic_rank_bound_examples():
     rep = ExactMatrix(ring, [[a, b], [a, b]])
     cert = symbolic_rank_bound(rep)
     assert cert.rank == 1
+    assert symbolic_rank_bound(ExactMatrix(ring, [])) == GenericRankCertificate(
+        0, (0, 0), 0, 0, 1
+    )
 
 
 def test_symbolic_rank_agrees_with_specializations():
-    ring = ParamRing(QQ)
-    a, b = ring.a, ring.b
-    rows = [
-        [a * b, a + b, ring.one],
-        [a * b * 2, (a + b) * 2, ring.coerce(2)],
-        [b, a, a * a],
-    ]
-    M = ExactMatrix(ring, rows)
-    cert = symbolic_rank_bound(M)
-    rng = random.Random("spez")
-    attained = False
-    for _ in range(20):
-        a0, b0 = QQ.scalar(rng.randint(-30, 30)), QQ.scalar(rng.randint(-30, 30))
-        spec = ExactMatrix(QQ, [[e.evaluate(a0, b0) for e in row] for row in rows])
-        r = exact_rank(spec)
-        assert r <= cert.rank
-        attained = attained or r == cert.rank
-    assert attained
+    # over Q(zeta_3) the last two rows carry non-integral coefficients such
+    # as (1/2)*z*a, and the rank needs the last row: the certificate has to
+    # scale cyclotomic rows, not truncate them
+    f3 = make_field("cyclotomic", 3)
+    for field, c in ((QQ, 2), (f3, primitive_root(f3) * Fraction(1, 2))):
+        ring = ParamRing(field)
+        a, b = ring.a, ring.b
+        rows = [
+            [a * b, a + b, ring.one],
+            [a * b * c, (a + b) * c, ring.coerce(c)],
+            [b * c, a * c, a * a * c],
+        ]
+
+        def spec_rank(a0, b0):
+            spec = [[e.evaluate(a0, b0) for e in row] for row in rows]
+            return exact_rank(ExactMatrix(field, spec))
+
+        cert = symbolic_rank_bound(ExactMatrix(ring, rows))
+        # rank 1 at (a, b) = (0, 0), rank 2 at the next grid point
+        assert cert == GenericRankCertificate(2, (0, 1), 4, 3, 20)
+        assert spec_rank(*cert.witness) == cert.rank
+        rng = random.Random("spez")
+        attained = False
+        for _ in range(20):
+            r = spec_rank(rng.randint(-30, 30), rng.randint(-30, 30))
+            assert r <= cert.rank
+            attained = attained or r == cert.rank
+        assert attained
 
 
 def test_symbolic_rank_of_second_partials_matrix():
@@ -278,13 +294,13 @@ def test_symbolic_rank_of_second_partials_matrix():
     # the symbolic double point has vanishing determinant, so the certified
     # generic rank must be at most 2
     from fatpoints import example_quartic_config
-    from fatpoints.verify import _symbolic_join
+    from fatpoints.geom import _cross
 
     ring = ParamRing(QQ)
     Z = example_quartic_config()
     P = (ring.a, ring.b, ring.one)
     lifted = [tuple(ring.coerce(c) for c in p.coeffs) for p in Z.points]
-    M = {j: Form.linear(ring, _symbolic_join(ring, P, lifted[j - 1])) for j in range(1, 10)}
+    M = {j: Form.linear(ring, _cross(P, lifted[j - 1])) for j in range(1, 10)}
     G1 = product([Form.variable(ring, "y"), Form.variable(ring, "x"), M[6], M[7]])
     G2 = product([Form.variable(ring, "y"), Form.variable(ring, "z"), M[2], M[4]])
     G3 = product([Form.variable(ring, "x"), Form.variable(ring, "z"), M[1], M[3]])

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from fatpoints import (
     random_config,
 )
 from fatpoints.verify import (
+    CERTIFIABLE_CLAIMS,
     check_cubic_nonexistence,
     check_dejonquieres,
     check_example_equivalences,
@@ -25,6 +27,9 @@ from fatpoints.verify import (
     run_paper_suite,
     search_uniqueness,
 )
+
+# run_paper_suite(seed=0, certify=True, claims=CERTIFIABLE_CLAIMS) without runtimes
+CERTIFIED = Path(__file__).parent / "data" / "suite_seed0_certify.json"
 
 
 def test_hessian_certificate_passes_symbolically():
@@ -130,8 +135,11 @@ def test_suite_claim_selection():
 
 
 def test_suite_certified_mode_on_feasible_claim():
-    (res,) = run_paper_suite(certify=True, claims=["fermat3-no-unexpected"])
-    assert res.passed
+    # the certified half of the suite contract: records without runtimes
+    results = run_paper_suite(certify=True, claims=CERTIFIABLE_CLAIMS)
+    assert all(r.passed for r in results)
+    reports = [{k: v for k, v in r.to_dict().items() if k != "runtime"} for r in results]
+    assert json.loads(json.dumps(reports)) == json.loads(CERTIFIED.read_text())
 
 
 def test_checker_determinism():
