@@ -12,13 +12,19 @@ echelon form, so they are canonical regardless of pivot choices.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
-integer grid larger than the degree bound of the relevant minors.  Grid
-certificates evaluate integral coefficients at integer points, so every
-grid rank is one integer elimination.
+integer grid larger than the degree bound of the relevant minors.  The
+constant rows C are eliminated once: only the parametric rows P, projected
+onto a kernel basis N of C, are evaluated, since rank M = rank C + rank(P N)
+at every grid point.  P N has integral coefficients after one scaling per
+row, so every grid rank is one integer elimination, and the sweep stops as
+soon as rank(P N) reaches min(#P, dim N).  The certificate's grid_points is
+the size of the grid the degree bound requires, not the number of points
+evaluated.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -556,8 +562,13 @@ def _echelon_cyc(rows, ncols, field: Field):
                 v = tuple(x - y for x, y in zip(a, bb))
                 if prev_div is not None and any(v):
                     num, den = prev_div
-                    v = mul(v, num)
-                    v = tuple(x // den for x in v)
+                    out = []
+                    for x in mul(v, num):
+                        q, rem = divmod(x, den)
+                        if rem:
+                            raise ArithmeticError("inexact division in Bareiss elimination")
+                        out.append(q)
+                    v = tuple(out)
                 new.append(v if any(v) else zero)
             rows[r] = new
         # 1/piv as an integer tuple over a common denominator, for the next sweep
@@ -664,7 +675,10 @@ class GenericRankCertificate:
     The witness attains the rank (lower bound); since every minor of the
     matrix has degree at most degree_bound_a in a and degree_bound_b in b,
     vanishing of all (rank+1)-minors on the full grid forces them to vanish
-    identically (upper bound).
+    identically (upper bound).  grid_points is the size of that grid,
+    (degree_bound_a + 1) * (degree_bound_b + 1), as the degree bound
+    requires it; the sweep stops early once no larger minor exists, so
+    fewer points may be evaluated.
     """
 
     rank: int
@@ -677,17 +691,38 @@ class GenericRankCertificate:
 def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     """Certified generic rank of a matrix with ParamPoly entries.
 
-    Each row is scaled once to integral term coefficients, so every grid
-    point is evaluated and eliminated in integer arithmetic.
+    The constant rows C (no entry involves a or b) are eliminated once: with
+    N a kernel basis of C and P the other rows, rank M(a, b) = rank C +
+    rank(P(a, b) N) at every point, because the row space of C is exactly
+    the set of vectors that N annihilates.  So only P N is evaluated on the
+    grid; its rows are scaled once to integral term coefficients, and each
+    grid point is one integer elimination of a #P x dim N matrix.  The sweep
+    stops once that rank reaches min(#P, dim N), since no larger minor
+    exists.  The degree bounds are taken from the rows of M; they also bound
+    every minor of P N, because an entry of row i of P N has no larger
+    degree in a or b than row i of P.
     """
     if not isinstance(M.ring, ParamRing):
         raise TypeError("symbolic_rank_bound needs a matrix over a parameter ring")
     field = M.ring.field
     da = sum(max((e.deg_a() for e in row), default=0) for row in M.rows)
     db = sum(max((e.deg_b() for e in row), default=0) for row in M.rows)
+    constant, parametric = [], []
+    for row in M.rows:
+        if all(e.terms.keys() <= {(0, 0)} for e in row):
+            constant.append([e.terms.get((0, 0), field.zero) for e in row])
+        else:
+            parametric.append(row)
+    # the zero row keeps the column count when M has no constant rows
+    kernel = nullspace_basis(ExactMatrix(field, [*constant, [field.zero] * M.ncols]))
+    rank_c = M.ncols - len(kernel)
+    projected = [
+        [sum((e * v[c] for c, e in enumerate(row) if e and v[c]), M.ring.zero) for v in kernel]
+        for row in parametric
+    ]
     # entries as [(deg_a, deg_b, integral coefficient)] term lists
     rows = []
-    for row in M.rows:
+    for row in projected:
         (coeffs,) = _integral_rows([[c for e in row for c in e.terms.values()]], field)
         coeffs = iter(coeffs)
         rows.append([[(i, j, next(coeffs)) for i, j in e.terms] for e in row])
@@ -711,14 +746,16 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
 
     n = max(da, db) + 1
     powers = [[x**k for k in range(n)] for x in range(n)]
+    ceiling = min(len(rows), len(kernel))
     best = -1
     witness = (0, 0)
-    for a0 in range(da + 1):
-        for b0 in range(db + 1):
-            pa, pb = powers[a0], powers[b0]
-            grid_rows = [[value(e, pa, pb) for e in row] for row in rows]
-            rank, _ = _echelon(grid_rows, M.ncols, field)
-            if rank > best:
-                best = rank
-                witness = (a0, b0)
-    return GenericRankCertificate(best, witness, da, db, (da + 1) * (db + 1))
+    for a0, b0 in itertools.product(range(da + 1), range(db + 1)):
+        pa, pb = powers[a0], powers[b0]
+        grid_rows = [[value(e, pa, pb) for e in row] for row in rows]
+        rank, _ = _echelon(grid_rows, len(kernel), field)
+        if rank > best:
+            best = rank
+            witness = (a0, b0)
+            if best == ceiling:
+                break
+    return GenericRankCertificate(rank_c + best, witness, da, db, (da + 1) * (db + 1))

@@ -1,8 +1,15 @@
 """CLI surface: JSON round-trips, exit codes, determinism, error envelope."""
 
 import json
+import time
 
-from fatpoints import QQ, PointConfiguration, apply_transform, example_quartic_config
+from fatpoints import (
+    QQ,
+    PointConfiguration,
+    apply_transform,
+    example_quartic_config,
+    random_config,
+)
 from fatpoints.cli import main
 
 
@@ -154,6 +161,23 @@ def test_input_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(empty))
     assert code == 3
     assert json.loads(err)["error"]["code"] == "config"
+
+
+def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(PointConfiguration(QQ, [[1, 2, 3]]).to_dict()))
+    fifteen = tmp_path / "fifteen.json"
+    fifteen.write_text(json.dumps(random_config(15, 100, "budget").to_dict()))
+    for argv in (
+        ("unexpected", str(one), "-d", "40"),  # 781 x 861 cells
+        ("analyze", str(one), "--max-degree", "200"),  # 1 x 20,301
+        ("splitting", str(fifteen)),  # 120 x 136
+    ):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["code"] == "budget"
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,20 +7,28 @@ from math import comb
 
 import pytest
 
+import fatpoints.poly as poly
 from fatpoints import (
     ExactMatrix,
     Form,
     GenericRankCertificate,
     ParamRing,
+    PointConfiguration,
     QQ,
+    apply_transform,
+    dual_fermat,
     evaluate,
     exact_rank,
+    example_quartic_config,
+    family,
     make_field,
     monomial_basis,
     nullspace_basis,
     partial_derivative,
     primitive_root,
     product,
+    random_config,
+    symbolic_conditions_matrix,
     symbolic_rank_bound,
 )
 
@@ -287,6 +295,111 @@ def test_symbolic_rank_agrees_with_specializations():
             assert r <= cert.rank
             attained = attained or r == cert.rank
         assert attained
+
+
+def _full_grid_certificate(M):
+    """Reference certificate: the exact rank at every point of the grid the
+    degree bound requires, its maximum and the first point attaining it."""
+    field = M.ring.field
+    da = sum(max((e.deg_a() for e in row), default=0) for row in M.rows)
+    db = sum(max((e.deg_b() for e in row), default=0) for row in M.rows)
+    best, witness = -1, (0, 0)
+    for a0 in range(da + 1):
+        for b0 in range(db + 1):
+            spec = [[e.evaluate(a0, b0) for e in row] for row in M.rows]
+            r = exact_rank(ExactMatrix(field, spec))
+            if r > best:
+                best, witness = r, (a0, b0)
+    return GenericRankCertificate(best, witness, da, db, (da + 1) * (db + 1))
+
+
+def _reference_matrices():
+    ring = ParamRing(QQ)
+    a, b = ring.a, ring.b
+    zeta6 = primitive_root(make_field("cyclotomic", 6))
+    example = example_quartic_config()
+    F3 = dual_fermat(3)
+    excluded_pair = PointConfiguration(
+        QQ, [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1],
+             [1, 1, 2], [0, 0, 1], [1, 1, 1]],
+    )  # fmt: skip
+    # six points on the line z = 0 give 7 constant rows of rank 6 in degree 4
+    collinear = PointConfiguration(QQ, [[1, k, 0] for k in range(6)] + [[0, 0, 1]])
+    return {
+        "prop31 a=6 b=-2": (family("prop31", {"a": 6, "b": -2}), 3, 4),
+        "prop31 a=4/3 b=-3": (family("prop31", {"a": Fraction(4, 3), "b": -3}), 3, 4),
+        "prop33-case3 a=-6 b=2": (family("prop33-case3", {"a": -6, "b": 2}), 3, 4),
+        "prop33-case3 a=2/3 b=-3": (family("prop33-case3", {"a": Fraction(2, 3), "b": -3}), 3, 4),
+        "prop33-first a=6": (family("prop33-first", {"a": 6}), 3, 4),
+        "prop33-first a=-3/2": (family("prop33-first", {"a": Fraction(-3, 2)}), 3, 4),
+        "prop33-first a=zeta_6": (family("prop33-first", {"a": zeta6}), 3, 4),
+        "excluded pair": (excluded_pair, 3, 4),
+        "example": (example, 3, 4),
+        "example image": (apply_transform([[1, 1, 0], [0, 1, 0], [2, 0, 1]], example), 3, 4),
+        "F3 d=2": (F3, 1, 2),
+        "F3 d=3": (F3, 2, 3),
+        "F3 d=4": (F3, 3, 4),
+        "collinear": (collinear, 3, 4),
+        # seven general points fill the six columns: the kernel of C is empty
+        "empty kernel": (random_config(7, 50, "empty-kernel"), 1, 2),
+        # rank 1 up to the witness (2, 0)
+        "no constant rows": ExactMatrix(ring, [[a, b, ring.one], [a * a, b * b, ring.one]]),
+        "no parametric rows": ExactMatrix(ring, [[1, 2, 3], [2, 4, 6]]),
+    }
+
+
+@pytest.mark.parametrize("label", list(_reference_matrices()))
+def test_symbolic_rank_bound_matches_full_grid_reference(label):
+    M = _reference_matrices()[label]
+    if not isinstance(M, ExactMatrix):
+        M = symbolic_conditions_matrix(*M)
+    assert symbolic_rank_bound(M) == _full_grid_certificate(M)
+
+
+def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
+    calls = [0]
+    echelon = poly._echelon
+
+    def counted(*args):
+        calls[0] += 1
+        return echelon(*args)
+
+    monkeypatch.setattr(poly, "_echelon", counted)
+    # F3 reaches its ceiling at the witness (1, 2), the 20th of 289 points;
+    # the example stays at rank 14, below its ceiling of 15, to the end
+    for Z, rank, witness, evaluated in (
+        (dual_fermat(3), 15, (1, 2), 20),
+        (example_quartic_config(), 14, (1, 1), 289),
+    ):
+        calls[0] = 0
+        cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, 3, 4))
+        assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 289)
+        # one elimination for the kernel of the constant rows, one per point
+        assert calls[0] == 1 + evaluated
+
+
+def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
+    f3 = make_field("cyclotomic", 3)
+    M = ExactMatrix(f3, [[2, 1], [1, 1], [1, 0]])
+    assert exact_rank(M) == 2
+    cyc_ops = poly._cyc_ops
+
+    def corrupted(field):
+        mul = cyc_ops(field)
+        calls = [0]
+
+        def bad_mul(u, v):
+            calls[0] += 1
+            w = mul(u, v)
+            # the 9th product is the first of the second sweep, whose
+            # difference is then divided by the first pivot, 2
+            return (w[0] + 1, *w[1:]) if calls[0] == 9 else w
+
+        return bad_mul
+
+    monkeypatch.setattr(poly, "_cyc_ops", corrupted)
+    with pytest.raises(ArithmeticError):
+        exact_rank(M)
 
 
 def test_symbolic_rank_of_second_partials_matrix():
