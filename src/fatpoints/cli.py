@@ -88,10 +88,10 @@ def _check_budget(rows: int, d: int) -> None:
 
 def _strategy(args) -> GeneralPointStrategy:
     return GeneralPointStrategy(
-        mode="certified" if getattr(args, "certify", False) else "sampled",
-        samples=getattr(args, "samples", 3),
-        height=getattr(args, "height", 1000),
-        seed=getattr(args, "seed", 0),
+        mode="certified" if args.certify else "sampled",
+        samples=args.samples,
+        height=args.height,
+        seed=args.seed,
     )
 
 

@@ -5,15 +5,19 @@ first nonzero coordinate is scaled to 1), so equality is plain tuple
 equality.  Configurations are ordered lists of distinct points; incidence
 statistics and equivalence treat them as sets.
 
-Equivalence testing anchors a frame at the lexicographically smallest
-general-position quadruple of the first configuration and tries all ordered
-general-position quadruples of the second as images; a mismatch of line
-histograms rejects early.
+Collinearity inside a configuration is decided in one place, the line
+inventory of analyze_lines.  Equivalence testing computes the inventory of
+each configuration once: a mismatch of line histograms rejects early, and a
+quadruple is in general position iff no line of its inventory holds three of
+its points.  The frame is anchored at the lexicographically smallest
+general-position quadruple of the first configuration, and every ordered
+general-position quadruple of the second is tried as its image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 from .field import Field, FieldMismatchError, Scalar
 
@@ -227,25 +231,24 @@ class LineStats:
 
 
 def analyze_lines(Z: PointConfiguration) -> LineStats:
-    """Every line through two or more points of Z, with incident indices."""
-    seen: dict[tuple, list] = {}
-    order: list[tuple] = []
-    n = len(Z)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ln = line_through(Z[i], Z[j])
-            key = ln.coeffs
-            if key not in seen:
-                members = [i, j]
-                for k in range(n):
-                    if k != i and k != j and ln.contains(Z[k]):
-                        members.append(k)
-                seen[key] = sorted(members)
-                order.append((ln, tuple(sorted(members))))
+    """Every line through two or more points of Z, with incident indices.
+
+    Each of the C(n, 2) pairs is joined once and the pairs that give the
+    same line are pooled, so the index tuple of a line is exactly the set
+    of points on it.  Lines come in the order of their smallest pair.  This
+    inventory is where collinearity inside a configuration is decided:
+    pencils, general position and the meeting of lines off Z are all read
+    from it.
+    """
+    pooled: dict[tuple, tuple] = {}
+    for i, j in combinations(range(len(Z)), 2):
+        ln = line_through(Z[i], Z[j])
+        pooled.setdefault(ln.coeffs, (ln, set()))[1].update((i, j))
+    lines = tuple((ln, tuple(sorted(idx))) for ln, idx in pooled.values())
     hist: dict[int, int] = {}
-    for _, idx in order:
+    for _, idx in lines:
         hist[len(idx)] = hist.get(len(idx), 0) + 1
-    return LineStats(lines=tuple(order), histogram=hist)
+    return LineStats(lines=lines, histogram=hist)
 
 
 def dualize(Z: PointConfiguration) -> list[ProjectiveLine]:
@@ -267,16 +270,7 @@ def pencil_lines(Z: PointConfiguration, P: ProjectivePoint) -> list[ProjectiveLi
     """Distinct lines joining P in Z to the other points of Z."""
     if P not in Z.points:
         raise ValueError("pencil_lines needs a point of the configuration")
-    out = []
-    seenk = set()
-    for q in Z.points:
-        if q == P:
-            continue
-        ln = line_through(P, q)
-        if ln.coeffs not in seenk:
-            seenk.add(ln.coeffs)
-            out.append(ln)
-    return out
+    return [ln for ln, _ in analyze_lines(Z).lines_through(Z.points.index(P))]
 
 
 # -- projective transformations ------------------------------------------------
@@ -372,16 +366,10 @@ def in_general_position(points) -> bool:
     return True
 
 
-def _anchor_quadruple(Z: PointConfiguration):
-    n = len(Z)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    quad = (Z[i], Z[j], Z[k], Z[l])
-                    if in_general_position(quad):
-                        return quad
-    return None
+def _general_quadruple(stats: LineStats, quad) -> bool:
+    """No three of the indexed points share a line of the inventory."""
+    quad = set(quad)
+    return all(len(quad.intersection(idx)) < 3 for _, idx in stats.lines if len(idx) > 2)
 
 
 def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
@@ -393,47 +381,32 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
         raise FieldMismatchError("configurations over different fields")
     if len(Z1) != len(Z2):
         raise ValueError("equivalence needs configurations of equal size")
-    if analyze_lines(Z1).histogram_key() != analyze_lines(Z2).histogram_key():
+    stats1, stats2 = analyze_lines(Z1), analyze_lines(Z2)
+    if stats1.histogram_key() != stats2.histogram_key():
         return False, None
-    src = _anchor_quadruple(Z1)
-    if src is None:
+    quads = combinations(range(len(Z1)), 4)
+    anchor = next((q for q in quads if _general_quadruple(stats1, q)), None)
+    if anchor is None:
         # fewer than 4 points in general position on both sides or neither:
         # fall back to size <= 3 / collinear handling
-        return _equivalent_degenerate(Z1, Z2)
+        return _equivalent_degenerate(Z1, stats1)
+    src = [Z1[i] for i in anchor]
     target = Z2.point_set()
-    n = len(Z2)
-    idxs = range(n)
-    for i in idxs:
-        for j in idxs:
-            if j == i:
-                continue
-            for k in idxs:
-                if k in (i, j):
-                    continue
-                for l in idxs:
-                    if l in (i, j, k):
-                        continue
-                    dst = (Z2[i], Z2[j], Z2[k], Z2[l])
-                    if not in_general_position(dst):
-                        continue
-                    T = frame_transform(src, dst)
-                    ok = True
-                    for p in Z1.points:
-                        q = ProjectivePoint(Z1.field, mat3_vec(T, p.coeffs))
-                        if q not in target:
-                            ok = False
-                            break
-                    if ok:
-                        return True, T
+    for dst in permutations(range(len(Z2)), 4):
+        if not _general_quadruple(stats2, dst):
+            continue
+        T = frame_transform(src, [Z2[i] for i in dst])
+        if all(ProjectivePoint(Z1.field, mat3_vec(T, p.coeffs)) in target for p in Z1.points):
+            return True, T
     return False, None
 
 
-def _equivalent_degenerate(Z1, Z2):
+def _equivalent_degenerate(Z1, stats1):
     # no general-position quadruple in Z1, and the caller has matched the
     # line histograms; beyond two points (collinear sets need cross-ratio
     # classification) this is out of scope for the sets this artifact studies
     if len(Z1) <= 2:
         return True, None
-    if analyze_lines(Z1).max_richness == len(Z1):
+    if stats1.max_richness == len(Z1):
         raise DegenerateInputError("equivalence of fully collinear sets is not supported")
     raise DegenerateInputError("equivalence without a general-position quadruple")

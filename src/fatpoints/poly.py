@@ -496,7 +496,12 @@ def _echelon_int(rows, ncols):
         for r in range(pr + 1, m):
             rowr = rows[r]
             rc = rowr[c]
-            rows[r] = [(piv * rowr[cc] - rc * rowp[cc]) // prev for cc in range(ncols)]
+            # one spot check per row: the last column's division must be exact
+            last, rem = divmod(piv * rowr[-1] - rc * rowp[-1], prev)
+            if rem:
+                raise ArithmeticError("inexact division in Bareiss elimination")
+            rows[r] = [(piv * rowr[cc] - rc * rowp[cc]) // prev for cc in range(ncols - 1)]
+            rows[r].append(last)
         prev = piv
         pivots.append(c)
         pr += 1

@@ -22,7 +22,6 @@ from .geom import (
     _cross,
     analyze_lines,
     mat3_det,
-    meet,
     projective_equivalent,
 )
 from .linsys import (
@@ -42,6 +41,7 @@ from .poly import (
     product,
 )
 from .unexpected import (
+    DEFAULT_STRATEGY,
     GeneralPointStrategy,
     detect_unexpected,
     fermat_unexpected_range,
@@ -152,22 +152,17 @@ def _two_and_four_hypothesis(Z: PointConfiguration, d: int):
     if len(Z) != 2 * d + 1:
         return None
     stats = analyze_lines(Z)
-    rich = stats.k_rich_lines(d)
-    simple = stats.k_rich_lines(2)
-    for lq, _ in rich:
-        for lr, _ in simple:
-            if lq == lr:
-                continue
-            x = meet(lq, lr)
-            if x not in Z.points:
+    # two lines of the inventory meet on Z iff they share a point of Z
+    for lq, iq in stats.k_rich_lines(d):
+        for lr, ir in stats.k_rich_lines(2):
+            if set(iq).isdisjoint(ir):
                 return lq, lr
     return None
 
 
-def check_two_and_four(Z: PointConfiguration, d: int, strategy=None) -> ClaimResult:
+def check_two_and_four(Z: PointConfiguration, d: int, strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """On instances with a d-rich line and a simple line meeting off Z,
     the system with a general (d-1)-fold point is empty."""
-    strategy = strategy or GeneralPointStrategy()
     hyp = _two_and_four_hypothesis(Z, d)
     if hyp is None:
         return ClaimResult(
@@ -209,8 +204,9 @@ def _two_and_four_instances(d: int, count: int, seed, field=QQ):
         yield Z
 
 
-def check_two_and_four_corpus(d: int, count: int = 100, seed=0, strategy=None) -> ClaimResult:
-    strategy = strategy or GeneralPointStrategy()
+def check_two_and_four_corpus(
+    d: int, count: int = 100, seed=0, strategy=DEFAULT_STRATEGY
+) -> ClaimResult:
     failures = []
     tested = 0
     for Z in _two_and_four_instances(d, count, seed):
@@ -232,11 +228,12 @@ def check_two_and_four_corpus(d: int, count: int = 100, seed=0, strategy=None) -
 # ---------------------------------------------------------------------------
 
 
-def check_family_emptiness(family_id: str, params: dict, d: int, strategy=None) -> ClaimResult:
+def check_family_emptiness(
+    family_id: str, params: dict, d: int, strategy=DEFAULT_STRATEGY
+) -> ClaimResult:
     """Family instances admit no unexpected curve of degree d; the excluded
     pair {a,b} = {-1,1} of the two-parameter nine-point family is the one
     exception and must rebuild the unexpected quartic."""
-    strategy = strategy or GeneralPointStrategy()
     claim = f"family-emptiness-{family_id}"
     excluded_pair = False
     if family_id == "prop33-case3":
@@ -275,9 +272,8 @@ def check_family_emptiness(family_id: str, params: dict, d: int, strategy=None) 
 # ---------------------------------------------------------------------------
 
 
-def check_cubic_nonexistence(n_random: int = 500, seed=1, strategy=None) -> ClaimResult:
+def check_cubic_nonexistence(n_random: int = 500, seed=1, strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """No tested set of points admits an unexpected cubic (or conic)."""
-    strategy = strategy or GeneralPointStrategy()
     failures = []
     tested = {"random7": 0, "figure2": 0, "conics5": 0}
     for i in range(n_random):
@@ -318,7 +314,6 @@ def check_dejonquieres(seeds=(0, 1, 2, 3, 4)) -> ClaimResult:
     failures = []
     if details["degree bookkeeping 4*4-3^2-6"] != 1:
         failures.append("degree bookkeeping is off")
-    strategy = GeneralPointStrategy()
     basis_dims = []
     collinear = []
     for s in seeds:
@@ -345,12 +340,11 @@ def check_dejonquieres(seeds=(0, 1, 2, 3, 4)) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-def search_uniqueness(space: SearchSpace, inject=(), strategy=None) -> ClaimResult:
+def search_uniqueness(space: SearchSpace, inject=(), strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """Every unexpected-quartic hit in the stream is projectively equivalent
     to the nine-point example configuration."""
     if space.r != 9:
         raise ValueError("the uniqueness search runs on nine-point configurations")
-    strategy = strategy or GeneralPointStrategy()
     example = example_quartic_config()
     inject = tuple(inject)
     tested = 0
@@ -385,9 +379,8 @@ def search_uniqueness(space: SearchSpace, inject=(), strategy=None) -> ClaimResu
     return ClaimResult("quartic-uniqueness-grid", status, details, failures=failures)
 
 
-def check_random_nine(count: int = 200, seed=2, strategy=None) -> ClaimResult:
+def check_random_nine(count: int = 200, seed=2, strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """Random nine-point configurations admit no unexpected quartic."""
-    strategy = strategy or GeneralPointStrategy()
     failures = []
     for i in range(count):
         Z = random_config(9, 1000, (seed, i))
@@ -399,10 +392,9 @@ def check_random_nine(count: int = 200, seed=2, strategy=None) -> ClaimResult:
     )
 
 
-def check_superset_persistence(strategy=None) -> ClaimResult:
+def check_superset_persistence(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """No tested ten-point superset of the example keeps the unexpected
     quartic, and no eight-point subset carries one."""
-    strategy = strategy or GeneralPointStrategy()
     Z = example_quartic_config()
     failures = []
     supersets = 0
@@ -462,8 +454,7 @@ def check_fermat3_combinatorics() -> ClaimResult:
     )
 
 
-def check_fermat3_no_unexpected(strategy=None) -> ClaimResult:
-    strategy = strategy or GeneralPointStrategy()
+def check_fermat3_no_unexpected(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     Z = dual_fermat(3)
     verdicts = {d: detect_unexpected(Z, d, strategy).unexpected for d in (2, 3, 4)}
     scan = fermat_unexpected_range(3, strategy)
@@ -481,10 +472,9 @@ def check_fermat3_no_unexpected(strategy=None) -> ClaimResult:
     )
 
 
-def check_fermat5_degree7(strategy=None) -> ClaimResult:
+def check_fermat5_degree7(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """F5 over Q(zeta_5) has an unexpected degree-7 curve and the range scan
     over [3, 7] finds exactly degree 7."""
-    strategy = strategy or GeneralPointStrategy()
     Z = dual_fermat(5)
     rep = detect_unexpected(Z, 7, strategy)
     scan = fermat_unexpected_range(5, strategy)
@@ -509,9 +499,8 @@ def check_fermat5_degree7(strategy=None) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-def check_w5_splitting(strategy=None) -> ClaimResult:
+def check_w5_splitting(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """The five-point family has m(1) = 0, m(2) = 2 and splitting type (2,2)."""
-    strategy = strategy or GeneralPointStrategy()
     failures = []
     traces = {}
     for a in (2, 3, -1):
@@ -585,9 +574,8 @@ def check_example_double_point(n_points: int = 5, seed=3) -> ClaimResult:
     )
 
 
-def check_example_splitting(strategy=None) -> ClaimResult:
+def check_example_splitting(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """The example configuration has splitting type (3, 5): unbalanced."""
-    strategy = strategy or GeneralPointStrategy()
     Z = example_quartic_config()
     st = splitting_type(Z, strategy)
     details = {"m": list(st.m_values), "type": [st.a, st.b], "balanced": st.balanced}
@@ -689,7 +677,7 @@ def _family_instances():
     return out
 
 
-def check_families(strategy=None) -> ClaimResult:
+def check_families(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """check_family_emptiness passes on every family instance of the suite."""
     failures = []
     tested = []

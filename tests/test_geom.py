@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import fatpoints.geom as geom
 from fatpoints import (
     DegenerateInputError,
     PointConfiguration,
@@ -103,6 +104,58 @@ def test_pair_count_identity():
     for t in range(10):
         Z = random_config(rng.randint(3, 9), 6, ("pairs", t))
         stats = analyze_lines(Z)
+        assert sum(comb(len(idx), 2) for _, idx in stats.lines) == comb(len(Z), 2)
+
+
+def _collinear_run_configs(field, seed):
+    """Seeded point sets over field with forced collinear runs."""
+    rng = random.Random(f"runs:{seed}")
+    extra = primitive_root(field) if field.degree > 1 else field.one
+
+    def coord():
+        return field.scalar(rng.randint(-4, 4)) + field.scalar(rng.randint(-2, 2)) * extra
+
+    for _ in range(4):
+        pts = []
+        for _ in range(rng.randint(1, 2)):
+            u = [coord() for _ in range(3)]
+            v = [coord() for _ in range(3)]
+            for s in rng.sample(range(-5, 6), rng.randint(3, 5)):
+                pts.append([a + field.scalar(s) * b for a, b in zip(u, v)])
+        pts += [[coord() for _ in range(3)] for _ in range(rng.randint(1, 4))]
+        distinct = []
+        for q in pts:
+            if any(q) and ProjectivePoint(field, q) not in distinct:
+                distinct.append(ProjectivePoint(field, q))
+        yield PointConfiguration(field, distinct)
+
+
+def _inventory_configs():
+    f5 = make_field("cyclotomic", 5)
+    variants = [example_quartic_variant(pair) for pair in ((6, 7), (5, 7), (5, 6))]
+    yield dual_fermat(3)
+    yield dual_fermat(4)
+    for V in variants:
+        yield V
+        yield V.lift(f5)
+    for field in (QQ, f5, make_field("cyclotomic", 3)):
+        yield from _collinear_run_configs(field, field.degree)
+
+
+def test_inventory_lines_match_the_determinant_reference():
+    for Z in _inventory_configs():
+        stats = analyze_lines(Z)
+        first_pairs = [idx[:2] for _, idx in stats.lines]
+        # lines come in the order of their smallest pair, each once
+        assert first_pairs == sorted(set(first_pairs))
+        for ln, idx in stats.lines:
+            i, j = idx[:2]
+            on_line = tuple(
+                k for k in range(len(Z))
+                if mat3_det((Z[i].coeffs, Z[j].coeffs, Z[k].coeffs)).is_zero()
+            )
+            assert idx == on_line
+            assert ln == line_through(Z[i], Z[j])
         assert sum(comb(len(idx), 2) for _, idx in stats.lines) == comb(len(Z), 2)
 
 
@@ -245,6 +298,59 @@ def test_projective_equivalent_variants_and_fermat():
     lifted = example_quartic_config().lift(F3.field)
     verdict, _ = projective_equivalent(lifted, F3)
     assert not verdict
+
+
+# witness matrices of projective_equivalent, pinned: the anchor frame and
+# the order in which image frames are tried decide which matrix comes first
+PINNED_WITNESSES = {
+    ((6, 7), (5, 7)): [["8", "8", "-8"], ["8", "8", "8"], ["-16", "16", "0"]],
+    ((6, 7), (5, 6)): [["8", "-8", "-8"], ["-8", "8", "-8"], ["-16", "-16", "0"]],
+    ((5, 7), (5, 6)): [["-8", "8", "8"], ["-8", "8", "-8"], ["16", "16", "0"]],
+}
+PINNED_IMAGE_WITNESSES = (
+    ([[1, 2, 0], [0, 1, 1], [1, 0, 3]], [["-20", "-40", "0"], ["0", "-20", "-20"], ["-20", "0", "-60"]]),
+    ([[2, -1, 1], [1, 1, 0], [0, 3, 1]], [["32", "-16", "16"], ["16", "16", "0"], ["0", "48", "16"]]),
+)
+
+
+def _entries(T):
+    return [[str(e) for e in row] for row in T]
+
+
+def test_equivalence_witnesses_are_pinned():
+    for (p1, p2), expected in PINNED_WITNESSES.items():
+        verdict, T = projective_equivalent(example_quartic_variant(p1), example_quartic_variant(p2))
+        assert verdict and _entries(T) == expected
+    Z = example_quartic_config()
+    for M, expected in PINNED_IMAGE_WITNESSES:
+        verdict, T = projective_equivalent(Z, apply_transform(M, Z))
+        assert verdict and _entries(T) == expected
+
+
+def test_collinearity_is_read_from_the_inventory(monkeypatch):
+    calls = {"line_through": 0, "contains": 0, "in_general_position": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(geom, "line_through", counted("line_through", geom.line_through))
+    monkeypatch.setattr(
+        geom.ProjectiveLine, "contains", counted("contains", geom.ProjectiveLine.contains)
+    )
+    monkeypatch.setattr(
+        geom, "in_general_position", counted("in_general_position", geom.in_general_position)
+    )
+    Z = example_quartic_config()
+    analyze_lines(Z)
+    # every one of the C(9, 2) pairs is joined once, and nothing else is tested
+    assert calls == {"line_through": 36, "contains": 0, "in_general_position": 0}
+    image = apply_transform([[1, 2, 0], [0, 1, 1], [1, 0, 3]], Z)
+    assert projective_equivalent(Z, image)[0]
+    assert calls["contains"] == calls["in_general_position"] == 0
 
 
 def test_equivalence_reflexive_symmetric():

@@ -402,6 +402,23 @@ def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
         exact_rank(M)
 
 
+def test_integer_bareiss_division_is_checked():
+    class OffByOne(int):
+        # an entry whose products come out one too large
+        def __mul__(self, other):
+            return int(self) * int(other) + 1
+
+        __rmul__ = __mul__
+
+    rows = [[2, 1, 1], [1, 3, 1], [1, 1, 4]]
+    assert poly._echelon_int([list(r) for r in rows], 3) == (3, [0, 1, 2])
+    rows[2][2] = OffByOne(4)
+    # the first sweep turns 2 * 4 - 1 into 8 instead of 7; the second sweep's
+    # last column is then 5 * 8 - 1 * 1 = 39, not divisible by the pivot 2
+    with pytest.raises(ArithmeticError):
+        poly._echelon_int(rows, 3)
+
+
 def test_symbolic_rank_of_second_partials_matrix():
     # the 3x3 matrix of second partials of the three reducible quartics at
     # the symbolic double point has vanishing determinant, so the certified
