@@ -46,7 +46,6 @@ from .geom import (
     in_general_position,
     line_through,
     meet,
-    pencil_lines,
     projective_equivalent,
 )
 from .linsys import (

@@ -9,6 +9,14 @@ Scalars are immutable and canonical: Fraction keeps gcd(num, den) = 1 with a
 positive denominator, and the representative polynomial always has degree
 below phi(n).  Equality of scalars therefore agrees with field equality.
 
+This module is the only one that knows that layout.  Exact elimination
+elsewhere works on integral coordinates: Field.clear_denominators turns
+scalars into ints (over Q) or int tuples in the power basis (over
+Q(zeta_n)) over one common denominator, Field.from_integral turns such
+coordinates back into scalars, and Field.mul is the one product of
+coefficient tuples modulo Phi_n, used by Scalar multiplication and by
+elimination over Z[zeta_n] alike.
+
 Nothing in this module (or anything built on it) ever touches floating
 point: rank decisions downstream must be exact.
 
@@ -26,6 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 class FieldMismatchError(TypeError):
@@ -76,7 +85,7 @@ class Field:
     pick one field up front.
     """
 
-    __slots__ = ("kind", "conductor", "degree", "modulus", "_red", "_zero", "_one")
+    __slots__ = ("kind", "conductor", "degree", "modulus", "mul", "_zero", "_one")
 
     def __init__(self, kind: str, conductor: int = 1):
         if kind not in ("rational", "cyclotomic"):
@@ -85,14 +94,15 @@ class Field:
             conductor = 1
             self.modulus = None
             self.degree = 1
-            self._red = ()
+            red = ()
         else:
             if conductor < 1:
                 raise ValueError("conductor must be a positive integer")
             mod = cyclotomic_polynomial(conductor)
             self.modulus = mod
             self.degree = len(mod) - 1
-            self._red = _reduction_table(mod)
+            red = _reduction_table(mod)
+        self.mul = _product_kernel(self.degree, red)
         self.kind = kind
         self.conductor = conductor
         zero = (Fraction(0),) * self.degree
@@ -163,6 +173,32 @@ class Field:
         v = v[:deg] + [Fraction(0)] * (deg - len(v))
         return Scalar(self, tuple(v))
 
+    # -- integral coordinates ----------------------------------------------
+
+    def clear_denominators(self, values) -> tuple[list, int]:
+        """Integral coordinates of Scalars of this field, ints or Fractions.
+
+        Returns (coords, den): den is the least positive common denominator
+        (1 for no values) and each value equals its coordinates over den,
+        an int over Q and a tuple of degree ints in the power basis over
+        Q(zeta_n).  So a row of values and its coordinates differ by the
+        nonzero factor den, which keeps ranks, row spaces and nullspaces.
+        """
+        if self.degree == 1:
+            fr = [x.coeffs[0] if isinstance(x, Scalar) else x for x in values]
+            den = lcm(*[x.denominator for x in fr])
+            return [x.numerator * (den // x.denominator) for x in fr], den
+        vectors = [self.scalar(x).coeffs for x in values]
+        den = lcm(*[c.denominator for v in vectors for c in v])
+        return [tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den
+
+    def from_integral(self, coords, den: int = 1) -> list["Scalar"]:
+        """Scalars with the integral coordinates coords over den; inverse of
+        clear_denominators."""
+        if self.degree == 1:
+            return [Scalar(self, (Fraction(x, den),)) for x in coords]
+        return [Scalar(self, tuple(Fraction(c, den) for c in x)) for x in coords]
+
     def to_dict(self) -> dict:
         if self.kind == "rational":
             return {"type": "rational"}
@@ -176,6 +212,41 @@ class Field:
         if kind == "cyclotomic":
             return Field("cyclotomic", int(d["n"]))
         raise ValueError(f"unknown field descriptor {d!r}")
+
+
+_ZERO = Fraction(0)
+
+
+def _product_kernel(degree: int, red):
+    """The one cyclotomic product: two coefficient tuples of length degree
+    multiplied and reduced modulo Phi_n with the reduction table red.
+
+    Integral coordinates are multiplied as they are; Scalar multiplication
+    passes zero=Fraction(0), so that every coefficient stays a Fraction.
+    """
+    span = 2 * degree - 1
+
+    def mul(u, v, zero=0):
+        w = [zero] * span
+        for i in range(degree):
+            ui = u[i]
+            if ui:
+                for j in range(degree):
+                    vj = v[j]
+                    if vj:
+                        w[i + j] += ui * vj
+        out = w[:degree]
+        for k in range(degree, span):
+            ck = w[k]
+            if ck:
+                row = red[k - degree]
+                for i in range(degree):
+                    ri = row[i]
+                    if ri:
+                        out[i] += ck * ri
+        return tuple(out)
+
+    return mul
 
 
 def _reduction_table(modulus: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -265,7 +336,7 @@ class Scalar:
         f = self.field
         if f.degree == 1:
             return Scalar(f, (self.coeffs[0] * o.coeffs[0],))
-        return Scalar(f, _mul_reduce(f, self.coeffs, o.coeffs))
+        return Scalar(f, f.mul(self.coeffs, o.coeffs, _ZERO))
 
     __rmul__ = __mul__
 
@@ -320,27 +391,6 @@ class Scalar:
         return render_scalar(self)
 
     __repr__ = __str__
-
-
-def _mul_reduce(field: Field, u: tuple, v: tuple) -> tuple:
-    deg = field.degree
-    w = [Fraction(0)] * (2 * deg - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    w[i + j] += ui * vj
-    out = w[:deg]
-    red = field._red
-    for k in range(deg, 2 * deg - 1):
-        ck = w[k]
-        if ck:
-            row = red[k - deg]
-            for i in range(deg):
-                ri = row[i]
-                if ri:
-                    out[i] += ck * ri
-    return tuple(out)
 
 
 def _invert_mod(coeffs: tuple, modulus: tuple[int, ...]) -> tuple:

@@ -266,13 +266,6 @@ def dual_points(lines, field: Field | None = None) -> PointConfiguration:
     return PointConfiguration(field, [ProjectivePoint(field, ln.coeffs) for ln in lines])
 
 
-def pencil_lines(Z: PointConfiguration, P: ProjectivePoint) -> list[ProjectiveLine]:
-    """Distinct lines joining P in Z to the other points of Z."""
-    if P not in Z.points:
-        raise ValueError("pencil_lines needs a point of the configuration")
-    return [ln for ln, _ in analyze_lines(Z).lines_through(Z.points.index(P))]
-
-
 # -- projective transformations ------------------------------------------------
 
 

@@ -24,7 +24,7 @@ forms in the fixed graded-lex monomial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
 from .field import Field, FieldMismatchError
 from .geom import PointConfiguration, ProjectivePoint
@@ -119,11 +119,10 @@ def _row_triple(p: ProjectivePoint) -> tuple:
     """
     if p.field.degree != 1:
         return p.coeffs
-    fr = [c.coeffs[0] for c in p.coeffs]
-    den = lcm(*(x.denominator for x in fr))
-    if fr[_chart_index(fr)] < 0:
-        den = -den
-    return tuple(int(x * den) for x in fr)
+    coords, _ = p.field.clear_denominators(p.coeffs)
+    if coords[_chart_index(coords)] < 0:
+        return tuple(-x for x in coords)
+    return tuple(coords)
 
 
 def _condition_rows(parts, d: int) -> list:

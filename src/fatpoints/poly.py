@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .field import QQ, Field, FieldMismatchError, Scalar
 from .geom import mat3_det
@@ -435,45 +435,15 @@ class ExactMatrix:
         self.ncols = w
         self.rows = rows
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.ring, [[self.rows[r][c] for r in range(self.nrows)] for c in range(self.ncols)]
-        )
-
-    def matvec(self, vec):
-        vec = [self.ring.coerce(v) for v in vec]
-        out = []
-        for row in self.rows:
-            s = self.ring.zero
-            for a, v in zip(row, vec):
-                s = s + a * v
-            out.append(s)
-        return out
-
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
 
 
 def _integral_rows(rows, field: Field) -> list:
-    """Each row times the lcm of its denominators: int rows over Q, int-tuple
-    rows over Q(zeta_n).  Entries are Scalars of field, or over Q also ints
-    and Fractions; a row is all Scalars or none.
-
-    The one place denominators are cleared; scaling a row by a nonzero
-    constant keeps the rank, the row space and the nullspace.
-    """
-    out = []
-    if field.degree == 1:
-        for row in rows:
-            if row and isinstance(row[0], Scalar):
-                row = [x.coeffs[0] for x in row]
-            den = lcm(*[x.denominator for x in row])
-            out.append([x.numerator * (den // x.denominator) for x in row])
-        return out
-    for row in rows:
-        den = lcm(*[c.denominator for s in row for c in s.coeffs])
-        out.append([tuple(c.numerator * (den // c.denominator) for c in s.coeffs) for s in row])
-    return out
+    """Each row's integral coordinates (Field.clear_denominators): int rows
+    over Q, int-tuple rows over Q(zeta_n), each the row times a nonzero
+    constant."""
+    return [field.clear_denominators(row)[0] for row in rows]
 
 
 def _echelon_int(rows, ncols):
@@ -510,38 +480,10 @@ def _echelon_int(rows, ncols):
     return len(pivots), pivots
 
 
-def _cyc_ops(field: Field):
-    deg = field.degree
-    red = field._red
-
-    def mul(u, v):
-        w = [0] * (2 * deg - 1)
-        for i in range(deg):
-            ui = u[i]
-            if ui:
-                for j in range(deg):
-                    vj = v[j]
-                    if vj:
-                        w[i + j] += ui * vj
-        out = w[:deg]
-        for k in range(deg, 2 * deg - 1):
-            ck = w[k]
-            if ck:
-                row = red[k - deg]
-                for i in range(deg):
-                    ri = row[i]
-                    if ri:
-                        out[i] += ck * ri
-        return tuple(out)
-
-    return mul
-
-
 def _echelon_cyc(rows, ncols, field: Field):
     """Fraction-free forward elimination over Z[zeta_n]."""
-    deg = field.degree
-    zero = (0,) * deg
-    mul = _cyc_ops(field)
+    zero = (0,) * field.degree
+    mul = field.mul
     m = len(rows)
     prev_div = None  # (int tuple numerator of 1/prev, int denominator)
     pr = 0
@@ -577,11 +519,9 @@ def _echelon_cyc(rows, ncols, field: Field):
                 new.append(v if any(v) else zero)
             rows[r] = new
         # 1/piv as an integer tuple over a common denominator, for the next sweep
-        inv = Scalar(field, tuple(Fraction(x) for x in piv)).inverse()
-        den = 1
-        for x in inv.coeffs:
-            den = lcm(den, x.denominator)
-        prev_div = (tuple(int(x * den) for x in inv.coeffs), den)
+        (scalar,) = field.from_integral([piv])
+        (num,), den = field.clear_denominators([scalar.inverse()])
+        prev_div = (num, den)
         pivots.append(c)
         pr += 1
         if pr == m:
@@ -610,16 +550,10 @@ def rank_of_fraction_rows(rows, ncols: int) -> int:
     return rank
 
 
-def _rref_from_echelon(field, rows, pivots, ncols):
+def _rref_from_echelon(field, rows, pivots):
     """Reduce echelon integer rows to RREF over the field."""
     rank = len(pivots)
-    if field.degree == 1:
-        frows = [[field.scalar(Fraction(x)) for x in rows[i]] for i in range(rank)]
-    else:
-        frows = [
-            [Scalar(field, tuple(Fraction(c) for c in x)) for x in rows[i]]
-            for i in range(rank)
-        ]
+    frows = [field.from_integral(rows[i]) for i in range(rank)]
     for i in range(rank - 1, -1, -1):
         p = pivots[i]
         inv = frows[i][p].inverse()
@@ -642,7 +576,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     field = M.ring
     rows = _integral_rows(M.rows, field)
     _, pivots = _echelon(rows, M.ncols, field)
-    rref = _rref_from_echelon(field, rows, pivots, M.ncols)
+    rref = _rref_from_echelon(field, rows, pivots)
     pivset = set(pivots)
     basis = []
     for f in range(M.ncols):
@@ -728,7 +662,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     # entries as [(deg_a, deg_b, integral coefficient)] term lists
     rows = []
     for row in projected:
-        (coeffs,) = _integral_rows([[c for e in row for c in e.terms.values()]], field)
+        coeffs, _ = field.clear_denominators([c for e in row for c in e.terms.values()])
         coeffs = iter(coeffs)
         rows.append([[(i, j, next(coeffs)) for i, j in e.terms] for e in row])
     if field.degree == 1:

@@ -123,14 +123,21 @@ class SplittingType:
         }
 
 
+def _split(Z: PointConfiguration, ms) -> tuple[int, int, bool]:
+    """(a_Z, b_Z, balanced) from the trace m(0), m(1), ...; ms is read only
+    up to its first nonzero value, which m(|Z|-1) always is."""
+    a = next(j for j, m in enumerate(ms) if m)
+    b = len(Z) - 1 - a
+    return a, b, b - a <= 1
+
+
 def splitting_type(Z: PointConfiguration, strategy=DEFAULT_STRATEGY) -> SplittingType:
     """Splitting type (a_Z, b_Z) from the full m(j) trace, j = 0 .. |Z|-1."""
     if len(Z) < 2:
         raise ValueError("splitting type needs at least two points")
     ms = tuple(multiplicity_dim(Z, j, strategy) for j in range(len(Z)))
-    a = next(j for j, m in enumerate(ms) if m != 0)
-    b = len(Z) - 1 - a
-    return SplittingType(a=a, b=b, m_values=ms, balanced=(b - a <= 1))
+    a, b, balanced = _split(Z, ms)
+    return SplittingType(a=a, b=b, m_values=ms, balanced=balanced)
 
 
 def is_semistable_gate(Z: PointConfiguration, strategy=DEFAULT_STRATEGY) -> str:
@@ -138,14 +145,10 @@ def is_semistable_gate(Z: PointConfiguration, strategy=DEFAULT_STRATEGY) -> str:
 
     Only a_Z is needed, so the m(j) scan stops at the first nonzero value.
     """
-    for j in range(len(Z)):
-        if multiplicity_dim(Z, j, strategy) != 0:
-            a = j
-            break
-    else:
-        raise AssertionError("unreachable: m(|Z|-1) is always positive")
-    b = len(Z) - 1 - a
-    return "balanced" if b - a <= 1 else "unbalanced"
+    if not len(Z):
+        raise ValueError("the semistability gate needs at least one point")
+    _, _, balanced = _split(Z, (multiplicity_dim(Z, j, strategy) for j in range(len(Z))))
+    return "balanced" if balanced else "unbalanced"
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,11 @@ class ClaimResult:
         }
 
 
+def _judged(claim: str, details, failures: list) -> ClaimResult:
+    """The one pass/fail rule: a claim passes iff it records no failure."""
+    return ClaimResult(claim, "fail" if failures else "pass", details, failures=failures)
+
+
 # ---------------------------------------------------------------------------
 # symbolic certificate for the unexpected quartic
 # ---------------------------------------------------------------------------
@@ -138,8 +143,7 @@ def check_hessian_certificate() -> ClaimResult:
     details["rank of (G1,G2,G3) at (a,b)=(5,7)"] = rank
     if rank != 3:
         failures.append("G1, G2, G3 are not independent at (a,b)=(5,7)")
-    status = "pass" if not failures else "fail"
-    return ClaimResult("hessian-certificate", status, details, failures=failures)
+    return _judged("hessian-certificate", details, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +175,8 @@ def check_two_and_four(Z: PointConfiguration, d: int, strategy=DEFAULT_STRATEGY)
             {"reason": "structural hypothesis does not hold", "degree": d},
         )
     dim = generic_dim(Z, d - 1, d, strategy)
-    status = "pass" if dim == 0 else "fail"
     failures = [] if dim == 0 else [Z.to_dict()]
-    return ClaimResult(
-        "two-and-four", status, {"degree": d, "generic dim": dim}, failures=failures
-    )
+    return _judged("two-and-four", {"degree": d, "generic dim": dim}, failures)
 
 
 def _two_and_four_instances(d: int, count: int, seed, field=QQ):
@@ -214,13 +215,7 @@ def check_two_and_four_corpus(
         tested += 1
         if res.status == "fail":
             failures.extend(res.failures)
-    status = "pass" if not failures else "fail"
-    return ClaimResult(
-        f"two-and-four-d{d}",
-        status,
-        {"degree": d, "instances": tested},
-        failures=failures,
-    )
+    return _judged(f"two-and-four-d{d}", {"degree": d, "instances": tested}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +258,7 @@ def check_family_emptiness(
         details["equivalent to the example configuration"] = eq
         if not eq:
             failures.append(Z.to_dict())
-    status = "pass" if not failures else "fail"
-    return ClaimResult(claim, status, details, failures=failures)
+    return _judged(claim, details, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +291,7 @@ def check_cubic_nonexistence(n_random: int = 500, seed=1, strategy=DEFAULT_STRAT
         tested["conics5"] += 1
         if detect_unexpected(Z, 2, strategy).unexpected:
             failures.append(Z.to_dict())
-    status = "pass" if not failures else "fail"
-    return ClaimResult("cubic-nonexistence", status, tested, failures=failures)
+    return _judged("cubic-nonexistence", tested, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +324,7 @@ def check_dejonquieres(seeds=(0, 1, 2, 3, 4)) -> ClaimResult:
             failures.append({"seed": s, "determinant": str(det)})
     details["basis dims"] = basis_dims
     details["collinear"] = collinear
-    status = "pass" if not failures else "fail"
-    return ClaimResult("dejonquieres", status, details, failures=failures)
+    return _judged("dejonquieres", details, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +367,7 @@ def search_uniqueness(space: SearchSpace, inject=(), strategy=DEFAULT_STRATEGY) 
         "hits": hits,
         "hits equivalent to example": equivalent,
     }
-    status = "pass" if not failures else "fail"
-    return ClaimResult("quartic-uniqueness-grid", status, details, failures=failures)
+    return _judged("quartic-uniqueness-grid", details, failures)
 
 
 def check_random_nine(count: int = 200, seed=2, strategy=DEFAULT_STRATEGY) -> ClaimResult:
@@ -386,10 +377,7 @@ def check_random_nine(count: int = 200, seed=2, strategy=DEFAULT_STRATEGY) -> Cl
         Z = random_config(9, 1000, (seed, i))
         if detect_unexpected(Z, 4, strategy).unexpected:
             failures.append(Z.to_dict())
-    status = "pass" if not failures else "fail"
-    return ClaimResult(
-        "quartic-uniqueness-random", status, {"instances": count}, failures=failures
-    )
+    return _judged("quartic-uniqueness-random", {"instances": count}, failures)
 
 
 def check_superset_persistence(strategy=DEFAULT_STRATEGY) -> ClaimResult:
@@ -414,12 +402,10 @@ def check_superset_persistence(strategy=DEFAULT_STRATEGY) -> ClaimResult:
         subsets += 1
         if detect_unexpected(W, 4, strategy).unexpected:
             failures.append(W.to_dict())
-    status = "pass" if not failures else "fail"
-    return ClaimResult(
+    return _judged(
         "superset-persistence",
-        status,
         {"supersets": supersets, "subsets": subsets, "mode": strategy.mode},
-        failures=failures,
+        failures,
     )
 
 
@@ -446,12 +432,7 @@ def check_fermat3_combinatorics() -> ClaimResult:
         and details["k>=4"] == 0
         and all(c == 4 for c in per_point)
     )
-    return ClaimResult(
-        "fermat3-combinatorics",
-        "pass" if ok else "fail",
-        details,
-        failures=[] if ok else [Z.to_dict()],
-    )
+    return _judged("fermat3-combinatorics", details, [] if ok else [Z.to_dict()])
 
 
 def check_fermat3_no_unexpected(strategy=DEFAULT_STRATEGY) -> ClaimResult:
@@ -464,12 +445,7 @@ def check_fermat3_no_unexpected(strategy=DEFAULT_STRATEGY) -> ClaimResult:
         "mode": strategy.mode,
     }
     ok = not any(verdicts.values()) and scan == []
-    return ClaimResult(
-        "fermat3-no-unexpected",
-        "pass" if ok else "fail",
-        details,
-        failures=[] if ok else [Z.to_dict()],
-    )
+    return _judged("fermat3-no-unexpected", details, [] if ok else [Z.to_dict()])
 
 
 def check_fermat5_degree7(strategy=DEFAULT_STRATEGY) -> ClaimResult:
@@ -486,12 +462,7 @@ def check_fermat5_degree7(strategy=DEFAULT_STRATEGY) -> ClaimResult:
         "range scan": scan,
     }
     ok = rep.unexpected and rep.generic_dim == 1 and 7 in scan and scan == [7]
-    return ClaimResult(
-        "fermat5-degree7",
-        "pass" if ok else "fail",
-        details,
-        failures=[] if ok else [Z.to_dict()],
-    )
+    return _judged("fermat5-degree7", details, [] if ok else [Z.to_dict()])
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +484,7 @@ def check_w5_splitting(strategy=DEFAULT_STRATEGY) -> ClaimResult:
         }
         if not (st.m_values[1] == 0 and st.m_values[2] == 2 and (st.a, st.b) == (2, 2) and st.balanced):
             failures.append({"a": a, "trace": traces[str(a)]})
-    status = "pass" if not failures else "fail"
-    return ClaimResult("w5-splitting", status, traces, failures=failures)
+    return _judged("w5-splitting", traces, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +516,7 @@ def check_example_unexpected() -> ClaimResult:
     }
     if not (cert.unexpected and cert.generic_dim == 1 and cert.threshold == 0):
         failures.append("certified mode disagrees")
-    status = "pass" if not failures else "fail"
-    return ClaimResult("example-quartic-unexpected", status, details, failures=failures)
+    return _judged("example-quartic-unexpected", details, failures)
 
 
 def check_example_double_point(n_points: int = 5, seed=3) -> ClaimResult:
@@ -568,10 +537,7 @@ def check_example_double_point(n_points: int = 5, seed=3) -> ClaimResult:
             partials = [evaluate(partial_derivative(f, v), P.coeffs) for v in "xyz"]
             if not all(p.is_zero() for p in partials):
                 failures.append({"P": [str(c) for c in P.coeffs], "form": str(f)})
-    status = "pass" if not failures else "fail"
-    return ClaimResult(
-        "example-double-point-basis", status, {"dims": dims}, failures=failures
-    )
+    return _judged("example-double-point-basis", {"dims": dims}, failures)
 
 
 def check_example_splitting(strategy=DEFAULT_STRATEGY) -> ClaimResult:
@@ -580,12 +546,7 @@ def check_example_splitting(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     st = splitting_type(Z, strategy)
     details = {"m": list(st.m_values), "type": [st.a, st.b], "balanced": st.balanced}
     ok = (st.a, st.b) == (3, 5) and not st.balanced and st.m_values[3] == 1
-    return ClaimResult(
-        "example-splitting",
-        "pass" if ok else "fail",
-        details,
-        failures=[] if ok else [details],
-    )
+    return _judged("example-splitting", details, [] if ok else [details])
 
 
 def check_example_equivalences() -> ClaimResult:
@@ -608,8 +569,7 @@ def check_example_equivalences() -> ClaimResult:
     details["example ~ F3"] = eq
     if eq:
         failures.append("example compares equivalent to the Fermat configuration")
-    status = "pass" if not failures else "fail"
-    return ClaimResult("example-equivalences", status, details, failures=failures)
+    return _judged("example-equivalences", details, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -640,13 +600,7 @@ def check_oracle_coherence(count: int = 50, seed=4) -> ClaimResult:
         rep = dim_linear_system(FatPointScheme.of(Z, (P, j)), d)
         if rep.dim < rep.edim:
             failures.append({"config": Z.to_dict(), "dim": rep.dim, "edim": rep.edim})
-    status = "pass" if not failures else "fail"
-    return ClaimResult(
-        "oracle-coherence",
-        status,
-        {"instances": count, "agreements": agreements},
-        failures=failures,
-    )
+    return _judged("oracle-coherence", {"instances": count, "agreements": agreements}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +646,7 @@ def check_families(strategy=DEFAULT_STRATEGY) -> ClaimResult:
         )
         if not res.passed:
             failures.extend(res.failures or [res.details])
-    return ClaimResult(
-        "family-emptiness",
-        "pass" if not failures else "fail",
-        {"instances": tested},
-        failures=failures,
-    )
+    return _judged("family-emptiness", {"instances": tested}, failures)
 
 
 # claim id -> runner(seed, sampled strategy, strategy of the certifiable

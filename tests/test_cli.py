@@ -73,6 +73,23 @@ def test_unexpected_command(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "flags"
 
 
+def test_conductor_two_is_legal_input(tmp_path, capsys):
+    # Q(zeta_2) = Q: the family, its JSON and its verdict read as over Q
+    runs = {}
+    for flags in ((), ("--cyclotomic", "2")):
+        code, out, _ = run_cli(capsys, "gen", "family", "--id", "w5", "--params", "a=2", *flags)
+        assert code == 0
+        cfg = tmp_path / f"w5{len(flags)}.json"
+        cfg.write_text(out)
+        code, rep, _ = run_cli(capsys, "unexpected", str(cfg), "-d", "3")
+        assert code == 0
+        runs[flags] = (json.loads(out), json.loads(rep))
+    (cfg_q, rep_q), (cfg_2, rep_2) = runs.values()
+    assert cfg_2["field"] == {"type": "cyclotomic", "n": 2}
+    assert cfg_2["points"] == cfg_q["points"]
+    assert rep_2 == rep_q
+
+
 def test_unexpected_deterministic_output(tmp_path, capsys):
     cfg = tmp_path / "ex.json"
     cfg.write_text(json.dumps(example_quartic_config().to_dict()))

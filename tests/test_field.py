@@ -151,3 +151,47 @@ def test_render_parse_round_trip():
     for _ in range(100):
         s = _random_scalar(QQ, rng)
         assert parse_scalar(QQ, render_scalar(s)) == s
+
+
+_INTEGRAL_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("field", _INTEGRAL_FIELDS, ids=repr)
+def test_integral_coordinates_round_trip(field):
+    rng = random.Random(f"integral:{field!r}")
+    assert field.clear_denominators([]) == ([], 1)
+    assert field.from_integral([]) == []
+    for size in (1, 2, 6):
+        for _ in range(50):
+            values = [_random_scalar(field, rng) for _ in range(size)]
+            # plain ints and Fractions are legal input next to Scalars
+            values[0] = rng.choice([values[0], rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 7)])
+            coords, den = field.clear_denominators(values)
+            assert type(den) is int and den >= 1
+            for c in coords:
+                if field.degree == 1:
+                    assert type(c) is int
+                else:
+                    assert len(c) == field.degree and all(type(x) is int for x in c)
+            # the coordinates are the nonzero multiple den of the input ...
+            scaled = field.from_integral(coords)
+            assert scaled == [field.scalar(v) * den for v in values]
+            # ... and over den they give the input back, in canonical form
+            back = field.from_integral(coords, den)
+            assert back == [field.scalar(v) for v in values]
+            assert all(type(x) is Fraction for s in back for x in s.coeffs)
+
+
+@pytest.mark.parametrize("field", _INTEGRAL_FIELDS[1:], ids=repr)
+def test_product_is_the_reduced_schoolbook_product(field):
+    rng = random.Random(f"product:{field!r}")
+    for _ in range(200):
+        a = _random_scalar(field, rng)
+        b = _random_scalar(field, rng)
+        wide = [Fraction(0)] * (2 * field.degree - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                wide[i + j] += x * y
+        product = a * b
+        assert product == field.from_coeffs(wide)
+        assert all(type(x) is Fraction for x in product.coeffs)

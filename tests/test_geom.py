@@ -23,7 +23,6 @@ from fatpoints import (
     line_through,
     make_field,
     meet,
-    pencil_lines,
     primitive_root,
     projective_equivalent,
     random_config,
@@ -177,8 +176,7 @@ def test_dualize_examples():
 
 def test_pencil_lines():
     Z = example_quartic_config()
-    z5 = Z[4]
-    pencil = pencil_lines(Z, z5)
+    pencil = [ln for ln, _ in analyze_lines(Z).lines_through(4)]  # through Z5
     assert {ln.coeffs for ln in pencil} == {
         L(0, 1, 0).coeffs,  # y = 0
         L(1, 0, 0).coeffs,  # x = 0
@@ -186,12 +184,11 @@ def test_pencil_lines():
         L(1, -1, 0).coeffs,  # x - y = 0
     }
     general = PointConfiguration(QQ, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 2, 1)])
-    assert len(pencil_lines(general, general[0])) == 3
+    assert len(analyze_lines(general).lines_through(0)) == 3
     F3 = dual_fermat(3)
-    for p in F3.points:
-        assert len(pencil_lines(F3, p)) == 4
-    with pytest.raises(ValueError):
-        pencil_lines(general, P(9, 9, 1))
+    stats = analyze_lines(F3)
+    for i in range(len(F3)):
+        assert len(stats.lines_through(i)) == 4
 
 
 def test_apply_transform():

@@ -4,23 +4,32 @@ import random
 
 import pytest
 
+import fatpoints.unexpected as unexpected
 from fatpoints import (
+    FatPointScheme,
     GeneralPointStrategy,
     PointConfiguration,
+    ProjectivePoint,
     QQ,
+    analyze_lines,
     apply_transform,
+    conditions_matrix,
     detect_unexpected,
     dual_fermat,
     example_quartic_config,
     family,
     fermat_unexpected_range,
+    exact_rank,
     generic_dim,
     is_semistable_gate,
+    make_field,
     multiplicity_dim,
+    nullspace_basis,
     random_config,
     splitting_type,
 )
 from fatpoints.geom import mat3_det
+from fatpoints.linsys import system_dimension
 
 
 def test_multiplicity_dim_examples():
@@ -71,6 +80,59 @@ def test_semistable_gate():
     assert is_semistable_gate(family("w5", {"a": 2})) == "balanced"
     assert is_semistable_gate(example_quartic_config()) == "unbalanced"
     assert is_semistable_gate(dual_fermat(3)) == "balanced"
+    assert is_semistable_gate(PointConfiguration(QQ, [(1, 2, 3)])) == "balanced"
+    with pytest.raises(ValueError):
+        is_semistable_gate(PointConfiguration(QQ, []))
+
+
+def test_gate_stops_at_the_first_nonzero_m(monkeypatch):
+    calls = []
+    m = unexpected.multiplicity_dim
+
+    def counted(Z, j, strategy):
+        calls.append(j)
+        return m(Z, j, strategy)
+
+    monkeypatch.setattr(unexpected, "multiplicity_dim", counted)
+    for Z, a, verdict in (
+        (family("w5", {"a": 2}), 2, "balanced"),
+        (example_quartic_config(), 3, "unbalanced"),
+    ):
+        calls.clear()
+        assert is_semistable_gate(Z) == verdict
+        assert calls == list(range(a + 1))
+        st = splitting_type(Z)
+        assert (st.a, st.balanced) == (a, verdict == "balanced")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_degree_one_cyclotomic_fields_match_the_rationals(n):
+    field = make_field("cyclotomic", n)
+    Zq = example_quartic_config()
+    Z = Zq.lift(field)
+    assert Z.field == field and field.degree == 1
+
+    def text(vectors):
+        return [[str(c) for c in v] for v in vectors]
+
+    for j in (None, 2, 3):
+        if j is None:
+            Xq, X = FatPointScheme.of(Zq), FatPointScheme.of(Z)
+        else:
+            Xq = FatPointScheme.of(Zq, (ProjectivePoint(QQ, (2, -3, 1)), j))
+            X = FatPointScheme.of(Z, (ProjectivePoint(field, (2, -3, 1)), j))
+        Mq, M = conditions_matrix(Xq, 4), conditions_matrix(X, 4)
+        assert M.ring == field
+        assert exact_rank(M) == exact_rank(Mq) == 15 - system_dimension(X, 4)
+        assert system_dimension(X, 4) == system_dimension(Xq, 4)
+        assert text(nullspace_basis(M)) == text(nullspace_basis(Mq))
+    for strategy in (GeneralPointStrategy(), GeneralPointStrategy(mode="certified")):
+        rep = detect_unexpected(Z, 4, strategy)
+        assert rep.unexpected
+        assert rep.to_dict() == detect_unexpected(Zq, 4, strategy).to_dict()
+    assert [(text([ln.coeffs]), idx) for ln, idx in analyze_lines(Z).lines] == [
+        (text([ln.coeffs]), idx) for ln, idx in analyze_lines(Zq).lines
+    ]
 
 
 def test_gate_soundness_on_corpus():
