@@ -11,7 +11,9 @@ each configuration once: a mismatch of line histograms rejects early, and a
 quadruple is in general position iff no line of its inventory holds three of
 its points.  The frame is anchored at the lexicographically smallest
 general-position quadruple of the first configuration, and every ordered
-general-position quadruple of the second is tried as its image.
+general-position quadruple of the second is tried as its image.  Sets
+without such a quadruple are decided only up to two points and for
+triangles, any two of which are equivalent.
 """
 
 from __future__ import annotations
@@ -382,24 +384,37 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
     if anchor is None:
         # fewer than 4 points in general position on both sides or neither:
         # fall back to size <= 3 / collinear handling
-        return _equivalent_degenerate(Z1, stats1)
+        return _equivalent_degenerate(Z1, Z2, stats1)
     src = [Z1[i] for i in anchor]
     target = Z2.point_set()
     for dst in permutations(range(len(Z2)), 4):
         if not _general_quadruple(stats2, dst):
             continue
         T = frame_transform(src, [Z2[i] for i in dst])
-        if all(ProjectivePoint(Z1.field, mat3_vec(T, p.coeffs)) in target for p in Z1.points):
+        if _maps_onto(T, Z1, target):
             return True, T
     return False, None
 
 
-def _equivalent_degenerate(Z1, stats1):
+def _maps_onto(T, Z1: PointConfiguration, target: frozenset) -> bool:
+    return all(ProjectivePoint(Z1.field, mat3_vec(T, p.coeffs)) in target for p in Z1.points)
+
+
+def _equivalent_degenerate(Z1, Z2, stats1):
     # no general-position quadruple in Z1, and the caller has matched the
-    # line histograms; beyond two points (collinear sets need cross-ratio
-    # classification) this is out of scope for the sets this artifact studies
+    # line histograms; beyond two points and triangles (collinear sets need
+    # cross-ratio classification) this is out of scope for the sets this
+    # artifact studies
     if len(Z1) <= 2:
         return True, None
+    if len(Z1) == 3 and stats1.max_richness == 2:
+        # two triangles: with the points as the columns of A1 and A2,
+        # T = A2 adj(A1) sends the i-th point of Z1 to det(A1) times that of Z2
+        A1, A2 = (tuple(zip(*(p.coeffs for p in Z))) for Z in (Z1, Z2))
+        T = mat3_mul(A2, mat3_adjugate(A1))
+        if not _maps_onto(T, Z1, Z2.point_set()):
+            raise ArithmeticError("triangle transform misses the target set")
+        return True, T
     if stats1.max_richness == len(Z1):
         raise DegenerateInputError("equivalence of fully collinear sets is not supported")
     raise DegenerateInputError("equivalence without a general-position quadruple")

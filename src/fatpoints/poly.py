@@ -7,8 +7,11 @@ the external contract, so reports are reproducible bit for bit.
 Matrix elimination is fraction-free (Bareiss): rows are first scaled to
 integer (or cyclotomic-integer) entries, and the one-step Bareiss update
 keeps every intermediate entry equal to a minor of the scaled matrix, which
-controls coefficient blowup.  Nullspace bases come from the reduced row
-echelon form, so they are canonical regardless of pivot choices.
+controls coefficient blowup.  Nullspace bases are the standard bases of the
+reduced row echelon form, so they are canonical regardless of pivot
+choices, but no reduced form is built: each basis vector comes from the
+echelon rows by back substitution in the same integers, where every
+division is exact by Cramer's rule and checked.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
@@ -25,6 +28,7 @@ evaluated.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -480,6 +484,29 @@ def _echelon_int(rows, ncols):
     return len(pivots), pivots
 
 
+def _integral_inverse(field: Field, x) -> tuple:
+    """1/x for a nonzero int tuple x over Z[zeta_n], as (int tuple, int
+    denominator): dividing by x is multiplying by the tuple, then dividing
+    each coordinate by the denominator."""
+    (scalar,) = field.from_integral([x])
+    (num,), den = field.clear_denominators([scalar.inverse()])
+    return num, den
+
+
+def _exact_quotient(mul, x, inverse) -> tuple:
+    """x / u over Z[zeta_n], for u with _integral_inverse inverse, by the
+    field's product mul; the quotient must be integral, and a remainder
+    raises ArithmeticError."""
+    num, den = inverse
+    out = []
+    for c in mul(x, num):
+        q, rem = divmod(c, den)
+        if rem:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        out.append(q)
+    return tuple(out)
+
+
 def _echelon_cyc(rows, ncols, field: Field):
     """Fraction-free forward elimination over Z[zeta_n]."""
     zero = (0,) * field.degree
@@ -508,20 +535,10 @@ def _echelon_cyc(rows, ncols, field: Field):
                 bb = mul(rc, rowp[cc])
                 v = tuple(x - y for x, y in zip(a, bb))
                 if prev_div is not None and any(v):
-                    num, den = prev_div
-                    out = []
-                    for x in mul(v, num):
-                        q, rem = divmod(x, den)
-                        if rem:
-                            raise ArithmeticError("inexact division in Bareiss elimination")
-                        out.append(q)
-                    v = tuple(out)
+                    v = _exact_quotient(mul, v, prev_div)
                 new.append(v if any(v) else zero)
             rows[r] = new
-        # 1/piv as an integer tuple over a common denominator, for the next sweep
-        (scalar,) = field.from_integral([piv])
-        (num,), den = field.clear_denominators([scalar.inverse()])
-        prev_div = (num, den)
+        prev_div = _integral_inverse(field, piv)  # for the next sweep
         pivots.append(c)
         pr += 1
         if pr == m:
@@ -550,44 +567,93 @@ def rank_of_fraction_rows(rows, ncols: int) -> int:
     return rank
 
 
-def _rref_from_echelon(field, rows, pivots):
-    """Reduce echelon integer rows to RREF over the field."""
-    rank = len(pivots)
-    frows = [field.from_integral(rows[i]) for i in range(rank)]
-    for i in range(rank - 1, -1, -1):
-        p = pivots[i]
-        inv = frows[i][p].inverse()
-        frows[i] = [e * inv for e in frows[i]]
-        for i2 in range(i):
-            f = frows[i2][p]
-            if f:
-                frows[i2] = [e2 - f * e for e2, e in zip(frows[i2], frows[i])]
-    return frows
+def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
+    """The RREF kernel basis of echelon rows U, by fraction-free back
+    substitution.
+
+    Let p_i be the pivot column of row i, r the rank and D = U[r-1][p_(r-1)],
+    the last Bareiss pivot and so the determinant of the pivot minor.  The
+    basis vector of a free column f is 1 at f, y_i / D at p_i and 0 at the
+    other free columns, where, for i = r-1, ..., 0,
+
+        y_i = -(D U[i][f] + sum over k > i of U[i][p_k] y_k) / U[i][p_i].
+
+    D times the vector solves the pivot minor's system with right-hand side
+    -D times column f, so by Cramer's rule each y_i is a minor of the
+    input: every division is exact in Z or Z[zeta_n], and a remainder
+    raises ArithmeticError.  Over Z[zeta_n] a pivot is divided through its
+    _integral_inverse, as in _echelon_cyc, and the last division, by D,
+    happens only in Field.from_integral.
+    """
+    if field.degree == 1:
+        mul, sub = operator.mul, operator.sub
+
+        def embed(n):
+            return n
+
+        # over Z the inverse of u is 1 over the denominator u
+        inverses = [(1, rows[i][p]) for i, p in enumerate(pivots)]
+
+        def divide(x, inverse):
+            q, rem = divmod(x, inverse[1])
+            if rem:
+                raise ArithmeticError("inexact division in fraction-free elimination")
+            return q
+
+    else:
+        mul = field.mul
+
+        def sub(u, v):
+            return tuple(x - y for x, y in zip(u, v))
+
+        def embed(n):
+            return (n,) + (0,) * (field.degree - 1)
+
+        inverses = [_integral_inverse(field, rows[i][p]) for i, p in enumerate(pivots)]
+
+        def divide(x, inverse):
+            return _exact_quotient(mul, x, inverse)
+
+    r = len(pivots)
+    zero = embed(0)
+    D = rows[r - 1][pivots[-1]] if r else embed(1)
+    num_d, den_d = inverses[-1] if r else (embed(1), 1)
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        y = [zero] * r
+        for i in range(r - 1, -1, -1):
+            row = rows[i]
+            s = sub(zero, mul(D, row[f]))
+            for k in range(i + 1, r):
+                s = sub(s, mul(row[pivots[k]], y[k]))
+            y[i] = divide(s, inverses[i])
+        v = [zero] * ncols
+        v[f] = embed(den_d)
+        for p, yi in zip(pivots, y):
+            v[p] = mul(yi, num_d)
+        basis.append(tuple(field.from_integral(v, den_d)))
+    return basis
 
 
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
-    """Canonical basis of {v : Mv = 0}: the RREF standard basis.
+    """Canonical basis of {v : Mv = 0}: the RREF standard basis, one vector
+    per free column f, equal to 1 at f and 0 at the other free columns.
 
-    Vectors carry one coordinate per column of M, in column order; the size
-    of the basis is ncols - rank.
+    The rows are scaled to integral coordinates and eliminated by Bareiss,
+    and each vector comes from the echelon rows by fraction-free back
+    substitution (_kernel_from_echelon), whose divisions are exact by
+    Cramer's rule and checked.  Vectors carry one coordinate per column of
+    M, in column order; the size of the basis is ncols - rank.
     """
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
     rows = _integral_rows(M.rows, field)
     _, pivots = _echelon(rows, M.ncols, field)
-    rref = _rref_from_echelon(field, rows, pivots)
-    pivset = set(pivots)
-    basis = []
-    for f in range(M.ncols):
-        if f in pivset:
-            continue
-        v = [field.zero] * M.ncols
-        v[f] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = -rref[i][f]
-        basis.append(tuple(v))
-    return basis
+    return _kernel_from_echelon(field, rows, pivots, M.ncols)
 
 
 def determinant(M: ExactMatrix):

@@ -136,6 +136,20 @@ def test_equiv_collinear_sets_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_equiv_of_two_triangles(tmp_path, capsys):
+    a = {"field": {"type": "rational"}, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    b = {"field": {"type": "rational"}, "points": [[1, 2, 3], [2, -1, 1], [0, 5, 7]]}
+    f1 = tmp_path / "a.json"
+    f2 = tmp_path / "b.json"
+    f1.write_text(json.dumps(a))
+    f2.write_text(json.dumps(b))
+    code, out, err = run_cli(capsys, "equiv", str(f1), str(f2))
+    assert code == 0 and not err
+    data = json.loads(out)
+    assert data["equivalent"] is True
+    assert len(data["witness"]) == 3
+
+
 def test_search_reports_measured_runtime(capsys):
     code, out, _ = run_cli(capsys, "search", "--limit", "3", "--inject-example")
     assert code == 0

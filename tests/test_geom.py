@@ -367,6 +367,39 @@ def test_equivalence_reflexive_symmetric():
     assert a == b
 
 
+def test_any_two_triangles_are_equivalent():
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    pairs = [
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 2, 3), (2, -1, 1), (0, 5, 7)], QQ),
+        ([(1, 1, 1), (1, -1, 2), (3, 0, 1)], [(0, 1, 1), (1, 0, 1), (1, 1, 0)], QQ),
+        ([(1, z, 0), (0, 1, z * z), (z, 0, 1)], [(1, 1, 1), (1, 0, z), (0, 1, 1)], f5),
+    ]
+    for pts1, pts2, field in pairs:
+        Z1, Z2 = PointConfiguration(field, pts1), PointConfiguration(field, pts2)
+        for A, B in ((Z1, Z2), (Z2, Z1)):
+            verdict, T = projective_equivalent(A, B)
+            assert verdict and not mat3_det(T).is_zero()
+            assert apply_transform(T, A).point_set() == B.point_set()
+            # T = A2 adj(A1) keeps the order of the points
+            assert [ProjectivePoint(field, mat3_vec(T, p.coeffs)) for p in A] == list(B)
+
+
+def test_equivalence_without_a_general_quadruple_stays_an_input_error():
+    triangle = PointConfiguration(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    collinear = PointConfiguration(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    # a triangle and three collinear points have different line histograms
+    assert projective_equivalent(triangle, collinear) == (False, None)
+    other = PointConfiguration(QQ, [(1, 0, 0), (0, 1, 0), (1, 2, 0)])
+    with pytest.raises(DegenerateInputError, match="collinear"):
+        projective_equivalent(collinear, other)
+    # three points on a line and one off it: no general-position quadruple
+    near1 = PointConfiguration(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    near2 = PointConfiguration(QQ, [(1, 0, 0), (0, 1, 0), (1, 3, 0), (1, 1, 1)])
+    with pytest.raises(DegenerateInputError, match="general-position quadruple"):
+        projective_equivalent(near1, near2)
+
+
 def test_equivalence_requires_matching_sizes_and_fields():
     Z1 = random_config(5, 4, 1)
     Z2 = random_config(6, 4, 2)

@@ -15,6 +15,7 @@ from fatpoints import (
     ParamRing,
     PointConfiguration,
     QQ,
+    Scalar,
     apply_transform,
     dual_fermat,
     evaluate,
@@ -232,6 +233,153 @@ def test_nullspace_exactness_and_dimension():
                 assert all(not sum((a * x for a, x in zip(row, v)), field.zero) for row in M.rows)
         empty = ExactMatrix(field, [])
         assert (exact_rank(empty), nullspace_basis(empty)) == (0, [])
+
+
+def _gauss_jordan_kernel(rows, ncols, field):
+    """Reference: the RREF standard kernel basis by Gauss-Jordan over Scalars."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append(v)
+    return basis
+
+
+def _fraction_tuples(vectors):
+    """Every coordinate as its canonical tuple of power-basis Fractions."""
+    return [[tuple(Fraction(c) for c in x.coeffs) for x in v] for v in vectors]
+
+
+def _kernel_corpus(field, rng, count):
+    """Seeded matrices over the field with the edge cases: rank-deficient
+    products A B, zero columns, the zero matrix, a single row and a matrix
+    of full column rank."""
+
+    def entry():
+        if rng.random() < 0.2:
+            return field.zero
+        return field.from_coeffs(
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)]
+        )
+
+    out = []
+    for _ in range(count):
+        m, n, k = rng.randint(1, 6), rng.randint(1, 7), rng.randint(1, 4)
+        A = [[entry() for _ in range(k)] for _ in range(m)]
+        B = [[entry() for _ in range(n)] for _ in range(k)]
+        rows = [[sum((A[i][t] * B[t][j] for t in range(k)), field.zero) for j in range(n)] for i in range(m)]
+        for j in rng.sample(range(n), rng.randint(0, min(2, n))):
+            for row in rows:
+                row[j] = field.zero
+        out.append(rows)
+    out.append([[field.zero] * 4 for _ in range(3)])
+    out.append([[entry() for _ in range(5)]])
+    out.append([[field.one if i == j else field.zero for j in range(3)] for i in range(4)])
+    return out
+
+
+KERNEL_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (3, 4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_nullspace_basis_matches_gauss_jordan_reference(field):
+    rng = random.Random(f"kernel-{field!r}")
+    corpus = _kernel_corpus(field, rng, 30)
+    assert nullspace_basis(ExactMatrix(field, corpus[-1])) == []  # full column rank
+    for rows in corpus:
+        ncols = len(rows[0])
+        basis = nullspace_basis(ExactMatrix(field, rows))
+        assert _fraction_tuples(basis) == _fraction_tuples(_gauss_jordan_kernel(rows, ncols, field))
+
+
+def test_nullspace_basis_matches_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    for rows in _kernel_corpus(QQ, random.Random("kernel-sympy"), 30):
+        basis = nullspace_basis(ExactMatrix(QQ, rows))
+        rational = sympy.Matrix([[sympy.Rational(str(x.as_fraction())) for x in r] for r in rows])
+        expected = [[Fraction(str(c)) for c in v] for v in rational.nullspace()]
+        assert [[x.as_fraction() for x in v] for v in basis] == expected
+
+
+def test_nullspace_basis_over_q_makes_no_scalar_products(monkeypatch):
+    matrices = [ExactMatrix(QQ, rows) for rows in _kernel_corpus(QQ, random.Random("kernel-count"), 10)]
+    calls = {"__mul__": 0, "__rmul__": 0, "inverse": 0}
+
+    def counted(name):
+        fn = getattr(Scalar, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Scalar, name, counted(name))
+    kernels = [nullspace_basis(M) for M in matrices]
+    assert sum(len(k) for k in kernels) > 0
+    assert calls == {"__mul__": 0, "__rmul__": 0, "inverse": 0}
+
+
+def test_integer_back_substitution_division_is_checked():
+    class OffByOne(int):
+        # an entry whose products come out one too large
+        def __mul__(self, other):
+            return int(self) * int(other) + 1
+
+        __rmul__ = __mul__
+
+    rows = [[2, 1, 1], [4, 7, 3]]
+    assert poly._echelon_int(rows, 3) == (2, [0, 1])
+    assert rows[1] == [0, 10, 2]
+    # D = 10, y_1 = -(10 * 2) / 10 = -2, y_0 = -(10 * 1 + 1 * -2) / 2 = -4
+    x0, x1 = QQ.scalar(Fraction(-2, 5)), QQ.scalar(Fraction(-1, 5))
+    assert poly._kernel_from_echelon(QQ, rows, [0, 1], 3) == [(x0, x1, QQ.one)]
+    rows[0][1] = OffByOne(1)
+    # 1 * -2 now comes out as -1, so y_0's numerator is -9, not divisible by 2
+    with pytest.raises(ArithmeticError):
+        poly._kernel_from_echelon(QQ, rows, [0, 1], 3)
+
+
+def test_cyclotomic_back_substitution_division_is_checked(monkeypatch):
+    f3 = make_field("cyclotomic", 3)
+    rows = poly._integral_rows(ExactMatrix(f3, [[2, 1, 1], [4, 7, 3]]).rows, f3)
+    assert poly._echelon(rows, 3, f3) == (2, [0, 1])
+    expected = _gauss_jordan_kernel(ExactMatrix(f3, [[2, 1, 1], [4, 7, 3]]).rows, 3, f3)
+    assert poly._kernel_from_echelon(f3, rows, [0, 1], 3) == [tuple(v) for v in expected]
+    mul = f3.mul
+    calls = [0]
+
+    def corrupted(u, v):
+        calls[0] += 1
+        w = mul(u, v)
+        # products 1 and 2 give y_1 = -2; the 4th is U[0][1] * y_1 = -2,
+        # subtracted from -D * U[0][2] = -10 before the division by the pivot 2
+        return (w[0] + 1, *w[1:]) if calls[0] == 4 else w
+
+    # the field's one product kernel, shared with Scalar multiplication
+    monkeypatch.setattr(f3, "mul", corrupted)
+    with pytest.raises(ArithmeticError):
+        poly._kernel_from_echelon(f3, rows, [0, 1], 3)
 
 
 def test_rank_invariances():
