@@ -280,7 +280,7 @@ def random_config(r: int, height: int, seed, field: Field = QQ) -> PointConfigur
     while len(pts) < r:
         x = rng.randint(-height, height)
         y = rng.randint(-height, height)
-        p = ProjectivePoint(field, (field.scalar(x), field.scalar(y), field.one))
+        p = ProjectivePoint(field, (x, y, 1))
         if p not in seen:
             seen.add(p)
             pts.append(p)
@@ -337,7 +337,7 @@ def grid_configs(space: SearchSpace, field: Field = QQ):
     check = _CONSTRAINTS[space.constraint]
     side = space.n + 1
     grid = [
-        ProjectivePoint(field, (field.scalar(x), field.scalar(y), field.one))
+        ProjectivePoint(field, (x, y, 1))
         for x in range(side)
         for y in range(side)
     ]

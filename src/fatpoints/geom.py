@@ -1,9 +1,16 @@
 """Projective points, lines, incidence statistics, duality and equivalence.
 
-Points and lines of P^2 are stored as normalized coordinate triples (the
-first nonzero coordinate is scaled to 1), so equality is plain tuple
-equality.  Configurations are ordered lists of distinct points; incidence
-statistics and equivalence treat them as sets.
+A point or line of P^2 stores one canonical coordinate triple, so equality
+is plain tuple equality.  Over Q (and every field of degree 1) that is the
+primitive integer triple: gcd 1, first nonzero coordinate positive.  Over
+Q(zeta_n) it is the Scalar triple whose first nonzero coordinate is 1.  The
+coeffs of either is that Scalar triple; over Q it is derived from the
+integer triple on each read.  Joins, meets and frames are computed on the
+stored triples by the same generic helpers, so over Q they are integer
+cross products and determinants, normalized by a gcd.
+
+Configurations are ordered lists of distinct points; incidence statistics
+and equivalence treat them as sets.
 
 Collinearity inside a configuration is decided in one place, the line
 inventory of analyze_lines.  Equivalence testing computes the inventory of
@@ -19,76 +26,117 @@ triangles, any two of which are equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, prod
 
-from .field import Field, FieldMismatchError, Scalar
+from .field import Field, FieldMismatchError
 
 
 class DegenerateInputError(ValueError):
     """Geometric precondition broken (equal points, singular transform...)."""
 
 
-def _normalize(field: Field, coeffs) -> tuple[Scalar, ...]:
-    coords = tuple(field.scalar(c) for c in coeffs)
-    if len(coords) != 3:
-        raise ValueError("homogeneous triples have three coordinates")
-    for c in coords:
+def _primitive(v) -> tuple:
+    """The primitive integer triple of a nonzero int triple: gcd 1, first
+    nonzero coordinate positive."""
+    g = gcd(*v)
+    if not g:
+        raise DegenerateInputError("all-zero homogeneous triple")
+    if (v[0] or v[1] or v[2]) < 0:
+        g = -g
+    return (v[0] // g, v[1] // g, v[2] // g)
+
+
+def _monic(v) -> tuple:
+    """A nonzero Scalar triple scaled to first nonzero coordinate 1."""
+    for c in v:
         if c:
             inv = c.inverse()
-            return tuple(x * inv for x in coords)
+            return tuple(x * inv for x in v)
     raise DegenerateInputError("all-zero homogeneous triple")
 
 
-class ProjectivePoint:
-    """Point of P^2 with a canonical (first nonzero = 1) representative."""
+def _canonical(field: Field):
+    """The normalization of the stored triples over field."""
+    return _primitive if field.degree == 1 else _monic
 
-    __slots__ = ("field", "coeffs")
+
+def _lead(t):
+    return t[0] or t[1] or t[2]
+
+
+def _normalize(field: Field, coeffs) -> tuple:
+    """The stored triple of homogeneous coordinates given as ints, Fractions,
+    grammar strings or Scalars of field."""
+    coords = tuple(coeffs)
+    if len(coords) != 3:
+        raise ValueError("homogeneous triples have three coordinates")
+    if field.degree != 1:
+        return _monic(tuple(field.scalar(c) for c in coords))
+    values = [c if isinstance(c, (int, Fraction)) else field.scalar(c) for c in coords]
+    ints, _ = field.clear_denominators(values)
+    return _primitive(ints)
+
+
+class _Homogeneous:
+    """A point or line of P^2, stored as its canonical triple."""
+
+    __slots__ = ("field", "triple")
 
     def __init__(self, field: Field, coeffs):
         self.field = field
-        self.coeffs = _normalize(field, coeffs)
+        self.triple = _normalize(field, coeffs)
+
+    @classmethod
+    def _stored(cls, field: Field, triple: tuple):
+        """From a triple that is already canonical over field."""
+        obj = object.__new__(cls)
+        obj.field = field
+        obj.triple = triple
+        return obj
+
+    @property
+    def coeffs(self) -> tuple:
+        """The Scalar triple with first nonzero coordinate 1."""
+        t = self.triple
+        if self.field.degree != 1:
+            return t
+        return tuple(self.field.from_integral(t, _lead(t)))
 
     def __eq__(self, other):
         return (
-            isinstance(other, ProjectivePoint)
+            type(other) is type(self)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.triple == other.triple
         )
 
     def __hash__(self):
-        return hash(("pt", self.field, self.coeffs))
+        return hash((type(self).__name__, self.field, self.triple))
 
     def __repr__(self):
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
+        left, right = self._brackets
+        return left + ", ".join(str(c) for c in self.coeffs) + right
 
 
-class ProjectiveLine:
-    """Line a*x + b*y + c*z = 0, normalized like a point."""
+class ProjectivePoint(_Homogeneous):
+    """Point of P^2, printed with first nonzero coordinate 1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
+    _brackets = "[]"
 
-    def __init__(self, field: Field, coeffs):
-        self.field = field
-        self.coeffs = _normalize(field, coeffs)
+
+class ProjectiveLine(_Homogeneous):
+    """Line a*x + b*y + c*z = 0, stored like a point."""
+
+    __slots__ = ()
+    _brackets = "<>"
 
     def contains(self, p: ProjectivePoint) -> bool:
         s = self.field.zero
         for a, x in zip(self.coeffs, p.coeffs):
             s = s + a * x
         return s.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjectiveLine)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("ln", self.field, self.coeffs))
-
-    def __repr__(self):
-        return "<" + ", ".join(str(c) for c in self.coeffs) + ">"
 
 
 def _cross(u, v):
@@ -99,22 +147,27 @@ def _cross(u, v):
     )
 
 
+def _join(a: _Homogeneous, b: _Homogeneous, message: str) -> tuple:
+    """Stored triple of the cross product of two distinct points (or lines)
+    over one field."""
+    w = _cross(a.triple, b.triple)
+    if not any(w):
+        raise DegenerateInputError(message)
+    return _canonical(a.field)(w)
+
+
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
     """The unique line joining two distinct points."""
     if p.field != q.field:
         raise FieldMismatchError("points over different fields")
-    if p == q:
-        raise DegenerateInputError("line_through needs two distinct points")
-    return ProjectiveLine(p.field, _cross(p.coeffs, q.coeffs))
+    return ProjectiveLine._stored(p.field, _join(p, q, "line_through needs two distinct points"))
 
 
 def meet(l1: ProjectiveLine, l2: ProjectiveLine) -> ProjectivePoint:
     """The unique common point of two distinct lines."""
     if l1.field != l2.field:
         raise FieldMismatchError("lines over different fields")
-    if l1 == l2:
-        raise DegenerateInputError("meet needs two distinct lines")
-    return ProjectivePoint(l1.field, _cross(l1.coeffs, l2.coeffs))
+    return ProjectivePoint._stored(l1.field, _join(l1, l2, "meet needs two distinct lines"))
 
 
 class PointConfiguration:
@@ -170,10 +223,7 @@ class PointConfiguration:
             return self
         if self.field != Field("rational"):
             raise FieldMismatchError("only rational configurations can be lifted")
-        return PointConfiguration(
-            field,
-            [[field.scalar(c.as_fraction()) for c in p.coeffs] for p in self.points],
-        )
+        return PointConfiguration(field, [p.triple for p in self.points])
 
     def __repr__(self):
         return f"PointConfiguration({len(self)} points over {self.field!r})"
@@ -242,11 +292,14 @@ def analyze_lines(Z: PointConfiguration) -> LineStats:
     pencils, general position and the meeting of lines off Z are all read
     from it.
     """
+    pts = Z.points
     pooled: dict[tuple, tuple] = {}
-    for i, j in combinations(range(len(Z)), 2):
-        ln = line_through(Z[i], Z[j])
-        pooled.setdefault(ln.coeffs, (ln, set()))[1].update((i, j))
-    lines = tuple((ln, tuple(sorted(idx))) for ln, idx in pooled.values())
+    for i, j in combinations(range(len(pts)), 2):
+        ln = line_through(pts[i], pts[j])
+        pooled.setdefault(ln.triple, (ln, set()))[1].update((i, j))
+    # from a list: tuple() of a generator resizes its result, and each call
+    # would leave one more tuple in CPython's per-size free lists
+    lines = tuple([(ln, tuple(sorted(idx))) for ln, idx in pooled.values()])
     hist: dict[int, int] = {}
     for _, idx in lines:
         hist[len(idx)] = hist.get(len(idx), 0) + 1
@@ -255,7 +308,7 @@ def analyze_lines(Z: PointConfiguration) -> LineStats:
 
 def dualize(Z: PointConfiguration) -> list[ProjectiveLine]:
     """Reinterpret each point [a,b,c] as the line a*x+b*y+c*z=0."""
-    return [ProjectiveLine(Z.field, p.coeffs) for p in Z.points]
+    return [ProjectiveLine._stored(Z.field, p.triple) for p in Z.points]
 
 
 def dual_points(lines, field: Field | None = None) -> PointConfiguration:
@@ -286,15 +339,12 @@ def mat3_det(rows):
 
 def mat3_mul(A, B):
     return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(1, 3)), A[i][0] * B[0][j]) for j in range(3))
-        for i in range(3)
+        tuple(a[0] * B[0][j] + a[1] * B[1][j] + a[2] * B[2][j] for j in range(3)) for a in A
     )
 
 
 def mat3_vec(A, v):
-    return tuple(
-        sum((A[i][k] * v[k] for k in range(1, 3)), A[i][0] * v[0]) for i in range(3)
-    )
+    return tuple(a[0] * v[0] + a[1] * v[1] + a[2] * v[2] for a in A)
 
 
 def mat3_adjugate(A):
@@ -319,18 +369,16 @@ def apply_transform(T, Z: PointConfiguration) -> PointConfiguration:
 
 
 def _frame_matrix(quad):
-    """Matrix sending the standard frame e1,e2,e3,e1+e2+e3 to the quadruple."""
-    p1, p2, p3, p4 = quad
-    field = p1.field
-    cols = [p.coeffs for p in (p1, p2, p3)]
-    A = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    det = mat3_det(A)
-    if det.is_zero():
+    """Matrix sending the standard frame e1,e2,e3,e1+e2+e3 to the points with
+    the four coordinate triples of quad (ints or Scalars)."""
+    t1, t2, t3, t4 = quad
+    A = tuple(zip(t1, t2, t3))
+    if not mat3_det(A):
         raise DegenerateInputError("first three frame points are collinear")
-    lam = mat3_vec(mat3_adjugate(A), p4.coeffs)  # det * A^{-1} p4
-    if any(not l for l in lam):
+    lam = mat3_vec(mat3_adjugate(A), t4)  # det * A^{-1} t4
+    if not all(lam):
         raise DegenerateInputError("fourth frame point lies on a side of the triangle")
-    return tuple(tuple(A[i][j] * lam[j] for j in range(3)) for i in range(3))
+    return tuple(tuple(a[j] * lam[j] for j in range(3)) for a in A)
 
 
 def frame_transform(src, dst):
@@ -343,8 +391,8 @@ def frame_transform(src, dst):
     dst = list(dst)
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("frame_transform needs two quadruples")
-    Ms = _frame_matrix(src)
-    Md = _frame_matrix(dst)
+    Ms = _frame_matrix([p.coeffs for p in src])
+    Md = _frame_matrix([p.coeffs for p in dst])
     return mat3_mul(Md, mat3_adjugate(Ms))
 
 
@@ -385,19 +433,37 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
         # fewer than 4 points in general position on both sides or neither:
         # fall back to size <= 3 / collinear handling
         return _equivalent_degenerate(Z1, Z2, stats1)
-    src = [Z1[i] for i in anchor]
-    target = Z2.point_set()
+    # frames are built from the stored triples; T sends each anchor point to
+    # its image by construction, so only the other points are tested
+    src = [Z1[i].triple for i in anchor]
+    back = mat3_adjugate(_frame_matrix(src))
+    rest = [p.triple for i, p in enumerate(Z1.points) if i not in anchor]
+    target = {p.triple for p in Z2.points}
+    canonical = _canonical(Z1.field)
     for dst in permutations(range(len(Z2)), 4):
         if not _general_quadruple(stats2, dst):
             continue
-        T = frame_transform(src, [Z2[i] for i in dst])
-        if _maps_onto(T, Z1, target):
-            return True, T
+        image = [Z2[i].triple for i in dst]
+        T = mat3_mul(_frame_matrix(image), back)
+        if all(canonical(mat3_vec(T, t)) in target for t in rest):
+            return True, _coeffs_transform(Z1.field, T, src, image)
     return False, None
 
 
-def _maps_onto(T, Z1: PointConfiguration, target: frozenset) -> bool:
-    return all(ProjectivePoint(Z1.field, mat3_vec(T, p.coeffs)) in target for p in Z1.points)
+def _coeffs_transform(field: Field, T, src, dst):
+    """What frame_transform returns for the points with stored triples src
+    and dst, given T, the same product computed on the triples.
+
+    Over Q a stored triple is its coeffs times its leading coordinate.  A
+    frame matrix is linear in each of its four points, so it scales by the
+    product of their leading coordinates, and a 3x3 adjugate scales by the
+    square: frame_transform is T over lead(dst) * lead(src)^2.  Over
+    Q(zeta_n) the triples are the coeffs and T is already the answer.
+    """
+    if field.degree != 1:
+        return T
+    den = prod(_lead(t) for t in dst) * prod(_lead(t) for t in src) ** 2
+    return tuple(tuple(field.from_integral(row, den)) for row in T)
 
 
 def _equivalent_degenerate(Z1, Z2, stats1):
@@ -412,7 +478,7 @@ def _equivalent_degenerate(Z1, Z2, stats1):
         # T = A2 adj(A1) sends the i-th point of Z1 to det(A1) times that of Z2
         A1, A2 = (tuple(zip(*(p.coeffs for p in Z))) for Z in (Z1, Z2))
         T = mat3_mul(A2, mat3_adjugate(A1))
-        if not _maps_onto(T, Z1, Z2.point_set()):
+        if {ProjectivePoint(Z1.field, mat3_vec(T, p.coeffs)) for p in Z1} != Z2.point_set():
             raise ArithmeticError("triangle transform misses the target set")
         return True, T
     if stats1.max_richness == len(Z1):

@@ -111,18 +111,16 @@ def _falling(e: int, k: int) -> int:
 
 
 def _row_triple(p: ProjectivePoint) -> tuple:
-    """Coordinates the rows of p are built from.
+    """Coordinates the rows of p are built from: its stored triple.
 
-    Over Q the primitive integer triple with a positive chart coordinate
-    (the stored first nonzero coordinate is 1, so clearing denominators
-    already leaves gcd 1); over Q(zeta_n) the stored Scalars.
+    Over Q that is the primitive integer triple, negated when its chart
+    coordinate is negative, so that the chart coordinate is positive; over
+    Q(zeta_n) the stored Scalars.
     """
-    if p.field.degree != 1:
-        return p.coeffs
-    coords, _ = p.field.clear_denominators(p.coeffs)
-    if coords[_chart_index(coords)] < 0:
-        return tuple(-x for x in coords)
-    return tuple(coords)
+    t = p.triple
+    if p.field.degree == 1 and t[_chart_index(t)] < 0:
+        return (-t[0], -t[1], -t[2])
+    return t
 
 
 def _condition_rows(parts, d: int) -> list:
@@ -238,7 +236,8 @@ def _check_vanishing(f: Form, X: FatPointScheme) -> None:
     from .poly import evaluate, partial_derivative
 
     for p, m in X.parts:
-        chart = _chart_index(p.coeffs)
+        coords = p.coeffs
+        chart = _chart_index(coords)
         u, v = [i for i in range(3) if i != chart]
         for au, av in _derivative_orders(m):
             g = f
@@ -246,7 +245,7 @@ def _check_vanishing(f: Form, X: FatPointScheme) -> None:
                 g = partial_derivative(g, u)
             for _ in range(av):
                 g = partial_derivative(g, v)
-            if not evaluate(g, p.coeffs).is_zero():
+            if not evaluate(g, coords).is_zero():
                 raise AssertionError(
                     f"basis form fails the order-{m} condition at {p!r}"
                 )

@@ -507,11 +507,19 @@ def _exact_quotient(mul, x, inverse) -> tuple:
     return tuple(out)
 
 
-def _echelon_cyc(rows, ncols, field: Field):
-    """Fraction-free forward elimination over Z[zeta_n]."""
+def _echelon_cyc(rows, ncols, field: Field, inverses=None):
+    """Fraction-free forward elimination over Z[zeta_n].
+
+    The _integral_inverse of a pivot is taken only when a later sweep
+    divides by it, so never for the last pivot.  When a list inverses is
+    given, those of the first pivots are appended to it, in pivot order.
+    """
     zero = (0,) * field.degree
     mul = field.mul
     m = len(rows)
+    if inverses is None:
+        inverses = []
+    prev = None  # the previous pivot, divided out by this sweep
     prev_div = None  # (int tuple numerator of 1/prev, int denominator)
     pr = 0
     pivots = []
@@ -523,6 +531,9 @@ def _echelon_cyc(rows, ncols, field: Field):
                 break
         if piv_r is None:
             continue
+        if prev is not None and pr + 1 < m:
+            prev_div = _integral_inverse(field, prev)
+            inverses.append(prev_div)
         rows[pr], rows[piv_r] = rows[piv_r], rows[pr]
         piv = rows[pr][c]
         rowp = rows[pr]
@@ -538,7 +549,7 @@ def _echelon_cyc(rows, ncols, field: Field):
                     v = _exact_quotient(mul, v, prev_div)
                 new.append(v if any(v) else zero)
             rows[r] = new
-        prev_div = _integral_inverse(field, piv)  # for the next sweep
+        prev = piv
         pivots.append(c)
         pr += 1
         if pr == m:
@@ -546,11 +557,15 @@ def _echelon_cyc(rows, ncols, field: Field):
     return len(pivots), pivots
 
 
-def _echelon(rows, ncols: int, field: Field):
-    """Forward elimination of _integral_rows output in place: (rank, pivot cols)."""
+def _echelon(rows, ncols: int, field: Field, inverses=None):
+    """Forward elimination of _integral_rows output in place: (rank, pivot cols).
+
+    Over Z[zeta_n] the pivot inverses taken on the way are appended to the
+    list inverses, when one is given (see _echelon_cyc).
+    """
     if field.degree == 1:
         return _echelon_int(rows, ncols)
-    return _echelon_cyc(rows, ncols, field)
+    return _echelon_cyc(rows, ncols, field, inverses)
 
 
 def exact_rank(M: ExactMatrix) -> int:
@@ -567,7 +582,7 @@ def rank_of_fraction_rows(rows, ncols: int) -> int:
     return rank
 
 
-def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
+def _kernel_from_echelon(field: Field, rows, pivots, ncols: int, inverses=()) -> list:
     """The RREF kernel basis of echelon rows U, by fraction-free back
     substitution.
 
@@ -583,7 +598,9 @@ def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
     input: every division is exact in Z or Z[zeta_n], and a remainder
     raises ArithmeticError.  Over Z[zeta_n] a pivot is divided through its
     _integral_inverse, as in _echelon_cyc, and the last division, by D,
-    happens only in Field.from_integral.
+    happens only in Field.from_integral; inverses holds those of the first
+    pivots that the elimination already took, and only the rest are taken
+    here.
     """
     if field.degree == 1:
         mul, sub = operator.mul, operator.sub
@@ -609,7 +626,9 @@ def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
         def embed(n):
             return (n,) + (0,) * (field.degree - 1)
 
-        inverses = [_integral_inverse(field, rows[i][p]) for i, p in enumerate(pivots)]
+        inverses = list(inverses)
+        for i in range(len(inverses), len(pivots)):
+            inverses.append(_integral_inverse(field, rows[i][pivots[i]]))
 
         def divide(x, inverse):
             return _exact_quotient(mul, x, inverse)
@@ -652,8 +671,9 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
     rows = _integral_rows(M.rows, field)
-    _, pivots = _echelon(rows, M.ncols, field)
-    return _kernel_from_echelon(field, rows, pivots, M.ncols)
+    inverses = []
+    _, pivots = _echelon(rows, M.ncols, field, inverses)
+    return _kernel_from_echelon(field, rows, pivots, M.ncols, inverses)
 
 
 def determinant(M: ExactMatrix):

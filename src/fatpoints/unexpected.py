@@ -56,7 +56,7 @@ class GeneralPointStrategy:
         while True:
             x = rng.randint(-self.height, self.height)
             y = rng.randint(-self.height, self.height)
-            p = ProjectivePoint(field, (field.scalar(x), field.scalar(y), field.one))
+            p = ProjectivePoint(field, (x, y, 1))
             if p not in avoid:
                 return p
 

@@ -1,6 +1,7 @@
 """Projective incidence, duality, transforms, and equivalence testing."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from fatpoints import (
     ProjectivePoint,
     ProjectiveLine,
     QQ,
+    Scalar,
     analyze_lines,
     apply_transform,
     dual_fermat,
@@ -43,6 +45,54 @@ def test_point_normalization_and_equality():
     assert P(0, -3, 6) == P(0, 1, -2)
     with pytest.raises(DegenerateInputError):
         P(0, 0, 0)
+
+
+def test_rational_points_and_lines_store_their_primitive_integer_triple():
+    third = Fraction(1, 3)
+    triples = [(2, 4, 6), (third, 2 * third, 1), (-1, -2, -3)]
+    triples += [tuple(QQ.scalar(c) for c in t) for t in triples]
+    for make, text in ((P, "[1, 2, 3]"), (L, "<1, 2, 3>")):
+        objs = [make(*t) for t in triples]
+        for o in objs:
+            assert o.triple == (1, 2, 3)
+            assert o == objs[0] and hash(o) == hash(objs[0])
+            assert o.coeffs == (QQ.one, QQ.scalar(2), QQ.scalar(3))
+            assert repr(o) == text
+        with pytest.raises(DegenerateInputError):
+            make(0, 0, 0)
+    # gcd 1 and the first nonzero coordinate positive; coeffs scale it to 1
+    q = P(0, Fraction(-3, 4), Fraction(3, 2))
+    assert q.triple == (0, 1, -2) and repr(q) == "[0, 1, -2]"
+    assert P(6, -4, 2).triple == (3, -2, 1)
+    assert repr(P(6, -4, 2)) == "[1, -2/3, 1/3]"
+    assert P(1, 2, 3) != L(1, 2, 3)
+
+
+def test_cyclotomic_points_keep_their_normalized_scalars():
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    p = P(z, 1 + z, 2, field=f5)
+    assert p == P(2 * z, 2 + 2 * z, 4, field=f5)
+    assert hash(p) == hash(P(2 * z, 2 + 2 * z, 4, field=f5))
+    assert p.triple == p.coeffs and p.coeffs[0] == f5.one
+    assert repr(p) == "[1, -z-z^2-z^3, -2-2*z-2*z^2-2*z^3]"
+    assert repr(P(0, 2 * z, z * z, field=f5)) == "[0, 1, 1/2*z]"
+    assert repr(L(3, z, 0, field=f5)) == "<1, 1/3*z, 0>"
+    with pytest.raises(DegenerateInputError):
+        P(f5.zero, f5.zero, f5.zero, field=f5)
+
+
+def test_lift_and_round_trip_keep_the_points():
+    f5 = make_field("cyclotomic", 5)
+    Z = PointConfiguration(QQ, [(2, 4, 6), (0, -3, 1), (Fraction(1, 2), 0, 1)])
+    lifted = Z.lift(f5)
+    assert [repr(p) for p in lifted] == [repr(p) for p in Z]
+    assert [p.coeffs for p in lifted] == [tuple(f5.scalar(c.as_fraction()) for c in p.coeffs) for p in Z]
+    for config in (Z, lifted):
+        again = PointConfiguration.from_dict(config.to_dict())
+        assert again == config
+        assert [p.triple for p in again] == [p.triple for p in config]
+    assert Z.to_dict()["points"] == [["1", "2", "3"], ["0", "1", "-1/3"], ["1", "0", "2"]]
 
 
 def test_line_through_examples():
@@ -348,6 +398,28 @@ def test_collinearity_is_read_from_the_inventory(monkeypatch):
     image = apply_transform([[1, 2, 0], [0, 1, 1], [1, 0, 3]], Z)
     assert projective_equivalent(Z, image)[0]
     assert calls["contains"] == calls["in_general_position"] == 0
+
+
+def test_rational_incidence_and_equivalence_make_no_scalar_arithmetic(monkeypatch):
+    Z = example_quartic_config()
+    image = apply_transform([[2, -1, 1], [1, 1, 0], [0, 3, 1]], Z)
+    nine = random_config(9, 5, "no-scalars")
+    calls = {"__mul__": 0, "__rmul__": 0, "inverse": 0}
+
+    def counted(name):
+        fn = getattr(Scalar, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Scalar, name, counted(name))
+    assert sum(analyze_lines(nine).histogram.values()) > 0
+    assert projective_equivalent(Z, image)[0]
+    assert calls == {"__mul__": 0, "__rmul__": 0, "inverse": 0}
 
 
 def test_equivalence_reflexive_symmetric():

@@ -10,13 +10,16 @@ import pytest
 import fatpoints.poly as poly
 from fatpoints import (
     ExactMatrix,
+    FatPointScheme,
     Form,
+    GeneralPointStrategy,
     GenericRankCertificate,
     ParamRing,
     PointConfiguration,
     QQ,
     Scalar,
     apply_transform,
+    conditions_matrix,
     dual_fermat,
     evaluate,
     exact_rank,
@@ -380,6 +383,34 @@ def test_cyclotomic_back_substitution_division_is_checked(monkeypatch):
     monkeypatch.setattr(f3, "mul", corrupted)
     with pytest.raises(ArithmeticError):
         poly._kernel_from_echelon(f3, rows, [0, 1], 3)
+
+
+def test_pivot_inverses_over_cyclotomic_rings_are_taken_once(monkeypatch):
+    # dual F5 with a 6-fold general point at degree 7: 15 + 21 rows, 36
+    # columns, rank 35, and one kernel vector, the unexpected septic
+    Z = dual_fermat(5)
+    P = GeneralPointStrategy().sample_point(Z.field, 0)
+    M = conditions_matrix(FatPointScheme.of(Z, (P, 6)), 7)
+    assert (M.nrows, M.ncols) == (36, 36)
+    calls = [0]
+    inverse = Scalar.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Scalar, "inverse", counted)
+    # the elimination inverts every pivot but the last, which no sweep
+    # divides by; the kernel reuses those and inverts only the last
+    assert exact_rank(M) == 35 and calls[0] == 34
+    calls[0] = 0
+    (v,) = nullspace_basis(M)
+    assert calls[0] == 35
+    rows = poly._integral_rows(M.rows, Z.field)
+    _, pivots = poly._echelon(rows, 36, Z.field)
+    (free,) = set(range(36)) - set(pivots)
+    assert v[free] == Z.field.one
+    assert all(not sum((a * x for a, x in zip(row, v)), Z.field.zero) for row in M.rows)
 
 
 def test_rank_invariances():
