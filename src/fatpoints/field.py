@@ -31,10 +31,12 @@ Q(zeta_3) and comes back as the reduced representative.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 
 class FieldMismatchError(TypeError):
@@ -183,9 +185,12 @@ class Field:
         an int over Q and a tuple of degree ints in the power basis over
         Q(zeta_n).  So a row of values and its coordinates differ by the
         nonzero factor den, which keeps ranks, row spaces and nullspaces.
+        Over Q, all-int input comes back as it is, with den 1.
         """
         if self.degree == 1:
             fr = [x.coeffs[0] if isinstance(x, Scalar) else x for x in values]
+            if all(type(x) is int for x in fr):
+                return fr, 1
             den = lcm(*[x.denominator for x in fr])
             return [x.numerator * (den // x.denominator) for x in fr], den
         vectors = [self.scalar(x).coeffs for x in values]
@@ -198,6 +203,20 @@ class Field:
         if self.degree == 1:
             return [Scalar(self, (Fraction(x, den),)) for x in coords]
         return [Scalar(self, tuple(Fraction(c, den) for c in x)) for x in coords]
+
+    def residue_map(self):
+        """(p, image): a prime p and the ring map from integral coordinates
+        to Z/p, applied to each coordinate of a sequence.
+
+        p is the largest prime below 2^15 with p = 1 (mod n) (the least one
+        above, for a conductor with none below), so a product of two
+        residues stays below 2^30, and a 64-bit word holds a sum of 2^33
+        of them.  Over Q the map is reduction mod p; over
+        Q(zeta_n) it sends z to a primitive n-th root of unity w mod p,
+        which is a root of Phi_n mod p, so image is a ring homomorphism
+        Z[zeta_n] -> Z/p: an element whose image is nonzero is nonzero.
+        """
+        return _residue_map(self.conductor if self.degree > 1 else 1)
 
     def to_dict(self) -> dict:
         if self.kind == "rational":
@@ -215,6 +234,30 @@ class Field:
 
 
 _ZERO = Fraction(0)
+
+_RESIDUE_BOUND = 1 << 15
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % k for k in range(2, isqrt(q) + 1))
+
+
+@lru_cache(maxsize=None)
+def _residue_map(n: int):
+    """Field.residue_map of the conductor n, or of Q for n = 1."""
+    top = (_RESIDUE_BOUND - 2) // n * n + 1
+    candidates = itertools.chain(range(top, 1, -n), itertools.count(top + n, n))
+    p = next(q for q in candidates if _is_prime(q))
+    if n == 1:
+        return p, lambda coords: [x % p for x in coords]
+    primes = [q for q in _divisors(n) if _is_prime(q)]
+    roots = (pow(g, (p - 1) // n, p) for g in range(2, p))
+    w = next(w for w in roots if all(pow(w, n // q, p) != 1 for q in primes))
+    modulus = cyclotomic_polynomial(n)
+    if sum(c * pow(w, k, p) for k, c in enumerate(modulus)) % p:
+        raise ArithmeticError(f"{w} is no root of Phi_{n} mod {p}")
+    powers = [pow(w, k, p) for k in range(len(modulus) - 1)]
+    return p, lambda coords: [sum(map(operator.mul, x, powers)) % p for x in coords]
 
 
 def _product_kernel(degree: int, red):

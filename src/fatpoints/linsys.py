@@ -16,6 +16,9 @@ Q(zeta_n), and parameter polynomials for the general point [a, b, 1].
 Dividing the row by the nonzero scalar x_c^(d - a_u - a_v) gives the
 derivative row in the affine chart x_c = 1, so the row space, the ranks,
 the RREF nullspace bases and every witness are those of the chart rows.
+Which columns are nonzero, with which coefficient and which power of x,
+depends only on d, m and the chart c, so that pattern is built once per
+(d, m, c) and each point only fills in its powers.
 
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.
@@ -24,6 +27,7 @@ forms in the fixed graded-lex monomial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .field import Field, FieldMismatchError
@@ -123,16 +127,36 @@ def _row_triple(p: ProjectivePoint) -> tuple:
     return t
 
 
+@lru_cache(maxsize=64)
+def _row_templates(d: int, m: int, chart: int) -> tuple:
+    """The condition rows of an m-fold point in chart c at degree d, one per
+    derivative order (a_u, a_v), as the entries (column of x^e,
+    falling(e_u, a_u) * falling(e_v, a_v), the exponents of x^(e - a)) of
+    its nonzero columns."""
+    u, v = [i for i in range(3) if i != chart]
+    templates = []
+    for au, av in _derivative_orders(m):
+        entries = []
+        for col, e in enumerate(monomial_basis(d)):
+            if e[u] >= au and e[v] >= av:
+                e2 = list(e)
+                e2[u] -= au
+                e2[v] -= av
+                entries.append((col, _falling(e[u], au) * _falling(e[v], av), *e2))
+        templates.append(tuple(entries))
+    return tuple(templates)
+
+
 def _condition_rows(parts, d: int) -> list:
     """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
 
-    Each point's entries stay in the ring of its triple.
+    Each point's entries stay in the ring of its triple: every nonzero
+    entry is a product from the point's power table, by _row_templates.
     """
-    basis = monomial_basis(d)
+    ncols = comb(d + 2, 2)
     rows = []
     for coords, m in parts:
         chart = _chart_index(coords)
-        u, v = [i for i in range(3) if i != chart]
         one = coords[chart] ** 0
         zero = 0 * one
         powers = []
@@ -141,17 +165,11 @@ def _condition_rows(parts, d: int) -> list:
             for _ in range(d):
                 row.append(row[-1] * c)
             powers.append(row)
-        for au, av in _derivative_orders(m):
-            row = []
-            for e in basis:
-                if e[u] < au or e[v] < av:
-                    row.append(zero)
-                    continue
-                coef = _falling(e[u], au) * _falling(e[v], av)
-                e2 = list(e)
-                e2[u] -= au
-                e2[v] -= av
-                row.append(powers[0][e2[0]] * powers[1][e2[1]] * powers[2][e2[2]] * coef)
+        px, py, pz = powers
+        for entries in _row_templates(d, m, chart):
+            row = [zero] * ncols
+            for col, coef, i, j, k in entries:
+                row[col] = px[i] * py[j] * pz[k] * coef
             rows.append(row)
     return rows
 

@@ -7,11 +7,22 @@ the external contract, so reports are reproducible bit for bit.
 Matrix elimination is fraction-free (Bareiss): rows are first scaled to
 integer (or cyclotomic-integer) entries, and the one-step Bareiss update
 keeps every intermediate entry equal to a minor of the scaled matrix, which
-controls coefficient blowup.  Nullspace bases are the standard bases of the
-reduced row echelon form, so they are canonical regardless of pivot
-choices, but no reduced form is built: each basis vector comes from the
-echelon rows by back substitution in the same integers, where every
-division is exact by Cramer's rule and checked.
+controls coefficient blowup.
+
+A rank is first taken modulo a prime p below 2^15 with p = 1 (mod n)
+(Field.residue_map), which maps Z[zeta_n] onto Z/p as a ring.  The image
+of a minor is the minor of the image, so a maximal minor that is nonzero
+mod p is nonzero: full rank mod p proves full rank, which is the
+expected-dimension case of nearly every conditions matrix.  A rank that
+drops mod p is never used; Bareiss decides it.  So a modular rank can
+only confirm the exact one.  Nullspace bases, witnesses and the symbolic
+grid always run Bareiss.
+
+Nullspace bases are the standard bases of the reduced row echelon form,
+so they are canonical regardless of pivot choices, but no reduced form is
+built: each basis vector comes from the echelon rows by back substitution
+in the same integers, where every division is exact by Cramer's rule and
+checked.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -427,7 +439,7 @@ class ExactMatrix:
     __slots__ = ("ring", "nrows", "ncols", "rows")
 
     def __init__(self, ring, rows):
-        rows = tuple(tuple(ring.coerce(e) for e in row) for row in rows)
+        rows = tuple([tuple([ring.coerce(e) for e in row]) for row in rows])
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -568,18 +580,69 @@ def _echelon(rows, ncols: int, field: Field, inverses=None):
     return _echelon_cyc(rows, ncols, field, inverses)
 
 
+_SLOT = (1 << 64) - 1
+
+
+def _full_rank_mod(residues, ncols: int, p: int) -> bool:
+    """Whether rows of residues mod p have rank min(nrows, ncols).
+
+    Each row is reduced against the echelon rows kept so far, which are
+    scaled to pivot 1; the scan stops at the first row that reduces to zero
+    beyond the nrows - ncols that may.  A row is packed into one int of
+    64-bit slots, column c at bit 64c, so that a row operation is one
+    multiply-add: adding (p - f) times an echelon row keeps every slot
+    nonnegative and below p + min(nrows, ncols) * p^2 < 2^64, so no slot
+    carries into the next.  A row is unpacked mod p once, to find its pivot.
+    """
+    slack = len(residues) - min(len(residues), ncols)
+    slots = struct.Struct(f"<{ncols}Q")  # little-endian on every platform
+    echelon = []  # (bit offset of the pivot column, the packed row)
+    for row in residues:
+        v = int.from_bytes(slots.pack(*row), "little")
+        for shift, prow in echelon:
+            f = (v >> shift & _SLOT) % p
+            if f:
+                v += (p - f) * prow
+        row = [x % p for x in slots.unpack(v.to_bytes(slots.size, "little"))]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            slack -= 1
+            if slack < 0:
+                return False
+            continue
+        inv = pow(row[c], -1, p)
+        echelon.append((64 * c, int.from_bytes(slots.pack(*[x * inv % p for x in row]), "little")))
+    return True
+
+
+def _rank(rows, ncols: int, field: Field) -> int:
+    """Rank of _integral_rows output, which Bareiss may reorder and overwrite.
+
+    The rows are first mapped to Z/p by Field.residue_map.  That map is a
+    ring homomorphism, so a maximal minor with a nonzero residue is nonzero:
+    when the residues have full rank min(nrows, ncols), so have the rows,
+    and that rank is returned.  Otherwise, at a true rank drop or when p
+    divides every maximal minor, exact Bareiss elimination (_echelon)
+    decides.  A residue rank is never returned below full rank.
+    """
+    p, image = field.residue_map()
+    if _full_rank_mod([image(row) for row in rows], ncols, p):
+        return min(len(rows), ncols)
+    rank, _ = _echelon(rows, ncols, field)
+    return rank
+
+
 def exact_rank(M: ExactMatrix) -> int:
-    """Rank over the field, by fraction-free elimination with exact pivoting."""
+    """Rank over the field: full rank modulo a prime proves full rank, and
+    fraction-free elimination decides every other case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
-    rank, _ = _echelon(_integral_rows(M.rows, M.ring), M.ncols, M.ring)
-    return rank
+    return _rank(_integral_rows(M.rows, M.ring), M.ncols, M.ring)
 
 
 def rank_of_fraction_rows(rows, ncols: int) -> int:
     """Rank of plain int or Fraction rows over Q; the wrapper-free hot path."""
-    rank, _ = _echelon(_integral_rows(rows, QQ), ncols, QQ)
-    return rank
+    return _rank(_integral_rows(rows, QQ), ncols, QQ)
 
 
 def _kernel_from_echelon(field: Field, rows, pivots, ncols: int, inverses=()) -> list:

@@ -161,6 +161,12 @@ def test_integral_coordinates_round_trip(field):
     rng = random.Random(f"integral:{field!r}")
     assert field.clear_denominators([]) == ([], 1)
     assert field.from_integral([]) == []
+    # all-int input, read once from a generator, comes back over den 1
+    ints = [rng.randint(-9, 9) for _ in range(5)]
+    coords, den = field.clear_denominators(x for x in ints)
+    assert den == 1 and field.from_integral(coords) == [field.scalar(x) for x in ints]
+    if field.degree == 1:
+        assert coords == ints
     for size in (1, 2, 6):
         for _ in range(50):
             values = [_random_scalar(field, rng) for _ in range(size)]
@@ -180,6 +186,35 @@ def test_integral_coordinates_round_trip(field):
             back = field.from_integral(coords, den)
             assert back == [field.scalar(v) for v in values]
             assert all(type(x) is Fraction for s in back for x in s.coeffs)
+
+
+def _is_prime(q):
+    return q > 1 and all(q % k for k in range(2, int(q**0.5) + 1))
+
+
+@pytest.mark.parametrize(
+    "field", [QQ] + [make_field("cyclotomic", n) for n in (2, 3, 4, 5, 6, 7, 8, 12)], ids=repr
+)
+def test_residue_map_is_a_ring_homomorphism(field):
+    p, image = field.residue_map()
+    n = field.conductor if field.degree > 1 else 1
+    # the largest prime below 2^15 that is 1 mod n
+    assert _is_prime(p) and p < 2**15 and (p - 1) % n == 0
+    assert not any(_is_prime(q) for q in range(p + n, 2**15, n))
+    rng = random.Random(f"residues:{field!r}")
+    mul = int.__mul__ if field.degree == 1 else field.mul
+
+    def element():
+        coords = tuple(rng.randint(-(10**40), 10**40) for _ in range(field.degree))
+        return coords[0] if field.degree == 1 else coords
+
+    one = field.clear_denominators([1])[0][0]
+    assert image([one]) == [1]
+    for _ in range(100):
+        x, y = element(), element()
+        (ix, iy), (ixy,) = image([x, y]), image([mul(x, y)])
+        assert all(0 <= r < p for r in (ix, iy, ixy))
+        assert ixy == ix * iy % p
 
 
 @pytest.mark.parametrize("field", _INTEGRAL_FIELDS[1:], ids=repr)

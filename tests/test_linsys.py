@@ -26,7 +26,14 @@ from fatpoints import (
     system_basis,
 )
 from fatpoints.geom import mat3_det
-from fatpoints.linsys import system_dimension
+from fatpoints.linsys import (
+    _chart_index,
+    _condition_rows,
+    _derivative_orders,
+    _falling,
+    system_dimension,
+)
+from fatpoints.poly import ParamRing, monomial_basis
 from fatpoints.unexpected import GeneralPointStrategy
 
 
@@ -301,6 +308,70 @@ def test_dimensions_match_sympy_oracle_in_every_chart():
             assert system_dimension(X, d) == expected, (parts, d)
             assert dim_linear_system(X, d).dim == expected, (parts, d)
             assert system_dimension(X3, d) == expected, (parts, d)
+
+
+def _reference_condition_rows(parts, d):
+    """The condition-row loop without templates: every entry computed
+    from its derivative order and monomial in place."""
+    rows = []
+    for coords, m in parts:
+        chart = _chart_index(coords)
+        u, v = [i for i in range(3) if i != chart]
+        one = coords[chart] ** 0
+        zero = 0 * one
+        powers = []
+        for c in coords:
+            row = [one]
+            for _ in range(d):
+                row.append(row[-1] * c)
+            powers.append(row)
+        for au, av in _derivative_orders(m):
+            row = []
+            for e in monomial_basis(d):
+                if e[u] < au or e[v] < av:
+                    row.append(zero)
+                    continue
+                coef = _falling(e[u], au) * _falling(e[v], av)
+                e2 = list(e)
+                e2[u] -= au
+                e2[v] -= av
+                row.append(powers[0][e2[0]] * powers[1][e2[1]] * powers[2][e2[2]] * coef)
+            rows.append(row)
+    return rows
+
+
+def test_condition_rows_match_the_reference_loop():
+    rng = random.Random("condition-rows")
+    f5 = make_field("cyclotomic", 5)
+
+    def cyc():
+        return f5.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)])
+
+    ring = ParamRing(QQ)
+    a, b, one = ring.a, ring.b, ring.one
+    triples = [
+        # charts 2, 1 and 0 over Q, Q(zeta_5) and the parameter ring
+        (rng.randint(-999, 999), rng.randint(-999, 999), rng.randint(1, 999)),
+        (rng.randint(-999, 999), rng.randint(1, 999), 0),
+        (rng.randint(1, 999), 0, 0),
+        (cyc(), cyc(), cyc()),
+        (cyc(), cyc(), f5.zero),
+        (cyc(), f5.zero, f5.zero),
+        (a, b, one),
+        (a + 2 * b, one, ring.zero),
+        (b - 3, ring.zero, ring.zero),
+    ]
+    assert [_chart_index(t) for t in triples] == [2, 1, 0] * 3
+    for t in triples:
+        for m in range(1, 5):
+            for d in range(8):
+                rows = _condition_rows([(t, m)], d)
+                expected = _reference_condition_rows([(t, m)], d)
+                assert rows == expected, (t, m, d)
+                assert [type(e) for r in rows for e in r] == [type(e) for r in expected for e in r]
+    # several points of one ring in one call, as a scheme gives them
+    parts = [(t, m) for t, m in zip(triples[:3], (4, 1, 2))]
+    assert _condition_rows(parts, 6) == _reference_condition_rows(parts, 6)
 
 
 def test_symbolic_rows_of_non_integer_family_stay_integral():

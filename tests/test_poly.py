@@ -413,6 +413,118 @@ def test_pivot_inverses_over_cyclotomic_rings_are_taken_once(monkeypatch):
     assert all(not sum((a * x for a, x in zip(row, v)), Z.field.zero) for row in M.rows)
 
 
+RANK_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (3, 4, 5, 6, 7, 8, 12)]
+
+
+def _rank_corpus(field, rng):
+    """The kernel corpus plus matrices of large random entries, as the
+    conditions matrices of height-1000 points have."""
+
+    def entry():
+        return field.from_coeffs(
+            [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6)) for _ in range(field.degree)]
+        )
+
+    corpus = _kernel_corpus(field, rng, 30)
+    for _ in range(10):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        corpus.append([[entry() for _ in range(n)] for _ in range(m)])
+    return corpus
+
+
+def _bareiss_rank(rows, field):
+    return poly._echelon(poly._integral_rows(rows, field), len(rows[0]), field)[0]
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=repr)
+def test_rank_matches_bareiss(field):
+    corpus = _rank_corpus(field, random.Random(f"rank-{field!r}"))
+    full = set()
+    for rows in corpus:
+        expected = _bareiss_rank(rows, field)
+        full.add(expected == min(len(rows), len(rows[0])))
+        assert exact_rank(ExactMatrix(field, rows)) == expected
+        if field == QQ:
+            fractions = [[x.as_fraction() for x in row] for row in rows]
+            assert poly.rank_of_fraction_rows(fractions, len(rows[0])) == expected
+    assert full == {True, False}
+
+
+def test_rank_matches_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    for rows in _rank_corpus(QQ, random.Random("rank-sympy")):
+        expected = sympy.Matrix([[sympy.Rational(str(x.as_fraction())) for x in r] for r in rows]).rank()
+        assert exact_rank(ExactMatrix(QQ, rows)) == expected
+        fractions = [[x.as_fraction() for x in row] for row in rows]
+        assert poly.rank_of_fraction_rows(fractions, len(rows[0])) == expected
+
+
+def _full_rank_mod_reference(residues, ncols, p):
+    """Plain Gaussian elimination mod p on lists: is the rank min(m, n)?"""
+    rows = [list(r) for r in residues]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == min(len(rows), ncols)
+
+
+def test_packed_rank_mod_p_matches_plain_elimination():
+    rng = random.Random("packed-residues")
+    verdicts = set()
+    for field in (QQ, make_field("cyclotomic", 5)):
+        p, _ = field.residue_map()
+        for _ in range(150):
+            m, n = rng.randint(0, 30), rng.randint(0, 30)
+            kind = rng.choice(("random", "large", "deficient"))
+            if kind == "deficient":
+                # rank at most k < min(m, n) mod p
+                k = rng.randint(0, max(0, min(m, n) - 1))
+                A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+                B = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+                rows = [[sum(a * b for a, b in zip(r, col)) % p for col in zip(*B)] or [0] * n for r in A]
+            else:
+                # "large": residues near p - 1, the largest slot growth
+                low = p - 3 if kind == "large" else 0
+                rows = [[rng.randrange(low, p) for _ in range(n)] for _ in range(m)]
+            expected = _full_rank_mod_reference(rows, n, p)
+            verdicts.add(expected)
+            assert poly._full_rank_mod([list(r) for r in rows], n, p) == expected, (kind, m, n)
+    assert verdicts == {True, False}
+
+
+def test_rank_below_full_mod_p_is_decided_exactly(monkeypatch):
+    calls = [0]
+    echelon = poly._echelon
+
+    def counted(*args):
+        calls[0] += 1
+        return echelon(*args)
+
+    monkeypatch.setattr(poly, "_echelon", counted)
+    p, _ = QQ.residue_map()
+    # the residues of [[p, 0], [0, 1]] have rank 1, the matrix rank 2
+    assert poly.rank_of_fraction_rows([[p, 0], [0, 1]], 2) == 2
+    assert exact_rank(ExactMatrix(QQ, [[p, 0], [0, 1]])) == 2
+    assert calls[0] == 2
+    for field in RANK_FIELDS[1:]:
+        calls[0] = 0
+        _, image = field.residue_map()
+        zeta = primitive_root(field)
+        (omega,) = image(field.clear_denominators([zeta])[0])
+        # zeta - omega has residue 0, but it is nonzero: zeta is not rational
+        assert image(field.clear_denominators([zeta - omega])[0]) == [0]
+        assert exact_rank(ExactMatrix(field, [[zeta - omega]])) == 1
+        assert calls[0] == 1
+
+
 def test_rank_invariances():
     rng = random.Random("rankinv")
     for _ in range(15):
@@ -560,7 +672,9 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
 
 def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
     f3 = make_field("cyclotomic", 3)
-    M = ExactMatrix(f3, [[2, 1], [1, 1], [1, 0]])
+    # rank 2, the third row the sum of the others: below full rank, so the
+    # rank is decided by Bareiss and not by the residues mod p
+    M = ExactMatrix(f3, [[2, 1, 1], [1, 1, 0], [3, 2, 1]])
     assert exact_rank(M) == 2
     mul = f3.mul
     calls = [0]
@@ -568,9 +682,9 @@ def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
     def corrupted(u, v):
         calls[0] += 1
         w = mul(u, v)
-        # the 9th product is the first of the second sweep, whose
+        # the 13th product is the first of the second sweep, whose
         # difference is then divided by the first pivot, 2
-        return (w[0] + 1, *w[1:]) if calls[0] == 9 else w
+        return (w[0] + 1, *w[1:]) if calls[0] == 13 else w
 
     # the field's one product kernel, shared with Scalar multiplication
     monkeypatch.setattr(f3, "mul", corrupted)

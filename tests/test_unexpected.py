@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import fatpoints.poly as poly
 import fatpoints.unexpected as unexpected
 from fatpoints import (
     FatPointScheme,
@@ -184,6 +185,36 @@ def test_detect_unexpected_random_and_fermat():
     assert not detect_unexpected(dual_fermat(3), 4).unexpected
     with pytest.raises(ValueError):
         detect_unexpected(example_quartic_config(), 1)
+
+
+def _count_bareiss(monkeypatch):
+    calls = [0]
+    echelon = poly._echelon
+
+    def counted(*args):
+        calls[0] += 1
+        return echelon(*args)
+
+    monkeypatch.setattr(poly, "_echelon", counted)
+    return calls
+
+
+def test_full_rank_mod_p_leaves_negatives_to_residues(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    for r, d in ((9, 3), (10, 4), (12, 5)):
+        Z = random_config(r, 1000, ("modular", r))
+        assert not detect_unexpected(Z, d).unexpected
+    # every rank was full mod p, so no exact elimination ran
+    assert calls[0] == 0
+
+
+def test_rank_drops_of_the_example_reach_bareiss(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    rep = detect_unexpected(example_quartic_config(), 4)
+    assert rep.unexpected and len(rep.samples) == 3
+    # dim I(Z)_4 has full rank mod p; each of the three samples drops rank
+    # (dimension 1, expected 0), and the witness needs one kernel
+    assert calls[0] == 4
 
 
 def test_semicontinuity_of_samples():
