@@ -274,6 +274,8 @@ def random_config(r: int, height: int, seed, field: Field = QQ) -> PointConfigur
     """r distinct affine points with integer coordinates in [-height, height]."""
     if r < 1:
         raise ValueError("need at least one point")
+    if r > (2 * height + 1) ** 2:
+        raise ValueError(f"{r} distinct points do not fit in the box of height {height}")
     rng = random.Random(f"fatpoints:config:{seed}")
     pts: list[ProjectivePoint] = []
     seen = set()

@@ -15,7 +15,10 @@ scalars into ints (over Q) or int tuples in the power basis (over
 Q(zeta_n)) over one common denominator, Field.from_integral turns such
 coordinates back into scalars, and Field.mul is the one product of
 coefficient tuples modulo Phi_n, used by Scalar multiplication and by
-elimination over Z[zeta_n] alike.
+elimination over Z[zeta_n] alike.  Field.integral_inverse is the one
+inverse over Q(zeta_n), for Scalar division and elimination alike: x times
+the product of its other Galois conjugates is the norm N(x), a nonzero
+integer, so 1/x is that product over N(x), all in integers.
 
 Nothing in this module (or anything built on it) ever touches floating
 point: rank decisions downstream must be exact.
@@ -36,7 +39,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 class FieldMismatchError(TypeError):
@@ -44,8 +47,7 @@ class FieldMismatchError(TypeError):
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @lru_cache(maxsize=None)
@@ -59,24 +61,26 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise ValueError("conductor must be a positive integer")
     num = [-1] + [0] * (n - 1) + [1]
     for d in _divisors(n)[:-1]:
-        num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
+        num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+        if any(rem):
+            raise ArithmeticError("inexact polynomial division")
     return tuple(num)
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # den is monic, division known exact over Z
-    num = list(num)
+def _divmod_monic(num, den) -> tuple[list, list]:
+    """(quotient, remainder) of num by the monic den, coefficient lists with
+    the constant term first; the remainder has len(den) - 1 entries, ints or
+    Fractions as the input has."""
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        out[k - dd] = c
+    rem = list(num) + [0] * (dd - len(num))
+    quot = [0] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
+        quot[k - dd] = c
         if c:
-            for i, di in enumerate(den):
-                num[k - dd + i] -= c * di
-    if any(num[:dd]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+            for i in range(dd):
+                rem[k - dd + i] -= c * den[i]
+    return quot, rem[:dd]
 
 
 class Field:
@@ -87,7 +91,7 @@ class Field:
     pick one field up front.
     """
 
-    __slots__ = ("kind", "conductor", "degree", "modulus", "mul", "_zero", "_one")
+    __slots__ = ("kind", "conductor", "degree", "modulus", "mul", "zero", "one")
 
     def __init__(self, kind: str, conductor: int = 1):
         if kind not in ("rational", "cyclotomic"):
@@ -102,15 +106,14 @@ class Field:
                 raise ValueError("conductor must be a positive integer")
             mod = cyclotomic_polynomial(conductor)
             self.modulus = mod
-            self.degree = len(mod) - 1
-            red = _reduction_table(mod)
+            deg = self.degree = len(mod) - 1
+            # the reduction table: z^k in the power basis, k = deg .. 2 deg - 2
+            red = [_divmod_monic([0] * k + [1], mod)[1] for k in range(deg, 2 * deg - 1)]
         self.mul = _product_kernel(self.degree, red)
         self.kind = kind
         self.conductor = conductor
-        zero = (Fraction(0),) * self.degree
-        one = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
-        self._zero = Scalar(self, zero)
-        self._one = Scalar(self, one)
+        self.zero = Scalar(self, (Fraction(0),) * self.degree)
+        self.one = Scalar(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
 
     # -- identity ---------------------------------------------------------
 
@@ -131,14 +134,6 @@ class Field:
 
     # -- element construction ----------------------------------------------
 
-    @property
-    def zero(self) -> "Scalar":
-        return self._zero
-
-    @property
-    def one(self) -> "Scalar":
-        return self._one
-
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, grammar string or same-field Scalar."""
         if isinstance(value, Scalar):
@@ -158,22 +153,12 @@ class Field:
     def from_coeffs(self, coeffs) -> "Scalar":
         """Scalar from power-basis coefficients, reduced modulo Phi_n."""
         v = [Fraction(c) for c in coeffs]
+        v += [Fraction(0)] * (self.degree - len(v))
         if self.kind == "rational":
             if any(v[1:]):
                 raise ValueError("rational field admits no z coefficients")
-            v = v[:1] or [Fraction(0)]
-            return Scalar(self, tuple(v))
-        deg = self.degree
-        for k in range(len(v) - 1, deg - 1, -1):
-            c = v[k]
-            if c:
-                for i in range(deg):
-                    mi = self.modulus[i]
-                    if mi:
-                        v[k - deg + i] -= c * mi
-            v[k] = Fraction(0)
-        v = v[:deg] + [Fraction(0)] * (deg - len(v))
-        return Scalar(self, tuple(v))
+            return Scalar(self, (v[0],))
+        return Scalar(self, tuple(_divmod_monic(v, self.modulus)[1]))
 
     # -- integral coordinates ----------------------------------------------
 
@@ -203,6 +188,33 @@ class Field:
         if self.degree == 1:
             return [Scalar(self, (Fraction(x, den),)) for x in coords]
         return [Scalar(self, tuple(Fraction(c, den) for c in x)) for x in coords]
+
+    def integral_inverse(self, x) -> tuple[tuple, int]:
+        """1/x for a nonzero int tuple x over Z[zeta_n], n > 2, as (num, den)
+        in lowest terms: num an int tuple, den a positive int, gcd 1.
+
+        num starts as the product of the Galois conjugates sigma_k(x), z
+        sent to z^k, over the units k mod n other than 1.  Then x * num is
+        the product of all conjugates, the norm N(x): an integer, positive
+        for nonzero x as Q(zeta_n) has no real embedding, which is checked.
+        So 1/x = num / N(x), and both are divided by gcd(N(x), *num).
+        Dividing by x is multiplying by num, then dividing each coordinate
+        by den.
+        """
+        n, mul = self.conductor, self.mul
+        num = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                image = [0] * n
+                for i, c in enumerate(x):
+                    image[i * k % n] += c
+                conjugate = tuple(_divmod_monic(image, self.modulus)[1])
+                num = conjugate if num is None else mul(num, conjugate)
+        norm, *rest = mul(x, num)
+        if any(rest) or norm <= 0:
+            raise ArithmeticError(f"{x} has no inverse in Q(zeta_{n})")
+        g = gcd(norm, *num)
+        return tuple(c // g for c in num), norm // g
 
     def residue_map(self):
         """(p, image): a prime p and the ring map from integral coordinates
@@ -292,23 +304,6 @@ def _product_kernel(degree: int, red):
     return mul
 
 
-def _reduction_table(modulus: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # row k gives z^(deg+k) in the power basis, for k = 0 .. deg-2
-    deg = len(modulus) - 1
-    rows = []
-    cur = [-m for m in modulus[:deg]]  # z^deg
-    rows.append(tuple(cur))
-    for _ in range(deg - 2):
-        nxt = [0] + cur[: deg - 1]
-        top = cur[deg - 1]
-        if top:
-            for i in range(deg):
-                nxt[i] += top * rows[0][i]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return tuple(rows)
-
-
 class Scalar:
     """Immutable element of a Field, in canonical form."""
 
@@ -389,8 +384,10 @@ class Scalar:
         f = self.field
         if f.degree == 1:
             return Scalar(f, (1 / self.coeffs[0],))
-        inv = _invert_mod(self.coeffs, f.modulus)
-        return Scalar(f, inv)
+        (x,), den = f.clear_denominators([self])
+        num, norm = f.integral_inverse(x)
+        # self = x / den, so 1/self = den * num / norm
+        return f.from_integral([tuple(den * c for c in num)], norm)[0]
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -436,60 +433,14 @@ class Scalar:
     __repr__ = __str__
 
 
-def _invert_mod(coeffs: tuple, modulus: tuple[int, ...]) -> tuple:
-    # extended Euclid in Q[z] for gcd(poly, Phi_n) = 1
-    def degree(p):
-        d = len(p) - 1
-        while d >= 0 and not p[d]:
-            d -= 1
-        return d
-
-    r0 = [Fraction(m) for m in modulus]
-    r1 = [Fraction(c) for c in coeffs]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while degree(r1) > 0:
-        d0, d1 = degree(r0), degree(r1)
-        q = [Fraction(0)] * (d0 - d1 + 1)
-        rr = list(r0)
-        while degree(rr) >= d1:
-            dr = degree(rr)
-            c = rr[dr] / r1[d1]
-            q[dr - d1] += c
-            for i in range(d1 + 1):
-                rr[i + dr - d1] -= c * r1[i]
-        r0, r1 = r1, rr
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    if sj:
-                        prod[i + j] += qi * sj
-        ns = [Fraction(0)] * max(len(s0), len(prod))
-        for i in range(len(ns)):
-            ns[i] = (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
-        s0, s1 = s1, ns
-    c = r1[0]
-    if not c:
-        # cannot happen while Phi_n is irreducible over Q
-        raise ZeroDivisionError("scalar division by zero")
-    deg = len(modulus) - 1
-    inv = [x / c for x in s1[:deg]]
-    inv += [Fraction(0)] * (deg - len(inv))
-    return tuple(inv)
-
-
 # -- field-level operations -------------------------------------------------
 
 
 def make_field(kind: str, n: int | None = None) -> Field:
     """Build a field descriptor; the cyclotomic kind requires a conductor."""
-    if kind == "cyclotomic":
-        if n is None:
-            raise ValueError("cyclotomic field needs a conductor")
-        return Field("cyclotomic", n)
-    if kind == "rational":
-        return Field("rational")
-    raise ValueError(f"unknown field kind {kind!r}")
+    if kind == "cyclotomic" and n is None:
+        raise ValueError("cyclotomic field needs a conductor")
+    return Field(kind, 1 if n is None else n)
 
 
 QQ = Field("rational")

@@ -496,18 +496,9 @@ def _echelon_int(rows, ncols):
     return len(pivots), pivots
 
 
-def _integral_inverse(field: Field, x) -> tuple:
-    """1/x for a nonzero int tuple x over Z[zeta_n], as (int tuple, int
-    denominator): dividing by x is multiplying by the tuple, then dividing
-    each coordinate by the denominator."""
-    (scalar,) = field.from_integral([x])
-    (num,), den = field.clear_denominators([scalar.inverse()])
-    return num, den
-
-
 def _exact_quotient(mul, x, inverse) -> tuple:
-    """x / u over Z[zeta_n], for u with _integral_inverse inverse, by the
-    field's product mul; the quotient must be integral, and a remainder
+    """x / u over Z[zeta_n], for u with Field.integral_inverse inverse, by
+    the field's product mul; the quotient must be integral, and a remainder
     raises ArithmeticError."""
     num, den = inverse
     out = []
@@ -519,18 +510,15 @@ def _exact_quotient(mul, x, inverse) -> tuple:
     return tuple(out)
 
 
-def _echelon_cyc(rows, ncols, field: Field, inverses=None):
+def _echelon_cyc(rows, ncols, field: Field):
     """Fraction-free forward elimination over Z[zeta_n].
 
-    The _integral_inverse of a pivot is taken only when a later sweep
-    divides by it, so never for the last pivot.  When a list inverses is
-    given, those of the first pivots are appended to it, in pivot order.
+    The Field.integral_inverse of a pivot is taken only when a later sweep
+    divides by it, so never for the last pivot.
     """
     zero = (0,) * field.degree
     mul = field.mul
     m = len(rows)
-    if inverses is None:
-        inverses = []
     prev = None  # the previous pivot, divided out by this sweep
     prev_div = None  # (int tuple numerator of 1/prev, int denominator)
     pr = 0
@@ -544,8 +532,7 @@ def _echelon_cyc(rows, ncols, field: Field, inverses=None):
         if piv_r is None:
             continue
         if prev is not None and pr + 1 < m:
-            prev_div = _integral_inverse(field, prev)
-            inverses.append(prev_div)
+            prev_div = field.integral_inverse(prev)
         rows[pr], rows[piv_r] = rows[piv_r], rows[pr]
         piv = rows[pr][c]
         rowp = rows[pr]
@@ -569,15 +556,11 @@ def _echelon_cyc(rows, ncols, field: Field, inverses=None):
     return len(pivots), pivots
 
 
-def _echelon(rows, ncols: int, field: Field, inverses=None):
-    """Forward elimination of _integral_rows output in place: (rank, pivot cols).
-
-    Over Z[zeta_n] the pivot inverses taken on the way are appended to the
-    list inverses, when one is given (see _echelon_cyc).
-    """
+def _echelon(rows, ncols: int, field: Field):
+    """Forward elimination of _integral_rows output in place: (rank, pivot cols)."""
     if field.degree == 1:
         return _echelon_int(rows, ncols)
-    return _echelon_cyc(rows, ncols, field, inverses)
+    return _echelon_cyc(rows, ncols, field)
 
 
 _SLOT = (1 << 64) - 1
@@ -645,7 +628,7 @@ def rank_of_fraction_rows(rows, ncols: int) -> int:
     return _rank(_integral_rows(rows, QQ), ncols, QQ)
 
 
-def _kernel_from_echelon(field: Field, rows, pivots, ncols: int, inverses=()) -> list:
+def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
     """The RREF kernel basis of echelon rows U, by fraction-free back
     substitution.
 
@@ -660,10 +643,8 @@ def _kernel_from_echelon(field: Field, rows, pivots, ncols: int, inverses=()) ->
     -D times column f, so by Cramer's rule each y_i is a minor of the
     input: every division is exact in Z or Z[zeta_n], and a remainder
     raises ArithmeticError.  Over Z[zeta_n] a pivot is divided through its
-    _integral_inverse, as in _echelon_cyc, and the last division, by D,
-    happens only in Field.from_integral; inverses holds those of the first
-    pivots that the elimination already took, and only the rest are taken
-    here.
+    Field.integral_inverse, as in _echelon_cyc.  The last division, by D,
+    happens only in Field.from_integral.
     """
     if field.degree == 1:
         mul, sub = operator.mul, operator.sub
@@ -689,9 +670,7 @@ def _kernel_from_echelon(field: Field, rows, pivots, ncols: int, inverses=()) ->
         def embed(n):
             return (n,) + (0,) * (field.degree - 1)
 
-        inverses = list(inverses)
-        for i in range(len(inverses), len(pivots)):
-            inverses.append(_integral_inverse(field, rows[i][pivots[i]]))
+        inverses = [field.integral_inverse(rows[i][p]) for i, p in enumerate(pivots)]
 
         def divide(x, inverse):
             return _exact_quotient(mul, x, inverse)
@@ -734,9 +713,8 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
     rows = _integral_rows(M.rows, field)
-    inverses = []
-    _, pivots = _echelon(rows, M.ncols, field, inverses)
-    return _kernel_from_echelon(field, rows, pivots, M.ncols, inverses)
+    _, pivots = _echelon(rows, M.ncols, field)
+    return _kernel_from_echelon(field, rows, pivots, M.ncols)
 
 
 def determinant(M: ExactMatrix):

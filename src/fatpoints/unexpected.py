@@ -17,6 +17,7 @@ gate: balanced configurations admit no unexpected curve.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -50,12 +51,18 @@ class GeneralPointStrategy:
             raise ValueError("height bound must be at least 2")
 
     def sample_point(self, field: Field, index: int, avoid=()) -> ProjectivePoint:
-        """Deterministic affine sample [x, y, 1]; independent per index."""
+        """Deterministic affine sample [x, y, 1], independent per index; a
+        ValueError when avoid covers the whole box of the height."""
         rng = random.Random(f"fatpoints:{self.seed}:{index}")
         avoid = set(avoid)
+        h = self.height
+        if len(avoid) >= (2 * h + 1) ** 2:
+            box = itertools.product(range(-h, h + 1), repeat=2)
+            if all(ProjectivePoint(field, (x, y, 1)) in avoid for x, y in box):
+                raise ValueError(f"every sample point of height {h} is a point to avoid")
         while True:
-            x = rng.randint(-self.height, self.height)
-            y = rng.randint(-self.height, self.height)
+            x = rng.randint(-h, h)
+            y = rng.randint(-h, h)
             p = ProjectivePoint(field, (x, y, 1))
             if p not in avoid:
                 return p

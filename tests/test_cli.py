@@ -1,8 +1,13 @@
 """CLI surface: JSON round-trips, exit codes, determinism, error envelope."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import fatpoints
 from fatpoints import (
     QQ,
     PointConfiguration,
@@ -209,6 +214,30 @@ def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):
         assert time.process_time() - start < 1.0
         assert (code, out) == (3, "")
         assert json.loads(err)["error"]["code"] == "budget"
+
+
+def _run_cli_process(*argv, cwd):
+    # a child process with a timeout, so that an unbounded run fails the
+    # test instead of hanging the suite
+    src = str(Path(fatpoints.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fatpoints.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=10,
+    )
+
+
+def test_point_boxes_too_small_are_input_errors(tmp_path):
+    box = tmp_path / "box.json"
+    points = [[x, y, 1] for x in range(-2, 3) for y in range(-2, 3)]
+    box.write_text(json.dumps(PointConfiguration(QQ, points).to_dict()))
+    for argv in (
+        ("gen", "random", "--points", "10", "--height", "1"),  # 10 > 3^2 points
+        ("unexpected", str(box), "--degree", "3", "--height", "2"),  # box all of Z
+    ):
+        done = _run_cli_process(*argv, cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert json.loads(done.stderr)["error"]["code"] == "input"
 
 
 def test_usage_error_exit_code(capsys):

@@ -201,6 +201,13 @@ def test_random_config_deterministic():
     assert len(set(a.points)) == 9
 
 
+def test_random_config_refuses_more_points_than_its_box():
+    # the box of height 1 holds 3^2 = 9 integer points
+    assert len(set(random_config(9, 1, "full").points)) == 9
+    with pytest.raises(ValueError):
+        random_config(10, 1, "full")
+
+
 def test_grid_configs_exhaustive_count():
     space = SearchSpace(n=2, r=3)
     configs = list(grid_configs(space))

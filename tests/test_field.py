@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -14,6 +15,7 @@ from fatpoints import (
     primitive_root,
     render_scalar,
 )
+from fatpoints.field import _divmod_monic
 
 
 def test_cyclotomic_polynomials():
@@ -230,3 +232,93 @@ def test_product_is_the_reduced_schoolbook_product(field):
         product = a * b
         assert product == field.from_coeffs(wide)
         assert all(type(x) is Fraction for x in product.coeffs)
+
+
+def _reference_invert_mod(coeffs, modulus):
+    # extended Euclid in Q[z] for gcd(poly, Phi_n) = 1: the inverse that
+    # Scalar.inverse computed before the integer norm route
+    def degree(p):
+        d = len(p) - 1
+        while d >= 0 and not p[d]:
+            d -= 1
+        return d
+
+    r0 = [Fraction(m) for m in modulus]
+    r1 = [Fraction(c) for c in coeffs]
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while degree(r1) > 0:
+        d0, d1 = degree(r0), degree(r1)
+        q = [Fraction(0)] * (d0 - d1 + 1)
+        rr = list(r0)
+        while degree(rr) >= d1:
+            dr = degree(rr)
+            c = rr[dr] / r1[d1]
+            q[dr - d1] += c
+            for i in range(d1 + 1):
+                rr[i + dr - d1] -= c * r1[i]
+        r0, r1 = r1, rr
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    if sj:
+                        prod[i + j] += qi * sj
+        ns = [Fraction(0)] * max(len(s0), len(prod))
+        for i in range(len(ns)):
+            ns[i] = (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
+        s0, s1 = s1, ns
+    c = r1[0]
+    deg = len(modulus) - 1
+    inv = [x / c for x in s1[:deg]]
+    return inv + [Fraction(0)] * (deg - len(inv))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 12, 15])
+def test_integral_inverse_is_the_lowest_terms_inverse(n):
+    field = make_field("cyclotomic", n)
+    deg = field.degree
+    rng = random.Random(f"inverse:{n}")
+    with pytest.raises(ArithmeticError):
+        field.integral_inverse((0,) * deg)
+    checked = 0
+    while checked < 300:
+        height = rng.choice([1, 3, 100, 10**12])
+        x = tuple(rng.randint(-height, height) for _ in range(deg))
+        if checked % 3 == 0:
+            # a common integer factor, which the norm carries to a power
+            x = tuple(c * rng.choice([2, 6, 12, 35, 10**6]) for c in x)
+        if not any(x):
+            continue
+        num, den = field.integral_inverse(x)
+        assert field.mul(x, num) == (den,) + (0,) * (deg - 1)
+        assert den > 0 and gcd(den, *num) == 1
+        ref = _reference_invert_mod(x, field.modulus)
+        ref_den = lcm(*[c.denominator for c in ref])
+        assert (num, den) == (tuple(int(c * ref_den) for c in ref), ref_den)
+        checked += 1
+
+
+def test_divmod_monic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random("divmod-monic")
+
+    def as_poly(coeffs):
+        values = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in coeffs]
+        return sympy.Poly(sum((c * z**i for i, c in enumerate(values)), sympy.S.Zero), z, domain="QQ")
+
+    moduli = [cyclotomic_polynomial(n) for n in (1, 3, 5, 8, 12, 15)]
+    moduli += [[rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [1] for _ in range(30)]
+    for den in moduli:
+        for _ in range(6):
+            size = rng.randint(0, 12)
+            if rng.random() < 0.5:
+                num = [rng.randint(-10**6, 10**6) for _ in range(size)]
+            else:
+                num = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(size)]
+            quot, rem = _divmod_monic(num, den)
+            assert len(rem) == len(den) - 1
+            expected_quot, expected_rem = sympy.div(as_poly(num), as_poly(den))
+            assert as_poly(quot) == expected_quot and as_poly(rem) == expected_rem
+            if all(type(c) is int for c in num):
+                assert all(type(c) is int for c in quot + rem)

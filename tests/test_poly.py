@@ -11,6 +11,7 @@ import fatpoints.poly as poly
 from fatpoints import (
     ExactMatrix,
     FatPointScheme,
+    Field,
     Form,
     GeneralPointStrategy,
     GenericRankCertificate,
@@ -375,9 +376,10 @@ def test_cyclotomic_back_substitution_division_is_checked(monkeypatch):
     def corrupted(u, v):
         calls[0] += 1
         w = mul(u, v)
-        # products 1 and 2 give y_1 = -2; the 4th is U[0][1] * y_1 = -2,
-        # subtracted from -D * U[0][2] = -10 before the division by the pivot 2
-        return (w[0] + 1, *w[1:]) if calls[0] == 4 else w
+        # products 1 and 2 check the norms of the pivot inverses, 3 and 4
+        # give y_1 = -2; the 6th is U[0][1] * y_1 = -2, subtracted from
+        # -D * U[0][2] = -10 before the division by the pivot 2
+        return (w[0] + 1, *w[1:]) if calls[0] == 6 else w
 
     # the field's one product kernel, shared with Scalar multiplication
     monkeypatch.setattr(f3, "mul", corrupted)
@@ -385,27 +387,33 @@ def test_cyclotomic_back_substitution_division_is_checked(monkeypatch):
         poly._kernel_from_echelon(f3, rows, [0, 1], 3)
 
 
-def test_pivot_inverses_over_cyclotomic_rings_are_taken_once(monkeypatch):
+def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     # dual F5 with a 6-fold general point at degree 7: 15 + 21 rows, 36
     # columns, rank 35, and one kernel vector, the unexpected septic
     Z = dual_fermat(5)
     P = GeneralPointStrategy().sample_point(Z.field, 0)
     M = conditions_matrix(FatPointScheme.of(Z, (P, 6)), 7)
     assert (M.nrows, M.ncols) == (36, 36)
-    calls = [0]
-    inverse = Scalar.inverse
+    calls = {"scalar": 0, "integral": 0}
+    scalar_inverse, integral_inverse = Scalar.inverse, Field.integral_inverse
 
-    def counted(self):
-        calls[0] += 1
-        return inverse(self)
+    def counted_scalar(self):
+        calls["scalar"] += 1
+        return scalar_inverse(self)
 
-    monkeypatch.setattr(Scalar, "inverse", counted)
-    # the elimination inverts every pivot but the last, which no sweep
-    # divides by; the kernel reuses those and inverts only the last
-    assert exact_rank(M) == 35 and calls[0] == 34
-    calls[0] = 0
+    def counted_integral(self, x):
+        calls["integral"] += 1
+        return integral_inverse(self, x)
+
+    monkeypatch.setattr(Scalar, "inverse", counted_scalar)
+    monkeypatch.setattr(Field, "integral_inverse", counted_integral)
+    # no pivot goes through a rational Scalar inverse; the elimination
+    # inverts every pivot but the last, which no sweep divides by
+    assert exact_rank(M) == 35
+    assert calls == {"scalar": 0, "integral": 34}
+    # the kernel inverts all 35 pivots again after its own elimination
     (v,) = nullspace_basis(M)
-    assert calls[0] == 35
+    assert calls == {"scalar": 0, "integral": 34 + 34 + 35}
     rows = poly._integral_rows(M.rows, Z.field)
     _, pivots = poly._echelon(rows, 36, Z.field)
     (free,) = set(range(36)) - set(pivots)
@@ -682,9 +690,10 @@ def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
     def corrupted(u, v):
         calls[0] += 1
         w = mul(u, v)
-        # the 13th product is the first of the second sweep, whose
-        # difference is then divided by the first pivot, 2
-        return (w[0] + 1, *w[1:]) if calls[0] == 13 else w
+        # the first sweep takes 12 products and the norm check of the first
+        # pivot's inverse the 13th; the 14th is the first of the second
+        # sweep, whose difference is then divided by the first pivot, 2
+        return (w[0] + 1, *w[1:]) if calls[0] == 14 else w
 
     # the field's one product kernel, shared with Scalar multiplication
     monkeypatch.setattr(f3, "mul", corrupted)

@@ -265,6 +265,16 @@ def test_sample_points_avoid_configuration():
     assert P not in Z.points
 
 
+def test_sample_point_refuses_a_fully_avoided_box():
+    strategy = GeneralPointStrategy(height=2)
+    box = [ProjectivePoint(QQ, (x, y, 1)) for x in range(-2, 3) for y in range(-2, 3)]
+    with pytest.raises(ValueError):
+        strategy.sample_point(QQ, 0, box)
+    # one box point left free is found, whatever else is avoided
+    free = box.pop(7)
+    assert strategy.sample_point(QQ, 0, box + [ProjectivePoint(QQ, (5, 5, 1))]) == free
+
+
 def test_fermat_range_small():
     assert fermat_unexpected_range(3) == []
     assert fermat_unexpected_range(4) == []
