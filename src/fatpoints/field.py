@@ -19,6 +19,9 @@ elimination over Z[zeta_n] alike.  Field.integral_inverse is the one
 inverse over Q(zeta_n), for Scalar division and elimination alike: x times
 the product of its other Galois conjugates is the norm N(x), a nonzero
 integer, so 1/x is that product over N(x), all in integers.
+Field.residue_map and Field.certificate_prime map integral coordinates to
+residues mod primes p = 1 (mod n), and certificate_prime's lift takes
+residues back to power-basis coordinates mod p.
 
 Nothing in this module (or anything built on it) ever touches floating
 point: rank decisions downstream must be exact.
@@ -39,7 +42,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 class FieldMismatchError(TypeError):
@@ -230,6 +233,21 @@ class Field:
         """
         return _residue_map(self.conductor if self.degree > 1 else 1)
 
+    def certificate_prime(self, k: int):
+        """(p, images, lift) for the k-th prime p = 1 (mod n) below 2^62,
+        counting down from 2^62 with k = 0, 1, ...
+
+        Over Q(zeta_n), Z[zeta_n]/p splits into one copy of Z/p per root of
+        Phi_n mod p, and images holds one ring map Z[zeta_n] -> Z/p per
+        root, z sent to that root, applied to each coordinate of a
+        sequence as residue_map's image is.  lift takes the residues of one
+        element under the maps, in order, to its power-basis coordinates
+        mod p, by the inverse Vandermonde matrix of the roots.  Over Q,
+        images is the one reduction mod p and lift returns its residue.
+        Primality is by deterministic Miller-Rabin, exact below 3.3 * 10^24.
+        """
+        return _certificate_prime(self.conductor if self.degree > 1 else 1, k)
+
     def to_dict(self) -> dict:
         if self.kind == "rational":
             return {"type": "rational"}
@@ -249,9 +267,52 @@ _ZERO = Fraction(0)
 
 _RESIDUE_BOUND = 1 << 15
 
+_CERTIFICATE_BOUND = 1 << 62
+
+# the first 13 primes: as Miller-Rabin bases they decide primality of
+# every q below 3.3 * 10^24 (Sorenson and Webster, 2015)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % k for k in range(2, isqrt(q) + 1))
+    """Primality by deterministic Miller-Rabin, exact for q below 3.3 * 10^24."""
+    if q < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if q % b == 0:
+            return q == b
+    d, s = q - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _roots_of_unity(n: int, p: int) -> list[int]:
+    """The roots of Phi_n mod a prime p = 1 (mod n): the powers w^e, e a
+    unit mod n in increasing order, of a primitive n-th root of unity w."""
+    primes = [q for q in _divisors(n) if _is_prime(q)]
+    roots = (pow(g, (p - 1) // n, p) for g in range(2, p))
+    w = next(w for w in roots if all(pow(w, n // q, p) != 1 for q in primes))
+    modulus = cyclotomic_polynomial(n)
+    if sum(c * pow(w, k, p) for k, c in enumerate(modulus)) % p:
+        raise ArithmeticError(f"{w} is no root of Phi_{n} mod {p}")
+    return [pow(w, e, p) for e in range(1, n + 1) if gcd(e, n) == 1]
+
+
+def _evaluation(powers, p: int):
+    """The ring map Z[zeta_n] -> Z/p sending z to the root with these
+    powers, applied to each coordinate tuple of a sequence."""
+    return lambda coords: [sum(map(operator.mul, x, powers)) % p for x in coords]
 
 
 @lru_cache(maxsize=None)
@@ -260,16 +321,48 @@ def _residue_map(n: int):
     top = (_RESIDUE_BOUND - 2) // n * n + 1
     candidates = itertools.chain(range(top, 1, -n), itertools.count(top + n, n))
     p = next(q for q in candidates if _is_prime(q))
+    _, images, _ = _split(n, p)
+    return p, images[0]
+
+
+_certificate_primes: dict = {}  # conductor -> [(p, images, lift)], p descending
+
+
+def _certificate_prime(n: int, k: int):
+    """Field.certificate_prime of the conductor n, or of Q for n = 1."""
+    found = _certificate_primes.setdefault(n, [])
+    while len(found) <= k:
+        q = found[-1][0] - n if found else (_CERTIFICATE_BOUND - 2) // n * n + 1
+        while not _is_prime(q):
+            q -= n
+        found.append(_split(n, q))
+    return found[k]
+
+
+def _split(n: int, p: int):
+    """(p, images, lift) for a prime p = 1 (mod n): see Field.certificate_prime."""
     if n == 1:
-        return p, lambda coords: [x % p for x in coords]
-    primes = [q for q in _divisors(n) if _is_prime(q)]
-    roots = (pow(g, (p - 1) // n, p) for g in range(2, p))
-    w = next(w for w in roots if all(pow(w, n // q, p) != 1 for q in primes))
-    modulus = cyclotomic_polynomial(n)
-    if sum(c * pow(w, k, p) for k, c in enumerate(modulus)) % p:
-        raise ArithmeticError(f"{w} is no root of Phi_{n} mod {p}")
-    powers = [pow(w, k, p) for k in range(len(modulus) - 1)]
-    return p, lambda coords: [sum(map(operator.mul, x, powers)) % p for x in coords]
+        return p, [lambda coords: [x % p for x in coords]], lambda values: values[0]
+    roots = _roots_of_unity(n, p)
+    degree = len(roots)
+    vandermonde = [[pow(w, k, p) for k in range(degree)] for w in roots]
+    # inverse of the Vandermonde matrix mod p, by Gauss-Jordan on [V | I]
+    rows = [v + [int(i == j) for j in range(degree)] for i, v in enumerate(vandermonde)]
+    for c in range(degree):
+        r = next(r for r in range(c, degree) if rows[r][c])
+        rows[c], rows[r] = rows[r], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [x * inv % p for x in rows[c]]
+        for r in range(degree):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    inverse = [row[degree:] for row in rows]
+
+    def lift(values):
+        return tuple(sum(map(operator.mul, row, values)) % p for row in inverse)
+
+    return p, [_evaluation(v, p) for v in vandermonde], lift
 
 
 def _product_kernel(degree: int, red):

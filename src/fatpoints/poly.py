@@ -4,25 +4,27 @@ Monomials of each degree d live in a fixed graded-lexicographic order with
 x > y > z; coefficient vectors (length C(d+2,2)) in that order are part of
 the external contract, so reports are reproducible bit for bit.
 
-Matrix elimination is fraction-free (Bareiss): rows are first scaled to
-integer (or cyclotomic-integer) entries, and the one-step Bareiss update
-keeps every intermediate entry equal to a minor of the scaled matrix, which
-controls coefficient blowup.
-
-A rank is first taken modulo a prime p below 2^15 with p = 1 (mod n)
+Rows are first scaled to integer (or cyclotomic-integer) coordinates.  A
+rank is first taken modulo a prime p below 2^15 with p = 1 (mod n)
 (Field.residue_map), which maps Z[zeta_n] onto Z/p as a ring.  The image
 of a minor is the minor of the image, so a maximal minor that is nonzero
 mod p is nonzero: full rank mod p proves full rank, which is the
-expected-dimension case of nearly every conditions matrix.  A rank that
-drops mod p is never used; Bareiss decides it.  So a modular rank can
-only confirm the exact one.  Nullspace bases, witnesses and the symbolic
-grid always run Bareiss.
+expected-dimension case of nearly every conditions matrix.
 
-Nullspace bases are the standard bases of the reduced row echelon form,
-so they are canonical regardless of pivot choices, but no reduced form is
-built: each basis vector comes from the echelon rows by back substitution
-in the same integers, where every division is exact by Cramer's rule and
-checked.
+Every other rank, and every nullspace basis, is a checked residue
+certificate (_certify).  The rows are eliminated modulo primes p = 1 (mod
+n) below 2^62, once per root of Phi_n mod p; pivot columns independent mod
+p are independent, which bounds the rank from below.  The kernel vectors
+mod p are lifted by CRT and rational reconstruction, and a vector is
+returned only after an exact integer check that it annihilates the rows
+and has the shape of a reduced row echelon (RREF) basis vector, which
+bounds the rank from above.  Nullspace bases are the standard bases of the
+RREF, so they are canonical regardless of pivot choices.
+
+The symbolic grid alone runs fraction-free (Bareiss) elimination: the
+one-step Bareiss update keeps every intermediate entry equal to a minor of
+the scaled matrix, which controls coefficient blowup, and every division
+is exact and checked.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
@@ -38,13 +40,15 @@ evaluated.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, isqrt
 
 from .field import QQ, Field, FieldMismatchError, Scalar
 from .geom import mat3_det
@@ -539,11 +543,13 @@ def _echelon_cyc(rows, ncols, field: Field):
         for r in range(pr + 1, m):
             rowr = rows[r]
             rc = rowr[c]
+            rc_nonzero = any(rc)
             new = []
             for cc in range(ncols):
-                a = mul(piv, rowr[cc])
-                bb = mul(rc, rowp[cc])
-                v = tuple(x - y for x, y in zip(a, bb))
+                x, y = rowr[cc], rowp[cc]
+                a = mul(piv, x) if any(x) else zero
+                bb = mul(rc, y) if rc_nonzero and any(y) else zero
+                v = tuple(map(operator.sub, a, bb))
                 if prev_div is not None and any(v):
                     v = _exact_quotient(mul, v, prev_div)
                 new.append(v if any(v) else zero)
@@ -557,7 +563,8 @@ def _echelon_cyc(rows, ncols, field: Field):
 
 
 def _echelon(rows, ncols: int, field: Field):
-    """Forward elimination of _integral_rows output in place: (rank, pivot cols)."""
+    """Bareiss elimination of _integral_rows output in place: (rank, pivot
+    cols).  Only the symbolic grid runs it, at each grid point."""
     if field.degree == 1:
         return _echelon_int(rows, ncols)
     return _echelon_cyc(rows, ncols, field)
@@ -566,7 +573,7 @@ def _echelon(rows, ncols: int, field: Field):
 _SLOT = (1 << 64) - 1
 
 
-def _full_rank_mod(residues, ncols: int, p: int) -> bool:
+def _full_rank_mod(residues, ncols: int, p: int, echelon=None, sizes=None) -> bool:
     """Whether rows of residues mod p have rank min(nrows, ncols).
 
     Each row is reduced against the echelon rows kept so far, which are
@@ -576,10 +583,15 @@ def _full_rank_mod(residues, ncols: int, p: int) -> bool:
     multiply-add: adding (p - f) times an echelon row keeps every slot
     nonnegative and below p + min(nrows, ncols) * p^2 < 2^64, so no slot
     carries into the next.  A row is unpacked mod p once, to find its pivot.
+    echelon and sizes, when given, hold the echelon rows of rows reduced
+    before these and the number of echelon rows after each of them, and
+    both are extended in place.
     """
-    slack = len(residues) - min(len(residues), ncols)
+    echelon = [] if echelon is None else echelon
+    sizes = [] if sizes is None else sizes
+    nrows = len(sizes) + len(residues)
+    slack = nrows - min(nrows, ncols)  # the rows that may reduce to zero
     slots = struct.Struct(f"<{ncols}Q")  # little-endian on every platform
-    echelon = []  # (bit offset of the pivot column, the packed row)
     for row in residues:
         v = int.from_bytes(slots.pack(*row), "little")
         for shift, prow in echelon:
@@ -588,36 +600,323 @@ def _full_rank_mod(residues, ncols: int, p: int) -> bool:
                 v += (p - f) * prow
         row = [x % p for x in slots.unpack(v.to_bytes(slots.size, "little"))]
         c = next((c for c, x in enumerate(row) if x), None)
-        if c is None:
-            slack -= 1
-            if slack < 0:
-                return False
+        if c is not None:
+            inv = pow(row[c], -1, p)
+            echelon.append((64 * c, int.from_bytes(slots.pack(*[x * inv % p for x in row]), "little")))
+        sizes.append(len(echelon))
+        if len(sizes) - len(echelon) > slack:
+            return False
+    return len(sizes) - len(echelon) <= slack
+
+
+@lru_cache(maxsize=None)
+def _packing(ncols: int, width: int) -> struct.Struct:
+    """Packs ncols residues below 2^64 into slots of width bytes."""
+    return struct.Struct("<" + f"Q{width - 8}x" * ncols)
+
+
+def _kernel_mod(residues, ncols: int, p: int, echelon=None, sizes=None):
+    """Pivot columns and RREF kernel of rows of residues mod p.
+
+    Returns (pivots, kernel): the pivot columns in increasing order, and
+    for each free column f, in increasing order, the residues of its RREF
+    basis vector at the pivots before f; the vector is 1 at f and 0 at
+    every other column.  One forward elimination reduces each new row
+    against the echelon rows so far and appends it, scaled to pivot 1, as
+    (bit offset of the pivot column, packed row, pivot column, residues).
+    So each echelon row is 0 at the pivots of earlier ones and before its
+    own, and the echelon rows in pivot order are unit upper triangular on
+    the pivot columns: back substitution solves for each free column.  As
+    in _full_rank_mod, a row is packed into one int, here of slots wide
+    enough for p plus ncols products of two residues, so that a row
+    operation is one multiply-add and no slot carries; and echelon and
+    sizes, when given, are extended in place.
+    """
+    echelon = [] if echelon is None else echelon
+    sizes = [] if sizes is None else sizes
+    width = ((ncols + 1) * p * p).bit_length() // 8 + 1
+    shifts = range(0, 8 * width * ncols, 8 * width)
+    mask = (1 << 8 * width) - 1
+    slots = _packing(ncols, width)
+
+    def pack(row):
+        return int.from_bytes(slots.pack(*row), "little")
+
+    for row in residues:
+        if len(echelon) == ncols:
+            break
+        if echelon:
+            v = pack(row)
+            for shift, prow, _, _ in echelon:
+                f = (v >> shift & mask) % p
+                if f:
+                    v += (p - f) * prow
+            row = [(v >> s & mask) % p for s in shifts]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            inv = pow(row[c], -1, p)
+            row = [x * inv % p for x in row]
+            echelon.append((shifts[c], pack(row), c, row))
+        sizes.append(len(echelon))
+    reduced = {c: row for _, _, c, row in echelon}
+    pivots = sorted(reduced)
+    kernel = []
+    for f in range(ncols):
+        if f in reduced:
             continue
-        inv = pow(row[c], -1, p)
-        echelon.append((64 * c, int.from_bytes(slots.pack(*[x * inv % p for x in row]), "little")))
+        before = [c for c in pivots if c < f]
+        w = [0] * len(before)
+        for i in range(len(before) - 1, -1, -1):
+            row = reduced[before[i]]
+            s = row[f]
+            for k in range(i + 1, len(before)):
+                s += row[before[k]] * w[k]
+            w[i] = -s % p
+        kernel.append(w)
+    return pivots, kernel
+
+
+def _eliminate(eliminate, rows, ncols: int, p: int, image, key):
+    """eliminate (_full_rank_mod or _kernel_mod) on the image mod p of
+    integral rows.
+
+    Inside a shared_certificates block the elimination is kept under key,
+    and the next one under key resumes after the row prefix it shares with
+    this one, from copies of the echelon rows that prefix left: the
+    conditions matrix of each sample of a verdict starts with the rows of
+    Z, whose rank the verdict took first.
+    """
+    shared = _shared.get()
+    start, echelon, sizes = 0, [], []
+    if shared is not None and key in shared:
+        last, echelon, sizes = shared[key]
+        while start < min(len(sizes), len(rows)) and rows[start] == last[start]:
+            start += 1
+        echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
+    out = eliminate([image(row) for row in rows[start:]], ncols, p, echelon, sizes)
+    if shared is not None:
+        shared[key] = (rows, echelon, sizes)
+    return out
+
+
+def _reconstruct(values, modulus: int):
+    """Rationals from residues mod modulus, over one common denominator:
+    (numerators, den), or None when some value has no fraction a/b with
+    |a| and b at most isqrt(modulus // 2).
+
+    A value times the denominator so far may already be a small numerator;
+    otherwise the half extended Euclid reconstructs the value on its own
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 5.10), and the
+    common denominator takes in its denominator.  Two fractions within the
+    bound that agree mod modulus are equal, so with enough primes this is
+    the only candidate; a wrong residue can still give a wrong candidate,
+    which the exact check of _certify rejects.
+    """
+    bound = isqrt(modulus // 2)
+    half = modulus // 2
+    den = 1
+    nums = []
+    for x in values:
+        t = x * den % modulus
+        if t > half:
+            t -= modulus
+        if abs(t) > bound:
+            r0, r1, s0, s1 = modulus, x, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            if s1 < 0:
+                r1, s1 = -r1, -s1
+            g = gcd(den, s1)
+            nums = [n * (s1 // g) for n in nums]
+            t = r1 * (den // g)
+            den *= s1 // g
+        nums.append(t)
+    return nums, den
+
+
+def _prime_budget(rows, field: Field) -> int:
+    """The number of primes after which _certify gives up.
+
+    Let T be the Hadamard bound, the product over the rows of the 2-norm of
+    the l1 norms of their entries' coordinates, so that |s(D)| <= T for
+    every minor D and every complex embedding s.  An RREF entry is a
+    quotient y/D of two minors (Cramer), and its coordinates are those of
+    y D' / N(D), D' the product of the other conjugates of D: a denominator
+    of at most T^phi and numerators of at most K T^phi, with K =
+    phi^((phi + 1) / 2) bounding the inverse Vandermonde matrix of the
+    primitive roots of unity.  So once the primes of the true pivots
+    multiply past 2 K^2 T^(2 phi), each 2^61 or more, reconstruction cannot
+    fail.  A prime with other pivots divides N(D), at most T^phi, for the
+    pivot minor D.  Over Q, phi = K = 1.
+    """
+    phi = field.degree
+    size = abs if phi == 1 else (lambda x: sum(map(abs, x)))
+    log_t = sum(sum(size(x) ** 2 for x in row).bit_length() + 1 for row in rows) // 2 + 1
+    log_k = ((phi + 1) * phi.bit_length() + 1) // 2
+    return (3 * phi * log_t + 2 * log_k + 1) // 61 + 2
+
+
+def _annihilates(rows, coords, f: int, pivots, field: Field) -> bool:
+    """Whether integral coordinates have the RREF shape of free column f, a
+    nonzero entry at f and zeros off f and the pivots before f, and
+    annihilate every row exactly, in integers through Field.mul."""
+    support = [c for c in pivots if c < f] + [f]
+    zero = 0 if field.degree == 1 else (0,) * field.degree
+    outside = set(range(len(coords))) - set(support)
+    if coords[f] == zero or any(coords[c] != zero for c in outside):
+        return False
+    if field.degree == 1:
+        return not any(sum([row[c] * coords[c] for c in support]) for row in rows)
+    mul = field.mul
+    for row in rows:
+        total = [0] * field.degree
+        for c in support:
+            if any(row[c]):
+                total = list(map(operator.add, total, mul(row[c], coords[c])))
+        if any(total):
+            return False
     return True
 
 
+def _certify(rows, ncols: int, field: Field):
+    """The RREF pivots and kernel of _integral_rows output, as a checked
+    residue certificate: (pivots, kernel), kernel a list of (coords, den),
+    the integral coordinates and common denominator of the basis vector of
+    each free column, in order.
+
+    For k = 0, 1, ... the rows are mapped to Z/p by each map of
+    Field.certificate_prime(k) and eliminated there (_kernel_mod).  Pivot
+    columns that are independent mod p are independent, as the image of
+    their minor is nonzero.  Reduction can only move pivots later, so a
+    prime is dropped when its roots disagree on the pivots or its pivots
+    fall after the best pivots so far, and better pivots restart the
+    collection.  Each prime's kernel residues are lifted to coordinates mod
+    p (Field.certificate_prime's lift), combined with the earlier primes'
+    by CRT and rationally reconstructed (_reconstruct).
+
+    A vector is accepted only when _annihilates passes: the RREF shape and
+    M w = 0 in integers.  Once every free column has one, each free column
+    lies in the span of the pivot columns before it, and those are
+    independent: so the pivots are exactly the greedy ones, the rank is
+    their number, and each vector, being unique, is the RREF basis vector.
+    A failed reconstruction or check adds a prime; past _prime_budget
+    primes, ArithmeticError.
+    """
+    degree = field.degree
+    budget = None
+    best = None  # the pivots of the primes collected
+    for k in itertools.count():
+        if k >= 2:
+            budget = budget or _prime_budget(rows, field)
+            if k > budget:
+                raise ArithmeticError(f"no checked kernel after {budget} primes")
+        p, images, lift = field.certificate_prime(k)
+        found = [
+            _eliminate(_kernel_mod, rows, ncols, p, image, ("kernel", field, ncols, k, i))
+            for i, image in enumerate(images)
+        ]
+        pivots = found[0][0]
+        if any(other != pivots for other, _ in found[1:]):
+            continue
+        if best is not None and pivots + [ncols] > best + [ncols]:
+            continue
+        if pivots != best:
+            best, accepted, modulus, residues = pivots, {}, 1, None
+            free = sorted(set(range(ncols)) - set(pivots))
+            collected, attempt = 0, 1
+        # each kernel vector's coordinates mod p at the pivots before f, flattened
+        values = []
+        for kernels in zip(*[kernel for _, kernel in found]):
+            lifted = [lift(x) for x in zip(*kernels)]
+            values.append(lifted if degree == 1 else [c for x in lifted for c in x])
+        if residues is None:
+            residues = values
+        else:
+            step = pow(modulus, -1, p)
+            residues = [
+                [r + modulus * ((x - r) * step % p) for r, x in zip(old, new)]
+                for old, new in zip(residues, values)
+            ]
+        modulus *= p
+        collected += 1
+        # reconstruction costs about the square of the modulus' size, so
+        # past a few primes it is tried at counts 5/4 apart, and at the last
+        if collected < attempt and k != budget:
+            continue
+        attempt = max(collected + 1, collected * 5 // 4)
+        for f, vector in zip(free, residues):
+            candidate = None if f in accepted else _reconstruct(vector, modulus)
+            if candidate is None:
+                continue
+            nums, den = candidate
+            if degree == 1:
+                coords = [0] * ncols
+                coords[f] = den
+            else:
+                nums = [tuple(nums[i : i + degree]) for i in range(0, len(nums), degree)]
+                coords = [(0,) * degree] * ncols
+                coords[f] = (den,) + (0,) * (degree - 1)
+            for c, x in zip(pivots, nums):
+                coords[c] = x
+            if _annihilates(rows, coords, f, pivots, field):
+                accepted[f] = (coords, den)
+        if len(accepted) == len(free):
+            return pivots, [accepted[f] for f in free]
+
+
+_shared = contextvars.ContextVar("fatpoints.poly.shared_certificates", default=None)
+
+
+@contextlib.contextmanager
+def shared_certificates():
+    """Within the block, a matrix certified twice is certified once, so a
+    rank certificate's kernel serves a later nullspace_basis of the same
+    rows, and an elimination mod p, for a rank or a certificate, resumes
+    after the rows it shares with the last one (_eliminate).  All are
+    dropped when the block ends."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _certificate(rows, ncols: int, field: Field):
+    """_certify, or the certificate of the same rows from the enclosing
+    shared_certificates block."""
+    shared = _shared.get()
+    if shared is None:
+        return _certify(rows, ncols, field)
+    key = ("certificate", field, ncols, tuple(map(tuple, rows)))
+    if key not in shared:
+        shared[key] = _certify(rows, ncols, field)
+    return shared[key]
+
+
 def _rank(rows, ncols: int, field: Field) -> int:
-    """Rank of _integral_rows output, which Bareiss may reorder and overwrite.
+    """Rank of _integral_rows output.
 
     The rows are first mapped to Z/p by Field.residue_map.  That map is a
     ring homomorphism, so a maximal minor with a nonzero residue is nonzero:
     when the residues have full rank min(nrows, ncols), so have the rows,
     and that rank is returned.  Otherwise, at a true rank drop or when p
-    divides every maximal minor, exact Bareiss elimination (_echelon)
+    divides every maximal minor, the checked certificate (_certify)
     decides.  A residue rank is never returned below full rank.
     """
     p, image = field.residue_map()
-    if _full_rank_mod([image(row) for row in rows], ncols, p):
+    if _eliminate(_full_rank_mod, rows, ncols, p, image, ("rank", field, ncols)):
         return min(len(rows), ncols)
-    rank, _ = _echelon(rows, ncols, field)
-    return rank
+    pivots, _ = _certificate(rows, ncols, field)
+    return len(pivots)
 
 
 def exact_rank(M: ExactMatrix) -> int:
-    """Rank over the field: full rank modulo a prime proves full rank, and
-    fraction-free elimination decides every other case."""
+    """Rank over the field: full rank modulo a small prime proves full
+    rank, and a checked residue certificate (_certify) decides every other
+    case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
     return _rank(_integral_rows(M.rows, M.ring), M.ncols, M.ring)
@@ -628,93 +927,22 @@ def rank_of_fraction_rows(rows, ncols: int) -> int:
     return _rank(_integral_rows(rows, QQ), ncols, QQ)
 
 
-def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
-    """The RREF kernel basis of echelon rows U, by fraction-free back
-    substitution.
-
-    Let p_i be the pivot column of row i, r the rank and D = U[r-1][p_(r-1)],
-    the last Bareiss pivot and so the determinant of the pivot minor.  The
-    basis vector of a free column f is 1 at f, y_i / D at p_i and 0 at the
-    other free columns, where, for i = r-1, ..., 0,
-
-        y_i = -(D U[i][f] + sum over k > i of U[i][p_k] y_k) / U[i][p_i].
-
-    D times the vector solves the pivot minor's system with right-hand side
-    -D times column f, so by Cramer's rule each y_i is a minor of the
-    input: every division is exact in Z or Z[zeta_n], and a remainder
-    raises ArithmeticError.  Over Z[zeta_n] a pivot is divided through its
-    Field.integral_inverse, as in _echelon_cyc.  The last division, by D,
-    happens only in Field.from_integral.
-    """
-    if field.degree == 1:
-        mul, sub = operator.mul, operator.sub
-
-        def embed(n):
-            return n
-
-        # over Z the inverse of u is 1 over the denominator u
-        inverses = [(1, rows[i][p]) for i, p in enumerate(pivots)]
-
-        def divide(x, inverse):
-            q, rem = divmod(x, inverse[1])
-            if rem:
-                raise ArithmeticError("inexact division in fraction-free elimination")
-            return q
-
-    else:
-        mul = field.mul
-
-        def sub(u, v):
-            return tuple(x - y for x, y in zip(u, v))
-
-        def embed(n):
-            return (n,) + (0,) * (field.degree - 1)
-
-        inverses = [field.integral_inverse(rows[i][p]) for i, p in enumerate(pivots)]
-
-        def divide(x, inverse):
-            return _exact_quotient(mul, x, inverse)
-
-    r = len(pivots)
-    zero = embed(0)
-    D = rows[r - 1][pivots[-1]] if r else embed(1)
-    num_d, den_d = inverses[-1] if r else (embed(1), 1)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        y = [zero] * r
-        for i in range(r - 1, -1, -1):
-            row = rows[i]
-            s = sub(zero, mul(D, row[f]))
-            for k in range(i + 1, r):
-                s = sub(s, mul(row[pivots[k]], y[k]))
-            y[i] = divide(s, inverses[i])
-        v = [zero] * ncols
-        v[f] = embed(den_d)
-        for p, yi in zip(pivots, y):
-            v[p] = mul(yi, num_d)
-        basis.append(tuple(field.from_integral(v, den_d)))
-    return basis
-
-
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     """Canonical basis of {v : Mv = 0}: the RREF standard basis, one vector
     per free column f, equal to 1 at f and 0 at the other free columns.
 
-    The rows are scaled to integral coordinates and eliminated by Bareiss,
-    and each vector comes from the echelon rows by fraction-free back
-    substitution (_kernel_from_echelon), whose divisions are exact by
-    Cramer's rule and checked.  Vectors carry one coordinate per column of
-    M, in column order; the size of the basis is ncols - rank.
+    The rows are scaled to integral coordinates, and the basis is the
+    checked residue certificate of _certify: found mod primes, lifted by
+    CRT and rational reconstruction, and returned only after an exact
+    integer check that it annihilates M and has the RREF shape.  Vectors
+    carry one coordinate per column of M, in column order; the size of the
+    basis is ncols - rank.
     """
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    rows = _integral_rows(M.rows, field)
-    _, pivots = _echelon(rows, M.ncols, field)
-    return _kernel_from_echelon(field, rows, pivots, M.ncols)
+    _, kernel = _certificate(_integral_rows(M.rows, field), M.ncols, field)
+    return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 
 def determinant(M: ExactMatrix):

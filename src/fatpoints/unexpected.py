@@ -30,7 +30,7 @@ from .linsys import (
     system_basis,
     system_dimension,
 )
-from .poly import Form, symbolic_rank_bound
+from .poly import Form, shared_certificates, symbolic_rank_bound
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,7 @@ class UnexpectedCurveReport:
         return d
 
 
+@shared_certificates()  # the witness reuses its sample's rank certificate
 def detect_unexpected(
     Z: PointConfiguration, d: int, strategy=DEFAULT_STRATEGY
 ) -> UnexpectedCurveReport:

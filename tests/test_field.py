@@ -219,6 +219,52 @@ def test_residue_map_is_a_ring_homomorphism(field):
         assert ixy == ix * iy % p
 
 
+def test_miller_rabin_is_exact_where_it_is_used():
+    from fatpoints.field import _is_prime as miller_rabin
+
+    assert [q for q in range(20000) if miller_rabin(q)] == [q for q in range(20000) if _is_prime(q)]
+    # strong pseudoprimes to the bases 2 .. 23 and 2 .. 37, and the
+    # Carmichael number 561, are composite; 2^61 - 1 and 2^89 - 1 are prime
+    for q in (561, 3825123056546413051, 318665857834031151167461):
+        assert not miller_rabin(q)
+    assert miller_rabin(2**61 - 1) and miller_rabin(2**89 - 1)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ] + [make_field("cyclotomic", n) for n in (2, 3, 4, 5, 6, 7, 8, 12)], ids=repr
+)
+def test_certificate_primes_split_the_field(field):
+    from fatpoints.field import _is_prime as miller_rabin
+
+    n = field.conductor if field.degree > 1 else 1
+    primes = [field.certificate_prime(k)[0] for k in range(4)]
+    # the primes 1 mod n below 2^62, counting down
+    assert primes == sorted(primes, reverse=True) and primes[-1] > 2**61
+    assert all(miller_rabin(p) and (p - 1) % n == 0 for p in primes)
+    assert not any(miller_rabin(q) for q in range(primes[0] + n, 2**62, n))
+    assert not any(miller_rabin(q) for q in range(primes[1] + n, primes[0], n))
+    rng = random.Random(f"split:{field!r}")
+    mul = int.__mul__ if field.degree == 1 else field.mul
+
+    def element():
+        coords = tuple(rng.randint(-(10**40), 10**40) for _ in range(field.degree))
+        return coords[0] if field.degree == 1 else coords
+
+    for k in range(2):
+        p, images, lift = field.certificate_prime(k)
+        # one ring map per root of Phi_n mod p, and lift inverts them all
+        assert len(images) == field.degree
+        for _ in range(30):
+            x, y = element(), element()
+            residues = []
+            for image in images:
+                (ix, iy), (ixy,) = image([x, y]), image([mul(x, y)])
+                assert ixy == ix * iy % p
+                residues.append(ix)
+            expected = x % p if field.degree == 1 else tuple(c % p for c in x)
+            assert lift(residues) == expected
+
+
 @pytest.mark.parametrize("field", _INTEGRAL_FIELDS[1:], ids=repr)
 def test_product_is_the_reduced_schoolbook_product(field):
     rng = random.Random(f"product:{field!r}")

@@ -1,5 +1,6 @@
 """Forms, monomial order, exact matrix kernels and the symbolic certificate."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -344,7 +345,106 @@ def test_nullspace_basis_over_q_makes_no_scalar_products(monkeypatch):
     assert calls == {"__mul__": 0, "__rmul__": 0, "inverse": 0}
 
 
-def test_integer_back_substitution_division_is_checked():
+def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
+    """Reference: the RREF kernel basis of Bareiss echelon rows U, by
+    fraction-free back substitution (the kernel path before residue
+    certificates).
+
+    Let p_i be the pivot column of row i, r the rank and D = U[r-1][p_(r-1)],
+    the last Bareiss pivot and so the determinant of the pivot minor.  The
+    basis vector of a free column f is 1 at f, y_i / D at p_i and 0 at the
+    other free columns, where, for i = r-1, ..., 0,
+
+        y_i = -(D U[i][f] + sum over k > i of U[i][p_k] y_k) / U[i][p_i].
+
+    D times the vector solves the pivot minor's system with right-hand side
+    -D times column f, so by Cramer's rule each y_i is a minor of the
+    input: every division is exact in Z or Z[zeta_n], and a remainder
+    raises ArithmeticError.  Over Z[zeta_n] a pivot is divided through its
+    Field.integral_inverse, as in poly._echelon_cyc.  The last division, by D,
+    happens only in Field.from_integral.
+    """
+    if field.degree == 1:
+        mul, sub = operator.mul, operator.sub
+
+        def embed(n):
+            return n
+
+        # over Z the inverse of u is 1 over the denominator u
+        inverses = [(1, rows[i][p]) for i, p in enumerate(pivots)]
+
+        def divide(x, inverse):
+            q, rem = divmod(x, inverse[1])
+            if rem:
+                raise ArithmeticError("inexact division in fraction-free elimination")
+            return q
+
+    else:
+        mul = field.mul
+
+        def sub(u, v):
+            return tuple(x - y for x, y in zip(u, v))
+
+        def embed(n):
+            return (n,) + (0,) * (field.degree - 1)
+
+        inverses = [field.integral_inverse(rows[i][p]) for i, p in enumerate(pivots)]
+
+        def divide(x, inverse):
+            return poly._exact_quotient(mul, x, inverse)
+
+    r = len(pivots)
+    zero = embed(0)
+    D = rows[r - 1][pivots[-1]] if r else embed(1)
+    num_d, den_d = inverses[-1] if r else (embed(1), 1)
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        y = [zero] * r
+        for i in range(r - 1, -1, -1):
+            row = rows[i]
+            s = sub(zero, mul(D, row[f]))
+            for k in range(i + 1, r):
+                s = sub(s, mul(row[pivots[k]], y[k]))
+            y[i] = divide(s, inverses[i])
+        v = [zero] * ncols
+        v[f] = embed(den_d)
+        for p, yi in zip(pivots, y):
+            v[p] = mul(yi, num_d)
+        basis.append(tuple(field.from_integral(v, den_d)))
+    return basis
+
+
+def _bareiss_reference(rows, field):
+    """(rank, RREF kernel basis) by Bareiss elimination (poly._echelon) and
+    _kernel_from_echelon."""
+    ncols = len(rows[0]) if rows else 0
+    integral = poly._integral_rows(rows, field)
+    rank, pivots = poly._echelon(integral, ncols, field)
+    return rank, _kernel_from_echelon(field, integral, pivots, ncols)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on; returns the counter."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _count_primes(monkeypatch):
+    """Count the certificate primes drawn from here on, over every field."""
+    return _count_calls(monkeypatch, Field, "certificate_prime")
+
+
+def test_integer_kernel_check_rejects_corrupted_products(monkeypatch):
     class OffByOne(int):
         # an entry whose products come out one too large
         def __mul__(self, other):
@@ -353,72 +453,144 @@ def test_integer_back_substitution_division_is_checked():
         __rmul__ = __mul__
 
     rows = [[2, 1, 1], [4, 7, 3]]
-    assert poly._echelon_int(rows, 3) == (2, [0, 1])
-    assert rows[1] == [0, 10, 2]
-    # D = 10, y_1 = -(10 * 2) / 10 = -2, y_0 = -(10 * 1 + 1 * -2) / 2 = -4
+    primes = _count_primes(monkeypatch)
+    # the RREF kernel (-2/5, -1/5, 1), certified with one prime
     x0, x1 = QQ.scalar(Fraction(-2, 5)), QQ.scalar(Fraction(-1, 5))
-    assert poly._kernel_from_echelon(QQ, rows, [0, 1], 3) == [(x0, x1, QQ.one)]
+    assert nullspace_basis(ExactMatrix(QQ, rows)) == [(x0, x1, QQ.one)]
+    assert primes[0] == 1
+    # the residues are right, but in the exact check the entry 1 times
+    # -1/5's numerator -1 comes out 0: no candidate passes, so every prime
+    # of the budget is tried before the certificate gives up
     rows[0][1] = OffByOne(1)
-    # 1 * -2 now comes out as -1, so y_0's numerator is -9, not divisible by 2
+    primes[0] = 0
     with pytest.raises(ArithmeticError):
-        poly._kernel_from_echelon(QQ, rows, [0, 1], 3)
+        poly._certify(rows, 3, QQ)
+    assert primes[0] == poly._prime_budget(rows, QQ) + 1
 
 
-def test_cyclotomic_back_substitution_division_is_checked(monkeypatch):
+def test_cyclotomic_kernel_check_rejects_corrupted_products(monkeypatch):
     f3 = make_field("cyclotomic", 3)
-    rows = poly._integral_rows(ExactMatrix(f3, [[2, 1, 1], [4, 7, 3]]).rows, f3)
-    assert poly._echelon(rows, 3, f3) == (2, [0, 1])
-    expected = _gauss_jordan_kernel(ExactMatrix(f3, [[2, 1, 1], [4, 7, 3]]).rows, 3, f3)
-    assert poly._kernel_from_echelon(f3, rows, [0, 1], 3) == [tuple(v) for v in expected]
+    M = ExactMatrix(f3, [[2, 1, 1], [4, 7, 3]])
+    expected = [tuple(v) for v in _gauss_jordan_kernel(M.rows, 3, f3)]
+    primes = _count_primes(monkeypatch)
+    assert nullspace_basis(M) == expected
+    assert primes[0] == 1
     mul = f3.mul
-    calls = [0]
 
     def corrupted(u, v):
-        calls[0] += 1
         w = mul(u, v)
-        # products 1 and 2 check the norms of the pivot inverses, 3 and 4
-        # give y_1 = -2; the 6th is U[0][1] * y_1 = -2, subtracted from
-        # -D * U[0][2] = -10 before the division by the pivot 2
-        return (w[0] + 1, *w[1:]) if calls[0] == 6 else w
+        return (w[0] + 1, *w[1:])
 
-    # the field's one product kernel, shared with Scalar multiplication
+    # Field.mul is the exact check's product, and only the check's: the
+    # residues still give the right candidate, which the check now rejects
     monkeypatch.setattr(f3, "mul", corrupted)
+    primes[0] = 0
     with pytest.raises(ArithmeticError):
-        poly._kernel_from_echelon(f3, rows, [0, 1], 3)
+        nullspace_basis(M)
+    rows = poly._integral_rows(M.rows, f3)
+    assert primes[0] == poly._prime_budget(rows, f3) + 1
+
+
+def _dual_fermat_sample(n, d):
+    """Conditions matrix of the dual Fermat F_n plus a (d-1)-fold sample
+    point, at degree d: the rank drops of the paper's Fermat range."""
+    Z = dual_fermat(n)
+    P = GeneralPointStrategy().sample_point(Z.field, 0)
+    return conditions_matrix(FatPointScheme.of(Z, (P, d - 1)), d)
 
 
 def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     # dual F5 with a 6-fold general point at degree 7: 15 + 21 rows, 36
     # columns, rank 35, and one kernel vector, the unexpected septic
-    Z = dual_fermat(5)
-    P = GeneralPointStrategy().sample_point(Z.field, 0)
-    M = conditions_matrix(FatPointScheme.of(Z, (P, 6)), 7)
+    M = _dual_fermat_sample(5, 7)
+    field = M.ring
     assert (M.nrows, M.ncols) == (36, 36)
-    calls = {"scalar": 0, "integral": 0}
-    scalar_inverse, integral_inverse = Scalar.inverse, Field.integral_inverse
-
-    def counted_scalar(self):
-        calls["scalar"] += 1
-        return scalar_inverse(self)
-
-    def counted_integral(self, x):
-        calls["integral"] += 1
-        return integral_inverse(self, x)
-
-    monkeypatch.setattr(Scalar, "inverse", counted_scalar)
-    monkeypatch.setattr(Field, "integral_inverse", counted_integral)
-    # no pivot goes through a rational Scalar inverse; the elimination
-    # inverts every pivot but the last, which no sweep divides by
+    scalar = _count_calls(monkeypatch, Scalar, "inverse")
+    integral = _count_calls(monkeypatch, Field, "integral_inverse")
+    certificates = _count_calls(monkeypatch, poly, "_certify")
+    primes = _count_primes(monkeypatch)
+    # the rank and the kernel are residue certificates of two primes each,
+    # which invert nothing over Q(zeta_5)
     assert exact_rank(M) == 35
-    assert calls == {"scalar": 0, "integral": 34}
-    # the kernel inverts all 35 pivots again after its own elimination
     (v,) = nullspace_basis(M)
-    assert calls == {"scalar": 0, "integral": 34 + 34 + 35}
-    rows = poly._integral_rows(M.rows, Z.field)
-    _, pivots = poly._echelon(rows, 36, Z.field)
+    assert (certificates[0], primes[0]) == (2, 4)
+    assert (scalar[0], integral[0]) == (0, 0)
+    rows = poly._integral_rows(M.rows, field)
+    pivots, _ = poly._certify(rows, 36, field)
     (free,) = set(range(36)) - set(pivots)
-    assert v[free] == Z.field.one
-    assert all(not sum((a * x for a, x in zip(row, v)), Z.field.zero) for row in M.rows)
+    assert v[free] == field.one
+    assert all(not sum((a * x for a, x in zip(row, v)), field.zero) for row in M.rows)
+    # Bareiss, which the symbolic grid still runs, inverts every pivot but
+    # the last by its integer norm, and none through a rational Scalar
+    assert poly._echelon(rows, 36, field) == (35, pivots)
+    assert (scalar[0], integral[0]) == (0, 34)
+
+
+@pytest.mark.parametrize("n, d", [(5, 7), (6, 8), (6, 9)])
+def test_certificate_matches_bareiss_on_dual_fermat_samples(n, d):
+    M = _dual_fermat_sample(n, d)
+    rank, kernel = _bareiss_reference(M.rows, M.ring)
+    assert exact_rank(M) == rank < min(M.nrows, M.ncols)
+    assert nullspace_basis(M) == kernel
+
+
+def test_certificate_survives_a_prime_dividing_the_pivot_minor(monkeypatch):
+    # over Q: the first prime p divides the pivot p, so mod p column 0 is
+    # zero and the pivots [1, 2] come out later than the true [0, 2]; the
+    # second prime restores them, and -1/p, with p above the square root of
+    # half the product of two primes, needs three
+    p = QQ.certificate_prime(0)[0]
+    primes = _count_primes(monkeypatch)
+    M = ExactMatrix(QQ, [[p, 1, 0], [0, 0, 1]])
+    assert nullspace_basis(M) == [(QQ.scalar(Fraction(-1, p)), QQ.one, QQ.zero)]
+    assert primes[0] == 4
+    # over Q(zeta_n): zeta - w vanishes at the first prime's root w and at
+    # no other root, so that prime's roots disagree on the pivots
+    for n in (3, 5, 12):
+        field = make_field("cyclotomic", n)
+        p, images, _ = field.certificate_prime(0)
+        zeta = primitive_root(field)
+        (w,) = images[0](field.clear_denominators([zeta])[0])
+        rows = [[zeta - w, field.one]]
+        integral = poly._integral_rows(rows, field)
+        found = [poly._kernel_mod([image(r) for r in integral], 2, p)[0] for image in images]
+        assert found == [[1]] + [[0]] * (len(images) - 1)
+        primes[0] = 0
+        assert nullspace_basis(ExactMatrix(field, rows)) == [
+            tuple(v) for v in _gauss_jordan_kernel(rows, 2, field)
+        ]
+        assert primes[0] > 1
+
+
+def test_corrupted_reconstruction_is_never_returned(monkeypatch):
+    f5 = make_field("cyclotomic", 5)
+    zeta = primitive_root(f5)
+    M = ExactMatrix(f5, [[1, zeta, 2], [zeta, zeta * zeta, 2 * zeta]])
+    expected = nullspace_basis(M)
+    reconstruct = poly._reconstruct
+    corrupted = [0]
+
+    def first_wrong(values, modulus):
+        out = reconstruct(values, modulus)
+        if out is not None and not corrupted[0]:
+            corrupted[0] += 1
+            nums, den = out
+            return [nums[0] + 1, *nums[1:]], den
+        return out
+
+    monkeypatch.setattr(poly, "_reconstruct", first_wrong)
+    primes = _count_primes(monkeypatch)
+    # the wrong candidate fails the check, and one more prime mends it
+    assert nullspace_basis(M) == expected
+    assert corrupted[0] == 1 and primes[0] == 2
+
+    def always_wrong(values, modulus):
+        out = reconstruct(values, modulus)
+        return None if out is None else ([out[0][0] + 1, *out[0][1:]], out[1])
+
+    monkeypatch.setattr(poly, "_reconstruct", always_wrong)
+    with pytest.raises(ArithmeticError):
+        nullspace_basis(M)
 
 
 RANK_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (3, 4, 5, 6, 7, 8, 12)]
@@ -456,6 +628,28 @@ def test_rank_matches_bareiss(field):
             fractions = [[x.as_fraction() for x in row] for row in rows]
             assert poly.rank_of_fraction_rows(fractions, len(rows[0])) == expected
     assert full == {True, False}
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=repr)
+def test_certificate_matches_bareiss_reference(field):
+    rng = random.Random(f"certificate-{field!r}")
+    corpus = _kernel_corpus(field, rng, 30)
+
+    def entry():
+        return field.from_coeffs(
+            [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(field.degree)]
+        )
+
+    # rank drops of larger entries, whose kernels need several primes
+    for _ in range(4):
+        m, n, k = rng.randint(2, 5), rng.randint(3, 6), rng.randint(1, 2)
+        A = [[entry() for _ in range(k)] for _ in range(m)]
+        B = [[entry() for _ in range(n)] for _ in range(k)]
+        corpus.append([[sum((A[i][t] * B[t][j] for t in range(k)), field.zero) for j in range(n)] for i in range(m)])
+    for rows in corpus:
+        rank, kernel = _bareiss_reference(rows, field)
+        M = ExactMatrix(field, rows)
+        assert (exact_rank(M), nullspace_basis(M)) == (rank, kernel)
 
 
 def test_rank_matches_sympy_over_q():
@@ -509,14 +703,7 @@ def test_packed_rank_mod_p_matches_plain_elimination():
 
 
 def test_rank_below_full_mod_p_is_decided_exactly(monkeypatch):
-    calls = [0]
-    echelon = poly._echelon
-
-    def counted(*args):
-        calls[0] += 1
-        return echelon(*args)
-
-    monkeypatch.setattr(poly, "_echelon", counted)
+    calls = _count_calls(monkeypatch, poly, "_certify")
     p, _ = QQ.residue_map()
     # the residues of [[p, 0], [0, 1]] have rank 1, the matrix rank 2
     assert poly.rank_of_fraction_rows([[p, 0], [0, 1]], 2) == 2
@@ -531,6 +718,34 @@ def test_rank_below_full_mod_p_is_decided_exactly(monkeypatch):
         assert image(field.clear_denominators([zeta - omega])[0]) == [0]
         assert exact_rank(ExactMatrix(field, [[zeta - omega]])) == 1
         assert calls[0] == 1
+
+
+def test_shared_certificates_resume_after_a_shared_prefix(monkeypatch):
+    # ranks and kernels inside one shared_certificates block, where each
+    # elimination resumes after the rows it shares with the last one, equal
+    # those taken alone
+    certificates = _count_calls(monkeypatch, poly, "_certify")
+    for field, height in ((QQ, 10**6), (make_field("cyclotomic", 5), 50)):
+        rng = random.Random(f"shared-{field!r}")
+
+        def row():
+            return [field.from_coeffs([rng.randint(-height, height) for _ in range(field.degree)]) for _ in range(6)]
+
+        base = [row() for _ in range(3)]
+        # a rank drop at the last row, the same rows again, a strict
+        # prefix, and rank drops sharing only the first three rows
+        matrices = [base + [base[0]], base + [base[0]], base[:2]]
+        for _ in range(3):
+            extra = row()
+            matrices.append(base + [extra, [a + b for a, b in zip(extra, base[1])], extra])
+        alone = [(exact_rank(ExactMatrix(field, rows)), nullspace_basis(ExactMatrix(field, rows))) for rows in matrices]
+        certificates[0] = 0
+        with poly.shared_certificates():
+            shared = [(exact_rank(ExactMatrix(field, rows)), nullspace_basis(ExactMatrix(field, rows))) for rows in matrices]
+        assert shared == alone
+        assert [rank for rank, _ in alone] == [3, 3, 2, 4, 4, 4]
+        # one certificate per distinct matrix: the repeated one is reused
+        assert certificates[0] == len(matrices) - 1
 
 
 def test_rank_invariances():
@@ -657,48 +872,61 @@ def test_symbolic_rank_bound_matches_full_grid_reference(label):
 
 
 def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
-    calls = [0]
-    echelon = poly._echelon
-
-    def counted(*args):
-        calls[0] += 1
-        return echelon(*args)
-
-    monkeypatch.setattr(poly, "_echelon", counted)
+    calls = _count_calls(monkeypatch, poly, "_echelon")
+    certificates = _count_calls(monkeypatch, poly, "_certify")
     # F3 reaches its ceiling at the witness (1, 2), the 20th of 289 points;
     # the example stays at rank 14, below its ceiling of 15, to the end
     for Z, rank, witness, evaluated in (
         (dual_fermat(3), 15, (1, 2), 20),
         (example_quartic_config(), 14, (1, 1), 289),
     ):
-        calls[0] = 0
+        calls[0] = certificates[0] = 0
         cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, 3, 4))
         assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 289)
-        # one elimination for the kernel of the constant rows, one per point
-        assert calls[0] == 1 + evaluated
+        # one certificate for the kernel of the constant rows, and one
+        # Bareiss elimination per grid point
+        assert (certificates[0], calls[0]) == (1, evaluated)
 
 
 def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
     f3 = make_field("cyclotomic", 3)
-    # rank 2, the third row the sum of the others: below full rank, so the
-    # rank is decided by Bareiss and not by the residues mod p
-    M = ExactMatrix(f3, [[2, 1, 1], [1, 1, 0], [3, 2, 1]])
-    assert exact_rank(M) == 2
+    # rank 2, the third row the sum of the others; the grid's elimination
+    rows = poly._integral_rows([[2, 1, 1], [1, 1, 0], [3, 2, 1]], f3)
+    assert poly._echelon([list(r) for r in rows], 3, f3) == (2, [0, 1])
     mul = f3.mul
     calls = [0]
 
     def corrupted(u, v):
         calls[0] += 1
         w = mul(u, v)
-        # the first sweep takes 12 products and the norm check of the first
-        # pivot's inverse the 13th; the 14th is the first of the second
-        # sweep, whose difference is then divided by the first pivot, 2
-        return (w[0] + 1, *w[1:]) if calls[0] == 14 else w
+        # the first sweep takes 11 products, none with the zero in the
+        # second row, and the norm check of the first pivot's inverse the
+        # 12th; the 13th is the first of the second sweep, whose difference
+        # is then divided by the first pivot, 2
+        return (w[0] + 1, *w[1:]) if calls[0] == 13 else w
 
     # the field's one product kernel, shared with Scalar multiplication
     monkeypatch.setattr(f3, "mul", corrupted)
     with pytest.raises(ArithmeticError):
-        exact_rank(M)
+        poly._echelon(rows, 3, f3)
+
+
+def test_cyclotomic_bareiss_skips_zero_products(monkeypatch):
+    # the F5 d=7 rank drop over Z[zeta_5]: a product with an all-zero
+    # operand is skipped, and the rank and pivots stay those of the kernel
+    M = _dual_fermat_sample(5, 7)
+    rows = poly._integral_rows(M.rows, M.ring)
+    pivots, _ = poly._certify(rows, 36, M.ring)
+    zero_operands = [0]
+    mul = M.ring.mul
+
+    def counted(u, v):
+        zero_operands[0] += not any(u) or not any(v)
+        return mul(u, v)
+
+    monkeypatch.setattr(M.ring, "mul", counted)
+    assert poly._echelon(rows, 36, M.ring) == (35, pivots)
+    assert zero_operands[0] == 0
 
 
 def test_integer_bareiss_division_is_checked():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import fatpoints.linsys as linsys
 import fatpoints.poly as poly
 import fatpoints.unexpected as unexpected
 from fatpoints import (
@@ -187,34 +188,47 @@ def test_detect_unexpected_random_and_fermat():
         detect_unexpected(example_quartic_config(), 1)
 
 
-def _count_bareiss(monkeypatch):
+def _count_certificates(monkeypatch):
     calls = [0]
-    echelon = poly._echelon
+    certify = poly._certify
 
     def counted(*args):
         calls[0] += 1
-        return echelon(*args)
+        return certify(*args)
 
-    monkeypatch.setattr(poly, "_echelon", counted)
+    monkeypatch.setattr(poly, "_certify", counted)
     return calls
 
 
 def test_full_rank_mod_p_leaves_negatives_to_residues(monkeypatch):
-    calls = _count_bareiss(monkeypatch)
+    calls = _count_certificates(monkeypatch)
     for r, d in ((9, 3), (10, 4), (12, 5)):
         Z = random_config(r, 1000, ("modular", r))
         assert not detect_unexpected(Z, d).unexpected
-    # every rank was full mod p, so no exact elimination ran
+    # every rank was full mod p, so no certificate ran
     assert calls[0] == 0
 
 
-def test_rank_drops_of_the_example_reach_bareiss(monkeypatch):
-    calls = _count_bareiss(monkeypatch)
-    rep = detect_unexpected(example_quartic_config(), 4)
-    assert rep.unexpected and len(rep.samples) == 3
+def test_rank_drops_of_the_example_share_certificates(monkeypatch):
+    calls = _count_certificates(monkeypatch)
+    kernels = [0]
+    nullspace = linsys.nullspace_basis
+
+    def counted(M):
+        kernels[0] += 1
+        return nullspace(M)
+
+    monkeypatch.setattr(linsys, "nullspace_basis", counted)
+    first = detect_unexpected(example_quartic_config(), 4)
+    assert first.unexpected and len(first.samples) == 3
     # dim I(Z)_4 has full rank mod p; each of the three samples drops rank
-    # (dimension 1, expected 0), and the witness needs one kernel
-    assert calls[0] == 4
+    # (dimension 1, expected 0), and the witness, still asked of
+    # nullspace_basis, is the first sample's certificate
+    assert (calls[0], kernels[0]) == (3, 1)
+    # certificates last one verdict: the same query certifies afresh
+    second = detect_unexpected(example_quartic_config(), 4)
+    assert (calls[0], kernels[0]) == (6, 2)
+    assert second.to_dict() == first.to_dict()
 
 
 def test_semicontinuity_of_samples():
