@@ -19,9 +19,10 @@ elimination over Z[zeta_n] alike.  Field.integral_inverse is the one
 inverse over Q(zeta_n), for Scalar division and elimination alike: x times
 the product of its other Galois conjugates is the norm N(x), a nonzero
 integer, so 1/x is that product over N(x), all in integers.
-Field.residue_map and Field.certificate_prime map integral coordinates to
-residues mod primes p = 1 (mod n), and certificate_prime's lift takes
-residues back to power-basis coordinates mod p.
+Field.certificate_prime is the one sequence of primes p = 1 (mod n): the
+first below 2^15, the rest below 2^62.  Its maps take integral coordinates
+to residues mod p, and its lift takes residues back to power-basis
+coordinates mod p.
 
 Nothing in this module (or anything built on it) ever touches floating
 point: rank decisions downstream must be exact.
@@ -219,32 +220,24 @@ class Field:
         g = gcd(norm, *num)
         return tuple(c // g for c in num), norm // g
 
-    def residue_map(self):
-        """(p, image): a prime p and the ring map from integral coordinates
-        to Z/p, applied to each coordinate of a sequence.
-
-        p is the largest prime below 2^15 with p = 1 (mod n) (the least one
-        above, for a conductor with none below), so a product of two
-        residues stays below 2^30, and a 64-bit word holds a sum of 2^33
-        of them.  Over Q the map is reduction mod p; over
-        Q(zeta_n) it sends z to a primitive n-th root of unity w mod p,
-        which is a root of Phi_n mod p, so image is a ring homomorphism
-        Z[zeta_n] -> Z/p: an element whose image is nonzero is nonzero.
-        """
-        return _residue_map(self.conductor if self.degree > 1 else 1)
-
     def certificate_prime(self, k: int):
-        """(p, images, lift) for the k-th prime p = 1 (mod n) below 2^62,
-        counting down from 2^62 with k = 0, 1, ...
+        """(p, images, lift) for the k-th prime p = 1 (mod n), k = 0, 1, ...
+
+        Prime 0 is the largest such prime below 2^15 (the least one above,
+        for a conductor with none below), so a product of two residues
+        stays below 2^30 and a 64-bit word holds a sum of 2^33 of them: the
+        full-rank test of every rank runs there.  Primes k >= 1 count down
+        from 2^62, for the residue certificates of rank drops and kernels.
 
         Over Q(zeta_n), Z[zeta_n]/p splits into one copy of Z/p per root of
         Phi_n mod p, and images holds one ring map Z[zeta_n] -> Z/p per
         root, z sent to that root, applied to each coordinate of a
-        sequence as residue_map's image is.  lift takes the residues of one
-        element under the maps, in order, to its power-basis coordinates
-        mod p, by the inverse Vandermonde matrix of the roots.  Over Q,
-        images is the one reduction mod p and lift returns its residue.
-        Primality is by deterministic Miller-Rabin, exact below 3.3 * 10^24.
+        sequence: an element whose image is nonzero is nonzero.  lift takes
+        the residues of one element under the maps, in order, to its
+        power-basis coordinates mod p, by the inverse Vandermonde matrix of
+        the roots.  Over Q, images is the one reduction mod p and lift
+        returns its residue.  Primality is by deterministic Miller-Rabin,
+        exact below 3.3 * 10^24.
         """
         return _certificate_prime(self.conductor if self.degree > 1 else 1, k)
 
@@ -265,9 +258,7 @@ class Field:
 
 _ZERO = Fraction(0)
 
-_RESIDUE_BOUND = 1 << 15
-
-_CERTIFICATE_BOUND = 1 << 62
+_PRIME_BOUNDS = (1 << 15, 1 << 62)  # below which certificate primes 0 and 1 lie
 
 # the first 13 primes: as Miller-Rabin bases they decide primality of
 # every q below 3.3 * 10^24 (Sorenson and Webster, 2015)
@@ -315,27 +306,18 @@ def _evaluation(powers, p: int):
     return lambda coords: [sum(map(operator.mul, x, powers)) % p for x in coords]
 
 
-@lru_cache(maxsize=None)
-def _residue_map(n: int):
-    """Field.residue_map of the conductor n, or of Q for n = 1."""
-    top = (_RESIDUE_BOUND - 2) // n * n + 1
-    candidates = itertools.chain(range(top, 1, -n), itertools.count(top + n, n))
-    p = next(q for q in candidates if _is_prime(q))
-    _, images, _ = _split(n, p)
-    return p, images[0]
-
-
-_certificate_primes: dict = {}  # conductor -> [(p, images, lift)], p descending
+_certificate_primes: dict = {}  # conductor -> [(p, images, lift)] for k = 0, 1, ...
 
 
 def _certificate_prime(n: int, k: int):
     """Field.certificate_prime of the conductor n, or of Q for n = 1."""
     found = _certificate_primes.setdefault(n, [])
     while len(found) <= k:
-        q = found[-1][0] - n if found else (_CERTIFICATE_BOUND - 2) // n * n + 1
-        while not _is_prime(q):
-            q -= n
-        found.append(_split(n, q))
+        # each prime after prime 1 lies below the last
+        bound = _PRIME_BOUNDS[len(found)] if len(found) < 2 else found[-1][0]
+        top = (bound - 2) // n * n + 1
+        candidates = itertools.chain(range(top, 1, -n), itertools.count(top + n, n))
+        found.append(_split(n, next(q for q in candidates if _is_prime(q))))
     return found[k]
 
 

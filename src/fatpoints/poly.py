@@ -4,22 +4,23 @@ Monomials of each degree d live in a fixed graded-lexicographic order with
 x > y > z; coefficient vectors (length C(d+2,2)) in that order are part of
 the external contract, so reports are reproducible bit for bit.
 
-Rows are first scaled to integer (or cyclotomic-integer) coordinates.  A
-rank is first taken modulo a prime p below 2^15 with p = 1 (mod n)
-(Field.residue_map), which maps Z[zeta_n] onto Z/p as a ring.  The image
-of a minor is the minor of the image, so a maximal minor that is nonzero
-mod p is nonzero: full rank mod p proves full rank, which is the
-expected-dimension case of nearly every conditions matrix.
+Rows are first scaled to integer (or cyclotomic-integer) coordinates.
+Every rank and every nullspace basis is then read off one sequence of
+primes p = 1 (mod n), Field.certificate_prime(k), and one packed forward
+elimination mod p (_forward), run once per root of Phi_n mod p: a ring map
+Z[zeta_n] -> Z/p.  The image of a minor is the minor of the image, so
+pivot columns independent mod p are independent.
 
-Every other rank, and every nullspace basis, is a checked residue
-certificate (_certify).  The rows are eliminated modulo primes p = 1 (mod
-n) below 2^62, once per root of Phi_n mod p; pivot columns independent mod
-p are independent, which bounds the rank from below.  The kernel vectors
-mod p are lifted by CRT and rational reconstruction, and a vector is
-returned only after an exact integer check that it annihilates the rows
-and has the shape of a reduced row echelon (RREF) basis vector, which
-bounds the rank from above.  Nullspace bases are the standard bases of the
-RREF, so they are canonical regardless of pivot choices.
+A rank is first taken at the first root of prime 0, below 2^15: full rank
+there proves full rank, which is the expected-dimension case of nearly
+every conditions matrix.  Every other rank, and every nullspace basis, is
+a checked residue certificate (_certify), whose elimination at that root
+resumes the full-rank test's.  The kernel vectors mod p are lifted by CRT
+and rational reconstruction, and a vector is returned only after an exact
+integer check that it annihilates the rows and has the shape of a reduced
+row echelon (RREF) basis vector, which bounds the rank from above.
+Nullspace bases are the standard bases of the RREF, so they are canonical
+regardless of pivot choices.
 
 The symbolic grid alone runs fraction-free (Bareiss) elimination: the
 one-step Bareiss update keeps every intermediate entry equal to a minor of
@@ -570,94 +571,64 @@ def _echelon(rows, ncols: int, field: Field):
     return _echelon_cyc(rows, ncols, field)
 
 
-_SLOT = (1 << 64) - 1
-
-
-def _full_rank_mod(residues, ncols: int, p: int, echelon=None, sizes=None) -> bool:
-    """Whether rows of residues mod p have rank min(nrows, ncols).
-
-    Each row is reduced against the echelon rows kept so far, which are
-    scaled to pivot 1; the scan stops at the first row that reduces to zero
-    beyond the nrows - ncols that may.  A row is packed into one int of
-    64-bit slots, column c at bit 64c, so that a row operation is one
-    multiply-add: adding (p - f) times an echelon row keeps every slot
-    nonnegative and below p + min(nrows, ncols) * p^2 < 2^64, so no slot
-    carries into the next.  A row is unpacked mod p once, to find its pivot.
-    echelon and sizes, when given, hold the echelon rows of rows reduced
-    before these and the number of echelon rows after each of them, and
-    both are extended in place.
-    """
-    echelon = [] if echelon is None else echelon
-    sizes = [] if sizes is None else sizes
-    nrows = len(sizes) + len(residues)
-    slack = nrows - min(nrows, ncols)  # the rows that may reduce to zero
-    slots = struct.Struct(f"<{ncols}Q")  # little-endian on every platform
-    for row in residues:
-        v = int.from_bytes(slots.pack(*row), "little")
-        for shift, prow in echelon:
-            f = (v >> shift & _SLOT) % p
-            if f:
-                v += (p - f) * prow
-        row = [x % p for x in slots.unpack(v.to_bytes(slots.size, "little"))]
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is not None:
-            inv = pow(row[c], -1, p)
-            echelon.append((64 * c, int.from_bytes(slots.pack(*[x * inv % p for x in row]), "little")))
-        sizes.append(len(echelon))
-        if len(sizes) - len(echelon) > slack:
-            return False
-    return len(sizes) - len(echelon) <= slack
-
-
 @lru_cache(maxsize=None)
 def _packing(ncols: int, width: int) -> struct.Struct:
-    """Packs ncols residues below 2^64 into slots of width bytes."""
+    """Packs ncols residues below 2^64 into slots of width bytes, width >= 8."""
     return struct.Struct("<" + f"Q{width - 8}x" * ncols)
 
 
-def _kernel_mod(residues, ncols: int, p: int, echelon=None, sizes=None):
-    """Pivot columns and RREF kernel of rows of residues mod p.
+def _forward(residues, ncols: int, p: int, echelon, sizes, slack: int) -> None:
+    """Forward elimination of rows of residues mod p, extending echelon and
+    sizes in place.
 
-    Returns (pivots, kernel): the pivot columns in increasing order, and
-    for each free column f, in increasing order, the residues of its RREF
-    basis vector at the pivots before f; the vector is 1 at f and 0 at
-    every other column.  One forward elimination reduces each new row
-    against the echelon rows so far and appends it, scaled to pivot 1, as
-    (bit offset of the pivot column, packed row, pivot column, residues).
-    So each echelon row is 0 at the pivots of earlier ones and before its
-    own, and the echelon rows in pivot order are unit upper triangular on
-    the pivot columns: back substitution solves for each free column.  As
-    in _full_rank_mod, a row is packed into one int, here of slots wide
-    enough for p plus ncols products of two residues, so that a row
-    operation is one multiply-add and no slot carries; and echelon and
-    sizes, when given, are extended in place.
+    Each new row is reduced against the echelon rows so far and appended,
+    scaled to pivot 1, as (bit offset of the pivot column, packed row, pivot
+    column, residues); sizes gets the number of echelon rows after each
+    row.  So each echelon row is 0 at the pivots of earlier ones and before
+    its own.  The elimination stops once echelon has ncols rows, or once
+    more than slack rows have reduced to zero.
+
+    A row is packed into one int, column c in the slot at byte width * c,
+    so that a row operation is one multiply-add: adding (p - f) times an
+    echelon row keeps every slot nonnegative and below p + ncols * p^2, and
+    the slots are wide enough for that, and at least 8 bytes, so no slot
+    carries into the next.  A row is unpacked mod p once, to find its pivot.
     """
-    echelon = [] if echelon is None else echelon
-    sizes = [] if sizes is None else sizes
-    width = ((ncols + 1) * p * p).bit_length() // 8 + 1
+    width = max(8, ((ncols + 1) * p * p).bit_length() // 8 + 1)
     shifts = range(0, 8 * width * ncols, 8 * width)
     mask = (1 << 8 * width) - 1
     slots = _packing(ncols, width)
-
-    def pack(row):
-        return int.from_bytes(slots.pack(*row), "little")
-
     for row in residues:
-        if len(echelon) == ncols:
+        if len(echelon) == ncols or len(sizes) - len(echelon) > slack:
             break
         if echelon:
-            v = pack(row)
+            v = int.from_bytes(slots.pack(*row), "little")
             for shift, prow, _, _ in echelon:
                 f = (v >> shift & mask) % p
                 if f:
                     v += (p - f) * prow
-            row = [(v >> s & mask) % p for s in shifts]
+            if width == 8:  # prime 0's slots: one struct call unpacks the row
+                row = [x % p for x in slots.unpack(v.to_bytes(slots.size, "little"))]
+            else:
+                row = [(v >> s & mask) % p for s in shifts]
         c = next((c for c, x in enumerate(row) if x), None)
         if c is not None:
             inv = pow(row[c], -1, p)
             row = [x * inv % p for x in row]
-            echelon.append((shifts[c], pack(row), c, row))
+            echelon.append((shifts[c], int.from_bytes(slots.pack(*row), "little"), c, row))
         sizes.append(len(echelon))
+
+
+def _back_substitute(echelon, ncols: int, p: int):
+    """Pivot columns and RREF kernel mod p of a _forward echelon.
+
+    Returns (pivots, kernel): the pivot columns in increasing order, and
+    for each free column f, in increasing order, the residues of its RREF
+    basis vector at the pivots before f; the vector is 1 at f and 0 at
+    every other column.  The echelon rows in pivot order are unit upper
+    triangular on the pivot columns, so back substitution solves for each
+    free column.
+    """
     reduced = {c: row for _, _, c, row in echelon}
     pivots = sorted(reduced)
     kernel = []
@@ -676,15 +647,16 @@ def _kernel_mod(residues, ncols: int, p: int, echelon=None, sizes=None):
     return pivots, kernel
 
 
-def _eliminate(eliminate, rows, ncols: int, p: int, image, key):
-    """eliminate (_full_rank_mod or _kernel_mod) on the image mod p of
-    integral rows.
+def _eliminate(rows, ncols: int, p: int, image, key, slack: int) -> list:
+    """The _forward echelon of the image mod p of integral rows.
 
     Inside a shared_certificates block the elimination is kept under key,
+    (field, ncols, k, i) for the i-th root of Field.certificate_prime(k),
     and the next one under key resumes after the row prefix it shares with
     this one, from copies of the echelon rows that prefix left: the
     conditions matrix of each sample of a verdict starts with the rows of
-    Z, whose rank the verdict took first.
+    Z, whose rank the verdict took first, and a certificate resumes where
+    the full-rank test of the same rows stopped.
     """
     shared = _shared.get()
     start, echelon, sizes = 0, [], []
@@ -693,10 +665,10 @@ def _eliminate(eliminate, rows, ncols: int, p: int, image, key):
         while start < min(len(sizes), len(rows)) and rows[start] == last[start]:
             start += 1
         echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
-    out = eliminate([image(row) for row in rows[start:]], ncols, p, echelon, sizes)
+    _forward((image(row) for row in rows[start:]), ncols, p, echelon, sizes, slack)
     if shared is not None:
         shared[key] = (rows, echelon, sizes)
-    return out
+    return echelon
 
 
 def _reconstruct(values, modulus: int):
@@ -748,15 +720,16 @@ def _prime_budget(rows, field: Field) -> int:
     of at most T^phi and numerators of at most K T^phi, with K =
     phi^((phi + 1) / 2) bounding the inverse Vandermonde matrix of the
     primitive roots of unity.  So once the primes of the true pivots
-    multiply past 2 K^2 T^(2 phi), each 2^61 or more, reconstruction cannot
-    fail.  A prime with other pivots divides N(D), at most T^phi, for the
-    pivot minor D.  Over Q, phi = K = 1.
+    multiply past 2 K^2 T^(2 phi), reconstruction cannot fail.  A prime
+    with other pivots divides N(D), at most T^phi, for the pivot minor D.
+    Every prime but the first is 2^61 or more, and the first, below 2^15,
+    is counted as one more.  Over Q, phi = K = 1.
     """
     phi = field.degree
     size = abs if phi == 1 else (lambda x: sum(map(abs, x)))
     log_t = sum(sum(size(x) ** 2 for x in row).bit_length() + 1 for row in rows) // 2 + 1
     log_k = ((phi + 1) * phi.bit_length() + 1) // 2
-    return (3 * phi * log_t + 2 * log_k + 1) // 61 + 2
+    return (3 * phi * log_t + 2 * log_k + 1) // 61 + 3
 
 
 def _annihilates(rows, coords, f: int, pivots, field: Field) -> bool:
@@ -788,7 +761,9 @@ def _certify(rows, ncols: int, field: Field):
     each free column, in order.
 
     For k = 0, 1, ... the rows are mapped to Z/p by each map of
-    Field.certificate_prime(k) and eliminated there (_kernel_mod).  Pivot
+    Field.certificate_prime(k) and eliminated there (_eliminate, which
+    resumes the full-rank test of _rank at the first root of prime 0), and
+    back substitution gives the kernel mod p (_back_substitute).  Pivot
     columns that are independent mod p are independent, as the image of
     their minor is nonzero.  Reduction can only move pivots later, so a
     prime is dropped when its roots disagree on the pivots or its pivots
@@ -809,15 +784,15 @@ def _certify(rows, ncols: int, field: Field):
     budget = None
     best = None  # the pivots of the primes collected
     for k in itertools.count():
-        if k >= 2:
+        if k >= 3:  # the budget is 3 primes or more
             budget = budget or _prime_budget(rows, field)
             if k > budget:
                 raise ArithmeticError(f"no checked kernel after {budget} primes")
         p, images, lift = field.certificate_prime(k)
-        found = [
-            _eliminate(_kernel_mod, rows, ncols, p, image, ("kernel", field, ncols, k, i))
-            for i, image in enumerate(images)
-        ]
+        found = []
+        for i, image in enumerate(images):
+            echelon = _eliminate(rows, ncols, p, image, (field, ncols, k, i), len(rows))
+            found.append(_back_substitute(echelon, ncols, p))
         pivots = found[0][0]
         if any(other != pivots for other, _ in found[1:]):
             continue
@@ -899,23 +874,26 @@ def _certificate(rows, ncols: int, field: Field):
 def _rank(rows, ncols: int, field: Field) -> int:
     """Rank of _integral_rows output.
 
-    The rows are first mapped to Z/p by Field.residue_map.  That map is a
-    ring homomorphism, so a maximal minor with a nonzero residue is nonzero:
-    when the residues have full rank min(nrows, ncols), so have the rows,
-    and that rank is returned.  Otherwise, at a true rank drop or when p
-    divides every maximal minor, the checked certificate (_certify)
-    decides.  A residue rank is never returned below full rank.
+    The rows are first eliminated at the first map of prime 0
+    (Field.certificate_prime), until full rank min(nrows, ncols) is out of
+    reach.  The map is a ring homomorphism, so a maximal minor with a
+    nonzero residue is nonzero: full rank of the residues proves full rank.
+    Otherwise the checked certificate (_certify) decides, and inside a
+    shared_certificates block its first elimination resumes this one.  A
+    residue rank is never returned below full rank.
     """
-    p, image = field.residue_map()
-    if _eliminate(_full_rank_mod, rows, ncols, p, image, ("rank", field, ncols)):
-        return min(len(rows), ncols)
+    p, images, _ = field.certificate_prime(0)
+    full = min(len(rows), ncols)
+    if len(_eliminate(rows, ncols, p, images[0], (field, ncols, 0, 0), len(rows) - full)) == full:
+        return full
     pivots, _ = _certificate(rows, ncols, field)
     return len(pivots)
 
 
 def exact_rank(M: ExactMatrix) -> int:
-    """Rank over the field: full rank modulo a small prime proves full
-    rank, and a checked residue certificate (_certify) decides every other
+    """Rank over the field: full rank modulo the first certificate prime,
+    below 2^15, proves full rank, and a checked residue certificate
+    (_certify), whose first elimination that test is, decides every other
     case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")

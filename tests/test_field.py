@@ -194,31 +194,6 @@ def _is_prime(q):
     return q > 1 and all(q % k for k in range(2, int(q**0.5) + 1))
 
 
-@pytest.mark.parametrize(
-    "field", [QQ] + [make_field("cyclotomic", n) for n in (2, 3, 4, 5, 6, 7, 8, 12)], ids=repr
-)
-def test_residue_map_is_a_ring_homomorphism(field):
-    p, image = field.residue_map()
-    n = field.conductor if field.degree > 1 else 1
-    # the largest prime below 2^15 that is 1 mod n
-    assert _is_prime(p) and p < 2**15 and (p - 1) % n == 0
-    assert not any(_is_prime(q) for q in range(p + n, 2**15, n))
-    rng = random.Random(f"residues:{field!r}")
-    mul = int.__mul__ if field.degree == 1 else field.mul
-
-    def element():
-        coords = tuple(rng.randint(-(10**40), 10**40) for _ in range(field.degree))
-        return coords[0] if field.degree == 1 else coords
-
-    one = field.clear_denominators([1])[0][0]
-    assert image([one]) == [1]
-    for _ in range(100):
-        x, y = element(), element()
-        (ix, iy), (ixy,) = image([x, y]), image([mul(x, y)])
-        assert all(0 <= r < p for r in (ix, iy, ixy))
-        assert ixy == ix * iy % p
-
-
 def test_miller_rabin_is_exact_where_it_is_used():
     from fatpoints.field import _is_prime as miller_rabin
 
@@ -230,39 +205,57 @@ def test_miller_rabin_is_exact_where_it_is_used():
     assert miller_rabin(2**61 - 1) and miller_rabin(2**89 - 1)
 
 
-@pytest.mark.parametrize(
-    "field", [QQ] + [make_field("cyclotomic", n) for n in (2, 3, 4, 5, 6, 7, 8, 12)], ids=repr
-)
+_PRIME_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (2, 3, 4, 5, 6, 7, 8, 12)]
+
+
+@pytest.mark.parametrize("field", _PRIME_FIELDS, ids=repr)
 def test_certificate_primes_split_the_field(field):
     from fatpoints.field import _is_prime as miller_rabin
 
     n = field.conductor if field.degree > 1 else 1
     primes = [field.certificate_prime(k)[0] for k in range(4)]
-    # the primes 1 mod n below 2^62, counting down
-    assert primes == sorted(primes, reverse=True) and primes[-1] > 2**61
     assert all(miller_rabin(p) and (p - 1) % n == 0 for p in primes)
-    assert not any(miller_rabin(q) for q in range(primes[0] + n, 2**62, n))
-    assert not any(miller_rabin(q) for q in range(primes[1] + n, primes[0], n))
+    # prime 0 is the largest prime below 2^15 that is 1 mod n ...
+    assert _is_prime(primes[0]) and primes[0] < 2**15
+    assert not any(_is_prime(q) for q in range(primes[0] + n, 2**15, n))
+    # ... and the others are the primes 1 mod n below 2^62, counting down
+    assert primes[1:] == sorted(primes[1:], reverse=True) and primes[-1] > 2**61
+    assert not any(miller_rabin(q) for q in range(primes[1] + n, 2**62, n))
+    assert not any(miller_rabin(q) for q in range(primes[2] + n, primes[1], n))
     rng = random.Random(f"split:{field!r}")
+    for k in range(2):
+        p, images, lift = field.certificate_prime(k)
+        # one map per root of Phi_n mod p, and lift inverts them all
+        assert len(images) == field.degree
+        for _ in range(30):
+            x = tuple(rng.randint(-(10**40), 10**40) for _ in range(field.degree))
+            x = x[0] if field.degree == 1 else x
+            residues = [image([x])[0] for image in images]
+            expected = x % p if field.degree == 1 else tuple(c % p for c in x)
+            assert lift(residues) == expected
+
+
+@pytest.mark.parametrize("field", _PRIME_FIELDS, ids=repr)
+def test_residue_map_is_a_ring_homomorphism(field):
+    # every map of the small prime 0, where ranks are tested, and of the
+    # first prime below 2^62 takes 1 to 1 and products to products
+    rng = random.Random(f"residues:{field!r}")
     mul = int.__mul__ if field.degree == 1 else field.mul
 
     def element():
         coords = tuple(rng.randint(-(10**40), 10**40) for _ in range(field.degree))
         return coords[0] if field.degree == 1 else coords
 
+    one = field.clear_denominators([1])[0][0]
     for k in range(2):
-        p, images, lift = field.certificate_prime(k)
-        # one ring map per root of Phi_n mod p, and lift inverts them all
-        assert len(images) == field.degree
-        for _ in range(30):
-            x, y = element(), element()
-            residues = []
-            for image in images:
+        p, images, _ = field.certificate_prime(k)
+        for image in images:
+            assert image([one]) == [1]
+            for _ in range(100 // len(images) + 1):
+                x, y = element(), element()
                 (ix, iy), (ixy,) = image([x, y]), image([mul(x, y)])
+                assert all(0 <= r < p for r in (ix, iy, ixy))
                 assert ixy == ix * iy % p
-                residues.append(ix)
-            expected = x % p if field.degree == 1 else tuple(c % p for c in x)
-            assert lift(residues) == expected
 
 
 @pytest.mark.parametrize("field", _INTEGRAL_FIELDS[1:], ids=repr)

@@ -509,11 +509,12 @@ def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     integral = _count_calls(monkeypatch, Field, "integral_inverse")
     certificates = _count_calls(monkeypatch, poly, "_certify")
     primes = _count_primes(monkeypatch)
-    # the rank and the kernel are residue certificates of two primes each,
-    # which invert nothing over Q(zeta_5)
+    # the full-rank test draws prime 0, and the rank and the kernel are
+    # residue certificates of prime 0 and two primes below 2^62 each, which
+    # invert nothing over Q(zeta_5)
     assert exact_rank(M) == 35
     (v,) = nullspace_basis(M)
-    assert (certificates[0], primes[0]) == (2, 4)
+    assert (certificates[0], primes[0]) == (2, 1 + 3 + 3)
     assert (scalar[0], integral[0]) == (0, 0)
     rows = poly._integral_rows(M.rows, field)
     pivots, _ = poly._certify(rows, 36, field)
@@ -534,17 +535,32 @@ def test_certificate_matches_bareiss_on_dual_fermat_samples(n, d):
     assert nullspace_basis(M) == kernel
 
 
+def _packed_echelon(residues, ncols, p, slack=None):
+    """poly._forward on fresh lists, by default to the end: the echelon as
+    (pivot column, residues) pairs, and the sizes."""
+    echelon, sizes = [], []
+    slack = len(residues) if slack is None else slack
+    poly._forward([list(r) for r in residues], ncols, p, echelon, sizes, slack)
+    return [(c, row) for _, _, c, row in echelon], sizes
+
+
 def test_certificate_survives_a_prime_dividing_the_pivot_minor(monkeypatch):
-    # over Q: the first prime p divides the pivot p, so mod p column 0 is
-    # zero and the pivots [1, 2] come out later than the true [0, 2]; the
-    # second prime restores them, and -1/p, with p above the square root of
-    # half the product of two primes, needs three
-    p = QQ.certificate_prime(0)[0]
+    # over Q: prime 0 divides the pivot p0, so mod p0 column 0 is zero and
+    # the pivots [1, 2] come out later than the true [0, 2]; prime 1
+    # restores them and alone reconstructs -1/p0
+    p0, p1 = QQ.certificate_prime(0)[0], QQ.certificate_prime(1)[0]
     primes = _count_primes(monkeypatch)
-    M = ExactMatrix(QQ, [[p, 1, 0], [0, 0, 1]])
-    assert nullspace_basis(M) == [(QQ.scalar(Fraction(-1, p)), QQ.one, QQ.zero)]
+    M = ExactMatrix(QQ, [[p0, 1, 0], [0, 0, 1]])
+    assert nullspace_basis(M) == [(QQ.scalar(Fraction(-1, p0)), QQ.one, QQ.zero)]
+    assert primes[0] == 2
+    # prime 1 divides the pivot p1, so its pivots come after prime 0's and
+    # it is dropped; -1/p1, with p1 above the square root of half of p0
+    # times prime 2, needs prime 3 as well
+    primes[0] = 0
+    M = ExactMatrix(QQ, [[p1, 1, 0], [0, 0, 1]])
+    assert nullspace_basis(M) == [(QQ.scalar(Fraction(-1, p1)), QQ.one, QQ.zero)]
     assert primes[0] == 4
-    # over Q(zeta_n): zeta - w vanishes at the first prime's root w and at
+    # over Q(zeta_n): zeta - w vanishes at prime 0's first root w and at
     # no other root, so that prime's roots disagree on the pivots
     for n in (3, 5, 12):
         field = make_field("cyclotomic", n)
@@ -553,7 +569,7 @@ def test_certificate_survives_a_prime_dividing_the_pivot_minor(monkeypatch):
         (w,) = images[0](field.clear_denominators([zeta])[0])
         rows = [[zeta - w, field.one]]
         integral = poly._integral_rows(rows, field)
-        found = [poly._kernel_mod([image(r) for r in integral], 2, p)[0] for image in images]
+        found = [[c for c, _ in _packed_echelon([image(r) for r in integral], 2, p)[0]] for image in images]
         assert found == [[1]] + [[0]] * (len(images) - 1)
         primes[0] = 0
         assert nullspace_basis(ExactMatrix(field, rows)) == [
@@ -661,8 +677,8 @@ def test_rank_matches_sympy_over_q():
         assert poly.rank_of_fraction_rows(fractions, len(rows[0])) == expected
 
 
-def _full_rank_mod_reference(residues, ncols, p):
-    """Plain Gaussian elimination mod p on lists: is the rank min(m, n)?"""
+def _rank_mod_reference(residues, ncols, p):
+    """Plain Gaussian elimination mod p on lists, with row swaps: the rank."""
     rows = [list(r) for r in residues]
     rank = 0
     for c in range(ncols):
@@ -675,49 +691,112 @@ def _full_rank_mod_reference(residues, ncols, p):
             f = rows[i][c] * inv % p
             rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
-    return rank == min(len(rows), ncols)
+    return rank
+
+
+def _forward_reference(residues, ncols, p):
+    """Plain forward elimination mod p on lists: each row reduced against
+    the echelon rows so far, in order, and kept, scaled to pivot 1, if it
+    is nonzero.  The echelon as (pivot column, residues) pairs, and the
+    number of echelon rows after each row."""
+    echelon, sizes = [], []
+    for row in residues:
+        row = list(row)
+        for c, e in echelon:
+            f = row[c]
+            row = [(x - f * y) % p for x, y in zip(row, e)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            inv = pow(row[c], -1, p)
+            echelon.append((c, [x * inv % p for x in row]))
+        sizes.append(len(echelon))
+    return echelon, sizes
 
 
 def test_packed_rank_mod_p_matches_plain_elimination():
+    # the one forward elimination, in the 8-byte slots of prime 0 and the
+    # wide slots of a prime below 2^62, against plain elimination on lists
     rng = random.Random("packed-residues")
     verdicts = set()
     for field in (QQ, make_field("cyclotomic", 5)):
-        p, _ = field.residue_map()
-        for _ in range(150):
-            m, n = rng.randint(0, 30), rng.randint(0, 30)
-            kind = rng.choice(("random", "large", "deficient"))
-            if kind == "deficient":
-                # rank at most k < min(m, n) mod p
-                k = rng.randint(0, max(0, min(m, n) - 1))
-                A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
-                B = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-                rows = [[sum(a * b for a, b in zip(r, col)) % p for col in zip(*B)] or [0] * n for r in A]
-            else:
-                # "large": residues near p - 1, the largest slot growth
-                low = p - 3 if kind == "large" else 0
-                rows = [[rng.randrange(low, p) for _ in range(n)] for _ in range(m)]
-            expected = _full_rank_mod_reference(rows, n, p)
-            verdicts.add(expected)
-            assert poly._full_rank_mod([list(r) for r in rows], n, p) == expected, (kind, m, n)
+        for k in (0, 1):
+            p = field.certificate_prime(k)[0]
+            for _ in range(25):
+                m, n = rng.randint(0, 60), rng.randint(0, 60)
+                kind = rng.choice(("random", "large", "deficient"))
+                if kind == "deficient":
+                    # rank at most r < min(m, n) mod p
+                    r = rng.randint(0, max(0, min(m, n) - 1))
+                    A = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
+                    B = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+                    rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] or [0] * n for row in A]
+                else:
+                    # "large": residues near p - 1, the largest slot growth
+                    low = p - 3 if kind == "large" else 0
+                    rows = [[rng.randrange(low, p) for _ in range(n)] for _ in range(m)]
+                expected, sizes = _forward_reference(rows, n, p)
+                rank = _rank_mod_reference(rows, n, p)
+                assert len(expected) == rank, (kind, m, n)
+                echelon, packed_sizes = _packed_echelon(rows, n, p)
+                assert echelon == expected, (kind, m, n)
+                # every row is reduced, up to the one that completes n pivots
+                done = m if rank < n else sizes.index(n) + 1 if n else 0
+                assert packed_sizes == sizes[:done]
+                # the full-rank test stops once full rank is out of reach
+                full = min(m, n)
+                stopped, _ = _packed_echelon(rows, n, p, m - full)
+                assert stopped == expected[: len(stopped)]
+                assert (len(stopped) == full) == (rank == full)
+                verdicts.add(rank == full)
     assert verdicts == {True, False}
 
 
 def test_rank_below_full_mod_p_is_decided_exactly(monkeypatch):
     calls = _count_calls(monkeypatch, poly, "_certify")
-    p, _ = QQ.residue_map()
-    # the residues of [[p, 0], [0, 1]] have rank 1, the matrix rank 2
+    p = QQ.certificate_prime(0)[0]
+    # the residues of [[p, 0], [0, 1]] mod prime 0 have rank 1, the matrix rank 2
     assert poly.rank_of_fraction_rows([[p, 0], [0, 1]], 2) == 2
     assert exact_rank(ExactMatrix(QQ, [[p, 0], [0, 1]])) == 2
     assert calls[0] == 2
     for field in RANK_FIELDS[1:]:
         calls[0] = 0
-        _, image = field.residue_map()
+        image = field.certificate_prime(0)[1][0]
         zeta = primitive_root(field)
         (omega,) = image(field.clear_denominators([zeta])[0])
         # zeta - omega has residue 0, but it is nonzero: zeta is not rational
         assert image(field.clear_denominators([zeta - omega])[0]) == [0]
         assert exact_rank(ExactMatrix(field, [[zeta - omega]])) == 1
         assert calls[0] == 1
+
+
+def test_rank_drop_is_eliminated_once_per_prime_and_root(monkeypatch):
+    # the 15 x 15 conditions matrix of the example plus a general triple
+    # point drops rank; its full-rank test mod prime 0 is the first step of
+    # its certificate, so each (prime, root) pair reduces each row once
+    Z = example_quartic_config()
+    P = GeneralPointStrategy().sample_point(QQ, 0)
+    M = conditions_matrix(FatPointScheme.of(Z, (P, 3)), 4)
+    assert (M.nrows, M.ncols) == (15, 15)
+    forward = poly._forward
+    reduced, primes = [0], set()
+    certificate_prime = Field.certificate_prime
+
+    def counted_forward(residues, ncols, p, echelon, sizes, slack):
+        before = len(sizes)
+        forward(residues, ncols, p, echelon, sizes, slack)
+        reduced[0] += len(sizes) - before
+
+    def counted_prime(field, k):
+        primes.add((field, k))
+        return certificate_prime(field, k)
+
+    monkeypatch.setattr(poly, "_forward", counted_forward)
+    monkeypatch.setattr(Field, "certificate_prime", counted_prime)
+    with poly.shared_certificates():
+        assert exact_rank(M) == 14
+    pairs = sum(len(certificate_prime(field, k)[1]) for field, k in primes)
+    assert len(primes) > 1
+    assert reduced[0] == 15 * pairs
 
 
 def test_shared_certificates_resume_after_a_shared_prefix(monkeypatch):
