@@ -177,9 +177,10 @@ class Field:
         Over Q, all-int input comes back as it is, with den 1.
         """
         if self.degree == 1:
-            fr = [x.coeffs[0] if isinstance(x, Scalar) else x for x in values]
-            if all(type(x) is int for x in fr):
+            fr = list(values)
+            if set(map(type, fr)) <= {int}:
                 return fr, 1
+            fr = [x.coeffs[0] if isinstance(x, Scalar) else x for x in fr]
             den = lcm(*[x.denominator for x in fr])
             return [x.numerator * (den // x.denominator) for x in fr], den
         vectors = [self.scalar(x).coeffs for x in values]

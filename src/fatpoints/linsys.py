@@ -11,14 +11,17 @@ One builder makes every condition row, straight from a homogeneous
 coordinate triple x of the point: the row of the derivative order
 (a_u, a_v) holds falling(e_u, a_u) * falling(e_v, a_v) * x^(e - a) in the
 column of each monomial x^e.  Its entries live in the triple's own ring:
-ints for the primitive integer triple of a rational point, Scalars over
-Q(zeta_n), and parameter polynomials for the general point [a, b, 1].
+ints for the primitive integer triple of a rational point, int tuples over
+Q(zeta_n), the power-basis coordinates of the point's Scalars times a
+common denominator (multiplied by Field.mul), and parameter polynomials
+for the general point [a, b, 1].  So a conditions matrix over a field is
+integral as built, and no Scalar is made on the way to its rank.
 Dividing the row by the nonzero scalar x_c^(d - a_u - a_v) gives the
 derivative row in the affine chart x_c = 1, so the row space, the ranks,
 the RREF nullspace bases and every witness are those of the chart rows.
 Which columns are nonzero, with which coefficient and which power of x,
 depends only on d, m and the chart c, so that pattern is built once per
-(d, m, c) and each point only fills in its powers.
+(d, m, c) and each point only fills in the values of its monomials.
 
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.
@@ -26,6 +29,7 @@ forms in the fixed graded-lex monomial order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -50,7 +54,7 @@ class BaseLocusError(ValueError):
 class FatPointScheme:
     """Formal sum m1*P1 + ... + mr*Pr of distinct points with multiplicities."""
 
-    __slots__ = ("field", "parts")
+    __slots__ = ("field", "parts", "_cleared")
 
     def __init__(self, field: Field, parts):
         norm = []
@@ -68,6 +72,10 @@ class FatPointScheme:
             norm.append((p, m))
         self.field = field
         self.parts = tuple(norm)
+        # over Q(zeta_n) the points' integral coordinates are cleared once,
+        # for every conditions matrix of the scheme; over Q _row_triple is
+        # only a sign
+        self._cleared = None if field.degree == 1 else [(_row_triple(p), m) for p, m in norm]
 
     @classmethod
     def of(cls, Z: PointConfiguration, *extra) -> "FatPointScheme":
@@ -93,7 +101,8 @@ class FatPointScheme:
 
 def _chart_index(coords) -> int:
     for i in (2, 1, 0):
-        if coords[i]:
+        c = coords[i]
+        if any(c) if type(c) is tuple else c:
             return i
     raise AssertionError("unreachable: zero point")
 
@@ -115,14 +124,18 @@ def _falling(e: int, k: int) -> int:
 
 
 def _row_triple(p: ProjectivePoint) -> tuple:
-    """Coordinates the rows of p are built from: its stored triple.
+    """The integral coordinates the rows of p are built from.
 
     Over Q that is the primitive integer triple, negated when its chart
     coordinate is negative, so that the chart coordinate is positive; over
-    Q(zeta_n) the stored Scalars.
+    Q(zeta_n) the Field.clear_denominators coordinates of the stored Scalar
+    triple, int tuples in the power basis: the triple times a nonzero
+    integer.
     """
     t = p.triple
-    if p.field.degree == 1 and t[_chart_index(t)] < 0:
+    if p.field.degree != 1:
+        return tuple(p.field.clear_denominators(t)[0])
+    if t[_chart_index(t)] < 0:
         return (-t[0], -t[1], -t[2])
     return t
 
@@ -130,52 +143,86 @@ def _row_triple(p: ProjectivePoint) -> tuple:
 @lru_cache(maxsize=64)
 def _row_templates(d: int, m: int, chart: int) -> tuple:
     """The condition rows of an m-fold point in chart c at degree d, one per
-    derivative order (a_u, a_v), as the entries (column of x^e,
-    falling(e_u, a_u) * falling(e_v, a_v), the exponents of x^(e - a)) of
-    its nonzero columns."""
+    derivative order (a_u, a_v), as (t, entries): the degree t = d - a_u -
+    a_v of the monomials x^(e - a) the row is made of, and for each
+    nonzero column the entry (column of x^e, falling(e_u, a_u) *
+    falling(e_v, a_v), index of e - a in monomial_basis(t))."""
     u, v = [i for i in range(3) if i != chart]
     templates = []
     for au, av in _derivative_orders(m):
+        t = d - au - av
         entries = []
         for col, e in enumerate(monomial_basis(d)):
             if e[u] >= au and e[v] >= av:
                 e2 = list(e)
                 e2[u] -= au
                 e2[v] -= av
-                entries.append((col, _falling(e[u], au) * _falling(e[v], av), *e2))
-        templates.append(tuple(entries))
+                coef = _falling(e[u], au) * _falling(e[v], av)
+                entries.append((col, coef, monomial_basis(t).index(tuple(e2))))
+        templates.append((t, tuple(entries)))
     return tuple(templates)
 
 
-def _condition_rows(parts, d: int) -> list:
+def _scale(x: tuple, c: int) -> tuple:
+    return x if c == 1 else tuple([c * t for t in x])
+
+
+def _condition_rows(parts, d: int, mul=None) -> list:
     """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
 
-    Each point's entries stay in the ring of its triple: every nonzero
-    entry is a product from the point's power table, by _row_templates.
+    Each point's entries stay in the ring of its triple, by the ring's
+    product: mul, the Field.mul of Q(zeta_n), for a triple of int tuples,
+    and * for ints, Scalars and parameter polynomials.  The values at the
+    point of the monomials of each degree t are taken once, from its power
+    table: the row of derivative order 0 is those of degree d, and every
+    other row scales them into place by _row_templates.
     """
     ncols = comb(d + 2, 2)
+    times = operator.mul if mul is None else mul
+    scale = operator.mul if mul is None else _scale
     rows = []
     for coords, m in parts:
         chart = _chart_index(coords)
-        one = coords[chart] ** 0
-        zero = 0 * one
+        if mul is None:
+            one = coords[chart] ** 0
+            zero = 0 * one
+        else:
+            zero = (0,) * len(coords[chart])
+            one = (1,) + zero[1:]
         powers = []
         for c in coords:
             row = [one]
             for _ in range(d):
-                row.append(row[-1] * c)
+                row.append(times(row[-1], c))
             powers.append(row)
         px, py, pz = powers
-        for entries in _row_templates(d, m, chart):
+        values = {}  # degree t -> the values of monomial_basis(t) at the point
+        for t, entries in _row_templates(d, m, chart):
+            if not entries:  # a derivative order above d
+                rows.append([zero] * ncols)
+                continue
+            if t not in values:
+                if mul is None:
+                    values[t] = [px[i] * py[j] * pz[k] for i, j, k in monomial_basis(t)]
+                else:
+                    values[t] = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
+            monomials = values[t]
+            if t == d:  # derivative order 0
+                rows.append(monomials)
+                continue
             row = [zero] * ncols
-            for col, coef, i, j, k in entries:
-                row[col] = px[i] * py[j] * pz[k] * coef
+            for col, coef, i in entries:
+                row[col] = scale(monomials[i], coef)
             rows.append(row)
     return rows
 
 
 def _scheme_rows(X: FatPointScheme, d: int) -> list:
-    return _condition_rows([(_row_triple(p), m) for p, m in X.parts], d)
+    """The integral condition rows of X: ints over Q, int tuples over
+    Q(zeta_n)."""
+    if X._cleared is None:
+        return _condition_rows([(_row_triple(p), m) for p, m in X.parts], d)
+    return _condition_rows(X._cleared, d, X.field.mul)
 
 
 def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
@@ -186,7 +233,7 @@ def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return ExactMatrix(X.field, _scheme_rows(X, d))
+    return ExactMatrix.from_integral(X.field, _scheme_rows(X, d))
 
 
 def system_dimension(X: FatPointScheme, d: int) -> int:
@@ -310,6 +357,8 @@ def symbolic_conditions_matrix(
     """
     if ring is None:
         ring = ParamRing(Z.field)
-    parts = [(_row_triple(p), 1) for p in Z.points]
+    # over Q(zeta_n) the rows of Z are built from the Scalar triples, which
+    # the parameter ring takes in
+    parts = [(_row_triple(p) if Z.field.degree == 1 else p.triple, 1) for p in Z.points]
     parts.append(((ring.a, ring.b, ring.one), j))
     return ExactMatrix(ring, _condition_rows(parts, d))

@@ -4,8 +4,10 @@ Monomials of each degree d live in a fixed graded-lexicographic order with
 x > y > z; coefficient vectors (length C(d+2,2)) in that order are part of
 the external contract, so reports are reproducible bit for bit.
 
-Rows are first scaled to integer (or cyclotomic-integer) coordinates.
-Every rank and every nullspace basis is then read off one sequence of
+An ExactMatrix over a field holds its rows as integer (or
+cyclotomic-integer) coordinates, each row a nonzero multiple of its Scalar
+row: conditions matrices are built that way, and other rows are scaled
+once.  Every rank and every nullspace basis is then read off one sequence of
 primes p = 1 (mod n), Field.certificate_prime(k), and one packed forward
 elimination mod p (_forward), run once per root of Phi_n mod p: a ring map
 Z[zeta_n] -> Z/p.  The image of a minor is the minor of the image, so
@@ -439,12 +441,34 @@ def evaluate(f: Form, point) -> object:
 
 
 class ExactMatrix:
-    """Immutable rectangular matrix over a Field (or ParamRing, symbolic)."""
+    """Immutable rectangular matrix over a Field (or ParamRing, symbolic).
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    Over a Field the matrix holds the integral coordinates of its rows
+    (_integral_rows: each row times a nonzero constant, so the row space is
+    the same), and ranks and kernels read those.  A matrix built from
+    values coerces them to ring elements, keeps them as its rows and clears
+    their denominators once, when a rank or kernel first needs them; one
+    built from_integral derives its Scalar rows on the first read of rows.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "_rows", "_integral")
 
     def __init__(self, ring, rows):
-        rows = tuple([tuple([ring.coerce(e) for e in row]) for row in rows])
+        self._rows = tuple([tuple([ring.coerce(e) for e in row]) for row in rows])
+        self._integral = None
+        self._shape(ring, self._rows)
+
+    @classmethod
+    def from_integral(cls, field: Field, rows) -> "ExactMatrix":
+        """The matrix whose rows are the Scalars with these integral
+        coordinates (Field.from_integral): a list of rows of ints over Q,
+        of int tuples over Q(zeta_n), held as they are."""
+        M = object.__new__(cls)
+        M._rows, M._integral = None, rows
+        M._shape(field, rows)
+        return M
+
+    def _shape(self, ring, rows) -> None:
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -454,7 +478,20 @@ class ExactMatrix:
         self.ring = ring
         self.nrows = len(rows)
         self.ncols = w
-        self.rows = rows
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            from_integral = self.ring.from_integral
+            self._rows = tuple(tuple(from_integral(row)) for row in self._integral)
+        return self._rows
+
+    def integral_rows(self) -> list:
+        """The integral coordinates of the rows of a matrix over a Field, as
+        _integral_rows gives them."""
+        if self._integral is None:
+            self._integral = _integral_rows(self._rows, self.ring)
+        return self._integral
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
@@ -897,7 +934,7 @@ def exact_rank(M: ExactMatrix) -> int:
     case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
-    return _rank(_integral_rows(M.rows, M.ring), M.ncols, M.ring)
+    return _rank(M.integral_rows(), M.ncols, M.ring)
 
 
 def rank_of_fraction_rows(rows, ncols: int) -> int:
@@ -919,7 +956,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    _, kernel = _certificate(_integral_rows(M.rows, field), M.ncols, field)
+    _, kernel = _certificate(M.integral_rows(), M.ncols, field)
     return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 

@@ -95,8 +95,13 @@ def _certified_dim(Z: PointConfiguration, j: int, d: int) -> int:
     return comb(d + 2, 2) - cert.rank
 
 
+@shared_certificates()  # each sample's elimination resumes after the rows of Z
 def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY) -> int:
-    """The generic value of dim I(Z + jP)_d: certified, or the sampled minimum."""
+    """The generic value of dim I(Z + jP)_d: certified, or the sampled minimum.
+
+    m(j), the splitting type and the semistability gate all take their
+    sample ranks here.
+    """
     if j < 0:
         raise ValueError("multiplicity must be nonnegative")
     if j == 0:

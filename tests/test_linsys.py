@@ -372,6 +372,21 @@ def test_condition_rows_match_the_reference_loop():
     # several points of one ring in one call, as a scheme gives them
     parts = [(t, m) for t, m in zip(triples[:3], (4, 1, 2))]
     assert _condition_rows(parts, 6) == _reference_condition_rows(parts, 6)
+    # integral coordinates over Q(zeta_5), multiplied by Field.mul: the rows
+    # of the Scalars with those coordinates, as int tuples
+    cleared = [tuple(f5.clear_denominators(t)[0]) for t in triples[3:6]]
+    assert [_chart_index(t) for t in cleared] == [2, 1, 0]
+    for t in cleared:
+        for m in range(1, 5):
+            for d in range(8):
+                rows = _condition_rows([(t, m)], d, f5.mul)
+                expected = _reference_condition_rows([(tuple(f5.from_integral(t)), m)], d)
+                assert [f5.from_integral(r) for r in rows] == expected, (t, m, d)
+                assert all(type(x) is tuple for r in rows for x in r)
+    parts = [(t, m) for t, m in zip(cleared, (4, 1, 2))]
+    expected = [f5.clear_denominators(r)[0] for r in _reference_condition_rows(
+        [(tuple(f5.from_integral(t)), m) for t, m in parts], 6)]
+    assert _condition_rows(parts, 6, f5.mul) == expected
 
 
 def test_symbolic_rows_of_non_integer_family_stay_integral():

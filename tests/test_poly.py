@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import fatpoints.linsys as linsys
 import fatpoints.poly as poly
 from fatpoints import (
     ExactMatrix,
@@ -491,12 +492,64 @@ def test_cyclotomic_kernel_check_rejects_corrupted_products(monkeypatch):
     assert primes[0] == poly._prime_budget(rows, f3) + 1
 
 
-def _dual_fermat_sample(n, d):
-    """Conditions matrix of the dual Fermat F_n plus a (d-1)-fold sample
-    point, at degree d: the rank drops of the paper's Fermat range."""
+def _dual_fermat_scheme(n, d):
+    """The dual Fermat F_n plus a (d-1)-fold sample point, whose conditions
+    at degree d give the rank drops of the paper's Fermat range."""
     Z = dual_fermat(n)
     P = GeneralPointStrategy().sample_point(Z.field, 0)
-    return conditions_matrix(FatPointScheme.of(Z, (P, d - 1)), d)
+    return FatPointScheme.of(Z, (P, d - 1))
+
+
+def _dual_fermat_sample(n, d):
+    """Conditions matrix of _dual_fermat_scheme(n, d) at degree d."""
+    return conditions_matrix(_dual_fermat_scheme(n, d), d)
+
+
+def test_cyclotomic_conditions_build_no_scalars(monkeypatch):
+    # the rows over Q(zeta_5) are integral from the points' coordinates on:
+    # neither a Scalar product nor a cleared denominator on the way to the
+    # rank of dual F5 with a 6-fold point at degree 7
+    X = _dual_fermat_scheme(5, 7)
+    field = X.field
+    products = _count_calls(monkeypatch, Scalar, "__mul__")
+    reflected = _count_calls(monkeypatch, Scalar, "__rmul__")
+    cleared = _count_calls(monkeypatch, Field, "clear_denominators")
+    M = conditions_matrix(X, 7)
+    assert linsys.system_dimension(X, 7) == 1
+    assert exact_rank(M) == 35
+    assert (products[0], reflected[0], cleared[0]) == (0, 0, 0)
+    # Scalar rows are derived on read, and clear back to the integral rows
+    assert all(type(x) is Scalar and x.field == field for row in M.rows for x in row)
+    assert poly._integral_rows(M.rows, field) == M.integral_rows()
+    # a matrix built from Scalars keeps the rows it was given
+    given = tuple(tuple(x * field.from_coeffs([Fraction(1, 3), 2]) for x in row) for row in M.rows)
+    assert ExactMatrix(field, given).rows == given
+
+
+def test_non_integral_cyclotomic_points_match_gauss_jordan():
+    # points whose coordinates have denominators and zeta-parts: their rows
+    # are built from cleared coordinates, a nonzero multiple of the Scalar
+    # rows, so ranks and RREF kernels are those of the Scalar rows
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    P1 = (Fraction(1, 2) + z / 3, Fraction(5, 7), 1)
+    P2 = (Fraction(-3, 4), 1 - z * z / 5, Fraction(2, 9))
+    P3 = (Fraction(1, 6), z / 11, 0)
+    P4 = (z**3 / 8, Fraction(7, 3), z + Fraction(1, 2))
+    for parts in ([(P1, 2), (P2, 2)], [(P1, 2), (P2, 1), (P3, 1), (P4, 3)]):
+        X = FatPointScheme(f5, parts)
+        assert any(c.denominator > 1 for p, _ in X.parts for x in p.triple for c in x.coeffs)
+        for d in range(1, 5):
+            M = conditions_matrix(X, d)
+            assert all(type(x) is Scalar and x.field == f5 for row in M.rows for x in row)
+            expected = _gauss_jordan_kernel(M.rows, M.ncols, f5)
+            assert exact_rank(M) == M.ncols - len(expected)
+            assert nullspace_basis(M) == [tuple(v) for v in expected]
+            # the same kernel from rows built on the stored Scalar triples
+            scalar_rows = linsys._condition_rows([(p.triple, m) for p, m in X.parts], d)
+            assert _gauss_jordan_kernel(scalar_rows, M.ncols, f5) == expected
+    # the double line through P1 and P2 drops the rank at d = 2
+    assert exact_rank(conditions_matrix(FatPointScheme(f5, [(P1, 2), (P2, 2)]), 2)) == 5
 
 
 def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):

@@ -231,6 +231,35 @@ def test_rank_drops_of_the_example_share_certificates(monkeypatch):
     assert second.to_dict() == first.to_dict()
 
 
+def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
+    # the example at j = 3, d = 4: each of the three samples drops rank, and
+    # its 15 x 15 rank takes two primes.  Taken alone, a sample's rank
+    # reduces its 15 rows for the full-rank test and again for each prime of
+    # its certificate, 45 rows.  generic_dim, and with it m(j), the
+    # splitting type and the gate, runs in one shared_certificates block:
+    # the certificate resumes the full-rank test, and the later samples
+    # resume after the 9 rows of Z, so they reduce only their 6 rows of P
+    # per prime: 30 + 12 + 12 rows
+    forward = poly._forward
+    reduced = [0]
+
+    def counted(residues, ncols, p, echelon, sizes, slack):
+        before = len(sizes)
+        forward(residues, ncols, p, echelon, sizes, slack)
+        reduced[0] += len(sizes) - before
+
+    monkeypatch.setattr(poly, "_forward", counted)
+    Z = example_quartic_config()
+    assert generic_dim(Z, 3, 4) == 1
+    assert reduced[0] == 54
+    reduced[0] = 0
+    assert multiplicity_dim(Z, 3) == 1
+    assert reduced[0] == 54
+    reduced[0] = 0
+    assert generic_dim.__wrapped__(Z, 3, 4) == 1  # outside any block
+    assert reduced[0] == 3 * 45
+
+
 def test_semicontinuity_of_samples():
     Z = example_quartic_config()
     rep = detect_unexpected(Z, 4, GeneralPointStrategy(seed=5))
