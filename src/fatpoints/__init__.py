@@ -43,7 +43,6 @@ from .geom import (
     dual_points,
     dualize,
     frame_transform,
-    in_general_position,
     line_through,
     meet,
     projective_equivalent,

@@ -132,12 +132,6 @@ class ProjectiveLine(_Homogeneous):
     __slots__ = ()
     _brackets = "<>"
 
-    def contains(self, p: ProjectivePoint) -> bool:
-        s = self.field.zero
-        for a, x in zip(self.coeffs, p.coeffs):
-            s = s + a * x
-        return s.is_zero()
-
 
 def _cross(u, v):
     return (
@@ -394,19 +388,6 @@ def frame_transform(src, dst):
     Ms = _frame_matrix([p.coeffs for p in src])
     Md = _frame_matrix([p.coeffs for p in dst])
     return mat3_mul(Md, mat3_adjugate(Ms))
-
-
-def in_general_position(points) -> bool:
-    """No three of the given points collinear."""
-    pts = list(points)
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                d = mat3_det((pts[i].coeffs, pts[j].coeffs, pts[k].coeffs))
-                if d.is_zero():
-                    return False
-    return True
 
 
 def _general_quadruple(stats: LineStats, quad) -> bool:

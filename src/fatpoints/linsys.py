@@ -24,7 +24,11 @@ depends only on d, m and the chart c, so that pattern is built once per
 (d, m, c) and each point only fills in the values of its monomials.
 
 The nullspace of the conditions matrix is the system itself, reported as
-forms in the fixed graded-lex monomial order.
+forms in the fixed graded-lex monomial order.  A conditions matrix has
+C(d+2, 2) columns even with no rows, so the empty scheme's system is every
+form of degree d.  The symbolic conditions matrix of Z + jP, P = [a, b, 1],
+reads the rows of Z from Z's own integral conditions matrix and builds only
+the rows of P.
 """
 
 from __future__ import annotations
@@ -233,7 +237,7 @@ def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return ExactMatrix.from_integral(X.field, _scheme_rows(X, d))
+    return ExactMatrix.from_integral(X.field, _scheme_rows(X, d), comb(d + 2, 2))
 
 
 def system_dimension(X: FatPointScheme, d: int) -> int:
@@ -241,8 +245,6 @@ def system_dimension(X: FatPointScheme, d: int) -> int:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     ncols = comb(d + 2, 2)
-    if not X.parts:
-        return ncols
     if X.field.degree == 1:
         return ncols - rank_of_fraction_rows(_scheme_rows(X, d), ncols)
     return ncols - exact_rank(conditions_matrix(X, d))
@@ -274,23 +276,10 @@ def dim_linear_system(X: FatPointScheme, d: int) -> LinearSystemReport:
     """Exact dimension of I(X)_d with virtual/expected bookkeeping."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    ncols = comb(d + 2, 2)
-    vdim = ncols - X.condition_count()
+    vdim = comb(d + 2, 2) - X.condition_count()
     edim = max(vdim, 0)
-    M = conditions_matrix(X, d)
-    if M.nrows == 0:
-        basis_vecs = []
-        eye = X.field.one
-        zero = X.field.zero
-        for c in range(ncols):
-            v = [zero] * ncols
-            v[c] = eye
-            basis_vecs.append(tuple(v))
-        dim = ncols
-    else:
-        basis_vecs = nullspace_basis(M)
-        dim = len(basis_vecs)
-    forms = tuple(Form(X.field, d, vec) for vec in basis_vecs)
+    forms = tuple(Form(X.field, d, vec) for vec in nullspace_basis(conditions_matrix(X, d)))
+    dim = len(forms)
     return LinearSystemReport(
         degree=d, vdim=vdim, edim=edim, dim=dim, special=(dim > edim), basis=forms
     )
@@ -352,13 +341,11 @@ def symbolic_conditions_matrix(
 ) -> ExactMatrix:
     """Conditions matrix of Z + j*P at degree d with P = [a, b, 1] symbolic.
 
-    Rows for the points of Z are constant; rows for the general point are
-    polynomials in the parameters a, b.
+    Rows for the points of Z are constant, the rows of Z's own conditions
+    matrix; rows for the general point are polynomials in the parameters
+    a, b.
     """
     if ring is None:
         ring = ParamRing(Z.field)
-    # over Q(zeta_n) the rows of Z are built from the Scalar triples, which
-    # the parameter ring takes in
-    parts = [(_row_triple(p) if Z.field.degree == 1 else p.triple, 1) for p in Z.points]
-    parts.append(((ring.a, ring.b, ring.one), j))
-    return ExactMatrix(ring, _condition_rows(parts, d))
+    general = _condition_rows([((ring.a, ring.b, ring.one), j)], d)
+    return ExactMatrix(ring, [*conditions_matrix(FatPointScheme.of(Z), d).rows, *general])

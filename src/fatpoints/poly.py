@@ -441,14 +441,16 @@ def evaluate(f: Form, point) -> object:
 
 
 class ExactMatrix:
-    """Immutable rectangular matrix over a Field (or ParamRing, symbolic).
+    """Immutable nrows x ncols matrix over a Field (or ParamRing, symbolic).
 
     Over a Field the matrix holds the integral coordinates of its rows
     (_integral_rows: each row times a nonzero constant, so the row space is
     the same), and ranks and kernels read those.  A matrix built from
     values coerces them to ring elements, keeps them as its rows and clears
-    their denominators once, when a rank or kernel first needs them; one
-    built from_integral derives its Scalar rows on the first read of rows.
+    their denominators once, when a rank or kernel first needs them; its
+    width is that of its rows, 0 when it has none.  One built from_integral
+    is given its width, so it may have no rows and still ncols columns, and
+    derives its Scalar rows on the first read of rows.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "_rows", "_integral")
@@ -456,28 +458,26 @@ class ExactMatrix:
     def __init__(self, ring, rows):
         self._rows = tuple([tuple([ring.coerce(e) for e in row]) for row in rows])
         self._integral = None
-        self._shape(ring, self._rows)
+        self._shape(ring, self._rows, len(self._rows[0]) if self._rows else 0)
 
     @classmethod
-    def from_integral(cls, field: Field, rows) -> "ExactMatrix":
-        """The matrix whose rows are the Scalars with these integral
-        coordinates (Field.from_integral): a list of rows of ints over Q,
-        of int tuples over Q(zeta_n), held as they are."""
+    def from_integral(cls, field: Field, rows, ncols: int) -> "ExactMatrix":
+        """The len(rows) x ncols matrix whose rows are the Scalars with these
+        integral coordinates (Field.from_integral): a list of rows of ncols
+        ints over Q, of ncols int tuples over Q(zeta_n), held as they are.
+        With no rows it is the zero-row matrix whose kernel is all of
+        K^ncols."""
         M = object.__new__(cls)
         M._rows, M._integral = None, rows
-        M._shape(field, rows)
+        M._shape(field, rows, ncols)
         return M
 
-    def _shape(self, ring, rows) -> None:
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged matrix")
-        else:
-            w = 0
+    def _shape(self, ring, rows, ncols: int) -> None:
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix")
         self.ring = ring
         self.nrows = len(rows)
-        self.ncols = w
+        self.ncols = ncols
 
     @property
     def rows(self) -> tuple:
@@ -684,27 +684,26 @@ def _back_substitute(echelon, ncols: int, p: int):
     return pivots, kernel
 
 
-def _eliminate(rows, ncols: int, p: int, image, key, slack: int) -> list:
+def _eliminate(rows, ncols: int, p: int, image, key, slack: int, shared: dict) -> list:
     """The _forward echelon of the image mod p of integral rows.
 
-    Inside a shared_certificates block the elimination is kept under key,
+    The elimination is kept in the store shared (_store) under key,
     (field, ncols, k, i) for the i-th root of Field.certificate_prime(k),
     and the next one under key resumes after the row prefix it shares with
-    this one, from copies of the echelon rows that prefix left: the
-    conditions matrix of each sample of a verdict starts with the rows of
-    Z, whose rank the verdict took first, and a certificate resumes where
-    the full-rank test of the same rows stopped.
+    this one, from copies of the echelon rows that prefix left: a
+    certificate resumes where the full-rank test of the same rows stopped,
+    and inside a shared_certificates block the conditions matrix of each
+    sample of a verdict starts with the rows of Z, whose rank the verdict
+    took first.
     """
-    shared = _shared.get()
     start, echelon, sizes = 0, [], []
-    if shared is not None and key in shared:
+    if key in shared:
         last, echelon, sizes = shared[key]
         while start < min(len(sizes), len(rows)) and rows[start] == last[start]:
             start += 1
         echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
     _forward((image(row) for row in rows[start:]), ncols, p, echelon, sizes, slack)
-    if shared is not None:
-        shared[key] = (rows, echelon, sizes)
+    shared[key] = (rows, echelon, sizes)
     return echelon
 
 
@@ -791,21 +790,21 @@ def _annihilates(rows, coords, f: int, pivots, field: Field) -> bool:
     return True
 
 
-def _certify(rows, ncols: int, field: Field):
+def _certify(rows, ncols: int, field: Field, shared: dict):
     """The RREF pivots and kernel of _integral_rows output, as a checked
     residue certificate: (pivots, kernel), kernel a list of (coords, den),
     the integral coordinates and common denominator of the basis vector of
     each free column, in order.
 
     For k = 0, 1, ... the rows are mapped to Z/p by each map of
-    Field.certificate_prime(k) and eliminated there (_eliminate, which
-    resumes the full-rank test of _rank at the first root of prime 0), and
-    back substitution gives the kernel mod p (_back_substitute).  Pivot
-    columns that are independent mod p are independent, as the image of
-    their minor is nonzero.  Reduction can only move pivots later, so a
-    prime is dropped when its roots disagree on the pivots or its pivots
-    fall after the best pivots so far, and better pivots restart the
-    collection.  Each prime's kernel residues are lifted to coordinates mod
+    Field.certificate_prime(k) and eliminated there (_eliminate, in the
+    store shared, so that it resumes the full-rank test of _rank at the
+    first root of prime 0), and back substitution gives the kernel mod p
+    (_back_substitute).  Pivot columns that are independent mod p are
+    independent, as the image of their minor is nonzero.  Reduction can
+    only move pivots later, so a prime is dropped when its roots disagree
+    on the pivots or its pivots fall after the best pivots so far, and
+    better pivots restart the collection.  Each prime's kernel residues are lifted to coordinates mod
     p (Field.certificate_prime's lift), combined with the earlier primes'
     by CRT and rationally reconstructed (_reconstruct).
 
@@ -828,7 +827,7 @@ def _certify(rows, ncols: int, field: Field):
         p, images, lift = field.certificate_prime(k)
         found = []
         for i, image in enumerate(images):
-            echelon = _eliminate(rows, ncols, p, image, (field, ncols, k, i), len(rows))
+            echelon = _eliminate(rows, ncols, p, image, (field, ncols, k, i), len(rows), shared)
             found.append(_back_substitute(echelon, ncols, p))
         pivots = found[0][0]
         if any(other != pivots for other, _ in found[1:]):
@@ -896,15 +895,18 @@ def shared_certificates():
         _shared.reset(token)
 
 
-def _certificate(rows, ncols: int, field: Field):
-    """_certify, or the certificate of the same rows from the enclosing
-    shared_certificates block."""
+def _store() -> dict:
+    """The store of the enclosing shared_certificates block, or a new one
+    that lasts for one rank or kernel."""
     shared = _shared.get()
-    if shared is None:
-        return _certify(rows, ncols, field)
+    return {} if shared is None else shared
+
+
+def _certificate(rows, ncols: int, field: Field, shared: dict):
+    """_certify, or the certificate of the same rows from the store."""
     key = ("certificate", field, ncols, tuple(map(tuple, rows)))
     if key not in shared:
-        shared[key] = _certify(rows, ncols, field)
+        shared[key] = _certify(rows, ncols, field, shared)
     return shared[key]
 
 
@@ -915,15 +917,17 @@ def _rank(rows, ncols: int, field: Field) -> int:
     (Field.certificate_prime), until full rank min(nrows, ncols) is out of
     reach.  The map is a ring homomorphism, so a maximal minor with a
     nonzero residue is nonzero: full rank of the residues proves full rank.
-    Otherwise the checked certificate (_certify) decides, and inside a
-    shared_certificates block its first elimination resumes this one.  A
-    residue rank is never returned below full rank.
+    Otherwise the checked certificate (_certify) decides, and its first
+    elimination resumes this one.  A residue rank is never returned below
+    full rank.
     """
+    shared = _store()
     p, images, _ = field.certificate_prime(0)
     full = min(len(rows), ncols)
-    if len(_eliminate(rows, ncols, p, images[0], (field, ncols, 0, 0), len(rows) - full)) == full:
+    echelon = _eliminate(rows, ncols, p, images[0], (field, ncols, 0, 0), len(rows) - full, shared)
+    if len(echelon) == full:
         return full
-    pivots, _ = _certificate(rows, ncols, field)
+    pivots, _ = _certificate(rows, ncols, field, shared)
     return len(pivots)
 
 
@@ -956,7 +960,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    _, kernel = _certificate(M.integral_rows(), M.ncols, field)
+    _, kernel = _certificate(M.integral_rows(), M.ncols, field, _store())
     return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 
@@ -1022,8 +1026,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             constant.append([e.terms.get((0, 0), field.zero) for e in row])
         else:
             parametric.append(row)
-    # the zero row keeps the column count when M has no constant rows
-    kernel = nullspace_basis(ExactMatrix(field, [*constant, [field.zero] * M.ncols]))
+    kernel = nullspace_basis(ExactMatrix.from_integral(field, _integral_rows(constant, field), M.ncols))
     rank_c = M.ncols - len(kernel)
     projected = [
         [sum((e * v[c] for c, e in enumerate(row) if e and v[c]), M.ring.zero) for v in kernel]

@@ -650,31 +650,31 @@ def check_families(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     return _judged("family-emptiness", {"instances": tested}, failures)
 
 
-# claim id -> runner(seed, sampled strategy, strategy of the certifiable
-# claims), in suite order
+# claim id -> runner(seed, general-point strategy), in suite order; the
+# claims in CERTIFIABLE_CLAIMS are given the certified strategy under certify
 CLAIM_RUNNERS = {
-    "hessian-certificate": lambda seed, s, c: check_hessian_certificate(),
-    "two-and-four-d3": lambda seed, s, c: check_two_and_four_corpus(3, 100, seed, s),
-    "two-and-four-d4": lambda seed, s, c: check_two_and_four_corpus(4, 100, seed, s),
-    "family-emptiness": lambda seed, s, c: check_families(c),
-    "cubic-nonexistence": lambda seed, s, c: check_cubic_nonexistence(500, seed + 1, s),
-    "dejonquieres": lambda seed, s, c: check_dejonquieres(),
-    "quartic-uniqueness-grid": lambda seed, s, c: search_uniqueness(
+    "hessian-certificate": lambda seed, s: check_hessian_certificate(),
+    "two-and-four-d3": lambda seed, s: check_two_and_four_corpus(3, 100, seed, s),
+    "two-and-four-d4": lambda seed, s: check_two_and_four_corpus(4, 100, seed, s),
+    "family-emptiness": lambda seed, s: check_families(s),
+    "cubic-nonexistence": lambda seed, s: check_cubic_nonexistence(500, seed + 1, s),
+    "dejonquieres": lambda seed, s: check_dejonquieres(),
+    "quartic-uniqueness-grid": lambda seed, s: search_uniqueness(
         SearchSpace(n=4, r=9, constraint="4-rich-line", seed=seed, limit=300),
         inject=(example_quartic_config(),),
         strategy=s,
     ),
-    "quartic-uniqueness-random": lambda seed, s, c: check_random_nine(200, seed + 2, s),
-    "superset-persistence": lambda seed, s, c: check_superset_persistence(c),
-    "fermat3-combinatorics": lambda seed, s, c: check_fermat3_combinatorics(),
-    "fermat3-no-unexpected": lambda seed, s, c: check_fermat3_no_unexpected(c),
-    "fermat5-degree7": lambda seed, s, c: check_fermat5_degree7(s),
-    "w5-splitting": lambda seed, s, c: check_w5_splitting(s),
-    "example-quartic-unexpected": lambda seed, s, c: check_example_unexpected(),
-    "example-double-point-basis": lambda seed, s, c: check_example_double_point(seed=seed + 3),
-    "example-splitting": lambda seed, s, c: check_example_splitting(s),
-    "example-equivalences": lambda seed, s, c: check_example_equivalences(),
-    "oracle-coherence": lambda seed, s, c: check_oracle_coherence(50, seed + 4),
+    "quartic-uniqueness-random": lambda seed, s: check_random_nine(200, seed + 2, s),
+    "superset-persistence": lambda seed, s: check_superset_persistence(s),
+    "fermat3-combinatorics": lambda seed, s: check_fermat3_combinatorics(),
+    "fermat3-no-unexpected": lambda seed, s: check_fermat3_no_unexpected(s),
+    "fermat5-degree7": lambda seed, s: check_fermat5_degree7(s),
+    "w5-splitting": lambda seed, s: check_w5_splitting(s),
+    "example-quartic-unexpected": lambda seed, s: check_example_unexpected(),
+    "example-double-point-basis": lambda seed, s: check_example_double_point(seed=seed + 3),
+    "example-splitting": lambda seed, s: check_example_splitting(s),
+    "example-equivalences": lambda seed, s: check_example_equivalences(),
+    "oracle-coherence": lambda seed, s: check_oracle_coherence(50, seed + 4),
 }
 
 SUITE_CLAIMS = tuple(CLAIM_RUNNERS)
@@ -695,10 +695,8 @@ def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[C
     point to the grid-certified mode; example-quartic-unexpected and
     oracle-coherence compare sampled against certified in every run.
     """
-    strategy = GeneralPointStrategy(seed=seed)
-    certified_strategy = (
-        GeneralPointStrategy(mode="certified", seed=seed) if certify else strategy
-    )
+    sampled = GeneralPointStrategy(seed=seed)
+    certified = GeneralPointStrategy(mode="certified", seed=seed) if certify else sampled
     if claims:
         unknown = set(claims) - set(CLAIM_RUNNERS)
         if unknown:
@@ -707,5 +705,6 @@ def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[C
     else:
         selected = SUITE_CLAIMS
     return [
-        run_timed(CLAIM_RUNNERS[c], seed, strategy, certified_strategy) for c in selected
+        run_timed(CLAIM_RUNNERS[c], seed, certified if c in CERTIFIABLE_CLAIMS else sampled)
+        for c in selected
     ]

@@ -29,7 +29,7 @@ from fatpoints import (
     projective_equivalent,
     random_config,
 )
-from fatpoints.geom import in_general_position, mat3_adjugate, mat3_det, mat3_mul, mat3_vec
+from fatpoints.geom import mat3_adjugate, mat3_det, mat3_mul, mat3_vec
 
 
 def P(*coords, field=QQ):
@@ -258,7 +258,9 @@ def test_apply_transform():
 
 
 def test_incidence_is_transform_invariant():
-    # a line l through p stays incident under (T, adj(T)^T)
+    # a line l through p stays incident under (T, adj(T)^T): the images of
+    # two points of l span the image of l, and a third point lies on l
+    # exactly when its image lies on the image line
     rng = random.Random("incid")
     for _ in range(30):
         T = tuple(
@@ -273,9 +275,13 @@ def test_incidence_is_transform_invariant():
         l = line_through(p, q)
         adjT = mat3_adjugate(T)
         l2 = ProjectiveLine(QQ, mat3_vec(tuple(zip(*adjT)), l.coeffs))
-        for pt, expect in ((p, True), (q, True), (P(9, 7, 1), l.contains(P(9, 7, 1)))):
-            image = ProjectivePoint(QQ, mat3_vec(T, pt.coeffs))
-            assert l2.contains(image) == expect
+
+        def image(pt):
+            return ProjectivePoint(QQ, mat3_vec(T, pt.coeffs))
+
+        assert line_through(image(p), image(q)) == l2
+        r = P(9, 7, 1)
+        assert (line_through(image(p), image(r)) == l2) == (line_through(p, r) == l)
 
 
 def test_frame_transform_examples():
@@ -300,8 +306,10 @@ def test_frame_transform_composition():
                 P(rng.randint(-6, 6), rng.randint(-6, 6), rng.choice([1, 1, 2]))
                 for _ in range(4)
             ]
-            if len(set(pts)) == 4 and in_general_position(pts):
-                return pts
+            if len(set(pts)) == 4:
+                # no three collinear: each of the six lines holds two points
+                if analyze_lines(PointConfiguration(QQ, pts)).histogram == {2: 6}:
+                    return pts
 
     def projectively_equal(A, B):
         # equal up to a scalar
@@ -375,7 +383,7 @@ def test_equivalence_witnesses_are_pinned():
 
 
 def test_collinearity_is_read_from_the_inventory(monkeypatch):
-    calls = {"line_through": 0, "contains": 0, "in_general_position": 0}
+    calls = {"line_through": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -385,19 +393,14 @@ def test_collinearity_is_read_from_the_inventory(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(geom, "line_through", counted("line_through", geom.line_through))
-    monkeypatch.setattr(
-        geom.ProjectiveLine, "contains", counted("contains", geom.ProjectiveLine.contains)
-    )
-    monkeypatch.setattr(
-        geom, "in_general_position", counted("in_general_position", geom.in_general_position)
-    )
     Z = example_quartic_config()
     analyze_lines(Z)
-    # every one of the C(9, 2) pairs is joined once, and nothing else is tested
-    assert calls == {"line_through": 36, "contains": 0, "in_general_position": 0}
+    # every one of the C(9, 2) pairs is joined once
+    assert calls == {"line_through": 36}
     image = apply_transform([[1, 2, 0], [0, 1, 1], [1, 0, 3]], Z)
     assert projective_equivalent(Z, image)[0]
-    assert calls["contains"] == calls["in_general_position"] == 0
+    # equivalence joins each configuration's pairs once, for its inventory
+    assert calls == {"line_through": 3 * 36}
 
 
 def test_rational_incidence_and_equivalence_make_no_scalar_arithmetic(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from fatpoints import (
     BaseLocusError,
+    ExactMatrix,
     FatPointScheme,
     Form,
     ProjectivePoint,
@@ -16,9 +17,11 @@ from fatpoints import (
     conditions_matrix,
     dim_linear_system,
     evaluate,
+    exact_rank,
     example_quartic_config,
     family,
     make_field,
+    nullspace_basis,
     partial_derivative,
     random_config,
     rational_map_image,
@@ -77,12 +80,29 @@ def test_dim_examples():
     P = _point(7, 3, 1)
     rep = dim_linear_system(FatPointScheme.of(Z, (P, 2)), 4)
     assert rep.dim == 3
-    # the empty scheme imposes nothing: every conic, with the identity basis
-    rep = dim_linear_system(FatPointScheme(QQ, []), 2)
-    assert (rep.vdim, rep.dim, rep.special) == (6, 6, False)
-    assert [f.coeffs for f in rep.basis] == [
-        tuple(QQ.one if i == k else QQ.zero for i in range(6)) for k in range(6)
-    ]
+
+
+def test_empty_scheme_imposes_nothing():
+    # the empty scheme's conditions matrix has no rows and every column of
+    # degree d, so the residue certificate that decides every other system
+    # returns its RREF basis: the standard basis of all forms of degree d
+    for field in (QQ, make_field("cyclotomic", 5)):
+        X = FatPointScheme(field, [])
+        for d in (2, 4):
+            n = comb(d + 2, 2)
+            standard = [tuple(field.one if i == k else field.zero for i in range(n)) for k in range(n)]
+            M = conditions_matrix(X, d)
+            assert (M.nrows, M.ncols) == (0, n)
+            assert exact_rank(M) == 0
+            assert nullspace_basis(M) == standard
+            assert system_dimension(X, d) == n
+            rep = dim_linear_system(X, d)
+            assert (rep.vdim, rep.dim, rep.special) == (n, n, False)
+            assert [f.coeffs for f in rep.basis] == standard
+    # a matrix given its width holds rows of exactly that width
+    assert ExactMatrix.from_integral(QQ, [[1, 2, 3]], 3).ncols == 3
+    with pytest.raises(ValueError):
+        ExactMatrix.from_integral(QQ, [[1, 2]], 3)
 
 
 def test_scheme_validation():

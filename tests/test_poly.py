@@ -465,7 +465,7 @@ def test_integer_kernel_check_rejects_corrupted_products(monkeypatch):
     rows[0][1] = OffByOne(1)
     primes[0] = 0
     with pytest.raises(ArithmeticError):
-        poly._certify(rows, 3, QQ)
+        poly._certify(rows, 3, QQ, {})
     assert primes[0] == poly._prime_budget(rows, QQ) + 1
 
 
@@ -570,7 +570,7 @@ def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     assert (certificates[0], primes[0]) == (2, 1 + 3 + 3)
     assert (scalar[0], integral[0]) == (0, 0)
     rows = poly._integral_rows(M.rows, field)
-    pivots, _ = poly._certify(rows, 36, field)
+    pivots, _ = poly._certify(rows, 36, field, {})
     (free,) = set(range(36)) - set(pivots)
     assert v[free] == field.one
     assert all(not sum((a * x for a, x in zip(row, v)), field.zero) for row in M.rows)
@@ -849,7 +849,13 @@ def test_rank_drop_is_eliminated_once_per_prime_and_root(monkeypatch):
         assert exact_rank(M) == 14
     pairs = sum(len(certificate_prime(field, k)[1]) for field, k in primes)
     assert len(primes) > 1
-    assert reduced[0] == 15 * pairs
+    assert reduced[0] == 15 * pairs == 30
+    # outside any block a rank keeps its eliminations for the length of the
+    # call, so its certificate resumes the full-rank test all the same
+    for rank in (lambda: exact_rank(M), lambda: poly.rank_of_fraction_rows(M.integral_rows(), 15)):
+        reduced[0] = 0
+        assert rank() == 14
+        assert reduced[0] == 30
 
 
 def test_shared_certificates_resume_after_a_shared_prefix(monkeypatch):
@@ -964,6 +970,7 @@ def _reference_matrices():
     ring = ParamRing(QQ)
     a, b = ring.a, ring.b
     zeta6 = primitive_root(make_field("cyclotomic", 6))
+    zeta5 = primitive_root(make_field("cyclotomic", 5))
     example = example_quartic_config()
     F3 = dual_fermat(3)
     excluded_pair = PointConfiguration(
@@ -980,6 +987,10 @@ def _reference_matrices():
         "prop33-first a=6": (family("prop33-first", {"a": 6}), 3, 4),
         "prop33-first a=-3/2": (family("prop33-first", {"a": Fraction(-3, 2)}), 3, 4),
         "prop33-first a=zeta_6": (family("prop33-first", {"a": zeta6}), 3, 4),
+        # phi = 4: at a = 0 the general point is a fifth point on the line
+        # x = 0 through four points of Z, which imposes nothing new on
+        # cubics, so the witness is (1, 0)
+        "prop33-first a=zeta_5": (family("prop33-first", {"a": zeta5}), 1, 3),
         "excluded pair": (excluded_pair, 3, 4),
         "example": (example, 3, 4),
         "example image": (apply_transform([[1, 1, 0], [0, 1, 0], [2, 0, 1]], example), 3, 4),
@@ -1048,7 +1059,7 @@ def test_cyclotomic_bareiss_skips_zero_products(monkeypatch):
     # operand is skipped, and the rank and pivots stay those of the kernel
     M = _dual_fermat_sample(5, 7)
     rows = poly._integral_rows(M.rows, M.ring)
-    pivots, _ = poly._certify(rows, 36, M.ring)
+    pivots, _ = poly._certify(rows, 36, M.ring, {})
     zero_operands = [0]
     mul = M.ring.mul
 

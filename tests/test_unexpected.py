@@ -234,12 +234,12 @@ def test_rank_drops_of_the_example_share_certificates(monkeypatch):
 def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     # the example at j = 3, d = 4: each of the three samples drops rank, and
     # its 15 x 15 rank takes two primes.  Taken alone, a sample's rank
-    # reduces its 15 rows for the full-rank test and again for each prime of
-    # its certificate, 45 rows.  generic_dim, and with it m(j), the
-    # splitting type and the gate, runs in one shared_certificates block:
-    # the certificate resumes the full-rank test, and the later samples
-    # resume after the 9 rows of Z, so they reduce only their 6 rows of P
-    # per prime: 30 + 12 + 12 rows
+    # reduces its 15 rows for the full-rank test, which its certificate
+    # resumes at prime 0, and again for prime 1, 30 rows.  generic_dim, and
+    # with it m(j), the splitting type and the gate, runs in one
+    # shared_certificates block, where the later samples resume after the 9
+    # rows of Z, so they reduce only their 6 rows of P per prime: 30 + 12 +
+    # 12 rows
     forward = poly._forward
     reduced = [0]
 
@@ -257,7 +257,7 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     assert reduced[0] == 54
     reduced[0] = 0
     assert generic_dim.__wrapped__(Z, 3, 4) == 1  # outside any block
-    assert reduced[0] == 3 * 45
+    assert reduced[0] == 3 * 30
 
 
 def test_semicontinuity_of_samples():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fatpoints.verify as verify
 from fatpoints import (
     SearchSpace,
     example_quartic_config,
@@ -132,6 +133,27 @@ def test_suite_claim_selection():
     assert all(r.passed for r in results)
     with pytest.raises(ValueError):
         run_paper_suite(claims=["no-such-claim"])
+
+
+def test_certify_reaches_exactly_the_certifiable_claims(monkeypatch):
+    # every runner gets one strategy, the certified one exactly for the
+    # claims in CERTIFIABLE_CLAIMS, and only under certify
+    modes = {}
+
+    def runner(claim):
+        def run(seed, strategy):
+            modes[claim] = strategy.mode
+            return verify.ClaimResult(claim, "pass", {})
+
+        return run
+
+    monkeypatch.setattr(verify, "CLAIM_RUNNERS", {c: runner(c) for c in verify.SUITE_CLAIMS})
+    for certify in (False, True):
+        modes.clear()
+        run_paper_suite(certify=certify)
+        assert list(modes) == list(verify.SUITE_CLAIMS)
+        certified = {c for c, mode in modes.items() if mode == "certified"}
+        assert certified == (CERTIFIABLE_CLAIMS if certify else set())
 
 
 def test_suite_certified_mode_on_feasible_claim():
