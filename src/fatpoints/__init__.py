@@ -23,7 +23,6 @@ from .poly import (
     GenericRankCertificate,
     ParamPoly,
     ParamRing,
-    determinant,
     evaluate,
     exact_rank,
     monomial_basis,

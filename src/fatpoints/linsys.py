@@ -27,8 +27,8 @@ The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.  A conditions matrix has
 C(d+2, 2) columns even with no rows, so the empty scheme's system is every
 form of degree d.  The symbolic conditions matrix of Z + jP, P = [a, b, 1],
-reads the rows of Z from Z's own integral conditions matrix and builds only
-the rows of P.
+is integral too: it reads the rows of Z from Z's own integral conditions
+matrix as constant terms, and builds and clears only the rows of P.
 """
 
 from __future__ import annotations
@@ -336,16 +336,17 @@ def rational_map_image(basis, p: ProjectivePoint):
     raise AssertionError("unreachable")
 
 
-def symbolic_conditions_matrix(
-    Z: PointConfiguration, j: int, d: int, ring: ParamRing | None = None
-) -> ExactMatrix:
-    """Conditions matrix of Z + j*P at degree d with P = [a, b, 1] symbolic.
+def symbolic_conditions_matrix(Z: PointConfiguration, j: int, d: int) -> ExactMatrix:
+    """Integral conditions matrix of Z + j*P at degree d with P = [a, b, 1]
+    symbolic, over the ParamRing of Z's field.
 
-    Rows for the points of Z are constant, the rows of Z's own conditions
-    matrix; rows for the general point are polynomials in the parameters
-    a, b.
+    Rows for the points of Z are constant: Z's own integral conditions
+    matrix, each entry x as the term dict {(0, 0): x}.  Rows for the general
+    point are polynomials in the parameters a, b, cleared once.
     """
-    if ring is None:
-        ring = ParamRing(Z.field)
+    ring = ParamRing(Z.field)
+    constant = conditions_matrix(FatPointScheme.of(Z), d).integral_rows()
     general = _condition_rows([((ring.a, ring.b, ring.one), j)], d)
-    return ExactMatrix(ring, [*conditions_matrix(FatPointScheme.of(Z), d).rows, *general])
+    rows = [[{(0, 0): x} for x in row] for row in constant]
+    rows += [ring.clear_denominators(row)[0] for row in general]
+    return ExactMatrix.from_integral(ring, rows, comb(d + 2, 2))

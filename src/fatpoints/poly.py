@@ -4,14 +4,14 @@ Monomials of each degree d live in a fixed graded-lexicographic order with
 x > y > z; coefficient vectors (length C(d+2,2)) in that order are part of
 the external contract, so reports are reproducible bit for bit.
 
-An ExactMatrix over a field holds its rows as integer (or
-cyclotomic-integer) coordinates, each row a nonzero multiple of its Scalar
-row: conditions matrices are built that way, and other rows are scaled
-once.  Every rank and every nullspace basis is then read off one sequence of
-primes p = 1 (mod n), Field.certificate_prime(k), and one packed forward
-elimination mod p (_forward), run once per root of Phi_n mod p: a ring map
-Z[zeta_n] -> Z/p.  The image of a minor is the minor of the image, so
-pivot columns independent mod p are independent.
+An ExactMatrix over a field or a parameter ring holds its rows as integer
+(or cyclotomic-integer) coordinates, each a nonzero multiple of its Scalar
+or ParamPoly row: conditions matrices are built that way, and other rows are
+scaled once.  Every rank and every nullspace basis is then read off one
+sequence of primes p = 1 (mod n), Field.certificate_prime(k), and one packed
+forward elimination mod p (_forward), run once per root of Phi_n mod p: a
+ring map Z[zeta_n] -> Z/p.  The image of a minor is the minor of the image,
+so pivot columns independent mod p are independent.
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
@@ -33,12 +33,11 @@ Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
 integer grid larger than the degree bound of the relevant minors.  The
 constant rows C are eliminated once: only the parametric rows P, projected
-onto a kernel basis N of C, are evaluated, since rank M = rank C + rank(P N)
-at every grid point.  P N has integral coefficients after one scaling per
-row, so every grid rank is one integer elimination, and the sweep stops as
-soon as rank(P N) reaches min(#P, dim N).  The certificate's grid_points is
-the size of the grid the degree bound requires, not the number of points
-evaluated.
+onto the integral kernel basis N of C, are evaluated, since rank M = rank C
++ rank(P N) at every grid point.  P N is formed in integers, so every grid
+rank is one integer elimination, and the sweep stops as soon as rank(P N)
+reaches min(#P, dim N).  The certificate's grid_points is the size of the
+grid the degree bound requires, not the number of points evaluated.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .field import QQ, Field, FieldMismatchError, Scalar
-from .geom import mat3_det
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +98,23 @@ class ParamRing:
             s = self.field.scalar(value)
             return ParamPoly(self.field, {(0, 0): s} if s else {})
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
+
+    def clear_denominators(self, values) -> tuple[list, int]:
+        """(coords, den) for parameter polynomials, or values coercible to
+        them: each becomes a {(deg_a, deg_b): coordinate} dict, the
+        Field.clear_denominators coordinates of all the term coefficients
+        over their one common denominator den."""
+        polys = [self.coerce(v) for v in values]
+        coords, den = self.field.clear_denominators([c for p in polys for c in p.terms.values()])
+        coords = iter(coords)
+        return [{e: next(coords) for e in p.terms} for p in polys], den
+
+    def from_integral(self, coords, den: int = 1) -> list["ParamPoly"]:
+        """Parameter polynomials with the integral term coordinates coords
+        over den, zero terms dropped; inverse of clear_denominators."""
+        field = self.field
+        values = [field.from_integral(terms.values(), den) for terms in coords]
+        return [ParamPoly(field, {e: c for e, c in zip(t, v) if c}) for t, v in zip(coords, values)]
 
     def __eq__(self, other):
         return isinstance(other, ParamRing) and self.field == other.field
@@ -336,13 +351,6 @@ class Form:
         c = self.ring.coerce(other)
         return Form(self.ring, self.degree, tuple(c * a for a in self.coeffs))
 
-    def lift(self, ring) -> "Form":
-        """Reinterpret the coefficients in a larger coefficient ring."""
-        return Form(ring, self.degree, tuple(ring.coerce(c) for c in self.coeffs))
-
-    def coefficient(self, exponents) -> object:
-        return self.coeffs[_monomial_index(self.degree)[tuple(exponents)]]
-
     def __str__(self):
         names = ("x", "y", "z")
         parts = []
@@ -441,16 +449,16 @@ def evaluate(f: Form, point) -> object:
 
 
 class ExactMatrix:
-    """Immutable nrows x ncols matrix over a Field (or ParamRing, symbolic).
+    """Immutable nrows x ncols matrix over a Field or a ParamRing (symbolic).
 
-    Over a Field the matrix holds the integral coordinates of its rows
-    (_integral_rows: each row times a nonzero constant, so the row space is
-    the same), and ranks and kernels read those.  A matrix built from
+    The matrix holds the integral coordinates of its rows (_integral_rows:
+    each row times a nonzero constant, so the row space is the same), and
+    ranks, kernels and grid certificates read those.  A matrix built from
     values coerces them to ring elements, keeps them as its rows and clears
-    their denominators once, when a rank or kernel first needs them; its
+    their denominators once, when a rank or certificate first needs them; its
     width is that of its rows, 0 when it has none.  One built from_integral
     is given its width, so it may have no rows and still ncols columns, and
-    derives its Scalar rows on the first read of rows.
+    derives its Scalar or ParamPoly rows on the first read of rows.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "_rows", "_integral")
@@ -461,15 +469,15 @@ class ExactMatrix:
         self._shape(ring, self._rows, len(self._rows[0]) if self._rows else 0)
 
     @classmethod
-    def from_integral(cls, field: Field, rows, ncols: int) -> "ExactMatrix":
-        """The len(rows) x ncols matrix whose rows are the Scalars with these
-        integral coordinates (Field.from_integral): a list of rows of ncols
-        ints over Q, of ncols int tuples over Q(zeta_n), held as they are.
-        With no rows it is the zero-row matrix whose kernel is all of
-        K^ncols."""
+    def from_integral(cls, ring, rows, ncols: int) -> "ExactMatrix":
+        """The len(rows) x ncols matrix whose rows are the ring elements with
+        these integral coordinates (ring.from_integral), held as they are:
+        ints over Q, int tuples over Q(zeta_n), {(deg_a, deg_b): int or int
+        tuple} dicts over a ParamRing.  With no rows it is the zero-row
+        matrix whose kernel is all of K^ncols."""
         M = object.__new__(cls)
         M._rows, M._integral = None, rows
-        M._shape(field, rows, ncols)
+        M._shape(ring, rows, ncols)
         return M
 
     def _shape(self, ring, rows, ncols: int) -> None:
@@ -487,8 +495,8 @@ class ExactMatrix:
         return self._rows
 
     def integral_rows(self) -> list:
-        """The integral coordinates of the rows of a matrix over a Field, as
-        _integral_rows gives them."""
+        """The integral coordinates of the rows, over a Field or a ParamRing,
+        as _integral_rows gives them."""
         if self._integral is None:
             self._integral = _integral_rows(self._rows, self.ring)
         return self._integral
@@ -497,11 +505,11 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
 
 
-def _integral_rows(rows, field: Field) -> list:
-    """Each row's integral coordinates (Field.clear_denominators): int rows
-    over Q, int-tuple rows over Q(zeta_n), each the row times a nonzero
-    constant."""
-    return [field.clear_denominators(row)[0] for row in rows]
+def _integral_rows(rows, ring) -> list:
+    """Each row's integral coordinates (the ring's clear_denominators): int
+    rows over Q, int-tuple rows over Q(zeta_n), rows of term dicts over a
+    ParamRing, each the row times a nonzero constant."""
+    return [ring.clear_denominators(row)[0] for row in rows]
 
 
 def _echelon_int(rows, ncols):
@@ -964,23 +972,6 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 
-def determinant(M: ExactMatrix):
-    """Determinant of a square matrix of size at most 3, over any ring."""
-    if M.nrows != M.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.nrows
-    r = M.rows
-    if n == 0:
-        return M.ring.one
-    if n == 1:
-        return r[0][0]
-    if n == 2:
-        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    if n == 3:
-        return mat3_det(r)
-    raise NotImplementedError("determinants above 3x3 are not needed here")
-
-
 @dataclass(frozen=True)
 class GenericRankCertificate:
     """Generic rank of a parameter matrix with a grid-evaluation certificate.
@@ -1002,43 +993,28 @@ class GenericRankCertificate:
 
 
 def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
-    """Certified generic rank of a matrix with ParamPoly entries.
+    """Certified generic rank of a matrix over a parameter ring.
 
-    The constant rows C (no entry involves a or b) are eliminated once: with
+    The constant rows C (no term involves a or b) are eliminated once: with
     N a kernel basis of C and P the other rows, rank M(a, b) = rank C +
     rank(P(a, b) N) at every point, because the row space of C is exactly
-    the set of vectors that N annihilates.  So only P N is evaluated on the
-    grid; its rows are scaled once to integral term coefficients, and each
-    grid point is one integer elimination of a #P x dim N matrix.  The sweep
-    stops once that rank reaches min(#P, dim N), since no larger minor
-    exists.  The degree bounds are taken from the rows of M; they also bound
-    every minor of P N, because an entry of row i of P N has no larger
-    degree in a or b than row i of P.
+    the set of vectors that N annihilates.  N is C's integral RREF kernel
+    (_certificate) without its denominators, each of which scales one
+    column, so P N is formed from the integral rows of M in integers, and
+    each grid point is one integer elimination of a #P x dim N matrix.  The
+    sweep stops once that rank reaches min(#P, dim N), since no larger
+    minor exists.  The degree bounds are taken from the term keys of M's
+    rows; they also bound every minor of P N, because an entry of row i of
+    P N has no larger degree in a or b than row i of P.
     """
     if not isinstance(M.ring, ParamRing):
         raise TypeError("symbolic_rank_bound needs a matrix over a parameter ring")
     field = M.ring.field
-    da = sum(max((e.deg_a() for e in row), default=0) for row in M.rows)
-    db = sum(max((e.deg_b() for e in row), default=0) for row in M.rows)
-    constant, parametric = [], []
-    for row in M.rows:
-        if all(e.terms.keys() <= {(0, 0)} for e in row):
-            constant.append([e.terms.get((0, 0), field.zero) for e in row])
-        else:
-            parametric.append(row)
-    kernel = nullspace_basis(ExactMatrix.from_integral(field, _integral_rows(constant, field), M.ncols))
-    rank_c = M.ncols - len(kernel)
-    projected = [
-        [sum((e * v[c] for c, e in enumerate(row) if e and v[c]), M.ring.zero) for v in kernel]
-        for row in parametric
-    ]
-    # entries as [(deg_a, deg_b, integral coefficient)] term lists
-    rows = []
-    for row in projected:
-        coeffs, _ = field.clear_denominators([c for e in row for c in e.terms.values()])
-        coeffs = iter(coeffs)
-        rows.append([[(i, j, next(coeffs)) for i, j in e.terms] for e in row])
+    integral = M.integral_rows()
+    da = sum(max((i for e in row for i, _ in e), default=0) for row in integral)
+    db = sum(max((j for e in row for _, j in e), default=0) for row in integral)
     if field.degree == 1:
+        zero, mul, add = 0, operator.mul, operator.add
 
         def value(terms, pa, pb):
             total = 0
@@ -1047,6 +1023,10 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             return total
 
     else:
+        zero, mul = (0,) * field.degree, field.mul
+
+        def add(x, y):
+            return tuple(map(operator.add, x, y))
 
         def value(terms, pa, pb):
             total = [0] * field.degree
@@ -1056,6 +1036,26 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
                     total[k] += x * w
             return tuple(total)
 
+    constant, parametric = [], []
+    for row in integral:
+        if all(e.keys() <= {(0, 0)} for e in row):
+            constant.append([e.get((0, 0), zero) for e in row])
+        else:
+            parametric.append(row)
+    _, kernel = _certificate(constant, M.ncols, field, _store())
+    rank_c = M.ncols - len(kernel)
+
+    def project(row, v):
+        """The entry row . v of P N, as [(deg_a, deg_b, integral coefficient)]."""
+        terms = {}
+        for e, x in zip(row, v):
+            if x != zero:
+                for t, c in e.items():
+                    p = mul(c, x)
+                    terms[t] = add(terms[t], p) if t in terms else p
+        return [(i, j, c) for (i, j), c in terms.items() if c != zero]
+
+    rows = [[project(row, v) for v, _ in kernel] for row in parametric]
     n = max(da, db) + 1
     powers = [[x**k for k in range(n)] for x in range(n)]
     ceiling = min(len(rows), len(kernel))

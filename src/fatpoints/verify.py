@@ -34,7 +34,6 @@ from .poly import (
     ExactMatrix,
     Form,
     ParamRing,
-    determinant,
     evaluate,
     exact_rank,
     partial_derivative,
@@ -132,8 +131,7 @@ def check_hessian_certificate() -> ClaimResult:
             gg = partial_derivative(partial_derivative(G, first), second)
             row.append(evaluate(gg, P))
         rows.append(row)
-    H = ExactMatrix(ring, rows)
-    det = determinant(H)
+    det = mat3_det(rows)
     details["hessian determinant is zero polynomial"] = det.is_zero()
     if not det.is_zero():
         failures.append(f"nonzero determinant: {det}")

@@ -526,6 +526,26 @@ def test_cyclotomic_conditions_build_no_scalars(monkeypatch):
     assert ExactMatrix(field, given).rows == given
 
 
+def test_symbolic_path_builds_no_scalars(monkeypatch):
+    # from Z's integral conditions matrix to the grid: the symbolic matrix
+    # reads Z's rows without deriving Scalars, and the certificate projects
+    # onto the constant rows' kernel in integers, with no Scalar product
+    products = _count_calls(monkeypatch, Scalar, "__mul__")
+    reflected = _count_calls(monkeypatch, Scalar, "__rmul__")
+    derived = _count_calls(monkeypatch, Field, "from_integral")
+    for Z, expected in (
+        (example_quartic_config(), (14, (1, 1), 16, 16, 289)),
+        (dual_fermat(3), (15, (1, 2), 16, 16, 289)),
+    ):
+        derived[0] = 0
+        M = symbolic_conditions_matrix(Z, 3, 4)
+        assert derived[0] == 0
+        products[0] = reflected[0] = 0
+        cert = symbolic_rank_bound(M)
+        assert (products[0], reflected[0], derived[0]) == (0, 0, 0)
+        assert cert == GenericRankCertificate(*expected)
+
+
 def test_non_integral_cyclotomic_points_match_gauss_jordan():
     # points whose coordinates have denominators and zeta-parts: their rows
     # are built from cleared coordinates, a nonzero multiple of the Scalar
@@ -937,6 +957,9 @@ def test_symbolic_rank_agrees_with_specializations():
             spec = [[e.evaluate(a0, b0) for e in row] for row in rows]
             return exact_rank(ExactMatrix(field, spec))
 
+        # the rows clear to term dicts of integral coordinates and back
+        for row in rows:
+            assert ring.from_integral(*ring.clear_denominators(row)) == list(row)
         cert = symbolic_rank_bound(ExactMatrix(ring, rows))
         # rank 1 at (a, b) = (0, 0), rank 2 at the next grid point
         assert cert == GenericRankCertificate(2, (0, 1), 4, 3, 20)
@@ -1009,9 +1032,17 @@ def _reference_matrices():
 @pytest.mark.parametrize("label", list(_reference_matrices()))
 def test_symbolic_rank_bound_matches_full_grid_reference(label):
     M = _reference_matrices()[label]
+    matrices = [M]
     if not isinstance(M, ExactMatrix):
         M = symbolic_conditions_matrix(*M)
-    assert symbolic_rank_bound(M) == _full_grid_certificate(M)
+        # the matrix as built, from integral rows, and rebuilt from its
+        # ParamPoly rows, which ParamRing.clear_denominators clears; the
+        # rows derived from integral ones keep no zero term
+        assert all(all(e.terms.values()) for row in M.rows for e in row)
+        matrices = [M, ExactMatrix(M.ring, M.rows)]
+    reference = _full_grid_certificate(M)
+    for N in matrices:
+        assert symbolic_rank_bound(N) == reference
 
 
 def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
