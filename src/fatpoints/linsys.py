@@ -11,11 +11,10 @@ One builder makes every condition row, straight from a homogeneous
 coordinate triple x of the point: the row of the derivative order
 (a_u, a_v) holds falling(e_u, a_u) * falling(e_v, a_v) * x^(e - a) in the
 column of each monomial x^e.  Its entries live in the triple's own ring:
-ints for the primitive integer triple of a rational point, int tuples over
-Q(zeta_n), the power-basis coordinates of the point's Scalars times a
-common denominator (multiplied by Field.mul), and parameter polynomials
-for the general point [a, b, 1].  So a conditions matrix over a field is
-integral as built, and no Scalar is made on the way to its rank.
+ints for the primitive integer triple of a rational point, and int tuples
+over Q(zeta_n), the power-basis coordinates of the point's Scalars times a
+common denominator (multiplied by Field.mul).  So a conditions matrix over
+a field is integral as built, and no Scalar is made on the way to its rank.
 Dividing the row by the nonzero scalar x_c^(d - a_u - a_v) gives the
 derivative row in the affine chart x_c = 1, so the row space, the ranks,
 the RREF nullspace bases and every witness are those of the chart rows.
@@ -28,7 +27,8 @@ forms in the fixed graded-lex monomial order.  A conditions matrix has
 C(d+2, 2) columns even with no rows, so the empty scheme's system is every
 form of degree d.  The symbolic conditions matrix of Z + jP, P = [a, b, 1],
 is integral too: it reads the rows of Z from Z's own integral conditions
-matrix as constant terms, and builds and clears only the rows of P.
+matrix as constant terms, and the rows of P from the templates, whose
+entries at [a, b, 1] are integer multiples of the monomials a^e0 b^e1.
 """
 
 from __future__ import annotations
@@ -174,12 +174,13 @@ def _scale(x: tuple, c: int) -> tuple:
 def _condition_rows(parts, d: int, mul=None) -> list:
     """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
 
-    Each point's entries stay in the ring of its triple, by the ring's
-    product: mul, the Field.mul of Q(zeta_n), for a triple of int tuples,
-    and * for ints, Scalars and parameter polynomials.  The values at the
-    point of the monomials of each degree t are taken once, from its power
-    table: the row of derivative order 0 is those of degree d, and every
-    other row scales them into place by _row_templates.
+    The package builds rows from triples of ints, with mul None, and of int
+    tuples in the power basis of Q(zeta_n), with mul its Field.mul, and the
+    entries stay in that form.  With mul None the products are by *, so a
+    triple in any commutative ring gives rows in that ring.  The values at
+    the point of the monomials of each degree t are taken once, from its
+    power table: the row of derivative order 0 is those of degree d, and
+    every other row scales them into place by _row_templates.
     """
     ncols = comb(d + 2, 2)
     times = operator.mul if mul is None else mul
@@ -342,11 +343,20 @@ def symbolic_conditions_matrix(Z: PointConfiguration, j: int, d: int) -> ExactMa
 
     Rows for the points of Z are constant: Z's own integral conditions
     matrix, each entry x as the term dict {(0, 0): x}.  Rows for the general
-    point are polynomials in the parameters a, b, cleared once.
+    point are read off _row_templates in chart z: the entry (column, coef,
+    i) is the term coef * a^e0 * b^e1, (e0, e1, _) = monomial_basis(t)[i],
+    with coef an int over Q and an int tuple over Q(zeta_n).
     """
-    ring = ParamRing(Z.field)
+    field = Z.field
+    ncols = comb(d + 2, 2)
     constant = conditions_matrix(FatPointScheme.of(Z), d).integral_rows()
-    general = _condition_rows([((ring.a, ring.b, ring.one), j)], d)
     rows = [[{(0, 0): x} for x in row] for row in constant]
-    rows += [ring.clear_denominators(row)[0] for row in general]
-    return ExactMatrix.from_integral(ring, rows, comb(d + 2, 2))
+    pad = (0,) * (field.degree - 1)
+    for t, entries in _row_templates(d, j, 2):
+        basis = monomial_basis(t)
+        row = [{} for _ in range(ncols)]
+        for col, coef, i in entries:
+            e0, e1, _ = basis[i]
+            row[col] = {(e0, e1): coef if field.degree == 1 else (coef,) + pad}
+        rows.append(row)
+    return ExactMatrix.from_integral(ParamRing(field), rows, ncols)

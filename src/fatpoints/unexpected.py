@@ -5,9 +5,14 @@ at a few independent integer points and takes the minimum: each sample
 overestimates the generic value only on a proper closed locus, so the
 minimum of independent samples is the generic dimension except with
 vanishing probability, and it is always an upper bound that certifies a
-"no unexpected curve" verdict outright.  Certified mode places P = [a, b, 1]
-with symbolic parameters and certifies the generic corank by grid
-evaluation beyond the degree bound of the minors.
+"no unexpected curve" verdict outright.  Certified mode proves the generic
+value between two bounds: the samples' exact dimensions bound it from
+above, and the condition count from below, since jP imposes at most
+C(j+1, 2) conditions on I(Z)_d.  When the least sample meets that floor,
+the floor is the generic value; only when they differ, as at every
+positive verdict, does it place P = [a, b, 1] with symbolic parameters and
+certify the generic corank by grid evaluation beyond the degree bound of
+the minors.
 
 The splitting type (a_Z, b_Z) is computed operationally from the trace
 m(j) = dim I(Z + jP)_(j+1):  a_Z is the least j with m(j) nonzero and
@@ -89,9 +94,22 @@ def _sampled_dims(Z: PointConfiguration, j: int, d: int, strategy, stop_at=None)
     return out
 
 
-def _certified_dim(Z: PointConfiguration, j: int, d: int) -> int:
-    M = symbolic_conditions_matrix(Z, j, d)
-    cert = symbolic_rank_bound(M)
+def _certified_dim(Z: PointConfiguration, j: int, d: int, floor: int, dims) -> int:
+    """The proved generic value of dim I(Z + jP)_d.
+
+    floor = max(0, dim I(Z)_d - C(j+1, 2)) is a lower bound at every P, as
+    jP adds only C(j+1, 2) linear conditions, and each exact sample dimension
+    in dims is an upper bound by semicontinuity.  When the least sample meets
+    the floor, that is the generic value; otherwise symbolic_rank_bound
+    decides it on the grid.  A sample below the floor is a wrong rank, an
+    AssertionError, never clamped.
+    """
+    low = min((dim for _, dim in dims), default=None)
+    if low is not None and low < floor:
+        raise AssertionError(f"a sample dimension {low} is below the lower bound {floor}")
+    if low == floor:
+        return floor
+    cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, j, d))
     return comb(d + 2, 2) - cert.rank
 
 
@@ -100,14 +118,22 @@ def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY
     """The generic value of dim I(Z + jP)_d: certified, or the sampled minimum.
 
     m(j), the splitting type and the semistability gate all take their
-    sample ranks here.
+    sample ranks here.  In certified mode the samples stop at the floor
+    max(0, dim I(Z)_d - C(j+1, 2)), and the value is proved by _certified_dim:
+    by a sample that meets the floor, or else by the grid, which also serves
+    when Z covers every sample point of the strategy's height.
     """
     if j < 0:
         raise ValueError("multiplicity must be nonnegative")
     if j == 0:
         return system_dimension(FatPointScheme.of(Z), d)
     if strategy.mode == "certified":
-        return _certified_dim(Z, j, d)
+        floor = max(0, system_dimension(FatPointScheme.of(Z), d) - comb(j + 1, 2))
+        try:
+            dims = _sampled_dims(Z, j, d, strategy, stop_at=floor)
+        except ValueError:  # no sample point of the height is off Z
+            dims = []
+        return _certified_dim(Z, j, d, floor, dims)
     dims = _sampled_dims(Z, j, d, strategy, stop_at=0)
     return min(dim for _, dim in dims)
 
@@ -203,15 +229,18 @@ def detect_unexpected(
     Tests dim I(Z + (d-1)P)_d > max(dim I(Z)_d - C(d,2), 0) for general P.
     In sampled mode the generic dimension is the minimum over the samples;
     sampling stops as soon as the verdict is decided negatively, which is
-    sound because every sample bounds the generic value from above.
+    sound because every sample bounds the generic value from above.  In
+    certified mode every sample is drawn, for the report, and the threshold
+    is the floor of _certified_dim: a sample at the threshold proves a
+    negative and its generic dimension, and only a positive runs the grid.
     """
     if d < 2:
         raise ValueError("unexpected curves need degree at least 2")
     dim_z = system_dimension(FatPointScheme.of(Z), d)
     threshold = max(dim_z - comb(d, 2), 0)
     if strategy.mode == "certified":
-        generic = _certified_dim(Z, d - 1, d)
         samples = _sampled_dims(Z, d - 1, d, strategy)
+        generic = _certified_dim(Z, d - 1, d, threshold, samples)
     else:
         samples = _sampled_dims(Z, d - 1, d, strategy, stop_at=threshold)
         generic = min(dim for _, dim in samples)

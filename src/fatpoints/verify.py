@@ -690,7 +690,7 @@ def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[C
     """Run every claim checker; deterministic given the seed.
 
     With certify=True the claims in CERTIFIABLE_CLAIMS switch their general
-    point to the grid-certified mode; example-quartic-unexpected and
+    point to the certified mode; example-quartic-unexpected and
     oracle-coherence compare sampled against certified in every run.
     """
     sampled = GeneralPointStrategy(seed=seed)

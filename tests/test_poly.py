@@ -10,6 +10,7 @@ import pytest
 
 import fatpoints.linsys as linsys
 import fatpoints.poly as poly
+import fatpoints.unexpected as unexpected
 from fatpoints import (
     ExactMatrix,
     FatPointScheme,
@@ -28,6 +29,7 @@ from fatpoints import (
     exact_rank,
     example_quartic_config,
     family,
+    generic_dim,
     make_field,
     monomial_basis,
     nullspace_basis,
@@ -528,8 +530,9 @@ def test_cyclotomic_conditions_build_no_scalars(monkeypatch):
 
 def test_symbolic_path_builds_no_scalars(monkeypatch):
     # from Z's integral conditions matrix to the grid: the symbolic matrix
-    # reads Z's rows without deriving Scalars, and the certificate projects
-    # onto the constant rows' kernel in integers, with no Scalar product
+    # reads Z's rows without deriving Scalars and the general point's rows
+    # off the templates as integer terms, and the certificate projects onto
+    # the constant rows' kernel in integers, with no Scalar product
     products = _count_calls(monkeypatch, Scalar, "__mul__")
     reflected = _count_calls(monkeypatch, Scalar, "__rmul__")
     derived = _count_calls(monkeypatch, Field, "from_integral")
@@ -537,10 +540,9 @@ def test_symbolic_path_builds_no_scalars(monkeypatch):
         (example_quartic_config(), (14, (1, 1), 16, 16, 289)),
         (dual_fermat(3), (15, (1, 2), 16, 16, 289)),
     ):
-        derived[0] = 0
+        products[0] = reflected[0] = derived[0] = 0
         M = symbolic_conditions_matrix(Z, 3, 4)
-        assert derived[0] == 0
-        products[0] = reflected[0] = 0
+        assert (products[0], reflected[0], derived[0]) == (0, 0, 0)
         cert = symbolic_rank_bound(M)
         assert (products[0], reflected[0], derived[0]) == (0, 0, 0)
         assert cert == GenericRankCertificate(*expected)
@@ -1043,6 +1045,42 @@ def test_symbolic_rank_bound_matches_full_grid_reference(label):
     reference = _full_grid_certificate(M)
     for N in matrices:
         assert symbolic_rank_bound(N) == reference
+
+
+def _shortcut_corpus():
+    """(Z, j, d) instances for the certified generic dimension: the
+    reference configurations, dual F3, the example and two projective
+    images of it, and seeded random sets of 5 to 9 points, each at (d - 1,
+    d) and at a (j, j + 1) of its splitting trace."""
+    instances = [M for M in _reference_matrices().values() if not isinstance(M, ExactMatrix)]
+    F3 = dual_fermat(3)
+    instances += [(F3, d - 1, d) for d in (2, 3, 4)]
+    example = example_quartic_config()
+    instances.append((example, 3, 4))
+    for T in ([[0, 1, 1], [1, 0, -1], [2, 1, 0]], [[3, 0, 1], [1, 2, 0], [0, -1, 1]]):
+        instances.append((apply_transform(T, example), 3, 4))
+    for k in range(20):
+        n = 5 + k % 5
+        Z = random_config(n, 3 if k % 2 else 30, ("shortcut", k))
+        d = 3 + k % 3
+        j = 1 + k % (n - 1)
+        instances += [(Z, d - 1, d), (Z, j, j + 1)]
+    return instances
+
+
+def test_certified_generic_dim_matches_the_grid_on_corpora(monkeypatch):
+    # certified generic_dim runs the grid only where the samples stay above
+    # the condition-count floor; everywhere else its value must still be the
+    # grid's, which this cross-checks
+    certified = GeneralPointStrategy(mode="certified")
+    grid = _count_calls(monkeypatch, unexpected, "symbolic_rank_bound")
+    instances = _shortcut_corpus()
+    for Z, j, d in instances:
+        value = generic_dim(Z, j, d, certified)
+        assert value == comb(d + 2, 2) - symbolic_rank_bound(symbolic_conditions_matrix(Z, j, d)).rank
+    # only the six instances of the example's quartic reach the grid: the
+    # example twice, the excluded pair and three projective images
+    assert (len(instances), grid[0]) == (62, 6)
 
 
 def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):

@@ -27,11 +27,13 @@ from fatpoints import (
     make_field,
     multiplicity_dim,
     nullspace_basis,
+    primitive_root,
     random_config,
     splitting_type,
 )
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import system_dimension
+from fatpoints.verify import run_paper_suite
 
 
 def test_multiplicity_dim_examples():
@@ -258,6 +260,70 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     reduced[0] = 0
     assert generic_dim.__wrapped__(Z, 3, 4) == 1  # outside any block
     assert reduced[0] == 3 * 30
+
+
+EXCLUDED_PAIR = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1],
+                 [1, 1, 2], [0, 0, 1], [1, 1, 1]]  # fmt: skip
+
+
+def test_certified_grid_runs_only_for_positives(monkeypatch):
+    # a certified negative is proved by a sample that meets the threshold,
+    # the lower bound from the condition count, so only the positives, where
+    # the samples stay above it, reach the symbolic grid
+    calls = [0]
+    bound = unexpected.symbolic_rank_bound
+
+    def counted(M):
+        calls[0] += 1
+        return bound(M)
+
+    monkeypatch.setattr(unexpected, "symbolic_rank_bound", counted)
+    certified = GeneralPointStrategy(mode="certified")
+    zeta6 = primitive_root(make_field("cyclotomic", 6))
+    F3 = dual_fermat(3)
+    for Z, d, grid_calls in (
+        (family("prop31", {"a": 6, "b": -2}), 4, 0),
+        (family("prop33-first", {"a": zeta6}), 4, 0),
+        (F3, 2, 0),
+        (F3, 3, 0),
+        (F3, 4, 0),
+        (example_quartic_config(), 4, 1),
+        (PointConfiguration(QQ, EXCLUDED_PAIR), 4, 1),
+    ):
+        calls[0] = 0
+        rep = detect_unexpected(Z, d, certified)
+        assert rep.unexpected == bool(grid_calls) and rep.certified
+        assert len(rep.samples) == certified.samples  # the report lists them all
+        assert calls[0] == grid_calls, (Z, d)
+    # the certified suite's only grid certificates: the example's quartic in
+    # example-quartic-unexpected and the excluded pair in family-emptiness
+    calls[0] = 0
+    assert all(r.passed for r in run_paper_suite(seed=0, certify=True))
+    assert calls[0] == 2
+
+
+def test_certified_dim_refuses_a_sample_below_the_floor():
+    # a sample below the condition-count bound would be a wrong rank: it is
+    # reported, never clamped to the floor
+    Z = example_quartic_config()
+    P = ProjectivePoint(QQ, (2, -3, 1))
+    assert unexpected._certified_dim(Z, 3, 4, 0, [(P, 1), (P, 0)]) == 0
+    with pytest.raises(AssertionError):
+        unexpected._certified_dim(Z, 3, 4, 1, [(P, 0)])
+
+
+def test_certified_generic_dim_falls_back_to_the_grid_without_samples():
+    # Z covers all 25 affine points of height at most 2, so a height-2
+    # strategy has no sample point: certified mode proves the value on the
+    # grid alone, and sampled mode refuses
+    box = PointConfiguration(QQ, [(x, y, 1) for x in range(-2, 3) for y in range(-2, 3)])
+    certified = GeneralPointStrategy(mode="certified", height=2)
+    with pytest.raises(ValueError):
+        certified.sample_point(QQ, 0, box.points)
+    for j, d, expected in ((2, 6, 3), (4, 7, 2)):
+        assert generic_dim(box, j, d, certified) == expected
+        with pytest.raises(ValueError):
+            generic_dim(box, j, d, GeneralPointStrategy(height=2))
 
 
 def test_semicontinuity_of_samples():
