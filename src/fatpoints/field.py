@@ -14,11 +14,13 @@ elsewhere works on integral coordinates: Field.clear_denominators turns
 scalars into ints (over Q) or int tuples in the power basis (over
 Q(zeta_n)) over one common denominator, Field.from_integral turns such
 coordinates back into scalars, and Field.mul is the one product of
-coefficient tuples modulo Phi_n, used by Scalar multiplication and by
-elimination over Z[zeta_n] alike.  Field.integral_inverse is the one
-inverse over Q(zeta_n), for Scalar division and elimination alike: x times
-the product of its other Galois conjugates is the norm N(x), a nonzero
-integer, so 1/x is that product over N(x), all in integers.
+coefficient tuples modulo Phi_n, used by Scalar multiplication and by the
+integral rows over Z[zeta_n] alike: building condition rows and checking
+certificates exactly.  Field.integral_inverse is the one inverse over
+Q(zeta_n), and serves Scalar division only, as no rank over Q(zeta_n)
+divides by a pivot: x times the product of its other Galois conjugates is
+the norm N(x), a nonzero integer, so 1/x is that product over N(x), all in
+integers.
 Field.certificate_prime is the one sequence of primes p = 1 (mod n): the
 first below 2^15, the rest below 2^62.  Its maps take integral coordinates
 to residues mod p, and its lift takes residues back to power-basis
@@ -204,7 +206,8 @@ class Field:
         for nonzero x as Q(zeta_n) has no real embedding, which is checked.
         So 1/x = num / N(x), and both are divided by gcd(N(x), *num).
         Dividing by x is multiplying by num, then dividing each coordinate
-        by den.
+        by den.  Scalar.inverse is its one caller: ranks and kernels over
+        Q(zeta_n) are residue certificates, which invert only mod p.
         """
         n, mul = self.conductor, self.mul
         num = None

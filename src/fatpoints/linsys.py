@@ -174,13 +174,12 @@ def _scale(x: tuple, c: int) -> tuple:
 def _condition_rows(parts, d: int, mul=None) -> list:
     """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
 
-    The package builds rows from triples of ints, with mul None, and of int
-    tuples in the power basis of Q(zeta_n), with mul its Field.mul, and the
-    entries stay in that form.  With mul None the products are by *, so a
-    triple in any commutative ring gives rows in that ring.  The values at
-    the point of the monomials of each degree t are taken once, from its
-    power table: the row of derivative order 0 is those of degree d, and
-    every other row scales them into place by _row_templates.
+    The triples are of ints, with mul None, or of int tuples in the power
+    basis of Q(zeta_n), with mul its Field.mul, and the entries stay in that
+    form.  The values at the point of the monomials of each degree t are
+    taken once, from its power table: the row of derivative order 0 is those
+    of degree d, and every other row scales them into place by
+    _row_templates.
     """
     ncols = comb(d + 2, 2)
     times = operator.mul if mul is None else mul
@@ -189,8 +188,7 @@ def _condition_rows(parts, d: int, mul=None) -> list:
     for coords, m in parts:
         chart = _chart_index(coords)
         if mul is None:
-            one = coords[chart] ** 0
-            zero = 0 * one
+            one, zero = 1, 0
         else:
             zero = (0,) * len(coords[chart])
             one = (1,) + zero[1:]

@@ -24,10 +24,11 @@ row echelon (RREF) basis vector, which bounds the rank from above.
 Nullspace bases are the standard bases of the RREF, so they are canonical
 regardless of pivot choices.
 
-The symbolic grid alone runs fraction-free (Bareiss) elimination: the
-one-step Bareiss update keeps every intermediate entry equal to a minor of
-the scaled matrix, which controls coefficient blowup, and every division
-is exact and checked.
+The symbolic grid over Q alone runs fraction-free (Bareiss) elimination:
+the one-step Bareiss update keeps every intermediate entry equal to a minor
+of the scaled matrix, which controls coefficient blowup, and every division
+is exact and checked.  Over Q(zeta_n) the grid's ranks are the full-rank
+test and certificate above, so every exact rank there runs one path.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
@@ -35,7 +36,7 @@ integer grid larger than the degree bound of the relevant minors.  The
 constant rows C are eliminated once: only the parametric rows P, projected
 onto the integral kernel basis N of C, are evaluated, since rank M = rank C
 + rank(P N) at every grid point.  P N is formed in integers, so every grid
-rank is one integer elimination, and the sweep stops as soon as rank(P N)
+rank is taken from integral rows, and the sweep stops as soon as rank(P N)
 reaches min(#P, dim N).  The certificate's grid_points is the size of the
 grid the degree bound requires, not the number of points evaluated.
 """
@@ -513,7 +514,9 @@ def _integral_rows(rows, ring) -> list:
 
 
 def _echelon_int(rows, ncols):
-    """Fraction-free forward elimination over Z; returns (rank, pivot cols)."""
+    """Fraction-free (Bareiss) forward elimination over Z, in place;
+    returns (rank, pivot cols).  Only the symbolic grid over Q runs it, at
+    each grid point."""
     m = len(rows)
     prev = 1
     pr = 0
@@ -544,76 +547,6 @@ def _echelon_int(rows, ncols):
         if pr == m:
             break
     return len(pivots), pivots
-
-
-def _exact_quotient(mul, x, inverse) -> tuple:
-    """x / u over Z[zeta_n], for u with Field.integral_inverse inverse, by
-    the field's product mul; the quotient must be integral, and a remainder
-    raises ArithmeticError."""
-    num, den = inverse
-    out = []
-    for c in mul(x, num):
-        q, rem = divmod(c, den)
-        if rem:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        out.append(q)
-    return tuple(out)
-
-
-def _echelon_cyc(rows, ncols, field: Field):
-    """Fraction-free forward elimination over Z[zeta_n].
-
-    The Field.integral_inverse of a pivot is taken only when a later sweep
-    divides by it, so never for the last pivot.
-    """
-    zero = (0,) * field.degree
-    mul = field.mul
-    m = len(rows)
-    prev = None  # the previous pivot, divided out by this sweep
-    prev_div = None  # (int tuple numerator of 1/prev, int denominator)
-    pr = 0
-    pivots = []
-    for c in range(ncols):
-        piv_r = None
-        for r in range(pr, m):
-            if any(rows[r][c]):
-                piv_r = r
-                break
-        if piv_r is None:
-            continue
-        if prev is not None and pr + 1 < m:
-            prev_div = field.integral_inverse(prev)
-        rows[pr], rows[piv_r] = rows[piv_r], rows[pr]
-        piv = rows[pr][c]
-        rowp = rows[pr]
-        for r in range(pr + 1, m):
-            rowr = rows[r]
-            rc = rowr[c]
-            rc_nonzero = any(rc)
-            new = []
-            for cc in range(ncols):
-                x, y = rowr[cc], rowp[cc]
-                a = mul(piv, x) if any(x) else zero
-                bb = mul(rc, y) if rc_nonzero and any(y) else zero
-                v = tuple(map(operator.sub, a, bb))
-                if prev_div is not None and any(v):
-                    v = _exact_quotient(mul, v, prev_div)
-                new.append(v if any(v) else zero)
-            rows[r] = new
-        prev = piv
-        pivots.append(c)
-        pr += 1
-        if pr == m:
-            break
-    return len(pivots), pivots
-
-
-def _echelon(rows, ncols: int, field: Field):
-    """Bareiss elimination of _integral_rows output in place: (rank, pivot
-    cols).  Only the symbolic grid runs it, at each grid point."""
-    if field.degree == 1:
-        return _echelon_int(rows, ncols)
-    return _echelon_cyc(rows, ncols, field)
 
 
 @lru_cache(maxsize=None)
@@ -918,7 +851,7 @@ def _certificate(rows, ncols: int, field: Field, shared: dict):
     return shared[key]
 
 
-def _rank(rows, ncols: int, field: Field) -> int:
+def _rank(rows, ncols: int, field: Field, shared: dict | None = None) -> int:
     """Rank of _integral_rows output.
 
     The rows are first eliminated at the first map of prime 0
@@ -927,9 +860,10 @@ def _rank(rows, ncols: int, field: Field) -> int:
     nonzero residue is nonzero: full rank of the residues proves full rank.
     Otherwise the checked certificate (_certify) decides, and its first
     elimination resumes this one.  A residue rank is never returned below
-    full rank.
+    full rank.  Both run in the store shared, by default _store().
     """
-    shared = _store()
+    if shared is None:
+        shared = _store()
     p, images, _ = field.certificate_prime(0)
     full = min(len(rows), ncols)
     echelon = _eliminate(rows, ncols, p, images[0], (field, ncols, 0, 0), len(rows) - full, shared)
@@ -1001,8 +935,11 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     the set of vectors that N annihilates.  N is C's integral RREF kernel
     (_certificate) without its denominators, each of which scales one
     column, so P N is formed from the integral rows of M in integers, and
-    each grid point is one integer elimination of a #P x dim N matrix.  The
-    sweep stops once that rank reaches min(#P, dim N), since no larger
+    each grid point ranks a #P x dim N integral matrix: over Q by Bareiss
+    elimination (_echelon_int), over Q(zeta_n) by _rank, the full-rank test
+    and checked certificate of every other rank, in a store of its own, so
+    that the sweep leaves an enclosing shared_certificates store as it was.
+    The sweep stops once that rank reaches min(#P, dim N), since no larger
     minor exists.  The degree bounds are taken from the term keys of M's
     rows; they also bound every minor of P N, because an entry of row i of
     P N has no larger degree in a or b than row i of P.
@@ -1064,7 +1001,10 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     for a0, b0 in itertools.product(range(da + 1), range(db + 1)):
         pa, pb = powers[a0], powers[b0]
         grid_rows = [[value(e, pa, pb) for e in row] for row in rows]
-        rank, _ = _echelon(grid_rows, len(kernel), field)
+        if field.degree == 1:
+            rank, _ = _echelon_int(grid_rows, len(kernel))
+        else:
+            rank = _rank(grid_rows, len(kernel), field, {})
         if rank > best:
             best = rank
             witness = (a0, b0)

@@ -348,6 +348,78 @@ def test_nullspace_basis_over_q_makes_no_scalar_products(monkeypatch):
     assert calls == {"__mul__": 0, "__rmul__": 0, "inverse": 0}
 
 
+def _exact_quotient(mul, x, inverse) -> tuple:
+    """x / u over Z[zeta_n], for u with Field.integral_inverse inverse, by
+    the field's product mul; the quotient must be integral, and a remainder
+    raises ArithmeticError."""
+    num, den = inverse
+    out = []
+    for c in mul(x, num):
+        q, rem = divmod(c, den)
+        if rem:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        out.append(q)
+    return tuple(out)
+
+
+def _echelon_cyc(rows, ncols, field: Field):
+    """Reference: fraction-free (Bareiss) forward elimination over
+    Z[zeta_n], in place; returns (rank, pivot cols).
+
+    The Field.integral_inverse of a pivot is taken only when a later sweep
+    divides by it, so never for the last pivot.
+    """
+    zero = (0,) * field.degree
+    mul = field.mul
+    m = len(rows)
+    prev = None  # the previous pivot, divided out by this sweep
+    prev_div = None  # (int tuple numerator of 1/prev, int denominator)
+    pr = 0
+    pivots = []
+    for c in range(ncols):
+        piv_r = None
+        for r in range(pr, m):
+            if any(rows[r][c]):
+                piv_r = r
+                break
+        if piv_r is None:
+            continue
+        if prev is not None and pr + 1 < m:
+            prev_div = field.integral_inverse(prev)
+        rows[pr], rows[piv_r] = rows[piv_r], rows[pr]
+        piv = rows[pr][c]
+        rowp = rows[pr]
+        for r in range(pr + 1, m):
+            rowr = rows[r]
+            rc = rowr[c]
+            rc_nonzero = any(rc)
+            new = []
+            for cc in range(ncols):
+                x, y = rowr[cc], rowp[cc]
+                a = mul(piv, x) if any(x) else zero
+                bb = mul(rc, y) if rc_nonzero and any(y) else zero
+                v = tuple(map(operator.sub, a, bb))
+                if prev_div is not None and any(v):
+                    v = _exact_quotient(mul, v, prev_div)
+                new.append(v if any(v) else zero)
+            rows[r] = new
+        prev = piv
+        pivots.append(c)
+        pr += 1
+        if pr == m:
+            break
+    return len(pivots), pivots
+
+
+def _echelon(rows, ncols: int, field: Field):
+    """Reference: Bareiss elimination of _integral_rows output in place,
+    (rank, pivot cols), over Z by the grid's poly._echelon_int and over
+    Z[zeta_n] by _echelon_cyc."""
+    if field.degree == 1:
+        return poly._echelon_int(rows, ncols)
+    return _echelon_cyc(rows, ncols, field)
+
+
 def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
     """Reference: the RREF kernel basis of Bareiss echelon rows U, by
     fraction-free back substitution (the kernel path before residue
@@ -364,7 +436,7 @@ def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
     -D times column f, so by Cramer's rule each y_i is a minor of the
     input: every division is exact in Z or Z[zeta_n], and a remainder
     raises ArithmeticError.  Over Z[zeta_n] a pivot is divided through its
-    Field.integral_inverse, as in poly._echelon_cyc.  The last division, by D,
+    Field.integral_inverse, as in _echelon_cyc.  The last division, by D,
     happens only in Field.from_integral.
     """
     if field.degree == 1:
@@ -394,7 +466,7 @@ def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
         inverses = [field.integral_inverse(rows[i][p]) for i, p in enumerate(pivots)]
 
         def divide(x, inverse):
-            return poly._exact_quotient(mul, x, inverse)
+            return _exact_quotient(mul, x, inverse)
 
     r = len(pivots)
     zero = embed(0)
@@ -421,11 +493,11 @@ def _kernel_from_echelon(field: Field, rows, pivots, ncols: int) -> list:
 
 
 def _bareiss_reference(rows, field):
-    """(rank, RREF kernel basis) by Bareiss elimination (poly._echelon) and
+    """(rank, RREF kernel basis) by Bareiss elimination (_echelon) and
     _kernel_from_echelon."""
     ncols = len(rows[0]) if rows else 0
     integral = poly._integral_rows(rows, field)
-    rank, pivots = poly._echelon(integral, ncols, field)
+    rank, pivots = _echelon(integral, ncols, field)
     return rank, _kernel_from_echelon(field, integral, pivots, ncols)
 
 
@@ -548,6 +620,28 @@ def test_symbolic_path_builds_no_scalars(monkeypatch):
         assert cert == GenericRankCertificate(*expected)
 
 
+def _derivative_rows(X, d):
+    """Reference condition rows of X at degree d in Scalars: for each point
+    and derivative order (a_u, a_v) below its multiplicity, u and v the
+    coordinates other than its last nonzero one, the value at the point's
+    Scalar triple of that derivative of each monomial of degree d."""
+    monomials = [_monomial_form(d, e, ring=X.field) for e in monomial_basis(d)]
+    rows = []
+    for p, m in X.parts:
+        t = p.triple
+        u, v = [i for i in range(3) if i != max(i for i in range(3) if t[i])]
+        for order in range(m):
+            for au in range(order, -1, -1):
+                row = []
+                for f in monomials:
+                    for var, times in ((u, au), (v, order - au)):
+                        for _ in range(times):
+                            f = partial_derivative(f, var)
+                    row.append(evaluate(f, t))
+                rows.append(row)
+    return rows
+
+
 def test_non_integral_cyclotomic_points_match_gauss_jordan():
     # points whose coordinates have denominators and zeta-parts: their rows
     # are built from cleared coordinates, a nonzero multiple of the Scalar
@@ -567,8 +661,9 @@ def test_non_integral_cyclotomic_points_match_gauss_jordan():
             expected = _gauss_jordan_kernel(M.rows, M.ncols, f5)
             assert exact_rank(M) == M.ncols - len(expected)
             assert nullspace_basis(M) == [tuple(v) for v in expected]
-            # the same kernel from rows built on the stored Scalar triples
-            scalar_rows = linsys._condition_rows([(p.triple, m) for p, m in X.parts], d)
+            # the same kernel from rows of derivatives taken on the stored
+            # Scalar triples
+            scalar_rows = _derivative_rows(X, d)
             assert _gauss_jordan_kernel(scalar_rows, M.ncols, f5) == expected
     # the double line through P1 and P2 drops the rank at d = 2
     assert exact_rank(conditions_matrix(FatPointScheme(f5, [(P1, 2), (P2, 2)]), 2)) == 5
@@ -596,10 +691,6 @@ def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     (free,) = set(range(36)) - set(pivots)
     assert v[free] == field.one
     assert all(not sum((a * x for a, x in zip(row, v)), field.zero) for row in M.rows)
-    # Bareiss, which the symbolic grid still runs, inverts every pivot but
-    # the last by its integer norm, and none through a rational Scalar
-    assert poly._echelon(rows, 36, field) == (35, pivots)
-    assert (scalar[0], integral[0]) == (0, 34)
 
 
 @pytest.mark.parametrize("n, d", [(5, 7), (6, 8), (6, 9)])
@@ -704,7 +795,7 @@ def _rank_corpus(field, rng):
 
 
 def _bareiss_rank(rows, field):
-    return poly._echelon(poly._integral_rows(rows, field), len(rows[0]), field)[0]
+    return _echelon(poly._integral_rows(rows, field), len(rows[0]), field)[0]
 
 
 @pytest.mark.parametrize("field", RANK_FIELDS, ids=repr)
@@ -1084,27 +1175,52 @@ def test_certified_generic_dim_matches_the_grid_on_corpora(monkeypatch):
 
 
 def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
-    calls = _count_calls(monkeypatch, poly, "_echelon")
+    # one rank per grid point: Bareiss over Q, _rank over Q(zeta_n)
+    bareiss = _count_calls(monkeypatch, poly, "_echelon_int")
+    ranks = _count_calls(monkeypatch, poly, "_rank")
     certificates = _count_calls(monkeypatch, poly, "_certify")
     # F3 reaches its ceiling at the witness (1, 2), the 20th of 289 points;
-    # the example stays at rank 14, below its ceiling of 15, to the end
-    for Z, rank, witness, evaluated in (
-        (dual_fermat(3), 15, (1, 2), 20),
-        (example_quartic_config(), 14, (1, 1), 289),
+    # the example stays at rank 14, below its ceiling of 15, to the end.
+    # One certificate is for the kernel of the constant rows; over Q(zeta_3)
+    # each of the 19 rank drops before F3's witness is certified too
+    for Z, rank, witness, evaluated, certified in (
+        (dual_fermat(3), 15, (1, 2), (0, 20), 1 + 19),
+        (example_quartic_config(), 14, (1, 1), (289, 0), 1),
     ):
-        calls[0] = certificates[0] = 0
+        bareiss[0] = ranks[0] = certificates[0] = 0
         cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, 3, 4))
         assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 289)
-        # one certificate for the kernel of the constant rows, and one
-        # Bareiss elimination per grid point
-        assert (certificates[0], calls[0]) == (1, evaluated)
+        assert (bareiss[0], ranks[0], certificates[0]) == (*evaluated, certified)
+
+
+def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypatch):
+    # the grid over Q(zeta_n) ranks its points by the residue certificate,
+    # which takes no integral inverse, and each point's rank runs in a store
+    # of its own: the enclosing block gains only the constant rows'
+    # certificate and its two eliminations at the roots of prime 0
+    inverses = _count_calls(monkeypatch, Field, "integral_inverse")
+    zeta6 = primitive_root(make_field("cyclotomic", 6))
+    for Z, expected in (
+        (dual_fermat(3), (15, (1, 2), 16, 16, 289)),
+        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 16, 16, 289)),
+    ):
+        M = symbolic_conditions_matrix(Z, 3, 4)
+        inverses[0] = 0
+        assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
+        assert inverses[0] == 0
+        with poly.shared_certificates():
+            store = poly._store()
+            assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
+            assert len(store) == 3
+            assert sum(key[0] == "certificate" for key in store) == 1
+        assert inverses[0] == 0
 
 
 def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
     f3 = make_field("cyclotomic", 3)
-    # rank 2, the third row the sum of the others; the grid's elimination
+    # rank 2, the third row the sum of the others; the reference elimination
     rows = poly._integral_rows([[2, 1, 1], [1, 1, 0], [3, 2, 1]], f3)
-    assert poly._echelon([list(r) for r in rows], 3, f3) == (2, [0, 1])
+    assert _echelon_cyc([list(r) for r in rows], 3, f3) == (2, [0, 1])
     mul = f3.mul
     calls = [0]
 
@@ -1120,7 +1236,7 @@ def test_cyclotomic_bareiss_division_is_checked(monkeypatch):
     # the field's one product kernel, shared with Scalar multiplication
     monkeypatch.setattr(f3, "mul", corrupted)
     with pytest.raises(ArithmeticError):
-        poly._echelon(rows, 3, f3)
+        _echelon_cyc(rows, 3, f3)
 
 
 def test_cyclotomic_bareiss_skips_zero_products(monkeypatch):
@@ -1137,7 +1253,7 @@ def test_cyclotomic_bareiss_skips_zero_products(monkeypatch):
         return mul(u, v)
 
     monkeypatch.setattr(M.ring, "mul", counted)
-    assert poly._echelon(rows, 36, M.ring) == (35, pivots)
+    assert _echelon_cyc(rows, 36, M.ring) == (35, pivots)
     assert zero_operands[0] == 0
 
 
