@@ -1,15 +1,16 @@
 """Generic-point dimensions, unexpected-curve detection and splitting types.
 
-"General point" has two realizations.  Sampled mode evaluates the dimension
-at a few independent integer points and takes the minimum: each sample
-overestimates the generic value only on a proper closed locus, so the
-minimum of independent samples is the generic dimension except with
-vanishing probability, and it is always an upper bound that certifies a
-"no unexpected curve" verdict outright.  Certified mode proves the generic
-value between two bounds: the samples' exact dimensions bound it from
-above, and the condition count from below, since jP imposes at most
-C(j+1, 2) conditions on I(Z)_d.  When the least sample meets that floor,
-the floor is the generic value; only when they differ, as at every
+"General point" has two realizations, and one routine, _sample_and_floor,
+serves both.  Sampled mode evaluates the dimension at a few independent
+integer points and takes the minimum: each sample overestimates the
+generic value only on a proper closed locus, so the minimum of independent
+samples is the generic dimension except with vanishing probability, and it
+is always an upper bound that certifies a "no unexpected curve" verdict
+outright.  The condition count bounds the value from below, since jP
+imposes at most C(j+1, 2) conditions on I(Z)_d, so in either mode the
+samples stop at one that meets that floor.  Certified mode proves the
+generic value between the two bounds: when the least sample meets the
+floor, the floor is the generic value; only when they differ, as at every
 positive verdict, does it place P = [a, b, 1] with symbolic parameters and
 certify the generic corank by grid evaluation beyond the degree bound of
 the minors.
@@ -76,41 +77,40 @@ class GeneralPointStrategy:
 DEFAULT_STRATEGY = GeneralPointStrategy()
 
 
-def _sampled_dims(Z: PointConfiguration, j: int, d: int, strategy, stop_at=None):
-    """Dimensions of I(Z + jP)_d at the strategy's sample points.
+def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy, report=False):
+    """(dim I(Z)_d, floor, samples, generic value) of I(Z + jP)_d for general P.
 
-    Stops early once a sample reaches stop_at (a proven generic upper
-    bound cannot sink lower).
+    floor = max(0, dim I(Z)_d - C(j+1, 2)) bounds every P from below, as jP
+    adds C(j+1, 2) conditions, and each sample from above, by
+    semicontinuity: a sample below the floor is a wrong rank, never clamped.
+    Sampling stops at the floor, except for a certified report, which lists
+    every sample.  Sampled mode returns the least sample; certified mode the
+    floor if a sample meets it, else the grid's value, which also serves a
+    value (not a report) when Z covers every sample point of the height.
     """
-    out = []
+    dim_z = system_dimension(FatPointScheme.of(Z), d)
+    floor = max(0, dim_z - comb(j + 1, 2))
+    certified = strategy.mode == "certified"
+    samples = []
     avoid = set(Z.points)
     for i in range(strategy.samples):
-        P = strategy.sample_point(Z.field, i, avoid)
-        X = FatPointScheme.of(Z, (P, j))
-        dim = system_dimension(X, d)
-        out.append((P, dim))
-        if stop_at is not None and dim <= stop_at:
+        try:
+            P = strategy.sample_point(Z.field, i, avoid)
+        except ValueError:  # no sample point of the height is off Z
+            if report or not certified:
+                raise
             break
-    return out
-
-
-def _certified_dim(Z: PointConfiguration, j: int, d: int, floor: int, dims) -> int:
-    """The proved generic value of dim I(Z + jP)_d.
-
-    floor = max(0, dim I(Z)_d - C(j+1, 2)) is a lower bound at every P, as
-    jP adds only C(j+1, 2) linear conditions, and each exact sample dimension
-    in dims is an upper bound by semicontinuity.  When the least sample meets
-    the floor, that is the generic value; otherwise symbolic_rank_bound
-    decides it on the grid.  A sample below the floor is a wrong rank, an
-    AssertionError, never clamped.
-    """
-    low = min((dim for _, dim in dims), default=None)
-    if low is not None and low < floor:
-        raise AssertionError(f"a sample dimension {low} is below the lower bound {floor}")
-    if low == floor:
-        return floor
+        dim = system_dimension(FatPointScheme.of(Z, (P, j)), d)
+        if dim < floor:
+            raise AssertionError(f"a sample dimension {dim} is below the lower bound {floor}")
+        samples.append((P, dim))
+        if dim == floor and not (report and certified):
+            break
+    low = min((dim for _, dim in samples), default=None)
+    if not certified or low == floor:
+        return dim_z, floor, samples, low
     cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, j, d))
-    return comb(d + 2, 2) - cert.rank
+    return dim_z, floor, samples, comb(d + 2, 2) - cert.rank
 
 
 @shared_certificates()  # each sample's elimination resumes after the rows of Z
@@ -118,24 +118,13 @@ def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY
     """The generic value of dim I(Z + jP)_d: certified, or the sampled minimum.
 
     m(j), the splitting type and the semistability gate all take their
-    sample ranks here.  In certified mode the samples stop at the floor
-    max(0, dim I(Z)_d - C(j+1, 2)), and the value is proved by _certified_dim:
-    by a sample that meets the floor, or else by the grid, which also serves
-    when Z covers every sample point of the strategy's height.
+    value here, from _sample_and_floor.
     """
     if j < 0:
         raise ValueError("multiplicity must be nonnegative")
     if j == 0:
         return system_dimension(FatPointScheme.of(Z), d)
-    if strategy.mode == "certified":
-        floor = max(0, system_dimension(FatPointScheme.of(Z), d) - comb(j + 1, 2))
-        try:
-            dims = _sampled_dims(Z, j, d, strategy, stop_at=floor)
-        except ValueError:  # no sample point of the height is off Z
-            dims = []
-        return _certified_dim(Z, j, d, floor, dims)
-    dims = _sampled_dims(Z, j, d, strategy, stop_at=0)
-    return min(dim for _, dim in dims)
+    return _sample_and_floor(Z, j, d, strategy)[3]
 
 
 def multiplicity_dim(Z: PointConfiguration, j: int, strategy=DEFAULT_STRATEGY) -> int:
@@ -227,23 +216,16 @@ def detect_unexpected(
     """Does Z admit an unexpected curve of degree d?
 
     Tests dim I(Z + (d-1)P)_d > max(dim I(Z)_d - C(d,2), 0) for general P.
-    In sampled mode the generic dimension is the minimum over the samples;
-    sampling stops as soon as the verdict is decided negatively, which is
-    sound because every sample bounds the generic value from above.  In
-    certified mode every sample is drawn, for the report, and the threshold
-    is the floor of _certified_dim: a sample at the threshold proves a
+    The threshold is the floor of _sample_and_floor at j = d - 1.  In
+    sampled mode the generic dimension is the minimum over the samples, and
+    sampling stops at a sample that meets the threshold, a negative, since
+    every sample bounds the generic value from above.  In certified mode
+    every sample is drawn, for the report: a sample at the threshold proves a
     negative and its generic dimension, and only a positive runs the grid.
     """
     if d < 2:
         raise ValueError("unexpected curves need degree at least 2")
-    dim_z = system_dimension(FatPointScheme.of(Z), d)
-    threshold = max(dim_z - comb(d, 2), 0)
-    if strategy.mode == "certified":
-        samples = _sampled_dims(Z, d - 1, d, strategy)
-        generic = _certified_dim(Z, d - 1, d, threshold, samples)
-    else:
-        samples = _sampled_dims(Z, d - 1, d, strategy, stop_at=threshold)
-        generic = min(dim for _, dim in samples)
+    dim_z, threshold, samples, generic = _sample_and_floor(Z, d - 1, d, strategy, report=True)
     unexpected = generic > threshold
     witness = None
     if unexpected:

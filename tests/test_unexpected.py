@@ -8,6 +8,7 @@ import fatpoints.linsys as linsys
 import fatpoints.poly as poly
 import fatpoints.unexpected as unexpected
 from fatpoints import (
+    DEFAULT_STRATEGY,
     FatPointScheme,
     GeneralPointStrategy,
     PointConfiguration,
@@ -258,8 +259,28 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     assert multiplicity_dim(Z, 3) == 1
     assert reduced[0] == 54
     reduced[0] = 0
-    assert generic_dim.__wrapped__(Z, 3, 4) == 1  # outside any block
-    assert reduced[0] == 3 * 30
+    # outside any block: Z's 9 rows for dim I(Z)_4 (full rank at prime 0),
+    # then each sample alone
+    assert generic_dim.__wrapped__(Z, 3, 4) == 1
+    assert reduced[0] == 9 + 3 * 30
+
+
+def test_sampled_trace_stops_each_m_at_its_floor(monkeypatch):
+    # m(j) stops at the first sample that meets max(0, dim I(Z)_(j+1) -
+    # C(j+1, 2)), so the example's trace m(0..8) draws 10 sample points:
+    # none at j = 0, all three at j = 3, where the quartic keeps m(3) = 1
+    # above its floor 0, and one at each other j
+    draws = [0]
+    sample_point = GeneralPointStrategy.sample_point
+
+    def counted(self, field, index, avoid=()):
+        draws[0] += 1
+        return sample_point(self, field, index, avoid)
+
+    monkeypatch.setattr(GeneralPointStrategy, "sample_point", counted)
+    Z = example_quartic_config()
+    assert [multiplicity_dim(Z, j) for j in range(9)] == [0, 0, 0, 1, 2, 4, 6, 8, 10]
+    assert draws[0] == 10
 
 
 EXCLUDED_PAIR = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1],
@@ -302,14 +323,29 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
     assert calls[0] == 2
 
 
-def test_certified_dim_refuses_a_sample_below_the_floor():
+def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):
     # a sample below the condition-count bound would be a wrong rank: it is
-    # reported, never clamped to the floor
+    # reported in either mode, never clamped to the floor; a sample at the
+    # floor is the value.  The example's nine points impose independent
+    # conditions on quartics, so at j = 2, d = 4 the floor is 6 - 3 = 3
     Z = example_quartic_config()
-    P = ProjectivePoint(QQ, (2, -3, 1))
-    assert unexpected._certified_dim(Z, 3, 4, 0, [(P, 1), (P, 0)]) == 0
-    with pytest.raises(AssertionError):
-        unexpected._certified_dim(Z, 3, 4, 1, [(P, 0)])
+    certified = GeneralPointStrategy(mode="certified")
+    for strategy in (DEFAULT_STRATEGY, certified):
+        dim_z, floor, samples, value = unexpected._sample_and_floor(Z, 2, 4, strategy)
+        assert (dim_z, floor, value) == (6, 3, 3)
+        assert [dim for _, dim in samples] == [3]  # the first sample meets it
+    dimension = unexpected.system_dimension
+
+    def one_less(X, d):  # a scheme with the sample point loses one dimension
+        dim = dimension(X, d)
+        return dim - 1 if len(X) > len(Z) else dim
+
+    monkeypatch.setattr(unexpected, "system_dimension", one_less)
+    for strategy in (DEFAULT_STRATEGY, certified):
+        with pytest.raises(AssertionError):
+            unexpected._sample_and_floor(Z, 2, 4, strategy)
+        with pytest.raises(AssertionError):
+            detect_unexpected(Z, 3, strategy)
 
 
 def test_certified_generic_dim_falls_back_to_the_grid_without_samples():
@@ -324,6 +360,10 @@ def test_certified_generic_dim_falls_back_to_the_grid_without_samples():
         assert generic_dim(box, j, d, certified) == expected
         with pytest.raises(ValueError):
             generic_dim(box, j, d, GeneralPointStrategy(height=2))
+    # a certified report lists its samples, so it refuses, as the CLI does
+    # with exit code 3
+    with pytest.raises(ValueError):
+        detect_unexpected(box, 7, certified)
 
 
 def test_semicontinuity_of_samples():
