@@ -96,7 +96,7 @@ def _strategy(args) -> GeneralPointStrategy:
 
 
 def _add_strategy_flags(p):
-    p.add_argument("--samples", type=int, default=3, help="sample count for the general point")
+    p.add_argument("--samples", type=int, default=3, help="at most this many samples for the general point")
     p.add_argument("--height", type=int, default=1000, help="coordinate height bound for samples")
     p.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p.add_argument("--certify", action="store_true", help="certified symbolic mode")

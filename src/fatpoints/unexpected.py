@@ -1,19 +1,19 @@
 """Generic-point dimensions, unexpected-curve detection and splitting types.
 
 "General point" has two realizations, and one routine, _sample_and_floor,
-serves both.  Sampled mode evaluates the dimension at a few independent
-integer points and takes the minimum: each sample overestimates the
-generic value only on a proper closed locus, so the minimum of independent
-samples is the generic dimension except with vanishing probability, and it
-is always an upper bound that certifies a "no unexpected curve" verdict
-outright.  The condition count bounds the value from below, since jP
-imposes at most C(j+1, 2) conditions on I(Z)_d, so in either mode the
-samples stop at one that meets that floor.  Certified mode proves the
-generic value between the two bounds: when the least sample meets the
-floor, the floor is the generic value; only when they differ, as at every
-positive verdict, does it place P = [a, b, 1] with symbolic parameters and
-certify the generic corank by grid evaluation beyond the degree bound of
-the minors.
+serves both.  The generic value of dim I(Z + jP)_d lies between two
+bounds.  dim I(Z)_d bounds it from above, as does every sample, an
+evaluation at an integer point, and the condition count bounds it from
+below, since jP imposes at most C(j+1, 2) conditions on I(Z)_d.  Samples
+are drawn only while the upper bound is above that floor, in either mode.
+Sampled mode takes the least of a few independent samples: each
+overestimates the generic value only on a proper closed locus, so the
+minimum is the generic dimension except with vanishing probability, and
+it certifies a "no unexpected curve" verdict outright.  Certified mode
+proves the value: where the bounds meet, the floor is the value; only
+where they stay apart, as at every positive verdict, does it place
+P = [a, b, 1] with symbolic parameters and certify the generic corank by
+grid evaluation beyond the degree bound of the minors.
 
 The splitting type (a_Z, b_Z) is computed operationally from the trace
 m(j) = dim I(Z + jP)_(j+1):  a_Z is the least j with m(j) nonzero and
@@ -77,36 +77,34 @@ class GeneralPointStrategy:
 DEFAULT_STRATEGY = GeneralPointStrategy()
 
 
-def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy, report=False):
+def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
     """(dim I(Z)_d, floor, samples, generic value) of I(Z + jP)_d for general P.
 
-    floor = max(0, dim I(Z)_d - C(j+1, 2)) bounds every P from below, as jP
-    adds C(j+1, 2) conditions, and each sample from above, by
-    semicontinuity: a sample below the floor is a wrong rank, never clamped.
-    Sampling stops at the floor, except for a certified report, which lists
-    every sample.  Sampled mode returns the least sample; certified mode the
-    floor if a sample meets it, else the grid's value, which also serves a
-    value (not a report) when Z covers every sample point of the height.
+    floor = max(0, dim I(Z)_d - C(j+1, 2)) bounds every P from below; the
+    least of dim I(Z)_d and the samples, from above.  Samples are drawn while
+    that bound is above the floor; a sample below it is a wrong rank.  Where
+    they meet, the floor is the value; else sampled mode returns the least
+    sample, and certified mode proves the value on the grid, also when no
+    sample point of the height is off Z, where sampled mode raises.
     """
     dim_z = system_dimension(FatPointScheme.of(Z), d)
     floor = max(0, dim_z - comb(j + 1, 2))
     certified = strategy.mode == "certified"
-    samples = []
-    avoid = set(Z.points)
+    low, samples = dim_z, []
     for i in range(strategy.samples):
+        if low == floor:
+            break
         try:
-            P = strategy.sample_point(Z.field, i, avoid)
+            P = strategy.sample_point(Z.field, i, Z.points)
         except ValueError:  # no sample point of the height is off Z
-            if report or not certified:
+            if not certified:
                 raise
             break
         dim = system_dimension(FatPointScheme.of(Z, (P, j)), d)
         if dim < floor:
             raise AssertionError(f"a sample dimension {dim} is below the lower bound {floor}")
         samples.append((P, dim))
-        if dim == floor and not (report and certified):
-            break
-    low = min((dim for _, dim in samples), default=None)
+        low = min(low, dim)
     if not certified or low == floor:
         return dim_z, floor, samples, low
     cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, j, d))
@@ -122,8 +120,6 @@ def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY
     """
     if j < 0:
         raise ValueError("multiplicity must be nonnegative")
-    if j == 0:
-        return system_dimension(FatPointScheme.of(Z), d)
     return _sample_and_floor(Z, j, d, strategy)[3]
 
 
@@ -216,16 +212,16 @@ def detect_unexpected(
     """Does Z admit an unexpected curve of degree d?
 
     Tests dim I(Z + (d-1)P)_d > max(dim I(Z)_d - C(d,2), 0) for general P.
-    The threshold is the floor of _sample_and_floor at j = d - 1.  In
-    sampled mode the generic dimension is the minimum over the samples, and
-    sampling stops at a sample that meets the threshold, a negative, since
-    every sample bounds the generic value from above.  In certified mode
-    every sample is drawn, for the report: a sample at the threshold proves a
-    negative and its generic dimension, and only a positive runs the grid.
+    The threshold is the floor of _sample_and_floor at j = d - 1, so the
+    report lists the samples drawn up to the first that meets it, a
+    negative, and none when dim I(Z)_d already does.  Sampled mode takes
+    the least sample as the generic dimension; certified mode proves a
+    negative at the threshold, and a positive, or a Z that leaves no sample
+    point, on the grid.
     """
     if d < 2:
         raise ValueError("unexpected curves need degree at least 2")
-    dim_z, threshold, samples, generic = _sample_and_floor(Z, d - 1, d, strategy, report=True)
+    dim_z, threshold, samples, generic = _sample_and_floor(Z, d - 1, d, strategy)
     unexpected = generic > threshold
     witness = None
     if unexpected:

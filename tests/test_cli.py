@@ -233,11 +233,23 @@ def test_point_boxes_too_small_are_input_errors(tmp_path):
     box.write_text(json.dumps(PointConfiguration(QQ, points).to_dict()))
     for argv in (
         ("gen", "random", "--points", "10", "--height", "1"),  # 10 > 3^2 points
-        ("unexpected", str(box), "--degree", "3", "--height", "2"),  # box all of Z
+        # box all of Z, and dim I(Z)_5 = 2 above the floor 0 needs a sample
+        ("unexpected", str(box), "--degree", "5", "--height", "2"),
     ):
         done = _run_cli_process(*argv, cwd=tmp_path)
         assert (done.returncode, done.stdout) == (3, "")
         assert json.loads(done.stderr)["error"]["code"] == "input"
+    # dim I(Z)_3 = 0 is the floor, proved with no sample; a certified report
+    # is proved on the grid where sampled mode has no sample point
+    for argv, dim_z, certified in (
+        (("--degree", "3"), 0, False),
+        (("--degree", "5", "--certify"), 2, True),
+    ):
+        done = _run_cli_process("unexpected", str(box), *argv, "--height", "2", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        rep = json.loads(done.stdout)
+        assert (rep["dimZ"], rep["genericDim"], rep["certified"]) == (dim_z, 0, certified)
+        assert rep["samples"] == [] and not rep["unexpected"]
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,6 +1,8 @@
 """Generic dimensions, splitting types, the semistability gate, detection."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +36,7 @@ from fatpoints import (
 )
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import system_dimension
-from fatpoints.verify import run_paper_suite
+from fatpoints.verify import CERTIFIABLE_CLAIMS, run_paper_suite
 
 
 def test_multiplicity_dim_examples():
@@ -265,11 +267,7 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     assert reduced[0] == 9 + 3 * 30
 
 
-def test_sampled_trace_stops_each_m_at_its_floor(monkeypatch):
-    # m(j) stops at the first sample that meets max(0, dim I(Z)_(j+1) -
-    # C(j+1, 2)), so the example's trace m(0..8) draws 10 sample points:
-    # none at j = 0, all three at j = 3, where the quartic keeps m(3) = 1
-    # above its floor 0, and one at each other j
+def _count_sample_points(monkeypatch):
     draws = [0]
     sample_point = GeneralPointStrategy.sample_point
 
@@ -278,9 +276,33 @@ def test_sampled_trace_stops_each_m_at_its_floor(monkeypatch):
         return sample_point(self, field, index, avoid)
 
     monkeypatch.setattr(GeneralPointStrategy, "sample_point", counted)
+    return draws
+
+
+def test_sampled_trace_stops_each_m_at_its_floor(monkeypatch):
+    # m(j) stops at the first sample that meets max(0, dim I(Z)_(j+1) -
+    # C(j+1, 2)), so the example's trace m(0..8) draws 9 sample points:
+    # none at j = 0 or at j = 1, where dim I(Z)_2 = 0 is already the floor,
+    # all three at j = 3, where the quartic keeps m(3) = 1 above its floor 0,
+    # and one at each other j
+    draws = _count_sample_points(monkeypatch)
     Z = example_quartic_config()
     assert [multiplicity_dim(Z, j) for j in range(9)] == [0, 0, 0, 1, 2, 4, 6, 8, 10]
-    assert draws[0] == 10
+    assert draws[0] == 9
+
+
+def test_no_sample_where_dim_iz_meets_the_floor(monkeypatch):
+    # dim I(Z)_d bounds every P from above, so where it equals the floor the
+    # value is proved without a sample point, in either mode
+    draws = _count_sample_points(monkeypatch)
+    Z = example_quartic_config()
+    twelve = random_config(12, 1000, "no-sample")
+    for strategy in (DEFAULT_STRATEGY, GeneralPointStrategy(mode="certified")):
+        assert generic_dim(Z, 0, 4, strategy) == 6  # j = 0 is dim I(Z)_4 itself
+        rep = detect_unexpected(twelve, 3, strategy)
+        assert (rep.dim_z, rep.generic_dim, rep.threshold) == (0, 0, 0)
+        assert not rep.unexpected and rep.samples == ()
+    assert draws[0] == 0
 
 
 EXCLUDED_PAIR = [[1, 0, 0], [0, 1, 0], [1, -1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1],
@@ -314,13 +336,25 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
         calls[0] = 0
         rep = detect_unexpected(Z, d, certified)
         assert rep.unexpected == bool(grid_calls) and rep.certified
-        assert len(rep.samples) == certified.samples  # the report lists them all
         assert calls[0] == grid_calls, (Z, d)
+        # both modes draw the same samples, up to the first at the threshold
+        sampled = detect_unexpected(Z, d).to_dict()
+        assert rep.to_dict() == {**sampled, "certified": True}
     # the certified suite's only grid certificates: the example's quartic in
-    # example-quartic-unexpected and the excluded pair in family-emptiness
+    # example-quartic-unexpected and the excluded pair in family-emptiness;
+    # its records are the sampled suite's, except the certifiable claims
     calls[0] = 0
-    assert all(r.passed for r in run_paper_suite(seed=0, certify=True))
+    results = run_paper_suite(seed=0, certify=True)
     assert calls[0] == 2
+    data = Path(__file__).parent / "data"
+    certified_records = json.loads((data / "suite_seed0_certify.json").read_text())
+    by_claim = {r["claim"]: r for r in certified_records}
+    assert set(by_claim) == CERTIFIABLE_CLAIMS
+    expected = [
+        by_claim.get(r["claim"], r) for r in json.loads((data / "suite_seed0.json").read_text())
+    ]
+    reports = [{k: v for k, v in r.to_dict().items() if k != "runtime"} for r in results]
+    assert json.loads(json.dumps(reports)) == expected
 
 
 def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):
@@ -360,10 +394,13 @@ def test_certified_generic_dim_falls_back_to_the_grid_without_samples():
         assert generic_dim(box, j, d, certified) == expected
         with pytest.raises(ValueError):
             generic_dim(box, j, d, GeneralPointStrategy(height=2))
-    # a certified report lists its samples, so it refuses, as the CLI does
-    # with exit code 3
+    # a report draws no sample either: a certified one is proved on the
+    # grid, and a sampled one refuses, as the CLI does with exit code 3
+    rep = detect_unexpected(box, 7, certified)
+    assert rep.certified and rep.samples == () and rep.witness is None
+    assert (rep.dim_z, rep.generic_dim, rep.threshold) == (12, 0, 0)
     with pytest.raises(ValueError):
-        detect_unexpected(box, 7, certified)
+        detect_unexpected(box, 7, GeneralPointStrategy(height=2))
 
 
 def test_semicontinuity_of_samples():
