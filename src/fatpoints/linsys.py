@@ -44,9 +44,11 @@ from .poly import (
     ExactMatrix,
     Form,
     ParamRing,
+    evaluate,
     exact_rank,
     monomial_basis,
     nullspace_basis,
+    partial_derivative,
     rank_of_fraction_rows,
 )
 
@@ -285,23 +287,30 @@ def dim_linear_system(X: FatPointScheme, d: int) -> LinearSystemReport:
 
 
 def _check_vanishing(f: Form, X: FatPointScheme) -> None:
-    # post-condition: every basis form meets every multiplicity condition
-    from .poly import evaluate, partial_derivative
+    """Post-condition: f meets every multiplicity condition of X.
 
+    The check runs by symbolic differentiation and evaluation, apart from
+    the condition rows and the kernel certificate.  Each point's orders
+    (a_u, a_v), a_u + a_v < m, are walked as a chain: d_u^a_u f from
+    d_u^(a_u - 1) f, then d_v one step at a time, so an m-fold point takes
+    C(m+1, 2) - 1 derivatives and every (point, order) pair is evaluated.
+    """
     for p, m in X.parts:
         coords = p.coeffs
         chart = _chart_index(coords)
         u, v = [i for i in range(3) if i != chart]
-        for au, av in _derivative_orders(m):
-            g = f
-            for _ in range(au):
-                g = partial_derivative(g, u)
-            for _ in range(av):
-                g = partial_derivative(g, v)
-            if not evaluate(g, coords).is_zero():
-                raise AssertionError(
-                    f"basis form fails the order-{m} condition at {p!r}"
-                )
+        fu = f
+        for au in range(m):
+            if au:
+                fu = partial_derivative(fu, u)
+            g = fu
+            for av in range(m - au):
+                if av:
+                    g = partial_derivative(g, v)
+                if not evaluate(g, coords).is_zero():
+                    raise AssertionError(
+                        f"basis form fails the order-{m} condition at {p!r}"
+                    )
 
 
 def system_basis(X: FatPointScheme, d: int) -> list[Form]:
@@ -318,8 +327,6 @@ def rational_map_image(basis, p: ProjectivePoint):
     Returns a ProjectivePoint when the basis has three forms (a plane map),
     otherwise the normalized tuple of scalar coordinates.
     """
-    from .poly import evaluate
-
     basis = list(basis)
     if not basis:
         raise ValueError("rational map needs a nonempty basis")

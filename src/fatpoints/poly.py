@@ -421,27 +421,79 @@ def partial_derivative(f: Form, var) -> Form:
         e2 = list(e)
         k = e2[v]
         e2[v] = k - 1
-        out[idx[tuple(e2)]] = c * k
+        out[idx[tuple(e2)]] = c if k == 1 else c * k
     return Form(f.ring, d - 1, out)
 
 
+@lru_cache(maxsize=None)
+def _horner_groups(d: int, a: int, b: int) -> tuple:
+    """The indices of monomial_basis(d) grouped by the exponent of
+    coordinate a, from d down to 0, and each group ordered by the exponent
+    of coordinate b, from its top down to 0: the k-th index of a group of
+    length t + 1 has exponent t - k in b and k in the third coordinate."""
+    index = _monomial_index(d)
+    c = 3 - a - b
+    groups = []
+    for ea in range(d, -1, -1):
+        group = []
+        for eb in range(d - ea, -1, -1):
+            e = [0, 0, 0]
+            e[a], e[b], e[c] = ea, eb, d - ea - eb
+            group.append(index[tuple(e)])
+        groups.append(tuple(group))
+    return tuple(groups)
+
+
 def evaluate(f: Form, point) -> object:
-    """Value of the form at a coordinate triple (ring elements)."""
-    coords = getattr(point, "coeffs", point)
-    p = [f.ring.coerce(c) for c in coords]
+    """Value of the form at a coordinate triple (ring elements).
+
+    Nested Horner: f = sum_i p_a^i g_i(p_b, p_c), Horner in p_a over the
+    groups g_i, and each g_i, homogeneous of degree t, Horner in p_b with its
+    k-th term weighted by p_c^k.  The weighting coordinate c is one equal to 1
+    where the triple has one, as a point's coeffs and P = [a, b, 1] do, and
+    then no power of it is formed; nor is any product by another coordinate
+    equal to 1.  A zero coordinate is taken as a, or as b when a is zero
+    too, so the terms it kills are never visited.  That is about one ring
+    product per term, and the value is exactly the monomial sum.
+    """
+    ring = f.ring
+    p = [ring.coerce(x) for x in getattr(point, "coeffs", point)]
+    coeffs = f.coeffs
     d = f.degree
-    pows = []
-    for c in p:
-        row = [f.ring.one]
-        for _ in range(d):
-            row.append(row[-1] * c)
-        pows.append(row)
-    total = f.ring.zero
-    for e, c in zip(monomial_basis(d), f.coeffs):
-        if not c:
-            continue
-        total = total + c * pows[0][e[0]] * pows[1][e[1]] * pows[2][e[2]]
-    return total
+    one = ring.one
+    unit = [x == one for x in p]
+    nonzero = [i for i in (2, 1, 0) if p[i]]
+    if not nonzero:  # the zero triple
+        return coeffs[0] if d == 0 else ring.zero
+    c = next((i for i in nonzero if unit[i]), nonzero[0])
+    a, b = [i for i in range(3) if i != c]
+    if not p[b]:
+        a, b = b, a
+    pa, pb, pc = p[a], p[b], p[c]
+    groups = _horner_groups(d, a, b) if pa else _horner_groups(d, a, b)[-1:]
+    weights = None
+    if not unit[c]:
+        weights = [one, pc]
+        for _ in range(2, d + 1):
+            weights.append(weights[-1] * pc)
+    step_a, step_b = not unit[a], not unit[b]
+    total = None
+    for group in groups:
+        if total is not None and step_a:
+            total = total * pa
+        t = len(group) - 1
+        h = None
+        for k in range(t + 1) if pb else (t,):
+            if h is not None and step_b:
+                h = h * pb
+            term = coeffs[group[k]]
+            if term:
+                if k and weights is not None:
+                    term = term * weights[k]
+                h = term if h is None else h + term
+        if h is not None:
+            total = h if total is None else total + h
+    return ring.zero if total is None else total
 
 
 # ---------------------------------------------------------------------------

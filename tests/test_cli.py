@@ -216,6 +216,33 @@ def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):
         assert json.loads(err)["error"]["code"] == "budget"
 
 
+def test_conductor_budget(tmp_path, capsys):
+    # conductors up to MAX_CONDUCTOR = 128 are built; one above is refused
+    # before its field is, from a file and from each generator flag
+    def config(n):
+        path = tmp_path / f"zeta{n}.json"
+        field = {"type": "cyclotomic", "n": n}
+        path.write_text(json.dumps({"field": field, "points": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]}))
+        return str(path)
+
+    code, out, _ = run_cli(capsys, "analyze", config(128), "--max-degree", "1")
+    assert code == 0 and json.loads(out)["field"] == {"type": "cyclotomic", "n": 128}
+    code, out, _ = run_cli(capsys, "gen", "family", "--id", "w5", "--params", "a=2", "--cyclotomic", "128")
+    assert code == 0 and json.loads(out)["field"]["n"] == 128
+    for argv in (
+        ("analyze", config(129)),
+        ("analyze", config(16001)),
+        ("gen", "fermat", "--n", "129"),
+        ("gen", "family", "--id", "fermat", "--n", "129"),
+        ("gen", "family", "--id", "w5", "--params", "a=2", "--cyclotomic", "129"),
+    ):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["code"] == "budget"
+
+
 def _run_cli_process(*argv, cwd):
     # a child process with a timeout, so that an unbounded run fails the
     # test instead of hanging the suite

@@ -1,6 +1,7 @@
 """Conditions matrices, system dimensions, bases, and the symbolic builder."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -13,9 +14,11 @@ from fatpoints import (
     Form,
     ProjectivePoint,
     QQ,
+    Scalar,
     apply_transform,
     conditions_matrix,
     dim_linear_system,
+    dual_fermat,
     evaluate,
     exact_rank,
     example_quartic_config,
@@ -31,6 +34,7 @@ from fatpoints import (
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import (
     _chart_index,
+    _check_vanishing,
     _condition_rows,
     _derivative_orders,
     _falling,
@@ -156,6 +160,61 @@ def _vanishes_to_order_in_all_charts(f, p, m):
                 if not evaluate(g, p.coeffs).is_zero():
                     return False
     return True
+
+
+def _failing_one_condition(X, d, point_index, order):
+    """f + g, f the first basis form of I(X)_d and g a form that meets every
+    condition row of X but the one of (point, order): so f + g fails
+    exactly that condition."""
+    M = conditions_matrix(X, d)
+    assert exact_rank(M) == M.nrows  # so each row is off the others' span
+    r = sum(comb(m + 1, 2) for _, m in X.parts[:point_index])
+    r += _derivative_orders(X.parts[point_index][1]).index(order)
+    rows = M.rows
+    others = nullspace_basis(ExactMatrix(X.field, rows[:r] + rows[r + 1:]))
+    g = next(v for v in others if sum(a * b for a, b in zip(rows[r], v)))
+    return system_basis(X, d)[0] + Form(X.field, d, g)
+
+
+def test_check_vanishing_raises_on_each_failing_condition():
+    # every order of a triple point, a simple point of Z, and every order of
+    # a double dual F3 point in chart y over Q(zeta_3)
+    Z = example_quartic_config()
+    X = FatPointScheme.of(Z, (_point(5, 11, 1), 3))
+    F3 = dual_fermat(3)
+    Y = FatPointScheme(F3.field, [(F3.points[0], 2)] + [(p, 1) for p in F3.points[1:]])
+    assert _chart_index(F3.points[0].coeffs) == 1
+    cases = [(X, 5, 9, order) for order in _derivative_orders(3)] + [(X, 5, 0, (0, 0))]
+    cases += [(Y, 4, 0, order) for order in _derivative_orders(2)]
+    for scheme, d in ((X, 5), (Y, 4)):
+        for f in system_basis(scheme, d):
+            _check_vanishing(f, scheme)
+    for scheme, d, i, order in cases:
+        p, m = scheme.parts[i]
+        h = _failing_one_condition(scheme, d, i, order)
+        with pytest.raises(AssertionError, match=re.escape(f"order-{m} condition at {p!r}")):
+            _check_vanishing(h, scheme)
+
+
+def test_witness_check_scalar_products(monkeypatch):
+    # every Scalar product of system_basis is made by its witness check:
+    # one derivative chain per fat point, each derivative evaluated by Horner
+    calls = [0]
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    counts = []
+    for Z, j, d in ((example_quartic_config(), 3, 4), (dual_fermat(5), 6, 7)):
+        X = FatPointScheme.of(Z, (ProjectivePoint(Z.field, (2, 7, 1)), j))
+        calls[0] = 0
+        assert len(system_basis(X, d)) == 1
+        counts.append(calls[0])
+    assert counts == [59, 394]
 
 
 def test_basis_vanishing_in_all_charts():

@@ -91,6 +91,52 @@ def test_evaluate_examples():
     assert evaluate(xy, (2, 3, 1)) == QQ.scalar(6)
 
 
+def _monomial_sum(f, point):
+    """Reference value: the plain sum of c * x^e0 * y^e1 * z^e2."""
+    powers = []
+    for x in point:
+        row = [f.ring.one]
+        for _ in range(f.degree):
+            row.append(row[-1] * f.ring.coerce(x))
+        powers.append(row)
+    total = f.ring.zero
+    for e, c in zip(monomial_basis(f.degree), f.coeffs):
+        total = total + c * powers[0][e[0]] * powers[1][e[1]] * powers[2][e[2]]
+    return total
+
+
+def test_evaluate_matches_the_monomial_sum():
+    # seeded forms of degree 0..8, some sparse, at triples with a coordinate
+    # 1 in each place, with none, and with one, two or three zeros
+    rng = random.Random("horner")
+    f5 = make_field("cyclotomic", 5)
+    ring = ParamRing(QQ)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def cyclotomic():
+        return f5.from_coeffs([rational() for _ in range(4)])
+
+    def parametric():
+        return rational() + rational() * rng.choice((ring.a, ring.b))
+
+    for draw, one in ((rational, 1), (cyclotomic, f5.one), (parametric, ring.one)):
+        ring_of = {rational: QQ, cyclotomic: f5, parametric: ring}[draw]
+        for d in range(9):
+            n = comb(d + 2, 2)
+            f = Form.from_coeffs(ring_of, d, [draw() if rng.random() < 0.7 else 0 for _ in range(n)])
+            triples = [tuple(one if i == k else draw() for i in range(3)) for k in range(3)]
+            triples.append(tuple(draw() for _ in range(3)))
+            for zeros in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+                triples.append(tuple(0 if i in zeros else draw() for i in range(3)))
+                triples.append(tuple(0 if i in zeros else one for i in range(3)))
+            if draw is parametric:
+                triples.append((ring.a, ring.b, ring.one))
+            for t in triples:
+                assert evaluate(f, t) == _monomial_sum(f, t), (d, f, t)
+
+
 def test_evaluate_homogeneity():
     rng = random.Random("homog")
     for _ in range(40):
