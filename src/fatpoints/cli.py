@@ -17,10 +17,10 @@ built: a configuration file, gen fermat --n, gen family --id fermat and gen
 family --cyclotomic take conductors up to MAX_CONDUCTOR = 128.  Building
 Q(zeta_n) grows as phi(n)^3 (5.6 s and 153 MB at n = 4,001), and the
 field's first certificate prime, which every rank uses, splits Phi_n mod p
-with an inverse Vandermonde matrix of phi(n)^2 entries.  In CPU time on a
-2-vCPU machine, analyze on four points takes 34 s over Q(zeta_1024) and
-3.4 s over Q(zeta_257), against 0.55 s over Q(zeta_127), and gen fermat
---n 127 takes 2.2 s.
+with an inverse Vandermonde matrix of phi(n)^2 entries, in closed form.  In
+CPU time on a 2-vCPU machine, analyze --max-degree 1 on four points takes
+0.86 s over Q(zeta_1024) and 0.20 s over Q(zeta_257), against 0.06 s over
+Q(zeta_127), and gen fermat --n 127 takes 0.13 s.
 """
 
 from __future__ import annotations

@@ -9,22 +9,23 @@ Scalars are immutable and canonical: Fraction keeps gcd(num, den) = 1 with a
 positive denominator, and the representative polynomial always has degree
 below phi(n).  Equality of scalars therefore agrees with field equality.
 
-This module is the only one that knows that layout.  Exact elimination
-elsewhere works on integral coordinates: Field.clear_denominators turns
-scalars into ints (over Q) or int tuples in the power basis (over
-Q(zeta_n)) over one common denominator, Field.from_integral turns such
-coordinates back into scalars, and Field.mul is the one product of
-coefficient tuples modulo Phi_n, used by Scalar multiplication and by the
-integral rows over Z[zeta_n] alike: building condition rows and checking
-certificates exactly.  Field.integral_inverse is the one inverse over
-Q(zeta_n), and serves Scalar division only, as no rank over Q(zeta_n)
-divides by a pivot: x times the product of its other Galois conjugates is
-the norm N(x), a nonzero integer, so 1/x is that product over N(x), all in
-integers.
+This module is the only one that knows that layout, and the layout of
+integral coordinates, on which exact elimination elsewhere works: ints when
+the degree phi(n) is 1, int tuples in the power basis otherwise.
+Field.clear_denominators turns scalars into integral coordinates over one
+common denominator, and Field.from_integral turns them back.  Field.mul,
+Field.scale and Field.unit are the product, the int multiple and the
+coordinates of 1, so the condition rows and the certificates' exact checks
+are written once for every field.  Above degree 1, Field.mul is also the
+one product modulo Phi_n that Scalar multiplication uses, on Fraction
+tuples.  Field.integral_inverse is the one inverse over Q(zeta_n), and
+serves Scalar division only, as no rank over Q(zeta_n) divides by a pivot:
+x times the product of its other Galois conjugates is the norm N(x), a
+nonzero integer, so 1/x is that product over N(x), all in integers.
 Field.certificate_prime is the one sequence of primes p = 1 (mod n): the
 first below 2^15, the rest below 2^62.  Its maps take integral coordinates
-to residues mod p, and its lift takes residues back to power-basis
-coordinates mod p.
+to residues mod p, and its lift, the inverse Vandermonde matrix of the
+roots in closed form, takes residues back to power-basis coordinates mod p.
 
 Nothing in this module (or anything built on it) ever touches floating
 point: rank decisions downstream must be exact.
@@ -95,9 +96,13 @@ class Field:
     Fields compare (and hash) by kind and conductor.  Mixed-field arithmetic
     is rejected rather than coerced, so callers building configurations must
     pick one field up front.
+
+    It owns the integral coordinates too, by degree (ints at degree 1, as
+    for Q(zeta_2); power-basis int tuples above): mul is their product,
+    scale(x, c) the multiple by an int c, and unit the coordinates of 1.
     """
 
-    __slots__ = ("kind", "conductor", "degree", "modulus", "mul", "zero", "one")
+    __slots__ = ("kind", "conductor", "degree", "modulus", "mul", "scale", "unit", "zero", "one")
 
     def __init__(self, kind: str, conductor: int = 1):
         if kind not in ("rational", "cyclotomic"):
@@ -106,16 +111,19 @@ class Field:
             conductor = 1
             self.modulus = None
             self.degree = 1
-            red = ()
         else:
             if conductor < 1:
                 raise ValueError("conductor must be a positive integer")
-            mod = cyclotomic_polynomial(conductor)
-            self.modulus = mod
-            deg = self.degree = len(mod) - 1
+            self.modulus = cyclotomic_polynomial(conductor)
+            self.degree = len(self.modulus) - 1
+        deg = self.degree
+        if deg == 1:
+            self.mul, self.scale, self.unit = operator.mul, operator.mul, 1
+        else:
             # the reduction table: z^k in the power basis, k = deg .. 2 deg - 2
-            red = [_divmod_monic([0] * k + [1], mod)[1] for k in range(deg, 2 * deg - 1)]
-        self.mul = _product_kernel(self.degree, red)
+            red = [_divmod_monic([0] * k + [1], self.modulus)[1] for k in range(deg, 2 * deg - 1)]
+            self.mul, self.scale = _product_kernel(deg, red), _scale
+            self.unit = (1,) + (0,) * (deg - 1)
         self.kind = kind
         self.conductor = conductor
         self.zero = Scalar(self, (Fraction(0),) * self.degree)
@@ -332,23 +340,29 @@ def _split(n: int, p: int):
     roots = _roots_of_unity(n, p)
     degree = len(roots)
     vandermonde = [[pow(w, k, p) for k in range(degree)] for w in roots]
-    # inverse of the Vandermonde matrix mod p, by Gauss-Jordan on [V | I]
-    rows = [v + [int(i == j) for j in range(degree)] for i, v in enumerate(vandermonde)]
-    for c in range(degree):
-        r = next(r for r in range(c, degree) if rows[r][c])
-        rows[c], rows[r] = rows[r], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        rows[c] = [x * inv % p for x in rows[c]]
-        for r in range(degree):
-            f = rows[r][c]
-            if r != c and f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
-    inverse = [row[degree:] for row in rows]
+    # the inverse Vandermonde matrix mod p: Phi_n is the product of x - w
+    # over the roots, so column w is Phi_n(x) / (x - w), by synthetic
+    # division, over its value at w, Phi_n'(w)
+    modulus = cyclotomic_polynomial(n)
+    columns = []
+    for w, powers in zip(roots, vandermonde):
+        quotient = [1]
+        for c in modulus[-2:0:-1]:
+            quotient.append((c + w * quotient[-1]) % p)
+        quotient.reverse()
+        inv = pow(sum(map(operator.mul, quotient, powers)), -1, p)
+        columns.append([c * inv % p for c in quotient])
+    inverse = list(zip(*columns))
 
     def lift(values):
         return tuple(sum(map(operator.mul, row, values)) % p for row in inverse)
 
     return p, [_evaluation(v, p) for v in vandermonde], lift
+
+
+def _scale(x: tuple, c: int) -> tuple:
+    """The int multiple c * x of power-basis coordinates x."""
+    return x if c == 1 else tuple([c * t for t in x])
 
 
 def _product_kernel(degree: int, red):
@@ -466,7 +480,7 @@ class Scalar:
         (x,), den = f.clear_denominators([self])
         num, norm = f.integral_inverse(x)
         # self = x / den, so 1/self = den * num / norm
-        return f.from_integral([tuple(den * c for c in num)], norm)[0]
+        return f.from_integral([f.scale(num, den)], norm)[0]
 
     def __truediv__(self, other):
         o = self._coerce(other)

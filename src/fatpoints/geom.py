@@ -49,9 +49,12 @@ def _primitive(v) -> tuple:
 
 
 def _monic(v) -> tuple:
-    """A nonzero Scalar triple scaled to first nonzero coordinate 1."""
+    """A nonzero Scalar triple scaled to first nonzero coordinate 1; a
+    triple that has it already is returned as it is, with no inverse."""
     for c in v:
         if c:
+            if c == c.field.one:
+                return v
             inv = c.inverse()
             return tuple(x * inv for x in v)
     raise DegenerateInputError("all-zero homogeneous triple")

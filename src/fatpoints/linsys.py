@@ -10,11 +10,11 @@ bookkeeping exactly.
 One builder makes every condition row, straight from a homogeneous
 coordinate triple x of the point: the row of the derivative order
 (a_u, a_v) holds falling(e_u, a_u) * falling(e_v, a_v) * x^(e - a) in the
-column of each monomial x^e.  Its entries live in the triple's own ring:
-ints for the primitive integer triple of a rational point, and int tuples
-over Q(zeta_n), the power-basis coordinates of the point's Scalars times a
-common denominator (multiplied by Field.mul).  So a conditions matrix over
-a field is integral as built, and no Scalar is made on the way to its rank.
+column of each monomial x^e.  The triple holds the field's integral
+coordinates (_row_triple), whose layout the builder reads only through
+Field.mul, Field.scale and Field.unit, so it has one body for every field.
+A conditions matrix is integral as built, and no Scalar is made on the way
+to its rank.
 Dividing the row by the nonzero scalar x_c^(d - a_u - a_v) gives the
 derivative row in the affine chart x_c = 1, so the row space, the ranks,
 the RREF nullspace bases and every witness are those of the chart rows.
@@ -33,7 +33,6 @@ entries at [a, b, 1] are integer multiples of the monomials a^e0 b^e1.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -60,7 +59,7 @@ class BaseLocusError(ValueError):
 class FatPointScheme:
     """Formal sum m1*P1 + ... + mr*Pr of distinct points with multiplicities."""
 
-    __slots__ = ("field", "parts", "_cleared")
+    __slots__ = ("field", "parts", "_triples")
 
     def __init__(self, field: Field, parts):
         norm = []
@@ -78,10 +77,8 @@ class FatPointScheme:
             norm.append((p, m))
         self.field = field
         self.parts = tuple(norm)
-        # over Q(zeta_n) the points' integral coordinates are cleared once,
-        # for every conditions matrix of the scheme; over Q _row_triple is
-        # only a sign
-        self._cleared = None if field.degree == 1 else [(_row_triple(p), m) for p, m in norm]
+        # the points' integral coordinates, taken once for every conditions matrix
+        self._triples = [(_row_triple(p), m) for p, m in norm]
 
     @classmethod
     def of(cls, Z: PointConfiguration, *extra) -> "FatPointScheme":
@@ -132,9 +129,9 @@ def _falling(e: int, k: int) -> int:
 def _row_triple(p: ProjectivePoint) -> tuple:
     """The integral coordinates the rows of p are built from.
 
-    Over Q that is the primitive integer triple, negated when its chart
-    coordinate is negative, so that the chart coordinate is positive; over
-    Q(zeta_n) the Field.clear_denominators coordinates of the stored Scalar
+    At degree 1 that is the primitive integer triple, negated when its
+    chart coordinate is negative, so that the chart coordinate is positive;
+    above, the Field.clear_denominators coordinates of the stored Scalar
     triple, int tuples in the power basis: the triple times a nonzero
     integer.
     """
@@ -169,36 +166,26 @@ def _row_templates(d: int, m: int, chart: int) -> tuple:
     return tuple(templates)
 
 
-def _scale(x: tuple, c: int) -> tuple:
-    return x if c == 1 else tuple([c * t for t in x])
-
-
-def _condition_rows(parts, d: int, mul=None) -> list:
+def _condition_rows(parts, d: int, field: Field) -> list:
     """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
 
-    The triples are of ints, with mul None, or of int tuples in the power
-    basis of Q(zeta_n), with mul its Field.mul, and the entries stay in that
-    form.  The values at the point of the monomials of each degree t are
-    taken once, from its power table: the row of derivative order 0 is those
-    of degree d, and every other row scales them into place by
-    _row_templates.
+    The triples hold integral coordinates of field, and the entries stay in
+    that form: products by Field.mul, int multiples by Field.scale.
+    The values at the point of the monomials of each degree t are taken
+    once, from its power table: the row of derivative order 0 is those of
+    degree d, and every other row scales them into place by _row_templates.
     """
     ncols = comb(d + 2, 2)
-    times = operator.mul if mul is None else mul
-    scale = operator.mul if mul is None else _scale
+    mul, scale, one = field.mul, field.scale, field.unit
+    zero = scale(one, 0)
     rows = []
     for coords, m in parts:
         chart = _chart_index(coords)
-        if mul is None:
-            one, zero = 1, 0
-        else:
-            zero = (0,) * len(coords[chart])
-            one = (1,) + zero[1:]
         powers = []
         for c in coords:
             row = [one]
             for _ in range(d):
-                row.append(times(row[-1], c))
+                row.append(mul(row[-1], c))
             powers.append(row)
         px, py, pz = powers
         values = {}  # degree t -> the values of monomial_basis(t) at the point
@@ -207,10 +194,7 @@ def _condition_rows(parts, d: int, mul=None) -> list:
                 rows.append([zero] * ncols)
                 continue
             if t not in values:
-                if mul is None:
-                    values[t] = [px[i] * py[j] * pz[k] for i, j, k in monomial_basis(t)]
-                else:
-                    values[t] = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
+                values[t] = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
             monomials = values[t]
             if t == d:  # derivative order 0
                 rows.append(monomials)
@@ -222,14 +206,6 @@ def _condition_rows(parts, d: int, mul=None) -> list:
     return rows
 
 
-def _scheme_rows(X: FatPointScheme, d: int) -> list:
-    """The integral condition rows of X: ints over Q, int tuples over
-    Q(zeta_n)."""
-    if X._cleared is None:
-        return _condition_rows([(_row_triple(p), m) for p, m in X.parts], d)
-    return _condition_rows(X._cleared, d, X.field.mul)
-
-
 def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """Interpolation matrix whose nullspace is I(X)_d as coefficient vectors.
 
@@ -238,7 +214,8 @@ def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return ExactMatrix.from_integral(X.field, _scheme_rows(X, d), comb(d + 2, 2))
+    rows = _condition_rows(X._triples, d, X.field)
+    return ExactMatrix.from_integral(X.field, rows, comb(d + 2, 2))
 
 
 def system_dimension(X: FatPointScheme, d: int) -> int:
@@ -247,7 +224,7 @@ def system_dimension(X: FatPointScheme, d: int) -> int:
         raise ValueError("degree must be nonnegative")
     ncols = comb(d + 2, 2)
     if X.field.degree == 1:
-        return ncols - rank_of_fraction_rows(_scheme_rows(X, d), ncols)
+        return ncols - rank_of_fraction_rows(_condition_rows(X._triples, d, X.field), ncols)
     return ncols - exact_rank(conditions_matrix(X, d))
 
 
@@ -350,18 +327,17 @@ def symbolic_conditions_matrix(Z: PointConfiguration, j: int, d: int) -> ExactMa
     matrix, each entry x as the term dict {(0, 0): x}.  Rows for the general
     point are read off _row_templates in chart z: the entry (column, coef,
     i) is the term coef * a^e0 * b^e1, (e0, e1, _) = monomial_basis(t)[i],
-    with coef an int over Q and an int tuple over Q(zeta_n).
+    with coef in the field's integral coordinates, coef times Field.unit.
     """
     field = Z.field
     ncols = comb(d + 2, 2)
     constant = conditions_matrix(FatPointScheme.of(Z), d).integral_rows()
     rows = [[{(0, 0): x} for x in row] for row in constant]
-    pad = (0,) * (field.degree - 1)
     for t, entries in _row_templates(d, j, 2):
         basis = monomial_basis(t)
         row = [{} for _ in range(ncols)]
         for col, coef, i in entries:
             e0, e1, _ = basis[i]
-            row[col] = {(e0, e1): coef if field.degree == 1 else (coef,) + pad}
+            row[col] = {(e0, e1): field.scale(field.unit, coef)}
         rows.append(row)
     return ExactMatrix.from_integral(ParamRing(field), rows, ncols)

@@ -7,11 +7,14 @@ the external contract, so reports are reproducible bit for bit.
 An ExactMatrix over a field or a parameter ring holds its rows as integer
 (or cyclotomic-integer) coordinates, each a nonzero multiple of its Scalar
 or ParamPoly row: conditions matrices are built that way, and other rows are
-scaled once.  Every rank and every nullspace basis is then read off one
-sequence of primes p = 1 (mod n), Field.certificate_prime(k), and one packed
-forward elimination mod p (_forward), run once per root of Phi_n mod p: a
-ring map Z[zeta_n] -> Z/p.  The image of a minor is the minor of the image,
-so pivot columns independent mod p are independent.
+scaled once (_integral_rows); over Q, conditions rows are ranked as built
+(rank_of_fraction_rows).  Their layout is the field's: the exact checks read
+it from Field.mul, Field.scale and Field.unit.  Every rank and every
+nullspace basis is then read off one sequence of primes p = 1 (mod n),
+Field.certificate_prime(k), and one packed forward elimination mod p
+(_forward), run once per root of Phi_n mod p: a ring map Z[zeta_n] -> Z/p.
+The image of a minor is the minor of the image, so pivot columns
+independent mod p are independent.
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
@@ -766,7 +769,7 @@ def _annihilates(rows, coords, f: int, pivots, field: Field) -> bool:
     nonzero entry at f and zeros off f and the pivots before f, and
     annihilate every row exactly, in integers through Field.mul."""
     support = [c for c in pivots if c < f] + [f]
-    zero = 0 if field.degree == 1 else (0,) * field.degree
+    zero = field.scale(field.unit, 0)
     outside = set(range(len(coords))) - set(support)
     if coords[f] == zero or any(coords[c] != zero for c in outside):
         return False
@@ -810,6 +813,7 @@ def _certify(rows, ncols: int, field: Field, shared: dict):
     primes, ArithmeticError.
     """
     degree = field.degree
+    zero = field.scale(field.unit, 0)
     budget = None
     best = None  # the pivots of the primes collected
     for k in itertools.count():
@@ -856,13 +860,10 @@ def _certify(rows, ncols: int, field: Field, shared: dict):
             if candidate is None:
                 continue
             nums, den = candidate
-            if degree == 1:
-                coords = [0] * ncols
-                coords[f] = den
-            else:
+            if degree > 1:
                 nums = [tuple(nums[i : i + degree]) for i in range(0, len(nums), degree)]
-                coords = [(0,) * degree] * ncols
-                coords[f] = (den,) + (0,) * (degree - 1)
+            coords = [zero] * ncols
+            coords[f] = field.scale(field.unit, den)
             for c, x in zip(pivots, nums):
                 coords[c] = x
             if _annihilates(rows, coords, f, pivots, field):
@@ -936,8 +937,10 @@ def exact_rank(M: ExactMatrix) -> int:
 
 
 def rank_of_fraction_rows(rows, ncols: int) -> int:
-    """Rank of plain int or Fraction rows over Q; the wrapper-free hot path."""
-    return _rank(_integral_rows(rows, QQ), ncols, QQ)
+    """Rank over Q of int rows as conditions matrices build them; Fraction
+    rows are cleared first by _integral_rows.  The name stays for the
+    benchmark's tracing table."""
+    return _rank(rows, ncols, QQ)
 
 
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:

@@ -10,6 +10,7 @@ from fatpoints import (
     ProjectivePoint,
     ProjectiveLine,
     QQ,
+    Scalar,
     SearchSpace,
     analyze_lines,
     dual_fermat,
@@ -75,6 +76,25 @@ def test_dual_fermat_counts_and_stats():
     assert len(dual_fermat(5)) == 15
     with pytest.raises(ValueError):
         dual_fermat(2)
+
+
+def test_dual_fermat_points_need_no_inverse(monkeypatch):
+    # every dual Fermat point is given with first nonzero coordinate 1, so
+    # its canonical triple takes no Scalar inverse
+    calls = [0]
+    inverse = Scalar.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Scalar, "inverse", counted)
+    F7 = dual_fermat(7)
+    assert len(F7) == 21 and calls[0] == 0
+    # a point scaled away from 1 is still made monic
+    z = primitive_root(F7.field)
+    assert ProjectivePoint(F7.field, (z, -z * z, 0)) == F7.points[1]
+    assert calls[0] == 1
 
 
 def test_dual_fermat_symmetry():

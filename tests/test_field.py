@@ -235,6 +235,58 @@ def test_certificate_primes_split_the_field(field):
             assert lift(residues) == expected
 
 
+def _reference_inverse_vandermonde(roots, p):
+    """The inverse of the Vandermonde matrix (w^k) of the roots mod p, by
+    Gauss-Jordan on [V | I]: the reference for lift's closed form."""
+    degree = len(roots)
+    rows = [
+        [pow(w, k, p) for k in range(degree)] + [int(i == j) for j in range(degree)]
+        for i, w in enumerate(roots)
+    ]
+    for c in range(degree):
+        r = next(r for r in range(c, degree) if rows[r][c])
+        rows[c], rows[r] = rows[r], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [x * inv % p for x in rows[c]]
+        for r in range(degree):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return [row[degree:] for row in rows]
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 12, 15, 64])
+def test_lift_is_the_inverse_vandermonde_matrix(n):
+    # lift's closed form, Phi_n(x) / ((x - w) Phi_n'(w)) for the column of
+    # the root w, against Gauss-Jordan elimination
+    from fatpoints.field import _roots_of_unity
+
+    field = make_field("cyclotomic", n)
+    for k in range(2):
+        p, _, lift = field.certificate_prime(k)
+        inverse = _reference_inverse_vandermonde(_roots_of_unity(n, p), p)
+        for i in range(field.degree):
+            unit = [int(i == j) for j in range(field.degree)]
+            assert lift(unit) == tuple(row[i] for row in inverse)
+
+
+@pytest.mark.parametrize("field", _INTEGRAL_FIELDS, ids=repr)
+def test_integral_operations_follow_the_layout(field):
+    # Field.unit, Field.scale and Field.mul act on the coordinates that
+    # clear_denominators gives: ints at degree 1, Q(zeta_2) included, and
+    # int tuples above
+    rng = random.Random(f"integral-ops:{field!r}")
+    (one, zero), den = field.clear_denominators([1, 0])
+    assert den == 1 and (field.unit, field.scale(field.unit, 0)) == (one, zero)
+    assert type(field.unit) is (int if field.degree == 1 else tuple)
+    for _ in range(50):
+        a, b = _random_scalar(field, rng), _random_scalar(field, rng)
+        (x, y), den = field.clear_denominators([a, b])
+        c = rng.randint(-50, 50)
+        assert field.from_integral([field.mul(x, y)], den * den) == [a * b]
+        assert field.from_integral([field.scale(x, c)], den) == [a * c]
+
+
 @pytest.mark.parametrize("field", _PRIME_FIELDS, ids=repr)
 def test_residue_map_is_a_ring_homomorphism(field):
     # every map of the small prime 0, where ranks are tested, and of the

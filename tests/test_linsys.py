@@ -436,13 +436,13 @@ def test_condition_rows_match_the_reference_loop():
     for t in triples:
         for m in range(1, 5):
             for d in range(8):
-                rows = _condition_rows([(t, m)], d)
+                rows = _condition_rows([(t, m)], d, QQ)
                 expected = _reference_condition_rows([(t, m)], d)
                 assert rows == expected, (t, m, d)
                 assert all(type(e) is int for r in rows for e in r)
     # several points in one call, as a scheme gives them
     parts = [(t, m) for t, m in zip(triples, (4, 1, 2))]
-    assert _condition_rows(parts, 6) == _reference_condition_rows(parts, 6)
+    assert _condition_rows(parts, 6, QQ) == _reference_condition_rows(parts, 6)
     # integral coordinates over Q(zeta_5), multiplied by Field.mul: the rows
     # of the Scalars with those coordinates, as int tuples
     scalars = [(cyc(), cyc(), cyc()), (cyc(), cyc(), f5.zero), (cyc(), f5.zero, f5.zero)]
@@ -451,14 +451,14 @@ def test_condition_rows_match_the_reference_loop():
     for t in cleared:
         for m in range(1, 5):
             for d in range(8):
-                rows = _condition_rows([(t, m)], d, f5.mul)
+                rows = _condition_rows([(t, m)], d, f5)
                 expected = _reference_condition_rows([(tuple(f5.from_integral(t)), m)], d)
                 assert [f5.from_integral(r) for r in rows] == expected, (t, m, d)
                 assert all(type(x) is tuple for r in rows for x in r)
     parts = [(t, m) for t, m in zip(cleared, (4, 1, 2))]
     expected = [f5.clear_denominators(r)[0] for r in _reference_condition_rows(
         [(tuple(f5.from_integral(t)), m) for t, m in parts], 6)]
-    assert _condition_rows(parts, 6, f5.mul) == expected
+    assert _condition_rows(parts, 6, f5) == expected
 
 
 def test_symbolic_rows_of_non_integer_family_stay_integral():
@@ -468,3 +468,66 @@ def test_symbolic_rows_of_non_integer_family_stay_integral():
     M = symbolic_conditions_matrix(Z, 3, 4)
     coeffs = [c.coeffs[0] for row in M.rows for e in row for c in e.terms.values()]
     assert coeffs and all(c.denominator == 1 for c in coeffs)
+
+
+def test_rational_set_agrees_across_fields():
+    # the example plus a triple point, over Q, over Q(zeta_2) (degree 1,
+    # int coordinates like Q) and lifted to Q(zeta_5) (int tuples): the same
+    # ranks and the same RREF bases, which are rational on every field
+    Z = example_quartic_config()
+    P = (2, -3, 7)
+    fields = [QQ, make_field("cyclotomic", 2), make_field("cyclotomic", 5)]
+    special = []
+    for d in range(1, 7):
+        found = []
+        for field in fields:
+            X = FatPointScheme.of(Z.lift(field), (ProjectivePoint(field, P), 3))
+            M = conditions_matrix(X, d)
+            basis = nullspace_basis(M)
+            found.append((
+                exact_rank(M),
+                system_dimension(X, d),
+                [[x.as_fraction() for x in v] for v in basis],
+            ))
+            assert all(x.field == field for v in basis for x in v)
+        assert found[1:] == found[:1] * 2, d
+        rank, dim, basis = found[0]
+        assert dim == len(basis) == comb(d + 2, 2) - rank
+        special.append(dim > max(comb(d + 2, 2) - 15, 0))
+    # the unexpected quartic: dim 1 at d = 4 against an expected dimension 0
+    assert special == [False, False, False, True, False, False]
+
+
+def test_condition_rows_do_not_branch_on_the_layout():
+    # the integral layout is the field's: in linsys only _row_triple, which
+    # takes the coordinates, and system_dimension, which ranks over Q
+    # without an ExactMatrix, may branch on the field's degree
+    import ast
+    from pathlib import Path
+
+    import fatpoints.linsys as linsys
+
+    source = Path(linsys.__file__).read_text()
+    assert "mul is None" not in source
+
+    def mentions_degree(node):
+        return any(
+            isinstance(n, ast.Attribute) and n.attr == "degree"
+            or isinstance(n, ast.Name) and n.id == "degree"
+            for n in ast.walk(node)
+        )
+
+    branching = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            tests = []
+            if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                tests = [node.test]
+            elif isinstance(node, ast.comprehension):
+                tests = node.ifs
+            elif isinstance(node, ast.BoolOp):
+                tests = node.values[:-1]
+            if any(mentions_degree(t) for t in tests):
+                branching.append((getattr(top, "name", None), node.lineno))
+    allowed = {"_row_triple", "system_dimension"}
+    assert branching and {name for name, _ in branching} <= allowed, branching

@@ -854,7 +854,8 @@ def test_rank_matches_bareiss(field):
         assert exact_rank(ExactMatrix(field, rows)) == expected
         if field == QQ:
             fractions = [[x.as_fraction() for x in row] for row in rows]
-            assert poly.rank_of_fraction_rows(fractions, len(rows[0])) == expected
+            integral = poly._integral_rows(fractions, QQ)
+            assert poly.rank_of_fraction_rows(integral, len(rows[0])) == expected
     assert full == {True, False}
 
 
@@ -886,7 +887,8 @@ def test_rank_matches_sympy_over_q():
         expected = sympy.Matrix([[sympy.Rational(str(x.as_fraction())) for x in r] for r in rows]).rank()
         assert exact_rank(ExactMatrix(QQ, rows)) == expected
         fractions = [[x.as_fraction() for x in row] for row in rows]
-        assert poly.rank_of_fraction_rows(fractions, len(rows[0])) == expected
+        integral = poly._integral_rows(fractions, QQ)
+        assert poly.rank_of_fraction_rows(integral, len(rows[0])) == expected
 
 
 def _rank_mod_reference(residues, ncols, p):
