@@ -53,17 +53,17 @@ def example_quartic_config(field: Field = QQ) -> PointConfiguration:
     return PointConfiguration(field, pts)
 
 
-def example_quartic_variant(pair=(6, 7), field: Field = QQ) -> PointConfiguration:
+def example_quartic_variant(pair=(6, 7)) -> PointConfiguration:
     """Synthetic construction of the nine points, choosing which diagonal
     pair carries the extra line; the three choices are projectively
     equivalent."""
     if tuple(sorted(pair)) not in ((5, 6), (5, 7), (6, 7)):
         raise ValueError("pair must name two of the diagonal points 5, 6, 7")
     quad = [
-        ProjectivePoint(field, (-1, 0, 1)),
-        ProjectivePoint(field, (0, -1, 1)),
-        ProjectivePoint(field, (1, 0, 1)),
-        ProjectivePoint(field, (0, 1, 1)),
+        ProjectivePoint(QQ, (-1, 0, 1)),
+        ProjectivePoint(QQ, (0, -1, 1)),
+        ProjectivePoint(QQ, (1, 0, 1)),
+        ProjectivePoint(QQ, (0, 1, 1)),
     ]
     z1, z2, z3, z4 = quad
     sides = {
@@ -77,7 +77,7 @@ def example_quartic_variant(pair=(6, 7), field: Field = QQ) -> PointConfiguratio
     extra = line_through(diag[i], diag[j])
     z8 = meet(extra, sides[k][1])
     z9 = meet(extra, sides[k][0])
-    return PointConfiguration(field, quad + [diag[5], diag[6], diag[7], z8, z9])
+    return PointConfiguration(QQ, quad + [diag[5], diag[6], diag[7], z8, z9])
 
 
 def dual_fermat(n: int) -> PointConfiguration:
@@ -270,7 +270,7 @@ FAMILY_IDS = (
 # ---------------------------------------------------------------------------
 
 
-def random_config(r: int, height: int, seed, field: Field = QQ) -> PointConfiguration:
+def random_config(r: int, height: int, seed) -> PointConfiguration:
     """r distinct affine points with integer coordinates in [-height, height]."""
     if r < 1:
         raise ValueError("need at least one point")
@@ -282,11 +282,11 @@ def random_config(r: int, height: int, seed, field: Field = QQ) -> PointConfigur
     while len(pts) < r:
         x = rng.randint(-height, height)
         y = rng.randint(-height, height)
-        p = ProjectivePoint(field, (x, y, 1))
+        p = ProjectivePoint(QQ, (x, y, 1))
         if p not in seen:
             seen.add(p)
             pts.append(p)
-    return PointConfiguration(field, pts)
+    return PointConfiguration(QQ, pts)
 
 
 @dataclass(frozen=True)
@@ -332,14 +332,14 @@ def _unrank_subset(rank: int, n_items: int, r: int) -> list[int]:
     return out
 
 
-def grid_configs(space: SearchSpace, field: Field = QQ):
+def grid_configs(space: SearchSpace):
     """Yield configurations from the search space, deterministically."""
     if space.constraint not in _CONSTRAINTS:
         raise ValueError(f"unknown constraint {space.constraint!r}")
     check = _CONSTRAINTS[space.constraint]
     side = space.n + 1
     grid = [
-        ProjectivePoint(field, (x, y, 1))
+        ProjectivePoint(QQ, (x, y, 1))
         for x in range(side)
         for y in range(side)
     ]
@@ -348,7 +348,7 @@ def grid_configs(space: SearchSpace, field: Field = QQ):
         return
     if space.limit is None:
         for combo in itertools.combinations(range(n_items), space.r):
-            Z = PointConfiguration(field, [grid[i] for i in combo])
+            Z = PointConfiguration(QQ, [grid[i] for i in combo])
             if check(Z):
                 yield Z
         return
@@ -365,7 +365,7 @@ def grid_configs(space: SearchSpace, field: Field = QQ):
             continue
         seen.add(rank)
         combo = _unrank_subset(rank, n_items, space.r)
-        Z = PointConfiguration(field, [grid[i] for i in combo])
+        Z = PointConfiguration(QQ, [grid[i] for i in combo])
         if check(Z):
             yielded += 1
             yield Z

@@ -339,7 +339,12 @@ def _split(n: int, p: int):
         return p, [lambda coords: [x % p for x in coords]], lambda values: values[0]
     roots = _roots_of_unity(n, p)
     degree = len(roots)
-    vandermonde = [[pow(w, k, p) for k in range(degree)] for w in roots]
+    vandermonde = []
+    for w in roots:
+        powers = [1]
+        for _ in range(degree - 1):
+            powers.append(powers[-1] * w % p)
+        vandermonde.append(powers)
     # the inverse Vandermonde matrix mod p: Phi_n is the product of x - w
     # over the roots, so column w is Phi_n(x) / (x - w), by synthetic
     # division, over its value at w, Phi_n'(w)

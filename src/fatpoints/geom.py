@@ -49,8 +49,8 @@ def _primitive(v) -> tuple:
 
 
 def _monic(v) -> tuple:
-    """A nonzero Scalar triple scaled to first nonzero coordinate 1; a
-    triple that has it already is returned as it is, with no inverse."""
+    """A nonzero Scalar tuple scaled to first nonzero coordinate 1; a tuple
+    that has it already is returned as it is, with no inverse."""
     for c in v:
         if c:
             if c == c.field.one:
@@ -382,15 +382,28 @@ def frame_transform(src, dst):
     """The projective transformation carrying one ordered quadruple to another.
 
     Both quadruples must be in linearly general position; the matrix is
-    unique up to a scalar.
+    unique up to a scalar, and this one is Md adj(Ms), Ms and Md the frame
+    matrices of the coeffs of src and dst.  It is computed on the stored
+    triples.  Over Q a stored triple is its coeffs times its leading
+    coordinate; a frame matrix is linear in each of its four points and a
+    3x3 adjugate is quadratic, so the product of the triples' matrices is
+    divided by lead(dst) * lead(src)^2.  Over Q(zeta_n) the triples are
+    the coeffs.
     """
     src = list(src)
     dst = list(dst)
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("frame_transform needs two quadruples")
-    Ms = _frame_matrix([p.coeffs for p in src])
-    Md = _frame_matrix([p.coeffs for p in dst])
-    return mat3_mul(Md, mat3_adjugate(Ms))
+    field = src[0].field
+    if any(p.field != field for p in src + dst):
+        raise FieldMismatchError("frame points over different fields")
+    s, t = [p.triple for p in src], [p.triple for p in dst]
+    back = mat3_adjugate(_frame_matrix(s))
+    T = mat3_mul(_frame_matrix(t), back)
+    if field.degree != 1:
+        return T
+    den = prod(_lead(x) for x in t) * prod(_lead(x) for x in s) ** 2
+    return tuple(tuple(field.from_integral(row, den)) for row in T)
 
 
 def _general_quadruple(stats: LineStats, quad) -> bool:
@@ -419,35 +432,17 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
         return _equivalent_degenerate(Z1, Z2, stats1)
     # frames are built from the stored triples; T sends each anchor point to
     # its image by construction, so only the other points are tested
-    src = [Z1[i].triple for i in anchor]
-    back = mat3_adjugate(_frame_matrix(src))
+    back = mat3_adjugate(_frame_matrix([Z1[i].triple for i in anchor]))
     rest = [p.triple for i, p in enumerate(Z1.points) if i not in anchor]
     target = {p.triple for p in Z2.points}
     canonical = _canonical(Z1.field)
     for dst in permutations(range(len(Z2)), 4):
         if not _general_quadruple(stats2, dst):
             continue
-        image = [Z2[i].triple for i in dst]
-        T = mat3_mul(_frame_matrix(image), back)
+        T = mat3_mul(_frame_matrix([Z2[i].triple for i in dst]), back)
         if all(canonical(mat3_vec(T, t)) in target for t in rest):
-            return True, _coeffs_transform(Z1.field, T, src, image)
+            return True, frame_transform([Z1[i] for i in anchor], [Z2[i] for i in dst])
     return False, None
-
-
-def _coeffs_transform(field: Field, T, src, dst):
-    """What frame_transform returns for the points with stored triples src
-    and dst, given T, the same product computed on the triples.
-
-    Over Q a stored triple is its coeffs times its leading coordinate.  A
-    frame matrix is linear in each of its four points, so it scales by the
-    product of their leading coordinates, and a 3x3 adjugate scales by the
-    square: frame_transform is T over lead(dst) * lead(src)^2.  Over
-    Q(zeta_n) the triples are the coeffs and T is already the answer.
-    """
-    if field.degree != 1:
-        return T
-    den = prod(_lead(t) for t in dst) * prod(_lead(t) for t in src) ** 2
-    return tuple(tuple(field.from_integral(row, den)) for row in T)
 
 
 def _equivalent_degenerate(Z1, Z2, stats1):

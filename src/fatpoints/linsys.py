@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import comb
 
 from .field import Field, FieldMismatchError
-from .geom import PointConfiguration, ProjectivePoint
+from .geom import PointConfiguration, ProjectivePoint, _monic
 from .poly import (
     ExactMatrix,
     Form,
@@ -302,7 +302,7 @@ def rational_map_image(basis, p: ProjectivePoint):
     """Image [f1(p) : ... : fk(p)] in P^(k-1) of the map defined by a basis.
 
     Returns a ProjectivePoint when the basis has three forms (a plane map),
-    otherwise the normalized tuple of scalar coordinates.
+    otherwise the tuple of scalar values scaled to first nonzero value 1.
     """
     basis = list(basis)
     if not basis:
@@ -312,11 +312,7 @@ def rational_map_image(basis, p: ProjectivePoint):
         raise BaseLocusError(f"{p!r} lies in the base locus of the map")
     if len(values) == 3:
         return ProjectivePoint(p.field, values)
-    for v in values:
-        if v:
-            inv = v.inverse()
-            return tuple(x * inv for x in values)
-    raise AssertionError("unreachable")
+    return _monic(tuple(values))
 
 
 def symbolic_conditions_matrix(Z: PointConfiguration, j: int, d: int) -> ExactMatrix:

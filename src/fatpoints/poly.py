@@ -211,18 +211,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = ParamPoly(self.field, {(0, 0): self.field.one})
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -937,9 +925,9 @@ def exact_rank(M: ExactMatrix) -> int:
 
 
 def rank_of_fraction_rows(rows, ncols: int) -> int:
-    """Rank over Q of int rows as conditions matrices build them; Fraction
-    rows are cleared first by _integral_rows.  The name stays for the
-    benchmark's tracing table."""
+    """Rank over Q of int rows, as conditions matrices over Q are built;
+    nothing is cleared here.  The name stays for the benchmark's tracing
+    table."""
     return _rank(rows, ncols, QQ)
 
 

@@ -176,7 +176,7 @@ def check_two_and_four(Z: PointConfiguration, d: int, strategy=DEFAULT_STRATEGY)
     return _judged("two-and-four", {"degree": d, "generic dim": dim}, failures)
 
 
-def _two_and_four_instances(d: int, count: int, seed, field=QQ):
+def _two_and_four_instances(d: int, count: int, seed):
     """Seeded stream of structurally valid instances for the rich-line check."""
     rng = random.Random(f"fatpoints:twofour:{seed}:{d}")
     made = 0
@@ -193,7 +193,7 @@ def _two_and_four_instances(d: int, count: int, seed, field=QQ):
             if cand not in pts:
                 pts.append(cand)
         try:
-            Z = PointConfiguration(field, pts)
+            Z = PointConfiguration(QQ, pts)
         except ValueError:
             continue
         if _two_and_four_hypothesis(Z, d) is None:

@@ -155,6 +155,33 @@ def test_equiv_of_two_triangles(tmp_path, capsys):
     assert len(data["witness"]) == 3
 
 
+def test_equiv_budget(tmp_path, capsys):
+    # configurations up to MAX_EQUIV_POINTS = 20 points are compared; a
+    # configuration above it, on either side, is refused before any geometry
+    def config(name, Z):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(Z.to_dict()))
+        return str(path)
+
+    M = [[2, -1, 1], [1, 1, 0], [0, 3, 1]]
+    twenty = random_config(20, 100, "equiv-budget")
+    code, out, err = run_cli(
+        capsys, "equiv", config("twenty", twenty), config("image", apply_transform(M, twenty))
+    )
+    assert code == 0 and not err
+    assert json.loads(out)["equivalent"] is True
+    one_more = config("twentyone", random_config(21, 100, "equiv-budget"))
+    for argv in (
+        ("equiv", one_more, one_more),
+        ("equiv", config("nine", example_quartic_config()), one_more),
+    ):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["code"] == "budget"
+
+
 def test_search_reports_measured_runtime(capsys):
     code, out, _ = run_cli(capsys, "search", "--limit", "3", "--inject-example")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -382,6 +383,23 @@ def test_equivalence_witnesses_are_pinned():
         assert verdict and _entries(T) == expected
 
 
+def test_cyclotomic_equivalence_witness_is_the_frame_transform():
+    F3 = dual_fermat(3)
+    z = primitive_root(F3.field)
+    image = apply_transform([[1, z, 0], [0, 1, 1], [z, 0, 1]], F3)
+    verdict, T = projective_equivalent(F3, image)
+    assert verdict
+    assert apply_transform(T, F3).point_set() == image.point_set()
+    # the witness is the frame transform from the anchor, the first
+    # general-position quadruple of F3, to the points it maps them to
+    stats = analyze_lines(F3)
+    anchor = next(q for q in combinations(range(len(F3)), 4) if geom._general_quadruple(stats, q))
+    src = [F3[i] for i in anchor]
+    dst = [ProjectivePoint(F3.field, mat3_vec(T, p.coeffs)) for p in src]
+    assert all(q in image for q in dst)
+    assert T == frame_transform(src, dst)
+
+
 def test_collinearity_is_read_from_the_inventory(monkeypatch):
     calls = {"line_through": 0}
 
@@ -422,7 +440,9 @@ def test_rational_incidence_and_equivalence_make_no_scalar_arithmetic(monkeypatc
         monkeypatch.setattr(Scalar, name, counted(name))
     assert sum(analyze_lines(nine).histogram.values()) > 0
     assert projective_equivalent(Z, image)[0]
+    T = frame_transform(Z.points[:4], image.points[:4])
     assert calls == {"__mul__": 0, "__rmul__": 0, "inverse": 0}
+    assert apply_transform(T, Z).points == image.points
 
 
 def test_equivalence_reflexive_symmetric():

@@ -272,6 +272,10 @@ def test_rational_map_image():
     assert rational_map_image(degenerate, _point(1, 2, 3)) == _point(1, 2, 3)
     with pytest.raises(BaseLocusError):
         rational_map_image([x * x], _point(0, 1, 0))
+    # two forms: a point of P^1, scaled to first nonzero value 1
+    y, z = Form.variable(QQ, "y"), Form.variable(QQ, "z")
+    assert rational_map_image([z, y], _point(0, 2, 3)) == (QQ.one, QQ.scalar("2/3"))
+    assert rational_map_image([x, z], _point(0, 2, 3)) == (QQ.zero, QQ.one)
 
 
 def test_dejonquieres_images_collinear():

@@ -90,6 +90,9 @@ def test_semistable_gate():
     assert is_semistable_gate(PointConfiguration(QQ, [(1, 2, 3)])) == "balanced"
     with pytest.raises(ValueError):
         is_semistable_gate(PointConfiguration(QQ, []))
+    certified = GeneralPointStrategy(mode="certified")
+    assert is_semistable_gate(example_quartic_config(), certified) == "unbalanced"
+    assert is_semistable_gate(family("w5", {"a": 2}), certified) == "balanced"
 
 
 def test_gate_stops_at_the_first_nonzero_m(monkeypatch):
