@@ -191,6 +191,9 @@ def _figure2_points(field, a):
 def family(family_id: str, params=None, field: Field | None = None) -> PointConfiguration:
     """Instantiate one of the named coordinate families at explicit scalars."""
     params = dict(params or {})
+    missing = [k for k in _FAMILY_PARAMS.get(family_id, ()) if k not in params]
+    if missing:
+        raise ValueError(f"family {family_id!r} needs the parameter {missing[0]!r}")
     if family_id == "example-quartic":
         return example_quartic_config(field or QQ)
     if family_id == "fermat":
@@ -254,15 +257,17 @@ def family(family_id: str, params=None, field: Field | None = None) -> PointConf
     raise ValueError(f"unknown family {family_id!r}")
 
 
-FAMILY_IDS = (
-    "example-quartic",
-    "fermat",
-    "w5",
-    "prop31",
-    "prop33-case3",
-    "prop33-first",
-    "figure2-cubic",
-)
+# family id -> the parameters it needs
+_FAMILY_PARAMS = {
+    "example-quartic": (),
+    "fermat": ("n",),
+    "w5": ("a",),
+    "prop31": ("a", "b"),
+    "prop33-case3": ("a", "b"),
+    "prop33-first": ("a",),
+    "figure2-cubic": ("a",),
+}
+FAMILY_IDS = tuple(_FAMILY_PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +314,8 @@ class SearchSpace:
             raise ValueError("grid side must be at least 1")
         if self.r < 3:
             raise ValueError("configuration size must be at least 3")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError("search limit must be nonnegative")
 
 
 _CONSTRAINTS = {

@@ -260,7 +260,7 @@ class Field:
 
     @staticmethod
     def from_dict(d: dict) -> "Field":
-        kind = d.get("type")
+        kind = d.get("type") if isinstance(d, dict) else None
         if kind == "rational":
             return Field("rational")
         if kind == "cyclotomic":
@@ -566,6 +566,8 @@ def parse_scalar(field: Field, text: str) -> Scalar:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")
+    if re.search(r"/0+(?!\d)", s):
+        raise ValueError(f"zero denominator in scalar literal {text!r}")
     if field.kind == "rational":
         if not _RATIONAL_RE.match(s):
             raise ValueError(f"bad rational literal {text!r}")

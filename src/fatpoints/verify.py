@@ -5,13 +5,18 @@ instances, never asserted as proven; each ClaimResult records what was
 tested and carries any offending instance on failure.  The one identity
 checked fully symbolically is the vanishing of the second-partials
 determinant of the three reducible quartics at the general double point.
+
+The suite gives every checker that takes a general point the run's one
+strategy.  Under certify its verdicts are proved: a negative by a sample
+that meets the condition count, a positive on the symbolic grid.  Only
+fermat5-degree7 stays sampled, set in its own runner.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -263,31 +268,24 @@ def check_family_emptiness(
 # ---------------------------------------------------------------------------
 
 
+def _unexpected_instances(configs, d: int, strategy) -> list:
+    """The to_dict of every configuration with an unexpected curve of degree d."""
+    return [Z.to_dict() for Z in configs if detect_unexpected(Z, d, strategy).unexpected]
+
+
 def check_cubic_nonexistence(n_random: int = 500, seed=1, strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """No tested set of points admits an unexpected cubic (or conic)."""
-    failures = []
-    tested = {"random7": 0, "figure2": 0, "conics5": 0}
-    for i in range(n_random):
-        Z = random_config(7, 1000, (seed, i))
-        tested["random7"] += 1
-        if detect_unexpected(Z, 3, strategy).unexpected:
-            failures.append(Z.to_dict())
-    fig2_params = [Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1)]
-    for a in fig2_params:
-        Z = family("figure2-cubic", {"a": a})
-        tested["figure2"] += 1
-        if detect_unexpected(Z, 3, strategy).unexpected:
-            failures.append(Z.to_dict())
+    random7 = [random_config(7, 1000, (seed, i)) for i in range(n_random)]
     f6 = make_field("cyclotomic", 6)
-    Z6 = family("figure2-cubic", {"a": primitive_root(f6)})
-    tested["figure2"] += 1
-    if detect_unexpected(Z6, 3, strategy).unexpected:
-        failures.append(Z6.to_dict())
-    for i in range(10):
-        Z = random_config(5, 1000, (seed, "conic", i))
-        tested["conics5"] += 1
-        if detect_unexpected(Z, 2, strategy).unexpected:
-            failures.append(Z.to_dict())
+    fig2_params = [Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1)]
+    figure2 = [family("figure2-cubic", {"a": a}) for a in fig2_params + [primitive_root(f6)]]
+    conics5 = [random_config(5, 1000, (seed, "conic", i)) for i in range(10)]
+    failures = (
+        _unexpected_instances(random7, 3, strategy)
+        + _unexpected_instances(figure2, 3, strategy)
+        + _unexpected_instances(conics5, 2, strategy)
+    )
+    tested = {"random7": len(random7), "figure2": len(figure2), "conics5": len(conics5)}
     return _judged("cubic-nonexistence", tested, failures)
 
 
@@ -369,11 +367,8 @@ def search_uniqueness(space: SearchSpace, inject=(), strategy=DEFAULT_STRATEGY) 
 
 def check_random_nine(count: int = 200, seed=2, strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """Random nine-point configurations admit no unexpected quartic."""
-    failures = []
-    for i in range(count):
-        Z = random_config(9, 1000, (seed, i))
-        if detect_unexpected(Z, 4, strategy).unexpected:
-            failures.append(Z.to_dict())
+    configs = (random_config(9, 1000, (seed, i)) for i in range(count))
+    failures = _unexpected_instances(configs, 4, strategy)
     return _judged("quartic-uniqueness-random", {"instances": count}, failures)
 
 
@@ -381,28 +376,15 @@ def check_superset_persistence(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """No tested ten-point superset of the example keeps the unexpected
     quartic, and no eight-point subset carries one."""
     Z = example_quartic_config()
-    failures = []
-    supersets = 0
     extra_points = [
         ProjectivePoint(QQ, (x, y, 1)) for x in range(-2, 3) for y in range(-2, 3)
     ] + [ProjectivePoint(QQ, (1, t, 0)) for t in (2, 3, -2)]
-    for q in extra_points:
-        if q in Z.points:
-            continue
-        V = PointConfiguration(QQ, list(Z.points) + [q])
-        supersets += 1
-        if detect_unexpected(V, 4, strategy).unexpected:
-            failures.append(V.to_dict())
-    subsets = 0
-    for skip in range(9):
-        W = PointConfiguration(QQ, [p for i, p in enumerate(Z.points) if i != skip])
-        subsets += 1
-        if detect_unexpected(W, 4, strategy).unexpected:
-            failures.append(W.to_dict())
+    supersets = [PointConfiguration(QQ, Z.points + (q,)) for q in extra_points if q not in Z]
+    subsets = [PointConfiguration(QQ, Z.points[:skip] + Z.points[skip + 1 :]) for skip in range(9)]
     return _judged(
         "superset-persistence",
-        {"supersets": supersets, "subsets": subsets, "mode": strategy.mode},
-        failures,
+        {"supersets": len(supersets), "subsets": len(subsets), "mode": strategy.mode},
+        _unexpected_instances(supersets + subsets, 4, strategy),
     )
 
 
@@ -607,15 +589,6 @@ def check_oracle_coherence(count: int = 50, seed=4) -> ClaimResult:
 # ---------------------------------------------------------------------------
 
 
-# claims whose instances are small enough for the certified grid mode; the
-# corpus claims and the Q(zeta_5) computation stay sampled (their sampled
-# verdicts are already proofs in the negative direction), and the two
-# agreement claims run both modes unconditionally
-CERTIFIABLE_CLAIMS = frozenset(
-    {"family-emptiness", "fermat3-no-unexpected", "superset-persistence"}
-)
-
-
 def _family_instances():
     out = []
     for params in ({"a": 3, "b": 5}, {"a": Fraction(-1, 2), "b": Fraction(1, 4)}, {"a": 2, "b": -3}):
@@ -648,8 +621,8 @@ def check_families(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     return _judged("family-emptiness", {"instances": tested}, failures)
 
 
-# claim id -> runner(seed, general-point strategy), in suite order; the
-# claims in CERTIFIABLE_CLAIMS are given the certified strategy under certify
+# claim id -> runner(seed, general-point strategy), in suite order; every
+# runner is given the run's one strategy, certified under certify
 CLAIM_RUNNERS = {
     "hessian-certificate": lambda seed, s: check_hessian_certificate(),
     "two-and-four-d3": lambda seed, s: check_two_and_four_corpus(3, 100, seed, s),
@@ -666,7 +639,8 @@ CLAIM_RUNNERS = {
     "superset-persistence": lambda seed, s: check_superset_persistence(s),
     "fermat3-combinatorics": lambda seed, s: check_fermat3_combinatorics(),
     "fermat3-no-unexpected": lambda seed, s: check_fermat3_no_unexpected(s),
-    "fermat5-degree7": lambda seed, s: check_fermat5_degree7(s),
+    # sampled in either mode: its positive at d = 7 needs a 6,084-point grid over Q(zeta_5)
+    "fermat5-degree7": lambda seed, s: check_fermat5_degree7(replace(s, mode="sampled")),
     "w5-splitting": lambda seed, s: check_w5_splitting(s),
     "example-quartic-unexpected": lambda seed, s: check_example_unexpected(),
     "example-double-point-basis": lambda seed, s: check_example_double_point(seed=seed + 3),
@@ -689,12 +663,12 @@ def run_timed(checker, *args, **kwargs) -> ClaimResult:
 def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[ClaimResult]:
     """Run every claim checker; deterministic given the seed.
 
-    With certify=True the claims in CERTIFIABLE_CLAIMS switch their general
-    point to the certified mode; example-quartic-unexpected and
-    oracle-coherence compare sampled against certified in every run.
+    With certify=True every claim that takes a general point gets the
+    certified mode, except fermat5-degree7, whose runner stays sampled;
+    example-quartic-unexpected and oracle-coherence compare sampled against
+    certified in every run.
     """
-    sampled = GeneralPointStrategy(seed=seed)
-    certified = GeneralPointStrategy(mode="certified", seed=seed) if certify else sampled
+    strategy = GeneralPointStrategy(mode="certified" if certify else "sampled", seed=seed)
     if claims:
         unknown = set(claims) - set(CLAIM_RUNNERS)
         if unknown:
@@ -702,7 +676,4 @@ def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[C
         selected = [c for c in SUITE_CLAIMS if c in set(claims)]
     else:
         selected = SUITE_CLAIMS
-    return [
-        run_timed(CLAIM_RUNNERS[c], seed, certified if c in CERTIFIABLE_CLAIMS else sampled)
-        for c in selected
-    ]
+    return [run_timed(CLAIM_RUNNERS[c], seed, strategy) for c in selected]

@@ -210,20 +210,46 @@ def test_verify_selected_claims(tmp_path, capsys):
 
 
 def test_input_errors(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    code, _, err = run_cli(capsys, "analyze", str(missing))
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == "io"
+    def config(name, field, points):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"field": field, "points": points}))
+        return str(path)
+
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "analyze", str(bad))
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == "parse"
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"field": {"type": "rational"}, "points": []}))
-    code, _, err = run_cli(capsys, "analyze", str(empty))
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == "config"
+    rational, zeta3 = {"type": "rational"}, {"type": "cyclotomic", "n": 3}
+    frame = [[0, 1, 0], [1, 1, 1]]
+    zero_denominator = config("zero-denominator", rational, [["1/0", "0", "1"]] + frame)
+    zeta3_zero_denominator = config("zeta3-zero-denominator", zeta3, [["2/0*z", "0", "1"]] + frame)
+    # (argv, error code, a fragment of the message); each ends in one JSON
+    # error object on stderr and exit code 3, never in a traceback
+    for argv, error, fragment in (
+        (("analyze", str(tmp_path / "nope.json")), "io", "cannot read"),
+        (("analyze", str(bad)), "parse", "line 1"),
+        (("analyze", config("empty", rational, [])), "config", "points"),
+        (("gen", "family", "--id", "w5"), "input", "family 'w5' needs the parameter 'a'"),
+        (
+            ("gen", "family", "--id", "prop31", "--params", "a=2"),
+            "input",
+            "family 'prop31' needs the parameter 'b'",
+        ),
+        (("gen", "family", "--id", "w5", "--params", "a=2/0"), "input", "zero denominator"),
+        (
+            ("gen", "family", "--id", "w5", "--params", "a=3/0*z", "--cyclotomic", "3"),
+            "input",
+            "zero denominator",
+        ),
+        (("analyze", zero_denominator), "config", "zero denominator"),
+        (("unexpected", zero_denominator, "-d", "4"), "config", "zero denominator"),
+        (("unexpected", zeta3_zero_denominator, "-d", "2"), "config", "zero denominator"),
+        (("analyze", config("field-q", "q", [[1, 0, 0]] + frame)), "config", "field descriptor"),
+        (("search", "--limit", "-1"), "input", "limit"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert list(json.loads(err)) == ["error"], argv
+        assert json.loads(err)["error"]["code"] == error, argv
+        assert fragment in json.loads(err)["error"]["message"], argv
 
 
 def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):

@@ -208,6 +208,11 @@ def test_family_dispatch():
     assert family("fermat", {"n": 3}) == dual_fermat(3)
     with pytest.raises(ValueError):
         family("unknown-family", {})
+    # a missing parameter is named, before any coordinate is built
+    missing = (("w5", {}, "a"), ("prop31", {"a": 2}, "b"), ("fermat", {}, "n"))
+    for family_id, params, name in missing:
+        with pytest.raises(ValueError, match=f"family '{family_id}' needs the parameter '{name}'"):
+            family(family_id, params)
 
 
 def test_random_config_deterministic():
@@ -253,5 +258,7 @@ def test_search_space_validation():
         SearchSpace(n=0, r=3)
     with pytest.raises(ValueError):
         SearchSpace(n=2, r=2)
+    with pytest.raises(ValueError):
+        SearchSpace(n=2, r=3, limit=-1)
     with pytest.raises(ValueError):
         list(grid_configs(SearchSpace(n=2, r=3, constraint="no-such")))

@@ -142,6 +142,11 @@ def test_scalar_text_grammar():
         parse_scalar(f3, "")
     with pytest.raises(ValueError):
         parse_scalar(f3, "q+1")
+    # a zero denominator is a malformed literal, not a division
+    assert parse_scalar(QQ, "2/05") == QQ.scalar(Fraction(2, 5))
+    for field, text in ((QQ, "2/0"), (QQ, "1/00"), (f3, "3/0*z"), (f3, "1+2/0*z^2")):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(field, text)
 
 
 def test_render_parse_round_trip():

@@ -1,14 +1,13 @@
 """Generic dimensions, splitting types, the semistability gate, detection."""
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
 import fatpoints.linsys as linsys
 import fatpoints.poly as poly
 import fatpoints.unexpected as unexpected
+import fatpoints.verify as verify
 from fatpoints import (
     DEFAULT_STRATEGY,
     FatPointScheme,
@@ -31,12 +30,12 @@ from fatpoints import (
     multiplicity_dim,
     nullspace_basis,
     primitive_root,
+    projective_equivalent,
     random_config,
     splitting_type,
 )
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import system_dimension
-from fatpoints.verify import CERTIFIABLE_CLAIMS, run_paper_suite
 
 
 def test_multiplicity_dim_examples():
@@ -316,14 +315,15 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
     # a certified negative is proved by a sample that meets the threshold,
     # the lower bound from the condition count, so only the positives, where
     # the samples stay above it, reach the symbolic grid
-    calls = [0]
-    bound = unexpected.symbolic_rank_bound
+    claim = [None]
+    grids = []  # (claim, Z, j, d) of each grid certificate
+    symbolic_matrix = unexpected.symbolic_conditions_matrix
 
-    def counted(M):
-        calls[0] += 1
-        return bound(M)
+    def recorded(Z, j, d):
+        grids.append((claim[0], Z, j, d))
+        return symbolic_matrix(Z, j, d)
 
-    monkeypatch.setattr(unexpected, "symbolic_rank_bound", counted)
+    monkeypatch.setattr(unexpected, "symbolic_conditions_matrix", recorded)
     certified = GeneralPointStrategy(mode="certified")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
     F3 = dual_fermat(3)
@@ -336,28 +336,37 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
         (example_quartic_config(), 4, 1),
         (PointConfiguration(QQ, EXCLUDED_PAIR), 4, 1),
     ):
-        calls[0] = 0
+        grids.clear()
         rep = detect_unexpected(Z, d, certified)
         assert rep.unexpected == bool(grid_calls) and rep.certified
-        assert calls[0] == grid_calls, (Z, d)
+        assert len(grids) == grid_calls, (Z, d)
         # both modes draw the same samples, up to the first at the threshold
         sampled = detect_unexpected(Z, d).to_dict()
         assert rep.to_dict() == {**sampled, "certified": True}
-    # the certified suite's only grid certificates: the example's quartic in
-    # example-quartic-unexpected and the excluded pair in family-emptiness;
-    # its records are the sampled suite's, except the certifiable claims
-    calls[0] = 0
-    results = run_paper_suite(seed=0, certify=True)
-    assert calls[0] == 2
-    data = Path(__file__).parent / "data"
-    certified_records = json.loads((data / "suite_seed0_certify.json").read_text())
-    by_claim = {r["claim"]: r for r in certified_records}
-    assert set(by_claim) == CERTIFIABLE_CLAIMS
-    expected = [
-        by_claim.get(r["claim"], r) for r in json.loads((data / "suite_seed0.json").read_text())
+    # the certified suite's only grid certificates are for the example's
+    # quartic, at (j, d) = (3, 4): the excluded pair of family-emptiness, the
+    # injected example of the uniqueness grid, the certified check of
+    # example-quartic-unexpected and m(3) of example-splitting
+    def tagged(name, run):
+        def run_tagged(seed, strategy):
+            claim[0] = name
+            return run(seed, strategy)
+
+        return run_tagged
+
+    runners = {name: tagged(name, run) for name, run in verify.CLAIM_RUNNERS.items()}
+    monkeypatch.setattr(verify, "CLAIM_RUNNERS", runners)
+    grids.clear()
+    assert all(r.passed for r in verify.run_paper_suite(seed=0, certify=True))
+    assert [name for name, *_ in grids] == [
+        "family-emptiness",
+        "quartic-uniqueness-grid",
+        "example-quartic-unexpected",
+        "example-splitting",
     ]
-    reports = [{k: v for k, v in r.to_dict().items() if k != "runtime"} for r in results]
-    assert json.loads(json.dumps(reports)) == expected
+    example = example_quartic_config()
+    for _, Z, j, d in grids:
+        assert (j, d) == (3, 4) and projective_equivalent(Z, example)[0]
 
 
 def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):

@@ -8,12 +8,12 @@ import pytest
 
 import fatpoints.verify as verify
 from fatpoints import (
+    GeneralPointStrategy,
     SearchSpace,
     example_quartic_config,
     random_config,
 )
 from fatpoints.verify import (
-    CERTIFIABLE_CLAIMS,
     check_cubic_nonexistence,
     check_dejonquieres,
     check_example_equivalences,
@@ -29,8 +29,11 @@ from fatpoints.verify import (
     search_uniqueness,
 )
 
-# run_paper_suite(seed=0, certify=True, claims=CERTIFIABLE_CLAIMS) without runtimes
-CERTIFIED = Path(__file__).parent / "data" / "suite_seed0_certify.json"
+# the suite's JSON for seed 0 without runtimes, sampled, and three records of
+# the certified run; of these only the two that carry a mode field differ
+DATA = Path(__file__).parent / "data"
+SAMPLED = DATA / "suite_seed0.json"
+CERTIFIED = DATA / "suite_seed0_certify.json"
 
 
 def test_hessian_certificate_passes_symbolically():
@@ -136,8 +139,8 @@ def test_suite_claim_selection():
 
 
 def test_certify_reaches_exactly_the_certifiable_claims(monkeypatch):
-    # every runner gets one strategy, the certified one exactly for the
-    # claims in CERTIFIABLE_CLAIMS, and only under certify
+    # every runner gets the run's one strategy: certified under certify,
+    # sampled otherwise
     modes = {}
 
     def runner(claim):
@@ -148,20 +151,33 @@ def test_certify_reaches_exactly_the_certifiable_claims(monkeypatch):
         return run
 
     monkeypatch.setattr(verify, "CLAIM_RUNNERS", {c: runner(c) for c in verify.SUITE_CLAIMS})
-    for certify in (False, True):
+    for certify, mode in ((False, "sampled"), (True, "certified")):
         modes.clear()
         run_paper_suite(certify=certify)
-        assert list(modes) == list(verify.SUITE_CLAIMS)
-        certified = {c for c, mode in modes.items() if mode == "certified"}
-        assert certified == (CERTIFIABLE_CLAIMS if certify else set())
+        assert list(modes.items()) == [(c, mode) for c in verify.SUITE_CLAIMS]
 
 
-def test_suite_certified_mode_on_feasible_claim():
-    # the certified half of the suite contract: records without runtimes
-    results = run_paper_suite(certify=True, claims=CERTIFIABLE_CLAIMS)
+def test_fermat5_runner_stays_sampled_under_certify(monkeypatch):
+    # the one exception, set in its runner: the positive at d = 7 would need
+    # the grid over Q(zeta_5)
+    handed = []
+    monkeypatch.setattr(verify, "check_fermat5_degree7", lambda s: handed.append(s))
+    certified = GeneralPointStrategy(mode="certified", seed=5)
+    verify.CLAIM_RUNNERS["fermat5-degree7"](5, certified)
+    assert handed == [GeneralPointStrategy(mode="sampled", seed=5)]
+
+
+def test_certified_suite_matches_its_pins():
+    # the certified half of the suite contract: every record of the whole
+    # certified run is its sampled pin, except where a mode field says so
+    results = run_paper_suite(certify=True)
     assert all(r.passed for r in results)
+    certified = {r["claim"]: r for r in json.loads(CERTIFIED.read_text())}
+    expected = [certified.get(r["claim"], r) for r in json.loads(SAMPLED.read_text())]
+    modes = [r["details"]["mode"] for r in expected if "mode" in r["details"]]
+    assert modes == ["certified", "certified"]
     reports = [{k: v for k, v in r.to_dict().items() if k != "runtime"} for r in results]
-    assert json.loads(json.dumps(reports)) == json.loads(CERTIFIED.read_text())
+    assert json.loads(json.dumps(reports)) == expected
 
 
 def test_checker_determinism():
