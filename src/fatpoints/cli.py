@@ -90,7 +90,7 @@ def _load_config(path: str) -> PointConfiguration:
     try:
         spec = data["field"]
         if isinstance(spec, dict) and spec.get("type") == "cyclotomic":
-            _check_conductor(int(spec["n"]))
+            _check_conductor(spec.get("n"))
         return PointConfiguration.from_dict(data)
     except (KeyError, ValueError, TypeError) as e:
         raise InputError("config", f"{path}: {e}") from e
@@ -107,9 +107,9 @@ def _check_budget(rows: int, d: int) -> None:
         )
 
 
-def _check_conductor(n: int | None) -> None:
-    """Refuse a cyclotomic field above the conductor budget, before it is built."""
-    if n is not None and n > MAX_CONDUCTOR:
+def _check_conductor(n) -> None:
+    """Refuse an int conductor above the budget, before its field is built."""
+    if type(n) is int and n > MAX_CONDUCTOR:
         raise InputError(
             "budget",
             f"the cyclotomic field of conductor {n} is above the budget of {MAX_CONDUCTOR}",

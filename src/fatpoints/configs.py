@@ -314,8 +314,10 @@ class SearchSpace:
             raise ValueError("grid side must be at least 1")
         if self.r < 3:
             raise ValueError("configuration size must be at least 3")
-        if self.limit is not None and self.limit < 0:
-            raise ValueError("search limit must be nonnegative")
+        if self.r > (self.n + 1) ** 2:
+            raise ValueError(f"{self.r} points do not fit on a grid of {(self.n + 1) ** 2}")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError("search limit must be positive")
 
 
 _CONSTRAINTS = {
@@ -351,8 +353,6 @@ def grid_configs(space: SearchSpace):
         for y in range(side)
     ]
     n_items = len(grid)
-    if space.r > n_items:
-        return
     if space.limit is None:
         for combo in itertools.combinations(range(n_items), space.r):
             Z = PointConfiguration(QQ, [grid[i] for i in combo])

@@ -14,14 +14,16 @@ integral coordinates, on which exact elimination elsewhere works: ints when
 the degree phi(n) is 1, int tuples in the power basis otherwise.
 Field.clear_denominators turns scalars into integral coordinates over one
 common denominator, and Field.from_integral turns them back.  Field.mul,
-Field.scale and Field.unit are the product, the int multiple and the
-coordinates of 1, so the condition rows and the certificates' exact checks
-are written once for every field.  Above degree 1, Field.mul is also the
-one product modulo Phi_n that Scalar multiplication uses, on Fraction
-tuples.  Field.integral_inverse is the one inverse over Q(zeta_n), and
-serves Scalar division only, as no rank over Q(zeta_n) divides by a pivot:
-x times the product of its other Galois conjugates is the norm N(x), a
-nonzero integer, so 1/x is that product over N(x), all in integers.
+Field.scale, Field.add, Field.unit, Field.flat and Field.group are the
+product, the int multiple, the sum, the coordinates of 1, one element's
+coordinates as an int tuple and the inverse of flattening, so the condition
+rows and the certificates are written once for every field.  Above degree
+1, Field.mul is also the one product modulo Phi_n that Scalar
+multiplication uses, on Fraction tuples.  Field.integral_inverse is the
+one inverse over Q(zeta_n), and serves Scalar division only, as no rank
+over Q(zeta_n) divides by a pivot: x times the product of its other Galois
+conjugates is the norm N(x), a nonzero integer, so 1/x is that product
+over N(x), all in integers.
 Field.certificate_prime is the one sequence of primes p = 1 (mod n): the
 first below 2^15, the rest below 2^62.  Its maps take integral coordinates
 to residues mod p, and its lift, the inverse Vandermonde matrix of the
@@ -99,10 +101,12 @@ class Field:
 
     It owns the integral coordinates too, by degree (ints at degree 1, as
     for Q(zeta_2); power-basis int tuples above): mul is their product,
-    scale(x, c) the multiple by an int c, and unit the coordinates of 1.
+    scale(x, c) the multiple by an int c, add their sum, unit the coordinates
+    of 1, flat(x) x as an int tuple and group the inverse of flattening.
     """
 
-    __slots__ = ("kind", "conductor", "degree", "modulus", "mul", "scale", "unit", "zero", "one")
+    __slots__ = ("kind", "conductor", "degree", "modulus", "zero", "one",
+                 "mul", "scale", "add", "unit", "flat", "group")
 
     def __init__(self, kind: str, conductor: int = 1):
         if kind not in ("rational", "cyclotomic"):
@@ -118,12 +122,15 @@ class Field:
             self.degree = len(self.modulus) - 1
         deg = self.degree
         if deg == 1:
-            self.mul, self.scale, self.unit = operator.mul, operator.mul, 1
+            self.mul, self.scale, self.add, self.unit = operator.mul, operator.mul, operator.add, 1
+            self.flat, self.group = lambda x: (x,), list
         else:
             # the reduction table: z^k in the power basis, k = deg .. 2 deg - 2
             red = [_divmod_monic([0] * k + [1], self.modulus)[1] for k in range(deg, 2 * deg - 1)]
             self.mul, self.scale = _product_kernel(deg, red), _scale
+            self.add = lambda x, y: tuple(map(operator.add, x, y))
             self.unit = (1,) + (0,) * (deg - 1)
+            self.flat, self.group = tuple, lambda values: list(zip(*[iter(values)] * deg))
         self.kind = kind
         self.conductor = conductor
         self.zero = Scalar(self, (Fraction(0),) * self.degree)
@@ -263,9 +270,9 @@ class Field:
         kind = d.get("type") if isinstance(d, dict) else None
         if kind == "rational":
             return Field("rational")
-        if kind == "cyclotomic":
-            return Field("cyclotomic", int(d["n"]))
-        raise ValueError(f"unknown field descriptor {d!r}")
+        if kind == "cyclotomic" and type(d.get("n")) is int:  # no float or bool
+            return Field("cyclotomic", d["n"])
+        raise ValueError(f"field descriptor {d!r} is neither Q nor Q(zeta_n) with an int n")
 
 
 _ZERO = Fraction(0)

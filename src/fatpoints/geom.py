@@ -406,10 +406,11 @@ def frame_transform(src, dst):
     return tuple(tuple(field.from_integral(row, den)) for row in T)
 
 
-def _general_quadruple(stats: LineStats, quad) -> bool:
-    """No three of the indexed points share a line of the inventory."""
-    quad = set(quad)
-    return all(len(quad.intersection(idx)) < 3 for _, idx in stats.lines if len(idx) > 2)
+def _general_quadruples(stats: LineStats, n: int) -> set:
+    """The 4-subsets of range(n), as sorted tuples, no three of whose
+    points share a line of the inventory."""
+    rich = [set(idx) for _, idx in stats.lines if len(idx) > 2]
+    return {q for q in combinations(range(n), 4) if all(len(r.intersection(q)) < 3 for r in rich)}
 
 
 def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
@@ -424,20 +425,21 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
     stats1, stats2 = analyze_lines(Z1), analyze_lines(Z2)
     if stats1.histogram_key() != stats2.histogram_key():
         return False, None
-    quads = combinations(range(len(Z1)), 4)
-    anchor = next((q for q in quads if _general_quadruple(stats1, q)), None)
-    if anchor is None:
+    general1 = _general_quadruples(stats1, len(Z1))
+    if not general1:
         # fewer than 4 points in general position on both sides or neither:
         # fall back to size <= 3 / collinear handling
         return _equivalent_degenerate(Z1, Z2, stats1)
     # frames are built from the stored triples; T sends each anchor point to
     # its image by construction, so only the other points are tested
+    anchor = min(general1)
+    general2 = _general_quadruples(stats2, len(Z2))
     back = mat3_adjugate(_frame_matrix([Z1[i].triple for i in anchor]))
     rest = [p.triple for i, p in enumerate(Z1.points) if i not in anchor]
     target = {p.triple for p in Z2.points}
     canonical = _canonical(Z1.field)
     for dst in permutations(range(len(Z2)), 4):
-        if not _general_quadruple(stats2, dst):
+        if tuple(sorted(dst)) not in general2:
             continue
         T = mat3_mul(_frame_matrix([Z2[i].triple for i in dst]), back)
         if all(canonical(mat3_vec(T, t)) in target for t in rest):

@@ -102,10 +102,10 @@ class FatPointScheme:
         )
 
 
-def _chart_index(coords) -> int:
+def _chart_index(coords, zero) -> int:
+    """The last coordinate of a point that is not zero."""
     for i in (2, 1, 0):
-        c = coords[i]
-        if any(c) if type(c) is tuple else c:
+        if coords[i] != zero:
             return i
     raise AssertionError("unreachable: zero point")
 
@@ -138,7 +138,7 @@ def _row_triple(p: ProjectivePoint) -> tuple:
     t = p.triple
     if p.field.degree != 1:
         return tuple(p.field.clear_denominators(t)[0])
-    if t[_chart_index(t)] < 0:
+    if t[_chart_index(t, 0)] < 0:
         return (-t[0], -t[1], -t[2])
     return t
 
@@ -180,7 +180,7 @@ def _condition_rows(parts, d: int, field: Field) -> list:
     zero = scale(one, 0)
     rows = []
     for coords, m in parts:
-        chart = _chart_index(coords)
+        chart = _chart_index(coords, zero)
         powers = []
         for c in coords:
             row = [one]
@@ -274,7 +274,7 @@ def _check_vanishing(f: Form, X: FatPointScheme) -> None:
     """
     for p, m in X.parts:
         coords = p.coeffs
-        chart = _chart_index(coords)
+        chart = _chart_index(coords, p.field.zero)
         u, v = [i for i in range(3) if i != chart]
         fu = f
         for au in range(m):

@@ -244,6 +244,11 @@ def test_input_errors(tmp_path, capsys):
         (("unexpected", zeta3_zero_denominator, "-d", "2"), "config", "zero denominator"),
         (("analyze", config("field-q", "q", [[1, 0, 0]] + frame)), "config", "field descriptor"),
         (("search", "--limit", "-1"), "input", "limit"),
+        (("search", "--limit", "0"), "input", "limit"),
+        (("search", "--n", "1", "--points", "9"), "input", "grid of 4"),
+        (("analyze", config("zeta-2.5", {"type": "cyclotomic", "n": 2.5}, frame)), "config", "2.5"),
+        (("analyze", config("zeta-true", {"type": "cyclotomic", "n": True}, frame)), "config", "True"),
+        (("analyze", config("zeta-1e9", {"type": "cyclotomic", "n": 1e9}, frame)), "config", "1000000000.0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, ""), argv

@@ -260,5 +260,11 @@ def test_search_space_validation():
         SearchSpace(n=2, r=2)
     with pytest.raises(ValueError):
         SearchSpace(n=2, r=3, limit=-1)
+    # an empty stream would pass a uniqueness claim on nothing
+    with pytest.raises(ValueError):
+        SearchSpace(n=2, r=3, limit=0)
+    with pytest.raises(ValueError):
+        SearchSpace(n=1, r=9)
+    assert SearchSpace(n=2, r=9).r == 9  # every point of the grid
     with pytest.raises(ValueError):
         list(grid_configs(SearchSpace(n=2, r=3, constraint="no-such")))

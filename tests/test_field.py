@@ -292,6 +292,20 @@ def test_integral_operations_follow_the_layout(field):
         assert field.from_integral([field.scale(x, c)], den) == [a * c]
 
 
+@pytest.mark.parametrize("field", [QQ] + [make_field("cyclotomic", n) for n in (2, 5)], ids=repr)
+def test_layout_helpers_round_trip(field):
+    # Field.flat gives one element's coordinates as an int tuple, Field.group
+    # regroups a flattened list, and Field.add is the sum of coordinates
+    rng = random.Random(f"layout-helpers:{field!r}")
+    values = [_random_scalar(field, rng) for _ in range(20)]
+    coords, den = field.clear_denominators(values)
+    flat = [c for x in coords for c in field.flat(x)]
+    assert all(type(c) is int for c in flat) and len(flat) == field.degree * len(coords)
+    assert field.group(flat) == coords
+    for a, b, x, y in zip(values, values[1:], coords, coords[1:]):
+        assert field.from_integral([field.add(x, y)], den) == [a + b]
+
+
 @pytest.mark.parametrize("field", _PRIME_FIELDS, ids=repr)
 def test_residue_map_is_a_ring_homomorphism(field):
     # every map of the small prime 0, where ranks are tested, and of the

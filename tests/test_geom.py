@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -393,7 +392,7 @@ def test_cyclotomic_equivalence_witness_is_the_frame_transform():
     # the witness is the frame transform from the anchor, the first
     # general-position quadruple of F3, to the points it maps them to
     stats = analyze_lines(F3)
-    anchor = next(q for q in combinations(range(len(F3)), 4) if geom._general_quadruple(stats, q))
+    anchor = min(geom._general_quadruples(stats, len(F3)))
     src = [F3[i] for i in anchor]
     dst = [ProjectivePoint(F3.field, mat3_vec(T, p.coeffs)) for p in src]
     assert all(q in image for q in dst)

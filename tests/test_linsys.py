@@ -183,7 +183,7 @@ def test_check_vanishing_raises_on_each_failing_condition():
     X = FatPointScheme.of(Z, (_point(5, 11, 1), 3))
     F3 = dual_fermat(3)
     Y = FatPointScheme(F3.field, [(F3.points[0], 2)] + [(p, 1) for p in F3.points[1:]])
-    assert _chart_index(F3.points[0].coeffs) == 1
+    assert _chart_index(F3.points[0].coeffs, F3.field.zero) == 1
     cases = [(X, 5, 9, order) for order in _derivative_orders(3)] + [(X, 5, 0, (0, 0))]
     cases += [(Y, 4, 0, order) for order in _derivative_orders(2)]
     for scheme, d in ((X, 5), (Y, 4)):
@@ -398,7 +398,7 @@ def _reference_condition_rows(parts, d):
     from its derivative order and monomial in place."""
     rows = []
     for coords, m in parts:
-        chart = _chart_index(coords)
+        chart = _chart_index(coords, 0 * coords[0])
         u, v = [i for i in range(3) if i != chart]
         one = coords[chart] ** 0
         zero = 0 * one
@@ -436,7 +436,7 @@ def test_condition_rows_match_the_reference_loop():
         (rng.randint(-999, 999), rng.randint(1, 999), 0),
         (rng.randint(1, 999), 0, 0),
     ]
-    assert [_chart_index(t) for t in triples] == [2, 1, 0]
+    assert [_chart_index(t, 0) for t in triples] == [2, 1, 0]
     for t in triples:
         for m in range(1, 5):
             for d in range(8):
@@ -451,7 +451,7 @@ def test_condition_rows_match_the_reference_loop():
     # of the Scalars with those coordinates, as int tuples
     scalars = [(cyc(), cyc(), cyc()), (cyc(), cyc(), f5.zero), (cyc(), f5.zero, f5.zero)]
     cleared = [tuple(f5.clear_denominators(t)[0]) for t in scalars]
-    assert [_chart_index(t) for t in cleared] == [2, 1, 0]
+    assert [_chart_index(t, f5.scale(f5.unit, 0)) for t in cleared] == [2, 1, 0]
     for t in cleared:
         for m in range(1, 5):
             for d in range(8):
@@ -502,27 +502,51 @@ def test_rational_set_agrees_across_fields():
     assert special == [False, False, False, True, False, False]
 
 
-def test_condition_rows_do_not_branch_on_the_layout():
-    # the integral layout is the field's: in linsys only _row_triple, which
-    # takes the coordinates, and system_dimension, which ranks over Q
-    # without an ExactMatrix, may branch on the field's degree
+def _layout_branches(source: str) -> list:
+    """(top-level name, line) of each branch in source whose test reads a
+    field's degree, as field.degree, X.field.degree or a local assigned from
+    one, and of each type(...) is tuple or isinstance(..., tuple) test."""
     import ast
-    from pathlib import Path
 
-    import fatpoints.linsys as linsys
+    def reads_degree(node, aliases):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in aliases:
+                return True
+            if isinstance(n, ast.Attribute) and n.attr == "degree":
+                base = n.value
+                if isinstance(base, ast.Name) and base.id == "field":
+                    return True
+                if isinstance(base, ast.Attribute) and base.attr == "field":
+                    return True
+        return False
 
-    source = Path(linsys.__file__).read_text()
-    assert "mul is None" not in source
-
-    def mentions_degree(node):
-        return any(
-            isinstance(n, ast.Attribute) and n.attr == "degree"
-            or isinstance(n, ast.Name) and n.id == "degree"
-            for n in ast.walk(node)
+    def tests_tuple(node):
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+            return (
+                isinstance(node.left.func, ast.Name)
+                and node.left.func.id == "type"
+                and any(isinstance(c, ast.Name) and c.id == "tuple" for c in node.comparators)
+            )
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(isinstance(n, ast.Name) and n.id == "tuple" for n in ast.walk(node.args[1]))
         )
 
-    branching = []
+    found = []
     for top in ast.parse(source).body:
+        name = getattr(top, "name", None)
+        aliases = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = list(zip(target.elts, node.value.elts))
+                    for t, v in pairs:
+                        if isinstance(t, ast.Name) and reads_degree(v, aliases):
+                            aliases.add(t.id)
         for node in ast.walk(top):
             tests = []
             if isinstance(node, (ast.If, ast.IfExp, ast.While)):
@@ -531,7 +555,36 @@ def test_condition_rows_do_not_branch_on_the_layout():
                 tests = node.ifs
             elif isinstance(node, ast.BoolOp):
                 tests = node.values[:-1]
-            if any(mentions_degree(t) for t in tests):
-                branching.append((getattr(top, "name", None), node.lineno))
-    allowed = {"_row_triple", "system_dimension"}
-    assert branching and {name for name, _ in branching} <= allowed, branching
+            if any(reads_degree(t, aliases) for t in tests) or tests_tuple(node):
+                found.append((name, node.lineno))
+    return found
+
+
+def test_the_layout_guard_sees_aliases_and_tuple_tests():
+    assert _layout_branches("def g(c):\n    return any(c) if type(c) is tuple else c\n") == [("g", 2)]
+    assert _layout_branches("def g(c):\n    return isinstance(c, (int, tuple))\n") == [("g", 2)]
+    aliased = "def h(field):\n    phi, f = field.degree, 1\n    return abs if phi == 1 else f\n"
+    assert _layout_branches(aliased) == [("h", 3)]
+    assert _layout_branches("def k(f, field):\n    return 0 if f.degree else field.degree\n") == []
+
+
+def test_condition_rows_do_not_branch_on_the_layout():
+    # the integral layout is the field's (Field.mul, scale, add, unit, flat
+    # and group): in linsys only _row_triple, which takes the coordinates,
+    # and system_dimension, which ranks over Q without an ExactMatrix, branch
+    # on a field's degree; in poly only symbolic_rank_bound, which evaluates
+    # and ranks its grid points over Q in plain ints; and neither module
+    # tells the layouts apart by testing for tuples
+    from pathlib import Path
+
+    import fatpoints.linsys as linsys
+    import fatpoints.poly as poly
+
+    for module, allowed in (
+        (linsys, {"_row_triple", "system_dimension"}),
+        (poly, {"symbolic_rank_bound"}),
+    ):
+        source = Path(module.__file__).read_text()
+        assert "mul is None" not in source
+        found = _layout_branches(source)
+        assert {name for name, _ in found} == allowed, (module.__name__, found)
