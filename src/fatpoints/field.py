@@ -26,8 +26,9 @@ conjugates is the norm N(x), a nonzero integer, so 1/x is that product
 over N(x), all in integers.
 Field.certificate_prime is the one sequence of primes p = 1 (mod n): the
 first below 2^15, the rest below 2^62.  Its maps take integral coordinates
-to residues mod p, and its lift, the inverse Vandermonde matrix of the
-roots in closed form, takes residues back to power-basis coordinates mod p.
+to residues mod p, in the ring Residues(p), and its lift, the inverse
+Vandermonde matrix of the roots in closed form, takes residues back to
+power-basis coordinates mod p.
 
 Nothing in this module (or anything built on it) ever touches floating
 point: rank decisions downstream must be exact.
@@ -103,10 +104,13 @@ class Field:
     for Q(zeta_2); power-basis int tuples above): mul is their product,
     scale(x, c) the multiple by an int c, add their sum, unit the coordinates
     of 1, flat(x) x as an int tuple and group the inverse of flattening.
+    certificate_start is the first prime a residue certificate draws: 0 at
+    degree 1, where the full-rank test eliminated its one map, and 1 above,
+    where prime 0 has phi(n) maps for 15 bits.
     """
 
     __slots__ = ("kind", "conductor", "degree", "modulus", "zero", "one",
-                 "mul", "scale", "add", "unit", "flat", "group")
+                 "mul", "scale", "add", "unit", "flat", "group", "certificate_start")
 
     def __init__(self, kind: str, conductor: int = 1):
         if kind not in ("rational", "cyclotomic"):
@@ -124,6 +128,7 @@ class Field:
         if deg == 1:
             self.mul, self.scale, self.add, self.unit = operator.mul, operator.mul, operator.add, 1
             self.flat, self.group = lambda x: (x,), list
+            self.certificate_start = 0
         else:
             # the reduction table: z^k in the power basis, k = deg .. 2 deg - 2
             red = [_divmod_monic([0] * k + [1], self.modulus)[1] for k in range(deg, 2 * deg - 1)]
@@ -131,6 +136,7 @@ class Field:
             self.add = lambda x, y: tuple(map(operator.add, x, y))
             self.unit = (1,) + (0,) * (deg - 1)
             self.flat, self.group = tuple, lambda values: list(zip(*[iter(values)] * deg))
+            self.certificate_start = 1
         self.kind = kind
         self.conductor = conductor
         self.zero = Scalar(self, (Fraction(0),) * self.degree)
@@ -370,6 +376,20 @@ def _split(n: int, p: int):
         return tuple(sum(map(operator.mul, row, values)) % p for row in inverse)
 
     return p, [_evaluation(v, p) for v in vandermonde], lift
+
+
+class Residues:
+    """Z/p for a certificate prime p, with the Field interface that
+    condition rows are built with: mul and scale, reduced to [0, p), and
+    unit.  The maps of Field.certificate_prime are ring homomorphisms into
+    it, so rows built here from images of integral coordinates are the
+    images of the rows built from them."""
+
+    __slots__ = ("mul", "scale", "unit")
+
+    def __init__(self, p: int):
+        self.mul = self.scale = lambda x, y: x * y % p
+        self.unit = 1
 
 
 def _scale(x: tuple, c: int) -> tuple:

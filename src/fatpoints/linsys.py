@@ -11,10 +11,16 @@ One builder makes every condition row, straight from a homogeneous
 coordinate triple x of the point: the row of the derivative order
 (a_u, a_v) holds falling(e_u, a_u) * falling(e_v, a_v) * x^(e - a) in the
 column of each monomial x^e.  The triple holds the field's integral
-coordinates (_row_triple), whose layout the builder reads only through
-Field.mul, Field.scale and Field.unit, so it has one body for every field.
-A conditions matrix is integral as built, and no Scalar is made on the way
-to its rank.
+coordinates (_row_triple), or their images under a ring map into Z/p, and
+the builder reads them only through mul, scale and unit, of the Field or
+of field.Residues, so it has one body for every field and for residues.
+A conditions matrix holds its scheme.  Its rows at each map of a
+certificate prime are built from the images of the points' triples, in
+the chart of the integral triple, so they are the images of its integral
+rows.  The integral rows are built only on a rank drop, when a
+certificate reads them for its prime budget and its exact check, or over
+Q to find the certificate of the rows a system dimension ranked as built.
+No Scalar is made on the way to a rank.
 Dividing the row by the nonzero scalar x_c^(d - a_u - a_v) gives the
 derivative row in the affine chart x_c = 1, so the row space, the ranks,
 the RREF nullspace bases and every witness are those of the chart rows.
@@ -33,11 +39,13 @@ entries at [a, b, 1] are integer multiples of the monomials a^e0 b^e1.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .field import Field, FieldMismatchError
+from .field import Field, FieldMismatchError, Residues
 from .geom import PointConfiguration, ProjectivePoint, _monic
 from .poly import (
     ExactMatrix,
@@ -62,7 +70,7 @@ class FatPointScheme:
     __slots__ = ("field", "parts", "_triples")
 
     def __init__(self, field: Field, parts):
-        norm = []
+        norm, triples = [], []
         seen = set()
         for p, m in parts:
             if not isinstance(p, ProjectivePoint):
@@ -75,10 +83,13 @@ class FatPointScheme:
                 raise ValueError("scheme points must be pairwise distinct")
             seen.add(p)
             norm.append((p, m))
+            t, chart = _row_triple(p)
+            triples.append((t, m, chart))
         self.field = field
         self.parts = tuple(norm)
-        # the points' integral coordinates, taken once for every conditions matrix
-        self._triples = [(_row_triple(p), m) for p, m in norm]
+        # the points' integral coordinates, multiplicities and charts, taken
+        # once for every conditions matrix
+        self._triples = triples
 
     @classmethod
     def of(cls, Z: PointConfiguration, *extra) -> "FatPointScheme":
@@ -127,7 +138,8 @@ def _falling(e: int, k: int) -> int:
 
 
 def _row_triple(p: ProjectivePoint) -> tuple:
-    """The integral coordinates the rows of p are built from.
+    """The integral coordinates the rows of p are built from, and their
+    chart (_chart_index).
 
     At degree 1 that is the primitive integer triple, negated when its
     chart coordinate is negative, so that the chart coordinate is positive;
@@ -135,12 +147,12 @@ def _row_triple(p: ProjectivePoint) -> tuple:
     triple, int tuples in the power basis: the triple times a nonzero
     integer.
     """
-    t = p.triple
-    if p.field.degree != 1:
-        return tuple(p.field.clear_denominators(t)[0])
-    if t[_chart_index(t, 0)] < 0:
-        return (-t[0], -t[1], -t[2])
-    return t
+    t, field = p.triple, p.field
+    if field.degree != 1:
+        t = tuple(field.clear_denominators(t)[0])
+        return t, _chart_index(t, field.scale(field.unit, 0))
+    chart = _chart_index(t, 0)
+    return ((-t[0], -t[1], -t[2]) if t[chart] < 0 else t), chart
 
 
 @lru_cache(maxsize=64)
@@ -166,11 +178,16 @@ def _row_templates(d: int, m: int, chart: int) -> tuple:
     return tuple(templates)
 
 
-def _condition_rows(parts, d: int, field: Field) -> list:
-    """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
+def _condition_rows(parts, d: int, field) -> list:
+    """Condition rows at degree d of (coordinate triple, multiplicity, chart)
+    triples.
 
-    The triples hold integral coordinates of field, and the entries stay in
-    that form: products by Field.mul, int multiples by Field.scale.
+    The triples hold integral coordinates of field, or their images in a
+    field.Residues ring, and the entries stay in that form: products by
+    mul, int multiples by scale.  Each row is a polynomial with integer
+    coefficients in the coordinates, so the rows built from the images under
+    a ring map are the images of the rows, given the chart of the integral
+    triple, as the image of its chart coordinate may vanish.
     The values at the point of the monomials of each degree t are taken
     once, from its power table: the row of derivative order 0 is those of
     degree d, and every other row scales them into place by _row_templates.
@@ -179,8 +196,7 @@ def _condition_rows(parts, d: int, field: Field) -> list:
     mul, scale, one = field.mul, field.scale, field.unit
     zero = scale(one, 0)
     rows = []
-    for coords, m in parts:
-        chart = _chart_index(coords, zero)
+    for coords, m, chart in parts:
         powers = []
         for c in coords:
             row = [one]
@@ -206,6 +222,36 @@ def _condition_rows(parts, d: int, field: Field) -> list:
     return rows
 
 
+class _ConditionsMatrix(ExactMatrix):
+    """The conditions matrix of a scheme at degree d, held as the scheme:
+    its rows at a map into Z/p come from the images of the points' triples,
+    its integral rows are built when first read, and each row is keyed by
+    its point's triple and multiplicity, which with d fix it."""
+
+    __slots__ = ("_parts", "_degree", "_keys", "_offsets")
+
+    def __init__(self, X: FatPointScheme, d: int):
+        counts = [comb(m + 1, 2) for _, m, _ in X._triples]
+        self.ring, self.ncols, self.nrows = X.field, comb(d + 2, 2), sum(counts)
+        self._rows = self._integral = None
+        self._parts, self._degree = X._triples, d
+        self._keys = [(t, m) for (t, m, _), n in zip(X._triples, counts) for _ in range(n)]
+        self._offsets = [0, *itertools.accumulate(counts)]  # each point's first row
+
+    def integral_rows(self) -> list:
+        if self._integral is None:
+            self._integral = _condition_rows(self._parts, self._degree, self.ring)
+        return self._integral
+
+    def row_keys(self) -> list:
+        return self._keys
+
+    def residues(self, p: int, image, start: int) -> list:
+        q = bisect.bisect_right(self._offsets, start) - 1
+        parts = [(image(t), m, chart) for t, m, chart in self._parts[q:]]
+        return _condition_rows(parts, self._degree, Residues(p))[start - self._offsets[q]:]
+
+
 def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """Interpolation matrix whose nullspace is I(X)_d as coefficient vectors.
 
@@ -214,8 +260,7 @@ def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    rows = _condition_rows(X._triples, d, X.field)
-    return ExactMatrix.from_integral(X.field, rows, comb(d + 2, 2))
+    return _ConditionsMatrix(X, d)
 
 
 def system_dimension(X: FatPointScheme, d: int) -> int:

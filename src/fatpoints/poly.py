@@ -6,22 +6,30 @@ the external contract, so reports are reproducible bit for bit.
 
 An ExactMatrix over a field or a parameter ring holds its rows as integer
 (or cyclotomic-integer) coordinates, each a nonzero multiple of its Scalar
-or ParamPoly row: conditions matrices are built that way, and other rows are
-scaled once (_integral_rows); over Q, conditions rows are ranked as built
-(rank_of_fraction_rows).  Their layout is the field's, read only through
-Field.mul, Field.scale, Field.add, Field.unit, Field.flat and Field.group, so
-the prime budget, the certificate and its exact check have one body for
-every field.  Every rank and every nullspace basis is then read off one
-sequence of primes p = 1 (mod n), Field.certificate_prime(k), and one
-packed forward elimination mod p (_forward), run once per root of Phi_n
-mod p: a ring map Z[zeta_n] -> Z/p.  The image of a minor is the minor of
-the image, so pivot columns independent mod p are independent.
+or ParamPoly row: rows of values are scaled once (_integral_rows), and over
+Q conditions rows are ranked as built (rank_of_fraction_rows).  Their layout
+is the field's, read only through Field.mul, Field.scale, Field.add,
+Field.unit, Field.flat and Field.group, so the prime budget, the certificate
+and its exact check have one body for every field.  Every rank and every
+nullspace basis is then read off one sequence of primes p = 1 (mod n),
+Field.certificate_prime(k), and one packed forward elimination mod p
+(_forward), run once per root of Phi_n mod p: a ring map Z[zeta_n] -> Z/p.
+The image of a minor is the minor of the image, so pivot columns
+independent mod p are independent.  A matrix gives its rows at a map
+(ExactMatrix.residues) and keys them for resuming an elimination
+(ExactMatrix.row_keys): here the images of its integral rows, and the rows.
+A conditions matrix (linsys) holds its scheme instead: the rows at each map
+are built from the images of its points' coordinates, keyed by the points,
+and its integral rows only on a rank drop, where the certificate's prime
+budget and exact check read them.
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
 every conditions matrix.  Every other rank, and every nullspace basis, is
-a checked residue certificate (_certify), whose elimination at that root
-resumes the full-rank test's.  The kernel vectors mod p are lifted by CRT
+a checked residue certificate (_certify).  Over Q it starts at prime 0 and
+resumes the full-rank test's elimination; over Q(zeta_n) it starts at
+prime 1 (Field.certificate_start), as prime 0 has one map per root there,
+of which the test ran one.  The kernel vectors mod p are lifted by CRT
 and rational reconstruction, and a vector is returned only after an exact
 integer check that it annihilates the rows and has the shape of a reduced
 row echelon (RREF) basis vector, which bounds the rank from above.
@@ -499,7 +507,8 @@ class ExactMatrix:
 
     The matrix holds the integral coordinates of its rows (_integral_rows:
     each row times a nonzero constant, so the row space is the same), and
-    ranks, kernels and grid certificates read those.  A matrix built from
+    ranks, kernels and grid certificates read those, and their images at
+    the maps of the certificate primes (residues).  A matrix built from
     values coerces them to ring elements, keeps them as its rows and clears
     their denominators once, when a rank or certificate first needs them; its
     width is that of its rows, 0 when it has none.  One built from_integral
@@ -527,7 +536,7 @@ class ExactMatrix:
         return M
 
     def _shape(self, ring, rows, ncols: int) -> None:
-        if any(len(r) != ncols for r in rows):
+        if set(map(len, rows)) - {ncols}:  # no generator: every rank over Q passes here
             raise ValueError("ragged matrix")
         self.ring = ring
         self.nrows = len(rows)
@@ -537,7 +546,7 @@ class ExactMatrix:
     def rows(self) -> tuple:
         if self._rows is None:
             from_integral = self.ring.from_integral
-            self._rows = tuple(tuple(from_integral(row)) for row in self._integral)
+            self._rows = tuple(tuple(from_integral(row)) for row in self.integral_rows())
         return self._rows
 
     def integral_rows(self) -> list:
@@ -546,6 +555,19 @@ class ExactMatrix:
         if self._integral is None:
             self._integral = _integral_rows(self._rows, self.ring)
         return self._integral
+
+    def row_keys(self) -> list:
+        """One key per row, equal for two rows of ncols columns over the same
+        field only if the rows are equal: here the integral rows themselves.
+        An elimination resumes after the rows whose keys it shares with the
+        last one (_eliminate)."""
+        return self.integral_rows()
+
+    def residues(self, p: int, image, start: int):
+        """The rows from row start on under the ring map image of
+        Field.certificate_prime into Z/p, each entry in [0, p): here the
+        image of each integral row."""
+        return map(image, self.integral_rows()[start:])
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
@@ -670,26 +692,28 @@ def _back_substitute(echelon, ncols: int, p: int):
     return pivots, kernel
 
 
-def _eliminate(rows, ncols: int, p: int, image, key, slack: int, shared: dict) -> list:
-    """The _forward echelon of the image mod p of integral rows.
+def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, shared: dict) -> list:
+    """The _forward echelon of M's rows under a ring map image into Z/p,
+    as M.residues gives them.
 
     The elimination is kept in the store shared (_store) under key,
-    (field, ncols, k, i) for the i-th root of Field.certificate_prime(k),
-    and the next one under key resumes after the row prefix it shares with
-    this one, from copies of the echelon rows that prefix left: a
-    certificate resumes where the full-rank test of the same rows stopped,
-    and inside a shared_certificates block the conditions matrix of each
-    sample of a verdict starts with the rows of Z, whose rank the verdict
-    took first.
+    (field, ncols, k, i) for the i-th map of Field.certificate_prime(k),
+    and the next one under key resumes after the rows whose keys
+    (M.row_keys) it shares with this one, from copies of the echelon rows
+    they left: over Q a certificate resumes where the full-rank test of the
+    same rows stopped, and inside a shared_certificates block the conditions
+    matrix of each sample of a verdict starts with the rows of the points of
+    Z, whose rank the verdict took first.
     """
+    keys = M.row_keys()
     start, echelon, sizes = 0, [], []
     if key in shared:
         last, echelon, sizes = shared[key]
-        while start < min(len(sizes), len(rows)) and rows[start] == last[start]:
+        while start < min(len(sizes), len(keys)) and keys[start] == last[start]:
             start += 1
         echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
-    _forward((image(row) for row in rows[start:]), ncols, p, echelon, sizes, slack)
-    shared[key] = (rows, echelon, sizes)
+    _forward(M.residues(p, image, start), M.ncols, p, echelon, sizes, slack)
+    shared[key] = (keys, echelon, sizes)
     return echelon
 
 
@@ -744,8 +768,9 @@ def _prime_budget(rows, field: Field) -> int:
     primitive roots of unity.  So once the primes of the true pivots
     multiply past 2 K^2 T^(2 phi), reconstruction cannot fail.  A prime
     with other pivots divides N(D), at most T^phi, for the pivot minor D.
-    Every prime but the first is 2^61 or more, and the first, below 2^15,
-    is counted as one more.  Over Q, phi = K = 1.
+    Every prime but prime 0 is 2^61 or more, and prime 0, below 2^15,
+    which only certificates over Q draw (Field.certificate_start), is
+    counted as one more.  Over Q, phi = K = 1.
     """
     phi, flat = field.degree, field.flat
     squares = [sum(sum(map(abs, flat(x))) ** 2 for x in row) for row in rows]
@@ -773,36 +798,39 @@ def _annihilates(rows, coords, f: int, pivots, field: Field) -> bool:
     return True
 
 
-def _certify(rows, ncols: int, field: Field, shared: dict):
-    """The RREF pivots and kernel of _integral_rows output, as a checked
+def _certify(M: ExactMatrix, shared: dict):
+    """The RREF pivots and kernel of a matrix over a field, as a checked
     residue certificate: (pivots, kernel), kernel a list of (coords, den),
     the integral coordinates and common denominator of the basis vector of
     each free column, in order.
 
-    For k = 0, 1, ... the rows are mapped to Z/p by each map of
-    Field.certificate_prime(k) and eliminated there (_eliminate, in the
-    store shared, so that it resumes the full-rank test of _rank at the
-    first root of prime 0), and back substitution gives the kernel mod p
-    (_back_substitute).  Pivot columns that are independent mod p are
-    independent, as the image of their minor is nonzero.  Reduction can
-    only move pivots later, so a prime is dropped when its roots disagree
-    on the pivots or its pivots fall after the best pivots so far, and
-    better pivots restart the collection.  Each prime's kernel residues are lifted to coordinates mod
-    p (Field.certificate_prime's lift), combined with the earlier primes'
-    by CRT and rationally reconstructed (_reconstruct).
+    For k = Field.certificate_start, k + 1, ... the rows are taken to Z/p
+    by each map of Field.certificate_prime(k) and eliminated there
+    (_eliminate, in the store shared, so that over Q it resumes the
+    full-rank test of _rank at prime 0), and back substitution gives the
+    kernel mod p (_back_substitute).  Pivot columns that are independent
+    mod p are independent, as the image of their minor is nonzero.
+    Reduction can only move pivots later, so a prime is dropped when its
+    roots disagree on the pivots or its pivots fall after the best pivots
+    so far, and better pivots restart the collection.  Each prime's kernel
+    residues are lifted to coordinates mod p (Field.certificate_prime's
+    lift), combined with the earlier primes' by CRT and rationally
+    reconstructed (_reconstruct).
 
     A vector is accepted only when _annihilates passes: the RREF shape and
     M w = 0 in integers.  Once every free column has one, each free column
     lies in the span of the pivot columns before it, and those are
     independent: so the pivots are exactly the greedy ones, the rank is
     their number, and each vector, being unique, is the RREF basis vector.
-    A failed reconstruction or check adds a prime; past _prime_budget
-    primes, ArithmeticError.
+    A failed reconstruction or check adds a prime; past prime
+    _prime_budget, ArithmeticError.  The integral rows are read for the
+    budget and the check only.
     """
+    field, ncols, rows = M.ring, M.ncols, M.integral_rows()
     zero, flat = field.scale(field.unit, 0), field.flat
     budget = None
     best = None  # the pivots of the primes collected
-    for k in itertools.count():
+    for k in itertools.count(field.certificate_start):
         if k >= 3:  # the budget is 3 primes or more
             budget = budget or _prime_budget(rows, field)
             if k > budget:
@@ -810,7 +838,7 @@ def _certify(rows, ncols: int, field: Field, shared: dict):
         p, images, lift = field.certificate_prime(k)
         found = []
         for i, image in enumerate(images):
-            echelon = _eliminate(rows, ncols, p, image, (field, ncols, k, i), len(rows), shared)
+            echelon = _eliminate(M, p, image, (field, ncols, k, i), M.nrows, shared)
             found.append(_back_substitute(echelon, ncols, p))
         pivots = found[0][0]
         if any(other != pivots for other, _ in found[1:]):
@@ -880,51 +908,57 @@ def _store() -> dict:
     return {} if shared is None else shared
 
 
-def _certificate(rows, ncols: int, field: Field, shared: dict):
-    """_certify, or the certificate of the same rows from the store."""
-    key = ("certificate", field, ncols, tuple(map(tuple, rows)))
+def _certificate(M: ExactMatrix, shared: dict):
+    """_certify, or the certificate of the same matrix from the store.
+
+    It is found by M's row keys, or else by its integral rows, and kept
+    under both: so a conditions matrix over Q(zeta_n) finds the certificate
+    of an earlier matrix of the same scheme without building its integral
+    rows, and one over Q that of the same rows ranked as they were built.
+    """
+    key = ("certificate", M.ring, M.ncols, tuple(map(tuple, M.row_keys())))
     if key not in shared:
-        shared[key] = _certify(rows, ncols, field, shared)
+        rows = ("certificate", M.ring, M.ncols, tuple(map(tuple, M.integral_rows())))
+        if rows not in shared:
+            shared[rows] = _certify(M, shared)
+        shared[key] = shared[rows]
     return shared[key]
 
 
-def _rank(rows, ncols: int, field: Field, shared: dict | None = None) -> int:
-    """Rank of _integral_rows output.
+def _rank(M: ExactMatrix, shared: dict) -> int:
+    """Rank of a matrix over a field, in the store shared.
 
     The rows are first eliminated at the first map of prime 0
     (Field.certificate_prime), until full rank min(nrows, ncols) is out of
     reach.  The map is a ring homomorphism, so a maximal minor with a
     nonzero residue is nonzero: full rank of the residues proves full rank.
-    Otherwise the checked certificate (_certify) decides, and its first
+    Otherwise the checked certificate (_certify) decides; over Q its first
     elimination resumes this one.  A residue rank is never returned below
-    full rank.  Both run in the store shared, by default _store().
+    full rank.
     """
-    if shared is None:
-        shared = _store()
+    field, full = M.ring, min(M.nrows, M.ncols)
     p, images, _ = field.certificate_prime(0)
-    full = min(len(rows), ncols)
-    echelon = _eliminate(rows, ncols, p, images[0], (field, ncols, 0, 0), len(rows) - full, shared)
+    echelon = _eliminate(M, p, images[0], (field, M.ncols, 0, 0), M.nrows - full, shared)
     if len(echelon) == full:
         return full
-    pivots, _ = _certificate(rows, ncols, field, shared)
+    pivots, _ = _certificate(M, shared)
     return len(pivots)
 
 
 def exact_rank(M: ExactMatrix) -> int:
     """Rank over the field: full rank modulo the first certificate prime,
     below 2^15, proves full rank, and a checked residue certificate
-    (_certify), whose first elimination that test is, decides every other
-    case."""
+    (_certify) decides every other case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
-    return _rank(M.integral_rows(), M.ncols, M.ring)
+    return _rank(M, _store())
 
 
 def rank_of_fraction_rows(rows, ncols: int) -> int:
     """Rank over Q of int rows, as conditions matrices over Q are built;
     nothing is cleared here.  The name stays for the benchmark's tracing
     table."""
-    return _rank(rows, ncols, QQ)
+    return _rank(ExactMatrix.from_integral(QQ, rows, ncols), _store())
 
 
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
@@ -941,7 +975,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    _, kernel = _certificate(M.integral_rows(), M.ncols, field, _store())
+    _, kernel = _certificate(M, _store())
     return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 
@@ -996,7 +1030,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             constant.append([e.get((0, 0), zero) for e in row])
         else:
             parametric.append(row)
-    _, kernel = _certificate(constant, M.ncols, field, _store())
+    _, kernel = _certificate(ExactMatrix.from_integral(field, constant, M.ncols), _store())
     rank_c = M.ncols - len(kernel)
 
     def project(row, v):
@@ -1028,7 +1062,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             return reduce(add, [scale(c, pa[i] * pb[j]) for i, j, c in terms], zero)
 
         def rank(grid_rows):
-            return _rank(grid_rows, len(kernel), field, {})
+            return _rank(ExactMatrix.from_integral(field, grid_rows, len(kernel)), {})
 
     n = max(da, db) + 1
     powers = [[x**k for k in range(n)] for x in range(n)]

@@ -437,32 +437,34 @@ def test_condition_rows_match_the_reference_loop():
         (rng.randint(1, 999), 0, 0),
     ]
     assert [_chart_index(t, 0) for t in triples] == [2, 1, 0]
-    for t in triples:
+    for t, chart in zip(triples, (2, 1, 0)):
         for m in range(1, 5):
             for d in range(8):
-                rows = _condition_rows([(t, m)], d, QQ)
+                rows = _condition_rows([(t, m, chart)], d, QQ)
                 expected = _reference_condition_rows([(t, m)], d)
                 assert rows == expected, (t, m, d)
                 assert all(type(e) is int for r in rows for e in r)
     # several points in one call, as a scheme gives them
     parts = [(t, m) for t, m in zip(triples, (4, 1, 2))]
-    assert _condition_rows(parts, 6, QQ) == _reference_condition_rows(parts, 6)
+    charted = [(t, m, chart) for (t, m), chart in zip(parts, (2, 1, 0))]
+    assert _condition_rows(charted, 6, QQ) == _reference_condition_rows(parts, 6)
     # integral coordinates over Q(zeta_5), multiplied by Field.mul: the rows
     # of the Scalars with those coordinates, as int tuples
     scalars = [(cyc(), cyc(), cyc()), (cyc(), cyc(), f5.zero), (cyc(), f5.zero, f5.zero)]
     cleared = [tuple(f5.clear_denominators(t)[0]) for t in scalars]
     assert [_chart_index(t, f5.scale(f5.unit, 0)) for t in cleared] == [2, 1, 0]
-    for t in cleared:
+    for t, chart in zip(cleared, (2, 1, 0)):
         for m in range(1, 5):
             for d in range(8):
-                rows = _condition_rows([(t, m)], d, f5)
+                rows = _condition_rows([(t, m, chart)], d, f5)
                 expected = _reference_condition_rows([(tuple(f5.from_integral(t)), m)], d)
                 assert [f5.from_integral(r) for r in rows] == expected, (t, m, d)
                 assert all(type(x) is tuple for r in rows for x in r)
     parts = [(t, m) for t, m in zip(cleared, (4, 1, 2))]
+    charted = [(t, m, chart) for (t, m), chart in zip(parts, (2, 1, 0))]
     expected = [f5.clear_denominators(r)[0] for r in _reference_condition_rows(
         [(tuple(f5.from_integral(t)), m) for t, m in parts], 6)]
-    assert _condition_rows(parts, 6, f5) == expected
+    assert _condition_rows(charted, 6, f5) == expected
 
 
 def test_symbolic_rows_of_non_integer_family_stay_integral():

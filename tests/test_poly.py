@@ -585,7 +585,7 @@ def test_integer_kernel_check_rejects_corrupted_products(monkeypatch):
     rows[0][1] = OffByOne(1)
     primes[0] = 0
     with pytest.raises(ArithmeticError):
-        poly._certify(rows, 3, QQ, {})
+        poly._certify(ExactMatrix.from_integral(QQ, rows, 3), {})
     assert primes[0] == poly._prime_budget(rows, QQ) + 1
 
 
@@ -608,8 +608,9 @@ def test_cyclotomic_kernel_check_rejects_corrupted_products(monkeypatch):
     primes[0] = 0
     with pytest.raises(ArithmeticError):
         nullspace_basis(M)
+    # certificates over Q(zeta_n) draw primes 1 to the budget, not prime 0
     rows = poly._integral_rows(M.rows, f3)
-    assert primes[0] == poly._prime_budget(rows, f3) + 1
+    assert primes[0] == poly._prime_budget(rows, f3)
 
 
 def _dual_fermat_scheme(n, d):
@@ -644,6 +645,37 @@ def test_cyclotomic_conditions_build_no_scalars(monkeypatch):
     # a matrix built from Scalars keeps the rows it was given
     given = tuple(tuple(x * field.from_coeffs([Fraction(1, 3), 2]) for x in row) for row in M.rows)
     assert ExactMatrix(field, given).rows == given
+
+
+def test_residue_rows_are_the_images_of_the_integral_rows():
+    # a conditions matrix over Q(zeta_n) builds its rows at each map of a
+    # certificate prime from the images of its points' integral triples:
+    # they must be the images of its integral rows, reduced, since _forward
+    # packs each row into slots that an unreduced entry would carry out of
+    matrices = [_dual_fermat_sample(n, d) for n, d in ((5, 7), (6, 8), (6, 9))]
+    for n in (3, 5, 12):
+        field = make_field("cyclotomic", n)
+        p, images, _ = field.certificate_prime(0)
+        zeta = primitive_root(field)
+        (w,) = images[0](field.clear_denominators([zeta])[0])
+        # the chart coordinate zeta - w of the first point vanishes at prime
+        # 0's first root, so its image lies in chart y there, and its rows
+        # must still be the images of its rows in chart z
+        X = FatPointScheme(field, [((3, zeta, zeta - w), 3), ((zeta, 1, 0), 2), ((1, 0, 0), 1)])
+        t, _, chart = X._triples[0]
+        assert chart == 2 and images[0](t)[2] == 0
+        matrices += [conditions_matrix(X, d) for d in (1, 2, 4)]
+    for M in matrices:
+        rows = M.integral_rows()
+        for k in range(3):
+            p, images, _ = M.ring.certificate_prime(k)
+            for image in images:
+                residues = M.residues(p, image, 0)
+                assert residues == [image(r) for r in rows]
+                assert all(0 <= x < p for r in residues for x in r)
+        # an elimination that resumes after a shared prefix asks for the
+        # rows from any start on, inside a point's rows or past the last
+        assert all(M.residues(p, image, s) == residues[s:] for s in range(M.nrows + 1))
 
 
 def test_symbolic_path_builds_no_scalars(monkeypatch):
@@ -726,14 +758,14 @@ def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     certificates = _count_calls(monkeypatch, poly, "_certify")
     primes = _count_primes(monkeypatch)
     # the full-rank test draws prime 0, and the rank and the kernel are
-    # residue certificates of prime 0 and two primes below 2^62 each, which
-    # invert nothing over Q(zeta_5)
+    # residue certificates of two primes below 2^62 each, without prime 0,
+    # which invert nothing over Q(zeta_5)
     assert exact_rank(M) == 35
     (v,) = nullspace_basis(M)
-    assert (certificates[0], primes[0]) == (2, 1 + 3 + 3)
+    assert (certificates[0], primes[0]) == (2, 1 + 2 + 2)
     assert (scalar[0], integral[0]) == (0, 0)
     rows = poly._integral_rows(M.rows, field)
-    pivots, _ = poly._certify(rows, 36, field, {})
+    pivots, _ = poly._certify(ExactMatrix.from_integral(field, rows, 36), {})
     (free,) = set(range(36)) - set(pivots)
     assert v[free] == field.one
     assert all(not sum((a * x for a, x in zip(row, v)), field.zero) for row in M.rows)
@@ -772,11 +804,12 @@ def test_certificate_survives_a_prime_dividing_the_pivot_minor(monkeypatch):
     M = ExactMatrix(QQ, [[p1, 1, 0], [0, 0, 1]])
     assert nullspace_basis(M) == [(QQ.scalar(Fraction(-1, p1)), QQ.one, QQ.zero)]
     assert primes[0] == 4
-    # over Q(zeta_n): zeta - w vanishes at prime 0's first root w and at
-    # no other root, so that prime's roots disagree on the pivots
+    # over Q(zeta_n): zeta - w vanishes at the first root w of the first
+    # prime a certificate draws and at no other root, so that prime's roots
+    # disagree on the pivots
     for n in (3, 5, 12):
         field = make_field("cyclotomic", n)
-        p, images, _ = field.certificate_prime(0)
+        p, images, _ = field.certificate_prime(field.certificate_start)
         zeta = primitive_root(field)
         (w,) = images[0](field.clear_denominators([zeta])[0])
         rows = [[zeta - w, field.one]]
@@ -1292,7 +1325,7 @@ def test_cyclotomic_bareiss_skips_zero_products(monkeypatch):
     # operand is skipped, and the rank and pivots stay those of the kernel
     M = _dual_fermat_sample(5, 7)
     rows = poly._integral_rows(M.rows, M.ring)
-    pivots, _ = poly._certify(rows, 36, M.ring, {})
+    pivots, _ = poly._certify(ExactMatrix.from_integral(M.ring, rows, 36), {})
     zero_operands = [0]
     mul = M.ring.mul
 

@@ -238,6 +238,52 @@ def test_rank_drops_of_the_example_share_certificates(monkeypatch):
     assert second.to_dict() == first.to_dict()
 
 
+def test_cyclotomic_rows_are_integral_only_on_a_rank_drop(monkeypatch):
+    # over Q(zeta_n) a conditions matrix builds its rows at each map from the
+    # images of its points, and its integral rows over Z[zeta_n], with
+    # Field.mul, only when a certificate reads them
+    calls = _count_certificates(monkeypatch)
+    kernels = [0]
+    nullspace = linsys.nullspace_basis
+
+    def counted(M):
+        kernels[0] += 1
+        return nullspace(M)
+
+    monkeypatch.setattr(linsys, "nullspace_basis", counted)
+    build = linsys._condition_rows
+    integral, products, building = [0], [0], [False]
+
+    def tracked(parts, d, ring):
+        integral[0] += ring is Z.field
+        building[0] = True
+        try:
+            return build(parts, d, ring)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(linsys, "_condition_rows", tracked)
+    for n, d, positive in ((5, 6, False), (6, 7, False), (5, 7, True)):
+        Z = dual_fermat(n)
+        mul = Z.field.mul
+
+        def counted_mul(*args, mul=mul):
+            products[0] += building[0]
+            return mul(*args)
+
+        monkeypatch.setattr(Z.field, "mul", counted_mul)
+        calls[0] = kernels[0] = integral[0] = products[0] = 0
+        assert detect_unexpected(Z, d).unexpected == positive
+        if not positive:
+            # every rank is full at prime 0: no certificate and no integral row
+            assert (calls[0], kernels[0], integral[0], products[0]) == (0, 0, 0, 0)
+    # F5 at d = 7: each of the three samples drops rank and builds its
+    # integral rows once, for its certificate; the witness is the first
+    # sample's certificate, found by its points without integral rows
+    assert (calls[0], kernels[0], integral[0]) == (3, 1, 3)
+    assert products[0] > 0
+
+
 def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     # the example at j = 3, d = 4: each of the three samples drops rank, and
     # its 15 x 15 rank takes two primes.  Taken alone, a sample's rank
