@@ -79,9 +79,10 @@ class FatPointScheme:
                 raise FieldMismatchError("scheme points over different fields")
             if not isinstance(m, int) or m < 1:
                 raise ValueError("multiplicities must be integers >= 1")
-            if p in seen:
+            size = len(seen)
+            seen.add(p)  # one hash per point: a repeat leaves the size as it was
+            if len(seen) == size:
                 raise ValueError("scheme points must be pairwise distinct")
-            seen.add(p)
             norm.append((p, m))
             t, chart = _row_triple(p)
             triples.append((t, m, chart))

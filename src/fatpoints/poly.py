@@ -13,7 +13,7 @@ Field.unit, Field.flat and Field.group, so the prime budget, the certificate
 and its exact check have one body for every field.  Every rank and every
 nullspace basis is then read off one sequence of primes p = 1 (mod n),
 Field.certificate_prime(k), and one packed forward elimination mod p
-(_forward), run once per root of Phi_n mod p: a ring map Z[zeta_n] -> Z/p.
+(_forward), run at roots of Phi_n mod p: each a ring map Z[zeta_n] -> Z/p.
 The image of a minor is the minor of the image, so pivot columns
 independent mod p are independent.  A matrix gives its rows at a map
 (ExactMatrix.residues) and keys them for resuming an elimination
@@ -29,10 +29,13 @@ every conditions matrix.  Every other rank, and every nullspace basis, is
 a checked residue certificate (_certify).  Over Q it starts at prime 0 and
 resumes the full-rank test's elimination; over Q(zeta_n) it starts at
 prime 1 (Field.certificate_start), as prime 0 has one map per root there,
-of which the test ran one.  The kernel vectors mod p are lifted by CRT
-and rational reconstruction, and a vector is returned only after an exact
-integer check that it annihilates the rows and has the shape of a reduced
-row echelon (RREF) basis vector, which bounds the rank from above.
+of which the test ran one.  The kernel is read as rational first, from
+the residues at the first map of each prime, by CRT and rational
+reconstruction; only a kernel that is not rational mod p (its maps'
+residues differ) is read from every map, each entry's residues lifted to
+its coordinates mod p.  A vector is returned only after an exact integer
+check that it annihilates the rows and has the shape of a reduced row
+echelon (RREF) basis vector, which bounds the rank from above.
 Nullspace bases are the standard bases of the RREF, so they are canonical
 regardless of pivot choices.
 
@@ -805,83 +808,134 @@ def _certify(M: ExactMatrix, shared: dict):
     each free column, in order.
 
     For k = Field.certificate_start, k + 1, ... the rows are taken to Z/p
-    by each map of Field.certificate_prime(k) and eliminated there
-    (_eliminate, in the store shared, so that over Q it resumes the
-    full-rank test of _rank at prime 0), and back substitution gives the
-    kernel mod p (_back_substitute).  Pivot columns that are independent
-    mod p are independent, as the image of their minor is nonzero.
-    Reduction can only move pivots later, so a prime is dropped when its
-    roots disagree on the pivots or its pivots fall after the best pivots
-    so far, and better pivots restart the collection.  Each prime's kernel
-    residues are lifted to coordinates mod p (Field.certificate_prime's
-    lift), combined with the earlier primes' by CRT and rationally
-    reconstructed (_reconstruct).
+    by maps of Field.certificate_prime(k) and eliminated there (_eliminate,
+    in the store shared, so that over Q it resumes the full-rank test of
+    _rank at prime 0), and back substitution gives the kernel mod p
+    (_back_substitute).  Pivot columns that are independent mod p are
+    independent, as the image of their minor is nonzero.  Reduction can
+    only move pivots later, so a prime is dropped when its maps disagree on
+    the pivots or its pivots fall after the best pivots so far, and better
+    pivots restart the collection.
+
+    The kernel is read as rational first: the residues at map 0 of the
+    primes collected are combined by CRT and rationally reconstructed
+    (_reconstruct), a numerator x giving the coordinates Field.scale(unit,
+    x).  Over Q map 0 is the only map; over Q(zeta_n) the kernel of a
+    Galois-stable scheme, as every sample of a dual Fermat range scan is,
+    is rational too (Galois descent).  Only where that read fails at the
+    first prime of a collection are the prime's other maps eliminated: if
+    their pivots and kernel residues all equal map 0's, the kernel is
+    rational mod p and later primes eliminate map 0 alone; otherwise every
+    map of every prime is eliminated and the kernel is read lifted, each
+    entry's residues taken to its coordinates mod p (Field.certificate_prime's
+    lift) and combined and reconstructed the same way.  A rational read
+    that reaches prime _prime_budget eliminates the other maps of the
+    primes collected and makes the lifted read of those whose maps agree
+    on the pivots before it gives up.  So no prime past the budget is
+    drawn, and a kernel that the lifted read certifies is certified: one
+    that is rational mod p but not rational, its irrational coordinates
+    all multiples of p, costs the primes up to the budget, not an error.
 
     A vector is accepted only when _annihilates passes: the RREF shape and
     M w = 0 in integers.  Once every free column has one, each free column
     lies in the span of the pivot columns before it, and those are
     independent: so the pivots are exactly the greedy ones, the rank is
     their number, and each vector, being unique, is the RREF basis vector.
-    A failed reconstruction or check adds a prime; past prime
-    _prime_budget, ArithmeticError.  The integral rows are read for the
-    budget and the check only.
+    A failed read adds a prime; past prime _prime_budget, ArithmeticError.
+    The integral rows are read for the budget and the check only.
     """
     field, ncols, rows = M.ring, M.ncols, M.integral_rows()
-    zero, flat = field.scale(field.unit, 0), field.flat
+    zero, unit, flat = field.scale(field.unit, 0), field.unit, field.flat
     budget = None
-    best = None  # the pivots of the primes collected
-    for k in itertools.count(field.certificate_start):
-        if k >= 3:  # the budget is 3 primes or more
-            budget = budget or _prime_budget(rows, field)
-            if k > budget:
-                raise ArithmeticError(f"no checked kernel after {budget} primes")
-        p, images, lift = field.certificate_prime(k)
-        found = []
-        for i, image in enumerate(images):
-            echelon = _eliminate(M, p, image, (field, ncols, k, i), M.nrows, shared)
+    best, lifted = None, False  # the pivots of the primes collected, and how they are read
+
+    def eliminate(prime, every: bool) -> bool:
+        """Adds the kernel of a prime at map 0, and at each other map if
+        every is set, where it is still missing; whether all the kernels
+        have map 0's pivots."""
+        k, p, images, _, found = prime
+        for i in range(len(found), len(images) if every else 1):
+            echelon = _eliminate(M, p, images[i], (field, ncols, k, i), M.nrows, shared)
             found.append(_back_substitute(echelon, ncols, p))
-        pivots = found[0][0]
-        if any(other != pivots for other, _ in found[1:]):
-            continue
-        if best is not None and pivots + [ncols] > best + [ncols]:
-            continue
-        if pivots != best:
-            best, accepted, modulus, residues = pivots, {}, 1, None
-            free = sorted(set(range(ncols)) - set(pivots))
-            collected, attempt = 0, 1
-        # each kernel vector's coordinates mod p at the pivots before f, flattened
-        values = []
-        for kernels in zip(*[kernel for _, kernel in found]):
-            lifted = [lift(x) for x in zip(*kernels)]
-            values.append([c for x in lifted for c in flat(x)])
-        if residues is None:
-            residues = values
-        else:
-            step = pow(modulus, -1, p)
-            residues = [
-                [r + modulus * ((x - r) * step % p) for r, x in zip(old, new)]
-                for old, new in zip(residues, values)
-            ]
-        modulus *= p
-        collected += 1
-        # reconstruction costs about the square of the modulus' size, so
-        # past a few primes it is tried at counts 5/4 apart, and at the last
-        if collected < attempt and k != budget:
-            continue
-        attempt = max(collected + 1, collected * 5 // 4)
+        return all(pivots == found[0][0] for pivots, _ in found)
+
+    def read() -> bool:
+        """Accepts the checked vector of each free column still open,
+        reconstructed from the primes collected, read rational or lifted;
+        whether every free column has one."""
+        residues, modulus = None, 1
+        for _, p, _, lift, found in collection:
+            # each kernel vector's coordinates mod p at the pivots before f
+            if lifted:
+                kernels = zip(*[kernel for _, kernel in found])
+                values = [[c for x in zip(*vectors) for c in flat(lift(x))] for vectors in kernels]
+            else:
+                values = found[0][1]
+            if residues is None:
+                residues = values
+            else:
+                step = pow(modulus, -1, p)
+                residues = [
+                    [r + modulus * ((x - r) * step % p) for r, x in zip(old, new)]
+                    for old, new in zip(residues, values)
+                ]
+            modulus *= p
         for f, vector in zip(free, residues):
             candidate = None if f in accepted else _reconstruct(vector, modulus)
             if candidate is None:
                 continue
             nums, den = candidate
             coords = [zero] * ncols
-            coords[f] = field.scale(field.unit, den)
-            for c, x in zip(pivots, field.group(nums)):
+            coords[f] = field.scale(unit, den)
+            entries = field.group(nums) if lifted else [field.scale(unit, x) for x in nums]
+            for c, x in zip(best, entries):
                 coords[c] = x
-            if _annihilates(rows, coords, f, pivots, field):
+            if _annihilates(rows, coords, f, best, field):
                 accepted[f] = (coords, den)
-        if len(accepted) == len(free):
-            return pivots, [accepted[f] for f in free]
+        return len(accepted) == len(free)
+
+    for k in itertools.count(field.certificate_start):
+        if k >= 3:  # the budget is 3 primes or more
+            budget = budget or _prime_budget(rows, field)
+            if k > budget:
+                raise ArithmeticError(f"no checked kernel after {budget} primes")
+        p, images, lift = field.certificate_prime(k)
+        found = []  # (pivots, kernel) at each map eliminated
+        prime = (k, p, images, lift, found)
+        if not eliminate(prime, lifted):
+            continue
+        pivots = found[0][0]
+        if best is not None and pivots + [ncols] > best + [ncols]:
+            continue
+        if pivots != best:
+            best, lifted, accepted, collection = pivots, False, {}, []
+            free = sorted(set(range(ncols)) - set(pivots))
+            attempt = 1
+        collection.append(prime)
+        # reconstruction costs about the square of the modulus' size, so
+        # past a few primes it is tried at counts 5/4 apart, and at the last
+        if len(collection) < attempt and k != budget:
+            continue
+        attempt = max(len(collection) + 1, len(collection) * 5 // 4)
+        if read():
+            return best, [accepted[f] for f in free]
+        if lifted:
+            continue
+        if len(collection) == 1:
+            # the first prime of the collection: its other maps tell whether
+            # the kernel is rational mod p
+            agree = eliminate(prime, True)
+            lifted = not agree or any(kernel != found[0][1] for _, kernel in found)
+            if not agree:
+                collection.pop()
+        elif k == budget:
+            # the rational read reached the budget: the primes collected get
+            # their other maps, and the lifted read decides before raising
+            # (over Q no map is missing, and the two reads are one)
+            lifted = any(len(found) < len(images) for _, _, images, _, found in collection)
+            collection = [prime for prime in collection if eliminate(prime, True)]
+        if lifted and collection and read():
+            return best, [accepted[f] for f in free]
 
 
 _shared = contextvars.ContextVar("fatpoints.poly.shared_certificates", default=None)

@@ -841,9 +841,11 @@ def test_corrupted_reconstruction_is_never_returned(monkeypatch):
 
     monkeypatch.setattr(poly, "_reconstruct", first_wrong)
     primes = _count_primes(monkeypatch)
-    # the wrong candidate fails the check, and one more prime mends it
+    # the wrong candidate of the rational read fails the check, and the
+    # lifted read of the same prime mends it: the kernel (-zeta, 1, 0),
+    # (-2, 0, 1) is not rational
     assert nullspace_basis(M) == expected
-    assert corrupted[0] == 1 and primes[0] == 2
+    assert corrupted[0] == 1 and primes[0] == 1
 
     def always_wrong(values, modulus):
         out = reconstruct(values, modulus)
@@ -852,6 +854,50 @@ def test_corrupted_reconstruction_is_never_returned(monkeypatch):
     monkeypatch.setattr(poly, "_reconstruct", always_wrong)
     with pytest.raises(ArithmeticError):
         nullspace_basis(M)
+
+
+def test_kernels_are_read_rational_first_and_lifted_where_maps_differ(monkeypatch):
+    # the Galois groups of Q(zeta_8) and Q(zeta_12) are not cyclic: each
+    # kernel below lies in a quadratic subfield, where maps 0 and 1 of a
+    # prime agree, as zeta_12^3 = i and zeta_8 + zeta_8^3 = sqrt(-2) have
+    # equal images there, and the other maps do not; so only a comparison
+    # of every map with map 0 finds the kernel irrational mod p and reads
+    # it lifted at the first prime
+    f8, f12 = make_field("cyclotomic", 8), make_field("cyclotomic", 12)
+    z8, z12 = primitive_root(f8), primitive_root(f12)
+    primes = _count_primes(monkeypatch)
+    for field, rows in (
+        (f12, [[1, z12**3]]),
+        (f8, [[1, z8 + z8**3]]),
+        (f12, [[1, z12 + z12**5, 3], [2, 1, z12**3]]),
+    ):
+        M = ExactMatrix(field, rows)
+        primes[0] = 0
+        assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, M.ncols, field)]
+        assert primes[0] == 1
+    # -(1 + p z), p prime 1, is -1 at every map of prime 1: the kernel is
+    # rational mod p but not rational, so the later primes are read rational
+    # in vain up to the budget, where the lifted read of the same primes
+    # certifies it (read lifted from prime 1 on, it takes 3 primes)
+    f3 = make_field("cyclotomic", 3)
+    M = ExactMatrix(f3, [[1, 1 + f3.certificate_prime(1)[0] * primitive_root(f3)]])
+    primes[0] = 0
+    assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, 2, f3)]
+    assert primes[0] == poly._prime_budget(M.integral_rows(), f3) == 9
+    # dual F5 with a 6-fold point at degree 7 has a rational kernel: its
+    # rank certificate eliminates the 4 maps of prime 1, where the rational
+    # read fails and the maps agree, and map 0 alone of prime 2
+    M = _dual_fermat_sample(5, 7)
+    primes[0] = 0
+    assert exact_rank(M) == 35
+    (v,) = nullspace_basis(M)
+    assert all(not sum((a * x for a, x in zip(row, v)), M.ring.zero) for row in M.rows)
+    assert primes[0] == 1 + 2 + 2
+    with poly.shared_certificates():
+        store = poly._store()
+        assert exact_rank(M) == 35
+        eliminations = sorted(key[2:] for key in store if key[0] != "certificate")
+    assert eliminations == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
 
 
 RANK_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (3, 4, 5, 6, 7, 8, 12)]
@@ -1278,12 +1324,14 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
     # the grid over Q(zeta_n) ranks its points by the residue certificate,
     # which takes no integral inverse, and each point's rank runs in a store
     # of its own: the enclosing block gains only the constant rows'
-    # certificate and its two eliminations at the roots of prime 0
+    # certificate and its eliminations at prime 1: at map 0 alone for F3,
+    # whose constant rows have a rational kernel, and at both maps where
+    # a = zeta_6 makes the kernel irrational and it is read lifted
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
-    for Z, expected in (
-        (dual_fermat(3), (15, (1, 2), 16, 16, 289)),
-        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 16, 16, 289)),
+    for Z, expected, entries in (
+        (dual_fermat(3), (15, (1, 2), 16, 16, 289), 2),
+        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 16, 16, 289), 3),
     ):
         M = symbolic_conditions_matrix(Z, 3, 4)
         inverses[0] = 0
@@ -1292,7 +1340,7 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
         with poly.shared_certificates():
             store = poly._store()
             assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
-            assert len(store) == 3
+            assert len(store) == entries
             assert sum(key[0] == "certificate" for key in store) == 1
         assert inverses[0] == 0
 
