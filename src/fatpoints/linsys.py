@@ -73,24 +73,18 @@ class FatPointScheme:
         norm, triples = [], []
         seen = set()
         for p, m in parts:
-            if not isinstance(p, ProjectivePoint):
-                p = ProjectivePoint(field, p)
-            elif p.field != field:
-                raise FieldMismatchError("scheme points over different fields")
-            if not isinstance(m, int) or m < 1:
-                raise ValueError("multiplicities must be integers >= 1")
+            part, triple = _fat_point(field, p, m)
             size = len(seen)
-            seen.add(p)  # one hash per point: a repeat leaves the size as it was
+            seen.add(part[0])  # one hash per point: a repeat leaves the size as it was
             if len(seen) == size:
                 raise ValueError("scheme points must be pairwise distinct")
-            norm.append((p, m))
-            t, chart = _row_triple(p)
-            triples.append((t, m, chart))
+            norm.append(part)
+            triples.append(triple)
         self.field = field
         self.parts = tuple(norm)
         # the points' integral coordinates, multiplicities and charts, taken
         # once for every conditions matrix
-        self._triples = triples
+        self._triples = tuple(triples)
 
     @classmethod
     def of(cls, Z: PointConfiguration, *extra) -> "FatPointScheme":
@@ -98,6 +92,17 @@ class FatPointScheme:
         parts = [(p, 1) for p in Z.points]
         parts.extend(extra)
         return cls(Z.field, parts)
+
+    def plus(self, p, m: int) -> "FatPointScheme":
+        """This scheme plus the fat point m*p.  Its parts and row triples
+        are kept as they are: only p is normalized, and compared with the
+        scheme's points."""
+        part, triple = _fat_point(self.field, p, m)
+        if any(part[0] == q for q, _ in self.parts):
+            raise ValueError("scheme points must be pairwise distinct")
+        X = object.__new__(FatPointScheme)
+        X.field, X.parts, X._triples = self.field, self.parts + (part,), self._triples + (triple,)
+        return X
 
     def __len__(self):
         return len(self.parts)
@@ -112,6 +117,19 @@ class FatPointScheme:
         return " + ".join(
             (f"{m}*" if m > 1 else "") + repr(p) for p, m in self.parts
         )
+
+
+def _fat_point(field: Field, p, m) -> tuple:
+    """A scheme part (point, multiplicity), its point a ProjectivePoint of
+    field, and its (row triple, multiplicity, chart) (_row_triple)."""
+    if not isinstance(p, ProjectivePoint):
+        p = ProjectivePoint(field, p)
+    elif p.field != field:
+        raise FieldMismatchError("scheme points over different fields")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("multiplicities must be integers >= 1")
+    t, chart = _row_triple(p)
+    return (p, m), (t, m, chart)
 
 
 def _chart_index(coords, zero) -> int:

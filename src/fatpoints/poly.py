@@ -49,13 +49,18 @@ there runs one path.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
-integer grid larger than the degree bound of the relevant minors.  The
+integer grid that the degree bounds of the relevant minors make
+unisolvent: every minor has degree at most da in a, db in b and D in
+total, and a polynomial with those bounds that vanishes at every (a, b)
+with 0 <= a <= da, 0 <= b <= db and a + b <= D is zero, so the grid is
+that triangle cut from the (da + 1) x (db + 1) square (Chung and Yao,
+SIAM J. Numer. Anal. 14, 1977, for the principal lattice).  The
 constant rows C are eliminated once: only the parametric rows P, projected
 onto the integral kernel basis N of C, are evaluated, since rank M = rank C
 + rank(P N) at every grid point.  P N is formed in integers, so every grid
 rank is taken from integral rows, and the sweep stops as soon as rank(P N)
 reaches min(#P, dim N).  The certificate's grid_points is the size of the
-grid the degree bound requires, not the number of points evaluated.
+grid the degree bounds require, not the number of points evaluated.
 """
 
 from __future__ import annotations
@@ -782,20 +787,24 @@ def _prime_budget(rows, field: Field) -> int:
     return (3 * phi * log_t + 2 * log_k + 1) // 61 + 3
 
 
-def _annihilates(rows, coords, f: int, pivots, field: Field) -> bool:
-    """Whether integral coordinates have the RREF shape of free column f, a
-    nonzero entry at f and zeros off f and the pivots before f, and
-    annihilate every row exactly, in integers through Field.mul."""
-    support = [c for c in pivots if c < f] + [f]
-    zero, mul, add = field.scale(field.unit, 0), field.mul, field.add
-    outside = set(range(len(coords))) - set(support)
-    if coords[f] == zero or any(coords[c] != zero for c in outside):
+def _annihilates(rows, f: int, den: int, entries, times, field: Field) -> bool:
+    """Whether a vector with the RREF shape of free column f is nonzero and
+    annihilates every row exactly, in integers.
+
+    The vector is the int den at f, entries, a list of (column, value), at
+    the pivots before f, and zero elsewhere.  Its products with the rows'
+    integral coordinates are Field.scale for den, and times for the values:
+    Field.scale for the ints of a rational read, Field.mul for the
+    coordinates of a lifted one, so a rational candidate is checked without
+    making its coordinates."""
+    zero, add, scale = field.scale(field.unit, 0), field.add, field.scale
+    if den == 0:
         return False
     for row in rows:
-        total = zero
-        for c in support:
+        total = scale(row[f], den)
+        for c, x in entries:
             if row[c] != zero:
-                total = add(total, mul(row[c], coords[c]))
+                total = add(total, times(row[c], x))
         if total != zero:
             return False
     return True
@@ -819,10 +828,11 @@ def _certify(M: ExactMatrix, shared: dict):
 
     The kernel is read as rational first: the residues at map 0 of the
     primes collected are combined by CRT and rationally reconstructed
-    (_reconstruct), a numerator x giving the coordinates Field.scale(unit,
-    x).  Over Q map 0 is the only map; over Q(zeta_n) the kernel of a
-    Galois-stable scheme, as every sample of a dual Fermat range scan is,
-    is rational too (Galois descent).  Only where that read fails at the
+    (_reconstruct), and a numerator x is checked against a row entry r as
+    Field.scale(r, x); only the vector accepted gets the coordinates
+    Field.scale(unit, x).  Over Q map 0 is the only map; over Q(zeta_n)
+    the kernel of a Galois-stable scheme, as every sample of a dual Fermat
+    range scan is, is rational too (Galois descent).  Only where that read fails at the
     first prime of a collection are the prime's other maps eliminated: if
     their pivots and kernel residues all equal map 0's, the kernel is
     rational mod p and later primes eliminate map 0 alone; otherwise every
@@ -885,12 +895,14 @@ def _certify(M: ExactMatrix, shared: dict):
             if candidate is None:
                 continue
             nums, den = candidate
-            coords = [zero] * ncols
-            coords[f] = field.scale(unit, den)
-            entries = field.group(nums) if lifted else [field.scale(unit, x) for x in nums]
-            for c, x in zip(best, entries):
-                coords[c] = x
-            if _annihilates(rows, coords, f, best, field):
+            # a lifted read gives coordinates, a rational one ints
+            values, times = (field.group(nums), field.mul) if lifted else (nums, field.scale)
+            entries = list(zip(best, values))
+            if _annihilates(rows, f, den, entries, times, field):
+                coords = [zero] * ncols
+                coords[f] = field.scale(unit, den)
+                for c, x in entries:
+                    coords[c] = x if lifted else field.scale(unit, x)
                 accepted[f] = (coords, den)
         return len(accepted) == len(free)
 
@@ -1038,12 +1050,13 @@ class GenericRankCertificate:
     """Generic rank of a parameter matrix with a grid-evaluation certificate.
 
     The witness attains the rank (lower bound); since every minor of the
-    matrix has degree at most degree_bound_a in a and degree_bound_b in b,
-    vanishing of all (rank+1)-minors on the full grid forces them to vanish
-    identically (upper bound).  grid_points is the size of that grid,
-    (degree_bound_a + 1) * (degree_bound_b + 1), as the degree bound
-    requires it; the sweep stops early once no larger minor exists, so
-    fewer points may be evaluated.
+    matrix has degree at most degree_bound_a in a, degree_bound_b in b and
+    a total-degree bound D in both, vanishing of all (rank+1)-minors on the
+    grid {(a, b) : 0 <= a <= degree_bound_a, 0 <= b <= degree_bound_b,
+    a + b <= D} forces them to vanish identically (upper bound; the proof is
+    symbolic_rank_bound's).  grid_points is the size of that grid, as the
+    degree bounds require it; the sweep stops early once no larger minor
+    exists, so fewer points may be evaluated.
     """
 
     rank: int
@@ -1067,9 +1080,24 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     and checked certificate of every other rank, in a store of its own, so
     that the sweep leaves an enclosing shared_certificates store as it was.
     The sweep stops once that rank reaches min(#P, dim N), since no larger
-    minor exists.  The degree bounds are taken from the term keys of M's
-    rows; they also bound every minor of P N, because an entry of row i of
-    P N has no larger degree in a or b than row i of P.
+    minor exists.
+
+    The degree bounds are taken from the term keys of M's rows: da and db
+    are the sums over the rows of each row's largest degree in a and in b,
+    and D (dt) the sum of each row's largest total degree i + j.  An entry of
+    row i of P N has no larger degree in a, in b or in total than row i of
+    P, so every minor of P N has degree at most da in a, db in b and D in
+    total.  The grid is S = {(a, b) : 0 <= a <= da, 0 <= b <= db, a + b <=
+    D}, swept in lexicographic order, and a polynomial g within those
+    bounds that vanishes on S is zero.  By induction on da: g(0, b) has
+    degree at most min(db, D) in b and vanishes at the min(db, D) + 1
+    points b = 0, ..., min(db, D), so a divides g; the quotient has
+    degrees at most da - 1 in a, db in b and D - 1 in total and vanishes
+    on the rest of S, whose points have a >= 1, which after the shift a ->
+    a + 1 is the grid of the bounds (da - 1, db, D - 1).  At da = 0 the
+    first step alone gives g = 0, and a total degree D < 0 leaves only g =
+    0.  So a minor that vanishes on S vanishes identically, and the largest
+    rank on S is the generic rank.
     """
     if not isinstance(M.ring, ParamRing):
         raise TypeError("symbolic_rank_bound needs a matrix over a parameter ring")
@@ -1077,6 +1105,8 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     integral = M.integral_rows()
     da = sum(max((i for e in row for i, _ in e), default=0) for row in integral)
     db = sum(max((j for e in row for _, j in e), default=0) for row in integral)
+    dt = sum(max((i + j for e in row for i, j in e), default=0) for row in integral)
+    grid = [(a0, b0) for a0 in range(da + 1) for b0 in range(min(db, dt - a0) + 1)]
     zero, mul, add, scale = field.scale(field.unit, 0), field.mul, field.add, field.scale
     constant, parametric = [], []
     for row in integral:
@@ -1123,7 +1153,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     ceiling = min(len(rows), len(kernel))
     best = -1
     witness = (0, 0)
-    for a0, b0 in itertools.product(range(da + 1), range(db + 1)):
+    for a0, b0 in grid:
         pa, pb = powers[a0], powers[b0]
         r = rank([[value(e, pa, pb) for e in row] for row in rows])
         if r > best:
@@ -1131,4 +1161,4 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             witness = (a0, b0)
             if best == ceiling:
                 break
-    return GenericRankCertificate(rank_c + best, witness, da, db, (da + 1) * (db + 1))
+    return GenericRankCertificate(rank_c + best, witness, da, db, len(grid))

@@ -13,7 +13,10 @@ it certifies a "no unexpected curve" verdict outright.  Certified mode
 proves the value: where the bounds meet, the floor is the value; only
 where they stay apart, as at every positive verdict, does it place
 P = [a, b, 1] with symbolic parameters and certify the generic corank by
-grid evaluation beyond the degree bound of the minors.
+grid evaluation on the triangle of integer points 0 <= a <= da, 0 <= b
+<= db, a + b <= D, where da, db and D bound the minors' degrees in a, in
+b and in total: a minor within those bounds that vanishes there is zero
+(poly.symbolic_rank_bound).
 
 The splitting type (a_Z, b_Z) is computed operationally from the trace
 m(j) = dim I(Z + jP)_(j+1):  a_Z is the least j with m(j) nonzero and
@@ -87,7 +90,8 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
     sample, and certified mode proves the value on the grid, also when no
     sample point of the height is off Z, where sampled mode raises.
     """
-    dim_z = system_dimension(FatPointScheme.of(Z), d)
+    X = FatPointScheme.of(Z)
+    dim_z = system_dimension(X, d)
     floor = max(0, dim_z - comb(j + 1, 2))
     certified = strategy.mode == "certified"
     low, samples = dim_z, []
@@ -100,7 +104,7 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
             if not certified:
                 raise
             break
-        dim = system_dimension(FatPointScheme.of(Z, (P, j)), d)
+        dim = system_dimension(X.plus(P, j), d)
         if dim < floor:
             raise AssertionError(f"a sample dimension {dim} is below the lower bound {floor}")
         samples.append((P, dim))

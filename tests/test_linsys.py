@@ -11,6 +11,7 @@ from fatpoints import (
     BaseLocusError,
     ExactMatrix,
     FatPointScheme,
+    FieldMismatchError,
     Form,
     ProjectivePoint,
     QQ,
@@ -114,6 +115,24 @@ def test_scheme_validation():
         FatPointScheme(QQ, [(_point(1, 0, 0), 0)])
     with pytest.raises(ValueError):
         FatPointScheme(QQ, [(_point(1, 0, 0), 1), (_point(2, 0, 0), 1)])
+
+
+def test_a_scheme_plus_a_fat_point_is_the_scheme_built_whole():
+    # plus keeps the scheme's parts and row triples and adds those of one
+    # point, with the constructor's errors
+    for Z in (example_quartic_config(), dual_fermat(3)):
+        X = FatPointScheme.of(Z)
+        P = ProjectivePoint(Z.field, (3, -5, 1))
+        for point in (P, (3, -5, 1)):
+            Y, whole = X.plus(point, 3), FatPointScheme.of(Z, (P, 3))
+            assert (Y.field, Y.parts, Y._triples) == (whole.field, whole.parts, whole._triples)
+        assert X.parts == FatPointScheme.of(Z).parts
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            X.plus(Z.points[4].triple, 2)
+        with pytest.raises(ValueError, match="multiplicities"):
+            X.plus(P, 0)
+    with pytest.raises(FieldMismatchError):
+        FatPointScheme.of(dual_fermat(3)).plus(ProjectivePoint(QQ, (3, -5, 1)), 1)
 
 
 def test_system_basis_simple_point():

@@ -1,5 +1,6 @@
 """Forms, monomial order, exact matrix kernels and the symbolic certificate."""
 
+import dataclasses
 import operator
 import random
 from fractions import Fraction
@@ -596,21 +597,38 @@ def test_cyclotomic_kernel_check_rejects_corrupted_products(monkeypatch):
     primes = _count_primes(monkeypatch)
     assert nullspace_basis(M) == expected
     assert primes[0] == 1
-    mul = f3.mul
+    products = {"mul": f3.mul, "scale": f3.scale}
+    irrational = ExactMatrix(f3, [[1, primitive_root(f3), 2]])
+    assert nullspace_basis(irrational) == [
+        tuple(v) for v in _gauss_jordan_kernel(irrational.rows, 3, f3)
+    ]
 
-    def corrupted(u, v):
-        w = mul(u, v)
-        return (w[0] + 1, *w[1:])
+    def corrupted(product):
+        def wrong(u, v):
+            w = product(u, v)
+            return (w[0] + 1, *w[1:]) if v != 0 else w
 
-    # Field.mul is the exact check's product, and only the check's: the
-    # residues still give the right candidate, which the check now rejects
-    monkeypatch.setattr(f3, "mul", corrupted)
-    primes[0] = 0
-    with pytest.raises(ArithmeticError):
-        nullspace_basis(M)
-    # certificates over Q(zeta_n) draw primes 1 to the budget, not prime 0
-    rows = poly._integral_rows(M.rows, f3)
-    assert primes[0] == poly._prime_budget(rows, f3)
+        return wrong
+
+    # the exact check's products are Field.scale for the int at the free
+    # column and for the ints of a rational read, and Field.mul for the
+    # coordinates of a lifted one: the residues still give the right
+    # candidate, which the check rejects where one of its products is
+    # wrong.  M's kernel is rational, so a wrong Field.mul leaves it
+    # certified at prime 1
+    for N, name in ((M, "mul"), (M, "scale"), (irrational, "mul"), (irrational, "scale")):
+        monkeypatch.setattr(f3, name, corrupted(products[name]))
+        primes[0] = 0
+        if N is M and name == "mul":
+            assert nullspace_basis(N) == expected
+            assert primes[0] == 1
+        else:
+            with pytest.raises(ArithmeticError):
+                nullspace_basis(N)
+            # certificates over Q(zeta_n) draw primes 1 to the budget, not prime 0
+            rows = poly._integral_rows(N.rows, f3)
+            assert primes[0] == poly._prime_budget(rows, f3)
+        monkeypatch.setattr(f3, name, products[name])
 
 
 def _dual_fermat_scheme(n, d):
@@ -687,8 +705,8 @@ def test_symbolic_path_builds_no_scalars(monkeypatch):
     reflected = _count_calls(monkeypatch, Scalar, "__rmul__")
     derived = _count_calls(monkeypatch, Field, "from_integral")
     for Z, expected in (
-        (example_quartic_config(), (14, (1, 1), 16, 16, 289)),
-        (dual_fermat(3), (15, (1, 2), 16, 16, 289)),
+        (example_quartic_config(), (14, (1, 1), 16, 16, 153)),
+        (dual_fermat(3), (15, (1, 2), 16, 16, 153)),
     ):
         products[0] = reflected[0] = derived[0] = 0
         M = symbolic_conditions_matrix(Z, 3, 4)
@@ -1181,8 +1199,9 @@ def test_symbolic_rank_agrees_with_specializations():
         for row in rows:
             assert ring.from_integral(*ring.clear_denominators(row)) == list(row)
         cert = symbolic_rank_bound(ExactMatrix(ring, rows))
-        # rank 1 at (a, b) = (0, 0), rank 2 at the next grid point
-        assert cert == GenericRankCertificate(2, (0, 1), 4, 3, 20)
+        # rank 1 at (a, b) = (0, 0), rank 2 at the next grid point; each
+        # row has total degree 2, so the 5 x 4 square loses its corner (4, 3)
+        assert cert == GenericRankCertificate(2, (0, 1), 4, 3, 19)
         assert spec_rank(*cert.witness) == cert.rank
         rng = random.Random("spez")
         attained = False
@@ -1194,8 +1213,9 @@ def test_symbolic_rank_agrees_with_specializations():
 
 
 def _full_grid_certificate(M):
-    """Reference certificate: the exact rank at every point of the grid the
-    degree bound requires, its maximum and the first point attaining it."""
+    """Reference certificate: the exact rank at every point of the square
+    grid that the degree bounds in a and in b alone require, its maximum
+    and the first point attaining it."""
     field = M.ring.field
     da = sum(max((e.deg_a() for e in row), default=0) for row in M.rows)
     db = sum(max((e.deg_b() for e in row), default=0) for row in M.rows)
@@ -1207,6 +1227,15 @@ def _full_grid_certificate(M):
             if r > best:
                 best, witness = r, (a0, b0)
     return GenericRankCertificate(best, witness, da, db, (da + 1) * (db + 1))
+
+
+def _triangle_size(M):
+    """|S|: the points of the square with a + b at most the sum over the
+    rows of each row's largest total degree."""
+    da = sum(max((e.deg_a() for e in row), default=0) for row in M.rows)
+    db = sum(max((e.deg_b() for e in row), default=0) for row in M.rows)
+    dt = sum(max((i + j for e in row for i, j in e.terms), default=0) for row in M.rows)
+    return sum(1 for a0 in range(da + 1) for b0 in range(db + 1) if a0 + b0 <= dt)
 
 
 def _reference_matrices():
@@ -1260,9 +1289,40 @@ def test_symbolic_rank_bound_matches_full_grid_reference(label):
         # rows derived from integral ones keep no zero term
         assert all(all(e.terms.values()) for row in M.rows for e in row)
         matrices = [M, ExactMatrix(M.ring, M.rows)]
+    # the triangle gives the square's rank and witness, at fewer points
     reference = _full_grid_certificate(M)
+    expected = dataclasses.replace(reference, grid_points=_triangle_size(M))
     for N in matrices:
-        assert symbolic_rank_bound(N) == reference
+        assert symbolic_rank_bound(N) == expected
+
+
+@pytest.mark.parametrize(
+    "da, db, dt",
+    # the square (dt >= da + db), a total degree below both, unequal bounds
+    [(3, 3, 6), (2, 4, 9), (4, 5, 2), (2, 5, 4), (5, 2, 4), (0, 3, 1), (6, 6, 6)],
+)
+def test_the_degree_triangle_is_unisolvent(da, db, dt):
+    # the lemma under the grid: a polynomial with degrees at most da in a,
+    # db in b and dt in total is fixed by its values on the points of S,
+    # which are as many as its monomials
+    exponents = [(i, j) for i in range(da + 1) for j in range(db + 1) if i + j <= dt]
+    rows = [[a0**i * b0**j for i, j in exponents] for a0, b0 in exponents]
+    assert exact_rank(ExactMatrix(QQ, rows)) == len(exponents)
+
+
+def test_the_grid_reaches_the_total_degree():
+    # prod_{k=0}^{D} (a + b - k) vanishes on a + b <= D but not identically:
+    # its total degree D + 1 makes the grid reach a + b = D + 1, first at
+    # (0, D + 1), so a total-degree bound one too small would give rank 0
+    for field in (QQ, make_field("cyclotomic", 3)):
+        ring = ParamRing(field)
+        for D in (0, 1, 4):
+            entry = ring.one
+            for k in range(D + 1):
+                entry = entry * (ring.a + ring.b - k)
+            cert = symbolic_rank_bound(ExactMatrix(ring, [[entry]]))
+            size = (D + 2) * (D + 3) // 2
+            assert cert == GenericRankCertificate(1, (0, D + 1), D + 1, D + 1, size)
 
 
 def _shortcut_corpus():
@@ -1306,17 +1366,17 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
     bareiss = _count_calls(monkeypatch, poly, "_echelon_int")
     ranks = _count_calls(monkeypatch, poly, "_rank")
     certificates = _count_calls(monkeypatch, poly, "_certify")
-    # F3 reaches its ceiling at the witness (1, 2), the 20th of 289 points;
+    # F3 reaches its ceiling at the witness (1, 2), the 20th of 153 points;
     # the example stays at rank 14, below its ceiling of 15, to the end.
     # One certificate is for the kernel of the constant rows; over Q(zeta_3)
     # each of the 19 rank drops before F3's witness is certified too
     for Z, rank, witness, evaluated, certified in (
         (dual_fermat(3), 15, (1, 2), (0, 20), 1 + 19),
-        (example_quartic_config(), 14, (1, 1), (289, 0), 1),
+        (example_quartic_config(), 14, (1, 1), (153, 0), 1),
     ):
         bareiss[0] = ranks[0] = certificates[0] = 0
         cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, 3, 4))
-        assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 289)
+        assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 153)
         assert (bareiss[0], ranks[0], certificates[0]) == (*evaluated, certified)
 
 
@@ -1330,8 +1390,8 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
     for Z, expected, entries in (
-        (dual_fermat(3), (15, (1, 2), 16, 16, 289), 2),
-        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 16, 16, 289), 3),
+        (dual_fermat(3), (15, (1, 2), 16, 16, 153), 2),
+        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 16, 16, 153), 3),
     ):
         M = symbolic_conditions_matrix(Z, 3, 4)
         inverses[0] = 0
