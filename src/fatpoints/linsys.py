@@ -2,31 +2,38 @@
 
 A point of multiplicity m imposes C(m+1, 2) linear conditions on forms of
 degree d: the vanishing at the point of all partial derivatives of order
-below m in the two variables u, v other than the point's last nonzero
-coordinate c.  Vanishing to order m there is equivalent to
-scheme-theoretic vanishing, and the row count matches the virtual-dimension
-bookkeeping exactly.
+k = m - 1 in x, y and z.  By Euler's formula e * g = x g_x + y g_y + z g_z
+for g homogeneous of degree e >= 1, those vanish at a point P != 0 only if
+every partial of lower order does, so they cut out vanishing to order m,
+which is scheme-theoretic vanishing, with as many rows as the
+virtual-dimension bookkeeping counts.  A form of degree d vanishing to an
+order above d + 1 is zero: for m - 1 > d the rows are the C(d+2, 2)
+partials of order d, which read off every coefficient, padded with zero
+rows to C(m+1, 2).  Over Z/p the same holds for p > d, as Euler's formula
+divides by e <= d.
 
 One builder makes every condition row, straight from a homogeneous
-coordinate triple x of the point: the row of the derivative order
-(a_u, a_v) holds falling(e_u, a_u) * falling(e_v, a_v) * x^(e - a) in the
-column of each monomial x^e.  The triple holds the field's integral
-coordinates (_row_triple), or their images under a ring map into Z/p, and
-the builder reads them only through mul, scale and unit, of the Field or
-of field.Residues, so it has one body for every field and for residues.
-A conditions matrix holds its scheme.  Its rows at each map of a
-certificate prime are built from the images of the points' triples, in
-the chart of the integral triple, so they are the images of its integral
-rows.  The integral rows are built only on a rank drop, when a
+coordinate triple x of the point, with no chart: the row of the order
+alpha, |alpha| = k, holds prod_i falling(e_i, alpha_i) * x^(e - alpha) in
+the column of each monomial x^e.  Every row of the point is made of the
+values of the monomials of degree d - k, so those are taken once per point,
+and which columns are nonzero, with which coefficient and which monomial,
+depends only on d and m, so that pattern is built once per (d, m).  The
+triple holds the field's integral coordinates (_row_triple), or their
+images under a ring map into Z/p, and the builder reads them only through
+mul, scale and unit, of the Field or of field.Residues, so it has one body
+for every field and for residues, and the rows built from images are the
+images of the integral rows.  A conditions matrix holds its scheme.  Its
+rows at each map of a certificate prime are built from the images of the
+points' triples.  The integral rows are built only on a rank drop, when a
 certificate reads them for its prime budget and its exact check, or over
 Q to find the certificate of the rows a system dimension ranked as built.
-No Scalar is made on the way to a rank.
-Dividing the row by the nonzero scalar x_c^(d - a_u - a_v) gives the
-derivative row in the affine chart x_c = 1, so the row space, the ranks,
-the RREF nullspace bases and every witness are those of the chart rows.
-Which columns are nonzero, with which coefficient and which power of x,
-depends only on d, m and the chart c, so that pattern is built once per
-(d, m, c) and each point only fills in the values of its monomials.
+No Scalar is made on the way to a rank.  A nonzero multiple of the triple
+scales each row of the point by a nonzero constant, so the row space, the
+ranks, the RREF nullspace bases and every witness are those of the
+point's Scalar triple.  The witness check (_check_vanishing) walks
+derivatives in an affine chart instead, a second formulation of the same
+conditions.
 
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.  A conditions matrix has
@@ -34,7 +41,8 @@ C(d+2, 2) columns even with no rows, so the empty scheme's system is every
 form of degree d.  The symbolic conditions matrix of Z + jP, P = [a, b, 1],
 is integral too: it reads the rows of Z from Z's own integral conditions
 matrix as constant terms, and the rows of P from the templates, whose
-entries at [a, b, 1] are integer multiples of the monomials a^e0 b^e1.
+entries at [a, b, 1] are integer multiples of the monomials a^e0 b^e1 of
+total degree at most d - j + 1.
 """
 
 from __future__ import annotations
@@ -82,8 +90,8 @@ class FatPointScheme:
             triples.append(triple)
         self.field = field
         self.parts = tuple(norm)
-        # the points' integral coordinates, multiplicities and charts, taken
-        # once for every conditions matrix
+        # the points' integral coordinates and multiplicities, taken once
+        # for every conditions matrix
         self._triples = tuple(triples)
 
     @classmethod
@@ -121,15 +129,14 @@ class FatPointScheme:
 
 def _fat_point(field: Field, p, m) -> tuple:
     """A scheme part (point, multiplicity), its point a ProjectivePoint of
-    field, and its (row triple, multiplicity, chart) (_row_triple)."""
+    field, and its (row triple, multiplicity) (_row_triple)."""
     if not isinstance(p, ProjectivePoint):
         p = ProjectivePoint(field, p)
     elif p.field != field:
         raise FieldMismatchError("scheme points over different fields")
     if not isinstance(m, int) or m < 1:
         raise ValueError("multiplicities must be integers >= 1")
-    t, chart = _row_triple(p)
-    return (p, m), (t, m, chart)
+    return (p, m), (_row_triple(p), m)
 
 
 def _chart_index(coords, zero) -> int:
@@ -140,15 +147,6 @@ def _chart_index(coords, zero) -> int:
     raise AssertionError("unreachable: zero point")
 
 
-def _derivative_orders(m: int):
-    """Multi-indices (order in u, order in v) of total order < m."""
-    out = []
-    for o in range(m):
-        for au in range(o, -1, -1):
-            out.append((au, o - au))
-    return out
-
-
 def _falling(e: int, k: int) -> int:
     out = 1
     for i in range(k):
@@ -157,83 +155,67 @@ def _falling(e: int, k: int) -> int:
 
 
 def _row_triple(p: ProjectivePoint) -> tuple:
-    """The integral coordinates the rows of p are built from, and their
-    chart (_chart_index).
-
-    At degree 1 that is the primitive integer triple, negated when its
-    chart coordinate is negative, so that the chart coordinate is positive;
-    above, the Field.clear_denominators coordinates of the stored Scalar
-    triple, int tuples in the power basis: the triple times a nonzero
-    integer.
-    """
-    t, field = p.triple, p.field
-    if field.degree != 1:
-        t = tuple(field.clear_denominators(t)[0])
-        return t, _chart_index(t, field.scale(field.unit, 0))
-    chart = _chart_index(t, 0)
-    return ((-t[0], -t[1], -t[2]) if t[chart] < 0 else t), chart
+    """The integral coordinates the rows of p are built from: the
+    Field.clear_denominators coordinates of its stored triple, the
+    primitive integer triple itself at degree 1 and int tuples in the power
+    basis above, so the triple times a nonzero integer."""
+    return tuple(p.field.clear_denominators(p.triple)[0])
 
 
 @lru_cache(maxsize=64)
-def _row_templates(d: int, m: int, chart: int) -> tuple:
-    """The condition rows of an m-fold point in chart c at degree d, one per
-    derivative order (a_u, a_v), as (t, entries): the degree t = d - a_u -
-    a_v of the monomials x^(e - a) the row is made of, and for each
-    nonzero column the entry (column of x^e, falling(e_u, a_u) *
-    falling(e_v, a_v), index of e - a in monomial_basis(t))."""
-    u, v = [i for i in range(3) if i != chart]
-    templates = []
-    for au, av in _derivative_orders(m):
-        t = d - au - av
+def _row_templates(d: int, m: int) -> tuple:
+    """The condition rows of an m-fold point at degree d, as (t, rows): the
+    partials of order k = min(m - 1, d) in x, y, z, one row per alpha in
+    monomial_basis(k), then zero rows up to C(m+1, 2); t = d - k is the
+    degree of the monomials x^(e - alpha) every row is made of, and each
+    row holds, for each nonzero column, the entry (column of x^e,
+    prod_i falling(e_i, alpha_i), index of e - alpha in monomial_basis(t))."""
+    k = min(m - 1, d)
+    t = d - k
+    index = {e: i for i, e in enumerate(monomial_basis(t))}
+    rows = []
+    for alpha in monomial_basis(k):
         entries = []
         for col, e in enumerate(monomial_basis(d)):
-            if e[u] >= au and e[v] >= av:
-                e2 = list(e)
-                e2[u] -= au
-                e2[v] -= av
-                coef = _falling(e[u], au) * _falling(e[v], av)
-                entries.append((col, coef, monomial_basis(t).index(tuple(e2))))
-        templates.append((t, tuple(entries)))
-    return tuple(templates)
+            rest = (e[0] - alpha[0], e[1] - alpha[1], e[2] - alpha[2])
+            if min(rest) >= 0:
+                coef = _falling(e[0], alpha[0]) * _falling(e[1], alpha[1]) * _falling(e[2], alpha[2])
+                entries.append((col, coef, index[rest]))
+        rows.append(tuple(entries))
+    rows += [()] * (comb(m + 1, 2) - len(rows))
+    return t, tuple(rows)
 
 
 def _condition_rows(parts, d: int, field) -> list:
-    """Condition rows at degree d of (coordinate triple, multiplicity, chart)
-    triples.
+    """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
 
     The triples hold integral coordinates of field, or their images in a
     field.Residues ring, and the entries stay in that form: products by
     mul, int multiples by scale.  Each row is a polynomial with integer
     coefficients in the coordinates, so the rows built from the images under
-    a ring map are the images of the rows, given the chart of the integral
-    triple, as the image of its chart coordinate may vanish.
-    The values at the point of the monomials of each degree t are taken
-    once, from its power table: the row of derivative order 0 is those of
-    degree d, and every other row scales them into place by _row_templates.
+    a ring map are the images of the rows.  The values at the point of the
+    monomials of degree t = d - k are taken once, from its power table: at
+    k = 0 the one row is those values, and otherwise _row_templates scales
+    them into place.
     """
     ncols = comb(d + 2, 2)
     mul, scale, one = field.mul, field.scale, field.unit
     zero = scale(one, 0)
     rows = []
-    for coords, m, chart in parts:
+    for coords, m in parts:
+        t, templates = _row_templates(d, m)
         powers = []
         for c in coords:
             row = [one]
-            for _ in range(d):
+            for _ in range(t):
                 row.append(mul(row[-1], c))
             powers.append(row)
         px, py, pz = powers
-        values = {}  # degree t -> the values of monomial_basis(t) at the point
-        for t, entries in _row_templates(d, m, chart):
-            if not entries:  # a derivative order above d
-                rows.append([zero] * ncols)
-                continue
-            if t not in values:
-                values[t] = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
-            monomials = values[t]
-            if t == d:  # derivative order 0
-                rows.append(monomials)
-                continue
+        monomials = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
+        if t == d:  # order 0: the values themselves, then any zero rows
+            rows.append(monomials)
+            templates = templates[1:]
+        for entries in templates:
             row = [zero] * ncols
             for col, coef, i in entries:
                 row[col] = scale(monomials[i], coef)
@@ -245,16 +227,16 @@ class _ConditionsMatrix(ExactMatrix):
     """The conditions matrix of a scheme at degree d, held as the scheme:
     its rows at a map into Z/p come from the images of the points' triples,
     its integral rows are built when first read, and each row is keyed by
-    its point's triple and multiplicity, which with d fix it."""
+    its point's (triple, multiplicity), which with d fixes it."""
 
     __slots__ = ("_parts", "_degree", "_keys", "_offsets")
 
     def __init__(self, X: FatPointScheme, d: int):
-        counts = [comb(m + 1, 2) for _, m, _ in X._triples]
+        counts = [comb(m + 1, 2) for _, m in X._triples]
         self.ring, self.ncols, self.nrows = X.field, comb(d + 2, 2), sum(counts)
         self._rows = self._integral = None
         self._parts, self._degree = X._triples, d
-        self._keys = [(t, m) for (t, m, _), n in zip(X._triples, counts) for _ in range(n)]
+        self._keys = [part for part, n in zip(X._triples, counts) for _ in range(n)]
         self._offsets = [0, *itertools.accumulate(counts)]  # each point's first row
 
     def integral_rows(self) -> list:
@@ -267,15 +249,15 @@ class _ConditionsMatrix(ExactMatrix):
 
     def residues(self, p: int, image, start: int) -> list:
         q = bisect.bisect_right(self._offsets, start) - 1
-        parts = [(image(t), m, chart) for t, m, chart in self._parts[q:]]
+        parts = [(image(t), m) for t, m in self._parts[q:]]
         return _condition_rows(parts, self._degree, Residues(p))[start - self._offsets[q]:]
 
 
 def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
     """Interpolation matrix whose nullspace is I(X)_d as coefficient vectors.
 
-    One row per point per derivative multi-index of order < m, columns in
-    the graded-lex monomial order of degree d.
+    One row per point per partial of order m - 1 in x, y, z (zero rows past
+    order d), columns in the graded-lex monomial order of degree d.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -331,7 +313,9 @@ def _check_vanishing(f: Form, X: FatPointScheme) -> None:
     """Post-condition: f meets every multiplicity condition of X.
 
     The check runs by symbolic differentiation and evaluation, apart from
-    the condition rows and the kernel certificate.  Each point's orders
+    the condition rows and the kernel certificate, and in the affine chart
+    of the point's last nonzero coordinate c rather than by Euler partials:
+    with u, v the other two coordinates, each point's orders
     (a_u, a_v), a_u + a_v < m, are walked as a chain: d_u^a_u f from
     d_u^(a_u - 1) f, then d_v one step at a time, so an m-fold point takes
     C(m+1, 2) - 1 derivatives and every (point, order) pair is evaluated.
@@ -385,16 +369,19 @@ def symbolic_conditions_matrix(Z: PointConfiguration, j: int, d: int) -> ExactMa
 
     Rows for the points of Z are constant: Z's own integral conditions
     matrix, each entry x as the term dict {(0, 0): x}.  Rows for the general
-    point are read off _row_templates in chart z: the entry (column, coef,
-    i) is the term coef * a^e0 * b^e1, (e0, e1, _) = monomial_basis(t)[i],
-    with coef in the field's integral coordinates, coef times Field.unit.
+    point are read off _row_templates: the entry (column, coef, i) is the
+    term coef * a^e0 * b^e1, (e0, e1, _) = monomial_basis(t)[i], with coef
+    in the field's integral coordinates, coef times Field.unit.  Every such
+    term has total degree at most t = d - j + 1 (for j <= d + 1), which is
+    what the grid's degree bounds read.
     """
     field = Z.field
     ncols = comb(d + 2, 2)
     constant = conditions_matrix(FatPointScheme.of(Z), d).integral_rows()
     rows = [[{(0, 0): x} for x in row] for row in constant]
-    for t, entries in _row_templates(d, j, 2):
-        basis = monomial_basis(t)
+    t, templates = _row_templates(d, j)
+    basis = monomial_basis(t)
+    for entries in templates:
         row = [{} for _ in range(ncols)]
         for col, coef, i in entries:
             e0, e1, _ = basis[i]

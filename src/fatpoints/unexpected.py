@@ -16,7 +16,9 @@ P = [a, b, 1] with symbolic parameters and certify the generic corank by
 grid evaluation on the triangle of integer points 0 <= a <= da, 0 <= b
 <= db, a + b <= D, where da, db and D bound the minors' degrees in a, in
 b and in total: a minor within those bounds that vanishes there is zero
-(poly.symbolic_rank_bound).
+(poly.symbolic_rank_bound).  The general point's C(j+1, 2) rows are its
+partials of order j - 1, each of degree d - j + 1 in (a, b), so the
+example's quartic at (j, d) = (3, 4) has D = 12 and 91 grid points.
 
 The splitting type (a_Z, b_Z) is computed operationally from the trace
 m(j) = dim I(Z + jP)_(j+1):  a_Z is the least j with m(j) nonzero and
@@ -81,7 +83,8 @@ DEFAULT_STRATEGY = GeneralPointStrategy()
 
 
 def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
-    """(dim I(Z)_d, floor, samples, generic value) of I(Z + jP)_d for general P.
+    """(Z's scheme, dim I(Z)_d, floor, samples, generic value) of I(Z + jP)_d
+    for general P.
 
     floor = max(0, dim I(Z)_d - C(j+1, 2)) bounds every P from below; the
     least of dim I(Z)_d and the samples, from above.  Samples are drawn while
@@ -110,9 +113,9 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
         samples.append((P, dim))
         low = min(low, dim)
     if not certified or low == floor:
-        return dim_z, floor, samples, low
+        return X, dim_z, floor, samples, low
     cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, j, d))
-    return dim_z, floor, samples, comb(d + 2, 2) - cert.rank
+    return X, dim_z, floor, samples, comb(d + 2, 2) - cert.rank
 
 
 @shared_certificates()  # each sample's elimination resumes after the rows of Z
@@ -124,7 +127,7 @@ def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY
     """
     if j < 0:
         raise ValueError("multiplicity must be nonnegative")
-    return _sample_and_floor(Z, j, d, strategy)[3]
+    return _sample_and_floor(Z, j, d, strategy)[4]
 
 
 def multiplicity_dim(Z: PointConfiguration, j: int, strategy=DEFAULT_STRATEGY) -> int:
@@ -225,14 +228,13 @@ def detect_unexpected(
     """
     if d < 2:
         raise ValueError("unexpected curves need degree at least 2")
-    dim_z, threshold, samples, generic = _sample_and_floor(Z, d - 1, d, strategy)
+    X, dim_z, threshold, samples, generic = _sample_and_floor(Z, d - 1, d, strategy)
     unexpected = generic > threshold
     witness = None
     if unexpected:
         for P, dim in samples:
             if dim == generic:
-                X = FatPointScheme.of(Z, (P, d - 1))
-                witness = system_basis(X, d)[0]
+                witness = system_basis(X.plus(P, d - 1), d)[0]
                 break
     return UnexpectedCurveReport(
         degree=d,

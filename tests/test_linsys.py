@@ -27,6 +27,7 @@ from fatpoints import (
     make_field,
     nullspace_basis,
     partial_derivative,
+    primitive_root,
     random_config,
     rational_map_image,
     symbolic_conditions_matrix,
@@ -37,7 +38,6 @@ from fatpoints.linsys import (
     _chart_index,
     _check_vanishing,
     _condition_rows,
-    _derivative_orders,
     _falling,
     system_dimension,
 )
@@ -181,14 +181,20 @@ def _vanishes_to_order_in_all_charts(f, p, m):
     return True
 
 
-def _failing_one_condition(X, d, point_index, order):
+def _derivative_orders(m: int):
+    """Multi-indices (order in u, order in v) of total order < m: the chart
+    derivatives of an m-fold point."""
+    return [(au, o - au) for o in range(m) for au in range(o, -1, -1)]
+
+
+def _failing_one_condition(X, d, point_index, alpha):
     """f + g, f the first basis form of I(X)_d and g a form that meets every
-    condition row of X but the one of (point, order): so f + g fails
-    exactly that condition."""
+    condition row of X but the one of (point, alpha), the partial of order
+    alpha in x, y, z: so f + g fails exactly that condition."""
     M = conditions_matrix(X, d)
     assert exact_rank(M) == M.nrows  # so each row is off the others' span
     r = sum(comb(m + 1, 2) for _, m in X.parts[:point_index])
-    r += _derivative_orders(X.parts[point_index][1]).index(order)
+    r += monomial_basis(X.parts[point_index][1] - 1).index(alpha)
     rows = M.rows
     others = nullspace_basis(ExactMatrix(X.field, rows[:r] + rows[r + 1:]))
     g = next(v for v in others if sum(a * b for a, b in zip(rows[r], v)))
@@ -196,21 +202,22 @@ def _failing_one_condition(X, d, point_index, order):
 
 
 def test_check_vanishing_raises_on_each_failing_condition():
-    # every order of a triple point, a simple point of Z, and every order of
-    # a double dual F3 point in chart y over Q(zeta_3)
+    # every order-2 partial of a triple point, a simple point of Z, and
+    # every first partial of a double dual F3 point in chart y over
+    # Q(zeta_3): the chart walk catches each Euler row that fails
     Z = example_quartic_config()
     X = FatPointScheme.of(Z, (_point(5, 11, 1), 3))
     F3 = dual_fermat(3)
     Y = FatPointScheme(F3.field, [(F3.points[0], 2)] + [(p, 1) for p in F3.points[1:]])
     assert _chart_index(F3.points[0].coeffs, F3.field.zero) == 1
-    cases = [(X, 5, 9, order) for order in _derivative_orders(3)] + [(X, 5, 0, (0, 0))]
-    cases += [(Y, 4, 0, order) for order in _derivative_orders(2)]
+    cases = [(X, 5, 9, alpha) for alpha in monomial_basis(2)] + [(X, 5, 0, (0, 0, 0))]
+    cases += [(Y, 4, 0, alpha) for alpha in monomial_basis(1)]
     for scheme, d in ((X, 5), (Y, 4)):
         for f in system_basis(scheme, d):
             _check_vanishing(f, scheme)
-    for scheme, d, i, order in cases:
+    for scheme, d, i, alpha in cases:
         p, m = scheme.parts[i]
-        h = _failing_one_condition(scheme, d, i, order)
+        h = _failing_one_condition(scheme, d, i, alpha)
         with pytest.raises(AssertionError, match=re.escape(f"order-{m} condition at {p!r}")):
             _check_vanishing(h, scheme)
 
@@ -335,14 +342,17 @@ def test_symbolic_matrix_specializes_to_concrete():
             continue
         sa, sb = QQ.scalar(a0), QQ.scalar(b0)
         spec = [[e.evaluate(sa, sb) for e in row] for row in M.rows]
-        concrete = conditions_matrix(FatPointScheme.of(Z, (P, j)), d)
-        assert spec == [list(r) for r in concrete.rows]
+        concrete = [list(r) for r in conditions_matrix(FatPointScheme.of(Z, (P, j)), d).rows]
+        # P's stored triple is s * (a0, b0, 1), s = +-1, and its rows are
+        # forms of degree d - j + 1 in it
+        s = QQ.scalar(P.triple[2] ** (d - j + 1))
+        n = len(Z)
+        assert spec[:n] == concrete[:n]
+        assert [[s * x for x in row] for row in spec[n:]] == concrete[n:]
 
 
 def test_cyclotomic_system():
     f3 = make_field("cyclotomic", 3)
-    from fatpoints import primitive_root
-
     z = primitive_root(f3)
     pts = [
         ProjectivePoint(f3, (f3.one, z, f3.one)),
@@ -413,31 +423,47 @@ def test_dimensions_match_sympy_oracle_in_every_chart():
 
 
 def _reference_condition_rows(parts, d):
-    """The condition-row loop without templates: every entry computed
-    from its derivative order and monomial in place."""
+    """The condition-row loop without templates: for each point the partials
+    of order k = min(m - 1, d) in x, y, z, every entry computed from alpha
+    and its monomial in place, then zero rows up to C(m+1, 2)."""
+    rows = []
+    for coords, m in parts:
+        one = coords[0] ** 0
+        k = min(m - 1, d)
+        for alpha in monomial_basis(k):
+            row = []
+            for e in monomial_basis(d):
+                entry = 0 * one
+                if all(e[i] >= alpha[i] for i in range(3)):
+                    entry = one
+                    for i in range(3):
+                        entry = entry * coords[i] ** (e[i] - alpha[i]) * _falling(e[i], alpha[i])
+                row.append(entry)
+            rows.append(row)
+        rows += [[0 * one] * comb(d + 2, 2) for _ in range(comb(m + 1, 2) - comb(k + 2, 2))]
+    return rows
+
+
+def _reference_chart_rows(parts, d):
+    """The chart formulation of the same conditions: for each point the
+    derivatives of order < m in the two coordinates u, v other than its
+    last nonzero one c, evaluated at the point."""
     rows = []
     for coords, m in parts:
         chart = _chart_index(coords, 0 * coords[0])
         u, v = [i for i in range(3) if i != chart]
         one = coords[chart] ** 0
-        zero = 0 * one
-        powers = []
-        for c in coords:
-            row = [one]
-            for _ in range(d):
-                row.append(row[-1] * c)
-            powers.append(row)
         for au, av in _derivative_orders(m):
             row = []
             for e in monomial_basis(d):
                 if e[u] < au or e[v] < av:
-                    row.append(zero)
+                    row.append(0 * one)
                     continue
-                coef = _falling(e[u], au) * _falling(e[v], av)
                 e2 = list(e)
                 e2[u] -= au
                 e2[v] -= av
-                row.append(powers[0][e2[0]] * powers[1][e2[1]] * powers[2][e2[2]] * coef)
+                coef = _falling(e[u], au) * _falling(e[v], av)
+                row.append(coords[0] ** e2[0] * coords[1] ** e2[1] * coords[2] ** e2[2] * coef)
             rows.append(row)
     return rows
 
@@ -449,41 +475,82 @@ def test_condition_rows_match_the_reference_loop():
     def cyc():
         return f5.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)])
 
-    # charts 2, 1 and 0 over Q, as integer triples
+    # charts 2, 1 and 0 over Q, as integer triples; up to m = 5 at d <= 7,
+    # so m - 1 > d and its zero rows occur
     triples = [
         (rng.randint(-999, 999), rng.randint(-999, 999), rng.randint(1, 999)),
         (rng.randint(-999, 999), rng.randint(1, 999), 0),
         (rng.randint(1, 999), 0, 0),
     ]
     assert [_chart_index(t, 0) for t in triples] == [2, 1, 0]
-    for t, chart in zip(triples, (2, 1, 0)):
-        for m in range(1, 5):
+    for t in triples:
+        for m in range(1, 6):
             for d in range(8):
-                rows = _condition_rows([(t, m, chart)], d, QQ)
+                rows = _condition_rows([(t, m)], d, QQ)
                 expected = _reference_condition_rows([(t, m)], d)
                 assert rows == expected, (t, m, d)
+                assert len(rows) == comb(m + 1, 2)
                 assert all(type(e) is int for r in rows for e in r)
     # several points in one call, as a scheme gives them
-    parts = [(t, m) for t, m in zip(triples, (4, 1, 2))]
-    charted = [(t, m, chart) for (t, m), chart in zip(parts, (2, 1, 0))]
-    assert _condition_rows(charted, 6, QQ) == _reference_condition_rows(parts, 6)
+    parts = list(zip(triples, (4, 1, 2)))
+    assert _condition_rows(parts, 6, QQ) == _reference_condition_rows(parts, 6)
     # integral coordinates over Q(zeta_5), multiplied by Field.mul: the rows
     # of the Scalars with those coordinates, as int tuples
     scalars = [(cyc(), cyc(), cyc()), (cyc(), cyc(), f5.zero), (cyc(), f5.zero, f5.zero)]
     cleared = [tuple(f5.clear_denominators(t)[0]) for t in scalars]
     assert [_chart_index(t, f5.scale(f5.unit, 0)) for t in cleared] == [2, 1, 0]
-    for t, chart in zip(cleared, (2, 1, 0)):
-        for m in range(1, 5):
+    for t in cleared:
+        for m in range(1, 6):
             for d in range(8):
-                rows = _condition_rows([(t, m, chart)], d, f5)
+                rows = _condition_rows([(t, m)], d, f5)
                 expected = _reference_condition_rows([(tuple(f5.from_integral(t)), m)], d)
                 assert [f5.from_integral(r) for r in rows] == expected, (t, m, d)
                 assert all(type(x) is tuple for r in rows for x in r)
-    parts = [(t, m) for t, m in zip(cleared, (4, 1, 2))]
-    charted = [(t, m, chart) for (t, m), chart in zip(parts, (2, 1, 0))]
+    parts = list(zip(cleared, (4, 1, 2)))
     expected = [f5.clear_denominators(r)[0] for r in _reference_condition_rows(
         [(tuple(f5.from_integral(t)), m) for t, m in parts], 6)]
-    assert _condition_rows(charted, 6, f5) == expected
+    assert _condition_rows(parts, 6, f5) == expected
+
+
+def test_euler_rows_span_the_chart_rows():
+    # the partials of order m - 1 in x, y, z and the chart derivatives of
+    # order < m cut out the same conditions at every point (Euler's
+    # formula): equal ranks, and stacked, no larger rank, so one row space
+    rng = random.Random("euler-rows")
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    points = {
+        QQ: [(QQ.scalar(rng.randint(-99, 99)), QQ.scalar(rng.randint(-99, 99)), QQ.one),
+             (QQ.scalar(rng.randint(-99, 99)), QQ.one, QQ.zero), (QQ.one, QQ.zero, QQ.zero)],
+        f5: [(z + 2, f5.scalar(-3), z * z), (1 - z, f5.one, f5.zero), (f5.one, f5.zero, f5.zero)],
+    }  # fmt: skip
+    for field, triples in points.items():
+        for t in triples:
+            for m in range(1, 6):
+                for d in range(7):
+                    euler = _reference_condition_rows([(t, m)], d)
+                    chart = _reference_chart_rows([(t, m)], d)
+                    ranks = [exact_rank(ExactMatrix(field, rows)) for rows in (euler, chart, euler + chart)]
+                    assert ranks == [min(comb(m + 1, 2), comb(d + 2, 2))] * 3, (t, m, d)
+
+
+def test_the_general_point_rows_bound_the_grid():
+    # read off the symbolic matrix's integral rows, without a sweep: Z's
+    # rows are constant and each of the general point's C(j+1, 2) rows has
+    # total degree d - j + 1 in (a, b), which with the degree in a and in b
+    # alone bounds the grid's triangle
+    for Z, j, d, bound, points in (
+        (example_quartic_config(), 3, 4, 12, 91),
+        (dual_fermat(5), 6, 7, 42, 946),
+    ):
+        rows = symbolic_conditions_matrix(Z, j, d).integral_rows()
+        total = [max((i + k for e in row for i, k in e), default=0) for row in rows]
+        assert total == [0] * len(Z) + [d - j + 1] * comb(j + 1, 2)
+        da = sum(max((i for e in row for i, _ in e), default=0) for row in rows)
+        db = sum(max((k for e in row for _, k in e), default=0) for row in rows)
+        assert (da, db, sum(total)) == (bound, bound, bound)
+        grid = [(a, b) for a in range(da + 1) for b in range(db + 1) if a + b <= bound]
+        assert len(grid) == points
 
 
 def test_symbolic_rows_of_non_integer_family_stay_integral():
@@ -591,9 +658,8 @@ def test_the_layout_guard_sees_aliases_and_tuple_tests():
 
 def test_condition_rows_do_not_branch_on_the_layout():
     # the integral layout is the field's (Field.mul, scale, add, unit, flat
-    # and group): in linsys only _row_triple, which takes the coordinates,
-    # and system_dimension, which ranks over Q without an ExactMatrix, branch
-    # on a field's degree; in poly only symbolic_rank_bound, which evaluates
+    # and group): in linsys only system_dimension, which ranks over Q
+    # without an ExactMatrix, branches on a field's degree; in poly only symbolic_rank_bound, which evaluates
     # and ranks its grid points over Q in plain ints; and neither module
     # tells the layouts apart by testing for tuples
     from pathlib import Path
@@ -602,7 +668,7 @@ def test_condition_rows_do_not_branch_on_the_layout():
     import fatpoints.poly as poly
 
     for module, allowed in (
-        (linsys, {"_row_triple", "system_dimension"}),
+        (linsys, {"system_dimension"}),
         (poly, {"symbolic_rank_bound"}),
     ):
         source = Path(module.__file__).read_text()

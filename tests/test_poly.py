@@ -676,12 +676,12 @@ def test_residue_rows_are_the_images_of_the_integral_rows():
         p, images, _ = field.certificate_prime(0)
         zeta = primitive_root(field)
         (w,) = images[0](field.clear_denominators([zeta])[0])
-        # the chart coordinate zeta - w of the first point vanishes at prime
-        # 0's first root, so its image lies in chart y there, and its rows
-        # must still be the images of its rows in chart z
+        # the last coordinate zeta - w of the first point vanishes at prime
+        # 0's first root, and its rows built from that image must still be
+        # the images of its rows
         X = FatPointScheme(field, [((3, zeta, zeta - w), 3), ((zeta, 1, 0), 2), ((1, 0, 0), 1)])
-        t, _, chart = X._triples[0]
-        assert chart == 2 and images[0](t)[2] == 0
+        t, _ = X._triples[0]
+        assert t[2] != field.scale(field.unit, 0) and images[0](t)[2] == 0
         matrices += [conditions_matrix(X, d) for d in (1, 2, 4)]
     for M in matrices:
         rows = M.integral_rows()
@@ -705,8 +705,8 @@ def test_symbolic_path_builds_no_scalars(monkeypatch):
     reflected = _count_calls(monkeypatch, Scalar, "__rmul__")
     derived = _count_calls(monkeypatch, Field, "from_integral")
     for Z, expected in (
-        (example_quartic_config(), (14, (1, 1), 16, 16, 153)),
-        (dual_fermat(3), (15, (1, 2), 16, 16, 153)),
+        (example_quartic_config(), (14, (1, 1), 12, 12, 91)),
+        (dual_fermat(3), (15, (1, 2), 12, 12, 91)),
     ):
         products[0] = reflected[0] = derived[0] = 0
         M = symbolic_conditions_matrix(Z, 3, 4)
@@ -1366,17 +1366,17 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
     bareiss = _count_calls(monkeypatch, poly, "_echelon_int")
     ranks = _count_calls(monkeypatch, poly, "_rank")
     certificates = _count_calls(monkeypatch, poly, "_certify")
-    # F3 reaches its ceiling at the witness (1, 2), the 20th of 153 points;
+    # F3 reaches its ceiling at the witness (1, 2), the 16th of 91 points;
     # the example stays at rank 14, below its ceiling of 15, to the end.
     # One certificate is for the kernel of the constant rows; over Q(zeta_3)
-    # each of the 19 rank drops before F3's witness is certified too
+    # each of the 15 rank drops before F3's witness is certified too
     for Z, rank, witness, evaluated, certified in (
-        (dual_fermat(3), 15, (1, 2), (0, 20), 1 + 19),
-        (example_quartic_config(), 14, (1, 1), (153, 0), 1),
+        (dual_fermat(3), 15, (1, 2), (0, 16), 1 + 15),
+        (example_quartic_config(), 14, (1, 1), (91, 0), 1),
     ):
         bareiss[0] = ranks[0] = certificates[0] = 0
         cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, 3, 4))
-        assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 153)
+        assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 91)
         assert (bareiss[0], ranks[0], certificates[0]) == (*evaluated, certified)
 
 
@@ -1390,8 +1390,8 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
     for Z, expected, entries in (
-        (dual_fermat(3), (15, (1, 2), 16, 16, 153), 2),
-        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 16, 16, 153), 3),
+        (dual_fermat(3), (15, (1, 2), 12, 12, 91), 2),
+        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 12, 12, 91), 3),
     ):
         M = symbolic_conditions_matrix(Z, 3, 4)
         inverses[0] = 0

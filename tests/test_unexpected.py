@@ -165,6 +165,22 @@ def test_detect_unexpected_example():
     assert not rep.certified
 
 
+def test_a_positive_builds_one_scheme(monkeypatch):
+    # the samples and the witness extend Z's scheme by one fat point each
+    # (FatPointScheme.plus), so Z's points are normalized once per verdict
+    built = [0]
+    init = FatPointScheme.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(FatPointScheme, "__init__", counted)
+    rep = detect_unexpected(example_quartic_config(), 4)
+    assert rep.unexpected and rep.witness is not None
+    assert built[0] == 1
+
+
 def test_witness_satisfies_all_vanishing_conditions():
     from fatpoints import evaluate, partial_derivative
 
@@ -423,7 +439,8 @@ def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):
     Z = example_quartic_config()
     certified = GeneralPointStrategy(mode="certified")
     for strategy in (DEFAULT_STRATEGY, certified):
-        dim_z, floor, samples, value = unexpected._sample_and_floor(Z, 2, 4, strategy)
+        X, dim_z, floor, samples, value = unexpected._sample_and_floor(Z, 2, 4, strategy)
+        assert X.parts == FatPointScheme.of(Z).parts  # Z's scheme, for the witness
         assert (dim_z, floor, value) == (6, 3, 3)
         assert [dim for _, dim in samples] == [3]  # the first sample meets it
     dimension = unexpected.system_dimension
