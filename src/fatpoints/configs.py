@@ -115,10 +115,6 @@ def _param_field(params, field):
     return QQ
 
 
-def _coerce_params(field, params):
-    return {k: field.scalar(v) for k, v in params.items()}
-
-
 def _w5_points(field, a):
     one, zero = field.one, field.zero
     return [
@@ -188,10 +184,55 @@ def _figure2_points(field, a):
     ]
 
 
+# family id -> (its parameters, the builder of its points from the field and
+# the parameters' values, its excluded values as (test on those values,
+# violated constraint) pairs in the order they are tested); example-quartic
+# and fermat have constructors of their own and no excluded value
+_FAMILIES = {
+    "example-quartic": ((), None, ()),
+    "fermat": (("n",), None, ()),
+    "w5": (("a",), _w5_points, (
+        (lambda a: a == 0, "w5 needs a != 0 (B5 would collide with B1)"),
+        (lambda a: a == 1, "w5 needs a != 1 (B5 would put a second 3-rich line through B3 B4)"),
+    )),
+    "prop31": (("a", "b"), _prop31_points, (
+        (lambda a, b: a == 0, "prop31 needs a != 0 (R4 degenerates)"),
+        (lambda a, b: a == 1, "prop31 needs a != 1 (Q1/Q2 degenerate)"),
+        (lambda a, b: b == 0, "prop31 needs b != 0 (R4 degenerates)"),
+        (lambda a, b: b == 1, "prop31 needs b != 1 (Q1/Q2 degenerate)"),
+        (lambda a, b: a == b, "prop31 needs a != b (Q1 and R4 degenerate)"),
+    )),
+    "prop33-case3": (("a", "b"), _prop33_case3_points, (
+        (lambda a, b: (a, b) in ((-1, 1), (1, -1)),
+         "prop33-case3 excludes {a,b} = {-1,1}: it rebuilds the unexpected-quartic configuration"),
+        (lambda a, b: a == 0, "prop33-case3 needs a != 0 (R point collides with a frame point)"),
+        (lambda a, b: a == 1, "prop33-case3 needs a != 1 (an R point lands on the "
+                              "S1 S2 Q3 line, adding a second 4-rich line)"),
+        (lambda a, b: b == 0, "prop33-case3 needs b != 0 (R point collides with a frame point)"),
+        (lambda a, b: b == 1, "prop33-case3 needs b != 1 (an R point lands on the "
+                              "S1 S2 Q3 line, adding a second 4-rich line)"),
+        (lambda a, b: a == b, "prop33-case3 needs a != b (R3 = R4)"),
+    )),
+    "prop33-first": (("a",), _prop33_first_points, (
+        (lambda a: a == 0, "prop33-first needs a != 0 (S2 = Q3)"),
+        (lambda a: a == 1, "prop33-first needs a != 1 (R4 = R1, Q2 = S1)"),
+    )),
+    "figure2-cubic": (("a",), _figure2_points, (
+        (lambda a: a == 0, "figure2-cubic needs a != 0 (Z2 = Z7)"),
+        (lambda a: a == 1, "figure2-cubic needs a != 1 (Z1 = Z4)"),
+    )),
+}  # fmt: skip
+FAMILY_IDS = tuple(_FAMILIES)
+
+
 def family(family_id: str, params=None, field: Field | None = None) -> PointConfiguration:
-    """Instantiate one of the named coordinate families at explicit scalars."""
+    """Instantiate one of the named coordinate families at explicit scalars;
+    every given parameter must make a scalar of the field, read or not."""
+    if family_id not in _FAMILIES:
+        raise ValueError(f"unknown family {family_id!r}")
     params = dict(params or {})
-    missing = [k for k in _FAMILY_PARAMS.get(family_id, ()) if k not in params]
+    names, points, exclusions = _FAMILIES[family_id]
+    missing = [k for k in names if k not in params]
     if missing:
         raise ValueError(f"family {family_id!r} needs the parameter {missing[0]!r}")
     if family_id == "example-quartic":
@@ -199,75 +240,12 @@ def family(family_id: str, params=None, field: Field | None = None) -> PointConf
     if family_id == "fermat":
         return dual_fermat(int(params["n"]))
     f = _param_field(params, field)
-    p = _coerce_params(f, params)
-    one = f.one
-    if family_id == "w5":
-        a = p["a"]
-        if a.is_zero():
-            raise FamilyDomainError("w5 needs a != 0 (B5 would collide with B1)")
-        if a == one:
-            raise FamilyDomainError(
-                "w5 needs a != 1 (B5 would put a second 3-rich line through B3 B4)"
-            )
-        return PointConfiguration(f, _w5_points(f, a))
-    if family_id == "prop31":
-        a, b = p["a"], p["b"]
-        for name, v in (("a", a), ("b", b)):
-            if v.is_zero():
-                raise FamilyDomainError(f"prop31 needs {name} != 0 (R4 degenerates)")
-            if v == one:
-                raise FamilyDomainError(f"prop31 needs {name} != 1 (Q1/Q2 degenerate)")
-        if a == b:
-            raise FamilyDomainError("prop31 needs a != b (Q1 and R4 degenerate)")
-        return PointConfiguration(f, _prop31_points(f, a, b))
-    if family_id == "prop33-case3":
-        a, b = p["a"], p["b"]
-        if {a, b} == {one, -one}:
-            raise FamilyDomainError(
-                "prop33-case3 excludes {a,b} = {-1,1}: it rebuilds the "
-                "unexpected-quartic configuration"
-            )
-        for name, v in (("a", a), ("b", b)):
-            if v.is_zero():
-                raise FamilyDomainError(
-                    f"prop33-case3 needs {name} != 0 (R point collides with a frame point)"
-                )
-            if v == one:
-                raise FamilyDomainError(
-                    f"prop33-case3 needs {name} != 1 (an R point lands on the "
-                    "S1 S2 Q3 line, adding a second 4-rich line)"
-                )
-        if a == b:
-            raise FamilyDomainError("prop33-case3 needs a != b (R3 = R4)")
-        return PointConfiguration(f, _prop33_case3_points(f, a, b))
-    if family_id == "prop33-first":
-        a = p["a"]
-        if a.is_zero():
-            raise FamilyDomainError("prop33-first needs a != 0 (S2 = Q3)")
-        if a == one:
-            raise FamilyDomainError("prop33-first needs a != 1 (R4 = R1, Q2 = S1)")
-        return PointConfiguration(f, _prop33_first_points(f, a))
-    if family_id == "figure2-cubic":
-        a = p["a"]
-        if a.is_zero():
-            raise FamilyDomainError("figure2-cubic needs a != 0 (Z2 = Z7)")
-        if a == one:
-            raise FamilyDomainError("figure2-cubic needs a != 1 (Z1 = Z4)")
-        return PointConfiguration(f, _figure2_points(f, a))
-    raise ValueError(f"unknown family {family_id!r}")
-
-
-# family id -> the parameters it needs
-_FAMILY_PARAMS = {
-    "example-quartic": (),
-    "fermat": ("n",),
-    "w5": ("a",),
-    "prop31": ("a", "b"),
-    "prop33-case3": ("a", "b"),
-    "prop33-first": ("a",),
-    "figure2-cubic": ("a",),
-}
-FAMILY_IDS = tuple(_FAMILY_PARAMS)
+    scalars = {k: f.scalar(v) for k, v in params.items()}
+    values = [scalars[k] for k in names]
+    for excluded, constraint in exclusions:
+        if excluded(*values):
+            raise FamilyDomainError(constraint)
+    return PointConfiguration(f, points(f, *values))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ conditions.
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.  A conditions matrix has
 C(d+2, 2) columns even with no rows, so the empty scheme's system is every
-form of degree d.  The symbolic conditions matrix of Z + jP, P = [a, b, 1],
-is integral too: it reads the rows of Z from Z's own integral conditions
+form of degree d.  The symbolic conditions matrix of X + jP, P = [a, b, 1],
+is integral too: it reads the rows of X from X's own integral conditions
 matrix as constant terms, and the rows of P from the templates, whose
 entries at [a, b, 1] are integer multiples of the monomials a^e0 b^e1 of
 total degree at most d - j + 1.
@@ -51,7 +51,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 from .field import Field, FieldMismatchError, Residues
 from .geom import PointConfiguration, ProjectivePoint, _monic
@@ -147,13 +147,6 @@ def _chart_index(coords, zero) -> int:
     raise AssertionError("unreachable: zero point")
 
 
-def _falling(e: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= e - i
-    return out
-
-
 def _row_triple(p: ProjectivePoint) -> tuple:
     """The integral coordinates the rows of p are built from: the
     Field.clear_denominators coordinates of its stored triple, the
@@ -179,7 +172,7 @@ def _row_templates(d: int, m: int) -> tuple:
         for col, e in enumerate(monomial_basis(d)):
             rest = (e[0] - alpha[0], e[1] - alpha[1], e[2] - alpha[2])
             if min(rest) >= 0:
-                coef = _falling(e[0], alpha[0]) * _falling(e[1], alpha[1]) * _falling(e[2], alpha[2])
+                coef = perm(e[0], alpha[0]) * perm(e[1], alpha[1]) * perm(e[2], alpha[2])
                 entries.append((col, coef, index[rest]))
         rows.append(tuple(entries))
     rows += [()] * (comb(m + 1, 2) - len(rows))
@@ -363,11 +356,11 @@ def rational_map_image(basis, p: ProjectivePoint):
     return _monic(tuple(values))
 
 
-def symbolic_conditions_matrix(Z: PointConfiguration, j: int, d: int) -> ExactMatrix:
-    """Integral conditions matrix of Z + j*P at degree d with P = [a, b, 1]
-    symbolic, over the ParamRing of Z's field.
+def symbolic_conditions_matrix(X: FatPointScheme, j: int, d: int) -> ExactMatrix:
+    """Integral conditions matrix of X + j*P at degree d with P = [a, b, 1]
+    symbolic, over the ParamRing of X's field.
 
-    Rows for the points of Z are constant: Z's own integral conditions
+    Rows for the points of X are constant: X's own integral conditions
     matrix, each entry x as the term dict {(0, 0): x}.  Rows for the general
     point are read off _row_templates: the entry (column, coef, i) is the
     term coef * a^e0 * b^e1, (e0, e1, _) = monomial_basis(t)[i], with coef
@@ -375,9 +368,9 @@ def symbolic_conditions_matrix(Z: PointConfiguration, j: int, d: int) -> ExactMa
     term has total degree at most t = d - j + 1 (for j <= d + 1), which is
     what the grid's degree bounds read.
     """
-    field = Z.field
+    field = X.field
     ncols = comb(d + 2, 2)
-    constant = conditions_matrix(FatPointScheme.of(Z), d).integral_rows()
+    constant = conditions_matrix(X, d).integral_rows()
     rows = [[{(0, 0): x} for x in row] for row in constant]
     t, templates = _row_templates(d, j)
     basis = monomial_basis(t)

@@ -114,7 +114,7 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
         low = min(low, dim)
     if not certified or low == floor:
         return X, dim_z, floor, samples, low
-    cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, j, d))
+    cert = symbolic_rank_bound(symbolic_conditions_matrix(X, j, d))
     return X, dim_z, floor, samples, comb(d + 2, 2) - cert.rank
 
 

@@ -206,13 +206,73 @@ def test_figure2_family_incidences():
 def test_family_dispatch():
     assert family("example-quartic") == example_quartic_config()
     assert family("fermat", {"n": 3}) == dual_fermat(3)
-    with pytest.raises(ValueError):
-        family("unknown-family", {})
+    with pytest.raises(ValueError, match="^unknown family 'unknown-family'$"):
+        family("unknown-family", {"a": 2})
     # a missing parameter is named, before any coordinate is built
-    missing = (("w5", {}, "a"), ("prop31", {"a": 2}, "b"), ("fermat", {}, "n"))
+    missing = (
+        ("w5", {}, "a"),
+        ("w5", {"b": 2}, "a"),
+        ("prop31", {"a": 2}, "b"),
+        ("prop31", {"b": 2}, "a"),
+        ("prop33-case3", {"a": 2}, "b"),
+        ("prop33-first", {}, "a"),
+        ("figure2-cubic", {}, "a"),
+        ("fermat", {}, "n"),
+    )
     for family_id, params, name in missing:
-        with pytest.raises(ValueError, match=f"family '{family_id}' needs the parameter '{name}'"):
+        message = f"^family '{family_id}' needs the parameter '{name}'$"
+        with pytest.raises(ValueError, match=message):
             family(family_id, params)
+    # a parameter the family does not read is made a scalar all the same
+    with pytest.raises(ValueError):
+        family("w5", {"a": 2, "b": "1/0"})
+    with pytest.raises(TypeError):
+        family("prop33-first", {"a": 2, "c": object()})
+
+
+# every excluded value of every family, with the constraint it names; where
+# two exclusions hold at once the one tested first is named
+_CASE3_ON_LINE = "an R point lands on the S1 S2 Q3 line, adding a second 4-rich line"
+EXCLUDED = [
+    ("w5", {"a": 0}, "w5 needs a != 0 (B5 would collide with B1)"),
+    ("w5", {"a": 1}, "w5 needs a != 1 (B5 would put a second 3-rich line through B3 B4)"),
+    ("prop31", {"a": 0, "b": 2}, "prop31 needs a != 0 (R4 degenerates)"),
+    ("prop31", {"a": 1, "b": 2}, "prop31 needs a != 1 (Q1/Q2 degenerate)"),
+    ("prop31", {"a": 2, "b": 0}, "prop31 needs b != 0 (R4 degenerates)"),
+    ("prop31", {"a": 2, "b": 1}, "prop31 needs b != 1 (Q1/Q2 degenerate)"),
+    ("prop31", {"a": 3, "b": 3}, "prop31 needs a != b (Q1 and R4 degenerate)"),
+    ("prop31", {"a": 0, "b": 1}, "prop31 needs a != 0 (R4 degenerates)"),
+    ("prop33-case3", {"a": -1, "b": 1},
+     "prop33-case3 excludes {a,b} = {-1,1}: it rebuilds the unexpected-quartic configuration"),
+    ("prop33-case3", {"a": 1, "b": -1},
+     "prop33-case3 excludes {a,b} = {-1,1}: it rebuilds the unexpected-quartic configuration"),
+    ("prop33-case3", {"a": 0, "b": 2},
+     "prop33-case3 needs a != 0 (R point collides with a frame point)"),
+    ("prop33-case3", {"a": 1, "b": 5}, f"prop33-case3 needs a != 1 ({_CASE3_ON_LINE})"),
+    ("prop33-case3", {"a": 2, "b": 0},
+     "prop33-case3 needs b != 0 (R point collides with a frame point)"),
+    ("prop33-case3", {"a": 5, "b": 1}, f"prop33-case3 needs b != 1 ({_CASE3_ON_LINE})"),
+    ("prop33-case3", {"a": 2, "b": 2}, "prop33-case3 needs a != b (R3 = R4)"),
+    ("prop33-case3", {"a": 1, "b": 1}, f"prop33-case3 needs a != 1 ({_CASE3_ON_LINE})"),
+    ("prop33-first", {"a": 0}, "prop33-first needs a != 0 (S2 = Q3)"),
+    ("prop33-first", {"a": 1}, "prop33-first needs a != 1 (R4 = R1, Q2 = S1)"),
+    ("figure2-cubic", {"a": 0}, "figure2-cubic needs a != 0 (Z2 = Z7)"),
+    ("figure2-cubic", {"a": 1}, "figure2-cubic needs a != 1 (Z1 = Z4)"),
+    ("figure2-cubic", {"a": "1", "b": "2/3"}, "figure2-cubic needs a != 1 (Z1 = Z4)"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("family_id, params, constraint", EXCLUDED)
+def test_every_excluded_value_names_its_constraint(family_id, params, constraint):
+    with pytest.raises(FamilyDomainError) as err:
+        family(family_id, params)
+    assert err.value.constraint == constraint
+    assert str(err.value) == f"excluded parameter value: {constraint}"
+    # the same value as a scalar of Q(zeta_6) is excluded the same way
+    f6 = make_field("cyclotomic", 6)
+    with pytest.raises(FamilyDomainError) as err:
+        family(family_id, {k: f6.scalar(v) for k, v in params.items()})
+    assert err.value.constraint == constraint
 
 
 def test_random_config_deterministic():

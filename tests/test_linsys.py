@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -38,7 +38,6 @@ from fatpoints.linsys import (
     _chart_index,
     _check_vanishing,
     _condition_rows,
-    _falling,
     system_dimension,
 )
 from fatpoints.poly import monomial_basis
@@ -335,7 +334,7 @@ def test_symbolic_matrix_specializes_to_concrete():
         Z = random_config(rng.randint(2, 5), 6, ("symspec", t))
         j = rng.randint(1, 3)
         d = rng.randint(j, j + 2)
-        M = symbolic_conditions_matrix(Z, j, d)
+        M = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d)
         a0, b0 = rng.randint(-9, 9), rng.randint(-9, 9)
         P = _point(a0, b0, 1)
         if P in Z.points:
@@ -437,7 +436,7 @@ def _reference_condition_rows(parts, d):
                 if all(e[i] >= alpha[i] for i in range(3)):
                     entry = one
                     for i in range(3):
-                        entry = entry * coords[i] ** (e[i] - alpha[i]) * _falling(e[i], alpha[i])
+                        entry = entry * coords[i] ** (e[i] - alpha[i]) * perm(e[i], alpha[i])
                 row.append(entry)
             rows.append(row)
         rows += [[0 * one] * comb(d + 2, 2) for _ in range(comb(m + 1, 2) - comb(k + 2, 2))]
@@ -462,7 +461,7 @@ def _reference_chart_rows(parts, d):
                 e2 = list(e)
                 e2[u] -= au
                 e2[v] -= av
-                coef = _falling(e[u], au) * _falling(e[v], av)
+                coef = perm(e[u], au) * perm(e[v], av)
                 row.append(coords[0] ** e2[0] * coords[1] ** e2[1] * coords[2] ** e2[2] * coef)
             rows.append(row)
     return rows
@@ -543,7 +542,7 @@ def test_the_general_point_rows_bound_the_grid():
         (example_quartic_config(), 3, 4, 12, 91),
         (dual_fermat(5), 6, 7, 42, 946),
     ):
-        rows = symbolic_conditions_matrix(Z, j, d).integral_rows()
+        rows = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d).integral_rows()
         total = [max((i + k for e in row for i, k in e), default=0) for row in rows]
         assert total == [0] * len(Z) + [d - j + 1] * comb(j + 1, 2)
         da = sum(max((i for e in row for i, _ in e), default=0) for row in rows)
@@ -557,7 +556,7 @@ def test_symbolic_rows_of_non_integer_family_stay_integral():
     # homogeneous rows from primitive integer triples keep every term
     # coefficient integral even when the family parameters are fractions
     Z = family("prop31", {"a": Fraction(-1, 2), "b": Fraction(1, 4)})
-    M = symbolic_conditions_matrix(Z, 3, 4)
+    M = symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4)
     coeffs = [c.coeffs[0] for row in M.rows for e in row for c in e.terms.values()]
     assert coeffs and all(c.denominator == 1 for c in coeffs)
 

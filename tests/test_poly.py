@@ -709,7 +709,7 @@ def test_symbolic_path_builds_no_scalars(monkeypatch):
         (dual_fermat(3), (15, (1, 2), 12, 12, 91)),
     ):
         products[0] = reflected[0] = derived[0] = 0
-        M = symbolic_conditions_matrix(Z, 3, 4)
+        M = symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4)
         assert (products[0], reflected[0], derived[0]) == (0, 0, 0)
         cert = symbolic_rank_bound(M)
         assert (products[0], reflected[0], derived[0]) == (0, 0, 0)
@@ -1283,7 +1283,8 @@ def test_symbolic_rank_bound_matches_full_grid_reference(label):
     M = _reference_matrices()[label]
     matrices = [M]
     if not isinstance(M, ExactMatrix):
-        M = symbolic_conditions_matrix(*M)
+        Z, j, d = M
+        M = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d)
         # the matrix as built, from integral rows, and rebuilt from its
         # ParamPoly rows, which ParamRing.clear_denominators clears; the
         # rows derived from integral ones keep no zero term
@@ -1355,7 +1356,8 @@ def test_certified_generic_dim_matches_the_grid_on_corpora(monkeypatch):
     instances = _shortcut_corpus()
     for Z, j, d in instances:
         value = generic_dim(Z, j, d, certified)
-        assert value == comb(d + 2, 2) - symbolic_rank_bound(symbolic_conditions_matrix(Z, j, d)).rank
+        M = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d)
+        assert value == comb(d + 2, 2) - symbolic_rank_bound(M).rank
     # only the six instances of the example's quartic reach the grid: the
     # example twice, the excluded pair and three projective images
     assert (len(instances), grid[0]) == (62, 6)
@@ -1375,7 +1377,7 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
         (example_quartic_config(), 14, (1, 1), (91, 0), 1),
     ):
         bareiss[0] = ranks[0] = certificates[0] = 0
-        cert = symbolic_rank_bound(symbolic_conditions_matrix(Z, 3, 4))
+        cert = symbolic_rank_bound(symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4))
         assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 91)
         assert (bareiss[0], ranks[0], certificates[0]) == (*evaluated, certified)
 
@@ -1393,7 +1395,7 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
         (dual_fermat(3), (15, (1, 2), 12, 12, 91), 2),
         (family("prop33-first", {"a": zeta6}), (15, (2, 0), 12, 12, 91), 3),
     ):
-        M = symbolic_conditions_matrix(Z, 3, 4)
+        M = symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4)
         inverses[0] = 0
         assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
         assert inverses[0] == 0

@@ -378,12 +378,12 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
     # the lower bound from the condition count, so only the positives, where
     # the samples stay above it, reach the symbolic grid
     claim = [None]
-    grids = []  # (claim, Z, j, d) of each grid certificate
+    grids = []  # (claim, scheme, j, d) of each grid certificate
     symbolic_matrix = unexpected.symbolic_conditions_matrix
 
-    def recorded(Z, j, d):
-        grids.append((claim[0], Z, j, d))
-        return symbolic_matrix(Z, j, d)
+    def recorded(X, j, d):
+        grids.append((claim[0], X, j, d))
+        return symbolic_matrix(X, j, d)
 
     monkeypatch.setattr(unexpected, "symbolic_conditions_matrix", recorded)
     certified = GeneralPointStrategy(mode="certified")
@@ -427,8 +427,9 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
         "example-splitting",
     ]
     example = example_quartic_config()
-    for _, Z, j, d in grids:
-        assert (j, d) == (3, 4) and projective_equivalent(Z, example)[0]
+    for _, X, j, d in grids:
+        assert (j, d) == (3, 4) and all(m == 1 for _, m in X)
+        assert projective_equivalent(PointConfiguration(X.field, [p for p, _ in X]), example)[0]
 
 
 def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):
