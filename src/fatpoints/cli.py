@@ -226,9 +226,8 @@ def cmd_gen(args) -> int:
         else:
             _check_conductor(args.cyclotomic)
             fld = QQ if args.cyclotomic is None else make_field("cyclotomic", args.cyclotomic)
-            coerced = {k: fld.scalar(v) for k, v in params.items()}
             try:
-                Z = family(args.id, coerced, field=fld)
+                Z = family(args.id, params, field=fld)
             except FamilyDomainError as e:
                 raise InputError("domain", str(e)) from e
     else:

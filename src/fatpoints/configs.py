@@ -235,12 +235,12 @@ def family(family_id: str, params=None, field: Field | None = None) -> PointConf
     missing = [k for k in names if k not in params]
     if missing:
         raise ValueError(f"family {family_id!r} needs the parameter {missing[0]!r}")
-    if family_id == "example-quartic":
-        return example_quartic_config(field or QQ)
     if family_id == "fermat":
         return dual_fermat(int(params["n"]))
     f = _param_field(params, field)
     scalars = {k: f.scalar(v) for k, v in params.items()}
+    if family_id == "example-quartic":
+        return example_quartic_config(field or QQ)
     values = [scalars[k] for k in names]
     for excluded, constraint in exclusions:
         if excluded(*values):

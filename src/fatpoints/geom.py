@@ -7,7 +7,9 @@ Q(zeta_n) it is the Scalar triple whose first nonzero coordinate is 1.  The
 coeffs of either is that Scalar triple; over Q it is derived from the
 integer triple on each read.  Joins, meets and frames are computed on the
 stored triples by the same generic helpers, so over Q they are integer
-cross products and determinants, normalized by a gcd.
+cross products and determinants, normalized by a gcd.  The join of two
+stored triples is memoized, bounded (_joined), as searches join the same
+pairs of one point set again and again.
 
 Configurations are ordered lists of distinct points; incidence statistics
 and equivalence treat them as sets.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd, prod
 
@@ -144,17 +147,29 @@ def _cross(u, v):
     )
 
 
+# keyed by the normalization and the two triples, which fix the result; the
+# bound holds the 78 pairs of the 13 points of height one, which a search
+# joins again for each subset, with room to spare
+@lru_cache(maxsize=256)
+def _joined(normalize, u: tuple, v: tuple):
+    """The normalized cross product of u and v, or None when it is zero."""
+    w = _cross(u, v)
+    return normalize(w) if any(w) else None
+
+
 def _join(a: _Homogeneous, b: _Homogeneous, message: str) -> tuple:
     """Stored triple of the cross product of two distinct points (or lines)
-    over one field."""
-    w = _cross(a.triple, b.triple)
-    if not any(w):
+    over one field, read from the memo _joined."""
+    w = _joined(_canonical(a.field), a.triple, b.triple)
+    if w is None:
         raise DegenerateInputError(message)
-    return _canonical(a.field)(w)
+    return w
 
 
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
-    """The unique line joining two distinct points."""
+    """The unique line joining two distinct points.  The join of the two
+    stored triples is memoized, bounded (_joined); two equal points raise
+    DegenerateInputError on every call."""
     if p.field != q.field:
         raise FieldMismatchError("points over different fields")
     return ProjectiveLine._stored(p.field, _join(p, q, "line_through needs two distinct points"))

@@ -18,8 +18,14 @@ alpha, |alpha| = k, holds prod_i falling(e_i, alpha_i) * x^(e - alpha) in
 the column of each monomial x^e.  Every row of the point is made of the
 values of the monomials of degree d - k, so those are taken once per point,
 and which columns are nonzero, with which coefficient and which monomial,
-depends only on d and m, so that pattern is built once per (d, m).  The
-triple holds the field's integral coordinates (_row_triple), or their
+depends only on d and m, so that pattern is built once per (d, m).  A
+point's integral rows, a tuple of row tuples, are built once per (triple,
+m, d, field) while they stay in a bounded memo of 64 points
+(_integral_point_rows): the paper's searches draw many schemes from one
+point set, and a verdict ranks Z alone and then with each sample, so the
+same points come back.  Rows over a field.Residues ring are not memoized:
+each prime brings a new ring, whose rows would never be asked for again.
+The triple holds the field's integral coordinates (_row_triple), or their
 images under a ring map into Z/p, and the builder reads them only through
 mul, scale and unit, of the Field or of field.Residues, so it has one body
 for every field and for residues, and the rows built from images are the
@@ -179,10 +185,11 @@ def _row_templates(d: int, m: int) -> tuple:
     return t, tuple(rows)
 
 
-def _condition_rows(parts, d: int, field) -> list:
-    """Condition rows at degree d of (coordinate triple, multiplicity) pairs.
+def _point_rows(coords, m: int, d: int, ring) -> tuple:
+    """The C(m+1, 2) condition rows at degree d of the m-fold point with
+    coordinate triple coords, as a tuple of row tuples.
 
-    The triples hold integral coordinates of field, or their images in a
+    The triple holds integral coordinates of a field, or their images in a
     field.Residues ring, and the entries stay in that form: products by
     mul, int multiples by scale.  Each row is a polynomial with integer
     coefficients in the coordinates, so the rows built from the images under
@@ -191,28 +198,46 @@ def _condition_rows(parts, d: int, field) -> list:
     k = 0 the one row is those values, and otherwise _row_templates scales
     them into place.
     """
-    ncols = comb(d + 2, 2)
-    mul, scale, one = field.mul, field.scale, field.unit
-    zero = scale(one, 0)
+    mul, scale, one = ring.mul, ring.scale, ring.unit
+    t, templates = _row_templates(d, m)
+    powers = []
+    for c in coords:
+        row = [one]
+        for _ in range(t):
+            row.append(mul(row[-1], c))
+        powers.append(row)
+    px, py, pz = powers
+    monomials = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
+    rows = []
+    if t == d:  # order 0: the values themselves, then any zero rows
+        rows.append(tuple(monomials))
+        templates = templates[1:]
+    zero, ncols = scale(one, 0), comb(d + 2, 2)
+    for entries in templates:
+        row = [zero] * ncols
+        for col, coef, i in entries:
+            row[col] = scale(monomials[i], coef)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# The integral rows of a point, keyed by (triple, m, d, field).  The bound
+# holds the largest scheme read at once, F6's 21 points plus its samples
+# (a search over the 13 points of height one: 13 points plus 3 samples).
+# Residue rows never come here: each
+# prime brings a fresh Residues ring, which would never hit and would evict.
+_integral_point_rows = lru_cache(maxsize=64)(_point_rows)
+
+
+def _condition_rows(parts, d: int, ring) -> list:
+    """Condition rows at degree d of (coordinate triple, multiplicity) pairs,
+    the rows of each point (_point_rows) one after the other.  Over a Field
+    each point's rows come from the bounded memo _integral_point_rows; over
+    a field.Residues ring they are built afresh."""
+    point_rows = _integral_point_rows if isinstance(ring, Field) else _point_rows
     rows = []
     for coords, m in parts:
-        t, templates = _row_templates(d, m)
-        powers = []
-        for c in coords:
-            row = [one]
-            for _ in range(t):
-                row.append(mul(row[-1], c))
-            powers.append(row)
-        px, py, pz = powers
-        monomials = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
-        if t == d:  # order 0: the values themselves, then any zero rows
-            rows.append(monomials)
-            templates = templates[1:]
-        for entries in templates:
-            row = [zero] * ncols
-            for col, coef, i in entries:
-                row[col] = scale(monomials[i], coef)
-            rows.append(row)
+        rows += point_rows(coords, m, d, ring)
     return rows
 
 

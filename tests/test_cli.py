@@ -46,6 +46,30 @@ def test_gen_family_and_domain_error(capsys):
     assert json.loads(err)["error"]["code"] == "domain"
 
 
+def test_gen_family_passes_its_parameters_as_given(capsys):
+    # the parameters reach configs.family as the strings given, and are
+    # coerced there once, so family's own order of checks decides the error:
+    # a missing parameter before a malformed one, an unknown family before
+    # either; every error keeps exit code 3 and its code field
+    errors = (
+        (("--id", "prop31", "--params", "a=foo"), "input", "family 'prop31' needs the parameter 'b'"),
+        (("--id", "prop31", "--params", "a=foo,b=1"), "input", "bad rational literal 'foo'"),
+        (("--id", "nope", "--params", "a=foo"), "input", "unknown family 'nope'"),
+        (("--id", "example-quartic", "--params", "a=foo"), "input", "bad rational literal 'foo'"),
+        (("--id", "w5", "--params", "a=2,c=1/0"), "input", "zero denominator in scalar literal '1/0'"),
+        (("--id", "prop33-first", "--params", "a=z"), "input", "bad rational literal 'z'"),
+        (("--id", "prop31", "--params", "a=0,b=1"), "domain",
+         "excluded parameter value: prop31 needs a != 0 (R4 degenerates)"),
+    )  # fmt: skip
+    for argv, code_field, message in errors:
+        code, _, err = run_cli(capsys, "gen", "family", *argv)
+        assert code == 3, argv
+        assert json.loads(err)["error"] == {"code": code_field, "message": message}
+    code, out, _ = run_cli(capsys, "gen", "family", "--id", "prop33-first", "--params", "a=z", "--cyclotomic", "6")
+    assert code == 0
+    assert json.loads(out)["points"][5] == ["1", "z", "0"]
+
+
 def test_analyze_reports_rich_lines(tmp_path, capsys):
     cfg = tmp_path / "ex.json"
     cfg.write_text(json.dumps(example_quartic_config().to_dict()))

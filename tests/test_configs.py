@@ -228,6 +228,10 @@ def test_family_dispatch():
         family("w5", {"a": 2, "b": "1/0"})
     with pytest.raises(TypeError):
         family("prop33-first", {"a": 2, "c": object()})
+    # example-quartic reads no parameter, but coerces every given one too
+    with pytest.raises(ValueError, match="^bad rational literal 'foo'$"):
+        family("example-quartic", {"a": "foo"})
+    assert family("example-quartic", {"a": "2"}) == example_quartic_config()
 
 
 # every excluded value of every family, with the constraint it names; where

@@ -112,6 +112,27 @@ def test_line_through_examples():
         line_through(P(1, 2, 3), P(2, 4, 6))
 
 
+def test_memoized_joins_still_refuse_equal_points():
+    geom._joined.cache_clear()
+    f3 = make_field("cyclotomic", 3)
+    z = primitive_root(f3)
+    for field, p, q in ((QQ, P(1, 2, 3), P(0, 1, 1)), (f3, P(1, z, 3, field=f3), P(0, 1, z, field=f3))):
+        # the second round is read from the memo: the equal pair raises again
+        lines = []
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError):
+                line_through(p, P(*(2 * c for c in p.coeffs), field=field))
+            lines.append(line_through(p, q))
+            with pytest.raises(DegenerateInputError):
+                meet(lines[-1], lines[-1])
+        assert lines[0] == lines[1] == L(*geom._cross(p.coeffs, q.coeffs), field=field)
+    info = geom._joined.cache_info()
+    assert (info.hits, info.misses) == (6, 6)
+    for x in range(300):
+        line_through(P(x, 1, 1), P(0, 0, 1))
+    assert geom._joined.cache_info().currsize <= geom._joined.cache_info().maxsize
+
+
 def test_meet_examples():
     assert meet(L(1, 0, 0), L(0, 1, 0)) == P(0, 0, 1)
     l1 = line_through(P(1, 1, 1), P(1, 0, 0))

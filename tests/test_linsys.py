@@ -38,6 +38,7 @@ from fatpoints.linsys import (
     _chart_index,
     _check_vanishing,
     _condition_rows,
+    _integral_point_rows,
     system_dimension,
 )
 from fatpoints.poly import monomial_basis
@@ -467,7 +468,21 @@ def _reference_chart_rows(parts, d):
     return rows
 
 
+def _rows_cold_and_warm(parts, d, ring):
+    """_condition_rows of parts, built by the first call and read from the
+    row memo by the second, which must return equal rows, tuples of
+    tuples, as lists."""
+    cold = _condition_rows(parts, d, ring)
+    hits = _integral_point_rows.cache_info().hits
+    warm = _condition_rows(parts, d, ring)
+    assert _integral_point_rows.cache_info().hits == hits + len(parts)
+    assert warm == cold
+    assert all(type(r) is tuple for r in cold)
+    return [list(r) for r in cold]
+
+
 def test_condition_rows_match_the_reference_loop():
+    _integral_point_rows.cache_clear()
     rng = random.Random("condition-rows")
     f5 = make_field("cyclotomic", 5)
 
@@ -485,14 +500,14 @@ def test_condition_rows_match_the_reference_loop():
     for t in triples:
         for m in range(1, 6):
             for d in range(8):
-                rows = _condition_rows([(t, m)], d, QQ)
+                rows = _rows_cold_and_warm([(t, m)], d, QQ)
                 expected = _reference_condition_rows([(t, m)], d)
                 assert rows == expected, (t, m, d)
                 assert len(rows) == comb(m + 1, 2)
                 assert all(type(e) is int for r in rows for e in r)
     # several points in one call, as a scheme gives them
     parts = list(zip(triples, (4, 1, 2)))
-    assert _condition_rows(parts, 6, QQ) == _reference_condition_rows(parts, 6)
+    assert _rows_cold_and_warm(parts, 6, QQ) == _reference_condition_rows(parts, 6)
     # integral coordinates over Q(zeta_5), multiplied by Field.mul: the rows
     # of the Scalars with those coordinates, as int tuples
     scalars = [(cyc(), cyc(), cyc()), (cyc(), cyc(), f5.zero), (cyc(), f5.zero, f5.zero)]
@@ -501,14 +516,39 @@ def test_condition_rows_match_the_reference_loop():
     for t in cleared:
         for m in range(1, 6):
             for d in range(8):
-                rows = _condition_rows([(t, m)], d, f5)
+                rows = _rows_cold_and_warm([(t, m)], d, f5)
                 expected = _reference_condition_rows([(tuple(f5.from_integral(t)), m)], d)
                 assert [f5.from_integral(r) for r in rows] == expected, (t, m, d)
                 assert all(type(x) is tuple for r in rows for x in r)
     parts = list(zip(cleared, (4, 1, 2)))
     expected = [f5.clear_denominators(r)[0] for r in _reference_condition_rows(
         [(tuple(f5.from_integral(t)), m) for t, m in parts], 6)]
-    assert _condition_rows(parts, 6, f5) == expected
+    assert _rows_cold_and_warm(parts, 6, f5) == expected
+
+
+def test_the_row_memo_stays_bounded():
+    _integral_point_rows.cache_clear()
+    bound = _integral_point_rows.cache_info().maxsize
+    for x in range(200):
+        _condition_rows([((x, 1, 1), 2)], 3, QQ)
+    info = _integral_point_rows.cache_info()
+    assert info.misses == 200
+    assert 0 < info.currsize <= bound
+
+
+def test_residue_rows_leave_the_row_memo_unchanged():
+    # each prime's Residues ring is a new object: its rows would never hit
+    # the memo, so they are built outside it
+    for Z, d in ((example_quartic_config(), 4), (dual_fermat(5), 7)):
+        X = FatPointScheme.of(Z, (ProjectivePoint(Z.field, (2, 7, 1)), d - 1))
+        M = conditions_matrix(X, d)
+        _integral_point_rows.cache_clear()
+        before = _integral_point_rows.cache_info()
+        for k in range(3):
+            p, images, _ = Z.field.certificate_prime(k)
+            for image in images:
+                assert len(M.residues(p, image, 0)) == M.nrows
+        assert _integral_point_rows.cache_info() == before
 
 
 def test_euler_rows_span_the_chart_rows():

@@ -659,7 +659,7 @@ def test_cyclotomic_conditions_build_no_scalars(monkeypatch):
     assert (products[0], reflected[0], cleared[0]) == (0, 0, 0)
     # Scalar rows are derived on read, and clear back to the integral rows
     assert all(type(x) is Scalar and x.field == field for row in M.rows for x in row)
-    assert poly._integral_rows(M.rows, field) == M.integral_rows()
+    assert [tuple(r) for r in poly._integral_rows(M.rows, field)] == M.integral_rows()
     # a matrix built from Scalars keeps the rows it was given
     given = tuple(tuple(x * field.from_coeffs([Fraction(1, 3), 2]) for x in row) for row in M.rows)
     assert ExactMatrix(field, given).rows == given
@@ -689,7 +689,7 @@ def test_residue_rows_are_the_images_of_the_integral_rows():
             p, images, _ = M.ring.certificate_prime(k)
             for image in images:
                 residues = M.residues(p, image, 0)
-                assert residues == [image(r) for r in rows]
+                assert residues == [tuple(image(r)) for r in rows]
                 assert all(0 <= x < p for r in residues for x in r)
         # an elimination that resumes after a shared prefix asks for the
         # rows from any start on, inside a point's rows or past the last

@@ -1,5 +1,6 @@
 """Generic dimensions, splitting types, the semistability gate, detection."""
 
+import itertools
 import random
 
 import pytest
@@ -267,6 +268,8 @@ def test_cyclotomic_rows_are_integral_only_on_a_rank_drop(monkeypatch):
         return nullspace(M)
 
     monkeypatch.setattr(linsys, "nullspace_basis", counted)
+    # products are counted only where rows are built, not read from the memo
+    linsys._integral_point_rows.cache_clear()
     build = linsys._condition_rows
     integral, products, building = [0], [0], [False]
 
@@ -298,6 +301,25 @@ def test_cyclotomic_rows_are_integral_only_on_a_rank_drop(monkeypatch):
     # sample's certificate, found by its points without integral rows
     assert (calls[0], kernels[0], integral[0]) == (3, 1, 3)
     assert products[0] > 0
+
+
+def test_subsets_sharing_points_share_their_rows():
+    # two nine-point subsets of the 13 points of height one that share 8
+    # points: the second verdict builds the rows of its new point only, and
+    # reads those of the 8 shared points and of the common sample from the
+    # row memo
+    points = [t for t in itertools.product((-1, 0, 1), repeat=3) if any(t) and next(c for c in t if c) == 1]
+    assert len(points) == 13
+    first = PointConfiguration(QQ, points[:9])
+    second = PointConfiguration(QQ, points[:8] + points[9:10])
+    linsys._integral_point_rows.cache_clear()
+    reports = [detect_unexpected(first, 4)]
+    misses = linsys._integral_point_rows.cache_info().misses
+    # the 9 points of Z and the 3-fold sample point
+    assert misses == 9 + 1
+    reports.append(detect_unexpected(second, 4))
+    assert linsys._integral_point_rows.cache_info().misses == misses + 1
+    assert [[P for P, _ in r.samples] for r in reports] == [[DEFAULT_STRATEGY.sample_point(QQ, 0)]] * 2
 
 
 def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
