@@ -148,9 +148,10 @@ def cmd_analyze(args) -> int:
     Z = _load_config(args.config)
     _check_budget(len(Z), max(args.max_degree, 0))
     stats = analyze_lines(Z)
+    X = FatPointScheme.of(Z)
     systems = []
     for d in range(1, args.max_degree + 1):
-        rep = dim_linear_system(FatPointScheme.of(Z), d)
+        rep = dim_linear_system(X, d)
         systems.append(rep.to_dict() if args.basis else {
             k: v for k, v in rep.to_dict().items() if k != "basis"
         })

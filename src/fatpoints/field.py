@@ -93,12 +93,17 @@ def _divmod_monic(num, den) -> tuple[list, list]:
     return quot, rem[:dd]
 
 
+_FIELDS: dict = {}  # (kind, conductor) -> the one Field of that kind and conductor
+
+
 class Field:
     """Descriptor for Q or Q(zeta_n); creates and owns Scalar values.
 
-    Fields compare (and hash) by kind and conductor.  Mixed-field arithmetic
-    is rejected rather than coerced, so callers building configurations must
-    pick one field up front.
+    There is one Field per kind and conductor: Field(...), make_field and
+    Field.from_dict all return it, so fields compare and hash by identity,
+    and a copy or an unpickled field is the same object.  Mixed-field
+    arithmetic is rejected rather than coerced, so callers building
+    configurations must pick one field up front.
 
     It owns the integral coordinates too, by degree (ints at degree 1, as
     for Q(zeta_2); power-basis int tuples above): mul is their product,
@@ -112,19 +117,21 @@ class Field:
     __slots__ = ("kind", "conductor", "degree", "modulus", "zero", "one",
                  "mul", "scale", "add", "unit", "flat", "group", "certificate_start")
 
-    def __init__(self, kind: str, conductor: int = 1):
+    def __new__(cls, kind: str, *conductor: int):
+        """The field of this kind and conductor, 1 when none is given and
+        for Q; the first call builds it, and two racing builds keep one."""
         if kind not in ("rational", "cyclotomic"):
             raise ValueError(f"unknown field kind {kind!r}")
-        if kind == "rational":
-            conductor = 1
-            self.modulus = None
-            self.degree = 1
-        else:
-            if conductor < 1:
-                raise ValueError("conductor must be a positive integer")
-            self.modulus = cyclotomic_polynomial(conductor)
-            self.degree = len(self.modulus) - 1
-        deg = self.degree
+        (n,) = conductor or (1,)
+        key = (kind, 1 if kind == "rational" else n)
+        if key in _FIELDS:
+            return _FIELDS[key]
+        if key[1] < 1:
+            raise ValueError("conductor must be a positive integer")
+        self = object.__new__(cls)
+        self.kind, self.conductor = key
+        self.modulus = cyclotomic_polynomial(n) if kind == "cyclotomic" else None
+        deg = self.degree = len(self.modulus) - 1 if self.modulus else 1
         if deg == 1:
             self.mul, self.scale, self.add, self.unit = operator.mul, operator.mul, operator.add, 1
             self.flat, self.group = lambda x: (x,), list
@@ -137,22 +144,14 @@ class Field:
             self.unit = (1,) + (0,) * (deg - 1)
             self.flat, self.group = tuple, lambda values: list(zip(*[iter(values)] * deg))
             self.certificate_start = 1
-        self.kind = kind
-        self.conductor = conductor
         self.zero = Scalar(self, (Fraction(0),) * self.degree)
         self.one = Scalar(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
+        return _FIELDS.setdefault(key, self)
 
     # -- identity ---------------------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.kind == other.kind
-            and self.conductor == other.conductor
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.conductor))
+    def __reduce__(self):
+        return Field, (self.kind, self.conductor)
 
     def __repr__(self):
         if self.kind == "rational":
@@ -380,18 +379,24 @@ def _split(n: int, p: int):
     return p, [_evaluation(v, p) for v in vandermonde], lift
 
 
+_RESIDUES: dict = {}  # p -> the one Residues(p)
+
+
 class Residues:
     """Z/p for a certificate prime p, with the Field interface that
     condition rows are built with: mul and scale, reduced to [0, p), and
     unit.  The maps of Field.certificate_prime are ring homomorphisms into
     it, so rows built here from images of integral coordinates are the
-    images of the rows built from them."""
+    images of the rows built from them.  There is one per prime, so rows
+    memoized by their ring are found again at the same prime."""
 
     __slots__ = ("mul", "scale", "unit")
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
+        self = object.__new__(cls)
         self.mul = self.scale = lambda x, y: x * y % p
         self.unit = 1
+        return _RESIDUES.setdefault(p, self)
 
 
 def _scale(x: tuple, c: int) -> tuple:
@@ -564,7 +569,8 @@ class Scalar:
 
 
 def make_field(kind: str, n: int | None = None) -> Field:
-    """Build a field descriptor; the cyclotomic kind requires a conductor."""
+    """The field descriptor of this kind (Field); the cyclotomic kind
+    requires a conductor."""
     if kind == "cyclotomic" and n is None:
         raise ValueError("cyclotomic field needs a conductor")
     return Field(kind, 1 if n is None else n)

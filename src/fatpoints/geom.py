@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd, prod
 
-from .field import Field, FieldMismatchError
+from .field import QQ, Field, FieldMismatchError
 
 
 class DegenerateInputError(ValueError):
@@ -233,7 +233,7 @@ class PointConfiguration:
         """
         if field == self.field:
             return self
-        if self.field != Field("rational"):
+        if self.field != QQ:
             raise FieldMismatchError("only rational configurations can be lifted")
         return PointConfiguration(field, [p.triple for p in self.points])
 

@@ -19,22 +19,22 @@ the column of each monomial x^e.  Every row of the point is made of the
 values of the monomials of degree d - k, so those are taken once per point,
 and which columns are nonzero, with which coefficient and which monomial,
 depends only on d and m, so that pattern is built once per (d, m).  A
-point's integral rows, a tuple of row tuples, are built once per (triple,
-m, d, field) while they stay in a bounded memo of 64 points
-(_integral_point_rows): the paper's searches draw many schemes from one
-point set, and a verdict ranks Z alone and then with each sample, so the
-same points come back.  Rows over a field.Residues ring are not memoized:
-each prime brings a new ring, whose rows would never be asked for again.
-The triple holds the field's integral coordinates (_row_triple), or their
-images under a ring map into Z/p, and the builder reads them only through
-mul, scale and unit, of the Field or of field.Residues, so it has one body
-for every field and for residues, and the rows built from images are the
-images of the integral rows.  A conditions matrix holds its scheme.  Its
-rows at each map of a certificate prime are built from the images of the
-points' triples.  The integral rows are built only on a rank drop, when a
-certificate reads them for its prime budget and its exact check, or over
-Q to find the certificate of the rows a system dimension ranked as built.
-No Scalar is made on the way to a rank.  A nonzero multiple of the triple
+point's rows, a tuple of row tuples, are built once per (triple, m, d,
+ring) while they stay in a bounded memo (_point_rows), integral rows and
+rows at a map into Z/p alike, as there is one field.Residues ring per
+prime: the paper's searches draw many schemes from one point set, and a
+verdict ranks Z alone and then with each sample, so the same points come
+back at the same maps.  The triple holds the field's integral coordinates
+(_row_triple), or their images under a ring map into Z/p, and the builder
+reads them only through mul, scale and unit, of the Field or of
+field.Residues, so it has one body for every field and for residues, and
+the rows built from images are the images of the integral rows.  A
+conditions matrix holds its scheme, over Q as over Q(zeta_n), and every
+rank and kernel reads that one matrix.  Its rows at each map of a
+certificate prime are built from the images of the points' triples, and
+its integral rows only on a rank drop, when a certificate reads them for
+its prime budget and its exact check.  No Scalar is made on the way to a
+rank.  A nonzero multiple of the triple
 scales each row of the point by a nonzero constant, so the row space, the
 ranks, the RREF nullspace bases and every witness are those of the
 point's Scalar triple.  The witness check (_check_vanishing) walks
@@ -185,9 +185,16 @@ def _row_templates(d: int, m: int) -> tuple:
     return t, tuple(rows)
 
 
-def _point_rows(coords, m: int, d: int, ring) -> tuple:
+# The rows of a point, keyed by (triple, m, d, ring), over a Field and over
+# Z/p alike: there is one Field per conductor and one field.Residues per
+# prime, so the key hashes the ring by identity.  The bound holds the
+# largest scheme ranked at once, F6's 18 points and a sample, at the maps
+# of prime 0 and of a certificate besides its integral rows; a search over
+# the 13 points of height one, with its 3 samples, fills 48 entries.
+@lru_cache(maxsize=128)
+def _point_rows(coords: tuple, m: int, d: int, ring) -> tuple:
     """The C(m+1, 2) condition rows at degree d of the m-fold point with
-    coordinate triple coords, as a tuple of row tuples.
+    coordinate triple coords, as a tuple of row tuples, memoized.
 
     The triple holds integral coordinates of a field, or their images in a
     field.Residues ring, and the entries stay in that form: products by
@@ -221,23 +228,13 @@ def _point_rows(coords, m: int, d: int, ring) -> tuple:
     return tuple(rows)
 
 
-# The integral rows of a point, keyed by (triple, m, d, field).  The bound
-# holds the largest scheme read at once, F6's 21 points plus its samples
-# (a search over the 13 points of height one: 13 points plus 3 samples).
-# Residue rows never come here: each
-# prime brings a fresh Residues ring, which would never hit and would evict.
-_integral_point_rows = lru_cache(maxsize=64)(_point_rows)
-
-
 def _condition_rows(parts, d: int, ring) -> list:
-    """Condition rows at degree d of (coordinate triple, multiplicity) pairs,
-    the rows of each point (_point_rows) one after the other.  Over a Field
-    each point's rows come from the bounded memo _integral_point_rows; over
-    a field.Residues ring they are built afresh."""
-    point_rows = _integral_point_rows if isinstance(ring, Field) else _point_rows
+    """Condition rows at degree d of (coordinate triple, multiplicity) pairs
+    over a Field or a field.Residues ring, the rows of each point, from the
+    memo _point_rows, one after the other."""
     rows = []
     for coords, m in parts:
-        rows += point_rows(coords, m, d, ring)
+        rows += _point_rows(coords, m, d, ring)
     return rows
 
 
@@ -267,7 +264,7 @@ class _ConditionsMatrix(ExactMatrix):
 
     def residues(self, p: int, image, start: int) -> list:
         q = bisect.bisect_right(self._offsets, start) - 1
-        parts = [(image(t), m) for t, m in self._parts[q:]]
+        parts = [(tuple(image(t)), m) for t, m in self._parts[q:]]
         return _condition_rows(parts, self._degree, Residues(p))[start - self._offsets[q]:]
 
 
@@ -283,13 +280,12 @@ def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
 
 
 def system_dimension(X: FatPointScheme, d: int) -> int:
-    """dim I(X)_d by rank only, skipping the nullspace basis."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    ncols = comb(d + 2, 2)
-    if X.field.degree == 1:
-        return ncols - rank_of_fraction_rows(_condition_rows(X._triples, d, X.field), ncols)
-    return ncols - exact_rank(conditions_matrix(X, d))
+    """dim I(X)_d by rank only, skipping the nullspace basis.  Every field
+    ranks the conditions matrix alike; the degree picks only the name the
+    rank is called by, rank_of_fraction_rows over Q and exact_rank above."""
+    M = conditions_matrix(X, d)
+    rank = rank_of_fraction_rows(M) if X.field.degree == 1 else exact_rank(M)
+    return M.ncols - rank
 
 
 @dataclass(frozen=True)

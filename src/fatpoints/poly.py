@@ -6,9 +6,8 @@ the external contract, so reports are reproducible bit for bit.
 
 An ExactMatrix over a field or a parameter ring holds its rows as integer
 (or cyclotomic-integer) coordinates, each a nonzero multiple of its Scalar
-or ParamPoly row: rows of values are scaled once (_integral_rows), and over
-Q conditions rows are ranked as built (rank_of_fraction_rows).  Their layout
-is the field's, read only through Field.mul, Field.scale, Field.add,
+or ParamPoly row: rows of values are scaled once (_integral_rows).  Their
+layout is the field's, read only through Field.mul, Field.scale, Field.add,
 Field.unit, Field.flat and Field.group, so the prime budget, the certificate
 and its exact check have one body for every field.  Every rank and every
 nullspace basis is then read off one sequence of primes p = 1 (mod n),
@@ -18,10 +17,11 @@ The image of a minor is the minor of the image, so pivot columns
 independent mod p are independent.  A matrix gives its rows at a map
 (ExactMatrix.residues) and keys them for resuming an elimination
 (ExactMatrix.row_keys): here the images of its integral rows, and the rows.
-A conditions matrix (linsys) holds its scheme instead: the rows at each map
-are built from the images of its points' coordinates, keyed by the points,
-and its integral rows only on a rank drop, where the certificate's prime
-budget and exact check read them.
+A conditions matrix (linsys) holds its scheme instead, over Q as over
+Q(zeta_n): the rows at each map are built from the images of its points'
+coordinates, keyed by the points, and its integral rows only on a rank
+drop, where the certificate's prime budget and exact check read them.  A
+certificate is kept under the row keys alone (_certificate).
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
@@ -75,7 +75,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, isqrt
 
-from .field import QQ, Field, FieldMismatchError, Scalar
+from .field import Field, FieldMismatchError, Scalar
 
 
 @lru_cache(maxsize=None)
@@ -545,7 +545,7 @@ class ExactMatrix:
         return M
 
     def _shape(self, ring, rows, ncols: int) -> None:
-        if set(map(len, rows)) - {ncols}:  # no generator: every rank over Q passes here
+        if set(map(len, rows)) - {ncols}:  # no generator: each grid point over Q(zeta_n) passes here
             raise ValueError("ragged matrix")
         self.ring = ring
         self.nrows = len(rows)
@@ -976,19 +976,13 @@ def _store() -> dict:
 
 
 def _certificate(M: ExactMatrix, shared: dict):
-    """_certify, or the certificate of the same matrix from the store.
-
-    It is found by M's row keys, or else by its integral rows, and kept
-    under both: so a conditions matrix over Q(zeta_n) finds the certificate
-    of an earlier matrix of the same scheme without building its integral
-    rows, and one over Q that of the same rows ranked as they were built.
-    """
+    """_certify, or the certificate of the same matrix from the store,
+    found by M's row keys: so a conditions matrix finds the certificate of
+    an earlier matrix of the same scheme, a rank's for a nullspace basis,
+    without building its integral rows."""
     key = ("certificate", M.ring, M.ncols, tuple(map(tuple, M.row_keys())))
     if key not in shared:
-        rows = ("certificate", M.ring, M.ncols, tuple(map(tuple, M.integral_rows())))
-        if rows not in shared:
-            shared[rows] = _certify(M, shared)
-        shared[key] = shared[rows]
+        shared[key] = _certify(M, shared)
     return shared[key]
 
 
@@ -1021,11 +1015,11 @@ def exact_rank(M: ExactMatrix) -> int:
     return _rank(M, _store())
 
 
-def rank_of_fraction_rows(rows, ncols: int) -> int:
-    """Rank over Q of int rows, as conditions matrices over Q are built;
-    nothing is cleared here.  The name stays for the benchmark's tracing
-    table."""
-    return _rank(ExactMatrix.from_integral(QQ, rows, ncols), _store())
+def rank_of_fraction_rows(M: ExactMatrix) -> int:
+    """Rank over Q of a matrix, as exact_rank takes it: linsys ranks its
+    conditions matrices over Q by this name, which the benchmark's tracing
+    table reads."""
+    return _rank(M, _store())
 
 
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:

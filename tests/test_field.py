@@ -1,12 +1,17 @@
 """Field arithmetic: cyclotomic polynomials, canonical forms, axioms, grammar."""
 
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from fatpoints import (
+    Field,
     FieldMismatchError,
     QQ,
     cyclotomic_polynomial,
@@ -39,6 +44,35 @@ def test_make_field():
         make_field("cyclotomic", 0)
     with pytest.raises(ValueError):
         make_field("cyclotomic")
+    # one Field per kind and conductor, however it is asked for or copied
+    assert make_field("cyclotomic", 3) is f3 is Field("cyclotomic", 3) is Field.from_dict(f3.to_dict())
+    assert make_field("rational") is QQ is Field("rational") is Field.from_dict({"type": "rational"})
+    for f in (QQ, f3):
+        assert copy.copy(f) is f and copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+    assert make_field("cyclotomic", 1) is not QQ
+
+
+def test_racing_builds_keep_one_field():
+    # threads that ask at once for a field not built yet all get one object
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (97, 101, 103):
+            barrier, found = threading.Barrier(8), []
+
+            def build(n=n, barrier=barrier, found=found):
+                barrier.wait(timeout=10)
+                found.append(Field("cyclotomic", n))
+
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(found) == 8 and all(f is found[0] for f in found)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_conductors_one_and_two_collapse_to_rational_values():

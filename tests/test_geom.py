@@ -113,7 +113,6 @@ def test_line_through_examples():
 
 
 def test_memoized_joins_still_refuse_equal_points():
-    geom._joined.cache_clear()
     f3 = make_field("cyclotomic", 3)
     z = primitive_root(f3)
     for field, p, q in ((QQ, P(1, 2, 3), P(0, 1, 1)), (f3, P(1, z, 3, field=f3), P(0, 1, z, field=f3))):

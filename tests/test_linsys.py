@@ -33,12 +33,13 @@ from fatpoints import (
     symbolic_conditions_matrix,
     system_basis,
 )
+from fatpoints.field import Residues
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import (
     _chart_index,
     _check_vanishing,
     _condition_rows,
-    _integral_point_rows,
+    _point_rows,
     system_dimension,
 )
 from fatpoints.poly import monomial_basis
@@ -473,16 +474,15 @@ def _rows_cold_and_warm(parts, d, ring):
     row memo by the second, which must return equal rows, tuples of
     tuples, as lists."""
     cold = _condition_rows(parts, d, ring)
-    hits = _integral_point_rows.cache_info().hits
+    hits = _point_rows.cache_info().hits
     warm = _condition_rows(parts, d, ring)
-    assert _integral_point_rows.cache_info().hits == hits + len(parts)
+    assert _point_rows.cache_info().hits == hits + len(parts)
     assert warm == cold
     assert all(type(r) is tuple for r in cold)
     return [list(r) for r in cold]
 
 
 def test_condition_rows_match_the_reference_loop():
-    _integral_point_rows.cache_clear()
     rng = random.Random("condition-rows")
     f5 = make_field("cyclotomic", 5)
 
@@ -527,28 +527,29 @@ def test_condition_rows_match_the_reference_loop():
 
 
 def test_the_row_memo_stays_bounded():
-    _integral_point_rows.cache_clear()
-    bound = _integral_point_rows.cache_info().maxsize
+    bound = _point_rows.cache_info().maxsize
     for x in range(200):
         _condition_rows([((x, 1, 1), 2)], 3, QQ)
-    info = _integral_point_rows.cache_info()
+    info = _point_rows.cache_info()
     assert info.misses == 200
     assert 0 < info.currsize <= bound
 
 
-def test_residue_rows_leave_the_row_memo_unchanged():
-    # each prime's Residues ring is a new object: its rows would never hit
-    # the memo, so they are built outside it
+def test_residue_rows_hit_the_row_memo_at_each_map():
+    # equal primes give one Residues ring, so a second conditions matrix of
+    # the same points finds each point's rows at each map in the memo
     for Z, d in ((example_quartic_config(), 4), (dual_fermat(5), 7)):
-        X = FatPointScheme.of(Z, (ProjectivePoint(Z.field, (2, 7, 1)), d - 1))
-        M = conditions_matrix(X, d)
-        _integral_point_rows.cache_clear()
-        before = _integral_point_rows.cache_info()
+        P = ProjectivePoint(Z.field, (2, 7, 1))
+        first, second = (conditions_matrix(FatPointScheme.of(Z, (P, d - 1)), d) for _ in range(2))
         for k in range(3):
             p, images, _ = Z.field.certificate_prime(k)
+            assert Residues(p) is Residues(int(str(p)))
             for image in images:
-                assert len(M.residues(p, image, 0)) == M.nrows
-        assert _integral_point_rows.cache_info() == before
+                rows = first.residues(p, image, 0)
+                assert len(rows) == first.nrows
+                hits = _point_rows.cache_info().hits
+                assert second.residues(p, image, 0) == rows
+                assert _point_rows.cache_info().hits == hits + len(Z) + 1
 
 
 def test_euler_rows_span_the_chart_rows():
@@ -697,10 +698,11 @@ def test_the_layout_guard_sees_aliases_and_tuple_tests():
 
 def test_condition_rows_do_not_branch_on_the_layout():
     # the integral layout is the field's (Field.mul, scale, add, unit, flat
-    # and group): in linsys only system_dimension, which ranks over Q
-    # without an ExactMatrix, branches on a field's degree; in poly only symbolic_rank_bound, which evaluates
-    # and ranks its grid points over Q in plain ints; and neither module
-    # tells the layouts apart by testing for tuples
+    # and group): in linsys only system_dimension branches on a field's
+    # degree, and only to call its rank by the name the benchmark traces
+    # over Q; in poly only symbolic_rank_bound, which evaluates and ranks
+    # its grid points over Q in plain ints; and neither module tells the
+    # layouts apart by testing for tuples
     from pathlib import Path
 
     import fatpoints.linsys as linsys

@@ -951,8 +951,8 @@ def test_rank_matches_bareiss(field):
         assert exact_rank(ExactMatrix(field, rows)) == expected
         if field == QQ:
             fractions = [[x.as_fraction() for x in row] for row in rows]
-            integral = poly._integral_rows(fractions, QQ)
-            assert poly.rank_of_fraction_rows(integral, len(rows[0])) == expected
+            M = ExactMatrix.from_integral(QQ, poly._integral_rows(fractions, QQ), len(rows[0]))
+            assert poly.rank_of_fraction_rows(M) == expected
     assert full == {True, False}
 
 
@@ -984,8 +984,8 @@ def test_rank_matches_sympy_over_q():
         expected = sympy.Matrix([[sympy.Rational(str(x.as_fraction())) for x in r] for r in rows]).rank()
         assert exact_rank(ExactMatrix(QQ, rows)) == expected
         fractions = [[x.as_fraction() for x in row] for row in rows]
-        integral = poly._integral_rows(fractions, QQ)
-        assert poly.rank_of_fraction_rows(integral, len(rows[0])) == expected
+        M = ExactMatrix.from_integral(QQ, poly._integral_rows(fractions, QQ), len(rows[0]))
+        assert poly.rank_of_fraction_rows(M) == expected
 
 
 def _rank_mod_reference(residues, ncols, p):
@@ -1066,7 +1066,7 @@ def test_rank_below_full_mod_p_is_decided_exactly(monkeypatch):
     calls = _count_calls(monkeypatch, poly, "_certify")
     p = QQ.certificate_prime(0)[0]
     # the residues of [[p, 0], [0, 1]] mod prime 0 have rank 1, the matrix rank 2
-    assert poly.rank_of_fraction_rows([[p, 0], [0, 1]], 2) == 2
+    assert poly.rank_of_fraction_rows(ExactMatrix.from_integral(QQ, [[p, 0], [0, 1]], 2)) == 2
     assert exact_rank(ExactMatrix(QQ, [[p, 0], [0, 1]])) == 2
     assert calls[0] == 2
     for field in RANK_FIELDS[1:]:
@@ -1110,7 +1110,12 @@ def test_rank_drop_is_eliminated_once_per_prime_and_root(monkeypatch):
     assert reduced[0] == 15 * pairs == 30
     # outside any block a rank keeps its eliminations for the length of the
     # call, so its certificate resumes the full-rank test all the same
-    for rank in (lambda: exact_rank(M), lambda: poly.rank_of_fraction_rows(M.integral_rows(), 15)):
+    integral = ExactMatrix.from_integral(QQ, M.integral_rows(), 15)
+    for rank in (
+        lambda: exact_rank(M),
+        lambda: poly.rank_of_fraction_rows(M),
+        lambda: poly.rank_of_fraction_rows(integral),
+    ):
         reduced[0] = 0
         assert rank() == 14
         assert reduced[0] == 30

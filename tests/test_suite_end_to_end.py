@@ -33,10 +33,8 @@ def test_full_paper_suite_passes():
 @pytest.mark.parametrize("certify", [False, True])
 def test_warm_memos_change_no_output(tmp_path, certify, capsys):
     # the second run of the suite in one process reads point rows and joins
-    # from the memos the first filled: its JSON, runtimes removed, must be
-    # the first's, byte for byte
-    linsys._integral_point_rows.cache_clear()
-    geom._joined.cache_clear()
+    # from the memos the first filled (both start empty): its JSON, runtimes
+    # removed, must be the first's, byte for byte
     outputs = []
     for run in range(2):
         out = tmp_path / f"run{run}.json"
@@ -45,6 +43,6 @@ def test_warm_memos_change_no_output(tmp_path, certify, capsys):
         reports = [{k: v for k, v in r.items() if k != "runtime"} for r in json.loads(out.read_text())]
         outputs.append(json.dumps(reports))
     capsys.readouterr()
-    assert linsys._integral_point_rows.cache_info().hits > 0
+    assert linsys._point_rows.cache_info().hits > 0
     assert geom._joined.cache_info().hits > 0
     assert outputs[0] == outputs[1]

@@ -256,9 +256,9 @@ def test_rank_drops_of_the_example_share_certificates(monkeypatch):
 
 
 def test_cyclotomic_rows_are_integral_only_on_a_rank_drop(monkeypatch):
-    # over Q(zeta_n) a conditions matrix builds its rows at each map from the
-    # images of its points, and its integral rows over Z[zeta_n], with
-    # Field.mul, only when a certificate reads them
+    # over Q and Q(zeta_n) a conditions matrix builds its rows at each map
+    # from the images of its points, and its integral rows, with Field.mul,
+    # only when a certificate reads them
     calls = _count_certificates(monkeypatch)
     kernels = [0]
     nullspace = linsys.nullspace_basis
@@ -269,7 +269,6 @@ def test_cyclotomic_rows_are_integral_only_on_a_rank_drop(monkeypatch):
 
     monkeypatch.setattr(linsys, "nullspace_basis", counted)
     # products are counted only where rows are built, not read from the memo
-    linsys._integral_point_rows.cache_clear()
     build = linsys._condition_rows
     integral, products, building = [0], [0], [False]
 
@@ -282,15 +281,16 @@ def test_cyclotomic_rows_are_integral_only_on_a_rank_drop(monkeypatch):
             building[0] = False
 
     monkeypatch.setattr(linsys, "_condition_rows", tracked)
-    for n, d, positive in ((5, 6, False), (6, 7, False), (5, 7, True)):
-        Z = dual_fermat(n)
-        mul = Z.field.mul
+    cases = [(random_config(9, 1000, ("integral", i)), 4, False) for i in range(4)]
+    cases += [(dual_fermat(5), 6, False), (dual_fermat(6), 7, False), (dual_fermat(5), 7, True)]
+    for field in {Z.field for Z, _, _ in cases}:
 
-        def counted_mul(*args, mul=mul):
+        def counted_mul(*args, mul=field.mul):
             products[0] += building[0]
             return mul(*args)
 
-        monkeypatch.setattr(Z.field, "mul", counted_mul)
+        monkeypatch.setattr(field, "mul", counted_mul)
+    for Z, d, positive in cases:
         calls[0] = kernels[0] = integral[0] = products[0] = 0
         assert detect_unexpected(Z, d).unexpected == positive
         if not positive:
@@ -312,13 +312,14 @@ def test_subsets_sharing_points_share_their_rows():
     assert len(points) == 13
     first = PointConfiguration(QQ, points[:9])
     second = PointConfiguration(QQ, points[:8] + points[9:10])
-    linsys._integral_point_rows.cache_clear()
     reports = [detect_unexpected(first, 4)]
-    misses = linsys._integral_point_rows.cache_info().misses
-    # the 9 points of Z and the 3-fold sample point
+    misses = linsys._point_rows.cache_info().misses
+    # the 9 points of Z and the 3-fold sample point, each at the one map of
+    # prime 0: both verdicts are negative, ranked full there
     assert misses == 9 + 1
     reports.append(detect_unexpected(second, 4))
-    assert linsys._integral_point_rows.cache_info().misses == misses + 1
+    assert linsys._point_rows.cache_info().misses == misses + 1
+    assert not any(r.unexpected for r in reports)
     assert [[P for P, _ in r.samples] for r in reports] == [[DEFAULT_STRATEGY.sample_point(QQ, 0)]] * 2
 
 
