@@ -21,7 +21,11 @@ A conditions matrix (linsys) holds its scheme instead, over Q as over
 Q(zeta_n): the rows at each map are built from the images of its points'
 coordinates, keyed by the points, and its integral rows only on a rank
 drop, where the certificate's prime budget and exact check read them.  A
-certificate is kept under the row keys alone (_certificate).
+certificate is kept under the row keys alone (_certificate), for the length
+of a shared_certificates block.  The last elimination at each map and width
+is kept across verdicts, in one store of fixed bound (_eliminations), and
+the next resumes after the rows it shares with it (_eliminate): the
+consecutive subsets of a search share most of their points.
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
@@ -70,6 +74,7 @@ import contextlib
 import contextvars
 import itertools
 import struct
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -701,28 +706,57 @@ def _back_substitute(echelon, ncols: int, p: int):
     return pivots, kernel
 
 
-def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, shared: dict) -> list:
+# The last elimination under each key (field, ncols, k, i), as (row keys,
+# echelon, sizes), least recently stored first, across ranks and verdicts:
+# a search takes its nine-point subsets in combinations order, each sharing
+# most of its points with the last, so each resumes after them.  The bound
+# holds the keys of the largest verdict of the paper's suite and of the
+# benchmark: the dual F5 at degree 7 fills up to 7, prime 0, the four maps
+# of prime 1, and primes 2 and 3, all at 36 columns; a search fills 2.  One
+# F3-F6 fermat_unexpected_range pass fills 37, but each degree has its own
+# width, so its verdicts share no elimination, and a larger bound would
+# only hold wide echelons longer.
+_ELIMINATIONS_BOUND = 8
+_eliminations: dict = {}
+_storing = threading.Lock()
+
+
+def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, store: dict) -> list:
     """The _forward echelon of M's rows under a ring map image into Z/p,
     as M.residues gives them.
 
-    The elimination is kept in the store shared (_store) under key,
-    (field, ncols, k, i) for the i-th map of Field.certificate_prime(k),
-    and the next one under key resumes after the rows whose keys
-    (M.row_keys) it shares with this one, from copies of the echelon rows
-    they left: over Q a certificate resumes where the full-rank test of the
-    same rows stopped, and inside a shared_certificates block the conditions
-    matrix of each sample of a verdict starts with the rows of the points of
-    Z, whose rank the verdict took first.
+    The elimination is kept in store under key, (field, ncols, k, i) for
+    the i-th map of Field.certificate_prime(k), and the next one under key
+    resumes after the rows whose keys (M.row_keys) it shares with this one,
+    from copies of the echelon rows they left, so a stored elimination is
+    never changed.  The store is _eliminations, which outlives a verdict:
+    over Q a certificate resumes where the full-rank test of the same rows
+    stopped, each sample of a verdict starts with the rows of the points of
+    Z, whose rank the verdict took first, and a verdict starts with the
+    points it shares with the last elimination at its key, which a search's
+    previous subset left.  Only the grid's points over Q(zeta_n), whose
+    rows change at every point, pass a store of their own.  _forward is
+    deterministic and greedy, so a resumed echelon is the one a fresh
+    elimination of the same rows gives.  Past _ELIMINATIONS_BOUND keys the
+    least recently stored is dropped, under a lock, so threads may share
+    the store.
     """
     keys = M.row_keys()
     start, echelon, sizes = 0, [], []
-    if key in shared:
-        last, echelon, sizes = shared[key]
-        while start < min(len(sizes), len(keys)) and keys[start] == last[start]:
+    last = store.get(key)
+    if last is not None:
+        last, echelon, sizes = last
+        for new, old, _ in zip(keys, last, sizes):
+            if new != old:
+                break
             start += 1
         echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
     _forward(M.residues(p, image, start), M.ncols, p, echelon, sizes, slack)
-    shared[key] = (keys, echelon, sizes)
+    with _storing:
+        store.pop(key, None)
+        store[key] = (keys, echelon, sizes)
+        while len(store) > _ELIMINATIONS_BOUND:
+            del store[next(iter(store))]
     return echelon
 
 
@@ -811,7 +845,7 @@ def _annihilates(rows, f: int, den: int, entries, times, field: Field) -> bool:
     return True
 
 
-def _certify(M: ExactMatrix, shared: dict):
+def _certify(M: ExactMatrix, eliminations: dict):
     """The RREF pivots and kernel of a matrix over a field, as a checked
     residue certificate: (pivots, kernel), kernel a list of (coords, den),
     the integral coordinates and common denominator of the basis vector of
@@ -819,8 +853,8 @@ def _certify(M: ExactMatrix, shared: dict):
 
     For k = Field.certificate_start, k + 1, ... the rows are taken to Z/p
     by maps of Field.certificate_prime(k) and eliminated there (_eliminate,
-    in the store shared, so that over Q it resumes the full-rank test of
-    _rank at prime 0), and back substitution gives the kernel mod p
+    in the store eliminations, so that over Q it resumes the full-rank test
+    of _rank at prime 0), and back substitution gives the kernel mod p
     (_back_substitute).  Pivot columns that are independent mod p are
     independent, as the image of their minor is nonzero.  Reduction can
     only move pivots later, so a prime is dropped when its maps disagree on
@@ -866,7 +900,7 @@ def _certify(M: ExactMatrix, shared: dict):
         have map 0's pivots."""
         k, p, images, _, found = prime
         for i in range(len(found), len(images) if every else 1):
-            echelon = _eliminate(M, p, images[i], (field, ncols, k, i), M.nrows, shared)
+            echelon = _eliminate(M, p, images[i], (field, ncols, k, i), M.nrows, eliminations)
             found.append(_back_substitute(echelon, ncols, p))
         return all(pivots == found[0][0] for pivots, _ in found)
 
@@ -958,9 +992,8 @@ _shared = contextvars.ContextVar("fatpoints.poly.shared_certificates", default=N
 def shared_certificates():
     """Within the block, a matrix certified twice is certified once, so a
     rank certificate's kernel serves a later nullspace_basis of the same
-    rows, and an elimination mod p, for a rank or a certificate, resumes
-    after the rows it shares with the last one (_eliminate).  All are
-    dropped when the block ends."""
+    rows.  The certificates are dropped when the block ends; eliminations
+    mod p are not kept here but in _eliminations, across blocks."""
     token = _shared.set({})
     try:
         yield
@@ -969,25 +1002,27 @@ def shared_certificates():
 
 
 def _store() -> dict:
-    """The store of the enclosing shared_certificates block, or a new one
-    that lasts for one rank or kernel."""
+    """The certificate store of the enclosing shared_certificates block, or
+    a new one that lasts for one rank or kernel."""
     shared = _shared.get()
     return {} if shared is None else shared
 
 
-def _certificate(M: ExactMatrix, shared: dict):
+def _certificate(M: ExactMatrix, shared: dict, eliminations: dict):
     """_certify, or the certificate of the same matrix from the store,
     found by M's row keys: so a conditions matrix finds the certificate of
     an earlier matrix of the same scheme, a rank's for a nullspace basis,
     without building its integral rows."""
     key = ("certificate", M.ring, M.ncols, tuple(map(tuple, M.row_keys())))
     if key not in shared:
-        shared[key] = _certify(M, shared)
+        shared[key] = _certify(M, eliminations)
     return shared[key]
 
 
-def _rank(M: ExactMatrix, shared: dict) -> int:
-    """Rank of a matrix over a field, in the store shared.
+def _rank(M: ExactMatrix, shared: dict, eliminations: dict) -> int:
+    """Rank of a matrix over a field, its certificate kept in the store
+    shared (_certificate) and its eliminations in the store eliminations
+    (_eliminate).
 
     The rows are first eliminated at the first map of prime 0
     (Field.certificate_prime), until full rank min(nrows, ncols) is out of
@@ -999,10 +1034,10 @@ def _rank(M: ExactMatrix, shared: dict) -> int:
     """
     field, full = M.ring, min(M.nrows, M.ncols)
     p, images, _ = field.certificate_prime(0)
-    echelon = _eliminate(M, p, images[0], (field, M.ncols, 0, 0), M.nrows - full, shared)
+    echelon = _eliminate(M, p, images[0], (field, M.ncols, 0, 0), M.nrows - full, eliminations)
     if len(echelon) == full:
         return full
-    pivots, _ = _certificate(M, shared)
+    pivots, _ = _certificate(M, shared, eliminations)
     return len(pivots)
 
 
@@ -1012,14 +1047,14 @@ def exact_rank(M: ExactMatrix) -> int:
     (_certify) decides every other case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
-    return _rank(M, _store())
+    return _rank(M, _store(), _eliminations)
 
 
 def rank_of_fraction_rows(M: ExactMatrix) -> int:
     """Rank over Q of a matrix, as exact_rank takes it: linsys ranks its
     conditions matrices over Q by this name, which the benchmark's tracing
     table reads."""
-    return _rank(M, _store())
+    return _rank(M, _store(), _eliminations)
 
 
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
@@ -1036,7 +1071,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    _, kernel = _certificate(M, _store())
+    _, kernel = _certificate(M, _store(), _eliminations)
     return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 
@@ -1072,8 +1107,11 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     column, so P N is formed from the integral rows of M in integers, and
     each grid point ranks a #P x dim N integral matrix: over Q by Bareiss
     elimination (_echelon_int), over Q(zeta_n) by _rank, the full-rank test
-    and checked certificate of every other rank, in a store of its own, so
-    that the sweep leaves an enclosing shared_certificates store as it was.
+    and checked certificate of every other rank, in stores of its own for
+    certificates and eliminations, so that the sweep leaves an enclosing
+    shared_certificates store and _eliminations as they were: the rows
+    change at every point, and would only evict eliminations a later rank
+    resumes.
     The sweep stops once that rank reaches min(#P, dim N), since no larger
     minor exists.
 
@@ -1109,7 +1147,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             constant.append([e.get((0, 0), zero) for e in row])
         else:
             parametric.append(row)
-    _, kernel = _certificate(ExactMatrix.from_integral(field, constant, M.ncols), _store())
+    _, kernel = _certificate(ExactMatrix.from_integral(field, constant, M.ncols), _store(), _eliminations)
     rank_c = M.ncols - len(kernel)
 
     def project(row, v):
@@ -1141,7 +1179,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             return reduce(add, [scale(c, pa[i] * pb[j]) for i, j, c in terms], zero)
 
         def rank(grid_rows):
-            return _rank(ExactMatrix.from_integral(field, grid_rows, len(kernel)), {})
+            return _rank(ExactMatrix.from_integral(field, grid_rows, len(kernel)), {}, {})
 
     n = max(da, db) + 1
     powers = [[x**k for k in range(n)] for x in range(n)]

@@ -118,7 +118,6 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
     return X, dim_z, floor, samples, comb(d + 2, 2) - cert.rank
 
 
-@shared_certificates()  # each sample's elimination resumes after the rows of Z
 def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY) -> int:
     """The generic value of dim I(Z + jP)_d: certified, or the sampled minimum.
 

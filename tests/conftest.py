@@ -1,14 +1,16 @@
-"""Each test starts with empty point-row and join memos, so a test that
-counts what the memos hold, hit or build does not depend on which tests ran
-before it."""
+"""Each test starts with empty point-row, join and elimination stores, so a
+test that counts what the stores hold, hit or build does not depend on
+which tests ran before it."""
 
 import pytest
 
 import fatpoints.geom as geom
 import fatpoints.linsys as linsys
+import fatpoints.poly as poly
 
 
 @pytest.fixture(autouse=True)
 def empty_memos():
     linsys._point_rows.cache_clear()
     geom._joined.cache_clear()
+    poly._eliminations.clear()

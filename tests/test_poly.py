@@ -3,6 +3,8 @@
 import dataclasses
 import operator
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -911,11 +913,9 @@ def test_kernels_are_read_rational_first_and_lifted_where_maps_differ(monkeypatc
     (v,) = nullspace_basis(M)
     assert all(not sum((a * x for a, x in zip(row, v)), M.ring.zero) for row in M.rows)
     assert primes[0] == 1 + 2 + 2
-    with poly.shared_certificates():
-        store = poly._store()
-        assert exact_rank(M) == 35
-        eliminations = sorted(key[2:] for key in store if key[0] != "certificate")
-    assert eliminations == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+    poly._eliminations.clear()
+    assert exact_rank(M) == 35
+    assert sorted(key[2:] for key in poly._eliminations) == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
 
 
 RANK_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (3, 4, 5, 6, 7, 8, 12)]
@@ -1108,17 +1108,22 @@ def test_rank_drop_is_eliminated_once_per_prime_and_root(monkeypatch):
     pairs = sum(len(certificate_prime(field, k)[1]) for field, k in primes)
     assert len(primes) > 1
     assert reduced[0] == 15 * pairs == 30
-    # outside any block a rank keeps its eliminations for the length of the
-    # call, so its certificate resumes the full-rank test all the same
+    # outside any block, from an empty elimination store, the certificate
+    # resumes the full-rank test all the same
     integral = ExactMatrix.from_integral(QQ, M.integral_rows(), 15)
     for rank in (
         lambda: exact_rank(M),
         lambda: poly.rank_of_fraction_rows(M),
         lambda: poly.rank_of_fraction_rows(integral),
     ):
+        poly._eliminations.clear()
         reduced[0] = 0
         assert rank() == 14
         assert reduced[0] == 30
+    # the store outlives the rank: the same rows again reduce no row
+    reduced[0] = 0
+    assert poly.rank_of_fraction_rows(integral) == 14
+    assert reduced[0] == 0
 
 
 def test_shared_certificates_resume_after_a_shared_prefix(monkeypatch):
@@ -1147,6 +1152,40 @@ def test_shared_certificates_resume_after_a_shared_prefix(monkeypatch):
         assert [rank for rank, _ in alone] == [3, 3, 2, 4, 4, 4]
         # one certificate per distinct matrix: the repeated one is reused
         assert certificates[0] == len(matrices) - 1
+
+
+def test_racing_eliminations_evict_within_the_bound():
+    # two threads store eliminations under new keys at once, each store past
+    # the bound, with thread switches as often as the interpreter allows: no
+    # eviction fails, and the store ends full, within its bound (without the
+    # lock, a thread evicts while the other iterates the store, or both
+    # evict the same key)
+    M = ExactMatrix(QQ, [[1, 2]])
+    p, images, _ = QQ.certificate_prime(0)
+    store, failures = {}, []
+    barrier = threading.Barrier(2)
+
+    def run(offset):
+        barrier.wait()
+        try:
+            for key in range(offset, 40000, 2):
+                poly._eliminate(M, p, images[0], key, 0, store)
+        except Exception as error:
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(store) == poly._ELIMINATIONS_BOUND
 
 
 def test_rank_invariances():
@@ -1389,26 +1428,28 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
 
 def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypatch):
     # the grid over Q(zeta_n) ranks its points by the residue certificate,
-    # which takes no integral inverse, and each point's rank runs in a store
+    # which takes no integral inverse, and each point's rank runs in stores
     # of its own: the enclosing block gains only the constant rows'
-    # certificate and its eliminations at prime 1: at map 0 alone for F3,
-    # whose constant rows have a rational kernel, and at both maps where
-    # a = zeta_6 makes the kernel irrational and it is read lifted
+    # certificate, and the elimination store only that certificate's
+    # eliminations at prime 1: at map 0 alone for F3, whose constant rows
+    # have a rational kernel, and at both maps where a = zeta_6 makes the
+    # kernel irrational and it is read lifted
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
-    for Z, expected, entries in (
-        (dual_fermat(3), (15, (1, 2), 12, 12, 91), 2),
-        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 12, 12, 91), 3),
+    for Z, expected, maps in (
+        (dual_fermat(3), (15, (1, 2), 12, 12, 91), [(15, 1, 0)]),
+        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 12, 12, 91), [(15, 1, 0), (15, 1, 1)]),
     ):
         M = symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4)
         inverses[0] = 0
         assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
         assert inverses[0] == 0
+        poly._eliminations.clear()
         with poly.shared_certificates():
             store = poly._store()
             assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
-            assert len(store) == entries
-            assert sum(key[0] == "certificate" for key in store) == 1
+            assert [key[0] for key in store] == ["certificate"]
+        assert sorted(key[1:] for key in poly._eliminations) == maps
         assert inverses[0] == 0
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import fatpoints.geom as geom
 import fatpoints.linsys as linsys
+import fatpoints.poly as poly
 from fatpoints.cli import main
 from fatpoints.verify import SUITE_CLAIMS, run_paper_suite
 
@@ -31,10 +32,23 @@ def test_full_paper_suite_passes():
 
 
 @pytest.mark.parametrize("certify", [False, True])
-def test_warm_memos_change_no_output(tmp_path, certify, capsys):
+def test_warm_memos_change_no_output(tmp_path, certify, capsys, monkeypatch):
     # the second run of the suite in one process reads point rows and joins
-    # from the memos the first filled (both start empty): its JSON, runtimes
-    # removed, must be the first's, byte for byte
+    # from the memos the first filled (both start empty), and eliminations
+    # resume after rows an earlier verdict left: its JSON, runtimes removed,
+    # must be the first's, byte for byte
+    verdicts, resumed, eliminate = {}, [0, 0], poly._eliminate
+
+    def tracked(M, p, image, key, slack, store):
+        # the verdict is its shared_certificates store; a resume across
+        # verdicts starts with the first row of another verdict's elimination
+        verdict, last = poly._shared.get(), store.get(key)
+        if last is not None and verdicts.get(key) is not verdict and last[2] and last[0][:1] == M.row_keys()[:1]:
+            resumed[run] += 1
+        verdicts[key] = verdict
+        return eliminate(M, p, image, key, slack, store)
+
+    monkeypatch.setattr(poly, "_eliminate", tracked)
     outputs = []
     for run in range(2):
         out = tmp_path / f"run{run}.json"
@@ -45,4 +59,5 @@ def test_warm_memos_change_no_output(tmp_path, certify, capsys):
     capsys.readouterr()
     assert linsys._point_rows.cache_info().hits > 0
     assert geom._joined.cache_info().hits > 0
+    assert min(resumed) > 0
     assert outputs[0] == outputs[1]

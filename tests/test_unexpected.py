@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -303,35 +305,108 @@ def test_cyclotomic_rows_are_integral_only_on_a_rank_drop(monkeypatch):
     assert products[0] > 0
 
 
-def test_subsets_sharing_points_share_their_rows():
-    # two nine-point subsets of the 13 points of height one that share 8
-    # points: the second verdict builds the rows of its new point only, and
-    # reads those of the 8 shared points and of the common sample from the
-    # row memo
+def _height_one_subsets(count):
+    """The first count nine-point subsets of the 13 points of height one, in
+    combinations order, as a search takes them."""
     points = [t for t in itertools.product((-1, 0, 1), repeat=3) if any(t) and next(c for c in t if c) == 1]
     assert len(points) == 13
-    first = PointConfiguration(QQ, points[:9])
-    second = PointConfiguration(QQ, points[:8] + points[9:10])
+    subsets = itertools.islice(itertools.combinations(points, 9), count)
+    return [PointConfiguration(QQ, list(subset)) for subset in subsets]
+
+
+def test_subsets_sharing_points_share_their_rows(monkeypatch):
+    # two consecutive nine-point subsets of the 13 points of height one that
+    # share 8 points as a prefix: the second verdict builds the rows of its
+    # new point only, and reads those of the 8 shared points and of the
+    # common sample from the row memo.  Both are negatives, ranked full at
+    # prime 0: the first reduces Z's 9 rows there, then the sample's 6 after
+    # them; the second resumes the first's last elimination after the 8
+    # shared points, so it reduces its new point's row, then the sample's 6
+    first, second = _height_one_subsets(2)
+    assert first.points[:8] == second.points[:8] and first.points[8] != second.points[8]
+    forward = poly._forward
+    prime = QQ.certificate_prime(0)[0]
+    reduced = []
+
+    def counted(residues, ncols, p, echelon, sizes, slack):
+        before = len(sizes)
+        forward(residues, ncols, p, echelon, sizes, slack)
+        if p == prime:
+            reduced.append(len(sizes) - before)
+
+    monkeypatch.setattr(poly, "_forward", counted)
     reports = [detect_unexpected(first, 4)]
     misses = linsys._point_rows.cache_info().misses
     # the 9 points of Z and the 3-fold sample point, each at the one map of
-    # prime 0: both verdicts are negative, ranked full there
+    # prime 0
     assert misses == 9 + 1
+    assert reduced == [9, 6]
+    reduced.clear()
     reports.append(detect_unexpected(second, 4))
     assert linsys._point_rows.cache_info().misses == misses + 1
+    assert reduced == [1, 6]
     assert not any(r.unexpected for r in reports)
     assert [[P for P, _ in r.samples] for r in reports] == [[DEFAULT_STRATEGY.sample_point(QQ, 0)]] * 2
+
+
+def test_warm_eliminations_change_no_verdict():
+    # the first 100 subsets of a search, two of them positives: each
+    # verdict, its sample dimensions and its witness with the store the
+    # last verdict left equal those from an emptied store
+    subsets = _height_one_subsets(100)
+    warm = [detect_unexpected(Z, 4).to_dict() for Z in subsets]
+    cold = []
+    for Z in subsets:
+        poly._eliminations.clear()
+        cold.append(detect_unexpected(Z, 4).to_dict())
+    assert warm == cold
+    assert sum(r["unexpected"] for r in warm) == 2
+
+
+def test_threads_share_the_elimination_store(monkeypatch):
+    # two threads take alternate subsets at once, at degrees 2 to 10, whose
+    # keys outnumber the bound: their verdicts are the serial ones, and the
+    # store ends full, within its bound
+    queries = [(Z, 2 + i % 9) for i, Z in enumerate(_height_one_subsets(72))]
+    serial = [detect_unexpected(Z, d).to_dict() for Z, d in queries]
+    poly._eliminations.clear()
+    keys, eliminate = set(), poly._eliminate
+
+    def keyed(M, p, image, key, slack, store):
+        keys.add(key)
+        return eliminate(M, p, image, key, slack, store)
+
+    monkeypatch.setattr(poly, "_eliminate", keyed)
+    found = [None] * len(queries)
+    barrier = threading.Barrier(2)
+
+    def run(offset):
+        barrier.wait()
+        for i in range(offset, len(queries), 2):
+            found[i] = detect_unexpected(*queries[i]).to_dict()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the store's updates too
+    try:
+        threads = [threading.Thread(target=run, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == serial
+    assert len(keys) > poly._ELIMINATIONS_BOUND == len(poly._eliminations)
 
 
 def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     # the example at j = 3, d = 4: each of the three samples drops rank, and
     # its 15 x 15 rank takes two primes.  Taken alone, a sample's rank
     # reduces its 15 rows for the full-rank test, which its certificate
-    # resumes at prime 0, and again for prime 1, 30 rows.  generic_dim, and
-    # with it m(j), the splitting type and the gate, runs in one
-    # shared_certificates block, where the later samples resume after the 9
-    # rows of Z, so they reduce only their 6 rows of P per prime: 30 + 12 +
-    # 12 rows
+    # resumes at prime 0, and again for prime 1, 30 rows.  From an empty
+    # elimination store, the later samples resume after the 9 rows of Z, so
+    # they reduce only their 6 rows of P per prime: 30 + 12 + 12 rows
     forward = poly._forward
     reduced = [0]
 
@@ -344,13 +419,21 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     Z = example_quartic_config()
     assert generic_dim(Z, 3, 4) == 1
     assert reduced[0] == 54
+    poly._eliminations.clear()
     reduced[0] = 0
     assert multiplicity_dim(Z, 3) == 1
     assert reduced[0] == 54
     reduced[0] = 0
-    # outside any block: Z's 9 rows for dim I(Z)_4 (full rank at prime 0),
-    # then each sample alone
-    assert generic_dim.__wrapped__(Z, 3, 4) == 1
+    # each rank from an emptied store: Z's 9 rows for dim I(Z)_4 (full rank
+    # at prime 0), then each sample alone
+    rank = poly._rank
+
+    def alone(M, shared, eliminations):
+        eliminations.clear()
+        return rank(M, shared, eliminations)
+
+    monkeypatch.setattr(poly, "_rank", alone)
+    assert generic_dim(Z, 3, 4) == 1
     assert reduced[0] == 9 + 3 * 30
 
 
