@@ -27,6 +27,13 @@ more than MAX_EQUIV_POINTS = 20 points: its search tries n(n-1)(n-2)(n-3)
 ordered quadruples, 116,280 at 20 points (2.6 s CPU on two random sets in
 general position, 20.5 s at 30), against 73,440 for dual Fermat F6, whose
 18 points are the most that the suite, the tests and the benchmark compare.
+
+search exits 3 with "budget" before any geometry when its grid side --n is
+above MAX_SEARCH_SIDE = 10 or its --limit above MAX_SEARCH_LIMIT = 3,000:
+each draw walks the (n+1)^2 grid points, and a larger grid takes more draws
+(up to 200 per configuration) to find a 4-rich line.  300 configurations
+take 0.15 s CPU at side 4 (the suite's search), 0.55 s at 10 and 2.4 s at
+20, 50 take 4.3 s at 40, and 3,000 take 1.6 s at side 4 and 4.4 s at 10.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ EXIT_INPUT = 3
 MAX_MATRIX_CELLS = 10_000
 MAX_CONDUCTOR = 128
 MAX_EQUIV_POINTS = 20
+MAX_SEARCH_SIDE = 10
+MAX_SEARCH_LIMIT = 3_000
 
 
 class InputError(Exception):
@@ -257,6 +266,12 @@ def cmd_equiv(args) -> int:
 def cmd_search(args) -> int:
     from .verify import run_timed, search_uniqueness
 
+    if args.n > MAX_SEARCH_SIDE or args.limit > MAX_SEARCH_LIMIT:
+        raise InputError(
+            "budget",
+            f"a search of grid side {args.n} and limit {args.limit} is above the budget "
+            f"of side {MAX_SEARCH_SIDE} and limit {MAX_SEARCH_LIMIT}",
+        )
     space = SearchSpace(
         n=args.n,
         r=args.points,

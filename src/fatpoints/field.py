@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -333,18 +334,21 @@ def _evaluation(powers, p: int):
 
 
 _certificate_primes: dict = {}  # conductor -> [(p, images, lift)] for k = 0, 1, ...
+_drawing = threading.Lock()
 
 
 def _certificate_prime(n: int, k: int):
-    """Field.certificate_prime of the conductor n, or of Q for n = 1."""
-    found = _certificate_primes.setdefault(n, [])
-    while len(found) <= k:
-        # each prime after prime 1 lies below the last
-        bound = _PRIME_BOUNDS[len(found)] if len(found) < 2 else found[-1][0]
-        top = (bound - 2) // n * n + 1
-        candidates = itertools.chain(range(top, 1, -n), itertools.count(top + n, n))
-        found.append(_split(n, next(q for q in candidates if _is_prime(q))))
-    return found[k]
+    """Field.certificate_prime of the conductor n, or of Q for n = 1, drawn
+    under a lock, so that two threads never store a prime twice."""
+    with _drawing:
+        found = _certificate_primes.setdefault(n, [])
+        while len(found) <= k:
+            # each prime after prime 1 lies below the last
+            bound = _PRIME_BOUNDS[len(found)] if len(found) < 2 else found[-1][0]
+            top = (bound - 2) // n * n + 1
+            candidates = itertools.chain(range(top, 1, -n), itertools.count(top + n, n))
+            found.append(_split(n, next(q for q in candidates if _is_prime(q))))
+        return found[k]
 
 
 def _split(n: int, p: int):

@@ -20,12 +20,11 @@ independent mod p are independent.  A matrix gives its rows at a map
 A conditions matrix (linsys) holds its scheme instead, over Q as over
 Q(zeta_n): the rows at each map are built from the images of its points'
 coordinates, keyed by the points, and its integral rows only on a rank
-drop, where the certificate's prime budget and exact check read them.  A
-certificate is kept under the row keys alone (_certificate), for the length
-of a shared_certificates block.  The last elimination at each map and width
-is kept across verdicts, in one store of fixed bound (_eliminations), and
-the next resumes after the rows it shares with it (_eliminate): the
-consecutive subsets of a search share most of their points.
+drop, where the certificate's prime budget and exact check read them.
+Two stores of one bound (_keep) outlive a verdict: the last elimination at
+each map and width, after whose shared rows the next resumes (_eliminate),
+as a search's consecutive subsets share most of their points, and each
+certificate under its row keys, which a witness reads again (_certificate).
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
@@ -70,8 +69,6 @@ grid the degree bounds require, not the number of points evaluated.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import struct
 import threading
@@ -707,18 +704,27 @@ def _back_substitute(echelon, ncols: int, p: int):
 
 
 # The last elimination under each key (field, ncols, k, i), as (row keys,
-# echelon, sizes), least recently stored first, across ranks and verdicts:
-# a search takes its nine-point subsets in combinations order, each sharing
-# most of its points with the last, so each resumes after them.  The bound
-# holds the keys of the largest verdict of the paper's suite and of the
-# benchmark: the dual F5 at degree 7 fills up to 7, prime 0, the four maps
-# of prime 1, and primes 2 and 3, all at 36 columns; a search fills 2.  One
-# F3-F6 fermat_unexpected_range pass fills 37, but each degree has its own
-# width, so its verdicts share no elimination, and a larger bound would
-# only hold wide echelons longer.
-_ELIMINATIONS_BOUND = 8
+# echelon, sizes), and each certificate under (field, ncols, row keys),
+# least recently stored first.  The bound holds the largest verdict's keys:
+# the dual F5 at degree 7 fills up to 7 eliminations, prime 0, the four maps
+# of prime 1, and primes 2 and 3, at 36 columns; a search fills 2.  An F3-F6
+# fermat_unexpected_range pass fills 37, but each degree has its own width,
+# so its verdicts share nothing, and a verdict reads only its own
+# certificates: a larger bound would only hold wide echelons longer.
+_STORE_BOUND = 8
 _eliminations: dict = {}
+_certificates: dict = {}
 _storing = threading.Lock()
+
+
+def _keep(store: dict, key, value) -> None:
+    """Stores value under key, last, and drops the first entries past
+    _STORE_BOUND, under a lock, so threads may share the store."""
+    with _storing:
+        store.pop(key, None)
+        store[key] = value
+        while len(store) > _STORE_BOUND:
+            del store[next(iter(store))]
 
 
 def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, store: dict) -> list:
@@ -737,9 +743,7 @@ def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, store: dict) -> l
     previous subset left.  Only the grid's points over Q(zeta_n), whose
     rows change at every point, pass a store of their own.  _forward is
     deterministic and greedy, so a resumed echelon is the one a fresh
-    elimination of the same rows gives.  Past _ELIMINATIONS_BOUND keys the
-    least recently stored is dropped, under a lock, so threads may share
-    the store.
+    elimination of the same rows gives.  The store is bounded (_keep).
     """
     keys = M.row_keys()
     start, echelon, sizes = 0, [], []
@@ -752,11 +756,7 @@ def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, store: dict) -> l
             start += 1
         echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
     _forward(M.residues(p, image, start), M.ncols, p, echelon, sizes, slack)
-    with _storing:
-        store.pop(key, None)
-        store[key] = (keys, echelon, sizes)
-        while len(store) > _ELIMINATIONS_BOUND:
-            del store[next(iter(store))]
+    _keep(store, key, (keys, echelon, sizes))
     return echelon
 
 
@@ -985,44 +985,23 @@ def _certify(M: ExactMatrix, eliminations: dict):
             return best, [accepted[f] for f in free]
 
 
-_shared = contextvars.ContextVar("fatpoints.poly.shared_certificates", default=None)
+def _certificate(M: ExactMatrix, certificates: dict, eliminations: dict):
+    """_certify, kept in the store certificates (_keep), or the certificate
+    of the same matrix from there, found by M's field, width and row keys:
+    so a conditions matrix finds the certificate of an earlier matrix of the
+    same scheme, a rank's for a nullspace basis, without its integral rows."""
+    key = (M.ring, M.ncols, tuple(map(tuple, M.row_keys())))
+    found = certificates.get(key)
+    if found is None:
+        found = _certify(M, eliminations)
+        _keep(certificates, key, found)
+    return found
 
 
-@contextlib.contextmanager
-def shared_certificates():
-    """Within the block, a matrix certified twice is certified once, so a
-    rank certificate's kernel serves a later nullspace_basis of the same
-    rows.  The certificates are dropped when the block ends; eliminations
-    mod p are not kept here but in _eliminations, across blocks."""
-    token = _shared.set({})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
-def _store() -> dict:
-    """The certificate store of the enclosing shared_certificates block, or
-    a new one that lasts for one rank or kernel."""
-    shared = _shared.get()
-    return {} if shared is None else shared
-
-
-def _certificate(M: ExactMatrix, shared: dict, eliminations: dict):
-    """_certify, or the certificate of the same matrix from the store,
-    found by M's row keys: so a conditions matrix finds the certificate of
-    an earlier matrix of the same scheme, a rank's for a nullspace basis,
-    without building its integral rows."""
-    key = ("certificate", M.ring, M.ncols, tuple(map(tuple, M.row_keys())))
-    if key not in shared:
-        shared[key] = _certify(M, eliminations)
-    return shared[key]
-
-
-def _rank(M: ExactMatrix, shared: dict, eliminations: dict) -> int:
+def _rank(M: ExactMatrix, certificates: dict, eliminations: dict) -> int:
     """Rank of a matrix over a field, its certificate kept in the store
-    shared (_certificate) and its eliminations in the store eliminations
-    (_eliminate).
+    certificates (_certificate) and its eliminations in the store
+    eliminations (_eliminate).
 
     The rows are first eliminated at the first map of prime 0
     (Field.certificate_prime), until full rank min(nrows, ncols) is out of
@@ -1037,7 +1016,7 @@ def _rank(M: ExactMatrix, shared: dict, eliminations: dict) -> int:
     echelon = _eliminate(M, p, images[0], (field, M.ncols, 0, 0), M.nrows - full, eliminations)
     if len(echelon) == full:
         return full
-    pivots, _ = _certificate(M, shared, eliminations)
+    pivots, _ = _certificate(M, certificates, eliminations)
     return len(pivots)
 
 
@@ -1047,14 +1026,14 @@ def exact_rank(M: ExactMatrix) -> int:
     (_certify) decides every other case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
-    return _rank(M, _store(), _eliminations)
+    return _rank(M, _certificates, _eliminations)
 
 
 def rank_of_fraction_rows(M: ExactMatrix) -> int:
     """Rank over Q of a matrix, as exact_rank takes it: linsys ranks its
     conditions matrices over Q by this name, which the benchmark's tracing
     table reads."""
-    return _rank(M, _store(), _eliminations)
+    return _rank(M, _certificates, _eliminations)
 
 
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
@@ -1071,7 +1050,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    _, kernel = _certificate(M, _store(), _eliminations)
+    _, kernel = _certificate(M, _certificates, _eliminations)
     return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 
@@ -1108,11 +1087,10 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     each grid point ranks a #P x dim N integral matrix: over Q by Bareiss
     elimination (_echelon_int), over Q(zeta_n) by _rank, the full-rank test
     and checked certificate of every other rank, in stores of its own for
-    certificates and eliminations, so that the sweep leaves an enclosing
-    shared_certificates store and _eliminations as they were: the rows
-    change at every point, and would only evict eliminations a later rank
-    resumes.
-    The sweep stops once that rank reaches min(#P, dim N), since no larger
+    certificates and eliminations, so that the sweep leaves _certificates
+    and _eliminations as they were: the rows change at every point, and
+    would only evict the entries that a later rank or witness reads.  The
+    sweep stops once that rank reaches min(#P, dim N), since no larger
     minor exists.
 
     The degree bounds are taken from the term keys of M's rows: da and db
@@ -1147,7 +1125,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
             constant.append([e.get((0, 0), zero) for e in row])
         else:
             parametric.append(row)
-    _, kernel = _certificate(ExactMatrix.from_integral(field, constant, M.ncols), _store(), _eliminations)
+    _, kernel = _certificate(ExactMatrix.from_integral(field, constant, M.ncols), _certificates, _eliminations)
     rank_c = M.ncols - len(kernel)
 
     def project(row, v):

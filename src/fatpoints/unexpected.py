@@ -41,7 +41,7 @@ from .linsys import (
     system_basis,
     system_dimension,
 )
-from .poly import Form, shared_certificates, symbolic_rank_bound
+from .poly import Form, symbolic_rank_bound
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,6 @@ class UnexpectedCurveReport:
         return d
 
 
-@shared_certificates()  # the witness reuses its sample's rank certificate
 def detect_unexpected(
     Z: PointConfiguration, d: int, strategy=DEFAULT_STRATEGY
 ) -> UnexpectedCurveReport:
@@ -223,7 +222,8 @@ def detect_unexpected(
     negative, and none when dim I(Z)_d already does.  Sampled mode takes
     the least sample as the generic dimension; certified mode proves a
     negative at the threshold, and a positive, or a Z that leaves no sample
-    point, on the grid.
+    point, on the grid.  A positive's witness is a sample's kernel, read from
+    that sample's rank certificate where its rank dropped.
     """
     if d < 2:
         raise ValueError("unexpected curves need degree at least 2")

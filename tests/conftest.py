@@ -1,6 +1,6 @@
-"""Each test starts with empty point-row, join and elimination stores, so a
-test that counts what the stores hold, hit or build does not depend on
-which tests ran before it."""
+"""Each test starts with empty point-row, join, elimination and certificate
+stores, so a test that counts what the stores hold, hit or build does not
+depend on which tests ran before it."""
 
 import pytest
 
@@ -14,3 +14,4 @@ def empty_memos():
     linsys._point_rows.cache_clear()
     geom._joined.cache_clear()
     poly._eliminations.clear()
+    poly._certificates.clear()

@@ -214,6 +214,27 @@ def test_search_reports_measured_runtime(capsys):
     assert res["runtime"] > 0
 
 
+def test_search_budget(capsys):
+    # grid sides up to MAX_SEARCH_SIDE = 10 and limits up to MAX_SEARCH_LIMIT
+    # = 3,000 are searched (side 2 has one nine-point subset, so its search
+    # ends at once); a side or a limit above is refused before any geometry
+    for argv in (("--n", "10", "--limit", "2"), ("--n", "2", "--limit", "3000")):
+        code, out, err = run_cli(capsys, "search", *argv)
+        assert code == 0 and not err
+        assert json.loads(out)["details"]["tested"] <= 2
+    for argv in (
+        ("--n", "11"),
+        ("--n", "40", "--limit", "5"),
+        ("--limit", "3001"),
+        ("--limit", "30000"),
+    ):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "search", *argv)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (3, ""), argv
+        assert json.loads(err)["error"]["code"] == "budget"
+
+
 def test_verify_selected_claims(tmp_path, capsys):
     out_file = tmp_path / "results.json"
     code, _, err = run_cli(

@@ -20,6 +20,7 @@ from fatpoints import (
     primitive_root,
     render_scalar,
 )
+import fatpoints.field as field_module
 from fatpoints.field import _divmod_monic
 
 
@@ -73,6 +74,37 @@ def test_racing_builds_keep_one_field():
             assert len(found) == 8 and all(f is found[0] for f in found)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_racing_draws_keep_each_prime_once():
+    # two threads that draw a conductor's next primes at once store each
+    # prime once, in the serial order: a prime stored twice would repeat an
+    # earlier one, and CRT over both would fail
+    f5 = Field("cyclotomic", 5)
+    expected = [f5.certificate_prime(k)[0] for k in range(4)]
+    saved = field_module._certificate_primes.pop(5)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            field_module._certificate_primes.pop(5, None)
+            barrier, found = threading.Barrier(2), []
+
+            def draw():
+                barrier.wait(timeout=10)
+                found.append(f5.certificate_prime(3)[0])
+
+            threads = [threading.Thread(target=draw) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert found == [expected[3]] * 2
+            assert [p for p, _, _ in field_module._certificate_primes[5]] == expected
+    finally:
+        sys.setswitchinterval(switch)
+        field_module._certificate_primes[5] = saved
 
 
 def test_conductors_one_and_two_collapse_to_rational_values():

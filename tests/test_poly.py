@@ -621,6 +621,7 @@ def test_cyclotomic_kernel_check_rejects_corrupted_products(monkeypatch):
     for N, name in ((M, "mul"), (M, "scale"), (irrational, "mul"), (irrational, "scale")):
         monkeypatch.setattr(f3, name, corrupted(products[name]))
         primes[0] = 0
+        poly._certificates.clear()  # the kept certificate would skip the check
         if N is M and name == "mul":
             assert nullspace_basis(N) == expected
             assert primes[0] == 1
@@ -779,8 +780,10 @@ def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     primes = _count_primes(monkeypatch)
     # the full-rank test draws prime 0, and the rank and the kernel are
     # residue certificates of two primes below 2^62 each, without prime 0,
-    # which invert nothing over Q(zeta_5)
+    # which invert nothing over Q(zeta_5); the kernel is certified afresh,
+    # not read from the rank's certificate
     assert exact_rank(M) == 35
+    poly._certificates.clear()
     (v,) = nullspace_basis(M)
     assert (certificates[0], primes[0]) == (2, 1 + 2 + 2)
     assert (scalar[0], integral[0]) == (0, 0)
@@ -848,6 +851,7 @@ def test_corrupted_reconstruction_is_never_returned(monkeypatch):
     zeta = primitive_root(f5)
     M = ExactMatrix(f5, [[1, zeta, 2], [zeta, zeta * zeta, 2 * zeta]])
     expected = nullspace_basis(M)
+    poly._certificates.clear()  # each read below certifies M afresh
     reconstruct = poly._reconstruct
     corrupted = [0]
 
@@ -872,6 +876,7 @@ def test_corrupted_reconstruction_is_never_returned(monkeypatch):
         return None if out is None else ([out[0][0] + 1, *out[0][1:]], out[1])
 
     monkeypatch.setattr(poly, "_reconstruct", always_wrong)
+    poly._certificates.clear()
     with pytest.raises(ArithmeticError):
         nullspace_basis(M)
 
@@ -910,10 +915,12 @@ def test_kernels_are_read_rational_first_and_lifted_where_maps_differ(monkeypatc
     M = _dual_fermat_sample(5, 7)
     primes[0] = 0
     assert exact_rank(M) == 35
+    poly._certificates.clear()  # the kernel is certified afresh, not read from the rank's
     (v,) = nullspace_basis(M)
     assert all(not sum((a * x for a, x in zip(row, v)), M.ring.zero) for row in M.rows)
     assert primes[0] == 1 + 2 + 2
     poly._eliminations.clear()
+    poly._certificates.clear()
     assert exact_rank(M) == 35
     assert sorted(key[2:] for key in poly._eliminations) == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
 
@@ -1067,6 +1074,7 @@ def test_rank_below_full_mod_p_is_decided_exactly(monkeypatch):
     p = QQ.certificate_prime(0)[0]
     # the residues of [[p, 0], [0, 1]] mod prime 0 have rank 1, the matrix rank 2
     assert poly.rank_of_fraction_rows(ExactMatrix.from_integral(QQ, [[p, 0], [0, 1]], 2)) == 2
+    poly._certificates.clear()  # the same rows: the second rank is certified afresh
     assert exact_rank(ExactMatrix(QQ, [[p, 0], [0, 1]])) == 2
     assert calls[0] == 2
     for field in RANK_FIELDS[1:]:
@@ -1103,13 +1111,12 @@ def test_rank_drop_is_eliminated_once_per_prime_and_root(monkeypatch):
 
     monkeypatch.setattr(poly, "_forward", counted_forward)
     monkeypatch.setattr(Field, "certificate_prime", counted_prime)
-    with poly.shared_certificates():
-        assert exact_rank(M) == 14
+    assert exact_rank(M) == 14
     pairs = sum(len(certificate_prime(field, k)[1]) for field, k in primes)
     assert len(primes) > 1
     assert reduced[0] == 15 * pairs == 30
-    # outside any block, from an empty elimination store, the certificate
-    # resumes the full-rank test all the same
+    # by each name, on rows built from the scheme or given integral, from
+    # emptied stores, the certificate resumes the full-rank test all the same
     integral = ExactMatrix.from_integral(QQ, M.integral_rows(), 15)
     for rank in (
         lambda: exact_rank(M),
@@ -1117,6 +1124,7 @@ def test_rank_drop_is_eliminated_once_per_prime_and_root(monkeypatch):
         lambda: poly.rank_of_fraction_rows(integral),
     ):
         poly._eliminations.clear()
+        poly._certificates.clear()
         reduced[0] = 0
         assert rank() == 14
         assert reduced[0] == 30
@@ -1127,10 +1135,19 @@ def test_rank_drop_is_eliminated_once_per_prime_and_root(monkeypatch):
 
 
 def test_shared_certificates_resume_after_a_shared_prefix(monkeypatch):
-    # ranks and kernels inside one shared_certificates block, where each
-    # elimination resumes after the rows it shares with the last one, equal
-    # those taken alone
+    # ranks and kernels in turn, where each elimination resumes after the
+    # rows it shares with the last one and each kernel reads its rank's
+    # certificate, equal those taken alone, each from emptied stores
     certificates = _count_calls(monkeypatch, poly, "_certify")
+
+    def alone(field, rows):
+        found = []
+        for read in (exact_rank, nullspace_basis):
+            poly._eliminations.clear()
+            poly._certificates.clear()
+            found.append(read(ExactMatrix(field, rows)))
+        return tuple(found)
+
     for field, height in ((QQ, 10**6), (make_field("cyclotomic", 5), 50)):
         rng = random.Random(f"shared-{field!r}")
 
@@ -1144,32 +1161,42 @@ def test_shared_certificates_resume_after_a_shared_prefix(monkeypatch):
         for _ in range(3):
             extra = row()
             matrices.append(base + [extra, [a + b for a, b in zip(extra, base[1])], extra])
-        alone = [(exact_rank(ExactMatrix(field, rows)), nullspace_basis(ExactMatrix(field, rows))) for rows in matrices]
+        separate = [alone(field, rows) for rows in matrices]
         certificates[0] = 0
-        with poly.shared_certificates():
-            shared = [(exact_rank(ExactMatrix(field, rows)), nullspace_basis(ExactMatrix(field, rows))) for rows in matrices]
-        assert shared == alone
-        assert [rank for rank, _ in alone] == [3, 3, 2, 4, 4, 4]
+        poly._eliminations.clear()
+        poly._certificates.clear()
+        shared = [(exact_rank(ExactMatrix(field, rows)), nullspace_basis(ExactMatrix(field, rows))) for rows in matrices]
+        assert shared == separate
+        assert [rank for rank, _ in separate] == [3, 3, 2, 4, 4, 4]
         # one certificate per distinct matrix: the repeated one is reused
         assert certificates[0] == len(matrices) - 1
 
 
-def test_racing_eliminations_evict_within_the_bound():
-    # two threads store eliminations under new keys at once, each store past
-    # the bound, with thread switches as often as the interpreter allows: no
-    # eviction fails, and the store ends full, within its bound (without the
-    # lock, a thread evicts while the other iterates the store, or both
-    # evict the same key)
+@pytest.mark.parametrize("name", ["_eliminations", "_certificates"])
+def test_racing_eliminations_evict_within_the_bound(name):
+    # two threads store entries under new keys at once in one of the module
+    # stores, eliminations by _eliminate and certificates by the _keep it
+    # calls, each store past the bound, with thread switches as often as the
+    # interpreter allows: no eviction fails, and the store ends full, within
+    # its bound (without the lock, a thread evicts while the other iterates
+    # the store, or both evict the same key)
     M = ExactMatrix(QQ, [[1, 2]])
     p, images, _ = QQ.certificate_prime(0)
-    store, failures = {}, []
+    store, failures = getattr(poly, name), []
+    certificate = poly._certify(M, {})
     barrier = threading.Barrier(2)
+
+    def keep(key):
+        if store is poly._eliminations:
+            poly._eliminate(M, p, images[0], key, 0, store)
+        else:
+            poly._keep(store, key, certificate)
 
     def run(offset):
         barrier.wait()
         try:
             for key in range(offset, 40000, 2):
-                poly._eliminate(M, p, images[0], key, 0, store)
+                keep(key)
         except Exception as error:
             failures.append(error)
 
@@ -1185,7 +1212,7 @@ def test_racing_eliminations_evict_within_the_bound():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(store) == poly._ELIMINATIONS_BOUND
+    assert len(store) == poly._STORE_BOUND
 
 
 def test_rank_invariances():
@@ -1429,11 +1456,11 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
 def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypatch):
     # the grid over Q(zeta_n) ranks its points by the residue certificate,
     # which takes no integral inverse, and each point's rank runs in stores
-    # of its own: the enclosing block gains only the constant rows'
-    # certificate, and the elimination store only that certificate's
-    # eliminations at prime 1: at map 0 alone for F3, whose constant rows
-    # have a rational kernel, and at both maps where a = zeta_6 makes the
-    # kernel irrational and it is read lifted
+    # of its own: from emptied stores, the certificate store gains only the
+    # constant rows' certificate, and the elimination store only that
+    # certificate's eliminations at prime 1: at map 0 alone for F3, whose
+    # constant rows have a rational kernel, and at both maps where a =
+    # zeta_6 makes the kernel irrational and it is read lifted
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
     for Z, expected, maps in (
@@ -1445,10 +1472,9 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
         assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
         assert inverses[0] == 0
         poly._eliminations.clear()
-        with poly.shared_certificates():
-            store = poly._store()
-            assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
-            assert [key[0] for key in store] == ["certificate"]
+        poly._certificates.clear()
+        assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
+        assert [key[:2] for key in poly._certificates] == [(M.ring.field, 15)]
         assert sorted(key[1:] for key in poly._eliminations) == maps
         assert inverses[0] == 0
 

@@ -251,9 +251,9 @@ def test_rank_drops_of_the_example_share_certificates(monkeypatch):
     # (dimension 1, expected 0), and the witness, still asked of
     # nullspace_basis, is the first sample's certificate
     assert (calls[0], kernels[0]) == (3, 1)
-    # certificates last one verdict: the same query certifies afresh
+    # certificates outlive the verdict: the same query reads all three
     second = detect_unexpected(example_quartic_config(), 4)
-    assert (calls[0], kernels[0]) == (6, 2)
+    assert (calls[0], kernels[0]) == (3, 2)
     assert second.to_dict() == first.to_dict()
 
 
@@ -397,7 +397,53 @@ def test_threads_share_the_elimination_store(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert found == serial
-    assert len(keys) > poly._ELIMINATIONS_BOUND == len(poly._eliminations)
+    assert len(keys) > poly._STORE_BOUND == len(poly._eliminations)
+
+
+def test_threads_share_the_certificate_store():
+    # two threads ask at once, from cleared stores, for the example at d =
+    # 4, a projective image of it, a random negative and the dual F3 and F5
+    # over Q(zeta_n), sampled and certified (F5's grid, 1.8 s, sampled
+    # only), one thread in order and one in reverse: each reads
+    # certificates and eliminations the other stored, and each report is
+    # the serial one
+    certified = GeneralPointStrategy(mode="certified")
+    image = apply_transform([[2, -1, 1], [1, 1, 0], [0, 3, 1]], example_quartic_config())
+    queries = [
+        (Z, d, strategy)
+        for Z, d in (
+            (example_quartic_config(), 4),
+            (image, 4),
+            (random_config(9, 1000, ("threads", 0)), 4),
+            (dual_fermat(3), 4),
+        )
+        for strategy in (DEFAULT_STRATEGY, certified)
+    ] + [(dual_fermat(5), 7, DEFAULT_STRATEGY)]
+    serial = [detect_unexpected(*query).to_dict() for query in queries]
+    assert [r["unexpected"] for r in serial] == [True] * 4 + [False] * 4 + [True]
+    poly._eliminations.clear()
+    poly._certificates.clear()
+    found = [[None] * len(queries), [None] * len(queries)]
+    barrier = threading.Barrier(2)
+
+    def run(reverse):
+        barrier.wait()
+        for i in reversed(range(len(queries))) if reverse else range(len(queries)):
+            found[reverse][i] = detect_unexpected(*queries[i]).to_dict()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(reverse,)) for reverse in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [serial, serial]
+    assert 0 < len(poly._certificates) <= poly._STORE_BOUND
 
 
 def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
@@ -406,7 +452,9 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     # reduces its 15 rows for the full-rank test, which its certificate
     # resumes at prime 0, and again for prime 1, 30 rows.  From an empty
     # elimination store, the later samples resume after the 9 rows of Z, so
-    # they reduce only their 6 rows of P per prime: 30 + 12 + 12 rows
+    # they reduce only their 6 rows of P per prime: 30 + 12 + 12 rows.  The
+    # certificates are cleared with the eliminations wherever a rank is
+    # counted cold, as a kept certificate reduces no row
     forward = poly._forward
     reduced = [0]
 
@@ -420,6 +468,7 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     assert generic_dim(Z, 3, 4) == 1
     assert reduced[0] == 54
     poly._eliminations.clear()
+    poly._certificates.clear()
     reduced[0] = 0
     assert multiplicity_dim(Z, 3) == 1
     assert reduced[0] == 54
@@ -428,9 +477,10 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     # at prime 0), then each sample alone
     rank = poly._rank
 
-    def alone(M, shared, eliminations):
+    def alone(M, certificates, eliminations):
+        certificates.clear()
         eliminations.clear()
-        return rank(M, shared, eliminations)
+        return rank(M, certificates, eliminations)
 
     monkeypatch.setattr(poly, "_rank", alone)
     assert generic_dim(Z, 3, 4) == 1
