@@ -11,6 +11,17 @@ matrix that the paper suite, the tests and the benchmark workloads build
 has 2,970 cells (dual Fermat F6 at degree 9, 54 x 55); one point at degree
 13 (79 x 105 = 8,295 cells) runs in about 3 s over Q, and the cost grows
 steeply beyond, so one point at degree 40 (672,441 cells) is refused.
+analyze also counts the nullspace basis that it builds at each degree, up
+to C(d+2, 2) forms of C(d+2, 2) coefficients, with or without --basis: it
+admits --max-degree up to 12 (91 x 91 = 8,281 cells; 0.06 s CPU on one
+point), where one point at --max-degree 40 took 23 s CPU and 261 MB.
+
+gen random exits 3 with "budget" above MAX_GEN_POINTS = 3,333 points, the
+most that any command's budget admits at degree 1 (analyze, 3,333 x 3
+cells): the points are drawn one by one and all kept, and 200,000 took
+2.35 s CPU and 119 MB.  --samples, on unexpected, splitting and search, is
+refused the same way above MAX_SAMPLES = 100: a positive verdict draws
+every sample, and 30 samples take 0.46 s CPU on dual Fermat F6 at degree 9.
 
 A cyclotomic field is refused the same way, with "budget", before it is
 built: a configuration file, gen fermat --n, gen family --id fermat and gen
@@ -69,6 +80,8 @@ MAX_CONDUCTOR = 128
 MAX_EQUIV_POINTS = 20
 MAX_SEARCH_SIDE = 10
 MAX_SEARCH_LIMIT = 3_000
+MAX_SAMPLES = 100
+MAX_GEN_POINTS = MAX_MATRIX_CELLS // comb(3, 2)
 
 
 class InputError(Exception):
@@ -106,12 +119,13 @@ def _load_config(path: str) -> PointConfiguration:
 
 
 def _check_budget(rows: int, d: int) -> None:
-    """Refuse a command whose largest conditions matrix is above the budget."""
+    """Refuse a command whose largest matrix of C(d+2, 2) columns, a
+    conditions matrix or a nullspace basis, is above the budget."""
     cells = rows * comb(d + 2, 2)
     if cells > MAX_MATRIX_CELLS:
         raise InputError(
             "budget",
-            f"the largest conditions matrix would have {rows} x {comb(d + 2, 2)} = {cells} "
+            f"the largest matrix would have {rows} x {comb(d + 2, 2)} = {cells} "
             f"cells, more than the budget of {MAX_MATRIX_CELLS}",
         )
 
@@ -126,6 +140,11 @@ def _check_conductor(n) -> None:
 
 
 def _strategy(args) -> GeneralPointStrategy:
+    if args.samples > MAX_SAMPLES:
+        raise InputError(
+            "budget",
+            f"{args.samples} samples are above the budget of {MAX_SAMPLES}",
+        )
     return GeneralPointStrategy(
         mode="certified" if args.certify else "sampled",
         samples=args.samples,
@@ -155,7 +174,10 @@ def _parse_params(text: str) -> dict:
 
 def cmd_analyze(args) -> int:
     Z = _load_config(args.config)
-    _check_budget(len(Z), max(args.max_degree, 0))
+    d = max(args.max_degree, 0)
+    # the conditions matrix, or the basis dim_linear_system builds with or
+    # without --basis: up to C(d+2, 2) forms of as many coefficients
+    _check_budget(max(len(Z), comb(d + 2, 2)), d)
     stats = analyze_lines(Z)
     X = FatPointScheme.of(Z)
     systems = []
@@ -224,6 +246,11 @@ def cmd_gen(args) -> int:
         _check_conductor(args.n)
         Z = dual_fermat(args.n)
     elif what == "random":
+        if args.points > MAX_GEN_POINTS:
+            raise InputError(
+                "budget",
+                f"{args.points} random points are above the budget of {MAX_GEN_POINTS}",
+            )
         Z = random_config(args.points, args.height, args.seed)
     elif what == "family":
         if not args.id:

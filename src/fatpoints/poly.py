@@ -628,50 +628,49 @@ def _echelon_int(rows, ncols):
 
 
 @lru_cache(maxsize=None)
-def _packing(ncols: int, width: int) -> struct.Struct:
-    """Packs ncols residues below 2^64 into slots of width bytes, width >= 8."""
-    return struct.Struct("<" + f"Q{width - 8}x" * ncols)
+def _packing(ncols: int, p: int):
+    """The one slot layout of _forward's rows of ncols residues mod p:
+    (slots, shifts, mask), column c in the slot at bit shifts[c] that mask
+    covers.  A slot has at least 8 bytes and room for p + ncols * p^2, so
+    none carries into the next; the struct slots packs residues below 2^64
+    and unpacks each slot's low 8 bytes, all of a row reduced mod p < 2^62."""
+    width = max(8, ((ncols + 1) * p * p).bit_length() // 8 + 1)
+    slots = struct.Struct("<" + f"Q{width - 8}x" * ncols)
+    return slots, range(0, 8 * width * ncols, 8 * width), (1 << 8 * width) - 1
 
 
 def _forward(residues, ncols: int, p: int, echelon, sizes, slack: int) -> None:
-    """Forward elimination of rows of residues mod p, extending echelon and
-    sizes in place.
+    """Forward elimination mod p of residue rows, extending echelon and sizes.
 
     Each new row is reduced against the echelon rows so far and appended,
     scaled to pivot 1, as (bit offset of the pivot column, packed row, pivot
-    column, residues); sizes gets the number of echelon rows after each
-    row.  So each echelon row is 0 at the pivots of earlier ones and before
-    its own.  The elimination stops once echelon has ncols rows, or once
-    more than slack rows have reduced to zero.
+    column); sizes gets the number of echelon rows after each row.  So
+    each echelon row is 0 at the pivots of earlier ones and before its
+    own.  The elimination stops once echelon has ncols rows, or once more
+    than slack rows have reduced to zero.
 
-    A row is packed into one int, column c in the slot at byte width * c,
-    so that a row operation is one multiply-add: adding (p - f) times an
-    echelon row keeps every slot nonnegative and below p + ncols * p^2, and
-    the slots are wide enough for that, and at least 8 bytes, so no slot
-    carries into the next.  A row is unpacked mod p once, to find its pivot.
+    A row is packed into one int in the slots of _packing, so that adding
+    (p - f) times an echelon row is one multiply-add, and is unpacked mod
+    p once, to find its pivot; echelon holds it packed only.
     """
-    width = max(8, ((ncols + 1) * p * p).bit_length() // 8 + 1)
-    shifts = range(0, 8 * width * ncols, 8 * width)
-    mask = (1 << 8 * width) - 1
-    slots = _packing(ncols, width)
+    slots, shifts, mask = _packing(ncols, p)
     for row in residues:
         if len(echelon) == ncols or len(sizes) - len(echelon) > slack:
             break
         if echelon:
             v = int.from_bytes(slots.pack(*row), "little")
-            for shift, prow, _, _ in echelon:
+            for shift, prow, _ in echelon:
                 f = (v >> shift & mask) % p
                 if f:
                     v += (p - f) * prow
-            if width == 8:  # prime 0's slots: one struct call unpacks the row
-                row = [x % p for x in slots.unpack(v.to_bytes(slots.size, "little"))]
-            else:
+            if mask >> 64:  # wide slots hold more than their low 8 bytes
                 row = [(v >> s & mask) % p for s in shifts]
+            else:  # prime 0's slots: one struct call unpacks the row
+                row = [x % p for x in slots.unpack(v.to_bytes(slots.size, "little"))]
         c = next((c for c, x in enumerate(row) if x), None)
         if c is not None:
             inv = pow(row[c], -1, p)
-            row = [x * inv % p for x in row]
-            echelon.append((shifts[c], int.from_bytes(slots.pack(*row), "little"), c, row))
+            echelon.append((shifts[c], int.from_bytes(slots.pack(*[x * inv % p for x in row]), "little"), c))
         sizes.append(len(echelon))
 
 
@@ -681,11 +680,12 @@ def _back_substitute(echelon, ncols: int, p: int):
     Returns (pivots, kernel): the pivot columns in increasing order, and
     for each free column f, in increasing order, the residues of its RREF
     basis vector at the pivots before f; the vector is 1 at f and 0 at
-    every other column.  The echelon rows in pivot order are unit upper
-    triangular on the pivot columns, so back substitution solves for each
-    free column.
+    every other column.  The echelon rows, each unpacked by one struct call
+    (_packing), are unit upper triangular on the pivot columns in pivot
+    order, so back substitution solves for each free column.
     """
-    reduced = {c: row for _, _, c, row in echelon}
+    slots = _packing(ncols, p)[0]
+    reduced = {c: slots.unpack(prow.to_bytes(slots.size, "little")) for _, prow, c in echelon}
     pivots = sorted(reduced)
     kernel = []
     for f in range(ncols):

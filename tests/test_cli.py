@@ -311,6 +311,9 @@ def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):
         ("unexpected", str(one), "-d", "40"),  # 781 x 861 cells
         ("analyze", str(one), "--max-degree", "200"),  # 1 x 20,301
         ("splitting", str(fifteen)),  # 120 x 136
+        ("analyze", str(one), "--max-degree", "40"),  # its basis: 861 x 861
+        ("gen", "random", "--points", "3334", "--height", "100"),  # 10,000 // 3 + 1
+        ("unexpected", str(one), "-d", "4", "--samples", "101"),
     ):
         start = time.process_time()
         code, out, err = run_cli(capsys, *argv)

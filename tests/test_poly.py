@@ -804,11 +804,17 @@ def test_certificate_matches_bareiss_on_dual_fermat_samples(n, d):
 
 def _packed_echelon(residues, ncols, p, slack=None):
     """poly._forward on fresh lists, by default to the end: the echelon as
-    (pivot column, residues) pairs, and the sizes."""
+    (pivot column, residues) pairs, each packed row read through the slot
+    layout of poly._packing, and the sizes."""
     echelon, sizes = [], []
     slack = len(residues) if slack is None else slack
     poly._forward([list(r) for r in residues], ncols, p, echelon, sizes, slack)
-    return [(c, row) for _, _, c, row in echelon], sizes
+    slots, shifts, mask = poly._packing(ncols, p)
+    rows = [(c, list(slots.unpack(prow.to_bytes(slots.size, "little")))) for _, prow, c in echelon]
+    # one struct call reads all of each slot, at every width
+    assert all(shift == shifts[c] for shift, _, c in echelon)
+    assert [row for _, row in rows] == [[prow >> s & mask for s in shifts] for _, prow, _ in echelon]
+    return rows, sizes
 
 
 def test_certificate_survives_a_prime_dividing_the_pivot_minor(monkeypatch):
@@ -1213,6 +1219,15 @@ def test_racing_eliminations_evict_within_the_bound(name):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(store) == poly._STORE_BOUND
+
+
+def test_stored_echelon_rows_are_held_packed_only():
+    # each echelon row the store keeps after a dual Fermat range is its
+    # packed int with its pivot's bit offset and column, and no residue list
+    assert unexpected.fermat_unexpected_range(5) == [7]
+    rows = [row for _, echelon, _ in poly._eliminations.values() for row in echelon]
+    assert len(poly._eliminations) == poly._STORE_BOUND and rows
+    assert all(type(row) is tuple and len(row) == 3 and all(type(x) is int for x in row) for row in rows)
 
 
 def test_rank_invariances():
