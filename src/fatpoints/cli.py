@@ -14,12 +14,15 @@ steeply beyond, so one point at degree 40 (672,441 cells) is refused.
 analyze also counts the nullspace basis that it builds at each degree, up
 to C(d+2, 2) forms of C(d+2, 2) coefficients, with or without --basis: it
 admits --max-degree up to 12 (91 x 91 = 8,281 cells; 0.06 s CPU on one
-point), where one point at --max-degree 40 took 23 s CPU and 261 MB.
+point), where one point at --max-degree 40 took 23 s CPU and 261 MB.  Its
+line statistics join each of the C(n, 2) pairs of points, one cell each,
+so it admits at most 141 points (9,870 joins), where 1,000 points at
+--max-degree 1 took 11 s CPU and 531 MB.
 
-gen random exits 3 with "budget" above MAX_GEN_POINTS = 3,333 points, the
-most that any command's budget admits at degree 1 (analyze, 3,333 x 3
-cells): the points are drawn one by one and all kept, and 200,000 took
-2.35 s CPU and 119 MB.  --samples, on unexpected, splitting and search, is
+gen random exits 3 with "budget" above MAX_GEN_POINTS = 3,333 points, as
+many as the rows of a matrix of the budget's cells in the three columns of
+degree 1 (3,333 x 3): the points are drawn one by one and all kept, and
+200,000 took 2.35 s CPU and 119 MB.  --samples, on unexpected, splitting and search, is
 refused the same way above MAX_SAMPLES = 100: a positive verdict draws
 every sample, and 30 samples take 0.46 s CPU on dual Fermat F6 at degree 9.
 
@@ -34,10 +37,12 @@ CPU time on a 2-vCPU machine, analyze --max-degree 1 on four points takes
 Q(zeta_127), and gen fermat --n 127 takes 0.13 s.
 
 equiv exits 3 with "budget" before any geometry when a configuration has
-more than MAX_EQUIV_POINTS = 20 points: its search tries n(n-1)(n-2)(n-3)
-ordered quadruples, 116,280 at 20 points (2.6 s CPU on two random sets in
-general position, 20.5 s at 30), against 73,440 for dual Fermat F6, whose
-18 points are the most that the suite, the tests and the benchmark compare.
+more than MAX_EQUIV_POINTS = 20 points: its search may build a frame for
+each of the n(n-1)(n-2)(n-3) ordered quadruples, and line incidence prunes
+none for points in general position.  Two random sets of 20 such points
+take all 116,280 (1.2 s CPU, 6.4 s at 30), against 73,440 quadruples for
+dual Fermat F6, whose 18 points are the most that the suite, the tests and
+the benchmark compare.
 
 search exits 3 with "budget" before any geometry when its grid side --n is
 above MAX_SEARCH_SIDE = 10 or its --limit above MAX_SEARCH_LIMIT = 3,000:
@@ -118,16 +123,20 @@ def _load_config(path: str) -> PointConfiguration:
         raise InputError("config", f"{path}: {e}") from e
 
 
-def _check_budget(rows: int, d: int) -> None:
-    """Refuse a command whose largest matrix of C(d+2, 2) columns, a
-    conditions matrix or a nullspace basis, is above the budget."""
-    cells = rows * comb(d + 2, 2)
+def _check_cells(what: str, cells: int) -> None:
+    """Refuse a command that would build more than MAX_MATRIX_CELLS cells."""
     if cells > MAX_MATRIX_CELLS:
         raise InputError(
             "budget",
-            f"the largest matrix would have {rows} x {comb(d + 2, 2)} = {cells} "
-            f"cells, more than the budget of {MAX_MATRIX_CELLS}",
+            f"{what} = {cells} cells, more than the budget of {MAX_MATRIX_CELLS}",
         )
+
+
+def _check_budget(rows: int, d: int) -> None:
+    """Refuse a command whose largest matrix of C(d+2, 2) columns, a
+    conditions matrix or a nullspace basis, is above the budget."""
+    cols = comb(d + 2, 2)
+    _check_cells(f"the largest matrix would have {rows} x {cols}", rows * cols)
 
 
 def _check_conductor(n) -> None:
@@ -178,6 +187,8 @@ def cmd_analyze(args) -> int:
     # the conditions matrix, or the basis dim_linear_system builds with or
     # without --basis: up to C(d+2, 2) forms of as many coefficients
     _check_budget(max(len(Z), comb(d + 2, 2)), d)
+    # the line statistics join each of the C(n, 2) pairs, one cell each
+    _check_cells(f"the line statistics would join C({len(Z)}, 2)", comb(len(Z), 2))
     stats = analyze_lines(Z)
     X = FatPointScheme.of(Z)
     systems = []

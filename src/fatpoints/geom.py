@@ -15,14 +15,21 @@ Configurations are ordered lists of distinct points; incidence statistics
 and equivalence treat them as sets.
 
 Collinearity inside a configuration is decided in one place, the line
-inventory of analyze_lines.  Equivalence testing computes the inventory of
-each configuration once: a mismatch of line histograms rejects early, and a
-quadruple is in general position iff no line of its inventory holds three of
-its points.  The frame is anchored at the lexicographically smallest
-general-position quadruple of the first configuration, and every ordered
-general-position quadruple of the second is tried as its image.  Sets
-without such a quadruple are decided only up to two points and for
-triangles, any two of which are equivalent.
+inventory of analyze_lines, which pools the memoized joins of the stored
+triples.  Equivalence testing computes the inventory of each configuration
+once: a mismatch of line histograms rejects early.  From each inventory it
+reads three projective invariants: a point's signature, the sorted
+richnesses of the lines through it; the richness of the line through each
+pair of points; and general position, no line holding three points of a
+quadruple.  The frame is anchored at the lexicographically smallest
+general-position quadruple of the first configuration.  The ordered
+quadruples of the second are tried as its image in lexicographic order, and
+a frame is built only for one whose invariants match the anchor's: a map
+carrying one set onto the other keeps all three, so every quadruple skipped
+would have failed, and the first that succeeds, with its witness, is the one
+the unpruned search finds.  Sets without a general-position quadruple are
+decided only up to two points and for triangles, any two of which are
+equivalent.
 """
 
 from __future__ import annotations
@@ -297,21 +304,29 @@ class LineStats:
 def analyze_lines(Z: PointConfiguration) -> LineStats:
     """Every line through two or more points of Z, with incident indices.
 
-    Each of the C(n, 2) pairs is joined once and the pairs that give the
-    same line are pooled, so the index tuple of a line is exactly the set
-    of points on it.  Lines come in the order of their smallest pair.  This
-    inventory is where collinearity inside a configuration is decided:
-    pencils, general position and the meeting of lines off Z are all read
-    from it.
+    Each of the C(n, 2) pairs is joined once, on the stored triples through
+    the memo _joined, and the pairs that give the same line are pooled, so
+    the index tuple of a line is exactly the set of points on it and one
+    ProjectiveLine is made per line.  Lines come in the order of their
+    smallest pair.  This inventory is where collinearity inside a
+    configuration is decided: pencils, general position and the meeting of
+    lines off Z are all read from it.
     """
-    pts = Z.points
-    pooled: dict[tuple, tuple] = {}
-    for i, j in combinations(range(len(pts)), 2):
-        ln = line_through(pts[i], pts[j])
-        pooled.setdefault(ln.triple, (ln, set()))[1].update((i, j))
+    canonical = _canonical(Z.field)
+    triples = [p.triple for p in Z.points]
+    pooled: dict[tuple, list] = {}
+    for i, j in combinations(range(len(triples)), 2):
+        w = _joined(canonical, triples[i], triples[j])
+        idx = pooled.get(w)
+        if idx is None:
+            pooled[w] = [i, j]
+        elif idx[0] == i:
+            # the pairs of a line's first point come first, in order of j,
+            # and name every other point on it
+            idx.append(j)
     # from a list: tuple() of a generator resizes its result, and each call
     # would leave one more tuple in CPython's per-size free lists
-    lines = tuple([(ln, tuple(sorted(idx))) for ln, idx in pooled.values()])
+    lines = tuple([(ProjectiveLine._stored(Z.field, w), tuple(idx)) for w, idx in pooled.items()])
     hist: dict[int, int] = {}
     for _, idx in lines:
         hist[len(idx)] = hist.get(len(idx), 0) + 1
@@ -384,13 +399,15 @@ def _frame_matrix(quad):
     """Matrix sending the standard frame e1,e2,e3,e1+e2+e3 to the points with
     the four coordinate triples of quad (ints or Scalars)."""
     t1, t2, t3, t4 = quad
-    A = tuple(zip(t1, t2, t3))
-    if not mat3_det(A):
+    # A has the columns t1, t2, t3, so adj(A) has the rows t2 x t3, t3 x t1,
+    # t1 x t2 and det(A) = t1 . (t2 x t3)
+    adj = (_cross(t2, t3), _cross(t3, t1), _cross(t1, t2))
+    if not (t1[0] * adj[0][0] + t1[1] * adj[0][1] + t1[2] * adj[0][2]):
         raise DegenerateInputError("first three frame points are collinear")
-    lam = mat3_vec(mat3_adjugate(A), t4)  # det * A^{-1} t4
-    if not all(lam):
+    l1, l2, l3 = mat3_vec(adj, t4)  # det * A^{-1} t4
+    if not (l1 and l2 and l3):
         raise DegenerateInputError("fourth frame point lies on a side of the triangle")
-    return tuple(tuple(a[j] * lam[j] for j in range(3)) for a in A)
+    return tuple((a * l1, b * l2, c * l3) for a, b, c in zip(t1, t2, t3))
 
 
 def frame_transform(src, dst):
@@ -421,17 +438,69 @@ def frame_transform(src, dst):
     return tuple(tuple(field.from_integral(row, den)) for row in T)
 
 
-def _general_quadruples(stats: LineStats, n: int) -> set:
-    """The 4-subsets of range(n), as sorted tuples, no three of whose
-    points share a line of the inventory."""
-    rich = [set(idx) for _, idx in stats.lines if len(idx) > 2]
-    return {q for q in combinations(range(n), 4) if all(len(r.intersection(q)) < 3 for r in rich)}
+def _incidence(stats: LineStats, n: int):
+    """(line, rich, signature) of a configuration of n points, read from
+    its inventory: line[i][j] is the index in stats.lines of the line
+    through points i != j and rich[i][j] the number of points on it, 0 for
+    i == j; signature[i] is the sorted richnesses of the lines through i."""
+    line = [[-1] * n for _ in range(n)]
+    rich = [[0] * n for _ in range(n)]
+    through: list[list] = [[] for _ in range(n)]
+    for k, (_, idx) in enumerate(stats.lines):
+        for i, j in permutations(idx, 2):
+            line[i][j] = k
+            rich[i][j] = len(idx)
+        for i in idx:
+            through[i].append(len(idx))
+    return line, rich, [sorted(s) for s in through]
+
+
+def _first_general(line):
+    """The lexicographically smallest 4-subset of the points of an incidence
+    table line, no three of whose points share a line, or None."""
+    for q in combinations(range(len(line)), 4):
+        if all(line[a][b] != line[a][c] for a, b, c in combinations(q, 3)):
+            return q
+    return None
+
+
+def _images(anchor, inc1, inc2):
+    """The ordered quadruples of the second configuration, in the order of
+    permutations(range(n), 4), whose invariants match those of the anchor
+    of the first: each point's signature, each pair's richness and general
+    position.  rich is 0 on the diagonal, so the four points are distinct."""
+    _, rich1, sig1 = inc1
+    line2, rich2, sig2 = inc2
+    a, b, c, d = anchor
+    ab, ac, ad = rich1[a][b], rich1[a][c], rich1[a][d]
+    bc, bd, cd = rich1[b][c], rich1[b][d], rich1[c][d]
+    c0, c1, c2, c3 = ([i for i, s in enumerate(sig2) if s == sig1[x]] for x in anchor)
+    for i in c0:
+        ri, li = rich2[i], line2[i]
+        for j in c1:
+            if ri[j] != ab:
+                continue
+            rj, lj = rich2[j], line2[j]
+            for k in c2:
+                if ri[k] != ac or rj[k] != bc or li[k] == li[j]:
+                    continue
+                rk = rich2[k]
+                for m in c3:
+                    if (
+                        ri[m] == ad and rj[m] == bd and rk[m] == cd
+                        and li[m] != li[j] and li[m] != li[k] and lj[m] != lj[k]
+                    ):
+                        yield i, j, k, m
 
 
 def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
     """Whether some projective transformation maps the set Z1 onto the set Z2.
 
-    Returns (verdict, witness matrix or None).
+    Returns (verdict, witness matrix or None).  A frame is built only for an
+    image quadruple whose signatures, pair richnesses and general position
+    match the anchor's (_images); the others cannot be the anchor's image
+    under such a map, so the verdict and the witness are those of trying
+    every general-position quadruple in the same order.
     """
     if Z1.field != Z2.field:
         raise FieldMismatchError("configurations over different fields")
@@ -440,24 +509,23 @@ def projective_equivalent(Z1: PointConfiguration, Z2: PointConfiguration):
     stats1, stats2 = analyze_lines(Z1), analyze_lines(Z2)
     if stats1.histogram_key() != stats2.histogram_key():
         return False, None
-    general1 = _general_quadruples(stats1, len(Z1))
-    if not general1:
+    inc1 = _incidence(stats1, len(Z1))
+    anchor = _first_general(inc1[0])
+    if anchor is None:
         # fewer than 4 points in general position on both sides or neither:
         # fall back to size <= 3 / collinear handling
         return _equivalent_degenerate(Z1, Z2, stats1)
-    # frames are built from the stored triples; T sends each anchor point to
-    # its image by construction, so only the other points are tested
-    anchor = min(general1)
-    general2 = _general_quadruples(stats2, len(Z2))
+    # frames are built from the stored triples; T = F adj(F1), F1 the anchor's
+    # frame and F the image's, sends each anchor point to its image by
+    # construction, so only the other points t are tested, as F (adj(F1) t)
     back = mat3_adjugate(_frame_matrix([Z1[i].triple for i in anchor]))
-    rest = [p.triple for i, p in enumerate(Z1.points) if i not in anchor]
-    target = {p.triple for p in Z2.points}
+    rest = [mat3_vec(back, p.triple) for i, p in enumerate(Z1.points) if i not in anchor]
+    triples = [p.triple for p in Z2.points]
+    target = set(triples)
     canonical = _canonical(Z1.field)
-    for dst in permutations(range(len(Z2)), 4):
-        if tuple(sorted(dst)) not in general2:
-            continue
-        T = mat3_mul(_frame_matrix([Z2[i].triple for i in dst]), back)
-        if all(canonical(mat3_vec(T, t)) in target for t in rest):
+    for dst in _images(anchor, inc1, _incidence(stats2, len(Z2))):
+        F = _frame_matrix([triples[i] for i in dst])
+        if all(canonical(mat3_vec(F, u)) in target for u in rest):
             return True, frame_transform([Z1[i] for i in anchor], [Z2[i] for i in dst])
     return False, None
 

@@ -307,11 +307,14 @@ def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):
     one.write_text(json.dumps(PointConfiguration(QQ, [[1, 2, 3]]).to_dict()))
     fifteen = tmp_path / "fifteen.json"
     fifteen.write_text(json.dumps(random_config(15, 100, "budget").to_dict()))
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps(random_config(142, 1000, "budget").to_dict()))
     for argv in (
         ("unexpected", str(one), "-d", "40"),  # 781 x 861 cells
         ("analyze", str(one), "--max-degree", "200"),  # 1 x 20,301
         ("splitting", str(fifteen)),  # 120 x 136
         ("analyze", str(one), "--max-degree", "40"),  # its basis: 861 x 861
+        ("analyze", str(many), "--max-degree", "1"),  # its line statistics: C(142, 2) joins
         ("gen", "random", "--points", "3334", "--height", "100"),  # 10,000 // 3 + 1
         ("unexpected", str(one), "-d", "4", "--samples", "101"),
     ):

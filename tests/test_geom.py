@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
+import fatpoints.configs as configs
 import fatpoints.geom as geom
 from fatpoints import (
     DegenerateInputError,
@@ -402,6 +404,102 @@ def test_equivalence_witnesses_are_pinned():
         assert verdict and _entries(T) == expected
 
 
+def _first_general_quadruple(Z):
+    """The lexicographically smallest 4-subset of Z's indices no three of
+    whose points share a line of its inventory, or None."""
+    rich = [set(idx) for _, idx in analyze_lines(Z).lines if len(idx) > 2]
+    quads = combinations(range(len(Z)), 4)
+    return next((q for q in quads if all(len(r.intersection(q)) < 3 for r in rich)), None)
+
+
+def _unpruned_equivalent(Z1, Z2):
+    """projective_equivalent without pruning by incidence: every ordered
+    general-position quadruple of Z2, in permutations order, is tried as the
+    image of the anchor, and a frame is built for each."""
+    stats1, stats2 = analyze_lines(Z1), analyze_lines(Z2)
+    if stats1.histogram_key() != stats2.histogram_key():
+        return False, None
+    anchor = _first_general_quadruple(Z1)
+    assert anchor is not None
+    rich2 = [set(idx) for _, idx in stats2.lines if len(idx) > 2]
+    back = mat3_adjugate(geom._frame_matrix([Z1[i].triple for i in anchor]))
+    rest = [p.triple for i, p in enumerate(Z1.points) if i not in anchor]
+    target = {p.triple for p in Z2.points}
+    canonical = geom._canonical(Z1.field)
+    for dst in permutations(range(len(Z2)), 4):
+        if any(len(r.intersection(dst)) > 2 for r in rich2):
+            continue
+        T = mat3_mul(geom._frame_matrix([Z2[i].triple for i in dst]), back)
+        if all(canonical(mat3_vec(T, t)) in target for t in rest):
+            return True, frame_transform([Z1[i] for i in anchor], [Z2[i] for i in dst])
+    return False, None
+
+
+def _shuffled_image(Z, rng):
+    """A seeded projective image of Z, its points in a seeded order."""
+    while True:
+        M = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if mat3_det(M):
+            break
+    points = list(apply_transform(M, Z).points)
+    rng.shuffle(points)
+    return PointConfiguration(Z.field, points)
+
+
+def _general_position_pair(n, height, seed):
+    """Two seeded sets of n points, no three collinear."""
+    found = []
+    for t in range(100):
+        Z = random_config(n, height, (seed, t))
+        if analyze_lines(Z).histogram == {2: comb(n, 2)}:
+            found.append(Z)
+        if len(found) == 2:
+            return found
+    raise AssertionError("no sets in general position")
+
+
+def test_pruned_equivalence_matches_the_unpruned_search():
+    rng = random.Random("pruned-equivalence")
+    example = example_quartic_config()
+    variants = [example] + [example_quartic_variant(p) for p in ((6, 7), (5, 7), (5, 6))]
+    cases = [(Z1, Z2) for Z1 in variants for Z2 in variants]
+    F3 = dual_fermat(3)
+    z = primitive_root(F3.field)
+    F3_image = apply_transform([[1, z, 0], [0, 1, 1], [z, 0, 1]], F3)
+    cases += [(F3, F3_image), (F3_image, F3), (example.lift(F3.field), F3)]
+    cases += [(_shuffled_image(example, rng), example) for _ in range(6)]
+    cases += [(example, _shuffled_image(example, rng)) for _ in range(2)]
+    # equal line histograms, not equivalent: two members of one family
+    prop31 = [configs.family("prop31", {"a": a, "b": b}) for a, b in ((2, 3), (3, 5))]
+    assert analyze_lines(prop31[0]).histogram == analyze_lines(prop31[1]).histogram
+    cases.append(tuple(prop31))
+    A, B = _general_position_pair(7, 20, "pruned-general")
+    cases += [(A, B), (A, _shuffled_image(A, rng))]
+    verdicts = []
+    for Z1, Z2 in cases:
+        verdict, T = projective_equivalent(Z1, Z2)
+        assert (verdict, T) == _unpruned_equivalent(Z1, Z2)
+        verdicts.append(verdict)
+    assert verdicts[-3:] == [False, False, True]
+
+
+def test_equivalence_builds_frames_only_for_matching_quadruples(monkeypatch):
+    # this image of the example was searched through 478 frames before the
+    # quadruples were pruned by incidence; now the anchor's, the first
+    # candidate's and frame_transform's two are built
+    Z = _shuffled_image(example_quartic_config(), random.Random("image:1"))
+    calls = {"_frame_matrix": 0}
+    frame_matrix = geom._frame_matrix
+
+    def counted(quad):
+        calls["_frame_matrix"] += 1
+        return frame_matrix(quad)
+
+    monkeypatch.setattr(geom, "_frame_matrix", counted)
+    assert projective_equivalent(Z, example_quartic_config())[0]
+    assert calls == {"_frame_matrix": 4}
+
+
 def test_cyclotomic_equivalence_witness_is_the_frame_transform():
     F3 = dual_fermat(3)
     z = primitive_root(F3.field)
@@ -411,8 +509,7 @@ def test_cyclotomic_equivalence_witness_is_the_frame_transform():
     assert apply_transform(T, F3).point_set() == image.point_set()
     # the witness is the frame transform from the anchor, the first
     # general-position quadruple of F3, to the points it maps them to
-    stats = analyze_lines(F3)
-    anchor = min(geom._general_quadruples(stats, len(F3)))
+    anchor = _first_general_quadruple(F3)
     src = [F3[i] for i in anchor]
     dst = [ProjectivePoint(F3.field, mat3_vec(T, p.coeffs)) for p in src]
     assert all(q in image for q in dst)
@@ -420,24 +517,22 @@ def test_cyclotomic_equivalence_witness_is_the_frame_transform():
 
 
 def test_collinearity_is_read_from_the_inventory(monkeypatch):
-    calls = {"line_through": 0}
+    calls = {"_joined": 0}
+    joined = geom._joined
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted(*args):
+        calls["_joined"] += 1
+        return joined(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(geom, "line_through", counted("line_through", geom.line_through))
+    monkeypatch.setattr(geom, "_joined", counted)
     Z = example_quartic_config()
     analyze_lines(Z)
     # every one of the C(9, 2) pairs is joined once
-    assert calls == {"line_through": 36}
+    assert calls == {"_joined": 36}
     image = apply_transform([[1, 2, 0], [0, 1, 1], [1, 0, 3]], Z)
     assert projective_equivalent(Z, image)[0]
     # equivalence joins each configuration's pairs once, for its inventory
-    assert calls == {"line_through": 3 * 36}
+    assert calls == {"_joined": 3 * 36}
 
 
 def test_rational_incidence_and_equivalence_make_no_scalar_arithmetic(monkeypatch):

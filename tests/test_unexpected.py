@@ -683,9 +683,38 @@ def test_sample_points_avoid_configuration():
     assert P not in Z.points
 
 
+def _fresh_draw(seed, index, height, field, avoid=()):
+    """The point sample_point draws, from a fresh seeded stream, with no memo."""
+    rng = random.Random(f"fatpoints:{seed}:{index}")
+    while True:
+        p = ProjectivePoint(field, (rng.randint(-height, height), rng.randint(-height, height), 1))
+        if p not in avoid:
+            return p
+
+
+def test_memoized_first_sample_is_the_fresh_draw():
+    f5 = make_field("cyclotomic", 5)
+    for seed, field, height in ((0, QQ, 1000), (7, f5, 1000), ((3, 0, "double"), QQ, 1000), (1, QQ, 2)):
+        strategy = GeneralPointStrategy(height=height, seed=seed)
+        for index in range(3):
+            first = _fresh_draw(seed, index, height, field)
+            assert strategy.sample_point(field, index) == first
+            # the memo's point is returned again, off avoid
+            assert strategy.sample_point(field, index, [ProjectivePoint(field, (0, 0, 1))]) is (
+                unexpected._first_sample(f"fatpoints:{seed}:{index}", height, field)
+            )
+            # the first draw avoided: the stream is drawn on, as with no memo
+            again = strategy.sample_point(field, index, {first})
+            assert again == _fresh_draw(seed, index, height, field, {first}) != first
+    info = unexpected._first_sample.cache_info()
+    assert info.hits > 0 and info.currsize <= info.maxsize
+
+
 def test_sample_point_refuses_a_fully_avoided_box():
     strategy = GeneralPointStrategy(height=2)
     box = [ProjectivePoint(QQ, (x, y, 1)) for x in range(-2, 3) for y in range(-2, 3)]
+    # the memoized first draw is in the box, so the box is still refused
+    assert strategy.sample_point(QQ, 0) in box
     with pytest.raises(ValueError):
         strategy.sample_point(QQ, 0, box)
     # one box point left free is found, whatever else is avoided
