@@ -19,11 +19,13 @@ product, the int multiple, the sum, the coordinates of 1, one element's
 coordinates as an int tuple and the inverse of flattening, so the condition
 rows and the certificates are written once for every field.  Above degree
 1, Field.mul is also the one product modulo Phi_n that Scalar
-multiplication uses, on Fraction tuples.  Field.integral_inverse is the
-one inverse over Q(zeta_n), and serves Scalar division only, as no rank
-over Q(zeta_n) divides by a pivot: x times the product of its other Galois
-conjugates is the norm N(x), a nonzero integer, so 1/x is that product
-over N(x), all in integers.
+multiplication uses, on Fraction tuples.  Field.conjugate is the one
+Galois action, sigma_k sending z to z^k, for each k of
+Field.conjugations.  Field.integral_inverse is the one inverse over
+Q(zeta_n), and serves Scalar division only, as no rank over Q(zeta_n)
+divides by a pivot: x times the product of its other Galois conjugates is
+the norm N(x), a nonzero integer, so 1/x is that product over N(x), all
+in integers.
 Field.certificate_prime is the one sequence of primes p = 1 (mod n): the
 first below 2^15, the rest below 2^62.  Its maps take integral coordinates
 to residues mod p, in the ring Residues(p), and its lift, the inverse
@@ -112,11 +114,14 @@ class Field:
     of 1, flat(x) x as an int tuple and group the inverse of flattening.
     certificate_start is the first prime a residue certificate draws: 0 at
     degree 1, where the full-rank test eliminated its one map, and 1 above,
-    where prime 0 has phi(n) maps for 15 bits.
+    where prime 0 has phi(n) maps for 15 bits.  conjugations holds the
+    units k mod n other than 1, in increasing order, one per Galois
+    automorphism sigma_k other than the identity (conjugate): none at
+    degree 1.
     """
 
-    __slots__ = ("kind", "conductor", "degree", "modulus", "zero", "one",
-                 "mul", "scale", "add", "unit", "flat", "group", "certificate_start")
+    __slots__ = ("kind", "conductor", "degree", "modulus", "zero", "one", "mul", "scale",
+                 "add", "unit", "flat", "group", "certificate_start", "conjugations")
 
     def __new__(cls, kind: str, *conductor: int):
         """The field of this kind and conductor, 1 when none is given and
@@ -136,7 +141,7 @@ class Field:
         if deg == 1:
             self.mul, self.scale, self.add, self.unit = operator.mul, operator.mul, operator.add, 1
             self.flat, self.group = lambda x: (x,), list
-            self.certificate_start = 0
+            self.certificate_start, self.conjugations = 0, ()
         else:
             # the reduction table: z^k in the power basis, k = deg .. 2 deg - 2
             red = [_divmod_monic([0] * k + [1], self.modulus)[1] for k in range(deg, 2 * deg - 1)]
@@ -145,6 +150,7 @@ class Field:
             self.unit = (1,) + (0,) * (deg - 1)
             self.flat, self.group = tuple, lambda values: list(zip(*[iter(values)] * deg))
             self.certificate_start = 1
+            self.conjugations = tuple(k for k in range(2, n) if gcd(k, n) == 1)
         self.zero = Scalar(self, (Fraction(0),) * self.degree)
         self.one = Scalar(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
         return _FIELDS.setdefault(key, self)
@@ -222,7 +228,7 @@ class Field:
         in lowest terms: num an int tuple, den a positive int, gcd 1.
 
         num starts as the product of the Galois conjugates sigma_k(x), z
-        sent to z^k, over the units k mod n other than 1.  Then x * num is
+        sent to z^k (conjugate), over the k of conjugations.  Then x * num is
         the product of all conjugates, the norm N(x): an integer, positive
         for nonzero x as Q(zeta_n) has no real embedding, which is checked.
         So 1/x = num / N(x), and both are divided by gcd(N(x), *num).
@@ -230,20 +236,26 @@ class Field:
         by den.  Scalar.inverse is its one caller: ranks and kernels over
         Q(zeta_n) are residue certificates, which invert only mod p.
         """
-        n, mul = self.conductor, self.mul
+        mul = self.mul
         num = None
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                image = [0] * n
-                for i, c in enumerate(x):
-                    image[i * k % n] += c
-                conjugate = tuple(_divmod_monic(image, self.modulus)[1])
-                num = conjugate if num is None else mul(num, conjugate)
+        for k in self.conjugations:
+            conjugate = self.conjugate(x, k)
+            num = conjugate if num is None else mul(num, conjugate)
         norm, *rest = mul(x, num)
         if any(rest) or norm <= 0:
-            raise ArithmeticError(f"{x} has no inverse in Q(zeta_{n})")
+            raise ArithmeticError(f"{x} has no inverse in Q(zeta_{self.conductor})")
         g = gcd(norm, *num)
         return tuple(c // g for c in num), norm // g
+
+    def conjugate(self, x, k: int) -> tuple:
+        """sigma_k(x), z sent to z^k, for power-basis coordinates x over
+        Q(zeta_n), n > 2, ints or Fractions, and k in conjugations: the
+        coordinate of z^i moves to z^(i k mod n), reduced modulo Phi_n."""
+        n = self.conductor
+        image = [0] * n
+        for i, c in enumerate(x):
+            image[i * k % n] += c
+        return tuple(_divmod_monic(image, self.modulus)[1])
 
     def certificate_prime(self, k: int):
         """(p, images, lift) for the k-th prime p = 1 (mod n), k = 0, 1, ...

@@ -34,7 +34,11 @@ rank and kernel reads that one matrix.  Its rows at each map of a
 certificate prime are built from the images of the points' triples, and
 its integral rows only on a rank drop, when a certificate reads them for
 its prime budget and its exact check.  No Scalar is made on the way to a
-rank.  A nonzero multiple of the triple
+rank.  It also says whether its kernel is rational, as it is for a
+Galois-stable scheme, whose points' conjugates sigma_k(p) are its points
+with the same multiplicities; the scheme reads that from its points'
+triples (_conjugates), and a certificate then reads the kernel at one map
+per prime.  A nonzero multiple of the triple
 scales each row of the point by a nonzero constant, so the row space, the
 ranks, the RREF nullspace bases and every witness are those of the
 point's Scalar triple.  The witness check (_check_vanishing) walks
@@ -81,7 +85,7 @@ class BaseLocusError(ValueError):
 class FatPointScheme:
     """Formal sum m1*P1 + ... + mr*Pr of distinct points with multiplicities."""
 
-    __slots__ = ("field", "parts", "_triples")
+    __slots__ = ("field", "parts", "_triples", "_stable")
 
     def __init__(self, field: Field, parts):
         norm, triples = [], []
@@ -99,6 +103,7 @@ class FatPointScheme:
         # the points' integral coordinates and multiplicities, taken once
         # for every conditions matrix
         self._triples = tuple(triples)
+        self._stable = None  # galois_stable, read on first call
 
     @classmethod
     def of(cls, Z: PointConfiguration, *extra) -> "FatPointScheme":
@@ -110,13 +115,29 @@ class FatPointScheme:
     def plus(self, p, m: int) -> "FatPointScheme":
         """This scheme plus the fat point m*p.  Its parts and row triples
         are kept as they are: only p is normalized, and compared with the
-        scheme's points."""
-        part, triple = _fat_point(self.field, p, m)
+        scheme's points.  Galois stability is derived from this scheme's:
+        a stable scheme plus m*p is stable exactly when every sigma_k fixes
+        p, as sigma_k(p) is otherwise no point of either, so only p's
+        conjugates are taken; an unstable one leaves it to galois_stable."""
+        field = self.field
+        part, triple = _fat_point(field, p, m)
         if any(part[0] == q for q, _ in self.parts):
             raise ValueError("scheme points must be pairwise distinct")
         X = object.__new__(FatPointScheme)
-        X.field, X.parts, X._triples = self.field, self.parts + (part,), self._triples + (triple,)
+        X.field, X.parts, X._triples = field, self.parts + (part,), self._triples + (triple,)
+        X._stable = _galois_stable([triple], field) if self.galois_stable() else None
         return X
+
+    def galois_stable(self) -> bool:
+        """Whether every Galois automorphism sigma_k of the field, k in
+        Field.conjugations, maps the scheme to itself: for each part
+        (p, m), sigma_k(p) is a part of multiplicity m.  Then sigma_k maps
+        each I(X)_d to itself, coefficient by coefficient, and so fixes
+        its RREF basis, whose entries are therefore rational (Galois
+        descent).  Always true over Q; taken once, on the first call."""
+        if self._stable is None:
+            self._stable = _galois_stable(self._triples, self.field)
+        return self._stable
 
     def __len__(self):
         return len(self.parts)
@@ -143,6 +164,32 @@ def _fat_point(field: Field, p, m) -> tuple:
     if not isinstance(m, int) or m < 1:
         raise ValueError("multiplicities must be integers >= 1")
     return (p, m), (_row_triple(p), m)
+
+
+# The row triples of a point's Galois conjugates, keyed by its row triple
+# and field; the bound holds the 62 points of an F3-F6 range scan, the 54
+# Fermat points and the samples, and the 33 of a paper suite run in both
+# modes, with room to spare.
+@lru_cache(maxsize=128)
+def _conjugates(coords: tuple, field: Field) -> tuple:
+    """The row triple of sigma_k(p), for each k of Field.conjugations, of
+    the point p with row triple coords (_row_triple).
+
+    sigma_k of the stored triple of p, first nonzero coordinate 1, has
+    first nonzero coordinate 1 too, so it is the stored triple of
+    sigma_k(p), and conjugating the integral coordinates of a triple gives
+    those of its conjugate: sigma_k is invertible on Z[zeta_n], so it
+    keeps the least common denominator that _row_triple clears."""
+    return tuple(tuple(field.conjugate(c, k) for c in coords) for k in field.conjugations)
+
+
+def _galois_stable(parts, field: Field) -> bool:
+    """Whether the (row triple, multiplicity) pairs parts are closed under
+    each sigma_k (_conjugates)."""
+    if not field.conjugations:
+        return True
+    present = set(parts)
+    return all((q, m) in present for coords, m in parts for q in _conjugates(coords, field))
 
 
 def _chart_index(coords, zero) -> int:
@@ -241,22 +288,23 @@ def _condition_rows(parts, d: int, ring) -> list:
 class _ConditionsMatrix(ExactMatrix):
     """The conditions matrix of a scheme at degree d, held as the scheme:
     its rows at a map into Z/p come from the images of the points' triples,
-    its integral rows are built when first read, and each row is keyed by
-    its point's (triple, multiplicity), which with d fixes it."""
+    its integral rows are built when first read, each row is keyed by its
+    point's (triple, multiplicity), which with d fixes it, and its kernel
+    is rational when the scheme is Galois-stable."""
 
-    __slots__ = ("_parts", "_degree", "_keys", "_offsets")
+    __slots__ = ("_scheme", "_degree", "_keys", "_offsets")
 
     def __init__(self, X: FatPointScheme, d: int):
         counts = [comb(m + 1, 2) for _, m in X._triples]
         self.ring, self.ncols, self.nrows = X.field, comb(d + 2, 2), sum(counts)
         self._rows = self._integral = None
-        self._parts, self._degree = X._triples, d
+        self._scheme, self._degree = X, d
         self._keys = [part for part, n in zip(X._triples, counts) for _ in range(n)]
         self._offsets = [0, *itertools.accumulate(counts)]  # each point's first row
 
     def integral_rows(self) -> list:
         if self._integral is None:
-            self._integral = _condition_rows(self._parts, self._degree, self.ring)
+            self._integral = _condition_rows(self._scheme._triples, self._degree, self.ring)
         return self._integral
 
     def row_keys(self) -> list:
@@ -264,8 +312,11 @@ class _ConditionsMatrix(ExactMatrix):
 
     def residues(self, p: int, image, start: int) -> list:
         q = bisect.bisect_right(self._offsets, start) - 1
-        parts = [(tuple(image(t)), m) for t, m in self._parts[q:]]
+        parts = [(tuple(image(t)), m) for t, m in self._scheme._triples[q:]]
         return _condition_rows(parts, self._degree, Residues(p))[start - self._offsets[q]:]
+
+    def rational_kernel(self) -> bool:
+        return self._scheme.galois_stable()
 
 
 def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:

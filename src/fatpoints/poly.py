@@ -34,9 +34,11 @@ resumes the full-rank test's elimination; over Q(zeta_n) it starts at
 prime 1 (Field.certificate_start), as prime 0 has one map per root there,
 of which the test ran one.  The kernel is read as rational first, from
 the residues at the first map of each prime, by CRT and rational
-reconstruction; only a kernel that is not rational mod p (its maps'
-residues differ) is read from every map, each entry's residues lifted to
-its coordinates mod p.  A vector is returned only after an exact integer
+reconstruction; a matrix that knows its kernel rational, as the conditions
+matrix of a Galois-stable scheme does (ExactMatrix.rational_kernel), reads
+it there alone, and otherwise only a kernel that is not rational mod p (its
+maps' residues differ) is read from every map, each entry's residues lifted
+to its coordinates mod p.  A vector is returned only after an exact integer
 check that it annihilates the rows and has the shape of a reduced row
 echelon (RREF) basis vector, which bounds the rank from above.
 Nullspace bases are the standard bases of the RREF, so they are canonical
@@ -580,6 +582,12 @@ class ExactMatrix:
         image of each integral row."""
         return map(image, self.integral_rows()[start:])
 
+    def rational_kernel(self) -> bool:
+        """Whether the kernel is known to be rational, so that a certificate
+        reads it at the first map of each prime alone (_certify): here
+        False, as rows of values say nothing about their kernel."""
+        return False
+
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
 
@@ -706,11 +714,14 @@ def _back_substitute(echelon, ncols: int, p: int):
 # The last elimination under each key (field, ncols, k, i), as (row keys,
 # echelon, sizes), and each certificate under (field, ncols, row keys),
 # least recently stored first.  The bound holds the largest verdict's keys:
-# the dual F5 at degree 7 fills up to 7 eliminations, prime 0, the four maps
-# of prime 1, and primes 2 and 3, at 36 columns; a search fills 2.  An F3-F6
-# fermat_unexpected_range pass fills 37, but each degree has its own width,
-# so its verdicts share nothing, and a verdict reads only its own
-# certificates: a larger bound would only hold wide echelons longer.
+# a rank drop over Q(zeta_5) whose scheme is not Galois-stable fills up to
+# 7, prime 0, the four maps of prime 1, which it probes, and primes 2 and 3.
+# The dual Fermat samples are stable: F5 at degree 7 fills 3 at 36 columns,
+# map 0 of primes 0 to 2, F6 at degrees 8 and 9 fills 4, and a search
+# fills 2.  An F3-F6 fermat_unexpected_range pass fills 32, but each degree
+# has its own width, so its verdicts share nothing, and a verdict reads
+# only its own certificates: a larger bound would only hold wide echelons
+# longer.
 _STORE_BOUND = 8
 _eliminations: dict = {}
 _certificates: dict = {}
@@ -865,21 +876,27 @@ def _certify(M: ExactMatrix, eliminations: dict):
     primes collected are combined by CRT and rationally reconstructed
     (_reconstruct), and a numerator x is checked against a row entry r as
     Field.scale(r, x); only the vector accepted gets the coordinates
-    Field.scale(unit, x).  Over Q map 0 is the only map; over Q(zeta_n)
-    the kernel of a Galois-stable scheme, as every sample of a dual Fermat
-    range scan is, is rational too (Galois descent).  Only where that read fails at the
-    first prime of a collection are the prime's other maps eliminated: if
-    their pivots and kernel residues all equal map 0's, the kernel is
-    rational mod p and later primes eliminate map 0 alone; otherwise every
-    map of every prime is eliminated and the kernel is read lifted, each
-    entry's residues taken to its coordinates mod p (Field.certificate_prime's
+    Field.scale(unit, x).  Over Q map 0 is the only map.  Over Q(zeta_n)
+    a matrix may know its kernel rational (ExactMatrix.rational_kernel), as
+    the conditions matrix of a Galois-stable scheme does (Galois descent),
+    every sample of a dual Fermat range scan among them: then each prime
+    eliminates map 0 alone.  Any other matrix eliminates the other maps of
+    the first prime of a collection where the read fails there: if their
+    pivots and kernel residues all equal map 0's, the kernel is rational
+    mod p and later primes eliminate map 0 alone; otherwise every map of
+    every prime is eliminated and the kernel is read lifted, each entry's
+    residues taken to its coordinates mod p (Field.certificate_prime's
     lift) and combined and reconstructed the same way.  A rational read
     that reaches prime _prime_budget eliminates the other maps of the
     primes collected and makes the lifted read of those whose maps agree
     on the pivots before it gives up.  So no prime past the budget is
     drawn, and a kernel that the lifted read certifies is certified: one
     that is rational mod p but not rational, its irrational coordinates
-    all multiples of p, costs the primes up to the budget, not an error.
+    all multiples of p, costs the primes up to the budget, not an error;
+    and so does a kernel wrongly known rational, as the flag only chooses
+    how the kernel is read.  The budget is computed only when a read needs
+    it: once a prime past 3 is drawn, or at prime 3 when its read is
+    skipped or fails.
 
     A vector is accepted only when _annihilates passes: the RREF shape and
     M w = 0 in integers.  Once every free column has one, each free column
@@ -893,6 +910,16 @@ def _certify(M: ExactMatrix, eliminations: dict):
     zero, unit, flat = field.scale(field.unit, 0), field.unit, field.flat
     budget = None
     best, lifted = None, False  # the pivots of the primes collected, and how they are read
+
+    def last(k) -> bool:
+        """Whether prime k is the last of the budget, which is 3 primes or
+        more and is computed (_prime_budget) only when first asked of a
+        prime k >= 3."""
+        nonlocal budget
+        if k < 3:
+            return False
+        budget = budget or _prime_budget(rows, field)
+        return k == budget
 
     def eliminate(prime, every: bool) -> bool:
         """Adds the kernel of a prime at map 0, and at each other map if
@@ -942,10 +969,8 @@ def _certify(M: ExactMatrix, eliminations: dict):
         return len(accepted) == len(free)
 
     for k in itertools.count(field.certificate_start):
-        if k >= 3:  # the budget is 3 primes or more
-            budget = budget or _prime_budget(rows, field)
-            if k > budget:
-                raise ArithmeticError(f"no checked kernel after {budget} primes")
+        if k > 3 and last(k - 1):
+            raise ArithmeticError(f"no checked kernel after {budget} primes")
         p, images, lift = field.certificate_prime(k)
         found = []  # (pivots, kernel) at each map eliminated
         prime = (k, p, images, lift, found)
@@ -961,21 +986,21 @@ def _certify(M: ExactMatrix, eliminations: dict):
         collection.append(prime)
         # reconstruction costs about the square of the modulus' size, so
         # past a few primes it is tried at counts 5/4 apart, and at the last
-        if len(collection) < attempt and k != budget:
+        if len(collection) < attempt and not last(k):
             continue
         attempt = max(len(collection) + 1, len(collection) * 5 // 4)
         if read():
             return best, [accepted[f] for f in free]
         if lifted:
             continue
-        if len(collection) == 1:
+        if len(collection) == 1 and not M.rational_kernel():
             # the first prime of the collection: its other maps tell whether
             # the kernel is rational mod p
             agree = eliminate(prime, True)
             lifted = not agree or any(kernel != found[0][1] for _, kernel in found)
             if not agree:
                 collection.pop()
-        elif k == budget:
+        elif last(k):
             # the rational read reached the budget: the primes collected get
             # their other maps, and the lifted read decides before raising
             # (over Q no map is missing, and the two reads are one)

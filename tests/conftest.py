@@ -1,6 +1,6 @@
-"""Each test starts with empty point-row, join, first-sample, elimination
-and certificate stores, so a test that counts what the stores hold, hit or
-build does not depend on which tests ran before it."""
+"""Each test starts with empty point-row, conjugate, join, first-sample,
+elimination and certificate stores, so a test that counts what the stores
+hold, hit or build does not depend on which tests ran before it."""
 
 import pytest
 
@@ -13,6 +13,7 @@ import fatpoints.unexpected as unexpected
 @pytest.fixture(autouse=True)
 def empty_memos():
     linsys._point_rows.cache_clear()
+    linsys._conjugates.cache_clear()
     geom._joined.cache_clear()
     unexpected._first_sample.cache_clear()
     poly._eliminations.clear()

@@ -474,6 +474,33 @@ def test_integral_inverse_is_the_lowest_terms_inverse(n):
         checked += 1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
+def test_conjugate_is_the_galois_action(n):
+    # sigma_k sends z to z^k and is a ring automorphism of Z[zeta_n]:
+    # it respects products, composes as sigma_j sigma_k = sigma_(jk mod n),
+    # and is the identity on the integers; conjugations holds every unit
+    # k mod n but 1, none at degree 1, where Q(zeta_2) = Q
+    field = make_field("cyclotomic", n)
+    units = [k for k in range(2, n) if gcd(k, n) == 1]
+    assert field.conjugations == (tuple(units) if field.degree > 1 else ())
+    assert QQ.conjugations == ()
+    rng = random.Random(f"conjugate:{n}")
+    deg, unit = field.degree, field.unit
+    z = field.flat(primitive_root(field).coeffs) if field.degree > 1 else None
+    for k in field.conjugations:
+        assert field.conjugate(z, k) == field.flat((primitive_root(field) ** k).coeffs)
+        assert field.conjugate(field.scale(unit, 7), k) == field.scale(unit, 7)
+        x, y = (tuple(rng.randint(-50, 50) for _ in range(deg)) for _ in range(2))
+        assert field.conjugate(field.mul(x, y), k) == field.mul(field.conjugate(x, k), field.conjugate(y, k))
+        for j in field.conjugations:
+            jk = j * k % n
+            twice = field.conjugate(field.conjugate(x, k), j)
+            assert twice == (x if jk == 1 else field.conjugate(x, jk))
+        # Fraction coordinates conjugate alike
+        half = tuple(Fraction(c, 2) for c in x)
+        assert field.conjugate(half, k) == tuple(Fraction(c, 2) for c in field.conjugate(x, k))
+
+
 def test_divmod_monic_matches_sympy():
     sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")

@@ -688,6 +688,50 @@ def _layout_branches(source: str) -> list:
     return found
 
 
+def test_galois_stability_is_read_from_the_points():
+    # each sigma_k permutes the points of the dual Fermat F_n, each of
+    # multiplicity 1, and fixes an integer sample: stable, whether the
+    # sample is added (plus, from the parent's flag) or given up front
+    sample = (7, -3, 1)
+    for n in (3, 4, 5, 6):
+        Z = dual_fermat(n)
+        X = FatPointScheme.of(Z)
+        assert X.galois_stable()
+        assert X.plus(sample, n - 1).galois_stable()
+        assert FatPointScheme.of(Z, (sample, n - 1)).galois_stable()
+        assert conditions_matrix(X.plus(sample, n - 1), 2 * n - 3).rational_kernel()
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    Z = dual_fermat(5)
+    orbit = ProjectivePoint(f5, (1, -z, 0))  # its conjugates (1, -z^k, 0) are points of Z
+    rest = [p for p in Z.points if p != orbit]
+    # one point of an orbit dropped: unstable, and stable again once it is
+    # added back (plus an unstable scheme: the flag is taken in full)
+    dropped = FatPointScheme(f5, [(p, 1) for p in rest])
+    assert not dropped.galois_stable()
+    assert not conditions_matrix(dropped, 7).rational_kernel()
+    assert dropped.plus(orbit, 1).galois_stable()
+    # an orbit whose points have unequal multiplicities
+    assert not FatPointScheme(f5, [(p, 1) for p in rest] + [(orbit, 2)]).galois_stable()
+    assert not FatPointScheme.of(Z).plus((1, z, 1), 3).galois_stable()
+    # integer points over Q(zeta_5) are fixed by every sigma_k
+    integral = random_config(6, 9, "stable-over-zeta5").lift(f5)
+    assert FatPointScheme.of(integral, (ProjectivePoint(f5, sample), 3)).galois_stable()
+    # prop33-first at a = zeta_6: sigma_5 sends zeta_6 to its conjugate,
+    # which no point of the configuration matches
+    assert not FatPointScheme.of(family("prop33-first", {"a": primitive_root(make_field("cyclotomic", 6))})).galois_stable()
+    # every scheme over Q, and over Q(zeta_2), is stable
+    rng = random.Random("stable-over-q")
+    for field in (QQ, make_field("cyclotomic", 2)):
+        for t in range(5):
+            Z = random_config(rng.randint(1, 9), 50, ("stable", t)).lift(field)
+            X = FatPointScheme.of(Z, (ProjectivePoint(field, (rng.randint(1, 9), 1, 1)), rng.randint(1, 4)))
+            assert X.galois_stable() and conditions_matrix(X, 4).rational_kernel()
+    assert FatPointScheme.of(example_quartic_config()).galois_stable()
+    # a matrix of values says nothing about its kernel
+    assert not ExactMatrix(f5, [[1, z]]).rational_kernel()
+
+
 def test_the_layout_guard_sees_aliases_and_tuple_tests():
     assert _layout_branches("def g(c):\n    return any(c) if type(c) is tuple else c\n") == [("g", 2)]
     assert _layout_branches("def g(c):\n    return isinstance(c, (int, tuple))\n") == [("g", 2)]

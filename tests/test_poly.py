@@ -915,10 +915,12 @@ def test_kernels_are_read_rational_first_and_lifted_where_maps_differ(monkeypatc
     primes[0] = 0
     assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, 2, f3)]
     assert primes[0] == poly._prime_budget(M.integral_rows(), f3) == 9
-    # dual F5 with a 6-fold point at degree 7 has a rational kernel: its
-    # rank certificate eliminates the 4 maps of prime 1, where the rational
-    # read fails and the maps agree, and map 0 alone of prime 2
+    # dual F5 with a 6-fold point at degree 7 is Galois-stable, so its
+    # kernel is rational: its rank certificate eliminates map 0 alone of
+    # prime 1, where the rational read fails, and of prime 2, where it
+    # succeeds; the primes are those of a read that probed the other maps
     M = _dual_fermat_sample(5, 7)
+    assert M.rational_kernel()
     primes[0] = 0
     assert exact_rank(M) == 35
     poly._certificates.clear()  # the kernel is certified afresh, not read from the rank's
@@ -928,7 +930,61 @@ def test_kernels_are_read_rational_first_and_lifted_where_maps_differ(monkeypatc
     poly._eliminations.clear()
     poly._certificates.clear()
     assert exact_rank(M) == 35
-    assert sorted(key[2:] for key in poly._eliminations) == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+    assert sorted(key[2:] for key in poly._eliminations) == [(0, 0), (1, 0), (2, 0)]
+
+
+def test_a_kernel_wrongly_known_rational_costs_primes_only(monkeypatch):
+    # the flag only chooses how a kernel is read: a matrix that claims a
+    # rational kernel it does not have is read at map 0 in vain up to the
+    # budget, where every map is eliminated and the lifted read certifies
+    # the true kernel, which the probing read finds at prime 1
+    class KnownRational(ExactMatrix):
+        __slots__ = ()
+
+        def rational_kernel(self):
+            return True
+
+    f12 = make_field("cyclotomic", 12)
+    z = primitive_root(f12)
+    primes = _count_primes(monkeypatch)
+    for rows in ([[1, z**3]], [[1, z + z**5, 3], [2, 1, z**3]]):
+        M = KnownRational(f12, rows)
+        primes[0] = 0
+        assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, M.ncols, f12)]
+        assert primes[0] == poly._prime_budget(M.integral_rows(), f12)
+
+
+def test_stable_kernels_read_at_map_0_match_the_probed_read(monkeypatch):
+    # each dual Fermat sample of F3-F6 at its range degrees, from the
+    # conditions matrix, which knows its scheme Galois-stable and reads map
+    # 0 alone, and from its integral rows, which probe the other maps where
+    # the rational read fails: the same ranks and RREF bases
+    budgets = _count_calls(monkeypatch, poly, "_prime_budget")
+    primes = _count_primes(monkeypatch)
+    drops = []
+    for n in (3, 4, 5, 6):
+        for d in range(3, 2 * n - 2):
+            M = _dual_fermat_sample(n, d)
+            assert M.rational_kernel()
+            found = []
+            for N in (M, ExactMatrix.from_integral(M.ring, M.integral_rows(), M.ncols)):
+                poly._eliminations.clear()
+                poly._certificates.clear()
+                primes[0] = budgets[0] = 0
+                found.append((exact_rank(N), nullspace_basis(N)))
+                maps = {key[3] for key in poly._eliminations}
+                if N is M:
+                    # a stable sample fills map-0 keys only, and computes no
+                    # prime budget: no certificate goes past prime 3
+                    assert maps == {0} and budgets[0] == 0
+                    if found[0][0] < min(M.nrows, M.ncols):
+                        # prime 0 for the rank, then primes 1 on of its
+                        # certificate, which the basis reads again
+                        drops.append((n, d, found[0][0], primes[0] - 1))
+                elif drops and drops[-1][:2] == (n, d):
+                    assert maps != {0}  # the probe eliminated the other maps of prime 1
+            assert found[0] == found[1], (n, d)
+    assert drops == [(5, 7, 35, 2), (6, 8, 44, 3), (6, 9, 53, 3)]
 
 
 RANK_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (3, 4, 5, 6, 7, 8, 12)]
