@@ -11,10 +11,13 @@ matrix that the paper suite, the tests and the benchmark workloads build
 has 2,970 cells (dual Fermat F6 at degree 9, 54 x 55); one point at degree
 13 (79 x 105 = 8,295 cells) runs in about 3 s over Q, and the cost grows
 steeply beyond, so one point at degree 40 (672,441 cells) is refused.
-analyze also counts the nullspace basis that it builds at each degree, up
-to C(d+2, 2) forms of C(d+2, 2) coefficients, with or without --basis: it
-admits --max-degree up to 12 (91 x 91 = 8,281 cells; 0.06 s CPU on one
-point), where one point at --max-degree 40 took 23 s CPU and 261 MB.  Its
+analyze also counts the nullspace basis that --basis builds at each
+degree, up to C(d+2, 2) forms of C(d+2, 2) coefficients, with or without
+the flag: it admits --max-degree up to 12 (91 x 91 = 8,281 cells; 0.06 s
+CPU on one point), where one point at --max-degree 40 took 23 s CPU and
+261 MB.  Without --basis it takes each dimension by rank alone
+(system_dimension) and builds no basis: nine random points of height
+10^30 at --max-degree 5 take 0.01 s CPU, not the 1.1 s their bases took.  Its
 line statistics join each of the C(n, 2) pairs of points, one cell each,
 so it admits at most 141 points (9,870 joins), where 1,000 points at
 --max-degree 1 took 11 s CPU and 531 MB.
@@ -184,8 +187,8 @@ def _parse_params(text: str) -> dict:
 def cmd_analyze(args) -> int:
     Z = _load_config(args.config)
     d = max(args.max_degree, 0)
-    # the conditions matrix, or the basis dim_linear_system builds with or
-    # without --basis: up to C(d+2, 2) forms of as many coefficients
+    # the conditions matrix, or the basis that --basis builds: up to
+    # C(d+2, 2) forms of as many coefficients, counted with or without it
     _check_budget(max(len(Z), comb(d + 2, 2)), d)
     # the line statistics join each of the C(n, 2) pairs, one cell each
     _check_cells(f"the line statistics would join C({len(Z)}, 2)", comb(len(Z), 2))
@@ -193,10 +196,7 @@ def cmd_analyze(args) -> int:
     X = FatPointScheme.of(Z)
     systems = []
     for d in range(1, args.max_degree + 1):
-        rep = dim_linear_system(X, d)
-        systems.append(rep.to_dict() if args.basis else {
-            k: v for k, v in rep.to_dict().items() if k != "basis"
-        })
+        systems.append(dim_linear_system(X, d, basis=args.basis).to_dict())
     payload = {
         "points": len(Z),
         "field": Z.field.to_dict(),

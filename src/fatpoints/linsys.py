@@ -41,9 +41,11 @@ triples (_conjugates), and a certificate then reads the kernel at one map
 per prime.  A nonzero multiple of the triple
 scales each row of the point by a nonzero constant, so the row space, the
 ranks, the RREF nullspace bases and every witness are those of the
-point's Scalar triple.  The witness check (_check_vanishing) walks
-derivatives in an affine chart instead, a second formulation of the same
-conditions.
+point's Scalar triple.  The witness check (_check_vanishing) reads the
+same conditions in a second formulation, in Scalars and in an affine
+chart: one Taylor expansion of the form at each fat point, whose
+coefficients of total order below m are its chart derivatives up to
+factorials.
 
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.  A conditions matrix has
@@ -73,7 +75,6 @@ from .poly import (
     exact_rank,
     monomial_basis,
     nullspace_basis,
-    partial_derivative,
     rank_of_fraction_rows,
 )
 
@@ -341,66 +342,114 @@ def system_dimension(X: FatPointScheme, d: int) -> int:
 
 @dataclass(frozen=True)
 class LinearSystemReport:
-    """Exact dimension data of I(X)_d together with a basis of forms."""
+    """Exact dimension data of I(X)_d, with a basis of forms when one was
+    asked for (basis is None otherwise)."""
 
     degree: int
     vdim: int
     edim: int
     dim: int
     special: bool
-    basis: tuple
+    basis: tuple | None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "degree": self.degree,
             "vdim": self.vdim,
             "edim": self.edim,
             "dim": self.dim,
             "special": self.special,
-            "basis": [[str(c) for c in f.coeffs] for f in self.basis],
         }
+        if self.basis is not None:
+            out["basis"] = [[str(c) for c in f.coeffs] for f in self.basis]
+        return out
 
 
-def dim_linear_system(X: FatPointScheme, d: int) -> LinearSystemReport:
-    """Exact dimension of I(X)_d with virtual/expected bookkeeping."""
+def dim_linear_system(X: FatPointScheme, d: int, basis: bool = True) -> LinearSystemReport:
+    """Exact dimension of I(X)_d with virtual/expected bookkeeping: from
+    its nullspace basis, or, with basis=False, by rank alone
+    (system_dimension), with no basis built."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     vdim = comb(d + 2, 2) - X.condition_count()
     edim = max(vdim, 0)
-    forms = tuple(Form(X.field, d, vec) for vec in nullspace_basis(conditions_matrix(X, d)))
-    dim = len(forms)
+    forms = None
+    if basis:
+        forms = tuple(Form(X.field, d, vec) for vec in nullspace_basis(conditions_matrix(X, d)))
+        dim = len(forms)
+    else:
+        dim = system_dimension(X, d)
     return LinearSystemReport(
         degree=d, vdim=vdim, edim=edim, dim=dim, special=(dim > edim), basis=forms
     )
 
 
+def _shift(coeffs: list, p, k: int, unit: bool) -> list:
+    """The coefficients of s^0, ..., s^(k-1) in h(p + s), where
+    h(x) = sum_i coeffs[i] x^i: k passes of synthetic division by x - p in
+    place, the i-th of which leaves h^(i)(p) / i! at index i.  No product
+    is formed by p = 1 (unit) or by a zero coefficient, and p = 0 shifts
+    nothing."""
+    if p:
+        n = len(coeffs) - 1
+        for i in range(min(k, n)):
+            for j in range(n - 1, i - 1, -1):
+                a = coeffs[j + 1]
+                if a:
+                    coeffs[j] = coeffs[j] + (a if unit else p * a)
+    return coeffs[:k]
+
+
+def _vanishes_to_order(f: Form, coords, m: int) -> bool:
+    """Whether f vanishes to order m at the point with coordinates coords,
+    by one Taylor expansion in the chart of its last nonzero coordinate c.
+
+    With u, v the other two coordinates, g(s, t) = f(p + s e_u + t e_v)
+    has the coefficient d_u^a d_v^b f(p) / (a! b!) at s^a t^b, and f
+    vanishes to order m at p when each of a + b < m is zero.  The
+    coefficients of f, each weighted by p_c^(e_c) unless p_c = 1, are laid
+    out as one row in X_u per exponent of X_v; each row is shifted
+    X_u -> p_u + s up to s^(m-1), then each of those m columns, in X_v,
+    is shifted X_v -> p_v + t up to the order it still needs."""
+    field = f.ring
+    zero, one = field.zero, field.one
+    c = _chart_index(coords, zero)
+    u, v = [i for i in range(3) if i != c]
+    pu, pv, pc = coords[u], coords[v], coords[c]
+    d = f.degree
+    weights = None
+    if pc != one:
+        weights = [one, pc]
+        for _ in range(2, d + 1):
+            weights.append(weights[-1] * pc)
+    rows = [[zero] * (d - j + 1) for j in range(d + 1)]  # rows[e_v][e_u]
+    for e, a in zip(monomial_basis(d), f.coeffs):
+        if a:
+            rows[e[v]][e[u]] = a * weights[e[c]] if weights and e[c] else a
+    unit_u, unit_v = pu == one, pv == one
+    rows = [_shift(row, pu, m, unit_u) for row in rows]
+    for i in range(min(m, d + 1)):
+        column = [rows[j][i] for j in range(d - i + 1)]
+        if any(_shift(column, pv, m - i, unit_v)):
+            return False
+    return True
+
+
 def _check_vanishing(f: Form, X: FatPointScheme) -> None:
     """Post-condition: f meets every multiplicity condition of X.
 
-    The check runs by symbolic differentiation and evaluation, apart from
-    the condition rows and the kernel certificate, and in the affine chart
-    of the point's last nonzero coordinate c rather than by Euler partials:
-    with u, v the other two coordinates, each point's orders
-    (a_u, a_v), a_u + a_v < m, are walked as a chain: d_u^a_u f from
-    d_u^(a_u - 1) f, then d_v one step at a time, so an m-fold point takes
-    C(m+1, 2) - 1 derivatives and every (point, order) pair is evaluated.
+    The check evaluates f exactly, apart from the condition rows, their
+    templates and the kernel certificate, and in the affine chart of the
+    point's last nonzero coordinate rather than by Euler partials: a simple
+    point by poly.evaluate, an m-fold point by one Taylor expansion of f
+    (_vanishes_to_order), whose coefficients of total order below m are
+    the chart derivatives of those orders up to factorials, so it accepts
+    exactly the forms that vanish to order m there.
     """
     for p, m in X.parts:
-        coords = p.coeffs
-        chart = _chart_index(coords, p.field.zero)
-        u, v = [i for i in range(3) if i != chart]
-        fu = f
-        for au in range(m):
-            if au:
-                fu = partial_derivative(fu, u)
-            g = fu
-            for av in range(m - au):
-                if av:
-                    g = partial_derivative(g, v)
-                if not evaluate(g, coords).is_zero():
-                    raise AssertionError(
-                        f"basis form fails the order-{m} condition at {p!r}"
-                    )
+        meets = evaluate(f, p.coeffs).is_zero() if m == 1 else _vanishes_to_order(f, p.coeffs, m)
+        if not meets:
+            raise AssertionError(f"basis form fails the order-{m} condition at {p!r}")
 
 
 def system_basis(X: FatPointScheme, d: int) -> list[Form]:

@@ -90,6 +90,36 @@ def test_analyze_one_point_configuration(tmp_path, capsys):
     assert [(s["degree"], s["dim"]) for s in data["systems"]] == [(1, 2), (2, 5), (3, 9), (4, 14)]
 
 
+def test_analyze_without_basis_builds_no_basis(tmp_path, capsys, monkeypatch):
+    # without --basis analyze takes each dimension by rank alone and makes
+    # no nullspace_basis call, and its output, JSON and --pretty alike, is
+    # the --basis output with each basis dropped
+    from fatpoints import linsys, poly
+
+    code, out, _ = run_cli(capsys, "gen", "random", "--points", "9", "--height", "1000000", "--seed", "5")
+    assert code == 0
+    cfg = tmp_path / "random.json"
+    cfg.write_text(out)
+    calls = [0]
+
+    def counted(M):
+        calls[0] += 1
+        return poly.nullspace_basis(M)
+
+    monkeypatch.setattr(linsys, "nullspace_basis", counted)
+    argv = ("analyze", str(cfg), "--max-degree", "5")
+    code, full, _ = run_cli(capsys, *argv, "--basis")
+    assert code == 0 and calls[0] == 5
+    code, pretty, _ = run_cli(capsys, *argv, "--basis", "--pretty")
+    assert code == 0 and calls[0] == 10
+    data = json.loads(full)
+    for system in data["systems"]:
+        del system["basis"]
+    assert run_cli(capsys, *argv) == (0, json.dumps(data) + "\n", "")
+    assert run_cli(capsys, *argv, "--pretty") == (0, pretty, "")
+    assert calls[0] == 10
+
+
 def test_unexpected_command(tmp_path, capsys):
     cfg = tmp_path / "ex.json"
     cfg.write_text(json.dumps(example_quartic_config().to_dict()))

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from math import comb, perm
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +29,7 @@ from fatpoints import (
     nullspace_basis,
     partial_derivative,
     primitive_root,
+    product,
     random_config,
     rational_map_image,
     symbolic_conditions_matrix,
@@ -40,6 +42,7 @@ from fatpoints.linsys import (
     _check_vanishing,
     _condition_rows,
     _point_rows,
+    _vanishes_to_order,
     system_dimension,
 )
 from fatpoints.poly import monomial_basis
@@ -202,6 +205,22 @@ def _failing_one_condition(X, d, point_index, alpha):
     return system_basis(X, d)[0] + Form(X.field, d, g)
 
 
+def _order_exactly(field, coords, k, d, i):
+    """L_u^i L_v^(k - i) x_c^(d - k), L_u = p_c x_u - p_u x_c and L_v
+    alike in the chart c of the triple coords: it vanishes to order k there
+    and no further, and of its Taylor coefficients of order k in that
+    chart only the one at s^i t^(k - i) is nonzero."""
+    c = _chart_index(coords, field.zero)
+    u, v = [j for j in range(3) if j != c]
+
+    def line(w):
+        triple = [field.zero] * 3
+        triple[w], triple[c] = coords[c], -coords[w]
+        return Form(field, 1, triple)
+
+    return product([line(u)] * i + [line(v)] * (k - i) + [Form.variable(field, c)] * (d - k))
+
+
 def test_check_vanishing_raises_on_each_failing_condition():
     # every order-2 partial of a triple point, a simple point of Z, and
     # every first partial of a double dual F3 point in chart y over
@@ -221,11 +240,55 @@ def test_check_vanishing_raises_on_each_failing_condition():
         h = _failing_one_condition(scheme, d, i, alpha)
         with pytest.raises(AssertionError, match=re.escape(f"order-{m} condition at {p!r}")):
             _check_vanishing(h, scheme)
+    # a form that fails one order-5 condition of a 6-fold point and no
+    # other, at each s^i t^(5 - i) in turn: a Taylor shift truncated one
+    # order short in s or in t would pass it.  P = [1, 3/2, 7/2] shifts t
+    # by products and weights by powers of 7/2, and the form's factor z^2
+    # vanishes at the two simple points, on z = 0, and not at P
+    P = _point(2, 3, 7)
+    Q1, Q2 = _point(1, 0, 0), _point(0, 1, 0)
+    W = FatPointScheme(QQ, [(Q1, 1), (Q2, 1), (P, 6)])
+    for i in range(6):
+        h = _order_exactly(QQ, P.coeffs, 5, 7, i)
+        assert _vanishes_to_order(h, P.coeffs, 5) and not _vanishes_to_order(h, P.coeffs, 6)
+        with pytest.raises(AssertionError, match=re.escape(f"order-6 condition at {P!r}")):
+            _check_vanishing(h, W)
+
+
+def test_taylor_check_agrees_with_the_chart_oracle():
+    # the Taylor check of one fat point against the derivative oracle in
+    # every chart, on each basis form of the scheme and on forms that
+    # vanish to exactly k = 0, ..., m there, alone and added to a basis
+    # form: at the point's stored triple and at a multiple of it, which
+    # moves every chart coordinate off 1 (a stored triple's first nonzero
+    # coordinate is 1, so its x chart's always is)
+    Z = example_quartic_config()
+    F3, F5 = dual_fermat(3), dual_fermat(5)
+    cases = [
+        (Z.points, _point(5, 11, 1), 3, 4),  # the example's triple point
+        (F5.points, GeneralPointStrategy(seed=0).sample_point(F5.field, 0, set(F5.points)), 6, 7),
+        (Z.points[:4], _point(1, 0, 0), 2, 3),  # chart x
+        (Z.points[:4], _point(1, 3, 0), 2, 3),  # chart y, coordinate 3
+        (F3.points[1:], F3.points[0], 2, 4),  # chart y over Q(zeta_3)
+    ]
+    for points, P, m, d in cases:
+        field = P.field
+        basis = system_basis(FatPointScheme(field, [(q, 1) for q in points] + [(P, m)]), d)
+        assert basis
+        for coords in (P.coeffs, tuple(3 * c for c in P.coeffs)):
+            forms = [(f, True) for f in basis]
+            for k in range(m + 1):
+                h = _order_exactly(field, coords, k, d, k // 2)
+                forms += [(h, k >= m), (basis[0] + h, k >= m)]
+            for f, meets in forms:
+                assert _vanishes_to_order(f, coords, m) is meets
+                assert _vanishes_to_order_in_all_charts(f, SimpleNamespace(coeffs=coords), m) is meets
 
 
 def test_witness_check_scalar_products(monkeypatch):
     # every Scalar product of system_basis is made by its witness check:
-    # one derivative chain per fat point, each derivative evaluated by Horner
+    # one evaluation by Horner per simple point and one Taylor expansion
+    # per fat point
     calls = [0]
     mul = Scalar.__mul__
 
@@ -241,7 +304,7 @@ def test_witness_check_scalar_products(monkeypatch):
         calls[0] = 0
         assert len(system_basis(X, d)) == 1
         counts.append(calls[0])
-    assert counts == [59, 394]
+    assert counts == [31, 173]
 
 
 def test_basis_vanishing_in_all_charts():
