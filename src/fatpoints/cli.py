@@ -11,13 +11,14 @@ matrix that the paper suite, the tests and the benchmark workloads build
 has 2,970 cells (dual Fermat F6 at degree 9, 54 x 55); one point at degree
 13 (79 x 105 = 8,295 cells) runs in about 3 s over Q, and the cost grows
 steeply beyond, so one point at degree 40 (672,441 cells) is refused.
-analyze also counts the nullspace basis that --basis builds at each
-degree, up to C(d+2, 2) forms of C(d+2, 2) coefficients, with or without
-the flag: it admits --max-degree up to 12 (91 x 91 = 8,281 cells; 0.06 s
-CPU on one point), where one point at --max-degree 40 took 23 s CPU and
-261 MB.  Without --basis it takes each dimension by rank alone
-(system_dimension) and builds no basis: nine random points of height
-10^30 at --max-degree 5 take 0.01 s CPU, not the 1.1 s their bases took.  Its
+analyze with --basis also counts the nullspace basis it builds at each
+degree, up to C(d+2, 2) forms of C(d+2, 2) coefficients: it admits
+--max-degree up to 12 (91 x 91 = 8,281 cells; 0.06 s CPU on one point),
+where one point at --max-degree 40 took 23 s CPU and 261 MB.  Without
+--basis it takes each dimension by rank alone (system_dimension), builds
+no basis and counts only the conditions matrix: one point at --max-degree
+40 takes 0.01 s CPU, at 139, the budget's edge, 0.8 s, and nine random
+points of height 10^121 at --max-degree 45 take 0.07 s.  Its
 line statistics join each of the C(n, 2) pairs of points, one cell each,
 so it admits at most 141 points (9,870 joins), where 1,000 points at
 --max-degree 1 took 11 s CPU and 531 MB.
@@ -188,8 +189,8 @@ def cmd_analyze(args) -> int:
     Z = _load_config(args.config)
     d = max(args.max_degree, 0)
     # the conditions matrix, or the basis that --basis builds: up to
-    # C(d+2, 2) forms of as many coefficients, counted with or without it
-    _check_budget(max(len(Z), comb(d + 2, 2)), d)
+    # C(d+2, 2) forms of as many coefficients
+    _check_budget(max(len(Z), comb(d + 2, 2)) if args.basis else len(Z), d)
     # the line statistics join each of the C(n, 2) pairs, one cell each
     _check_cells(f"the line statistics would join C({len(Z)}, 2)", comb(len(Z), 2))
     stats = analyze_lines(Z)

@@ -272,11 +272,10 @@ class Field:
         sequence: an element whose image is nonzero is nonzero.  lift takes
         the residues of one element under the maps, in order, to its
         power-basis coordinates mod p, by the inverse Vandermonde matrix of
-        the roots; a certificate lifts only a kernel that is not rational
-        mod p, whose residues differ between the maps, and reads any other
-        from the first map alone.  Over Q, images is the one reduction mod
-        p and lift returns its residue.  Primality is by deterministic
-        Miller-Rabin, exact below 3.3 * 10^24.
+        the roots; a certificate lifts a kernel not known to be rational,
+        and reads a rational one from the first map alone.  Over Q, images
+        is the one reduction mod p and lift returns its residue.  Primality
+        is by deterministic Miller-Rabin, exact below 3.3 * 10^24.
         """
         return _certificate_prime(self.conductor if self.degree > 1 else 1, k)
 

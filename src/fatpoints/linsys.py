@@ -116,17 +116,14 @@ class FatPointScheme:
     def plus(self, p, m: int) -> "FatPointScheme":
         """This scheme plus the fat point m*p.  Its parts and row triples
         are kept as they are: only p is normalized, and compared with the
-        scheme's points.  Galois stability is derived from this scheme's:
-        a stable scheme plus m*p is stable exactly when every sigma_k fixes
-        p, as sigma_k(p) is otherwise no point of either, so only p's
-        conjugates are taken; an unstable one leaves it to galois_stable."""
+        scheme's points."""
         field = self.field
         part, triple = _fat_point(field, p, m)
         if any(part[0] == q for q, _ in self.parts):
             raise ValueError("scheme points must be pairwise distinct")
         X = object.__new__(FatPointScheme)
         X.field, X.parts, X._triples = field, self.parts + (part,), self._triples + (triple,)
-        X._stable = _galois_stable([triple], field) if self.galois_stable() else None
+        X._stable = None  # galois_stable, read on first call
         return X
 
     def galois_stable(self) -> bool:

@@ -32,15 +32,15 @@ every conditions matrix.  Every other rank, and every nullspace basis, is
 a checked residue certificate (_certify).  Over Q it starts at prime 0 and
 resumes the full-rank test's elimination; over Q(zeta_n) it starts at
 prime 1 (Field.certificate_start), as prime 0 has one map per root there,
-of which the test ran one.  The kernel is read as rational first, from
-the residues at the first map of each prime, by CRT and rational
-reconstruction; a matrix that knows its kernel rational, as the conditions
-matrix of a Galois-stable scheme does (ExactMatrix.rational_kernel), reads
-it there alone, and otherwise only a kernel that is not rational mod p (its
-maps' residues differ) is read from every map, each entry's residues lifted
-to its coordinates mod p.  A vector is returned only after an exact integer
-check that it annihilates the rows and has the shape of a reduced row
-echelon (RREF) basis vector, which bounds the rank from above.
+of which the test ran one.  How the kernel is read is fixed before the
+first prime (ExactMatrix.rational_kernel): one known to be rational, as
+that of a matrix with rational entries or of the conditions matrix of a
+Galois-stable scheme is, is read from the residues at the first map of
+each prime alone, by CRT and rational reconstruction; any other from every
+map, each entry's residues lifted to its coordinates mod p.  A vector is
+returned only after an exact integer check that it annihilates the rows
+and has the shape of a reduced row echelon (RREF) basis vector, which
+bounds the rank from above.
 Nullspace bases are the standard bases of the RREF, so they are canonical
 regardless of pivot choices.
 
@@ -584,9 +584,11 @@ class ExactMatrix:
 
     def rational_kernel(self) -> bool:
         """Whether the kernel is known to be rational, so that a certificate
-        reads it at the first map of each prime alone (_certify): here
-        False, as rows of values say nothing about their kernel."""
-        return False
+        reads it at the first map of each prime alone (_certify): here when
+        no integral entry has a coordinate past the first (Field.flat), as
+        over Q and at the grid's points of a Galois-stable scheme."""
+        flat = self.ring.flat
+        return not any(any(flat(x)[1:]) for row in self.integral_rows() for x in row)
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
@@ -713,15 +715,16 @@ def _back_substitute(echelon, ncols: int, p: int):
 
 # The last elimination under each key (field, ncols, k, i), as (row keys,
 # echelon, sizes), and each certificate under (field, ncols, row keys),
-# least recently stored first.  The bound holds the largest verdict's keys:
-# a rank drop over Q(zeta_5) whose scheme is not Galois-stable fills up to
-# 7, prime 0, the four maps of prime 1, which it probes, and primes 2 and 3.
-# The dual Fermat samples are stable: F5 at degree 7 fills 3 at 36 columns,
-# map 0 of primes 0 to 2, F6 at degrees 8 and 9 fills 4, and a search
-# fills 2.  An F3-F6 fermat_unexpected_range pass fills 32, but each degree
-# has its own width, so its verdicts share nothing, and a verdict reads
-# only its own certificates: a larger bound would only hold wide echelons
-# longer.
+# least recently stored first.  A certificate fills one key per map it
+# eliminates: map 0 of each prime for a kernel known to be rational, every
+# map of each prime for any other (_certify).  The bound holds the largest
+# verdict's keys, and every verdict of the suite and the benchmark reads
+# its kernels rational: the dual Fermat samples are Galois-stable, F5 at
+# degree 7 fills 3 at 36 columns, map 0 of primes 0 to 2, F6 at degrees 8
+# and 9 fills 4, and a search fills 2.  An F3-F6 fermat_unexpected_range
+# pass fills 32, but each degree has its own width, so its verdicts share
+# nothing, and a verdict reads only its own certificates: a larger bound
+# would only hold wide echelons longer.
 _STORE_BOUND = 8
 _eliminations: dict = {}
 _certificates: dict = {}
@@ -872,31 +875,25 @@ def _certify(M: ExactMatrix, eliminations: dict):
     the pivots or its pivots fall after the best pivots so far, and better
     pivots restart the collection.
 
-    The kernel is read as rational first: the residues at map 0 of the
-    primes collected are combined by CRT and rationally reconstructed
-    (_reconstruct), and a numerator x is checked against a row entry r as
-    Field.scale(r, x); only the vector accepted gets the coordinates
-    Field.scale(unit, x).  Over Q map 0 is the only map.  Over Q(zeta_n)
-    a matrix may know its kernel rational (ExactMatrix.rational_kernel), as
-    the conditions matrix of a Galois-stable scheme does (Galois descent),
-    every sample of a dual Fermat range scan among them: then each prime
-    eliminates map 0 alone.  Any other matrix eliminates the other maps of
-    the first prime of a collection where the read fails there: if their
-    pivots and kernel residues all equal map 0's, the kernel is rational
-    mod p and later primes eliminate map 0 alone; otherwise every map of
-    every prime is eliminated and the kernel is read lifted, each entry's
-    residues taken to its coordinates mod p (Field.certificate_prime's
-    lift) and combined and reconstructed the same way.  A rational read
-    that reaches prime _prime_budget eliminates the other maps of the
-    primes collected and makes the lifted read of those whose maps agree
-    on the pivots before it gives up.  So no prime past the budget is
-    drawn, and a kernel that the lifted read certifies is certified: one
-    that is rational mod p but not rational, its irrational coordinates
-    all multiples of p, costs the primes up to the budget, not an error;
-    and so does a kernel wrongly known rational, as the flag only chooses
-    how the kernel is read.  The budget is computed only when a read needs
-    it: once a prime past 3 is drawn, or at prime 3 when its read is
-    skipped or fails.
+    How the kernel is read is fixed before the first prime, by
+    ExactMatrix.rational_kernel.  A kernel known to be rational, as that of
+    a matrix with rational entries is, and that of the conditions matrix of
+    a Galois-stable scheme (Galois descent), is read rational: each prime
+    eliminates map 0 alone, the residues there of the primes collected are
+    combined by CRT and rationally reconstructed (_reconstruct), and a
+    numerator x is checked against a row entry r as Field.scale(r, x); only
+    the vector accepted gets the coordinates Field.scale(unit, x).  Over Q
+    map 0 is the only map.  Any other kernel is read lifted: every map of
+    every prime is eliminated, and each entry's residues are taken to its
+    coordinates mod p (Field.certificate_prime's lift) and combined and
+    reconstructed the same way.  A rational read that reaches prime
+    _prime_budget eliminates the other maps of the primes collected and
+    makes the lifted read of those whose maps agree on the pivots before
+    it gives up: so no prime past the budget is drawn, and a kernel wrongly
+    known rational costs the primes up to the budget, not an error, as the
+    flag only chooses how the kernel is read.  The budget is computed only
+    when a read needs it: once a prime past 3 is drawn, or at prime 3 when
+    its read is skipped or fails.
 
     A vector is accepted only when _annihilates passes: the RREF shape and
     M w = 0 in integers.  Once every free column has one, each free column
@@ -908,8 +905,8 @@ def _certify(M: ExactMatrix, eliminations: dict):
     """
     field, ncols, rows = M.ring, M.ncols, M.integral_rows()
     zero, unit, flat = field.scale(field.unit, 0), field.unit, field.flat
-    budget = None
-    best, lifted = None, False  # the pivots of the primes collected, and how they are read
+    budget, best = None, None  # best: the pivots of the primes collected
+    lifted = not M.rational_kernel()  # how the kernel is read
 
     def last(k) -> bool:
         """Whether prime k is the last of the budget, which is 3 primes or
@@ -921,12 +918,12 @@ def _certify(M: ExactMatrix, eliminations: dict):
         budget = budget or _prime_budget(rows, field)
         return k == budget
 
-    def eliminate(prime, every: bool) -> bool:
-        """Adds the kernel of a prime at map 0, and at each other map if
-        every is set, where it is still missing; whether all the kernels
-        have map 0's pivots."""
+    def eliminate(prime) -> bool:
+        """Adds the kernel of a prime at each map the read takes, map 0
+        alone for a rational read, where it is still missing; whether all
+        the kernels have map 0's pivots."""
         k, p, images, _, found = prime
-        for i in range(len(found), len(images) if every else 1):
+        for i in range(len(found), len(images) if lifted else 1):
             echelon = _eliminate(M, p, images[i], (field, ncols, k, i), M.nrows, eliminations)
             found.append(_back_substitute(echelon, ncols, p))
         return all(pivots == found[0][0] for pivots, _ in found)
@@ -974,13 +971,13 @@ def _certify(M: ExactMatrix, eliminations: dict):
         p, images, lift = field.certificate_prime(k)
         found = []  # (pivots, kernel) at each map eliminated
         prime = (k, p, images, lift, found)
-        if not eliminate(prime, lifted):
+        if not eliminate(prime):
             continue
         pivots = found[0][0]
         if best is not None and pivots + [ncols] > best + [ncols]:
             continue
         if pivots != best:
-            best, lifted, accepted, collection = pivots, False, {}, []
+            best, accepted, collection = pivots, {}, []
             free = sorted(set(range(ncols)) - set(pivots))
             attempt = 1
         collection.append(prime)
@@ -991,23 +988,14 @@ def _certify(M: ExactMatrix, eliminations: dict):
         attempt = max(len(collection) + 1, len(collection) * 5 // 4)
         if read():
             return best, [accepted[f] for f in free]
-        if lifted:
-            continue
-        if len(collection) == 1 and not M.rational_kernel():
-            # the first prime of the collection: its other maps tell whether
-            # the kernel is rational mod p
-            agree = eliminate(prime, True)
-            lifted = not agree or any(kernel != found[0][1] for _, kernel in found)
-            if not agree:
-                collection.pop()
-        elif last(k):
+        if not lifted and last(k):
             # the rational read reached the budget: the primes collected get
             # their other maps, and the lifted read decides before raising
             # (over Q no map is missing, and the two reads are one)
             lifted = any(len(found) < len(images) for _, _, images, _, found in collection)
-            collection = [prime for prime in collection if eliminate(prime, True)]
-        if lifted and collection and read():
-            return best, [accepted[f] for f in free]
+            collection = [prime for prime in collection if eliminate(prime)]
+            if lifted and collection and read():
+                return best, [accepted[f] for f in free]
 
 
 def _certificate(M: ExactMatrix, certificates: dict, eliminations: dict):

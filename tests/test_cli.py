@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import fatpoints
@@ -343,7 +344,7 @@ def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):
         ("unexpected", str(one), "-d", "40"),  # 781 x 861 cells
         ("analyze", str(one), "--max-degree", "200"),  # 1 x 20,301
         ("splitting", str(fifteen)),  # 120 x 136
-        ("analyze", str(one), "--max-degree", "40"),  # its basis: 861 x 861
+        ("analyze", str(one), "--max-degree", "40", "--basis"),  # its basis: 861 x 861
         ("analyze", str(many), "--max-degree", "1"),  # its line statistics: C(142, 2) joins
         ("gen", "random", "--points", "3334", "--height", "100"),  # 10,000 // 3 + 1
         ("unexpected", str(one), "-d", "4", "--samples", "101"),
@@ -353,6 +354,19 @@ def test_out_of_budget_input_is_refused_at_once(tmp_path, capsys):
         assert time.process_time() - start < 1.0
         assert (code, out) == (3, "")
         assert json.loads(err)["error"]["code"] == "budget"
+
+
+def test_analyze_counts_a_basis_only_under_the_flag(tmp_path, capsys):
+    # without --basis analyze builds no basis, so only its conditions
+    # matrix is counted: one point at degree 40 is 1 x 861 cells, ranked
+    # at once, where its basis alone would be 861 x 861
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(PointConfiguration(QQ, [[1, 2, 3]]).to_dict()))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "analyze", str(one), "--max-degree", "40")
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert [s["dim"] for s in json.loads(out)["systems"]] == [comb(d + 2, 2) - 1 for d in range(1, 41)]
 
 
 def test_conductor_budget(tmp_path, capsys):

@@ -35,6 +35,7 @@ from fatpoints import (
     symbolic_conditions_matrix,
     system_basis,
 )
+import fatpoints.poly as poly
 from fatpoints.field import Residues
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import (
@@ -754,7 +755,7 @@ def _layout_branches(source: str) -> list:
 def test_galois_stability_is_read_from_the_points():
     # each sigma_k permutes the points of the dual Fermat F_n, each of
     # multiplicity 1, and fixes an integer sample: stable, whether the
-    # sample is added (plus, from the parent's flag) or given up front
+    # sample is added (plus) or given up front
     sample = (7, -3, 1)
     for n in (3, 4, 5, 6):
         Z = dual_fermat(n)
@@ -769,7 +770,7 @@ def test_galois_stability_is_read_from_the_points():
     orbit = ProjectivePoint(f5, (1, -z, 0))  # its conjugates (1, -z^k, 0) are points of Z
     rest = [p for p in Z.points if p != orbit]
     # one point of an orbit dropped: unstable, and stable again once it is
-    # added back (plus an unstable scheme: the flag is taken in full)
+    # added back
     dropped = FatPointScheme(f5, [(p, 1) for p in rest])
     assert not dropped.galois_stable()
     assert not conditions_matrix(dropped, 7).rational_kernel()
@@ -791,8 +792,14 @@ def test_galois_stability_is_read_from_the_points():
             X = FatPointScheme.of(Z, (ProjectivePoint(field, (rng.randint(1, 9), 1, 1)), rng.randint(1, 4)))
             assert X.galois_stable() and conditions_matrix(X, 4).rational_kernel()
     assert FatPointScheme.of(example_quartic_config()).galois_stable()
-    # a matrix of values says nothing about its kernel
+    # a matrix of values knows its kernel rational from its entries alone:
+    # not with an irrational entry, and with rational ones, whose
+    # certificate then eliminates map 0 alone of each prime
     assert not ExactMatrix(f5, [[1, z]]).rational_kernel()
+    M = ExactMatrix(f5, [[1, 2, 3], [2, 4, 7]])
+    assert M.rational_kernel()
+    assert nullspace_basis(M) == [(f5.scalar(-2), f5.one, f5.zero)]
+    assert {(key[0], key[3]) for key in poly._eliminations} == {(f5, 0)}
 
 
 def test_the_layout_guard_sees_aliases_and_tuple_tests():

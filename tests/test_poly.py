@@ -871,11 +871,11 @@ def test_corrupted_reconstruction_is_never_returned(monkeypatch):
 
     monkeypatch.setattr(poly, "_reconstruct", first_wrong)
     primes = _count_primes(monkeypatch)
-    # the wrong candidate of the rational read fails the check, and the
-    # lifted read of the same prime mends it: the kernel (-zeta, 1, 0),
-    # (-2, 0, 1) is not rational
+    # the kernel (-zeta, 1, 0), (-2, 0, 1) is not rational, so it is read
+    # lifted: the wrong candidate of prime 1 fails the check, and prime 2
+    # mends it
     assert nullspace_basis(M) == expected
-    assert corrupted[0] == 1 and primes[0] == 1
+    assert corrupted[0] == 1 and primes[0] == 2
 
     def always_wrong(values, modulus):
         out = reconstruct(values, modulus)
@@ -891,9 +891,9 @@ def test_kernels_are_read_rational_first_and_lifted_where_maps_differ(monkeypatc
     # the Galois groups of Q(zeta_8) and Q(zeta_12) are not cyclic: each
     # kernel below lies in a quadratic subfield, where maps 0 and 1 of a
     # prime agree, as zeta_12^3 = i and zeta_8 + zeta_8^3 = sqrt(-2) have
-    # equal images there, and the other maps do not; so only a comparison
-    # of every map with map 0 finds the kernel irrational mod p and reads
-    # it lifted at the first prime
+    # equal images there, and the other maps do not; the rows have
+    # irrational entries, so the kernel is read lifted from every map, and
+    # the first prime certifies it
     f8, f12 = make_field("cyclotomic", 8), make_field("cyclotomic", 12)
     z8, z12 = primitive_root(f8), primitive_root(f12)
     primes = _count_primes(monkeypatch)
@@ -907,18 +907,18 @@ def test_kernels_are_read_rational_first_and_lifted_where_maps_differ(monkeypatc
         assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, M.ncols, field)]
         assert primes[0] == 1
     # -(1 + p z), p prime 1, is -1 at every map of prime 1: the kernel is
-    # rational mod p but not rational, so the later primes are read rational
-    # in vain up to the budget, where the lifted read of the same primes
-    # certifies it (read lifted from prime 1 on, it takes 3 primes)
+    # rational mod p but not rational, and the row's irrational entry has it
+    # read lifted from prime 1 on, in 3 primes, not up to the budget of 9
     f3 = make_field("cyclotomic", 3)
     M = ExactMatrix(f3, [[1, 1 + f3.certificate_prime(1)[0] * primitive_root(f3)]])
     primes[0] = 0
     assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, 2, f3)]
-    assert primes[0] == poly._prime_budget(M.integral_rows(), f3) == 9
+    assert primes[0] == 3
+    assert poly._prime_budget(M.integral_rows(), f3) == 9
     # dual F5 with a 6-fold point at degree 7 is Galois-stable, so its
     # kernel is rational: its rank certificate eliminates map 0 alone of
     # prime 1, where the rational read fails, and of prime 2, where it
-    # succeeds; the primes are those of a read that probed the other maps
+    # succeeds
     M = _dual_fermat_sample(5, 7)
     assert M.rational_kernel()
     primes[0] = 0
@@ -937,7 +937,7 @@ def test_a_kernel_wrongly_known_rational_costs_primes_only(monkeypatch):
     # the flag only chooses how a kernel is read: a matrix that claims a
     # rational kernel it does not have is read at map 0 in vain up to the
     # budget, where every map is eliminated and the lifted read certifies
-    # the true kernel, which the probing read finds at prime 1
+    # the true kernel, which a lifted read from the start finds at prime 1
     class KnownRational(ExactMatrix):
         __slots__ = ()
 
@@ -954,11 +954,11 @@ def test_a_kernel_wrongly_known_rational_costs_primes_only(monkeypatch):
         assert primes[0] == poly._prime_budget(M.integral_rows(), f12)
 
 
-def test_stable_kernels_read_at_map_0_match_the_probed_read(monkeypatch):
+def test_stable_kernels_read_at_map_0_match_the_lifted_read(monkeypatch):
     # each dual Fermat sample of F3-F6 at its range degrees, from the
     # conditions matrix, which knows its scheme Galois-stable and reads map
-    # 0 alone, and from its integral rows, which probe the other maps where
-    # the rational read fails: the same ranks and RREF bases
+    # 0 alone, and from its integral rows, whose irrational entries have
+    # their kernel read lifted from every map: the same ranks and RREF bases
     budgets = _count_calls(monkeypatch, poly, "_prime_budget")
     primes = _count_primes(monkeypatch)
     drops = []
@@ -982,7 +982,7 @@ def test_stable_kernels_read_at_map_0_match_the_probed_read(monkeypatch):
                         # certificate, which the basis reads again
                         drops.append((n, d, found[0][0], primes[0] - 1))
                 elif drops and drops[-1][:2] == (n, d):
-                    assert maps != {0}  # the probe eliminated the other maps of prime 1
+                    assert maps != {0}  # the lifted read eliminated every map
             assert found[0] == found[1], (n, d)
     assert drops == [(5, 7, 35, 2), (6, 8, 44, 3), (6, 9, 53, 3)]
 
@@ -1529,13 +1529,13 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
     # which takes no integral inverse, and each point's rank runs in stores
     # of its own: from emptied stores, the certificate store gains only the
     # constant rows' certificate, and the elimination store only that
-    # certificate's eliminations at prime 1: at map 0 alone for F3, whose
-    # constant rows have a rational kernel, and at both maps where a =
-    # zeta_6 makes the kernel irrational and it is read lifted
+    # certificate's eliminations at prime 1, at both maps: the constant rows
+    # are values with irrational entries and no scheme, so their kernel is
+    # read lifted, for F3 as where a = zeta_6 makes it irrational
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
     for Z, expected, maps in (
-        (dual_fermat(3), (15, (1, 2), 12, 12, 91), [(15, 1, 0)]),
+        (dual_fermat(3), (15, (1, 2), 12, 12, 91), [(15, 1, 0), (15, 1, 1)]),
         (family("prop33-first", {"a": zeta6}), (15, (2, 0), 12, 12, 91), [(15, 1, 0), (15, 1, 1)]),
     ):
         M = symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4)
