@@ -257,6 +257,8 @@ def random_config(r: int, height: int, seed) -> PointConfiguration:
     """r distinct affine points with integer coordinates in [-height, height]."""
     if r < 1:
         raise ValueError("need at least one point")
+    if height < 0:
+        raise ValueError(f"the box height must be nonnegative, not {height}")
     if r > (2 * height + 1) ** 2:
         raise ValueError(f"{r} distinct points do not fit in the box of height {height}")
     rng = random.Random(f"fatpoints:config:{seed}")

@@ -50,11 +50,11 @@ factorials.
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.  A conditions matrix has
 C(d+2, 2) columns even with no rows, so the empty scheme's system is every
-form of degree d.  The symbolic conditions matrix of X + jP, P = [a, b, 1],
-is integral too: it reads the rows of X from X's own integral conditions
-matrix as constant terms, and the rows of P from the templates, whose
-entries at [a, b, 1] are integer multiples of the monomials a^e0 b^e1 of
-total degree at most d - j + 1.
+form of degree d.  The conditions of a symbolic j-fold point P = [a, b, 1]
+on I(X)_d are integral too: P's rows from the templates, integer multiples
+of monomials a^e0 b^e1, times the integral kernel basis held by the
+certificate of X's own conditions matrix, so X's rows keep one matrix and
+one certificate.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ from .poly import (
     ExactMatrix,
     Form,
     ParamRing,
+    _certificate,
+    _certificates,
+    _eliminations,
     evaluate,
     exact_rank,
     monomial_basis,
@@ -475,27 +478,33 @@ def rational_map_image(basis, p: ProjectivePoint):
 
 
 def symbolic_conditions_matrix(X: FatPointScheme, j: int, d: int) -> ExactMatrix:
-    """Integral conditions matrix of X + j*P at degree d with P = [a, b, 1]
-    symbolic, over the ParamRing of X's field.
+    """The general point's conditions on I(X)_d: P N over the ParamRing of
+    X's field, P the C(j+1, 2) condition rows at degree d of j*P for P =
+    [a, b, 1] symbolic, N the RREF kernel basis of X's conditions matrix C,
+    one column per vector.
 
-    Rows for the points of X are constant: X's own integral conditions
-    matrix, each entry x as the term dict {(0, 0): x}.  Rows for the general
-    point are read off _row_templates: the entry (column, coef, i) is the
-    term coef * a^e0 * b^e1, (e0, e1, _) = monomial_basis(t)[i], with coef
-    in the field's integral coordinates, coef times Field.unit.  Every such
-    term has total degree at most t = d - j + 1 (for j <= d + 1), which is
-    what the grid's degree bounds read.
+    C's row space is exactly the set of vectors that N annihilates, so
+    rank [C; P(a, b)] = rank C + rank(P(a, b) N) at every (a, b), and the
+    generic dim I(X + jP)_d is dim I(X)_d less the generic rank of P N.
+    N is read in integral coordinates from the certificate of the
+    scheme-held conditions_matrix(X, d) (poly._certificate, as
+    nullspace_basis reads it), each vector without its denominator, which
+    scales one column: so no Scalar is made, and a later rank or basis of
+    C finds the certificate kept.  P's template entry (column, coef, i) is
+    the term coef * a^e0 * b^e1, (e0, e1, _) = monomial_basis(t)[i], and
+    one row's entries have distinct monomials, so each entry of P N is one
+    term per template entry where the vector is nonzero.  Every term has
+    total degree at most t = d - j + 1 (for j <= d + 1); the grid reads its
+    degree bounds off these rows.
     """
     field = X.field
-    ncols = comb(d + 2, 2)
-    constant = conditions_matrix(X, d).integral_rows()
-    rows = [[{(0, 0): x} for x in row] for row in constant]
+    _, kernel = _certificate(conditions_matrix(X, d), _certificates, _eliminations)
+    zero = field.scale(field.unit, 0)
     t, templates = _row_templates(d, j)
     basis = monomial_basis(t)
-    for entries in templates:
-        row = [{} for _ in range(ncols)]
-        for col, coef, i in entries:
-            e0, e1, _ = basis[i]
-            row[col] = {(e0, e1): field.scale(field.unit, coef)}
-        rows.append(row)
-    return ExactMatrix.from_integral(ParamRing(field), rows, ncols)
+    rows = [
+        [{basis[i][:2]: field.scale(v[col], coef) for col, coef, i in entries if v[col] != zero}
+         for v, _ in kernel]
+        for entries in templates
+    ]
+    return ExactMatrix.from_integral(ParamRing(field), rows, len(kernel))

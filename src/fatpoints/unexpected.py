@@ -12,13 +12,15 @@ minimum is the generic dimension except with vanishing probability, and
 it certifies a "no unexpected curve" verdict outright.  Certified mode
 proves the value: where the bounds meet, the floor is the value; only
 where they stay apart, as at every positive verdict, does it place
-P = [a, b, 1] with symbolic parameters and certify the generic corank by
-grid evaluation on the triangle of integer points 0 <= a <= da, 0 <= b
-<= db, a + b <= D, where da, db and D bound the minors' degrees in a, in
-b and in total: a minor within those bounds that vanishes there is zero
+P = [a, b, 1] with symbolic parameters and certify the generic rank of
+its conditions on I(Z)_d (linsys.symbolic_conditions_matrix), by grid
+evaluation on the triangle of integer points 0 <= a <= da, 0 <= b <= db,
+a + b <= D, where da, db and D bound the minors' degrees in a, in b and
+in total: a minor within those bounds that vanishes there is zero
 (poly.symbolic_rank_bound).  The general point's C(j+1, 2) rows are its
-partials of order j - 1, each of degree d - j + 1 in (a, b), so the
-example's quartic at (j, d) = (3, 4) has D = 12 and 91 grid points.
+partials of order j - 1, of degree d - j + 1 in (a, b), so D is at most
+C(j+1, 2)(d - j + 1); the example's quartic at (j, d) = (3, 4) has
+da = db = 9, D = 12 and 79 grid points.
 
 The splitting type (a_Z, b_Z) is computed operationally from the trace
 m(j) = dim I(Z + jP)_(j+1):  a_Z is the least j with m(j) nonzero and
@@ -111,8 +113,9 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
     least of dim I(Z)_d and the samples, from above.  Samples are drawn while
     that bound is above the floor; a sample below it is a wrong rank.  Where
     they meet, the floor is the value; else sampled mode returns the least
-    sample, and certified mode proves the value on the grid, also when no
-    sample point of the height is off Z, where sampled mode raises.
+    sample, and certified mode proves it on the grid, dim I(Z)_d less the
+    generic rank of P's conditions on I(Z)_d, also when no sample point of
+    the height is off Z, where sampled mode raises.
     """
     X = FatPointScheme.of(Z)
     dim_z = system_dimension(X, d)
@@ -136,7 +139,7 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
     if not certified or low == floor:
         return X, dim_z, floor, samples, low
     cert = symbolic_rank_bound(symbolic_conditions_matrix(X, j, d))
-    return X, dim_z, floor, samples, comb(d + 2, 2) - cert.rank
+    return X, dim_z, floor, samples, dim_z - cert.rank
 
 
 def generic_dim(Z: PointConfiguration, j: int, d: int, strategy=DEFAULT_STRATEGY) -> int:

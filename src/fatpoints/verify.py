@@ -639,7 +639,7 @@ CLAIM_RUNNERS = {
     "superset-persistence": lambda seed, s: check_superset_persistence(s),
     "fermat3-combinatorics": lambda seed, s: check_fermat3_combinatorics(),
     "fermat3-no-unexpected": lambda seed, s: check_fermat3_no_unexpected(s),
-    # sampled in either mode: its positive at d = 7 needs a 946-point grid over Q(zeta_5), ~2 s
+    # sampled in either mode: its positive at d = 7 needs a 926-point grid over Q(zeta_5), ~1.5 s
     "fermat5-degree7": lambda seed, s: check_fermat5_degree7(replace(s, mode="sampled")),
     "w5-splitting": lambda seed, s: check_w5_splitting(s),
     "example-quartic-unexpected": lambda seed, s: check_example_unexpected(),

@@ -322,6 +322,7 @@ def test_input_errors(tmp_path, capsys):
         (("search", "--limit", "-1"), "input", "limit"),
         (("search", "--limit", "0"), "input", "limit"),
         (("search", "--n", "1", "--points", "9"), "input", "grid of 4"),
+        (("gen", "random", "--points", "3", "--height", "-5"), "input", "height must be nonnegative"),
         (("analyze", config("zeta-2.5", {"type": "cyclotomic", "n": 2.5}, frame)), "config", "2.5"),
         (("analyze", config("zeta-true", {"type": "cyclotomic", "n": True}, frame)), "config", "True"),
         (("analyze", config("zeta-1e9", {"type": "cyclotomic", "n": 1e9}, frame)), "config", "1000000000.0"),

@@ -293,6 +293,10 @@ def test_random_config_refuses_more_points_than_its_box():
     assert len(set(random_config(9, 1, "full").points)) == 9
     with pytest.raises(ValueError):
         random_config(10, 1, "full")
+    # a negative height is no box: (2 * -5 + 1)^2 = 81 would let 3 points
+    # through the count
+    with pytest.raises(ValueError, match="height must be nonnegative"):
+        random_config(3, -5, "negative")
 
 
 def test_grid_configs_exhaustive_count():

@@ -393,27 +393,36 @@ def test_dejonquieres_special_point_pulls_line_into_base_locus():
 
 
 def test_symbolic_matrix_specializes_to_concrete():
-    # the symbolic conditions matrix at P = [a, b, 1] evaluated at integers
-    # must equal the concrete conditions matrix with P at those coordinates
+    # the general point's conditions on I(Z)_d at P = [a, b, 1], evaluated
+    # at integers, must equal the concrete rows of P at those coordinates
+    # times the kernel N of Z's conditions matrix C: each nullspace_basis
+    # vector times the denominator its certificate cleared.  The concrete
+    # matrix of Z + jP then has rank C plus the rank of that product
     rng = random.Random("symspec")
     for t in range(6):
         Z = random_config(rng.randint(2, 5), 6, ("symspec", t))
         j = rng.randint(1, 3)
         d = rng.randint(j, j + 2)
-        M = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d)
+        X = FatPointScheme.of(Z)
+        M = symbolic_conditions_matrix(X, j, d)
         a0, b0 = rng.randint(-9, 9), rng.randint(-9, 9)
         P = _point(a0, b0, 1)
         if P in Z.points:
             continue
         sa, sb = QQ.scalar(a0), QQ.scalar(b0)
         spec = [[e.evaluate(sa, sb) for e in row] for row in M.rows]
+        C = conditions_matrix(X, d)
+        _, kernel = poly._certificate(C, poly._certificates, poly._eliminations)
+        N = [[den * x for x in v] for v, (_, den) in zip(nullspace_basis(C), kernel)]
+        assert (M.nrows, M.ncols) == (comb(j + 1, 2), len(N))
         concrete = [list(r) for r in conditions_matrix(FatPointScheme.of(Z, (P, j)), d).rows]
+        n = len(Z)
+        projected = [[sum((x * y for x, y in zip(row, v)), QQ.zero) for v in N] for row in concrete[n:]]
         # P's stored triple is s * (a0, b0, 1), s = +-1, and its rows are
         # forms of degree d - j + 1 in it
         s = QQ.scalar(P.triple[2] ** (d - j + 1))
-        n = len(Z)
-        assert spec[:n] == concrete[:n]
-        assert [[s * x for x in row] for row in spec[n:]] == concrete[n:]
+        assert [[s * x for x in row] for row in spec] == projected
+        assert exact_rank(ExactMatrix(QQ, concrete)) == exact_rank(C) + exact_rank(ExactMatrix(QQ, spec))
 
 
 def test_cyclotomic_system():
@@ -639,21 +648,22 @@ def test_euler_rows_span_the_chart_rows():
 
 
 def test_the_general_point_rows_bound_the_grid():
-    # read off the symbolic matrix's integral rows, without a sweep: Z's
-    # rows are constant and each of the general point's C(j+1, 2) rows has
-    # total degree d - j + 1 in (a, b), which with the degree in a and in b
-    # alone bounds the grid's triangle
-    for Z, j, d, bound, points in (
-        (example_quartic_config(), 3, 4, 12, 91),
-        (dual_fermat(5), 6, 7, 42, 946),
+    # read off the integral rows of the general point's conditions on
+    # I(Z)_d, without a sweep: each of its C(j+1, 2) rows has total degree
+    # d - j + 1 in (a, b), so D = C(j+1, 2)(d - j + 1), and the rows' own
+    # degrees in a and in b, which the projection onto I(Z)_d lowers, cut
+    # the grid's triangle from the square
+    for Z, j, d, bounds, points in (
+        (example_quartic_config(), 3, 4, (9, 9, 12), 79),
+        (dual_fermat(5), 6, 7, (38, 38, 42), 926),
     ):
         rows = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d).integral_rows()
         total = [max((i + k for e in row for i, k in e), default=0) for row in rows]
-        assert total == [0] * len(Z) + [d - j + 1] * comb(j + 1, 2)
+        assert total == [d - j + 1] * comb(j + 1, 2)
         da = sum(max((i for e in row for i, _ in e), default=0) for row in rows)
         db = sum(max((k for e in row for _, k in e), default=0) for row in rows)
-        assert (da, db, sum(total)) == (bound, bound, bound)
-        grid = [(a, b) for a in range(da + 1) for b in range(db + 1) if a + b <= bound]
+        assert (da, db, sum(total)) == bounds
+        grid = [(a, b) for a in range(da + 1) for b in range(db + 1) if a + b <= sum(total)]
         assert len(grid) == points
 
 

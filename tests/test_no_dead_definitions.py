@@ -11,6 +11,10 @@ such as a method lift with no caller on a class other than
 PointConfiguration, whose lift is read in many places; such a method is left
 to review.
 
+Every module-level import of a module other than __init__ (which only
+re-exports) is read there: each name it binds, other than by from
+__future__, is read as a name somewhere in that module.
+
 Every default-valued parameter has a caller too: some call in src/, tests/
 or perfbench/ of a function or method of that name passes it, by position
 or by keyword.  A call with *args or **kwargs counts as passing every
@@ -55,6 +59,24 @@ def test_every_definition_is_referenced():
     ]
     assert len(sources) > 1
     assert not unreferenced
+
+
+def test_every_module_level_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread
 
 
 def _defaults(fn, method: bool):

@@ -701,15 +701,16 @@ def test_residue_rows_are_the_images_of_the_integral_rows():
 
 def test_symbolic_path_builds_no_scalars(monkeypatch):
     # from Z's integral conditions matrix to the grid: the symbolic matrix
-    # reads Z's rows without deriving Scalars and the general point's rows
-    # off the templates as integer terms, and the certificate projects onto
-    # the constant rows' kernel in integers, with no Scalar product
+    # reads the kernel of Z's conditions matrix from its certificate in
+    # integers and projects the general point's rows, read off the templates
+    # as integer terms, onto it, and the grid ranks that projection, all with
+    # no Scalar product; the degree bounds are the projection's own
     products = _count_calls(monkeypatch, Scalar, "__mul__")
     reflected = _count_calls(monkeypatch, Scalar, "__rmul__")
     derived = _count_calls(monkeypatch, Field, "from_integral")
     for Z, expected in (
-        (example_quartic_config(), (14, (1, 1), 12, 12, 91)),
-        (dual_fermat(3), (15, (1, 2), 12, 12, 91)),
+        (example_quartic_config(), (5, (1, 1), 9, 9, 79)),
+        (dual_fermat(3), (6, (1, 2), 10, 10, 85)),
     ):
         products[0] = reflected[0] = derived[0] = 0
         M = symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4)
@@ -1440,6 +1441,36 @@ def test_symbolic_rank_bound_matches_full_grid_reference(label):
 
 
 @pytest.mark.parametrize(
+    "label", [label for label, M in _reference_matrices().items() if not isinstance(M, ExactMatrix)]
+)
+def test_the_whole_matrix_ranks_z_and_the_general_point_on_i_z(label):
+    # [Z's rows; P's rows] in ParamPolys, P's rows the partials of order
+    # j - 1 of each monomial at [a, b, 1] by Form arithmetic, apart from the
+    # templates: the sweep ranks its constant rows at each grid point, and
+    # its generic rank is rank C plus that of the general point's conditions
+    # on I(Z)_d, attained at the same witness, as C's row space is exactly
+    # the annihilator of the kernel the conditions are projected onto
+    Z, j, d = _reference_matrices()[label]
+    X = FatPointScheme.of(Z)
+    ring = ParamRing(X.field)
+    C = conditions_matrix(X, d)
+    P = (ring.a, ring.b, ring.one)
+    general = []
+    for alpha in monomial_basis(j - 1):
+        row = []
+        for e in monomial_basis(d):
+            f = _monomial_form(d, e, ring=ring)
+            for var, times in zip("xyz", alpha):
+                for _ in range(times):
+                    f = partial_derivative(f, var)
+            row.append(evaluate(f, P))
+        general.append(row)
+    whole = symbolic_rank_bound(ExactMatrix(ring, [list(row) for row in C.rows] + general))
+    projected = symbolic_rank_bound(symbolic_conditions_matrix(X, j, d))
+    assert (whole.rank, whole.witness) == (exact_rank(C) + projected.rank, projected.witness)
+
+
+@pytest.mark.parametrize(
     "da, db, dt",
     # the square (dt >= da + db), a total degree below both, unequal bounds
     [(3, 3, 6), (2, 4, 9), (4, 5, 2), (2, 5, 4), (5, 2, 4), (0, 3, 1), (6, 6, 6)],
@@ -1492,14 +1523,15 @@ def _shortcut_corpus():
 def test_certified_generic_dim_matches_the_grid_on_corpora(monkeypatch):
     # certified generic_dim runs the grid only where the samples stay above
     # the condition-count floor; everywhere else its value must still be the
-    # grid's, which this cross-checks
+    # grid's, dim I(Z)_d less the generic rank of the general point's
+    # conditions on I(Z)_d, which this cross-checks
     certified = GeneralPointStrategy(mode="certified")
     grid = _count_calls(monkeypatch, unexpected, "symbolic_rank_bound")
     instances = _shortcut_corpus()
     for Z, j, d in instances:
         value = generic_dim(Z, j, d, certified)
         M = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d)
-        assert value == comb(d + 2, 2) - symbolic_rank_bound(M).rank
+        assert value == M.ncols - symbolic_rank_bound(M).rank
     # only the six instances of the example's quartic reach the grid: the
     # example twice, the excluded pair and three projective images
     assert (len(instances), grid[0]) == (62, 6)
@@ -1510,43 +1542,49 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
     bareiss = _count_calls(monkeypatch, poly, "_echelon_int")
     ranks = _count_calls(monkeypatch, poly, "_rank")
     certificates = _count_calls(monkeypatch, poly, "_certify")
-    # F3 reaches its ceiling at the witness (1, 2), the 16th of 91 points;
-    # the example stays at rank 14, below its ceiling of 15, to the end.
-    # One certificate is for the kernel of the constant rows; over Q(zeta_3)
-    # each of the 15 rank drops before F3's witness is certified too
-    for Z, rank, witness, evaluated, certified in (
-        (dual_fermat(3), 15, (1, 2), (0, 16), 1 + 15),
-        (example_quartic_config(), 14, (1, 1), (91, 0), 1),
+    # F3 reaches its ceiling of 6 at the witness (1, 2), the 14th of 85
+    # points; the example stays at rank 5, below its ceiling of 6, to the end
+    # of its 79.  One certificate is for the kernel of Z's conditions matrix;
+    # over Q(zeta_3) each of the 13 rank drops before F3's witness is
+    # certified too
+    for Z, rank, witness, points, evaluated, certified in (
+        (dual_fermat(3), 6, (1, 2), 85, (0, 14), 1 + 13),
+        (example_quartic_config(), 5, (1, 1), 79, (79, 0), 1),
     ):
         bareiss[0] = ranks[0] = certificates[0] = 0
         cert = symbolic_rank_bound(symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4))
-        assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, 91)
+        assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, points)
         assert (bareiss[0], ranks[0], certificates[0]) == (*evaluated, certified)
 
 
 def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypatch):
-    # the grid over Q(zeta_n) ranks its points by the residue certificate,
-    # which takes no integral inverse, and each point's rank runs in stores
-    # of its own: from emptied stores, the certificate store gains only the
-    # constant rows' certificate, and the elimination store only that
-    # certificate's eliminations at prime 1, at both maps: the constant rows
-    # are values with irrational entries and no scheme, so their kernel is
-    # read lifted, for F3 as where a = zeta_6 makes it irrational
+    # the kernel of Z's conditions matrix is read from the scheme-held
+    # matrix's certificate: at map 0 alone for a Galois-stable scheme, such
+    # as dual F3, at both maps where a = zeta_6 makes the scheme unstable, and
+    # a later basis of that matrix finds it kept.  The grid over Q(zeta_n)
+    # ranks its points by the residue certificate, which takes no integral
+    # inverse, each in stores of its own, so the module stores stay empty
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
+    certificates = _count_calls(monkeypatch, poly, "_certify")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
     for Z, expected, maps in (
-        (dual_fermat(3), (15, (1, 2), 12, 12, 91), [(15, 1, 0), (15, 1, 1)]),
-        (family("prop33-first", {"a": zeta6}), (15, (2, 0), 12, 12, 91), [(15, 1, 0), (15, 1, 1)]),
+        (dual_fermat(3), (6, (1, 2), 10, 10, 85), [(15, 1, 0)]),
+        (family("prop33-first", {"a": zeta6}), (6, (2, 0), 11, 11, 89), [(15, 1, 0), (15, 1, 1)]),
     ):
-        M = symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4)
-        inverses[0] = 0
-        assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
-        assert inverses[0] == 0
         poly._eliminations.clear()
         poly._certificates.clear()
-        assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
+        X = FatPointScheme.of(Z)
+        M = symbolic_conditions_matrix(X, 3, 4)
         assert [key[:2] for key in poly._certificates] == [(M.ring.field, 15)]
         assert sorted(key[1:] for key in poly._eliminations) == maps
+        certificates[0] = 0
+        nullspace_basis(conditions_matrix(X, 4))
+        assert certificates[0] == 0
+        poly._eliminations.clear()
+        poly._certificates.clear()
+        inverses[0] = 0
+        assert symbolic_rank_bound(M) == GenericRankCertificate(*expected)
+        assert (poly._certificates, poly._eliminations) == ({}, {})
         assert inverses[0] == 0
 
 
