@@ -72,8 +72,6 @@ from .poly import (
     Form,
     ParamRing,
     _certificate,
-    _certificates,
-    _eliminations,
     evaluate,
     exact_rank,
     monomial_basis,
@@ -498,7 +496,7 @@ def symbolic_conditions_matrix(X: FatPointScheme, j: int, d: int) -> ExactMatrix
     degree bounds off these rows.
     """
     field = X.field
-    _, kernel = _certificate(conditions_matrix(X, d), _certificates, _eliminations)
+    _, kernel = _certificate(conditions_matrix(X, d))
     zero = field.scale(field.unit, 0)
     t, templates = _row_templates(d, j)
     basis = monomial_basis(t)

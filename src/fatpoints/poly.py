@@ -21,10 +21,10 @@ A conditions matrix (linsys) holds its scheme instead, over Q as over
 Q(zeta_n): the rows at each map are built from the images of its points'
 coordinates, keyed by the points, and its integral rows only on a rank
 drop, where the certificate's prime budget and exact check read them.
-Two stores of one bound (_keep) outlive a verdict: the last elimination at
-each map and width, after whose shared rows the next resumes (_eliminate),
-as a search's consecutive subsets share most of their points, and each
-certificate under its row keys, which a witness reads again (_certificate).
+Two module stores of one bound (_keep) outlive a verdict: the last
+elimination at each map and width, after whose shared rows the next resumes
+(_eliminate), as a search's consecutive subsets share most of their points,
+and each certificate under its row keys, which a witness reads again.
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
@@ -44,13 +44,13 @@ bounds the rank from above.
 Nullspace bases are the standard bases of the RREF, so they are canonical
 regardless of pivot choices.
 
-Over Q alone the symbolic grid evaluates in plain ints and ranks by
-fraction-free (Bareiss) elimination, the one branch on the degree here, as
-it is measured faster: the one-step Bareiss update keeps every intermediate
-entry equal to a minor of the scaled matrix, which controls coefficient
-blowup, and every division is exact and checked.  Over Q(zeta_n) the grid's
-ranks are the full-rank test and certificate above, so every exact rank
-there runs one path.
+The symbolic grid alone ranks otherwise, on every field: it evaluates its
+points in plain ints and ranks them by fraction-free (Bareiss) elimination,
+measured faster there than the certificate.  The one-step Bareiss update
+keeps every intermediate entry equal to a minor of the scaled matrix, which
+controls coefficient blowup, and every division is exact and checked.  A
+grid matrix with an irrational entry is ranked in the field's regular
+representation, over Q, and its rank checked to be a multiple of phi.
 
 Symbolic mode works over a dense bivariate polynomial ring Q(zeta_n)[a, b];
 generic ranks of parameter matrices are certified by evaluation on an
@@ -76,7 +76,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .field import Field, FieldMismatchError, Scalar
@@ -549,7 +549,7 @@ class ExactMatrix:
         return M
 
     def _shape(self, ring, rows, ncols: int) -> None:
-        if set(map(len, rows)) - {ncols}:  # no generator: each grid point over Q(zeta_n) passes here
+        if set(map(len, rows)) - {ncols}:
             raise ValueError("ragged matrix")
         self.ring = ring
         self.nrows = len(rows)
@@ -586,7 +586,7 @@ class ExactMatrix:
         """Whether the kernel is known to be rational, so that a certificate
         reads it at the first map of each prime alone (_certify): here when
         no integral entry has a coordinate past the first (Field.flat), as
-        over Q and at the grid's points of a Galois-stable scheme."""
+        over Q."""
         flat = self.ring.flat
         return not any(any(flat(x)[1:]) for row in self.integral_rows() for x in row)
 
@@ -603,8 +603,8 @@ def _integral_rows(rows, ring) -> list:
 
 def _echelon_int(rows, ncols):
     """Fraction-free (Bareiss) forward elimination over Z, in place;
-    returns (rank, pivot cols).  Only the symbolic grid over Q runs it, at
-    each grid point."""
+    returns (rank, pivot cols).  Only the symbolic grid runs it, at each
+    grid point, on every field."""
     m = len(rows)
     prev = 1
     pr = 0
@@ -741,27 +741,26 @@ def _keep(store: dict, key, value) -> None:
             del store[next(iter(store))]
 
 
-def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, store: dict) -> list:
+def _eliminate(M: ExactMatrix, p: int, image, key, slack: int) -> list:
     """The _forward echelon of M's rows under a ring map image into Z/p,
     as M.residues gives them.
 
-    The elimination is kept in store under key, (field, ncols, k, i) for
-    the i-th map of Field.certificate_prime(k), and the next one under key
-    resumes after the rows whose keys (M.row_keys) it shares with this one,
-    from copies of the echelon rows they left, so a stored elimination is
-    never changed.  The store is _eliminations, which outlives a verdict:
+    The elimination is kept in the store _eliminations under key, (field,
+    ncols, k, i) for the i-th map of Field.certificate_prime(k), and the
+    next one under key resumes after the rows whose keys (M.row_keys) it
+    shares with this one, from copies of the echelon rows they left, so a
+    stored elimination is never changed.  The store outlives a verdict:
     over Q a certificate resumes where the full-rank test of the same rows
     stopped, each sample of a verdict starts with the rows of the points of
     Z, whose rank the verdict took first, and a verdict starts with the
     points it shares with the last elimination at its key, which a search's
-    previous subset left.  Only the grid's points over Q(zeta_n), whose
-    rows change at every point, pass a store of their own.  _forward is
-    deterministic and greedy, so a resumed echelon is the one a fresh
-    elimination of the same rows gives.  The store is bounded (_keep).
+    previous subset left.  _forward is deterministic and greedy, so a
+    resumed echelon is the one a fresh elimination of the same rows gives.
+    The store is bounded (_keep).
     """
     keys = M.row_keys()
     start, echelon, sizes = 0, [], []
-    last = store.get(key)
+    last = _eliminations.get(key)
     if last is not None:
         last, echelon, sizes = last
         for new, old, _ in zip(keys, last, sizes):
@@ -770,7 +769,7 @@ def _eliminate(M: ExactMatrix, p: int, image, key, slack: int, store: dict) -> l
             start += 1
         echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
     _forward(M.residues(p, image, start), M.ncols, p, echelon, sizes, slack)
-    _keep(store, key, (keys, echelon, sizes))
+    _keep(_eliminations, key, (keys, echelon, sizes))
     return echelon
 
 
@@ -859,7 +858,7 @@ def _annihilates(rows, f: int, den: int, entries, times, field: Field) -> bool:
     return True
 
 
-def _certify(M: ExactMatrix, eliminations: dict):
+def _certify(M: ExactMatrix):
     """The RREF pivots and kernel of a matrix over a field, as a checked
     residue certificate: (pivots, kernel), kernel a list of (coords, den),
     the integral coordinates and common denominator of the basis vector of
@@ -867,8 +866,8 @@ def _certify(M: ExactMatrix, eliminations: dict):
 
     For k = Field.certificate_start, k + 1, ... the rows are taken to Z/p
     by maps of Field.certificate_prime(k) and eliminated there (_eliminate,
-    in the store eliminations, so that over Q it resumes the full-rank test
-    of _rank at prime 0), and back substitution gives the kernel mod p
+    so that over Q it resumes the full-rank test of _rank at prime 0), and
+    back substitution gives the kernel mod p
     (_back_substitute).  Pivot columns that are independent mod p are
     independent, as the image of their minor is nonzero.  Reduction can
     only move pivots later, so a prime is dropped when its maps disagree on
@@ -924,7 +923,7 @@ def _certify(M: ExactMatrix, eliminations: dict):
         the kernels have map 0's pivots."""
         k, p, images, _, found = prime
         for i in range(len(found), len(images) if lifted else 1):
-            echelon = _eliminate(M, p, images[i], (field, ncols, k, i), M.nrows, eliminations)
+            echelon = _eliminate(M, p, images[i], (field, ncols, k, i), M.nrows)
             found.append(_back_substitute(echelon, ncols, p))
         return all(pivots == found[0][0] for pivots, _ in found)
 
@@ -998,23 +997,23 @@ def _certify(M: ExactMatrix, eliminations: dict):
                 return best, [accepted[f] for f in free]
 
 
-def _certificate(M: ExactMatrix, certificates: dict, eliminations: dict):
-    """_certify, kept in the store certificates (_keep), or the certificate
+def _certificate(M: ExactMatrix):
+    """_certify, kept in the store _certificates (_keep), or the certificate
     of the same matrix from there, found by M's field, width and row keys:
     so a conditions matrix finds the certificate of an earlier matrix of the
     same scheme, a rank's for a nullspace basis, without its integral rows."""
     key = (M.ring, M.ncols, tuple(map(tuple, M.row_keys())))
-    found = certificates.get(key)
+    found = _certificates.get(key)
     if found is None:
-        found = _certify(M, eliminations)
-        _keep(certificates, key, found)
+        found = _certify(M)
+        _keep(_certificates, key, found)
     return found
 
 
-def _rank(M: ExactMatrix, certificates: dict, eliminations: dict) -> int:
+def _rank(M: ExactMatrix) -> int:
     """Rank of a matrix over a field, its certificate kept in the store
-    certificates (_certificate) and its eliminations in the store
-    eliminations (_eliminate).
+    _certificates (_certificate) and its eliminations in the store
+    _eliminations (_eliminate).
 
     The rows are first eliminated at the first map of prime 0
     (Field.certificate_prime), until full rank min(nrows, ncols) is out of
@@ -1026,10 +1025,10 @@ def _rank(M: ExactMatrix, certificates: dict, eliminations: dict) -> int:
     """
     field, full = M.ring, min(M.nrows, M.ncols)
     p, images, _ = field.certificate_prime(0)
-    echelon = _eliminate(M, p, images[0], (field, M.ncols, 0, 0), M.nrows - full, eliminations)
+    echelon = _eliminate(M, p, images[0], (field, M.ncols, 0, 0), M.nrows - full)
     if len(echelon) == full:
         return full
-    pivots, _ = _certificate(M, certificates, eliminations)
+    pivots, _ = _certificate(M)
     return len(pivots)
 
 
@@ -1039,14 +1038,14 @@ def exact_rank(M: ExactMatrix) -> int:
     (_certify) decides every other case."""
     if not isinstance(M.ring, Field):
         raise TypeError("exact_rank needs a matrix over a field; see symbolic_rank_bound")
-    return _rank(M, _certificates, _eliminations)
+    return _rank(M)
 
 
 def rank_of_fraction_rows(M: ExactMatrix) -> int:
     """Rank over Q of a matrix, as exact_rank takes it: linsys ranks its
     conditions matrices over Q by this name, which the benchmark's tracing
     table reads."""
-    return _rank(M, _certificates, _eliminations)
+    return _rank(M)
 
 
 def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
@@ -1063,7 +1062,7 @@ def nullspace_basis(M: ExactMatrix) -> list[tuple[Scalar, ...]]:
     if not isinstance(M.ring, Field):
         raise TypeError("nullspace_basis needs a matrix over a field")
     field = M.ring
-    _, kernel = _certificate(M, _certificates, _eliminations)
+    _, kernel = _certificate(M)
     return [tuple(field.from_integral(coords, den)) for coords, den in kernel]
 
 
@@ -1091,13 +1090,14 @@ class GenericRankCertificate:
 def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     """Certified generic rank of a matrix over a parameter ring.
 
-    Each grid point ranks M's integral rows evaluated there: over Q by
-    Bareiss elimination (_echelon_int), over Q(zeta_n) by _rank, the
-    full-rank test and checked certificate of every other rank, in stores
-    of its own for certificates and eliminations, so that the sweep leaves
-    _certificates and _eliminations as they were: the rows change at every
-    point, and would only evict the entries that a later rank or witness
-    reads.  Constant rows are ranked at each point like any other.  The
+    Each grid point ranks M's integral rows evaluated there in plain ints
+    by Bareiss elimination (_echelon_int), on every field, and no store is
+    touched.  If every term coefficient is rational (Field.flat), as for a
+    Galois-stable Z, each is its first coordinate.  Otherwise each becomes
+    its phi x phi block of the regular representation, Field.flat(c z^k)[r]
+    at (r, k): a Q-linear map whose Q-rank is phi times the rank, so the
+    Bareiss rank is divided by phi, and ArithmeticError if phi does not
+    divide it.  Constant rows are ranked at each point like any other.  The
     sweep stops once the rank reaches min(nrows, ncols), since no larger
     minor exists.
 
@@ -1119,32 +1119,29 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     """
     if not isinstance(M.ring, ParamRing):
         raise TypeError("symbolic_rank_bound needs a matrix over a parameter ring")
-    field, ncols = M.ring.field, M.ncols
-    rows = [[[(i, j, c) for (i, j), c in e.items()] for e in row] for row in M.integral_rows()]
-    da = sum(max((i for e in row for i, _, _ in e), default=0) for row in rows)
-    db = sum(max((j for e in row for _, j, _ in e), default=0) for row in rows)
-    dt = sum(max((i + j for e in row for i, j, _ in e), default=0) for row in rows)
+    field, ncols, integral = M.ring.field, M.ncols, M.integral_rows()
+    da = sum(max((i for e in row for i, _ in e), default=0) for row in integral)
+    db = sum(max((j for e in row for _, j in e), default=0) for row in integral)
+    dt = sum(max((i + j for e in row for i, j in e), default=0) for row in integral)
     grid = [(a0, b0) for a0 in range(da + 1) for b0 in range(min(db, dt - a0) + 1)]
-    if field.degree == 1:
-        # measured on certified verdicts: ranking by _rank took 2.6 times as
-        # long as Bareiss, and evaluating through add and scale 3 to 5% longer
-        def value(terms, pa, pb):
-            total = 0
-            for i, j, c in terms:
-                total += c * pa[i] * pb[j]
-            return total
-
-        def rank(grid_rows):
-            return _echelon_int(grid_rows, ncols)[0]
-
+    flat, mul = field.flat, field.mul
+    if not any(any(flat(c)[1:]) for row in integral for e in row for c in e.values()):
+        phi = 1
+        rows = [[[(i, j, flat(c)[0]) for (i, j), c in e.items()] for e in row] for row in integral]
     else:
-        zero, add, scale = field.scale(field.unit, 0), field.add, field.scale
+        phi = field.degree
+        z_powers = field.group([int(r == k) for k in range(phi) for r in range(phi)])
+        rows = []
+        for row in integral:
+            blocks = [[(i, j, [flat(mul(c, z)) for z in z_powers]) for (i, j), c in e.items()] for e in row]
+            rows += [[[(i, j, b[k][r]) for i, j, b in terms if b[k][r]] for terms in blocks for k in range(phi)]
+                     for r in range(phi)]
 
-        def value(terms, pa, pb):
-            return reduce(add, [scale(c, pa[i] * pb[j]) for i, j, c in terms], zero)
-
-        def rank(grid_rows):
-            return _rank(ExactMatrix.from_integral(field, grid_rows, ncols), {}, {})
+    def value(terms, pa, pb):
+        total = 0
+        for i, j, c in terms:
+            total += c * pa[i] * pb[j]
+        return total
 
     n = max(da, db) + 1
     powers = [[x**k for k in range(n)] for x in range(n)]
@@ -1153,7 +1150,9 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     witness = (0, 0)
     for a0, b0 in grid:
         pa, pb = powers[a0], powers[b0]
-        r = rank([[value(e, pa, pb) for e in row] for row in rows])
+        r, rest = divmod(_echelon_int([[value(e, pa, pb) for e in row] for row in rows], phi * ncols)[0], phi)
+        if rest:
+            raise ArithmeticError(f"a rank over Q not divisible by the degree {phi}")
         if r > best:
             best = r
             witness = (a0, b0)

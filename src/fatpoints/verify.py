@@ -8,15 +8,14 @@ determinant of the three reducible quartics at the general double point.
 
 The suite gives every checker that takes a general point the run's one
 strategy.  Under certify its verdicts are proved: a negative by a sample
-that meets the condition count, a positive on the symbolic grid.  Only
-fermat5-degree7 stays sampled, set in its own runner.
+that meets the condition count, a positive on the symbolic grid.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
 
@@ -639,8 +638,7 @@ CLAIM_RUNNERS = {
     "superset-persistence": lambda seed, s: check_superset_persistence(s),
     "fermat3-combinatorics": lambda seed, s: check_fermat3_combinatorics(),
     "fermat3-no-unexpected": lambda seed, s: check_fermat3_no_unexpected(s),
-    # sampled in either mode: its positive at d = 7 needs a 926-point grid over Q(zeta_5), ~1.5 s
-    "fermat5-degree7": lambda seed, s: check_fermat5_degree7(replace(s, mode="sampled")),
+    "fermat5-degree7": lambda seed, s: check_fermat5_degree7(s),
     "w5-splitting": lambda seed, s: check_w5_splitting(s),
     "example-quartic-unexpected": lambda seed, s: check_example_unexpected(),
     "example-double-point-basis": lambda seed, s: check_example_double_point(seed=seed + 3),
@@ -664,9 +662,8 @@ def run_paper_suite(seed: int = 0, certify: bool = False, claims=None) -> list[C
     """Run every claim checker; deterministic given the seed.
 
     With certify=True every claim that takes a general point gets the
-    certified mode, except fermat5-degree7, whose runner stays sampled;
-    example-quartic-unexpected and oracle-coherence compare sampled against
-    certified in every run.
+    certified mode; example-quartic-unexpected and oracle-coherence compare
+    sampled against certified in every run.
     """
     strategy = GeneralPointStrategy(mode="certified" if certify else "sampled", seed=seed)
     if claims:

@@ -412,7 +412,7 @@ def test_symbolic_matrix_specializes_to_concrete():
         sa, sb = QQ.scalar(a0), QQ.scalar(b0)
         spec = [[e.evaluate(sa, sb) for e in row] for row in M.rows]
         C = conditions_matrix(X, d)
-        _, kernel = poly._certificate(C, poly._certificates, poly._eliminations)
+        _, kernel = poly._certificate(C)
         N = [[den * x for x in v] for v, (_, den) in zip(nullspace_basis(C), kernel)]
         assert (M.nrows, M.ncols) == (comb(j + 1, 2), len(N))
         concrete = [list(r) for r in conditions_matrix(FatPointScheme.of(Z, (P, j)), d).rows]
@@ -824,8 +824,8 @@ def test_condition_rows_do_not_branch_on_the_layout():
     # the integral layout is the field's (Field.mul, scale, add, unit, flat
     # and group): in linsys only system_dimension branches on a field's
     # degree, and only to call its rank by the name the benchmark traces
-    # over Q; in poly only symbolic_rank_bound, which evaluates and ranks
-    # its grid points over Q in plain ints; and neither module tells the
+    # over Q; poly branches on it nowhere, as its symbolic grid ranks every
+    # point by Bareiss in ints on every field; and neither module tells the
     # layouts apart by testing for tuples
     from pathlib import Path
 
@@ -834,7 +834,7 @@ def test_condition_rows_do_not_branch_on_the_layout():
 
     for module, allowed in (
         (linsys, {"system_dimension"}),
-        (poly, {"symbolic_rank_bound"}),
+        (poly, set()),
     ):
         source = Path(module.__file__).read_text()
         assert "mul is None" not in source

@@ -587,8 +587,9 @@ def test_integer_kernel_check_rejects_corrupted_products(monkeypatch):
     # of the budget is tried before the certificate gives up
     rows[0][1] = OffByOne(1)
     primes[0] = 0
+    poly._eliminations.clear()
     with pytest.raises(ArithmeticError):
-        poly._certify(ExactMatrix.from_integral(QQ, rows, 3), {})
+        poly._certify(ExactMatrix.from_integral(QQ, rows, 3))
     assert primes[0] == poly._prime_budget(rows, QQ) + 1
 
 
@@ -789,7 +790,8 @@ def test_cyclotomic_elimination_inverts_pivots_by_integer_norms(monkeypatch):
     assert (certificates[0], primes[0]) == (2, 1 + 2 + 2)
     assert (scalar[0], integral[0]) == (0, 0)
     rows = poly._integral_rows(M.rows, field)
-    pivots, _ = poly._certify(ExactMatrix.from_integral(field, rows, 36), {})
+    poly._eliminations.clear()
+    pivots, _ = poly._certify(ExactMatrix.from_integral(field, rows, 36))
     (free,) = set(range(36)) - set(pivots)
     assert v[free] == field.one
     assert all(not sum((a * x for a, x in zip(row, v)), field.zero) for row in M.rows)
@@ -1246,12 +1248,12 @@ def test_racing_eliminations_evict_within_the_bound(name):
     M = ExactMatrix(QQ, [[1, 2]])
     p, images, _ = QQ.certificate_prime(0)
     store, failures = getattr(poly, name), []
-    certificate = poly._certify(M, {})
+    certificate = poly._certify(M)
     barrier = threading.Barrier(2)
 
     def keep(key):
         if store is poly._eliminations:
-            poly._eliminate(M, p, images[0], key, 0, store)
+            poly._eliminate(M, p, images[0], key, 0)
         else:
             poly._keep(store, key, certificate)
 
@@ -1487,16 +1489,62 @@ def test_the_degree_triangle_is_unisolvent(da, db, dt):
 def test_the_grid_reaches_the_total_degree():
     # prod_{k=0}^{D} (a + b - k) vanishes on a + b <= D but not identically:
     # its total degree D + 1 makes the grid reach a + b = D + 1, first at
-    # (0, D + 1), so a total-degree bound one too small would give rank 0
-    for field in (QQ, make_field("cyclotomic", 3)):
+    # (0, D + 1), so a total-degree bound one too small would give rank 0.
+    # The factor 1 + zeta makes the entry irrational over Q(zeta_3), ranked
+    # in the regular representation
+    f3 = make_field("cyclotomic", 3)
+    for field, unit in ((QQ, 1), (f3, 1), (f3, 1 + primitive_root(f3))):
         ring = ParamRing(field)
         for D in (0, 1, 4):
-            entry = ring.one
+            entry = ring.coerce(unit)
             for k in range(D + 1):
                 entry = entry * (ring.a + ring.b - k)
             cert = symbolic_rank_bound(ExactMatrix(ring, [[entry]]))
             size = (D + 2) * (D + 3) // 2
             assert cert == GenericRankCertificate(1, (0, D + 1), D + 1, D + 1, size)
+
+
+@pytest.mark.parametrize("label", ["prop33-first a=zeta_6", "prop33-first a=zeta_5"])
+def test_regular_representation_ranks_are_the_exact_ranks(monkeypatch, label):
+    # at the points of a scheme that is not Galois-stable, P N has
+    # irrational entries: each grid point's Bareiss rank, of the regular
+    # representation, is phi times exact_rank of P N evaluated there, at
+    # every point the sweep evaluates, in the grid's lexicographic order
+    Z, j, d = _reference_matrices()[label]
+    M = symbolic_conditions_matrix(FatPointScheme.of(Z), j, d)
+    field = M.ring.field
+    assert not FatPointScheme.of(Z).galois_stable()
+    echelon, ranks = poly._echelon_int, []
+
+    def recorded(rows, ncols):
+        ranks.append(echelon(rows, ncols)[0])
+        return ranks[-1], None
+
+    monkeypatch.setattr(poly, "_echelon_int", recorded)
+    cert = symbolic_rank_bound(M)
+    da, db = cert.degree_bound_a, cert.degree_bound_b
+    dt = sum(max((i + j for e in row for i, j in e.terms), default=0) for row in M.rows)
+    grid = [(a0, b0) for a0 in range(da + 1) for b0 in range(min(db, dt - a0) + 1)]
+    assert len(grid) == cert.grid_points
+    grid = grid[: grid.index(cert.witness) + 1]
+    assert len(ranks) == len(grid) > 1 and len(set(ranks)) > 1
+    for (a0, b0), r in zip(grid, ranks):
+        spec = [[e.evaluate(a0, b0) for e in row] for row in M.rows]
+        assert r == field.degree * exact_rank(ExactMatrix(field, spec))
+
+
+def test_regular_representation_rank_is_checked_divisible(monkeypatch):
+    # a Bareiss rank of the regular representation that phi does not divide
+    # is no rank over the field: over Q(zeta_3), where phi = 2, a rank one
+    # too large raises
+    f3 = make_field("cyclotomic", 3)
+    ring = ParamRing(f3)
+    M = ExactMatrix(ring, [[ring.a * primitive_root(f3), ring.b]])
+    assert symbolic_rank_bound(M).rank == 1
+    echelon = poly._echelon_int
+    monkeypatch.setattr(poly, "_echelon_int", lambda rows, ncols: (echelon(rows, ncols)[0] + 1, None))
+    with pytest.raises(ArithmeticError):
+        symbolic_rank_bound(M)
 
 
 def _shortcut_corpus():
@@ -1538,17 +1586,16 @@ def test_certified_generic_dim_matches_the_grid_on_corpora(monkeypatch):
 
 
 def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
-    # one rank per grid point: Bareiss over Q, _rank over Q(zeta_n)
+    # one Bareiss rank per grid point, over Q(zeta_n) as over Q, and no _rank
     bareiss = _count_calls(monkeypatch, poly, "_echelon_int")
     ranks = _count_calls(monkeypatch, poly, "_rank")
     certificates = _count_calls(monkeypatch, poly, "_certify")
     # F3 reaches its ceiling of 6 at the witness (1, 2), the 14th of 85
     # points; the example stays at rank 5, below its ceiling of 6, to the end
-    # of its 79.  One certificate is for the kernel of Z's conditions matrix;
-    # over Q(zeta_3) each of the 13 rank drops before F3's witness is
-    # certified too
+    # of its 79.  The one certificate is for the kernel of Z's conditions
+    # matrix, before the sweep
     for Z, rank, witness, points, evaluated, certified in (
-        (dual_fermat(3), 6, (1, 2), 85, (0, 14), 1 + 13),
+        (dual_fermat(3), 6, (1, 2), 85, (14, 0), 1),
         (example_quartic_config(), 5, (1, 1), 79, (79, 0), 1),
     ):
         bareiss[0] = ranks[0] = certificates[0] = 0
@@ -1562,8 +1609,8 @@ def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypat
     # matrix's certificate: at map 0 alone for a Galois-stable scheme, such
     # as dual F3, at both maps where a = zeta_6 makes the scheme unstable, and
     # a later basis of that matrix finds it kept.  The grid over Q(zeta_n)
-    # ranks its points by the residue certificate, which takes no integral
-    # inverse, each in stores of its own, so the module stores stay empty
+    # ranks its points by Bareiss in ints, which takes no integral inverse
+    # and runs no certificate, so the module stores stay empty
     inverses = _count_calls(monkeypatch, Field, "integral_inverse")
     certificates = _count_calls(monkeypatch, poly, "_certify")
     zeta6 = primitive_root(make_field("cyclotomic", 6))
@@ -1616,7 +1663,8 @@ def test_cyclotomic_bareiss_skips_zero_products(monkeypatch):
     # operand is skipped, and the rank and pivots stay those of the kernel
     M = _dual_fermat_sample(5, 7)
     rows = poly._integral_rows(M.rows, M.ring)
-    pivots, _ = poly._certify(ExactMatrix.from_integral(M.ring, rows, 36), {})
+    poly._eliminations.clear()
+    pivots, _ = poly._certify(ExactMatrix.from_integral(M.ring, rows, 36))
     zero_operands = [0]
     mul = M.ring.mul
 

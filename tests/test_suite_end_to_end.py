@@ -46,14 +46,14 @@ def test_warm_memos_change_no_output(tmp_path, certify, capsys, monkeypatch):
         verdict[0] += 1
         return sample_and_floor(*args)
 
-    def tracked(M, p, image, key, slack, store):
+    def tracked(M, p, image, key, slack):
         # a resume across verdicts starts with the first row of another
         # verdict's elimination
-        last = store.get(key)
+        last = poly._eliminations.get(key)
         if last is not None and verdicts.get(key) != verdict[0] and last[2] and last[0][:1] == M.row_keys()[:1]:
             resumed[run] += 1
         verdicts[key] = verdict[0]
-        return eliminate(M, p, image, key, slack, store)
+        return eliminate(M, p, image, key, slack)
 
     monkeypatch.setattr(unexpected, "_sample_and_floor", counted)
     monkeypatch.setattr(poly, "_eliminate", tracked)

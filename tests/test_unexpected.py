@@ -372,9 +372,9 @@ def test_threads_share_the_elimination_store(monkeypatch):
     poly._eliminations.clear()
     keys, eliminate = set(), poly._eliminate
 
-    def keyed(M, p, image, key, slack, store):
+    def keyed(M, p, image, key, slack):
         keys.add(key)
-        return eliminate(M, p, image, key, slack, store)
+        return eliminate(M, p, image, key, slack)
 
     monkeypatch.setattr(poly, "_eliminate", keyed)
     found = [None] * len(queries)
@@ -477,10 +477,10 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     # at prime 0), then each sample alone
     rank = poly._rank
 
-    def alone(M, certificates, eliminations):
-        certificates.clear()
-        eliminations.clear()
-        return rank(M, certificates, eliminations)
+    def alone(M):
+        poly._certificates.clear()
+        poly._eliminations.clear()
+        return rank(M)
 
     monkeypatch.setattr(poly, "_rank", alone)
     assert generic_dim(Z, 3, 4) == 1
@@ -561,10 +561,11 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
         # both modes draw the same samples, up to the first at the threshold
         sampled = detect_unexpected(Z, d).to_dict()
         assert rep.to_dict() == {**sampled, "certified": True}
-    # the certified suite's only grid certificates are for the example's
-    # quartic, at (j, d) = (3, 4): the excluded pair of family-emptiness, the
-    # injected example of the uniqueness grid, the certified check of
-    # example-quartic-unexpected and m(3) of example-splitting
+    # the certified suite's grid certificates are for the example's quartic,
+    # at (j, d) = (3, 4): the excluded pair of family-emptiness, the injected
+    # example of the uniqueness grid, the certified check of
+    # example-quartic-unexpected and m(3) of example-splitting; and for the
+    # dual F5's septic over Q(zeta_5), at (6, 7), of fermat5-degree7
     def tagged(name, run):
         def run_tagged(seed, strategy):
             claim[0] = name
@@ -579,13 +580,18 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
     assert [name for name, *_ in grids] == [
         "family-emptiness",
         "quartic-uniqueness-grid",
+        "fermat5-degree7",
         "example-quartic-unexpected",
         "example-splitting",
     ]
     example = example_quartic_config()
-    for _, X, j, d in grids:
-        assert (j, d) == (3, 4) and all(m == 1 for _, m in X)
-        assert projective_equivalent(PointConfiguration(X.field, [p for p, _ in X]), example)[0]
+    for name, X, j, d in grids:
+        assert all(m == 1 for _, m in X)
+        points = PointConfiguration(X.field, [p for p, _ in X])
+        if name == "fermat5-degree7":
+            assert (j, d) == (6, 7) and points == dual_fermat(5)
+        else:
+            assert (j, d) == (3, 4) and projective_equivalent(points, example)[0]
 
 
 def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):

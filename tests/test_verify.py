@@ -157,14 +157,16 @@ def test_certify_reaches_exactly_the_certifiable_claims(monkeypatch):
         assert list(modes.items()) == [(c, mode) for c in verify.SUITE_CLAIMS]
 
 
-def test_fermat5_runner_stays_sampled_under_certify(monkeypatch):
-    # the one exception, set in its runner: the positive at d = 7 would need
-    # the grid over Q(zeta_5)
+def test_fermat5_runner_is_handed_the_run_strategy(monkeypatch):
+    # no runner replaces the run's strategy: under certify, the positive at
+    # d = 7 is proved on the grid over Q(zeta_5) too
     handed = []
     monkeypatch.setattr(verify, "check_fermat5_degree7", lambda s: handed.append(s))
-    certified = GeneralPointStrategy(mode="certified", seed=5)
-    verify.CLAIM_RUNNERS["fermat5-degree7"](5, certified)
-    assert handed == [GeneralPointStrategy(mode="sampled", seed=5)]
+    for mode in ("sampled", "certified"):
+        strategy = GeneralPointStrategy(mode=mode, seed=5)
+        verify.CLAIM_RUNNERS["fermat5-degree7"](5, strategy)
+        assert handed[-1] is strategy
+    assert len(handed) == 2
 
 
 def test_certified_suite_matches_its_pins():
