@@ -43,9 +43,10 @@ scales each row of the point by a nonzero constant, so the row space, the
 ranks, the RREF nullspace bases and every witness are those of the
 point's Scalar triple.  The witness check (_check_vanishing) reads the
 same conditions in a second formulation, in Scalars and in an affine
-chart: one Taylor expansion of the form at each fat point, whose
-coefficients of total order below m are its chart derivatives up to
-factorials.
+chart: one Taylor expansion of the form at each point, simple or fat
+(poly.taylor_coefficients), whose coefficients of total order below m are
+its chart derivatives up to factorials; at a simple point that is the one
+coefficient f(p), as poly.evaluate gives it.
 
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.  A conditions matrix has
@@ -77,6 +78,7 @@ from .poly import (
     monomial_basis,
     nullspace_basis,
     rank_of_fraction_rows,
+    taylor_coefficients,
 )
 
 
@@ -189,14 +191,6 @@ def _galois_stable(parts, field: Field) -> bool:
         return True
     present = set(parts)
     return all((q, m) in present for coords, m in parts for q in _conjugates(coords, field))
-
-
-def _chart_index(coords, zero) -> int:
-    """The last coordinate of a point that is not zero."""
-    for i in (2, 1, 0):
-        if coords[i] != zero:
-            return i
-    raise AssertionError("unreachable: zero point")
 
 
 def _row_triple(p: ProjectivePoint) -> tuple:
@@ -382,71 +376,18 @@ def dim_linear_system(X: FatPointScheme, d: int, basis: bool = True) -> LinearSy
     )
 
 
-def _shift(coeffs: list, p, k: int, unit: bool) -> list:
-    """The coefficients of s^0, ..., s^(k-1) in h(p + s), where
-    h(x) = sum_i coeffs[i] x^i: k passes of synthetic division by x - p in
-    place, the i-th of which leaves h^(i)(p) / i! at index i.  No product
-    is formed by p = 1 (unit) or by a zero coefficient, and p = 0 shifts
-    nothing."""
-    if p:
-        n = len(coeffs) - 1
-        for i in range(min(k, n)):
-            for j in range(n - 1, i - 1, -1):
-                a = coeffs[j + 1]
-                if a:
-                    coeffs[j] = coeffs[j] + (a if unit else p * a)
-    return coeffs[:k]
-
-
-def _vanishes_to_order(f: Form, coords, m: int) -> bool:
-    """Whether f vanishes to order m at the point with coordinates coords,
-    by one Taylor expansion in the chart of its last nonzero coordinate c.
-
-    With u, v the other two coordinates, g(s, t) = f(p + s e_u + t e_v)
-    has the coefficient d_u^a d_v^b f(p) / (a! b!) at s^a t^b, and f
-    vanishes to order m at p when each of a + b < m is zero.  The
-    coefficients of f, each weighted by p_c^(e_c) unless p_c = 1, are laid
-    out as one row in X_u per exponent of X_v; each row is shifted
-    X_u -> p_u + s up to s^(m-1), then each of those m columns, in X_v,
-    is shifted X_v -> p_v + t up to the order it still needs."""
-    field = f.ring
-    zero, one = field.zero, field.one
-    c = _chart_index(coords, zero)
-    u, v = [i for i in range(3) if i != c]
-    pu, pv, pc = coords[u], coords[v], coords[c]
-    d = f.degree
-    weights = None
-    if pc != one:
-        weights = [one, pc]
-        for _ in range(2, d + 1):
-            weights.append(weights[-1] * pc)
-    rows = [[zero] * (d - j + 1) for j in range(d + 1)]  # rows[e_v][e_u]
-    for e, a in zip(monomial_basis(d), f.coeffs):
-        if a:
-            rows[e[v]][e[u]] = a * weights[e[c]] if weights and e[c] else a
-    unit_u, unit_v = pu == one, pv == one
-    rows = [_shift(row, pu, m, unit_u) for row in rows]
-    for i in range(min(m, d + 1)):
-        column = [rows[j][i] for j in range(d - i + 1)]
-        if any(_shift(column, pv, m - i, unit_v)):
-            return False
-    return True
-
-
 def _check_vanishing(f: Form, X: FatPointScheme) -> None:
     """Post-condition: f meets every multiplicity condition of X.
 
     The check evaluates f exactly, apart from the condition rows, their
-    templates and the kernel certificate, and in the affine chart of the
-    point's last nonzero coordinate rather than by Euler partials: a simple
-    point by poly.evaluate, an m-fold point by one Taylor expansion of f
-    (_vanishes_to_order), whose coefficients of total order below m are
+    templates and the kernel certificate, and in an affine chart rather
+    than by Euler partials: at each m-fold point, simple or not, the Taylor
+    coefficients of f of total order below m (poly.taylor_coefficients),
     the chart derivatives of those orders up to factorials, so it accepts
     exactly the forms that vanish to order m there.
     """
     for p, m in X.parts:
-        meets = evaluate(f, p.coeffs).is_zero() if m == 1 else _vanishes_to_order(f, p.coeffs, m)
-        if not meets:
+        if any(taylor_coefficients(f, p.coeffs, m)):
             raise AssertionError(f"basis form fails the order-{m} condition at {p!r}")
 
 

@@ -2,7 +2,12 @@
 
 Monomials of each degree d live in a fixed graded-lexicographic order with
 x > y > z; coefficient vectors (length C(d+2,2)) in that order are part of
-the external contract, so reports are reproducible bit for bit.
+the external contract, so reports are reproducible bit for bit.  A form is
+read at a point by one routine, taylor_coefficients: its Taylor
+coefficients of total order below m in an affine chart, by nested
+synthetic division, whose one coefficient at m = 1 is the value evaluate
+returns, so an m-fold point's conditions and a simple point's value are
+one computation.
 
 An ExactMatrix over a field or a parameter ring holds its rows as integer
 (or cyclotomic-integer) coordinates, each a nonzero multiple of its Scalar
@@ -72,6 +77,7 @@ the degree bounds require, not the number of points evaluated.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 import threading
 from dataclasses import dataclass
@@ -458,56 +464,80 @@ def _horner_groups(d: int, a: int, b: int) -> tuple:
     return tuple(groups)
 
 
-def evaluate(f: Form, point) -> object:
-    """Value of the form at a coordinate triple (ring elements).
+def _shift(h: list, p, k: int, unit: bool) -> None:
+    """k passes of synthetic division by x - p, in place, on the
+    coefficients of a polynomial h(x) from its top degree down, None for a
+    zero one: afterwards h[-1 - i] is the coefficient of s^i in h(p + s),
+    for i < k.  One pass is Horner's rule, and no product is formed by
+    p = 1 (unit) or by a zero coefficient."""
+    n = len(h) - 1
+    for i in range(min(k, n)):
+        for j in range(1, n + 1 - i):
+            x = h[j - 1]
+            if x is not None:
+                if not unit:
+                    x = p * x
+                y = h[j]
+                h[j] = x if y is None else y + x
 
-    Nested Horner: f = sum_i p_a^i g_i(p_b, p_c), Horner in p_a over the
-    groups g_i, and each g_i, homogeneous of degree t, Horner in p_b with its
-    k-th term weighted by p_c^k.  The weighting coordinate c is one equal to 1
-    where the triple has one, as a point's coeffs and P = [a, b, 1] do, and
-    then no power of it is formed; nor is any product by another coordinate
-    equal to 1.  A zero coordinate is taken as a, or as b when a is zero
-    too, so the terms it kills are never visited.  That is about one ring
-    product per term, and the value is exactly the monomial sum.
+
+def taylor_coefficients(f: Form, point, m: int) -> list:
+    """The Taylor coefficients of total order below m of the form at a
+    coordinate triple (ring elements), in one affine chart: with a, b, c a
+    permutation of the coordinates and p_c != 0, the coefficient of
+    s^alpha t^beta in f(p + s e_a + t e_b) is d_a^alpha d_b^beta f(p) /
+    (alpha! beta!), listed by beta, then alpha.  All of them vanish exactly
+    when f vanishes to order m at the point, and at m = 1 the one
+    coefficient is f(p), the monomial sum.
+
+    Nested synthetic division over _horner_groups(d, a, b): each group, the
+    terms of one exponent of a, homogeneous in b and c, is weighted by
+    powers of p_c and shifted in b up to order m; then each order beta in
+    t, across the groups, is shifted in a up to order m - beta.  The chart
+    spares products: a zero coordinate is a, where only the groups of its
+    exponents below m are read, or b, where only those terms of each group
+    are; a coordinate equal to 1 forms no product where it is shifted, at
+    every order, and as c no power, which at m = 1, where a shift is one
+    Horner pass, spares the table of powers too, so it is c at m = 1 and
+    is shifted above.
     """
     ring = f.ring
-    p = [ring.coerce(x) for x in getattr(point, "coeffs", point)]
-    coeffs = f.coeffs
-    d = f.degree
-    one = ring.one
+    p = [ring.coerce(x) for x in point]
+    d, coeffs, one = f.degree, f.coeffs, ring.one
+    zero = [not x for x in p]
     unit = [x == one for x in p]
-    nonzero = [i for i in (2, 1, 0) if p[i]]
-    if not nonzero:  # the zero triple
-        return coeffs[0] if d == 0 else ring.zero
-    c = next((i for i in nonzero if unit[i]), nonzero[0])
+    nonzero = [i for i in (2, 1, 0) if not zero[i]]
+    c = next((i for i in nonzero if unit[i] == (m == 1)), nonzero[0] if nonzero else 2)
     a, b = [i for i in range(3) if i != c]
-    if not p[b]:
+    if (zero[b] and not zero[a]) or (unit[a] and not unit[b]):
         a, b = b, a
-    pa, pb, pc = p[a], p[b], p[c]
-    groups = _horner_groups(d, a, b) if pa else _horner_groups(d, a, b)[-1:]
-    weights = None
-    if not unit[c]:
-        weights = [one, pc]
-        for _ in range(2, d + 1):
-            weights.append(weights[-1] * pc)
-    step_a, step_b = not unit[a], not unit[b]
-    total = None
+    weights = None if unit[c] else [one, *itertools.accumulate([p[c]] * d, operator.mul)]
+    groups = _horner_groups(d, a, b)[-m:] if zero[a] else _horner_groups(d, a, b)
+    rows = []  # each group's coefficients in t, order beta at row[-1 - beta]
     for group in groups:
-        if total is not None and step_a:
-            total = total * pa
-        t = len(group) - 1
-        h = None
-        for k in range(t + 1) if pb else (t,):
-            if h is not None and step_b:
-                h = h * pb
-            term = coeffs[group[k]]
-            if term:
-                if k and weights is not None:
-                    term = term * weights[k]
-                h = term if h is None else h + term
-        if h is not None:
-            total = h if total is None else total + h
-    return ring.zero if total is None else total
+        start = max(len(group) - m, 0) if zero[b] else 0
+        row = [coeffs[i] or None for i in group[start:]]
+        if weights is not None:
+            for k, x in enumerate(row, start):
+                if k and x is not None:
+                    row[k - start] = x * weights[k]
+        if not zero[b]:
+            _shift(row, p[b], m, unit[b])
+        rows.append(row)
+    out = []
+    for beta in range(m):
+        column = [row[-1 - beta] for row in rows if len(row) > beta]
+        if not zero[a]:
+            _shift(column, p[a], m - beta, unit[a])
+        out += column[: -1 - (m - beta) : -1]
+    return [ring.zero if x is None else x for x in out]
+
+
+def evaluate(f: Form, point) -> object:
+    """Value of the form at a coordinate triple (ring elements): the one
+    Taylor coefficient of order 0, by nested Horner, about one ring product
+    per term."""
+    return taylor_coefficients(f, point, 1)[0]
 
 
 # ---------------------------------------------------------------------------

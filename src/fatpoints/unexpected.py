@@ -271,15 +271,21 @@ def detect_unexpected(
     )
 
 
+def fermat_degrees(n: int) -> range:
+    """The degrees [3, 2n - 3] a range scan of the dual Fermat F_n tests."""
+    return range(3, 2 * n - 2)
+
+
 def fermat_unexpected_range(n: int, strategy=DEFAULT_STRATEGY) -> list[int]:
-    """Degrees d in [3, 2n-3] where the dual Fermat F_n has unexpected curves."""
+    """Degrees d in fermat_degrees(n) where the dual Fermat F_n has
+    unexpected curves."""
     from .configs import dual_fermat
 
     if n < 3:
         raise ValueError("Fermat configurations need n >= 3")
     Z = dual_fermat(n)
     out = []
-    for d in range(3, 2 * n - 2):
+    for d in fermat_degrees(n):
         if detect_unexpected(Z, d, strategy).unexpected:
             out.append(d)
     return out

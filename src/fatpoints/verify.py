@@ -47,6 +47,7 @@ from .unexpected import (
     DEFAULT_STRATEGY,
     GeneralPointStrategy,
     detect_unexpected,
+    fermat_degrees,
     generic_dim,
     splitting_type,
 )
@@ -416,7 +417,7 @@ def check_fermat3_combinatorics() -> ClaimResult:
 def check_fermat3_no_unexpected(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     Z = dual_fermat(3)
     verdicts = {d: detect_unexpected(Z, d, strategy).unexpected for d in (2, 3, 4)}
-    scan = [d for d in range(3, 4) if verdicts[d]]  # fermat_unexpected_range(3)'s [3, 2n - 3]
+    scan = [d for d in fermat_degrees(3) if verdicts[d]]
     details = {
         "verdicts": {str(k): v for k, v in verdicts.items()},
         "range scan": scan,
@@ -428,10 +429,9 @@ def check_fermat3_no_unexpected(strategy=DEFAULT_STRATEGY) -> ClaimResult:
 
 def check_fermat5_degree7(strategy=DEFAULT_STRATEGY) -> ClaimResult:
     """F5 over Q(zeta_5) has an unexpected degree-7 curve and the range scan
-    over [3, 7] finds exactly degree 7."""
+    over fermat_degrees(5) = [3, 7] finds exactly degree 7."""
     Z = dual_fermat(5)
-    # the reports of fermat_unexpected_range(5)'s scan over [3, 2n - 3]
-    reports = {d: detect_unexpected(Z, d, strategy) for d in range(3, 8)}
+    reports = {d: detect_unexpected(Z, d, strategy) for d in fermat_degrees(5)}
     rep = reports[7]
     scan = [d for d, r in reports.items() if r.unexpected]
     details = {

@@ -39,14 +39,12 @@ import fatpoints.poly as poly
 from fatpoints.field import Residues
 from fatpoints.geom import mat3_det
 from fatpoints.linsys import (
-    _chart_index,
     _check_vanishing,
     _condition_rows,
     _point_rows,
-    _vanishes_to_order,
     system_dimension,
 )
-from fatpoints.poly import monomial_basis
+from fatpoints.poly import monomial_basis, taylor_coefficients
 from fatpoints.unexpected import GeneralPointStrategy
 
 
@@ -167,6 +165,17 @@ def test_system_basis_triple_point_unexpected_quartic():
     assert len(basis) == 1
 
 
+def _last_nonzero(coords):
+    """The index of the last nonzero coordinate of a triple."""
+    return max(i for i in range(3) if coords[i])
+
+
+def _vanishes_to_order(f, coords, m):
+    """Whether every Taylor coefficient of f of total order below m at
+    the triple coords is zero."""
+    return not any(taylor_coefficients(f, coords, m))
+
+
 def _vanishes_to_order_in_all_charts(f, p, m):
     # chart-independent oracle for multiplicity: all partials of order < m
     # in the two variables of every chart with a nonzero coordinate
@@ -208,10 +217,10 @@ def _failing_one_condition(X, d, point_index, alpha):
 
 def _order_exactly(field, coords, k, d, i):
     """L_u^i L_v^(k - i) x_c^(d - k), L_u = p_c x_u - p_u x_c and L_v
-    alike in the chart c of the triple coords: it vanishes to order k there
-    and no further, and of its Taylor coefficients of order k in that
-    chart only the one at s^i t^(k - i) is nonzero."""
-    c = _chart_index(coords, field.zero)
+    alike in the chart c = _last_nonzero(coords): it vanishes to order k at
+    the triple and no further, and of its Taylor coefficients of order k in
+    that chart only the one at s^i t^(k - i) is nonzero."""
+    c = _last_nonzero(coords)
     u, v = [j for j in range(3) if j != c]
 
     def line(w):
@@ -230,7 +239,7 @@ def test_check_vanishing_raises_on_each_failing_condition():
     X = FatPointScheme.of(Z, (_point(5, 11, 1), 3))
     F3 = dual_fermat(3)
     Y = FatPointScheme(F3.field, [(F3.points[0], 2)] + [(p, 1) for p in F3.points[1:]])
-    assert _chart_index(F3.points[0].coeffs, F3.field.zero) == 1
+    assert _last_nonzero(F3.points[0].coeffs) == 1
     cases = [(X, 5, 9, alpha) for alpha in monomial_basis(2)] + [(X, 5, 0, (0, 0, 0))]
     cases += [(Y, 4, 0, alpha) for alpha in monomial_basis(1)]
     for scheme, d in ((X, 5), (Y, 4)):
@@ -257,12 +266,13 @@ def test_check_vanishing_raises_on_each_failing_condition():
 
 
 def test_taylor_check_agrees_with_the_chart_oracle():
-    # the Taylor check of one fat point against the derivative oracle in
-    # every chart, on each basis form of the scheme and on forms that
-    # vanish to exactly k = 0, ..., m there, alone and added to a basis
-    # form: at the point's stored triple and at a multiple of it, which
-    # moves every chart coordinate off 1 (a stored triple's first nonzero
-    # coordinate is 1, so its x chart's always is)
+    # the Taylor check of one m-fold point, simple or fat, against the
+    # derivative oracle in every chart, on each basis form of the scheme
+    # and on forms that vanish to exactly k = 0, ..., m there, alone and
+    # added to a basis form: at the point's stored triple and at a multiple
+    # of it, which has no coordinate equal to 1 (a stored triple's first
+    # nonzero coordinate is 1), so the chart's unit coordinate, shifted
+    # above m = 1 and the weight coordinate at m = 1, moves off 1
     Z = example_quartic_config()
     F3, F5 = dual_fermat(3), dual_fermat(5)
     cases = [
@@ -271,6 +281,11 @@ def test_taylor_check_agrees_with_the_chart_oracle():
         (Z.points[:4], _point(1, 0, 0), 2, 3),  # chart x
         (Z.points[:4], _point(1, 3, 0), 2, 3),  # chart y, coordinate 3
         (F3.points[1:], F3.points[0], 2, 4),  # chart y over Q(zeta_3)
+        (Z.points, _point(5, 11, 1), 1, 4),  # simple points
+        (Z.points[:4], _point(1, 3, 0), 1, 3),  # a zero coordinate
+        (Z.points[:4], _point(0, 0, 1), 1, 2),  # two zero coordinates
+        (F3.points[1:], F3.points[0], 1, 4),  # over Q(zeta_3), a zero coordinate
+        (F5.points[1:], GeneralPointStrategy(seed=0).sample_point(F5.field, 0, set(F5.points)), 1, 7),
     ]
     for points, P, m, d in cases:
         field = P.field
@@ -288,8 +303,8 @@ def test_taylor_check_agrees_with_the_chart_oracle():
 
 def test_witness_check_scalar_products(monkeypatch):
     # every Scalar product of system_basis is made by its witness check:
-    # one evaluation by Horner per simple point and one Taylor expansion
-    # per fat point
+    # one Taylor expansion per point, which at a simple point is one
+    # evaluation by nested Horner
     calls = [0]
     mul = Scalar.__mul__
 
@@ -524,7 +539,7 @@ def _reference_chart_rows(parts, d):
     last nonzero one c, evaluated at the point."""
     rows = []
     for coords, m in parts:
-        chart = _chart_index(coords, 0 * coords[0])
+        chart = _last_nonzero(coords)
         u, v = [i for i in range(3) if i != chart]
         one = coords[chart] ** 0
         for au, av in _derivative_orders(m):
@@ -569,7 +584,7 @@ def test_condition_rows_match_the_reference_loop():
         (rng.randint(-999, 999), rng.randint(1, 999), 0),
         (rng.randint(1, 999), 0, 0),
     ]
-    assert [_chart_index(t, 0) for t in triples] == [2, 1, 0]
+    assert [_last_nonzero(t) for t in triples] == [2, 1, 0]
     for t in triples:
         for m in range(1, 6):
             for d in range(8):
@@ -585,7 +600,7 @@ def test_condition_rows_match_the_reference_loop():
     # of the Scalars with those coordinates, as int tuples
     scalars = [(cyc(), cyc(), cyc()), (cyc(), cyc(), f5.zero), (cyc(), f5.zero, f5.zero)]
     cleared = [tuple(f5.clear_denominators(t)[0]) for t in scalars]
-    assert [_chart_index(t, f5.scale(f5.unit, 0)) for t in cleared] == [2, 1, 0]
+    assert [_last_nonzero(f5.from_integral(t)) for t in cleared] == [2, 1, 0]
     for t in cleared:
         for m in range(1, 6):
             for d in range(8):

@@ -729,6 +729,8 @@ def test_sample_point_refuses_a_fully_avoided_box():
 
 
 def test_fermat_range_small():
+    # the scan's degrees [3, 2n - 3], which the suite's Fermat claims read too
+    assert [list(unexpected.fermat_degrees(n)) for n in (3, 5)] == [[3], [3, 4, 5, 6, 7]]
     assert fermat_unexpected_range(3) == []
     assert fermat_unexpected_range(4) == []
     with pytest.raises(ValueError):
