@@ -425,10 +425,18 @@ def _product_kernel(degree: int, red):
 
     Integral coordinates are multiplied as they are; Scalar multiplication
     passes zero=Fraction(0), so that every coefficient stays a Fraction.
+    An operand with no coordinate past the first, a rational one, scales
+    the other instead.
     """
     span = 2 * degree - 1
 
     def mul(u, v, zero=0):
+        if not any(u[1:]):
+            a = u[0]
+            return tuple([a * x for x in v])
+        if not any(v[1:]):
+            a = v[0]
+            return tuple([x * a for x in u])
         w = [zero] * span
         for i in range(degree):
             ui = u[i]

@@ -38,7 +38,12 @@ rank.  It also says whether its kernel is rational, as it is for a
 Galois-stable scheme, whose points' conjugates sigma_k(p) are its points
 with the same multiplicities; the scheme reads that from its points'
 triples (_conjugates), and a certificate then reads the kernel at one map
-per prime.  A nonzero multiple of the triple
+per prime.  Where one point's rows outnumber all the others together, the
+matrix decides so once, from its multiplicities, and at each map where
+that point's image has a nonzero chart coordinate it gives the rows in
+the point's chart instead (_Chart): the other points' images moved
+by the substitution that sends it to e_c, their rows built by the same
+builder on the chart's columns alone.  A nonzero multiple of the triple
 scales each row of the point by a nonzero constant, so the row space, the
 ranks, the RREF nullspace bases and every witness are those of the
 point's Scalar triple.  The witness check (_check_vanishing) reads the
@@ -72,7 +77,11 @@ from .poly import (
     ExactMatrix,
     Form,
     ParamRing,
+    _back_substitute,
     _certificate,
+    _horner_groups,
+    _shift,
+    _weight_coordinate,
     evaluate,
     exact_rank,
     monomial_basis,
@@ -202,27 +211,68 @@ def _row_triple(p: ProjectivePoint) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _row_templates(d: int, m: int) -> tuple:
-    """The condition rows of an m-fold point at degree d, as (t, rows): the
-    partials of order k = min(m - 1, d) in x, y, z, one row per alpha in
-    monomial_basis(k), then zero rows up to C(m+1, 2); t = d - k is the
-    degree of the monomials x^(e - alpha) every row is made of, and each
-    row holds, for each nonzero column, the entry (column of x^e,
-    prod_i falling(e_i, alpha_i), index of e - alpha in monomial_basis(t))."""
+def _row_templates(d: int, m: int, chart) -> tuple:
+    """The condition rows of an m-fold point at degree d, in the columns of
+    monomial_basis(d), or with chart = (c, j) in those of
+    _chart_columns(d, c, j) alone, as (t, ncols, monomials, rows):
+    the partials of order k = min(m - 1, d) in x, y, z, one row per alpha in
+    monomial_basis(k), then zero rows up to C(m+1, 2), of ncols columns
+    each; t = d - k is the degree of the monomials x^(e - alpha) every row
+    is made of, monomials holds the exponents of those the rows read, and
+    each row holds, for each nonzero column, the entry (column,
+    prod_i falling(e_i, alpha_i), index of e - alpha in monomials).  At
+    k = 0 the one row reads monomials in column order."""
     k = min(m - 1, d)
-    t = d - k
-    index = {e: i for i, e in enumerate(monomial_basis(t))}
-    rows = []
+    basis = monomial_basis(d)
+    columns = basis if chart is None else [basis[i] for i in _chart_columns(d, *chart)]
+    monomials, rows = {}, []
     for alpha in monomial_basis(k):
         entries = []
-        for col, e in enumerate(monomial_basis(d)):
+        for col, e in enumerate(columns):
             rest = (e[0] - alpha[0], e[1] - alpha[1], e[2] - alpha[2])
             if min(rest) >= 0:
                 coef = perm(e[0], alpha[0]) * perm(e[1], alpha[1]) * perm(e[2], alpha[2])
-                entries.append((col, coef, index[rest]))
+                entries.append((col, coef, monomials.setdefault(rest, len(monomials))))
         rows.append(tuple(entries))
     rows += [()] * (comb(m + 1, 2) - len(rows))
-    return t, tuple(rows)
+    return d - k, len(columns), tuple(monomials), tuple(rows)
+
+
+def _build_rows(coords: tuple, m: int, d: int, ring, chart) -> tuple:
+    """The C(m+1, 2) condition rows at degree d of the m-fold point with
+    coordinate triple coords, as a tuple of row tuples, in the columns
+    _row_templates(d, m, chart) writes them in.
+
+    The triple holds integral coordinates of a field, or their images in a
+    field.Residues ring, and the entries stay in that form: products by
+    mul, int multiples by scale.  Each row is a polynomial with integer
+    coefficients in the coordinates, so the rows built from the images under
+    a ring map are the images of the rows.  The values at the point of the
+    monomials of degree t = d - k the rows read are taken once, from its
+    power table: at k = 0 the one row is those values, and otherwise the
+    templates scale them into place.
+    """
+    mul, scale, one = ring.mul, ring.scale, ring.unit
+    t, ncols, needed, templates = _row_templates(d, m, chart)
+    powers = []
+    for c in coords:
+        row = [one]
+        for _ in range(t):
+            row.append(mul(row[-1], c))
+        powers.append(row)
+    px, py, pz = powers
+    monomials = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in needed]
+    rows = []
+    if t == d:  # order 0: the values themselves, then any zero rows
+        rows.append(tuple(monomials))
+        templates = templates[1:]
+    zero = scale(one, 0)
+    for entries in templates:
+        row = [zero] * ncols
+        for col, coef, i in entries:
+            row[col] = scale(monomials[i], coef)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # The rows of a point, keyed by (triple, m, d, ring), over a Field and over
@@ -234,38 +284,8 @@ def _row_templates(d: int, m: int) -> tuple:
 @lru_cache(maxsize=128)
 def _point_rows(coords: tuple, m: int, d: int, ring) -> tuple:
     """The C(m+1, 2) condition rows at degree d of the m-fold point with
-    coordinate triple coords, as a tuple of row tuples, memoized.
-
-    The triple holds integral coordinates of a field, or their images in a
-    field.Residues ring, and the entries stay in that form: products by
-    mul, int multiples by scale.  Each row is a polynomial with integer
-    coefficients in the coordinates, so the rows built from the images under
-    a ring map are the images of the rows.  The values at the point of the
-    monomials of degree t = d - k are taken once, from its power table: at
-    k = 0 the one row is those values, and otherwise _row_templates scales
-    them into place.
-    """
-    mul, scale, one = ring.mul, ring.scale, ring.unit
-    t, templates = _row_templates(d, m)
-    powers = []
-    for c in coords:
-        row = [one]
-        for _ in range(t):
-            row.append(mul(row[-1], c))
-        powers.append(row)
-    px, py, pz = powers
-    monomials = [mul(mul(px[i], py[j]), pz[k]) for i, j, k in monomial_basis(t)]
-    rows = []
-    if t == d:  # order 0: the values themselves, then any zero rows
-        rows.append(tuple(monomials))
-        templates = templates[1:]
-    zero, ncols = scale(one, 0), comb(d + 2, 2)
-    for entries in templates:
-        row = [zero] * ncols
-        for col, coef, i in entries:
-            row[col] = scale(monomials[i], coef)
-        rows.append(tuple(row))
-    return tuple(rows)
+    coordinate triple coords, on every column, memoized (_build_rows)."""
+    return _build_rows(coords, m, d, ring, None)
 
 
 def _condition_rows(parts, d: int, ring) -> list:
@@ -282,10 +302,12 @@ class _ConditionsMatrix(ExactMatrix):
     """The conditions matrix of a scheme at degree d, held as the scheme:
     its rows at a map into Z/p come from the images of the points' triples,
     its integral rows are built when first read, each row is keyed by its
-    point's (triple, multiplicity), which with d fixes it, and its kernel
-    is rational when the scheme is Galois-stable."""
+    point's (triple, multiplicity), which with d fixes it, its kernel is
+    rational when the scheme is Galois-stable, and where one point's rows
+    outnumber all the others together it is eliminated in that point's
+    chart (chart)."""
 
-    __slots__ = ("_scheme", "_degree", "_keys", "_offsets")
+    __slots__ = ("_scheme", "_degree", "_keys", "_offsets", "_center")
 
     def __init__(self, X: FatPointScheme, d: int):
         counts = [comb(m + 1, 2) for _, m in X._triples]
@@ -294,6 +316,16 @@ class _ConditionsMatrix(ExactMatrix):
         self._scheme, self._degree = X, d
         self._keys = [part for part, n in zip(X._triples, counts) for _ in range(n)]
         self._offsets = [0, *itertools.accumulate(counts)]  # each point's first row
+        # the index of the point whose rows outnumber all others together,
+        # at most C(d+2, 2) of them, and its chart coordinate, or None
+        self._center = None
+        top = max(counts, default=0)
+        if 2 * top > self.nrows and top <= self.ncols:
+            q = counts.index(top)
+            coords, field = X._triples[q][0], X.field
+            zero = field.scale(field.unit, 0)
+            c = _weight_coordinate([x == zero for x in coords], [x == field.unit for x in coords], 1)
+            self._center = q, c
 
     def integral_rows(self) -> list:
         if self._integral is None:
@@ -310,6 +342,123 @@ class _ConditionsMatrix(ExactMatrix):
 
     def rational_kernel(self) -> bool:
         return self._scheme.galois_stable()
+
+    def chart(self, p: int, image):
+        """The matrix in the chart of its dominant fat point P (_Chart) at
+        this map, where P's image has a nonzero chart coordinate c and p >
+        d; else None."""
+        if self._center is None or p <= self._degree:
+            return None
+        q, c = self._center
+        point = image(self._scheme._triples[q][0])
+        if not point[c]:
+            return None
+        inverse = pow(point[c], -1, p)
+        shifts = [x * inverse % p for x in point]
+        shifts[c] = 0
+        return _Chart(self, q, c, shifts)
+
+
+def _chart_columns(d: int, c: int, j: int) -> tuple:
+    """The indices in monomial_basis(d) of the monomials whose exponent of
+    coordinate c is at most d - j: the C(d+2, 2) - C(j+1, 2) monomials a
+    form may have that vanishes to order j at e_c."""
+    return tuple(i for i, e in enumerate(monomial_basis(d)) if e[c] <= d - j)
+
+
+class _Chart:
+    """A conditions matrix at one map into Z/p, p > d, in the chart of its
+    dominant j-fold point P, whose image there has a nonzero coordinate c.
+
+    The substitution T: x_i -> x_i - s_i x_c (i != c, s_i = P_i / P_c) is
+    unipotent and sends P to e_c.  In the basis of the forms g o T, each of
+    P's C(j+1, 2) rows has one nonzero entry, a product of factorials of
+    numbers at most d, in its own column of those a form vanishing to order
+    j at e_c lacks.  So the rank mod p is fixed = C(j+1, 2) plus that of the
+    chart's rows, the other points' conditions at their images under T on
+    the ncols kept columns (_chart_columns), which poly._eliminate reads as
+    a matrix's rows, under key, (C(d+2, 2), P's part), which no plain
+    elimination has.
+    """
+
+    __slots__ = ("key", "ncols", "fixed", "_matrix", "_center", "_coordinate", "_shifts")
+
+    def __init__(self, M: _ConditionsMatrix, q: int, c: int, shifts):
+        part = M._scheme._triples[q]
+        self.key, self.fixed = (M.ncols, part), comb(part[1] + 1, 2)
+        self.ncols = M.ncols - self.fixed
+        self._matrix, self._center, self._coordinate, self._shifts = M, q, c, shifts
+
+    def row_keys(self) -> list:
+        M, q = self._matrix, self._center
+        return M._keys[:M._offsets[q]] + M._keys[M._offsets[q + 1]:]
+
+    def residues(self, p: int, image, start: int) -> list:
+        """The other points' rows, from row start on, built by _build_rows
+        on the kept columns from their images moved by T."""
+        M, q, c, shifts = self._matrix, self._center, self._coordinate, self._shifts
+        parts, j = M._scheme._triples, M._scheme._triples[q][1]
+        offsets = M._offsets[:q + 1] + [o - self.fixed for o in M._offsets[q + 2:]]
+        first = bisect.bisect_right(offsets, start) - 1
+        rows, ring = [], Residues(p)
+        for coords, m in (parts[:q] + parts[q + 1:])[first:]:
+            x = image(coords)
+            moved = tuple([(xi - s * x[c]) % p for xi, s in zip(x, shifts)])
+            rows += _build_rows(moved, m, M._degree, ring, (c, j))
+        return rows[start - offsets[first]:]
+
+    def kernel(self, echelon, p: int):
+        """(pivots, kernel) of the matrix at this map, exactly as
+        _back_substitute gives them from its own echelon, read from the
+        chart's: each chart kernel vector g is taken back to g o T by a
+        Taylor shift in each coordinate but c (_shift over _horner_groups),
+        and these vectors, which span the kernel mod p, are reduced by their
+        last nonzero entries (RREF in reversed column order).  A column is
+        free exactly when some kernel vector ends there, so those are the
+        free columns, and each vector is its column's RREF basis vector.
+        """
+        d, c = self._matrix._degree, self._coordinate
+        columns = _chart_columns(d, c, self._matrix._scheme._triples[self._center][1])
+        a, b = [i for i in range(3) if i != c]
+        groups, ncols = _horner_groups(d, a, b), comb(d + 2, 2)
+        pivots, kernel = _back_substitute(echelon, self.ncols, p)
+        free = sorted(set(range(self.ncols)) - set(pivots))
+        leads = {}  # the last nonzero column of each vector, 1 there and 0 at the others'
+        for f, w in zip(free, kernel):
+            g = [None] * ncols
+            g[columns[f]] = 1
+            for col, x in zip(pivots, w):
+                g[columns[col]] = x or None
+            # each group, one exponent of a, is a polynomial in b over c,
+            # shifted by -s_b; then each exponent of b across the groups,
+            # a polynomial in a over c, by -s_a
+            rows = [[g[i] for i in group] for group in groups]
+            for row in rows:
+                _shift(row, -self._shifts[b], len(row), False)
+            for beta in range(d + 1):
+                column = [row[-1 - beta] for row in rows[beta:]]
+                _shift(column, -self._shifts[a], len(column), False)
+                for row, x in zip(rows[beta:], column):
+                    row[-1 - beta] = x
+            v = [0] * ncols
+            for group, row in zip(groups, rows):
+                for i, x in zip(group, row):
+                    if x:
+                        v[i] = x % p
+            for col, u in leads.items():
+                x = v[col]
+                if x:
+                    v = [(y - x * z) % p for y, z in zip(v, u)]
+            last = max(i for i, x in enumerate(v) if x)
+            inverse = pow(v[last], -1, p)
+            v = [x * inverse % p for x in v]
+            for col, u in leads.items():
+                x = u[last]
+                if x:
+                    leads[col] = [(y - x * z) % p for y, z in zip(u, v)]
+            leads[last] = v
+        pivots = [col for col in range(ncols) if col not in leads]
+        return pivots, [[leads[f][col] for col in pivots if col < f] for f in sorted(leads)]
 
 
 def conditions_matrix(X: FatPointScheme, d: int) -> ExactMatrix:
@@ -439,10 +588,9 @@ def symbolic_conditions_matrix(X: FatPointScheme, j: int, d: int) -> ExactMatrix
     field = X.field
     _, kernel = _certificate(conditions_matrix(X, d))
     zero = field.scale(field.unit, 0)
-    t, templates = _row_templates(d, j)
-    basis = monomial_basis(t)
+    _, _, monomials, templates = _row_templates(d, j, None)
     rows = [
-        [{basis[i][:2]: field.scale(v[col], coef) for col, coef, i in entries if v[col] != zero}
+        [{monomials[i][:2]: field.scale(v[col], coef) for col, coef, i in entries if v[col] != zero}
          for v, _ in kernel]
         for entries in templates
     ]

@@ -49,6 +49,14 @@ bounds the rank from above.
 Nullspace bases are the standard bases of the RREF, so they are canonical
 regardless of pivot choices.
 
+A conditions matrix whose j-fold point P has more rows than all others
+together is eliminated, at each map where it can be, in P's chart
+(ExactMatrix.chart, which linsys builds): its rank mod p is C(j+1, 2)
+plus the chart's, and the chart's kernel, taken back, is the (pivots,
+kernel) of the plain elimination, so primes, reconstruction and exact
+check are unchanged.  Dual F6's samples at degree 9 are eliminated as
+18 x 19 matrices, not 54 x 55.
+
 The symbolic grid alone ranks otherwise, on every field: it evaluates its
 points in plain ints and ranks them by fraction-free (Bareiss) elimination,
 measured faster there than the certificate.  The one-step Bareiss update
@@ -469,16 +477,28 @@ def _shift(h: list, p, k: int, unit: bool) -> None:
     coefficients of a polynomial h(x) from its top degree down, None for a
     zero one: afterwards h[-1 - i] is the coefficient of s^i in h(p + s),
     for i < k.  One pass is Horner's rule, and no product is formed by
-    p = 1 (unit) or by a zero coefficient."""
+    p = 1 (unit) or by a zero coefficient: None, and on the passes after
+    the first a sum that cancelled to zero too, so Horner's rule, one pass,
+    tests no sum."""
     n = len(h) - 1
     for i in range(min(k, n)):
         for j in range(1, n + 1 - i):
             x = h[j - 1]
-            if x is not None:
-                if not unit:
-                    x = p * x
-                y = h[j]
-                h[j] = x if y is None else y + x
+            if x is None or i and not x:
+                continue
+            if not unit:
+                x = p * x
+            y = h[j]
+            h[j] = x if y is None else y + x
+
+
+def _weight_coordinate(zero, unit, m: int) -> int:
+    """The coordinate c of the chart taylor_coefficients reads an m-fold
+    point in, from which of its coordinates are zero and which equal 1:
+    among the nonzero ones, last first, one equal to 1 at m = 1 and one
+    not equal to 1 above, else the last nonzero one (2 for none)."""
+    nonzero = [i for i in (2, 1, 0) if not zero[i]]
+    return next((i for i in nonzero if unit[i] == (m == 1)), nonzero[0] if nonzero else 2)
 
 
 def taylor_coefficients(f: Form, point, m: int) -> list:
@@ -506,8 +526,7 @@ def taylor_coefficients(f: Form, point, m: int) -> list:
     d, coeffs, one = f.degree, f.coeffs, ring.one
     zero = [not x for x in p]
     unit = [x == one for x in p]
-    nonzero = [i for i in (2, 1, 0) if not zero[i]]
-    c = next((i for i in nonzero if unit[i] == (m == 1)), nonzero[0] if nonzero else 2)
+    c = _weight_coordinate(zero, unit, m)
     a, b = [i for i in range(3) if i != c]
     if (zero[b] and not zero[a]) or (unit[a] and not unit[b]):
         a, b = b, a
@@ -619,6 +638,12 @@ class ExactMatrix:
         over Q."""
         flat = self.ring.flat
         return not any(any(flat(x)[1:]) for row in self.integral_rows() for x in row)
+
+    def chart(self, p: int, image):
+        """The matrix at the ring map image into Z/p in the chart of a
+        dominant fat point, eliminated there in its stead
+        (_residue_echelon), or None: here always None."""
+        return None
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
@@ -743,18 +768,19 @@ def _back_substitute(echelon, ncols: int, p: int):
     return pivots, kernel
 
 
-# The last elimination under each key (field, ncols, k, i), as (row keys,
-# echelon, sizes), and each certificate under (field, ncols, row keys),
-# least recently stored first.  A certificate fills one key per map it
-# eliminates: map 0 of each prime for a kernel known to be rational, every
-# map of each prime for any other (_certify).  The bound holds the largest
-# verdict's keys, and every verdict of the suite and the benchmark reads
-# its kernels rational: the dual Fermat samples are Galois-stable, F5 at
-# degree 7 fills 3 at 36 columns, map 0 of primes 0 to 2, F6 at degrees 8
-# and 9 fills 4, and a search fills 2.  An F3-F6 fermat_unexpected_range
-# pass fills 32, but each degree has its own width, so its verdicts share
-# nothing, and a verdict reads only its own certificates: a larger bound
-# would only hold wide echelons longer.
+# The last elimination under each key (field, ncols, k, i), or (field,
+# chart.key, k, i) in a chart, as (row keys, echelon, sizes), and each
+# certificate under (field, ncols, row keys), least recently stored first.
+# A certificate fills one key per map it eliminates: map 0 of each prime
+# for a kernel known to be rational, as every verdict of the suite and the
+# benchmark does, every map of each prime for any other (_certify).  A
+# search fills 2; dual F5 at degree 7 fills 10, Z's and 3 for each sample,
+# each in its own chart, and F6 at degrees 8 and 9 fills 13.  But a chart's
+# elimination is read again only right after it is stored, by a
+# certificate over Q resuming its full-rank test, a verdict shares no
+# width with the next one of a range scan, and it reads only its own
+# certificates, at most 3: a larger bound would only hold wide echelons
+# longer.
 _STORE_BOUND = 8
 _eliminations: dict = {}
 _certificates: dict = {}
@@ -801,6 +827,19 @@ def _eliminate(M: ExactMatrix, p: int, image, key, slack: int) -> list:
     _forward(M.residues(p, image, start), M.ncols, p, echelon, sizes, slack)
     _keep(_eliminations, key, (keys, echelon, sizes))
     return echelon
+
+
+def _residue_echelon(M: ExactMatrix, k: int, i: int, p: int, image, slack: int):
+    """(echelon, chart): the _eliminate echelon of M's rows at the i-th map
+    of Field.certificate_prime(k), and None; or, where M has a chart there,
+    the chart's echelon and the chart, which is eliminated as a matrix is
+    and gives fixed, the rank it leaves out, and kernel(echelon, p), M's
+    (pivots, kernel) as _back_substitute gives them.  A chart's elimination
+    is kept under (field, chart.key, k, i), so no plain one resumes it."""
+    chart = M.chart(p, image)
+    if chart is None:
+        return _eliminate(M, p, image, (M.ring, M.ncols, k, i), slack), None
+    return _eliminate(chart, p, image, (M.ring, chart.key, k, i), slack), chart
 
 
 def _reconstruct(values, modulus: int):
@@ -897,12 +936,14 @@ def _certify(M: ExactMatrix):
     For k = Field.certificate_start, k + 1, ... the rows are taken to Z/p
     by maps of Field.certificate_prime(k) and eliminated there (_eliminate,
     so that over Q it resumes the full-rank test of _rank at prime 0), and
-    back substitution gives the kernel mod p
-    (_back_substitute).  Pivot columns that are independent mod p are
-    independent, as the image of their minor is nonzero.  Reduction can
-    only move pivots later, so a prime is dropped when its maps disagree on
-    the pivots or its pivots fall after the best pivots so far, and better
-    pivots restart the collection.
+    back substitution gives the kernel mod p (_back_substitute); at a map
+    where M has a chart (_residue_echelon), the chart is eliminated, and
+    its kernel reads the same pivots and kernel mod p from it, while the
+    budget and the exact check read M's own integral rows.  Pivot columns
+    that are independent mod p are independent, as the image of their
+    minor is nonzero.  Reduction can only move pivots later, so a prime is
+    dropped when its maps disagree on the pivots or its pivots fall after
+    the best pivots so far, and better pivots restart the collection.
 
     How the kernel is read is fixed before the first prime, by
     ExactMatrix.rational_kernel.  A kernel known to be rational, as that of
@@ -953,8 +994,8 @@ def _certify(M: ExactMatrix):
         the kernels have map 0's pivots."""
         k, p, images, _, found = prime
         for i in range(len(found), len(images) if lifted else 1):
-            echelon = _eliminate(M, p, images[i], (field, ncols, k, i), M.nrows)
-            found.append(_back_substitute(echelon, ncols, p))
+            echelon, chart = _residue_echelon(M, k, i, p, images[i], M.nrows)
+            found.append(_back_substitute(echelon, ncols, p) if chart is None else chart.kernel(echelon, p))
         return all(pivots == found[0][0] for pivots, _ in found)
 
     def read() -> bool:
@@ -1046,17 +1087,18 @@ def _rank(M: ExactMatrix) -> int:
     _eliminations (_eliminate).
 
     The rows are first eliminated at the first map of prime 0
-    (Field.certificate_prime), until full rank min(nrows, ncols) is out of
+    (Field.certificate_prime), in M's chart if it has one there
+    (_residue_echelon), until full rank min(nrows, ncols) is out of
     reach.  The map is a ring homomorphism, so a maximal minor with a
     nonzero residue is nonzero: full rank of the residues proves full rank.
     Otherwise the checked certificate (_certify) decides; over Q its first
     elimination resumes this one.  A residue rank is never returned below
     full rank.
     """
-    field, full = M.ring, min(M.nrows, M.ncols)
-    p, images, _ = field.certificate_prime(0)
-    echelon = _eliminate(M, p, images[0], (field, M.ncols, 0, 0), M.nrows - full)
-    if len(echelon) == full:
+    full = min(M.nrows, M.ncols)
+    p, images, _ = M.ring.certificate_prime(0)
+    echelon, chart = _residue_echelon(M, 0, 0, p, images[0], M.nrows - full)
+    if len(echelon) + (0 if chart is None else chart.fixed) == full:
         return full
     pivots, _ = _certificate(M)
     return len(pivots)

@@ -397,10 +397,17 @@ def test_residue_map_is_a_ring_homomorphism(field):
 
 @pytest.mark.parametrize("field", _INTEGRAL_FIELDS[1:], ids=repr)
 def test_product_is_the_reduced_schoolbook_product(field):
+    # every third pair has a rational operand, zero among them, on either
+    # side, which the product scales by: as Scalars and as integral
+    # coordinates
     rng = random.Random(f"product:{field!r}")
-    for _ in range(200):
+    for k in range(300):
         a = _random_scalar(field, rng)
         b = _random_scalar(field, rng)
+        if k % 3 == 0:
+            a = field.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
+            if k % 2:
+                a, b = b, a
         wide = [Fraction(0)] * (2 * field.degree - 1)
         for i, x in enumerate(a.coeffs):
             for j, y in enumerate(b.coeffs):
@@ -408,6 +415,9 @@ def test_product_is_the_reduced_schoolbook_product(field):
         product = a * b
         assert product == field.from_coeffs(wide)
         assert all(type(x) is Fraction for x in product.coeffs)
+        (x, y), den = field.clear_denominators([a, b])
+        assert field.from_integral([field.mul(x, y)], den * den) == [product]
+        assert all(type(c) is int for c in field.flat(field.mul(x, y)))
 
 
 def _reference_invert_mod(coeffs, modulus):

@@ -304,7 +304,9 @@ def test_taylor_check_agrees_with_the_chart_oracle():
 def test_witness_check_scalar_products(monkeypatch):
     # every Scalar product of system_basis is made by its witness check:
     # one Taylor expansion per point, which at a simple point is one
-    # evaluation by nested Horner
+    # evaluation by nested Horner; dual F6's 8-fold point at degree 9 has
+    # sums that cancel to zero, which its later passes skip (553 products
+    # when they are multiplied)
     calls = [0]
     mul = Scalar.__mul__
 
@@ -315,12 +317,12 @@ def test_witness_check_scalar_products(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counted)
     monkeypatch.setattr(Scalar, "__rmul__", counted)
     counts = []
-    for Z, j, d in ((example_quartic_config(), 3, 4), (dual_fermat(5), 6, 7)):
+    for Z, j, d in ((example_quartic_config(), 3, 4), (dual_fermat(5), 6, 7), (dual_fermat(6), 8, 9)):
         X = FatPointScheme.of(Z, (ProjectivePoint(Z.field, (2, 7, 1)), j))
         calls[0] = 0
-        assert len(system_basis(X, d)) == 1
+        assert len(system_basis(X, d)) == 1 + (j == 8)
         counts.append(calls[0])
-    assert counts == [31, 173]
+    assert counts == [31, 173, 532]
 
 
 def test_basis_vanishing_in_all_charts():

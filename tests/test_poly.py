@@ -990,6 +990,150 @@ def test_stable_kernels_read_at_map_0_match_the_lifted_read(monkeypatch):
     assert drops == [(5, 7, 35, 2), (6, 8, 44, 3), (6, 9, 53, 3)]
 
 
+def _reads_at(M, k):
+    """For each map of certificate prime k, (plain, chart): M's (pivots,
+    kernel) mod p from its own elimination (_back_substitute), and from its
+    chart there (Chart.kernel), None where it has none; each elimination
+    from an emptied store."""
+    p, images, _ = M.ring.certificate_prime(k)
+    reads = []
+    for i, image in enumerate(images):
+        poly._eliminations.clear()
+        plain = poly._back_substitute(poly._eliminate(M, p, image, (M.ring, M.ncols, k, i), M.nrows), M.ncols, p)
+        chart = M.chart(p, image)
+        if chart is not None:
+            chart = chart.kernel(poly._eliminate(chart, p, image, (M.ring, chart.key, k, i), M.nrows), p)
+        reads.append((plain, chart))
+    return reads
+
+
+def test_chart_kernels_equal_the_plain_ones_on_the_fermat_range():
+    # every sample of the F3-F6 range scans, at every map of primes 0 to
+    # 2: where the sample's rows outnumber Z's, its chart's pivots and RREF
+    # kernel residues are those of the plain elimination; the rule takes
+    # the chart there and nowhere else, not at F5's d = 6, where the rows
+    # tie at 15
+    charted, compared = set(), 0
+    for n in (3, 4, 5, 6):
+        Z = dual_fermat(n)
+        for d in unexpected.fermat_degrees(n):
+            for P, _ in unexpected.detect_unexpected(Z, d).samples:
+                M = conditions_matrix(FatPointScheme.of(Z, (P, d - 1)), d)
+                for k in (0, 1, 2):
+                    for plain, chart in _reads_at(M, k):
+                        if chart is not None:
+                            assert chart == plain, (n, d, P, k)
+                            charted.add((n, d - 1, d))
+                            compared += 1
+    assert charted == {(5, 6, 7), (6, 6, 7), (6, 7, 8), (6, 8, 9)}
+    # 3 samples at each positive, over phi(5) = 4 and phi(6) = 2 maps, and
+    # F6's one sample at d = 7, a negative
+    assert compared == 3 * 3 * 4 + 3 * 2 + 2 * 3 * 3 * 2
+    # the example's sample at (3, 4) has 6 rows to Z's 9: no chart
+    Z = example_quartic_config()
+    M = conditions_matrix(FatPointScheme.of(Z, (GeneralPointStrategy().sample_point(QQ, 0), 3)), 4)
+    assert all(chart is None for _, chart in _reads_at(M, 0))
+
+
+def _charted_schemes():
+    """Seeded schemes over Q and Q(zeta_5) whose fat point's rows outnumber
+    the rest: centers with a zero coordinate, at infinity, affine, and over
+    Q(zeta_5) irrational ones, whose schemes are not Galois-stable."""
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    rng = random.Random("charted-schemes")
+    cases = []
+    for field, centers in (
+        (QQ, [(0, 7, 3), (5, -2, 0), (4, 9, 1), (0, 0, 1)]),
+        (f5, [(0, 7, 3), (5, -2, 0), (1, z, 0), (z, 2, 1 + z**2), (0, 1 - z**3, 1)]),
+    ):
+        for t, center in enumerate(centers):
+            r, j, d = rng.choice([(5, 4, 5), (3, 3, 3), (6, 5, 6), (4, 4, 4)])
+            Z = random_config(r, 30, ("charted", repr(field), t)).lift(field)
+            cases.append((FatPointScheme.of(Z, (center, j)), d))
+    return cases
+
+
+def test_chart_kernels_equal_the_plain_ones_at_any_center():
+    # at every map of primes 0 to 2 the chart reads the plain (pivots,
+    # kernel), and the certified ranks and bases, read lifted where the
+    # scheme is not Galois-stable, are those of the same rows held as a
+    # plain matrix, which has no chart, and of Gauss-Jordan
+    lifted = 0
+    for X, d in _charted_schemes():
+        M = conditions_matrix(X, d)
+        for k in (0, 1, 2):
+            reads = _reads_at(M, k)
+            assert all(chart == plain for plain, chart in reads)
+        lifted += not M.rational_kernel()
+        poly._eliminations.clear()
+        poly._certificates.clear()
+        plain = ExactMatrix.from_integral(M.ring, M.integral_rows(), M.ncols)
+        p, images, _ = M.ring.certificate_prime(1)
+        assert plain.chart(p, images[0]) is None
+        found = (exact_rank(M), nullspace_basis(M))
+        assert any(type(key[1]) is tuple for key in poly._eliminations)
+        poly._eliminations.clear()
+        poly._certificates.clear()
+        assert found == (exact_rank(plain), nullspace_basis(plain))
+        assert found[1] == [tuple(v) for v in _gauss_jordan_kernel(M.rows, M.ncols, M.ring)]
+    assert lifted == 3
+
+
+def test_a_chart_coordinate_that_maps_to_zero_takes_the_plain_elimination():
+    # the center's chart coordinate vanishes at prime 0's first map: there
+    # the matrix is eliminated plain, under the plain key, and in the chart
+    # at every other map, and the ranks and bases are the plain matrix's
+    p0 = QQ.certificate_prime(0)[0]
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    (w,) = f5.certificate_prime(0)[1][0](f5.clear_denominators([z])[0])
+    for field, center in ((QQ, (2, 3, p0)), (f5, (3, z, z - w))):
+        Z = random_config(4, 30, ("zero-chart", repr(field))).lift(field)
+        M = conditions_matrix(FatPointScheme.of(Z, (center, 5)), 5)
+        p, images, _ = field.certificate_prime(0)
+        assert [M.chart(p, image) is None for image in images] == [True] + [False] * (len(images) - 1)
+        for k in (0, 1, 2):
+            reads = _reads_at(M, k)
+            assert [chart is None for _, chart in reads] == [k == 0] + [False] * (len(reads) - 1)
+            assert all(chart == plain for plain, chart in reads if chart is not None)
+        poly._eliminations.clear()
+        poly._certificates.clear()
+        rank = exact_rank(M)
+        assert list(poly._eliminations) == [(field, M.ncols, 0, 0)]
+        found = (rank, nullspace_basis(M))
+        assert all(type(key[1]) is tuple for key in poly._eliminations if key[2:] != (0, 0))
+        plain = ExactMatrix.from_integral(field, M.integral_rows(), M.ncols)
+        poly._eliminations.clear()
+        poly._certificates.clear()
+        assert found == (exact_rank(plain), nullspace_basis(plain))
+
+
+def test_a_chart_certificate_over_q_resumes_its_full_rank_test(monkeypatch):
+    # four points on the line x = z through the 4-fold center (1, 0, 1)
+    # and one off it: at degree 5 the line divides every form of the
+    # system, so the rank drops to 13, below 15.  The full-rank test stops
+    # in the chart at its first dependent row, and the certificate's
+    # elimination at prime 0 resumes it: each of the chart's 5 rows is
+    # reduced there once, on its 21 - 10 = 11 columns
+    p0 = QQ.certificate_prime(0)[0]
+    reduced, forward = [], poly._forward
+
+    def counted(residues, ncols, p, echelon, sizes, slack):
+        before = len(sizes)
+        forward(residues, ncols, p, echelon, sizes, slack)
+        if p == p0:
+            reduced.append((ncols, len(sizes) - before))
+
+    monkeypatch.setattr(poly, "_forward", counted)
+    X = FatPointScheme(QQ, [((1, k, 1), 1) for k in (1, 2, 3, 4)] + [((2, 5, 7), 1), ((1, 0, 1), 4)])
+    M = conditions_matrix(X, 5)
+    assert exact_rank(M) == 13
+    assert [n for n, _ in reduced] == [11, 11] and sum(k for _, k in reduced) == 5
+    assert [(key[1], key[2:]) for key in poly._eliminations] == [((21, X._triples[-1]), (0, 0))]
+    assert len(nullspace_basis(M)) == 8
+
+
 RANK_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (3, 4, 5, 6, 7, 8, 12)]
 
 
