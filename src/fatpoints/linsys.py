@@ -38,8 +38,12 @@ rank.  It also says whether its kernel is rational, as it is for a
 Galois-stable scheme, whose points' conjugates sigma_k(p) are its points
 with the same multiplicities; the scheme reads that from its points'
 triples (_conjugates), and a certificate then reads the kernel at one map
-per prime.  Where one point's rows outnumber all the others together, the
-matrix decides so once, from its multiplicities, and at each map where
+per prime.  The rows of sigma_k(p) are sigma_k of the rows of p, so a
+rational vector is checked on the rows of one point per Galois orbit
+(FatPointScheme.orbit_representatives, _ConditionsMatrix.orbit_rows),
+which are all the integral rows a rational read builds; all of them are
+built only for a lifted read or the prime budget.  Where one point's rows
+outnumber all the others together, the matrix decides so once, from its multiplicities, and at each map where
 that point's image has a nonzero chart coordinate it gives the rows in
 the point's chart instead (_Chart): the other points' images moved
 by the substitution that sends it to e_c, their rows built by the same
@@ -51,7 +55,9 @@ same conditions in a second formulation, in Scalars and in an affine
 chart: one Taylor expansion of the form at each point, simple or fat
 (poly.taylor_coefficients), whose coefficients of total order below m are
 its chart derivatives up to factorials; at a simple point that is the one
-coefficient f(p), as poly.evaluate gives it.
+coefficient f(p), as poly.evaluate gives it.  A form with rational
+coefficients is expanded at one point per Galois orbit, and at a rational
+point over Q.
 
 The nullspace of the conditions matrix is the system itself, reported as
 forms in the fixed graded-lex monomial order.  A conditions matrix has
@@ -71,7 +77,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, perm
 
-from .field import Field, FieldMismatchError, Residues
+from .field import QQ, Field, FieldMismatchError, Residues
 from .geom import PointConfiguration, ProjectivePoint, _monic
 from .poly import (
     ExactMatrix,
@@ -98,7 +104,7 @@ class BaseLocusError(ValueError):
 class FatPointScheme:
     """Formal sum m1*P1 + ... + mr*Pr of distinct points with multiplicities."""
 
-    __slots__ = ("field", "parts", "_triples", "_stable")
+    __slots__ = ("field", "parts", "_triples", "_stable", "_orbits")
 
     def __init__(self, field: Field, parts):
         norm, triples = [], []
@@ -116,7 +122,7 @@ class FatPointScheme:
         # the points' integral coordinates and multiplicities, taken once
         # for every conditions matrix
         self._triples = tuple(triples)
-        self._stable = None  # galois_stable, read on first call
+        self._stable = self._orbits = None  # read on first call
 
     @classmethod
     def of(cls, Z: PointConfiguration, *extra) -> "FatPointScheme":
@@ -135,7 +141,7 @@ class FatPointScheme:
             raise ValueError("scheme points must be pairwise distinct")
         X = object.__new__(FatPointScheme)
         X.field, X.parts, X._triples = field, self.parts + (part,), self._triples + (triple,)
-        X._stable = None  # galois_stable, read on first call
+        X._stable = X._orbits = None  # read on first call
         return X
 
     def galois_stable(self) -> bool:
@@ -148,6 +154,21 @@ class FatPointScheme:
         if self._stable is None:
             self._stable = _galois_stable(self._triples, self.field)
         return self._stable
+
+    def orbit_representatives(self) -> tuple:
+        """The indices of the parts that are no Galois conjugate of an
+        earlier part: (q, m) is left out when q is sigma_k(p), k in
+        Field.conjugations, for an earlier part (p, m) of the same
+        multiplicity (_conjugates).  The rows of q are then sigma_k of the
+        rows of p, entry by entry, as the row builder is a polynomial with
+        integer coefficients in the triple and sigma_k a ring automorphism
+        of Z[zeta_n]; so a rational vector that annihilates the
+        representatives' rows annihilates every row, and a form with
+        rational coefficients that vanishes to order m at p does at q.
+        Every part over Q; taken once, on the first call."""
+        if self._orbits is None:
+            self._orbits = _orbit_representatives(self._triples, self.field)
+        return self._orbits
 
     def __len__(self):
         return len(self.parts)
@@ -200,6 +221,19 @@ def _galois_stable(parts, field: Field) -> bool:
         return True
     present = set(parts)
     return all((q, m) in present for coords, m in parts for q in _conjugates(coords, field))
+
+
+def _orbit_representatives(parts, field: Field) -> tuple:
+    """The indices of the (row triple, multiplicity) pairs parts that are
+    not sigma_k of an earlier pair's triple at the same multiplicity."""
+    if not field.conjugations:
+        return tuple(range(len(parts)))
+    covered, kept = set(), []
+    for i, (coords, m) in enumerate(parts):
+        if (coords, m) not in covered:
+            kept.append(i)
+            covered.update((q, m) for q in _conjugates(coords, field))
+    return tuple(kept)
 
 
 def _row_triple(p: ProjectivePoint) -> tuple:
@@ -301,18 +335,19 @@ def _condition_rows(parts, d: int, ring) -> list:
 class _ConditionsMatrix(ExactMatrix):
     """The conditions matrix of a scheme at degree d, held as the scheme:
     its rows at a map into Z/p come from the images of the points' triples,
-    its integral rows are built when first read, each row is keyed by its
-    point's (triple, multiplicity), which with d fixes it, its kernel is
-    rational when the scheme is Galois-stable, and where one point's rows
+    its integral rows are built when first read, those of one point per
+    Galois orbit apart (orbit_rows), each row is keyed by its point's
+    (triple, multiplicity), which with d fixes it, its kernel is rational
+    when the scheme is Galois-stable, and where one point's rows
     outnumber all the others together it is eliminated in that point's
     chart (chart)."""
 
-    __slots__ = ("_scheme", "_degree", "_keys", "_offsets", "_center")
+    __slots__ = ("_scheme", "_degree", "_keys", "_offsets", "_center", "_orbit")
 
     def __init__(self, X: FatPointScheme, d: int):
         counts = [comb(m + 1, 2) for _, m in X._triples]
         self.ring, self.ncols, self.nrows = X.field, comb(d + 2, 2), sum(counts)
-        self._rows = self._integral = None
+        self._rows = self._integral = self._orbit = None
         self._scheme, self._degree = X, d
         self._keys = [part for part, n in zip(X._triples, counts) for _ in range(n)]
         self._offsets = [0, *itertools.accumulate(counts)]  # each point's first row
@@ -331,6 +366,19 @@ class _ConditionsMatrix(ExactMatrix):
         if self._integral is None:
             self._integral = _condition_rows(self._scheme._triples, self._degree, self.ring)
         return self._integral
+
+    def orbit_rows(self) -> list:
+        """The integral rows of the scheme's orbit representatives
+        (FatPointScheme.orbit_representatives), built when first read: all
+        the integral rows when every part is one."""
+        if self._orbit is None:
+            X = self._scheme
+            kept = X.orbit_representatives()
+            if len(kept) == len(X._triples):
+                self._orbit = self.integral_rows()
+            else:
+                self._orbit = _condition_rows([X._triples[i] for i in kept], self._degree, self.ring)
+        return self._orbit
 
     def row_keys(self) -> list:
         return self._keys
@@ -534,9 +582,26 @@ def _check_vanishing(f: Form, X: FatPointScheme) -> None:
     coefficients of f of total order below m (poly.taylor_coefficients),
     the chart derivatives of those orders up to factorials, so it accepts
     exactly the forms that vanish to order m there.
+
+    A form whose coefficients are all rational (Scalar.is_rational) is
+    expanded at the scheme's orbit representatives alone
+    (FatPointScheme.orbit_representatives): its Taylor coefficients at
+    sigma_k(p) are sigma_k of those at p, as they are polynomials with
+    rational coefficients in the form and the point.  At a rational point
+    of Q(zeta_n) they are the rationals of the same expansion over Q, so
+    there the form and the point are read in QQ (Scalar.as_fraction).  Any
+    other form is expanded at every point, in the field.
     """
-    for p, m in X.parts:
-        if any(taylor_coefficients(f, p.coeffs, m)):
+    rational = all(c.is_rational() for c in f.coeffs)
+    parts = [X.parts[i] for i in X.orbit_representatives()] if rational else X.parts
+    over_q = None  # f over Q, made at its first rational point
+    for p, m in parts:
+        g, point = f, p.coeffs
+        if rational and X.field is not QQ and all(x.is_rational() for x in point):
+            if over_q is None:
+                over_q = Form(QQ, f.degree, [QQ.scalar(c.as_fraction()) for c in f.coeffs])
+            g, point = over_q, [x.as_fraction() for x in point]
+        if any(taylor_coefficients(g, point, m)):
             raise AssertionError(f"basis form fails the order-{m} condition at {p!r}")
 
 

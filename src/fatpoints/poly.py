@@ -45,7 +45,9 @@ each prime alone, by CRT and rational reconstruction; any other from every
 map, each entry's residues lifted to its coordinates mod p.  A vector is
 returned only after an exact integer check that it annihilates the rows
 and has the shape of a reduced row echelon (RREF) basis vector, which
-bounds the rank from above.
+bounds the rank from above; a rational vector is checked on
+ExactMatrix.orbit_rows, which for a conditions matrix are the rows of one
+point per Galois orbit.
 Nullspace bases are the standard bases of the RREF, so they are canonical
 regardless of pivot choices.
 
@@ -618,6 +620,12 @@ class ExactMatrix:
             self._integral = _integral_rows(self._rows, self.ring)
         return self._integral
 
+    def orbit_rows(self) -> list:
+        """Integral rows that a rational vector annihilates only if it
+        annihilates every row, which a rational read checks (_certify):
+        here all of them."""
+        return self.integral_rows()
+
     def row_keys(self) -> list:
         """One key per row, equal for two rows of ncols columns over the same
         field only if the rows are equal: here the integral rows themselves.
@@ -966,14 +974,20 @@ def _certify(M: ExactMatrix):
     its read is skipped or fails.
 
     A vector is accepted only when _annihilates passes: the RREF shape and
-    M w = 0 in integers.  Once every free column has one, each free column
-    lies in the span of the pivot columns before it, and those are
+    M w = 0 in integers, on every integral row for a lifted read and on
+    ExactMatrix.orbit_rows for a rational one.  A rational w that
+    annihilates the rows of a point's triple t annihilates those of
+    sigma_k(t), sigma_k of them entry by entry, as sigma_k(row . w) =
+    sigma_k(row) . w: so it annihilates every row, whether the kernel is
+    rational or only read so.  Once every free column has one, each free
+    column lies in the span of the pivot columns before it, and those are
     independent: so the pivots are exactly the greedy ones, the rank is
     their number, and each vector, being unique, is the RREF basis vector.
     A failed read adds a prime; past prime _prime_budget, ArithmeticError.
-    The integral rows are read for the budget and the check only.
+    The integral rows are read for the budget and a lifted read's check
+    only, and a rational read builds the orbit representatives' alone.
     """
-    field, ncols, rows = M.ring, M.ncols, M.integral_rows()
+    field, ncols = M.ring, M.ncols
     zero, unit, flat = field.scale(field.unit, 0), field.unit, field.flat
     budget, best = None, None  # best: the pivots of the primes collected
     lifted = not M.rational_kernel()  # how the kernel is read
@@ -985,7 +999,7 @@ def _certify(M: ExactMatrix):
         nonlocal budget
         if k < 3:
             return False
-        budget = budget or _prime_budget(rows, field)
+        budget = budget or _prime_budget(M.integral_rows(), field)
         return k == budget
 
     def eliminate(prime) -> bool:
@@ -1019,12 +1033,14 @@ def _certify(M: ExactMatrix):
                     for old, new in zip(residues, values)
                 ]
             modulus *= p
+        # a lifted read gives coordinates, checked on every row, a rational
+        # one ints, checked on one point's rows per orbit
+        rows = M.integral_rows() if lifted else M.orbit_rows()
         for f, vector in zip(free, residues):
             candidate = None if f in accepted else _reconstruct(vector, modulus)
             if candidate is None:
                 continue
             nums, den = candidate
-            # a lifted read gives coordinates, a rational one ints
             values, times = (field.group(nums), field.mul) if lifted else (nums, field.scale)
             entries = list(zip(best, values))
             if _annihilates(rows, f, den, entries, times, field):

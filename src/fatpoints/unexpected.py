@@ -69,14 +69,16 @@ class GeneralPointStrategy:
         ValueError when avoid covers the whole box of the height.
 
         The first draw of the seeded stream is memoized (_first_sample) and
-        returned when it is off avoid; else the stream is drawn afresh until
-        a point is, so the point is the same either way."""
+        returned when it is off avoid, tested as avoid is given, so a
+        sequence of points hashes none of them; else avoid is made a set
+        and the stream is drawn afresh until a point is off it, so the point
+        is the same either way."""
         tag = f"fatpoints:{self.seed}:{index}"
-        avoid = set(avoid)
         h = self.height
         first = _first_sample(tag, h, field)
         if first not in avoid:
             return first
+        avoid = set(avoid)
         if len(avoid) >= (2 * h + 1) ** 2:
             box = itertools.product(range(-h, h + 1), repeat=2)
             if all(ProjectivePoint(field, (x, y, 1)) in avoid for x, y in box):

@@ -35,6 +35,7 @@ from fatpoints import (
     symbolic_conditions_matrix,
     system_basis,
 )
+import fatpoints.linsys as linsys
 import fatpoints.poly as poly
 from fatpoints.field import Residues
 from fatpoints.geom import mat3_det
@@ -306,7 +307,9 @@ def test_witness_check_scalar_products(monkeypatch):
     # one Taylor expansion per point, which at a simple point is one
     # evaluation by nested Horner; dual F6's 8-fold point at degree 9 has
     # sums that cancel to zero, which its later passes skip (553 products
-    # when they are multiplied)
+    # when they are multiplied).  The Fermat witnesses are rational, so
+    # they are expanded at one point per Galois orbit, and at a rational
+    # point over Q (173 and 532 products at every point in Q(zeta_n))
     calls = [0]
     mul = Scalar.__mul__
 
@@ -322,7 +325,7 @@ def test_witness_check_scalar_products(monkeypatch):
         calls[0] = 0
         assert len(system_basis(X, d)) == 1 + (j == 8)
         counts.append(calls[0])
-    assert counts == [31, 173, 532]
+    assert counts == [31, 119, 442]
 
 
 def test_basis_vanishing_in_all_charts():
@@ -827,6 +830,109 @@ def test_galois_stability_is_read_from_the_points():
     assert M.rational_kernel()
     assert nullspace_basis(M) == [(f5.scalar(-2), f5.one, f5.zero)]
     assert {(key[0], key[3]) for key in poly._eliminations} == {(f5, 0)}
+
+
+def test_orbit_representatives_skip_conjugates_at_equal_multiplicity():
+    # one part per Galois orbit: F3 has 9 points in 6 orbits, F4 12 in 9,
+    # F5 15 in 6 and F6 18 in 12, of which 3, 6, 3 and 6 are rational; an
+    # integer sample is an orbit of its own
+    sample = ProjectivePoint(QQ, (7, -3, 1))
+    for n, orbits, rational in ((3, 6, 3), (4, 9, 6), (5, 6, 3), (6, 12, 6)):
+        Z = dual_fermat(n)
+        X = FatPointScheme.of(Z)
+        kept = X.orbit_representatives()
+        assert len(kept) == orbits
+        assert sum(all(x.is_rational() for x in X.parts[i][0].coeffs) for i in kept) == rational
+        # each point left out is sigma_k of a representative before it
+        for i in set(range(len(X))) - set(kept):
+            p, m = X.parts[i]
+            assert any(p in [_conjugate(q, k) for k in Z.field.conjugations] for q, _ in X.parts[:i])
+        Y = X.plus(ProjectivePoint(Z.field, sample.triple), n - 1)
+        assert Y.orbit_representatives() == kept + (len(X),)
+    f5 = make_field("cyclotomic", 5)
+    z = primitive_root(f5)
+    orbit = [ProjectivePoint(f5, (1, -(z**k), 0)) for k in range(1, 5)]
+    # a conjugate pair at different multiplicities is read twice, in either
+    # order; at equal multiplicities the later one is left out
+    for parts, kept in (
+        ([(orbit[0], 1), (orbit[1], 2)], (0, 1)),
+        ([(orbit[0], 2), (orbit[1], 1)], (0, 1)),
+        ([(orbit[0], 2), (orbit[1], 2)], (0,)),
+        ([(orbit[2], 1), (orbit[0], 1), (orbit[3], 3), (orbit[1], 3)], (0, 2)),
+    ):
+        assert FatPointScheme(f5, parts).orbit_representatives() == kept
+    # a point with no conjugate in the scheme is its own representative
+    assert FatPointScheme(f5, [(p, 1) for p in orbit[:2]] + [((1, z, 1), 1)]).orbit_representatives() == (0, 2)
+    # over Q every part is one
+    Z = random_config(7, 9, "orbits-over-q")
+    assert FatPointScheme.of(Z, (sample, 3)).orbit_representatives() == tuple(range(8))
+
+
+def _conjugate(p, k):
+    """sigma_k(p) for a point p over Q(zeta_n)."""
+    field = p.field
+    return ProjectivePoint(field, [field.from_coeffs(field.conjugate(x.coeffs, k)) for x in p.coeffs])
+
+
+def test_witness_check_reads_one_point_per_orbit(monkeypatch):
+    # a rational form is expanded at one point per Galois orbit, and at a
+    # rational point over Q; any other form at every point, in the field
+    read = []
+
+    def recorded(f, point, m):
+        read.append(f.ring)
+        return taylor_coefficients(f, point, m)
+
+    monkeypatch.setattr(linsys, "taylor_coefficients", recorded)
+    for n in (5, 6):
+        Z = dual_fermat(n)
+        X = FatPointScheme.of(Z, (ProjectivePoint(Z.field, (2, 7, 1)), n + 2))
+        for f in system_basis(X, n + 3):
+            read.clear()
+            _check_vanishing(f, X)
+            kept = X.orbit_representatives()
+            rational = [all(x.is_rational() for x in X.parts[i][0].coeffs) for i in kept]
+            assert read == [QQ if r else Z.field for r in rational]
+            # an irrational multiple of the same form: every point, in the field
+            read.clear()
+            _check_vanishing(f * primitive_root(Z.field), X)
+            assert read == [Z.field] * len(X)
+    # prop33-first at a = zeta_6: every basis form is irrational, and each
+    # reads all 9 points, the 5 rational ones too, in the field
+    f6 = make_field("cyclotomic", 6)
+    X = FatPointScheme.of(family("prop33-first", {"a": primitive_root(f6)}))
+    forms = system_basis(X, 4)
+    assert len(forms) == 6 and not any(all(c.is_rational() for c in f.coeffs) for f in forms)
+    read.clear()
+    for f in forms:
+        _check_vanishing(f, X)
+    assert read == [f6] * 9 * 6
+    # over Q nothing is converted
+    read.clear()
+    X = FatPointScheme.of(example_quartic_config(), (_point(2, 7, 1), 3))
+    (f,) = system_basis(X, 4)
+    assert read == [QQ] * 10
+
+
+def test_witness_check_refuses_forms_that_miss_a_skipped_point():
+    # dual F5: a rational form through its 3 rational points alone, and an
+    # irrational one through its 6 orbit representatives alone, each fail
+    # at a point of the scheme; the check finds both
+    Z = dual_fermat(5)
+    field = Z.field
+    X = FatPointScheme.of(Z)
+    kept = X.orbit_representatives()
+    rational = [i for i in kept if all(x.is_rational() for x in X.parts[i][0].coeffs)]
+    assert len(rational) == 3
+    for chosen, d in ((rational, 2), (kept, 3)):
+        W = FatPointScheme(field, [X.parts[i] for i in chosen])
+        misses = [f for f in system_basis(W, d) if any(
+            any(taylor_coefficients(f, p.coeffs, m)) for p, m in X.parts)]
+        assert misses
+        for f in misses:
+            with pytest.raises(AssertionError, match="order-1 condition"):
+                _check_vanishing(f, X)
+        assert any(all(c.is_rational() for c in f.coeffs) for f in misses) == (chosen is rational)
 
 
 def test_the_layout_guard_sees_aliases_and_tuple_tests():

@@ -23,6 +23,7 @@ from fatpoints import (
     GenericRankCertificate,
     ParamRing,
     PointConfiguration,
+    ProjectivePoint,
     QQ,
     Scalar,
     apply_transform,
@@ -955,6 +956,131 @@ def test_a_kernel_wrongly_known_rational_costs_primes_only(monkeypatch):
         primes[0] = 0
         assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, M.ncols, f12)]
         assert primes[0] == poly._prime_budget(M.integral_rows(), f12)
+
+
+def _annihilates_every_row(M, coords) -> bool:
+    """Whether the vector with integral coordinates coords annihilates
+    every integral row of M, by Field.mul and Field.add."""
+    field = M.ring
+    zero = field.scale(field.unit, 0)
+    for row in M.integral_rows():
+        total = zero
+        for x, c in zip(row, coords):
+            total = field.add(total, field.mul(x, c))
+        if total != zero:
+            return False
+    return True
+
+
+def _rational_kernel(M, rows):
+    """The RREF basis over Q of the rational vectors that annihilate rows,
+    integral rows of M: each row split into its coordinate rows."""
+    field = M.ring
+    split = [[field.flat(x)[i] for x in row] for row in rows for i in range(field.degree)]
+    return nullspace_basis(ExactMatrix.from_integral(QQ, split, M.ncols))
+
+
+def test_orbit_rows_accept_only_what_every_row_accepts(monkeypatch):
+    # every certificate of the F3-F6 range scans, Z's own rank drops and
+    # the samples' alike, is Galois-stable and read rational, and checks
+    # its vectors on its orbit representatives' rows alone: each accepted
+    # vector annihilates every integral row exactly, and the same vector
+    # with any one entry changed is refused on the orbit rows
+    certify, seen, checked = poly._certify, [], []
+    annihilates = poly._annihilates
+
+    def recorded(M):
+        found = certify(M)
+        seen.append((M, found))
+        return found
+
+    def counted(rows, *args):
+        checked.append(len(rows))
+        return annihilates(rows, *args)
+
+    monkeypatch.setattr(poly, "_certify", recorded)
+    monkeypatch.setattr(poly, "_annihilates", counted)
+    assert [unexpected.fermat_unexpected_range(n) for n in (3, 4, 5, 6)] == [[], [], [7], [8, 9]]
+    shapes = [(M.nrows, len(M.orbit_rows())) for M, _ in seen]
+    assert shapes == [(9, 6), (12, 9), (15, 6), (15, 6), (15, 6)] + [(36, 27)] * 3 + [
+        (18, 12), (18, 12), (18, 12)] + [(46, 40)] * 3 + [(54, 48)] * 3
+    assert set(checked) <= {orbit for _, orbit in shapes}
+    for M, (pivots, kernel) in seen:
+        field = M.ring
+        assert M.rational_kernel()
+        orbit = M.orbit_rows()
+        free = sorted(set(range(M.ncols)) - set(pivots))
+        for f, (coords, den) in zip(free, kernel):
+            assert _annihilates_every_row(M, coords)
+            entries = [(c, field.flat(coords[c])[0]) for c in pivots if c < f]
+            assert annihilates(orbit, f, den, entries, field.scale, field)
+            for i, (c, x) in enumerate(entries):
+                changed = entries[:i] + [(c, x + 1)] + entries[i + 1:]
+                assert not annihilates(orbit, f, den, changed, field.scale, field)
+
+
+def test_orbit_rows_keep_the_rational_kernel_of_every_row():
+    # seeded schemes over Q(zeta_5) and Q(zeta_7): unstable, partly stable
+    # (part of an orbit, or a whole orbit beside other points), and with a
+    # conjugate pair at different multiplicities, which is read twice: the
+    # rational vectors that annihilate the orbit representatives' rows are
+    # exactly those that annihilate every row
+    for n, d in ((5, 5), (7, 6)):
+        field = make_field("cyclotomic", n)
+        rng = random.Random(f"orbit-rows-{n}")
+
+        def point():
+            coords = [field.from_coeffs([rng.randint(-3, 3) for _ in range(field.degree)]) for _ in range(2)]
+            return ProjectivePoint(field, coords + [field.one])
+
+        def conjugate(p, k):
+            return ProjectivePoint(field, [field.from_coeffs(field.conjugate(x.coeffs, k)) for x in p.coeffs])
+
+        k, l, *_ = field.conjugations
+        p, q, r = point(), point(), point()
+        schemes = [
+            [(p, 1), (q, 1)],
+            [(p, 1), (conjugate(p, k), 1), (q, 2)],
+            [(p, 2)] + [(conjugate(p, j), 2) for j in field.conjugations] + [(r, 1)],
+            [(p, 1), (conjugate(p, k), 2), (conjugate(p, l), 1)],
+        ]
+        for parts, kept in zip(schemes, ((0, 1), (0, 2), (0, n - 1), (0, 1))):
+            X = FatPointScheme(field, parts)
+            assert X.orbit_representatives() == kept
+            M = conditions_matrix(X, d)
+            assert not M.rational_kernel()
+            basis = _rational_kernel(M, M.integral_rows())
+            assert basis and _rational_kernel(M, M.orbit_rows()) == basis
+            for v in basis:
+                coords, _ = field.clear_denominators([field.scalar(x.as_fraction()) for x in v])
+                assert _annihilates_every_row(M, coords)
+
+
+def test_a_lifted_read_checks_every_row(monkeypatch):
+    # part of an orbit of dual F5 beside its other points is unstable, so
+    # its kernel is read lifted, and every candidate is checked on every
+    # row, although its orbit rows are fewer; the stable sample's rational
+    # read checks its orbit rows alone, and builds no other integral row
+    checked = []
+    annihilates = poly._annihilates
+
+    def counted(rows, *args):
+        checked.append(len(rows))
+        return annihilates(rows, *args)
+
+    monkeypatch.setattr(poly, "_annihilates", counted)
+    f5 = make_field("cyclotomic", 5)
+    Z = dual_fermat(5)
+    X = FatPointScheme(f5, [(p, 1) for p in Z.points[:13]])
+    M = conditions_matrix(X, 4)
+    assert not M.rational_kernel() and len(M.orbit_rows()) < M.nrows
+    assert nullspace_basis(M) == [tuple(v) for v in _gauss_jordan_kernel(M.rows, M.ncols, f5)]
+    assert checked and set(checked) == {M.nrows}
+    checked.clear()
+    M = _dual_fermat_sample(5, 7)
+    assert len(nullspace_basis(M)) == 1
+    assert set(checked) == {len(M.orbit_rows())} and len(M.orbit_rows()) < M.nrows
+    assert M._integral is None
 
 
 def test_stable_kernels_read_at_map_0_match_the_lifted_read(monkeypatch):

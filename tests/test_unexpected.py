@@ -716,6 +716,27 @@ def test_memoized_first_sample_is_the_fresh_draw():
     assert info.hits > 0 and info.currsize <= info.maxsize
 
 
+def test_first_sample_off_the_points_hashes_none_of_them(monkeypatch):
+    # the memoized first draw is tested against Z's points as they are
+    # given, by equality: no point of dual F6 is hashed, and the set of
+    # points to avoid is built only when the stream is drawn afresh
+    Z = dual_fermat(6)
+    strategy = GeneralPointStrategy()
+    first = strategy.sample_point(Z.field, 0)
+    hashed = [0]
+    point_hash = ProjectivePoint.__hash__
+
+    def counted(self):
+        hashed[0] += 1
+        return point_hash(self)
+
+    monkeypatch.setattr(ProjectivePoint, "__hash__", counted)
+    assert strategy.sample_point(Z.field, 0, Z.points) is first
+    assert hashed[0] == 0
+    again = strategy.sample_point(Z.field, 0, Z.points + (first,))
+    assert again != first and hashed[0] >= len(Z) + 1
+
+
 def test_sample_point_refuses_a_fully_avoided_box():
     strategy = GeneralPointStrategy(height=2)
     box = [ProjectivePoint(QQ, (x, y, 1)) for x in range(-2, 3) for y in range(-2, 3)]
