@@ -23,8 +23,8 @@ point's rows, a tuple of row tuples, are built once per (triple, m, d,
 ring) while they stay in a bounded memo (_point_rows), integral rows and
 rows at a map into Z/p alike, as there is one field.Residues ring per
 prime: the paper's searches draw many schemes from one point set, and a
-verdict ranks Z alone and then with each sample, so the same points come
-back at the same maps.  The triple holds the field's integral coordinates
+verdict ranks Z with its samples, and alone, so the same points come back
+at the same maps.  The triple holds the field's integral coordinates
 (_row_triple), or their images under a ring map into Z/p, and the builder
 reads them only through mul, scale and unit, of the Field or of
 field.Residues, so it has one body for every field and for residues, and
@@ -132,15 +132,28 @@ class FatPointScheme:
         return cls(Z.field, parts)
 
     def plus(self, p, m: int) -> "FatPointScheme":
-        """This scheme plus the fat point m*p.  Its parts and row triples
-        are kept as they are: only p is normalized, and compared with the
-        scheme's points."""
+        """This scheme plus the fat point m*p, as its last part."""
+        return self._joined(p, m, False)
+
+    def lead(self, p, m: int) -> "FatPointScheme":
+        """The fat point m*p plus this scheme, m*p as the first part, so
+        that its rows come first in a conditions matrix."""
+        return self._joined(p, m, True)
+
+    def _joined(self, p, m: int, first: bool) -> "FatPointScheme":
+        """This scheme with the fat point m*p as its first or last part.
+        The scheme's parts and row triples are kept as they are: only p is
+        normalized, and compared with the scheme's points."""
         field = self.field
         part, triple = _fat_point(field, p, m)
         if any(part[0] == q for q, _ in self.parts):
             raise ValueError("scheme points must be pairwise distinct")
         X = object.__new__(FatPointScheme)
-        X.field, X.parts, X._triples = field, self.parts + (part,), self._triples + (triple,)
+        X.field = field
+        if first:
+            X.parts, X._triples = (part,) + self.parts, (triple,) + self._triples
+        else:
+            X.parts, X._triples = self.parts + (part,), self._triples + (triple,)
         X._stable = X._orbits = None  # read on first call
         return X
 

@@ -33,13 +33,15 @@ and each certificate under its row keys, which a witness reads again.
 
 A rank is first taken at the first root of prime 0, below 2^15: full rank
 there proves full rank, which is the expected-dimension case of nearly
-every conditions matrix.  Every other rank, and every nullspace basis, is
-a checked residue certificate (_certify).  Over Q it starts at prime 0 and
-resumes the full-rank test's elimination; over Q(zeta_n) it starts at
-prime 1 (Field.certificate_start), as prime 0 has one map per root there,
-of which the test ran one.  How the kernel is read is fixed before the
-first prime (ExactMatrix.rational_kernel): one known to be rational, as
-that of a matrix with rational entries or of the conditions matrix of a
+every conditions matrix (_full_rank, which a verdict also asks of Z and its
+first sample, the sample's rows first, in a store slot of its own).  Every
+other rank, and every nullspace basis, is a checked residue certificate
+(_certify).  Over Q it starts at prime 0 and resumes the full-rank test's
+elimination; over Q(zeta_n) it starts at prime 1
+(Field.certificate_start), as prime 0 has one map per root there, of which
+the test ran one.  How the kernel is read is fixed before the first prime
+(ExactMatrix.rational_kernel): one known to be rational, as that of a
+matrix with rational entries or of the conditions matrix of a
 Galois-stable scheme is, is read from the residues at the first map of
 each prime alone, by CRT and rational reconstruction; any other from every
 map, each entry's residues lifted to its coordinates mod p.  A vector is
@@ -777,18 +779,21 @@ def _back_substitute(echelon, ncols: int, p: int):
 
 
 # The last elimination under each key (field, ncols, k, i), or (field,
-# chart.key, k, i) in a chart, as (row keys, echelon, sizes), and each
+# chart.key, k, i) in a chart, or (field, (ncols, "lead"), 0, 0) for a
+# verdict's full-rank test with its first sample's rows leading
+# (unexpected._sample_and_floor), as (row keys, echelon, sizes), and each
 # certificate under (field, ncols, row keys), least recently stored first.
 # A certificate fills one key per map it eliminates: map 0 of each prime
 # for a kernel known to be rational, as every verdict of the suite and the
 # benchmark does, every map of each prime for any other (_certify).  A
-# search fills 2; dual F5 at degree 7 fills 10, Z's and 3 for each sample,
-# each in its own chart, and F6 at degrees 8 and 9 fills 13.  But a chart's
-# elimination is read again only right after it is stored, by a
-# certificate over Q resuming its full-rank test, a verdict shares no
-# width with the next one of a range scan, and it reads only its own
-# certificates, at most 3: a larger bound would only hold wide echelons
-# longer.
+# search fills 3, the test's and, for its positives, primes 0 and 1; the
+# benchmark's detect workload 7; dual F5 at degree 7 fills 10, Z's and 3
+# for each sample, each in its own chart, and F6 at degrees 8 and 9 fills
+# 13.  But a chart's elimination is read again only right after it is
+# stored, by a certificate over Q resuming its full-rank test or by a
+# sample's rank resuming a failed test, a verdict shares no width with the
+# next one of a range scan, and it reads only its own certificates, at
+# most 3: a larger bound would only hold wide echelons longer.
 _STORE_BOUND = 8
 _eliminations: dict = {}
 _certificates: dict = {}
@@ -837,16 +842,17 @@ def _eliminate(M: ExactMatrix, p: int, image, key, slack: int) -> list:
     return echelon
 
 
-def _residue_echelon(M: ExactMatrix, k: int, i: int, p: int, image, slack: int):
+def _residue_echelon(M: ExactMatrix, slot, k: int, i: int, p: int, image, slack: int):
     """(echelon, chart): the _eliminate echelon of M's rows at the i-th map
-    of Field.certificate_prime(k), and None; or, where M has a chart there,
-    the chart's echelon and the chart, which is eliminated as a matrix is
-    and gives fixed, the rank it leaves out, and kernel(echelon, p), M's
-    (pivots, kernel) as _back_substitute gives them.  A chart's elimination
-    is kept under (field, chart.key, k, i), so no plain one resumes it."""
+    of Field.certificate_prime(k), kept under (field, slot, k, i), and None;
+    or, where M has a chart there, the chart's echelon and the chart, which
+    is eliminated as a matrix is and gives fixed, the rank it leaves out,
+    and kernel(echelon, p), M's (pivots, kernel) as _back_substitute gives
+    them.  A chart's elimination is kept under (field, chart.key, k, i),
+    whatever the slot, so no plain one resumes it."""
     chart = M.chart(p, image)
     if chart is None:
-        return _eliminate(M, p, image, (M.ring, M.ncols, k, i), slack), None
+        return _eliminate(M, p, image, (M.ring, slot, k, i), slack), None
     return _eliminate(chart, p, image, (M.ring, chart.key, k, i), slack), chart
 
 
@@ -1008,7 +1014,7 @@ def _certify(M: ExactMatrix):
         the kernels have map 0's pivots."""
         k, p, images, _, found = prime
         for i in range(len(found), len(images) if lifted else 1):
-            echelon, chart = _residue_echelon(M, k, i, p, images[i], M.nrows)
+            echelon, chart = _residue_echelon(M, ncols, k, i, p, images[i], M.nrows)
             found.append(_back_substitute(echelon, ncols, p) if chart is None else chart.kernel(echelon, p))
         return all(pivots == found[0][0] for pivots, _ in found)
 
@@ -1097,25 +1103,39 @@ def _certificate(M: ExactMatrix):
     return found
 
 
-def _rank(M: ExactMatrix) -> int:
-    """Rank of a matrix over a field, its certificate kept in the store
-    _certificates (_certificate) and its eliminations in the store
-    _eliminations (_eliminate).
+def _full_rank(M: ExactMatrix, slot) -> bool:
+    """Whether M's residues at the first map of prime 0
+    (Field.certificate_prime) have full rank min(nrows, ncols), which
+    proves that M has: the map is a ring homomorphism, so a maximal minor
+    with a nonzero residue is nonzero.  False proves nothing.
 
-    The rows are first eliminated at the first map of prime 0
-    (Field.certificate_prime), in M's chart if it has one there
-    (_residue_echelon), until full rank min(nrows, ncols) is out of
-    reach.  The map is a ring homomorphism, so a maximal minor with a
-    nonzero residue is nonzero: full rank of the residues proves full rank.
-    Otherwise the checked certificate (_certify) decides; over Q its first
-    elimination resumes this one.  A residue rank is never returned below
-    full rank.
+    The rows are eliminated in M's chart if it has one there
+    (_residue_echelon), until full rank is out of reach, and the plain
+    elimination is kept under (field, slot, 0, 0).  _rank's slot is ncols,
+    a certificate's, so that over Q the certificate resumes the test; a
+    caller whose tests should resume only each other passes a slot that no
+    plain elimination has.
     """
     full = min(M.nrows, M.ncols)
     p, images, _ = M.ring.certificate_prime(0)
-    echelon, chart = _residue_echelon(M, 0, 0, p, images[0], M.nrows - full)
-    if len(echelon) + (0 if chart is None else chart.fixed) == full:
-        return full
+    echelon, chart = _residue_echelon(M, slot, 0, 0, p, images[0], M.nrows - full)
+    return len(echelon) + (0 if chart is None else chart.fixed) == full
+
+
+def _rank(M: ExactMatrix) -> int:
+    """Rank of a matrix over a field, its certificate kept in the store
+    _certificates (_certificate) and its eliminations in the store
+    _eliminations (_eliminate), under the keys of its width (field, ncols,
+    k, i) or of its chart.
+
+    Full rank min(nrows, ncols) is proved, where it holds of nearly every
+    conditions matrix, by the test at the first map of prime 0
+    (_full_rank).  Otherwise the checked certificate (_certify) decides;
+    over Q its first elimination resumes the test's.  A residue rank is
+    never returned below full rank.
+    """
+    if _full_rank(M, M.ncols):
+        return min(M.nrows, M.ncols)
     pivots, _ = _certificate(M)
     return len(pivots)
 

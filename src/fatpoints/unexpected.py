@@ -6,6 +6,13 @@ bounds.  dim I(Z)_d bounds it from above, as does every sample, an
 evaluation at an integer point, and the condition count bounds it from
 below, since jP imposes at most C(j+1, 2) conditions on I(Z)_d.  Samples
 are drawn only while the upper bound is above that floor, in either mode.
+Where Z's rows and a j-fold point's fit in the columns, the first sample
+always is, and a verdict starts with one full-rank test at prime 0 of Z
+and that sample, the sample's rows first: full rank proves Z's rows
+independent and the sample at the floor, which is then the value in
+either mode, from one elimination that the next such test resumes after
+the sample's rows, as the first sample is the same for every Z.  Only a
+failed test ranks Z alone and then with each sample.
 Sampled mode takes the least of a few independent samples: each
 overestimates the generic value only on a proper closed locus, so the
 minimum is the generic dimension except with vanishing probability, and
@@ -40,11 +47,12 @@ from .field import Field
 from .geom import PointConfiguration, ProjectivePoint
 from .linsys import (
     FatPointScheme,
+    conditions_matrix,
     symbolic_conditions_matrix,
     system_basis,
     system_dimension,
 )
-from .poly import Form, symbolic_rank_bound
+from .poly import Form, _full_rank, symbolic_rank_bound
 
 
 @dataclass(frozen=True)
@@ -118,20 +126,49 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
     sample, and certified mode proves it on the grid, dim I(Z)_d less the
     generic rank of P's conditions on I(Z)_d, also when no sample point of
     the height is off Z, where sampled mode raises.
+
+    When j >= 1 and Z's rows and the first sample P0's fit in the columns,
+    X.condition_count() + C(j+1, 2) <= C(d+2, 2), dim I(Z)_d is at least
+    C(j+1, 2), above the floor, so P0 is drawn whatever Z's rank is, and
+    one full-rank test at prime 0 (poly._full_rank) of Z + jP0, with P0's
+    rows first, comes before any rank: full rank, as nrows <= ncols, proves
+    every row independent, Z's among them, so dim I(Z)_d is C(d+2, 2) less
+    Z's rows and P0 gives the floor, the value, in either mode.  The test
+    keeps its elimination in a slot of its own, so the next such test
+    resumes after P0's rows and the points it shares with this one, however
+    many plain eliminations came between.  A failed test proves nothing:
+    Z is ranked alone, then Z + jP with P0 the first sample, as when the
+    rows do not fit.  Without the fit rule a full rank would not prove
+    Z's rows independent.
     """
     X = FatPointScheme.of(Z)
+    certified = strategy.mode == "certified"
+
+    def draw(i):
+        """The i-th sample point, or None in certified mode when no sample
+        point of the height is off Z."""
+        try:
+            return strategy.sample_point(Z.field, i, Z.points)
+        except ValueError:
+            if not certified:
+                raise
+            return None
+
+    ncols, rows = comb(d + 2, 2), X.condition_count() + comb(j + 1, 2)
+    fits = j >= 1 and rows <= ncols
+    if fits:
+        first = draw(0)
+        if first is not None and _full_rank(conditions_matrix(X.lead(first, j), d), (ncols, "lead")):
+            floor = ncols - rows
+            return X, floor + comb(j + 1, 2), floor, [(first, floor)], floor
     dim_z = system_dimension(X, d)
     floor = max(0, dim_z - comb(j + 1, 2))
-    certified = strategy.mode == "certified"
     low, samples = dim_z, []
     for i in range(strategy.samples):
         if low == floor:
             break
-        try:
-            P = strategy.sample_point(Z.field, i, Z.points)
-        except ValueError:  # no sample point of the height is off Z
-            if not certified:
-                raise
+        P = first if fits and i == 0 else draw(i)
+        if P is None:
             break
         dim = system_dimension(X.plus(P, j), d)
         if dim < floor:

@@ -123,20 +123,28 @@ def test_scheme_validation():
 
 def test_a_scheme_plus_a_fat_point_is_the_scheme_built_whole():
     # plus keeps the scheme's parts and row triples and adds those of one
-    # point, with the constructor's errors
+    # point, last, with the constructor's errors; lead does the same with
+    # the point first, and its conditions matrix, the same rows in another
+    # order, has the same rank
     for Z in (example_quartic_config(), dual_fermat(3)):
         X = FatPointScheme.of(Z)
         P = ProjectivePoint(Z.field, (3, -5, 1))
         for point in (P, (3, -5, 1)):
             Y, whole = X.plus(point, 3), FatPointScheme.of(Z, (P, 3))
             assert (Y.field, Y.parts, Y._triples) == (whole.field, whole.parts, whole._triples)
+            Y, whole = X.lead(point, 3), FatPointScheme(Z.field, [(P, 3)] + [(p, 1) for p in Z.points])
+            assert (Y.field, Y.parts, Y._triples) == (whole.field, whole.parts, whole._triples)
         assert X.parts == FatPointScheme.of(Z).parts
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            X.plus(Z.points[4].triple, 2)
-        with pytest.raises(ValueError, match="multiplicities"):
-            X.plus(P, 0)
-    with pytest.raises(FieldMismatchError):
-        FatPointScheme.of(dual_fermat(3)).plus(ProjectivePoint(QQ, (3, -5, 1)), 1)
+        for d in (3, 4):
+            assert system_dimension(X.lead(P, 3), d) == system_dimension(X.plus(P, 3), d)
+        for join in (X.plus, X.lead):
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                join(Z.points[4].triple, 2)
+            with pytest.raises(ValueError, match="multiplicities"):
+                join(P, 0)
+    for join in ("plus", "lead"):
+        with pytest.raises(FieldMismatchError):
+            getattr(FatPointScheme.of(dual_fermat(3)), join)(ProjectivePoint(QQ, (3, -5, 1)), 1)
 
 
 def test_system_basis_simple_point():

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -318,10 +319,11 @@ def test_subsets_sharing_points_share_their_rows(monkeypatch):
     # two consecutive nine-point subsets of the 13 points of height one that
     # share 8 points as a prefix: the second verdict builds the rows of its
     # new point only, and reads those of the 8 shared points and of the
-    # common sample from the row memo.  Both are negatives, ranked full at
-    # prime 0: the first reduces Z's 9 rows there, then the sample's 6 after
-    # them; the second resumes the first's last elimination after the 8
-    # shared points, so it reduces its new point's row, then the sample's 6
+    # common sample from the row memo.  Both are negatives whose rows fit,
+    # 9 + 6 <= 15, so each is one full-rank test at prime 0 of Z + 3P0 with
+    # the sample's rows first: the first reduces the sample's 6 rows, then
+    # Z's 9, in one elimination; the second resumes it after the sample and
+    # the 8 shared points, so it reduces its new point's row alone
     first, second = _height_one_subsets(2)
     assert first.points[:8] == second.points[:8] and first.points[8] != second.points[8]
     forward = poly._forward
@@ -340,11 +342,11 @@ def test_subsets_sharing_points_share_their_rows(monkeypatch):
     # the 9 points of Z and the 3-fold sample point, each at the one map of
     # prime 0
     assert misses == 9 + 1
-    assert reduced == [9, 6]
+    assert reduced == [15]
     reduced.clear()
     reports.append(detect_unexpected(second, 4))
     assert linsys._point_rows.cache_info().misses == misses + 1
-    assert reduced == [1, 6]
+    assert reduced == [1]
     assert not any(r.unexpected for r in reports)
     assert [[P for P, _ in r.samples] for r in reports] == [[DEFAULT_STRATEGY.sample_point(QQ, 0)]] * 2
 
@@ -361,6 +363,88 @@ def test_warm_eliminations_change_no_verdict():
         cold.append(detect_unexpected(Z, 4).to_dict())
     assert warm == cold
     assert sum(r["unexpected"] for r in warm) == 2
+
+
+def test_the_full_rank_test_changes_no_report(monkeypatch):
+    # every report equals the one taken with the full-rank test made
+    # inconclusive, so that each verdict ranks Z alone and then its samples:
+    # all 715 nine-point subsets of the height-one points at d = 4, seeded
+    # random sets of every shape the benchmark's detect workload asks, in
+    # both modes, and the three families at d = 4, certified, over Q and
+    # over Q(zeta_6).  The test decides each negative whose rows fit: the
+    # search's 707, the random sets of the shapes (9, 4), (9, 5) and
+    # (10, 5), 9 in each mode, and the 6 family instances
+    certified = GeneralPointStrategy(mode="certified")
+    zeta6 = primitive_root(make_field("cyclotomic", 6))
+    queries = [(Z, 4, DEFAULT_STRATEGY) for Z in _height_one_subsets(715)]
+    queries += [
+        (random_config(r, 1000, ("full-rank test", r, d, i)), d, strategy)
+        for r in (9, 10, 12)
+        for d in (3, 4, 5)
+        for i in range(3)
+        for strategy in (DEFAULT_STRATEGY, certified)
+    ]
+    queries += [
+        (family(name, params), 4, certified)
+        for name, params in (
+            ("prop31", {"a": 6, "b": -2}),
+            ("prop31", {"a": Fraction(1, 2), "b": 3}),
+            ("prop33-case3", {"a": 2, "b": 3}),
+            ("prop33-case3", {"a": -3, "b": Fraction(5, 2)}),
+            ("prop33-first", {"a": 5}),
+            ("prop33-first", {"a": zeta6}),
+        )
+    ]
+    decided = [0]
+    full_rank = unexpected._full_rank
+
+    def counted(M, slot):
+        found = full_rank(M, slot)
+        decided[0] += found
+        return found
+
+    monkeypatch.setattr(unexpected, "_full_rank", counted)
+    active = [detect_unexpected(*query).to_dict() for query in queries]
+    assert decided[0] == 707 + 2 * 9 + 6
+    assert sum(r["unexpected"] for r in active) == 8
+    monkeypatch.setattr(unexpected, "_full_rank", lambda M, slot: False)
+    assert [detect_unexpected(*query).to_dict() for query in queries] == active
+
+
+def test_the_full_rank_test_runs_only_where_the_rows_fit():
+    # 12 points, 6 of them on the line z = 0, at d = 4: a quartic through
+    # the 6 contains the line, so Z's 12 rows have rank 11 and dim I(Z)_4 =
+    # 4.  The rows of Z and of the 3-fold sample, 12 + 6, outnumber the 15
+    # columns, so no full-rank test runs: with them, full rank 15 would
+    # hold, and would not prove Z's rows independent
+    line = [(1, k, 0) for k in range(5)] + [(0, 1, 0)]
+    Z = PointConfiguration(QQ, line + [(2, 3, 1), (-5, 7, 1), (4, -1, 1), (3, 8, 1), (-6, -2, 1), (7, 5, 1)])
+    assert system_dimension(FatPointScheme.of(Z), 4) == 4
+    for strategy in (DEFAULT_STRATEGY, GeneralPointStrategy(mode="certified")):
+        rep = detect_unexpected(Z, 4, strategy)
+        assert (rep.dim_z, rep.generic_dim, rep.threshold, rep.unexpected) == (4, 0, 0, False)
+        assert generic_dim(Z, 3, 4, strategy) == 0
+
+
+def test_a_search_resumes_the_first_sample_across_verdicts(monkeypatch):
+    # the first 100 subsets of a search, from emptied stores, reduce 242
+    # rows at prime 0 (810 when each verdict ranked Z and then Z + 3P0): a
+    # negative whose rows fit resumes the last full-rank test after the
+    # first sample's 6 rows and the points it shares with the last subset,
+    # the 2 positives test, then rank Z and three samples
+    forward = poly._forward
+    prime = QQ.certificate_prime(0)[0]
+    reduced = [0]
+
+    def counted(residues, ncols, p, echelon, sizes, slack):
+        before = len(sizes)
+        forward(residues, ncols, p, echelon, sizes, slack)
+        if p == prime:
+            reduced[0] += len(sizes) - before
+
+    monkeypatch.setattr(poly, "_forward", counted)
+    assert sum(detect_unexpected(Z, 4).unexpected for Z in _height_one_subsets(100)) == 2
+    assert reduced[0] == 242
 
 
 def test_threads_share_the_elimination_store(monkeypatch):
@@ -452,9 +536,13 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     # reduces its 15 rows for the full-rank test, which its certificate
     # resumes at prime 0, and again for prime 1, 30 rows.  From an empty
     # elimination store, the later samples resume after the 9 rows of Z, so
-    # they reduce only their 6 rows of P per prime: 30 + 12 + 12 rows.  The
-    # certificates are cleared with the eliminations wherever a rank is
-    # counted cold, as a kept certificate reduces no row
+    # they reduce only their 6 rows of P per prime: 30 + 12 + 12 rows.
+    # Before them, as the rows fit, 9 + 6 <= 15, the verdict tests Z + 3P0
+    # for full rank at prime 0 with the first sample's rows leading, in a
+    # slot of its own; the test fails, as the quartic is unexpected, after
+    # all 15 rows, so 15 + 54 = 69.  The certificates are cleared with the
+    # eliminations wherever a rank is counted cold, as a kept certificate
+    # reduces no row
     forward = poly._forward
     reduced = [0]
 
@@ -466,15 +554,17 @@ def test_generic_dim_resumes_each_sample_after_the_rows_of_z(monkeypatch):
     monkeypatch.setattr(poly, "_forward", counted)
     Z = example_quartic_config()
     assert generic_dim(Z, 3, 4) == 1
-    assert reduced[0] == 54
+    assert reduced[0] == 69
     poly._eliminations.clear()
     poly._certificates.clear()
     reduced[0] = 0
     assert multiplicity_dim(Z, 3) == 1
-    assert reduced[0] == 54
+    assert reduced[0] == 69
     reduced[0] = 0
     # each rank from an emptied store: Z's 9 rows for dim I(Z)_4 (full rank
-    # at prime 0), then each sample alone
+    # at prime 0), then each sample alone; the test before them resumes the
+    # elimination of the same rows that the last verdict kept in its slot,
+    # and reduces none
     rank = poly._rank
 
     def alone(M):
@@ -598,7 +688,10 @@ def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):
     # a sample below the condition-count bound would be a wrong rank: it is
     # reported in either mode, never clamped to the floor; a sample at the
     # floor is the value.  The example's nine points impose independent
-    # conditions on quartics, so at j = 2, d = 4 the floor is 6 - 3 = 3
+    # conditions on quartics, so at j = 2, d = 4 the floor is 6 - 3 = 3.
+    # The rows fit there, 9 + 3 <= 15, so the full-rank test would give the
+    # floor without a rank of the sample: it is made inconclusive, and the
+    # sample is ranked by system_dimension
     Z = example_quartic_config()
     certified = GeneralPointStrategy(mode="certified")
     for strategy in (DEFAULT_STRATEGY, certified):
@@ -613,6 +706,7 @@ def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):
         return dim - 1 if len(X) > len(Z) else dim
 
     monkeypatch.setattr(unexpected, "system_dimension", one_less)
+    monkeypatch.setattr(unexpected, "_full_rank", lambda M, slot: False)
     for strategy in (DEFAULT_STRATEGY, certified):
         with pytest.raises(AssertionError):
             unexpected._sample_and_floor(Z, 2, 4, strategy)
