@@ -1,31 +1,32 @@
 """Exact scalar arithmetic over Q and over cyclotomic extensions Q(zeta_n).
 
-A scalar is stored as a vector of rational coefficients in the power basis
-1, z, ..., z^(phi(n)-1), reduced modulo the n-th cyclotomic polynomial Phi_n.
-The rational field is the degenerate case of vector length one; conductors
-1 and 2 also collapse to plain rational values since phi(1) = phi(2) = 1.
+A scalar of Q(zeta_n) is a vector of rational coefficients in the power
+basis 1, z, ..., z^(phi(n)-1), reduced modulo the n-th cyclotomic
+polynomial Phi_n.  The rational field is the degenerate case of vector
+length one; conductors 1 and 2 also collapse to plain rational values since
+phi(1) = phi(2) = 1.
 
-Scalars are immutable and canonical: Fraction keeps gcd(num, den) = 1 with a
-positive denominator, and the representative polynomial always has degree
-below phi(n).  Equality of scalars therefore agrees with field equality.
-
-This module is the only one that knows that layout, and the layout of
-integral coordinates, on which exact elimination elsewhere works: ints when
-the degree phi(n) is 1, int tuples in the power basis otherwise.
-Field.clear_denominators turns scalars into integral coordinates over one
-common denominator, and Field.from_integral turns them back.  Field.mul,
-Field.scale, Field.add, Field.unit, Field.flat and Field.group are the
-product, the int multiple, the sum, the coordinates of 1, one element's
-coordinates as an int tuple and the inverse of flattening, so the condition
-rows and the certificates are written once for every field.  Above degree
-1, Field.mul is also the one product modulo Phi_n that Scalar
-multiplication uses, on Fraction tuples.  Field.conjugate is the one
-Galois action, sigma_k sending z to z^k, for each k of
-Field.conjugations.  Field.integral_inverse is the one inverse over
-Q(zeta_n), and serves Scalar division only, as no rank over Q(zeta_n)
-divides by a pivot: x times the product of its other Galois conjugates is
-the norm N(x), a nonzero integer, so 1/x is that product over N(x), all
-in integers.
+This module is the only one that knows how a scalar is stored, and the
+layout of integral coordinates, on which exact elimination elsewhere works:
+ints when the degree phi(n) is 1, int tuples in the power basis otherwise.
+A Scalar holds its integral coordinates num over one positive int den,
+with gcd(den, *num) = 1, so that its arithmetic runs on ints.  Scalars are
+immutable and canonical: the representative polynomial has degree below
+phi(n) and num over den is in lowest terms, so equality of scalars agrees
+with field equality.  Field.clear_denominators turns scalars into integral
+coordinates over one common denominator, a lcm, and Field.from_integral
+turns them back, dividing by a gcd.  Field.mul, Field.scale, Field.add,
+Field.unit, Field.flat and Field.group are the product, the int multiple,
+the sum, the coordinates of 1, one element's coordinates as an int tuple
+and the inverse of flattening, so the condition rows, the certificates and
+Scalar arithmetic are written once for every field: a Scalar product is
+Field.mul of the numerators over the product of the denominators, the one
+product modulo Phi_n above degree 1.  Field.conjugate is the one Galois
+action, sigma_k sending z to z^k, for each k of Field.conjugations.
+Field.integral_inverse is the one inverse over Q(zeta_n), and serves
+Scalar division only, as no rank over Q(zeta_n) divides by a pivot: x
+times the product of its other Galois conjugates is the norm N(x), a
+nonzero integer, so 1/x is that product over N(x), all in integers.
 Field.certificate_prime is the one sequence of primes p = 1 (mod n): the
 first below 2^15, the rest below 2^62.  Its maps take integral coordinates
 to residues mod p, in the ring Residues(p), and its lift, the inverse
@@ -112,6 +113,9 @@ class Field:
     for Q(zeta_2); power-basis int tuples above): mul is their product,
     scale(x, c) the multiple by an int c, add their sum, unit the coordinates
     of 1, flat(x) x as an int tuple and group the inverse of flattening.
+    Every Scalar of the field holds such coordinates over a denominator,
+    and _lowest(num, den), for any nonzero int den, is the Scalar num / den
+    in lowest terms, with a positive denominator.
     certificate_start is the first prime a residue certificate draws: 0 at
     degree 1, where the full-rank test eliminated its one map, and 1 above,
     where prime 0 has phi(n) maps for 15 bits.  conjugations holds the
@@ -121,7 +125,7 @@ class Field:
     """
 
     __slots__ = ("kind", "conductor", "degree", "modulus", "zero", "one", "mul", "scale",
-                 "add", "unit", "flat", "group", "certificate_start", "conjugations")
+                 "add", "unit", "flat", "group", "certificate_start", "conjugations", "_lowest")
 
     def __new__(cls, kind: str, *conductor: int):
         """The field of this kind and conductor, 1 when none is given and
@@ -142,6 +146,10 @@ class Field:
             self.mul, self.scale, self.add, self.unit = operator.mul, operator.mul, operator.add, 1
             self.flat, self.group = lambda x: (x,), list
             self.certificate_start, self.conjugations = 0, ()
+
+            def lowest(num, den):
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                return Scalar(self, num // g, den // g)
         else:
             # the reduction table: z^k in the power basis, k = deg .. 2 deg - 2
             red = [_divmod_monic([0] * k + [1], self.modulus)[1] for k in range(deg, 2 * deg - 1)]
@@ -151,8 +159,15 @@ class Field:
             self.flat, self.group = tuple, lambda values: list(zip(*[iter(values)] * deg))
             self.certificate_start = 1
             self.conjugations = tuple(k for k in range(2, n) if gcd(k, n) == 1)
-        self.zero = Scalar(self, (Fraction(0),) * self.degree)
-        self.one = Scalar(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
+
+            def lowest(num, den):
+                g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+                if g == 1:
+                    return Scalar(self, tuple(num), den)
+                return Scalar(self, tuple([c // g for c in num]), den // g)
+        self._lowest = lowest
+        self.zero = Scalar(self, self.scale(self.unit, 0), 1)
+        self.one = Scalar(self, self.unit, 1)
         return _FIELDS.setdefault(key, self)
 
     # -- identity ---------------------------------------------------------
@@ -174,8 +189,7 @@ class Field:
                 raise FieldMismatchError(f"scalar of {value.field!r} used in {self!r}")
             return value
         if isinstance(value, (int, Fraction)):
-            coeffs = (Fraction(value),) + (Fraction(0),) * (self.degree - 1)
-            return Scalar(self, coeffs)
+            return Scalar(self, self.scale(self.unit, value.numerator), value.denominator)
         if isinstance(value, str):
             return parse_scalar(self, value)
         raise TypeError(f"cannot make a scalar of {self!r} from {value!r}")
@@ -185,13 +199,14 @@ class Field:
 
     def from_coeffs(self, coeffs) -> "Scalar":
         """Scalar from power-basis coefficients, reduced modulo Phi_n."""
-        v = [Fraction(c) for c in coeffs]
-        v += [Fraction(0)] * (self.degree - len(v))
-        if self.kind == "rational":
-            if any(v[1:]):
-                raise ValueError("rational field admits no z coefficients")
-            return Scalar(self, (v[0],))
-        return Scalar(self, tuple(_divmod_monic(v, self.modulus)[1]))
+        v = [Fraction(c) for c in coeffs] or [Fraction(0)]
+        if self.kind == "rational" and any(v[1:]):
+            raise ValueError("rational field admits no z coefficients")
+        den = lcm(*[c.denominator for c in v])
+        ints = [c.numerator * (den // c.denominator) for c in v]
+        if self.modulus:
+            ints = _divmod_monic(ints, self.modulus)[1]
+        return self._lowest(self.group(ints[: self.degree])[0], den)
 
     # -- integral coordinates ----------------------------------------------
 
@@ -203,25 +218,22 @@ class Field:
         an int over Q and a tuple of degree ints in the power basis over
         Q(zeta_n).  So a row of values and its coordinates differ by the
         nonzero factor den, which keeps ranks, row spaces and nullspaces.
-        Over Q, all-int input comes back as it is, with den 1.
+        All-int input makes no Scalar and comes back over den 1: as it is
+        at degree 1, where an int is its own coordinates.
         """
-        if self.degree == 1:
-            fr = list(values)
-            if set(map(type, fr)) <= {int}:
-                return fr, 1
-            fr = [x.coeffs[0] if isinstance(x, Scalar) else x for x in fr]
-            den = lcm(*[x.denominator for x in fr])
-            return [x.numerator * (den // x.denominator) for x in fr], den
-        vectors = [self.scalar(x).coeffs for x in values]
-        den = lcm(*[c.denominator for v in vectors for c in v])
-        return [tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den
+        values = list(values)
+        if set(map(type, values)) <= {int}:
+            return (values if self.degree == 1 else [self.scale(self.unit, x) for x in values]), 1
+        scalars = [self.scalar(x) for x in values]
+        den = lcm(*[x.den for x in scalars])
+        return [self.scale(x.num, den // x.den) for x in scalars], den
 
     def from_integral(self, coords, den: int = 1) -> list["Scalar"]:
-        """Scalars with the integral coordinates coords over den; inverse of
-        clear_denominators."""
-        if self.degree == 1:
-            return [Scalar(self, (Fraction(x, den),)) for x in coords]
-        return [Scalar(self, tuple(Fraction(c, den) for c in x)) for x in coords]
+        """Scalars with the integral coordinates coords over a nonzero int
+        den, of either sign; inverse of clear_denominators."""
+        if not den:
+            raise ZeroDivisionError("integral coordinates over a zero denominator")
+        return [self._lowest(x, den) for x in coords]
 
     def integral_inverse(self, x) -> tuple[tuple, int]:
         """1/x for a nonzero int tuple x over Z[zeta_n], n > 2, as (num, den)
@@ -293,8 +305,6 @@ class Field:
             return Field("cyclotomic", d["n"])
         raise ValueError(f"field descriptor {d!r} is neither Q nor Q(zeta_n) with an int n")
 
-
-_ZERO = Fraction(0)
 
 _PRIME_BOUNDS = (1 << 15, 1 << 62)  # below which certificate primes 0 and 1 lie
 
@@ -423,21 +433,20 @@ def _product_kernel(degree: int, red):
     """The one cyclotomic product: two coefficient tuples of length degree
     multiplied and reduced modulo Phi_n with the reduction table red.
 
-    Integral coordinates are multiplied as they are; Scalar multiplication
-    passes zero=Fraction(0), so that every coefficient stays a Fraction.
-    An operand with no coordinate past the first, a rational one, scales
-    the other instead.
+    It multiplies integral coordinates, for the condition rows, the
+    certificates and Scalar multiplication alike.  An operand with no
+    coordinate past the first, a rational one, scales the other instead.
     """
     span = 2 * degree - 1
 
-    def mul(u, v, zero=0):
+    def mul(u, v):
         if not any(u[1:]):
             a = u[0]
             return tuple([a * x for x in v])
         if not any(v[1:]):
             a = v[0]
             return tuple([x * a for x in u])
-        w = [zero] * span
+        w = [0] * span
         for i in range(degree):
             ui = u[i]
             if ui:
@@ -460,31 +469,42 @@ def _product_kernel(degree: int, red):
 
 
 class Scalar:
-    """Immutable element of a Field, in canonical form."""
+    """Immutable element of a Field, in canonical form: the field's integral
+    coordinates num (an int at degree 1, a power-basis int tuple above)
+    over a positive int den, with gcd(den, *num) = 1.  Only this module
+    builds one or reads num and den; coeffs derives the Fraction
+    coefficients, for rendering and tests, and no hot path reads it."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: Field, coeffs: tuple):
-        # trusted constructor: coeffs already reduced, length field.degree
+    def __init__(self, field: Field, num, den: int):
+        # trusted constructor: num in the field's layout, den > 0, gcd 1
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients, as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.field.flat(self.num))
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.num == self.field.zero.num
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.num != self.field.zero.num
 
     def is_rational(self) -> bool:
         """True when the value lies in the prime field Q."""
-        return not any(self.coeffs[1:])
+        return not any(self.field.flat(self.num)[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.field.flat(self.num)[0], self.den)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -503,7 +523,10 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        f, a, b = self.field, self.den, o.den
+        if a == b:
+            return f._lowest(f.add(self.num, o.num), a)
+        return f._lowest(f.add(f.scale(self.num, b), f.scale(o.num, a)), a * b)
 
     __radd__ = __add__
 
@@ -511,25 +534,23 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(b - a for a, b in zip(self.coeffs, o.coeffs)))
+        return o + -self
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return Scalar(self.field, self.field.scale(self.num, -1), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         f = self.field
-        if f.degree == 1:
-            return Scalar(f, (self.coeffs[0] * o.coeffs[0],))
-        return Scalar(f, f.mul(self.coeffs, o.coeffs, _ZERO))
+        return f._lowest(f.mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -538,11 +559,10 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         f = self.field
         if f.degree == 1:
-            return Scalar(f, (1 / self.coeffs[0],))
-        (x,), den = f.clear_denominators([self])
-        num, norm = f.integral_inverse(x)
+            return f._lowest(self.den, self.num)
+        num, norm = f.integral_inverse(self.num)
         # self = x / den, so 1/self = den * num / norm
-        return f.from_integral([f.scale(num, den)], norm)[0]
+        return f._lowest(f.scale(num, self.den), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -577,10 +597,14 @@ class Scalar:
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # a rational value hashes as the int or Fraction it equals
+        if not self.is_rational():
+            return hash((self.num, self.den))
+        num = self.field.flat(self.num)[0]
+        return hash(num) if self.den == 1 else hash(Fraction(num, self.den))
 
     def __str__(self):
         return render_scalar(self)

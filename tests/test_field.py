@@ -1,6 +1,7 @@
 """Field arithmetic: cyclotomic polynomials, canonical forms, axioms, grammar."""
 
 import copy
+import operator
 import pickle
 import random
 import sys
@@ -535,3 +536,148 @@ def test_divmod_monic_matches_sympy():
             assert as_poly(quot) == expected_quot and as_poly(rem) == expected_rem
             if all(type(c) is int for c in num):
                 assert all(type(c) is int for c in quot + rem)
+
+
+def test_rational_scalars_hash_as_their_value():
+    # equal values hash alike, so a Scalar and the int or Fraction it equals
+    # are one key of a set or dict, in Q and in Q(zeta_5)
+    f5 = make_field("cyclotomic", 5)
+    for field in (QQ, f5):
+        for value in (3, 0, -7, Fraction(1, 2), Fraction(-4, 9)):
+            s = field.scalar(value)
+            assert s == value and hash(s) == hash(value)
+            assert len({s, value}) == 1 and {value: 1}[s] == 1
+        assert hash(field.scalar(6) / 4) == hash(Fraction(3, 2))
+    z = primitive_root(f5)
+    assert hash(z + 1) == hash(f5.from_coeffs([1, 1])) and len({z, z * 1, z + 0}) == 1
+
+
+_DIFFERENTIAL_FIELDS = [QQ] + [make_field("cyclotomic", n) for n in (2, 3, 5, 6, 7)]
+
+
+def _reference_product(field, a, b):
+    wide = [Fraction(0)] * (2 * field.degree - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            wide[i + j] += x * y
+    return tuple(_divmod_monic(wide, field.modulus)[1]) if field.modulus else tuple(wide)
+
+
+def _reference_inverse(field, a):
+    return tuple(_reference_invert_mod(a, field.modulus or (0, 1)))
+
+
+def _reference_text(a):
+    # render_scalar's grammar, from the Fraction tuple
+    if not any(a[1:]):
+        return str(a[0])
+    text = ""
+    for e, c in enumerate(a):
+        if c:
+            z = "z" if e == 1 else f"z^{e}"
+            body = str(abs(c)) if e == 0 else z if abs(c) == 1 else f"{abs(c)}*{z}"
+            text += ("-" if c < 0 else "+" if text else "") + body
+    return text
+
+
+@pytest.mark.parametrize("field", _DIFFERENTIAL_FIELDS, ids=repr)
+def test_scalar_arithmetic_matches_a_fraction_tuple_reference(field):
+    # each Scalar operation against the same operation on power-basis
+    # Fraction tuples; a third of the operands are rational, zero among them
+    rng = random.Random(f"differential:{field!r}")
+    deg, zero = field.degree, (Fraction(0),) * field.degree
+
+    def element():
+        a = [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 12, 35])) for _ in range(deg)]
+        if rng.random() < 1 / 3:
+            a[1:] = [Fraction(0)] * (deg - 1)
+            if rng.random() < 0.3:
+                a[0] = Fraction(0)
+        return tuple(a)
+
+    def canonical(s):
+        return type(s.den) is int and s.den > 0 and gcd(s.den, *field.flat(s.num)) == 1
+
+    for _ in range(150):
+        a, b = element(), element()
+        x, y = field.from_coeffs(a), field.from_coeffs(b)
+        assert x.coeffs == a and all(type(c) is Fraction for c in x.coeffs)
+        results = [
+            (x + y, tuple(map(operator.add, a, b))),
+            (x - y, tuple(map(operator.sub, a, b))),
+            (-x, tuple(-c for c in a)),
+            (x * y, _reference_product(field, a, b)),
+            (x + 2, (a[0] + 2,) + a[1:]),
+            (Fraction(1, 3) - x, (Fraction(1, 3) - a[0],) + tuple(-c for c in a[1:])),
+            (x * Fraction(-5, 4), tuple(c * Fraction(-5, 4) for c in a)),
+        ]
+        if b != zero:
+            results.append((x / y, _reference_product(field, a, _reference_inverse(field, b))))
+            results.append((3 / y, tuple(3 * c for c in _reference_inverse(field, b))))
+            k = rng.randint(1, 3)
+            power = (Fraction(1),) + (Fraction(0),) * (deg - 1)
+            for _ in range(k):
+                power = _reference_product(field, power, _reference_inverse(field, b))
+            results.append((y**-k, power))
+        for s, expected in results:
+            assert s.coeffs == expected and canonical(s)
+            assert s == field.from_coeffs(expected) and hash(s) == hash(field.from_coeffs(expected))
+            assert bool(s) is (not s.is_zero()) is (expected != zero)
+            assert s.is_rational() is (not any(expected[1:]))
+            if s.is_rational():
+                assert s.as_fraction() == expected[0] and s == expected[0] and hash(s) == hash(expected[0])
+            else:
+                with pytest.raises(ValueError):
+                    s.as_fraction()
+            assert str(s) == _reference_text(expected)
+            assert parse_scalar(field, str(s)) == s
+        assert (x == y) is (a == b)
+        # from_integral reads coordinates over any nonzero den, a negative
+        # one and one sharing factors with them included
+        coords = [rng.randint(-40, 40) * rng.choice([1, 6]) for _ in range(deg)]
+        for den in (1, -1, 6, -6, 12, -35):
+            (s,) = field.from_integral([coords[0] if deg == 1 else tuple(coords)], den)
+            assert s.coeffs == tuple(Fraction(c, den) for c in coords) and canonical(s)
+    with pytest.raises(ZeroDivisionError):
+        field.from_integral([field.unit], 0)
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+
+
+def test_only_the_field_module_knows_the_scalar_layout():
+    # a Scalar's integral coordinates num over den are field.py's: no other
+    # module of the package builds a Scalar or reads its num or den
+    from pathlib import Path
+
+    package = Path(field_module.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "field.py")
+    assert len(modules) >= 7
+    for path in modules:
+        assert _layout_reads(path.read_text()) == [], path.name
+
+
+def _layout_reads(source: str) -> list:
+    """The lines of source that call Scalar(...), read an attribute num or
+    den, or name one to getattr."""
+    import ast
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "Scalar":
+                found.append(node.lineno)
+            elif getattr(func, "id", None) == "getattr" and any(
+                isinstance(a, ast.Constant) and a.value in ("num", "den") for a in node.args
+            ):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_scalar_layout_guard_sees_builds_and_reads():
+    assert _layout_reads("def f(x):\n    return x.num, Scalar(QQ, 1, 1)\n") == [2, 2]
+    assert _layout_reads("import fatpoints.field as fm\nfm.Scalar(QQ, 1, 1)\n") == [2]
+    assert _layout_reads("def f(x):\n    y = x\n    return getattr(y, 'den')\n") == [3]
+    assert _layout_reads("def f(x):\n    return x.coeffs, x.numerator, QQ.scalar(1)\n") == []

@@ -336,6 +336,34 @@ def test_witness_check_scalar_products(monkeypatch):
     assert counts == [31, 119, 442]
 
 
+def test_witness_check_over_q_makes_no_fraction(monkeypatch):
+    # a Scalar holds integral coordinates over one denominator, so the
+    # example's witness check over Q runs on ints: no Fraction is made
+    Z = example_quartic_config()
+    X = FatPointScheme.of(Z, (ProjectivePoint(Z.field, (2, 7, 1)), 3))
+    (f,) = system_basis(X, 4)
+    made = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:  # where Fraction arithmetic does not call __new__
+
+        def counted_coprime(cls, numerator, denominator):
+            made[0] += 1
+            return coprime(numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    assert Fraction(1, 2) * Fraction(1, 3) == Fraction(1, 6) and made[0] >= 2
+    made[0] = 0
+    _check_vanishing(f, X)
+    assert made[0] == 0
+
+
 def test_basis_vanishing_in_all_charts():
     Z = example_quartic_config()
     P = _point(0, 1, 0)  # a point at infinity, exercising a non-z chart
