@@ -218,12 +218,12 @@ class Field:
         an int over Q and a tuple of degree ints in the power basis over
         Q(zeta_n).  So a row of values and its coordinates differ by the
         nonzero factor den, which keeps ranks, row spaces and nullspaces.
-        All-int input makes no Scalar and comes back over den 1: as it is
-        at degree 1, where an int is its own coordinates.
+        All-int input at degree 1 makes no Scalar and comes back as it is,
+        over den 1, as an int is its own coordinates there.
         """
         values = list(values)
-        if set(map(type, values)) <= {int}:
-            return (values if self.degree == 1 else [self.scale(self.unit, x) for x in values]), 1
+        if self.degree == 1 and set(map(type, values)) <= {int}:
+            return values, 1
         scalars = [self.scalar(x) for x in values]
         den = lcm(*[x.den for x in scalars])
         return [self.scale(x.num, den // x.den) for x in scalars], den
