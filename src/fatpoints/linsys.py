@@ -67,24 +67,35 @@ on I(X)_d are integral too: P's rows from the templates, integer multiples
 of monomials a^e0 b^e1, times the integral kernel basis held by the
 certificate of X's own conditions matrix, so X's rows keep one matrix and
 one certificate.
+
+The tangency rows of X's points z at degree r (tangency_matrix) are
+z . theta(xi) at r + 1 points xi of each line z . xi = 0, linear in the
+derivations theta of degree r modulo the Euler field; each is built from
+xi's condition row as a simple point, the values of the monomials of
+degree r there.  Their kernel, the tangent derivations, gives the lower
+bound on a general point's dimension that derivation_bound reads.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import operator
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, perm
 
 from .field import QQ, Field, FieldMismatchError, Residues
-from .geom import PointConfiguration, ProjectivePoint, _monic
+from .geom import PointConfiguration, ProjectivePoint, _cross, _monic
 from .poly import (
     ExactMatrix,
     Form,
     ParamRing,
     _back_substitute,
     _certificate,
+    _certify,
+    _forward,
     _horner_groups,
     _shift,
     _weight_coordinate,
@@ -673,3 +684,100 @@ def symbolic_conditions_matrix(X: FatPointScheme, j: int, d: int) -> ExactMatrix
         for entries in templates
     ]
     return ExactMatrix.from_integral(ParamRing(field), rows, len(kernel))
+
+
+def _tangency_rows(pairs, r: int, ring) -> list:
+    """One row per (z, xi) pair of coordinate triples: z . theta(xi) as a
+    linear form in the derivations theta = (theta0, theta1, theta2) of
+    degree r modulo Euler, whose columns are theta0's monomials that x
+    does not divide, then theta1's and theta2's, in the order of
+    monomial_basis(r).  Every derivation is one of these plus g times the
+    Euler field (x, y, z), whose value z . xi g(xi) is zero on the line
+    z . xi = 0.
+
+    The triples hold integral coordinates of a field, or residues in a
+    field.Residues ring, read through the ring's operations alone, so the
+    rows built from images under a ring map are the images of the rows.
+    The values at xi of the monomials of degree r are xi's one condition
+    row as a simple point at degree r (_build_rows, not memoized, as no
+    xi comes back)."""
+    mul = ring.mul
+    skip = comb(r + 1, 2)  # the monomials x divides, first in monomial_basis(r)
+    rows = []
+    for z, xi in pairs:
+        (values,) = _build_rows(xi, 1, r, ring, None)
+        rows.append([mul(z[0], v) for v in values[skip:]] + [mul(z[i], v) for i in (1, 2) for v in values])
+    return rows
+
+
+class _TangencyMatrix(ExactMatrix):
+    """A tangency matrix (tangency_matrix): its eliminations are read once,
+    by its certificate, and are not kept (ExactMatrix.resumable)."""
+
+    __slots__ = ()
+    resumable = False
+
+
+def tangency_matrix(X: FatPointScheme, r: int) -> ExactMatrix:
+    """The derivations of degree r modulo Euler that are tangent to the
+    lines z . xi = 0 of X's points z, as a kernel: r + 1 integral rows per
+    point, z . theta(xi) at xi = u + t v for t = 0 .. r (_tangency_rows).
+
+    u = z x e_a and v = z x e_b, for a and b the two indices other than the
+    first k with z_k != 0, span the line, as det(z, e_a, e_b) = +-z_k != 0,
+    so z . theta(s u + t v), a binary form of degree r, is zero exactly
+    when it is at these r + 1 points; two nonzero z x e_i chosen otherwise
+    may be parallel."""
+    field = X.field
+    zero, scale = field.scale(field.unit, 0), field.scale
+    pairs = []
+    for z, _ in X._triples:
+        k = next(i for i, c in enumerate(z) if c != zero)
+        u, v = [_cross_unit(z, i, field) for i in range(3) if i != k]
+        pairs += [(z, tuple(map(field.add, u, [scale(c, t) for c in v]))) for t in range(r + 1)]
+    ncols = 3 * comb(r + 2, 2) - comb(r + 1, 2)
+    return _TangencyMatrix.from_integral(field, _tangency_rows(pairs, r, field), ncols)
+
+
+def _cross_unit(z, i: int, field: Field) -> tuple:
+    """The cross product z x e_i of integral coordinates z and the i-th unit
+    vector: z_(i+2) at i + 1, -z_(i+1) at i + 2, indices mod 3, 0 at i."""
+    out = [field.scale(field.unit, 0)] * 3
+    out[(i + 1) % 3] = z[(i + 2) % 3]
+    out[(i + 2) % 3] = field.scale(z[(i + 1) % 3], -1)
+    return tuple(out)
+
+
+def derivation_bound(X: FatPointScheme, j: int, P: ProjectivePoint, count: int) -> int:
+    """A lower bound on the generic dim I(X + jQ)_(j+1), Q general, from the
+    derivations tangent to X's lines at degree j, read at the point P off X.
+
+    For theta tangent, F(x) = x . theta(P x x) lies in I(X + jP)_(j+1):
+    P x z lies on the line of z, so F(z) = 0, and F(P + s) = (P + s) .
+    theta(P x s) has no term of order below j in s; an Euler multiple gives
+    F = 0.  The rank of theta -> F can only grow at a general point, and
+    the rank of the values at count points x under a ring map into Z/p can
+    only be lower than the rank of the forms.  So the rank of those values
+    bounds the generic value from below, with the tangent derivations read
+    exactly, each vector checked to annihilate every row, from the residue
+    certificate of tangency_matrix(X, j) (poly._certify, kept in neither
+    store, as nothing reads it again), and taken to Z/p at the first map of
+    prime 0.  The points x are drawn from a fixed seed, and F's value at x
+    is _tangency_rows's row of (x, P x x) applied to theta."""
+    _, kernel = _certify(tangency_matrix(X, j))
+    if not kernel:
+        return 0
+    p, images, _ = X.field.certificate_prime(0)
+    image = images[0]
+    q = image(_row_triple(P))
+    rng = random.Random(f"fatpoints:derivations:{p}")
+    pairs = []
+    for _ in range(count):
+        x = [rng.randrange(p) for _ in range(3)]
+        pairs.append((x, _cross(q, x)))
+    thetas = [image(coords) for coords, _ in kernel]
+    rows = _tangency_rows(pairs, j, Residues(p))
+    values = [[sum(map(operator.mul, row, theta)) % p for theta in thetas] for row in rows]
+    echelon = []
+    _forward(values, len(thetas), p, echelon, [], count)
+    return len(echelon)

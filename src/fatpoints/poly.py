@@ -81,9 +81,14 @@ certified for a general point is its conditions on I(Z)_d, projected in
 integers onto the kernel of Z's conditions matrix
 (linsys.symbolic_conditions_matrix): 79 points for the example's quartic at
 (j, d) = (3, 4), where da = db = 9 and D = 12.  Every grid rank is taken
-from integral rows, and the sweep stops as soon as the rank reaches
-min(nrows, ncols).  The certificate's grid_points is the size of the grid
-the degree bounds require, not the number of points evaluated.
+from integral rows, and the sweep stops as soon as the rank reaches a
+ceiling: min(nrows, ncols), or a smaller upper bound on the generic rank
+that the caller has proved, as unexpected._sample_and_floor does from the
+tangent derivations (linsys.derivation_bound).  Only where no ceiling is
+met is the whole grid swept; the example's sweep stops at its 12th point,
+and dual F5's at (6, 7) at its 41st of 926.  The certificate's grid_points
+is the size of the grid the degree bounds require, not the number of
+points evaluated.
 """
 
 from __future__ import annotations
@@ -583,6 +588,9 @@ class ExactMatrix:
     """
 
     __slots__ = ("ring", "nrows", "ncols", "_rows", "_integral")
+    # whether an elimination of the matrix is kept for a later one to
+    # resume (_eliminate)
+    resumable = True
 
     def __init__(self, ring, rows):
         self._rows = tuple([tuple([ring.coerce(e) for e in row]) for row in rows])
@@ -825,7 +833,8 @@ def _eliminate(M: ExactMatrix, p: int, image, key, slack: int) -> list:
     points it shares with the last elimination at its key, which a search's
     previous subset left.  _forward is deterministic and greedy, so a
     resumed echelon is the one a fresh elimination of the same rows gives.
-    The store is bounded (_keep).
+    The store is bounded (_keep).  Under key None the elimination neither
+    resumes nor is kept, so it evicts none that is resumed.
     """
     keys = M.row_keys()
     start, echelon, sizes = 0, [], []
@@ -838,13 +847,15 @@ def _eliminate(M: ExactMatrix, p: int, image, key, slack: int) -> list:
             start += 1
         echelon, sizes = echelon[: sizes[start - 1]] if start else [], sizes[:start]
     _forward(M.residues(p, image, start), M.ncols, p, echelon, sizes, slack)
-    _keep(_eliminations, key, (keys, echelon, sizes))
+    if key is not None:
+        _keep(_eliminations, key, (keys, echelon, sizes))
     return echelon
 
 
 def _residue_echelon(M: ExactMatrix, slot, k: int, i: int, p: int, image, slack: int):
     """(echelon, chart): the _eliminate echelon of M's rows at the i-th map
-    of Field.certificate_prime(k), kept under (field, slot, k, i), and None;
+    of Field.certificate_prime(k), kept under (field, slot, k, i) where M
+    is resumable (ExactMatrix.resumable) and not kept otherwise, and None;
     or, where M has a chart there, the chart's echelon and the chart, which
     is eliminated as a matrix is and gives fixed, the rank it leaves out,
     and kernel(echelon, p), M's (pivots, kernel) as _back_substitute gives
@@ -852,7 +863,7 @@ def _residue_echelon(M: ExactMatrix, slot, k: int, i: int, p: int, image, slack:
     whatever the slot, so no plain one resumes it."""
     chart = M.chart(p, image)
     if chart is None:
-        return _eliminate(M, p, image, (M.ring, slot, k, i), slack), None
+        return _eliminate(M, p, image, (M.ring, slot, k, i) if M.resumable else None, slack), None
     return _eliminate(chart, p, image, (M.ring, chart.key, k, i), slack), chart
 
 
@@ -1184,8 +1195,9 @@ class GenericRankCertificate:
     grid {(a, b) : 0 <= a <= degree_bound_a, 0 <= b <= degree_bound_b,
     a + b <= D} forces them to vanish identically (upper bound; the proof is
     symbolic_rank_bound's).  grid_points is the size of that grid, as the
-    degree bounds require it; the sweep stops early once no larger minor
-    exists, so fewer points may be evaluated.
+    degree bounds require it; the sweep stops early once the rank meets a
+    proved ceiling, min(nrows, ncols) or one the caller proves, so fewer
+    points may be evaluated, with the same certificate.
     """
 
     rank: int
@@ -1195,7 +1207,7 @@ class GenericRankCertificate:
     grid_points: int
 
 
-def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
+def symbolic_rank_bound(M: ExactMatrix, ceiling: int | None = None) -> GenericRankCertificate:
     """Certified generic rank of a matrix over a parameter ring.
 
     Each grid point ranks M's integral rows evaluated there in plain ints
@@ -1206,8 +1218,12 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
     at (r, k): a Q-linear map whose Q-rank is phi times the rank, so the
     Bareiss rank is divided by phi, and ArithmeticError if phi does not
     divide it.  Constant rows are ranked at each point like any other.  The
-    sweep stops once the rank reaches min(nrows, ncols), since no larger
-    minor exists.
+    sweep stops once the rank reaches the ceiling: min(nrows, ncols), since
+    no larger minor exists, or a smaller upper bound on the generic rank
+    that the caller has proved.  A grid rank is a lower bound, so that
+    point's rank is the generic rank, and it is the first point of the full
+    sweep to reach it: the certificate is the one the full sweep gives.  A
+    grid rank above the ceiling disproves it, and raises ArithmeticError.
 
     The degree bounds are taken from the term keys of M's rows: da and db
     are the sums over the rows of each row's largest degree in a and in b,
@@ -1253,7 +1269,7 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
 
     n = max(da, db) + 1
     powers = [[x**k for k in range(n)] for x in range(n)]
-    ceiling = min(M.nrows, ncols)
+    ceiling = min(M.nrows, ncols) if ceiling is None else min(ceiling, M.nrows, ncols)
     best = -1
     witness = (0, 0)
     for a0, b0 in grid:
@@ -1262,6 +1278,8 @@ def symbolic_rank_bound(M: ExactMatrix) -> GenericRankCertificate:
         if rest:
             raise ArithmeticError(f"a rank over Q not divisible by the degree {phi}")
         if r > best:
+            if r > ceiling:
+                raise ArithmeticError(f"a grid rank {r} above the proved ceiling {ceiling}")
             best = r
             witness = (a0, b0)
             if best == ceiling:

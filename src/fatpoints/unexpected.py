@@ -27,7 +27,15 @@ in total: a minor within those bounds that vanishes there is zero
 (poly.symbolic_rank_bound).  The general point's C(j+1, 2) rows are its
 partials of order j - 1, of degree d - j + 1 in (a, b), so D is at most
 C(j+1, 2)(d - j + 1); the example's quartic at (j, d) = (3, 4) has
-da = db = 9, D = 12 and 79 grid points.
+da = db = 9, D = 12 and 79 grid points.  At d = j + 1, the degree of
+every verdict, the derivations of degree j tangent to the lines dual to
+Z's points give a second bound from below once a sample P0 is drawn
+(linsys.derivation_bound): each theta gives the form x . theta(P0 x x)
+of I(Z + jP0)_d.  The larger lower bound caps the generic rank, so the
+grid's sweep stops at the first point whose rank meets that ceiling, with
+the certificate the full sweep would give; where the derivation bound
+falls short of the value, the whole grid is swept.  The example's sweep
+stops at its 12th point, and dual F5's at (6, 7) at its 41st of 926.
 
 The splitting type (a_Z, b_Z) is computed operationally from the trace
 m(j) = dim I(Z + jP)_(j+1):  a_Z is the least j with m(j) nonzero and
@@ -48,6 +56,7 @@ from .geom import PointConfiguration, ProjectivePoint
 from .linsys import (
     FatPointScheme,
     conditions_matrix,
+    derivation_bound,
     symbolic_conditions_matrix,
     system_basis,
     system_dimension,
@@ -125,7 +134,13 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
     they meet, the floor is the value; else sampled mode returns the least
     sample, and certified mode proves it on the grid, dim I(Z)_d less the
     generic rank of P's conditions on I(Z)_d, also when no sample point of
-    the height is off Z, where sampled mode raises.
+    the height is off Z, where sampled mode raises.  At d = j + 1 with a
+    sample drawn, the derivation bound at the first sample
+    (linsys.derivation_bound), read at as many points as the least upper
+    bound, is a lower bound too, so dim I(Z)_d less the larger of it and
+    the floor is a proved ceiling on the generic rank, at which the grid's
+    sweep stops (poly.symbolic_rank_bound); its certificate is the one the
+    full sweep gives.
 
     When j >= 1 and Z's rows and the first sample P0's fit in the columns,
     X.condition_count() + C(j+1, 2) <= C(d+2, 2), dim I(Z)_d is at least
@@ -177,7 +192,10 @@ def _sample_and_floor(Z: PointConfiguration, j: int, d: int, strategy):
         low = min(low, dim)
     if not certified or low == floor:
         return X, dim_z, floor, samples, low
-    cert = symbolic_rank_bound(symbolic_conditions_matrix(X, j, d))
+    bound = floor
+    if d == j + 1 and samples:
+        bound = max(floor, derivation_bound(X, j, samples[0][0], low))
+    cert = symbolic_rank_bound(symbolic_conditions_matrix(X, j, d), dim_z - bound)
     return X, dim_z, floor, samples, dim_z - cert.rank
 
 
@@ -285,8 +303,10 @@ def detect_unexpected(
     negative, and none when dim I(Z)_d already does.  Sampled mode takes
     the least sample as the generic dimension; certified mode proves a
     negative at the threshold, and a positive, or a Z that leaves no sample
-    point, on the grid.  A positive's witness is a sample's kernel, read from
-    that sample's rank certificate where its rank dropped.
+    point, on the grid, whose sweep stops at the ceiling that the tangent
+    derivations prove (_sample_and_floor).  A positive's witness is a
+    sample's kernel, read from that sample's rank certificate where its rank
+    dropped.
     """
     if d < 2:
         raise ValueError("unexpected curves need degree at least 2")

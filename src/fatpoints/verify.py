@@ -8,7 +8,9 @@ determinant of the three reducible quartics at the general double point.
 
 The suite gives every checker that takes a general point the run's one
 strategy.  Under certify its verdicts are proved: a negative by a sample
-that meets the condition count, a positive on the symbolic grid.
+that meets the condition count, a positive on the symbolic grid, whose
+sweep stops at the ceiling that the tangent derivations of Z's dual lines
+prove.
 """
 
 from __future__ import annotations

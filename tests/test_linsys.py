@@ -999,3 +999,20 @@ def test_condition_rows_do_not_branch_on_the_layout():
         assert "mul is None" not in source
         found = _layout_branches(source)
         assert {name for name, _ in found} == allowed, (module.__name__, found)
+
+
+def test_tangent_derivations_start_at_a_z():
+    # modulo Euler, no derivation below degree a_Z is tangent to the lines
+    # dual to Z, and one is at a_Z < b_Z, two at a_Z = b_Z: (3, 5) for the
+    # example, (n + 1, 2n - 2) for dual F_n.  The example has points such as
+    # (1, 1, 0), whose z x e_0 and z x e_1 are parallel; the two cross
+    # products with the unit vectors other than the first nonzero
+    # coordinate's span each line
+    for Z, a, count in ((example_quartic_config(), 3, 1), (dual_fermat(3), 4, 2), (dual_fermat(4), 5, 1),
+                        (dual_fermat(5), 6, 1)):
+        X = FatPointScheme.of(Z)
+        for r, dim in ((a - 1, 0), (a, count)):
+            M = linsys.tangency_matrix(X, r)
+            assert (M.nrows, M.ncols) == (len(Z) * (r + 1), 3 * comb(r + 2, 2) - comb(r + 1, 2))
+            assert len(poly._certify(M)[1]) == dim
+    assert (poly._eliminations, poly._certificates) == ({}, {})

@@ -14,6 +14,7 @@ import pytest
 import fatpoints.linsys as linsys
 import fatpoints.poly as poly
 import fatpoints.unexpected as unexpected
+import fatpoints.verify as verify
 from fatpoints import (
     ExactMatrix,
     FatPointScheme,
@@ -1855,6 +1856,60 @@ def test_certified_generic_dim_matches_the_grid_on_corpora(monkeypatch):
     assert (len(instances), grid[0]) == (62, 6)
 
 
+def _derivation_form(theta, P, r: int) -> Form:
+    """F(x) = x . theta(P x x) over QQ, for the integral coordinates theta
+    of a derivation of degree r in the columns of linsys.tangency_matrix."""
+    p = P.coeffs
+    xi = [Form.linear(QQ, row) for row in ((0, -p[2], p[1]), (p[2], 0, -p[0]), (-p[1], p[0], 0))]
+    basis = monomial_basis(r)
+    columns = [(0, e) for e in basis[comb(r + 1, 2):]] + [(i, e) for i in (1, 2) for e in basis]
+    parts = [Form.zero(QQ, r + 1)] * 3
+    for c, (i, e) in zip(theta, columns):
+        if c:
+            factors = [Form.variable(QQ, i)] + [xi[k] for k in range(3) for _ in range(e[k])]
+            parts[i] = parts[i] + product(factors) * c
+    return parts[0] + parts[1] + parts[2]
+
+
+def test_derivation_bound_is_a_lower_bound_and_keeps_the_certificate():
+    # the derivation bound at the first sample, read at more points than
+    # the generic value, is never above the sampled value, on every
+    # instance at d = j + 1 of the shortcut corpus, the excluded pair and
+    # the example's images among them, and at the dual F3-F6 positives, F5
+    # at degree 7 and F6 at 8 and 9; it meets the value wherever the grid
+    # runs, and the sweep stopped at the ceiling it proves certifies what the
+    # full sweep does, F6's excepted, whose full sweeps take 3 s and more
+    instances = [(Z, j, d) for Z, j, d in _shortcut_corpus() if d == j + 1 and j >= 1]
+    instances += [(dual_fermat(5), 6, 7), (dual_fermat(6), 7, 8), (dual_fermat(6), 8, 9)]
+    bounded = grids = 0
+    for Z, j, d in instances:
+        X, dim_z, floor, samples, value = unexpected._sample_and_floor(Z, j, d, GeneralPointStrategy())
+        if not samples:  # dim I(Z)_d meets the floor
+            continue
+        bounded += 1
+        bound = linsys.derivation_bound(X, j, samples[0][0], dim_z + 1)
+        assert bound <= value, (Z, j, d)
+        if value > floor:
+            grids += 1
+            assert bound == value, (Z, j, d)
+            if len(Z) < 18:
+                M = symbolic_conditions_matrix(X, j, d)
+                assert symbolic_rank_bound(M, dim_z - bound) == symbolic_rank_bound(M)
+    assert (len(instances), bounded, grids) == (64, 60, 9)
+    # each tangent derivation's form vanishes on Z and to order j at P0,
+    # checked exactly at the example's quartic, at P0 and at another point
+    Z = example_quartic_config()
+    X = FatPointScheme.of(Z)
+    _, kernel = poly._certify(linsys.tangency_matrix(X, 3))
+    assert len(kernel) == 1
+    P0 = unexpected._sample_and_floor(Z, 3, 4, GeneralPointStrategy())[3][0][0]
+    for P in (P0, ProjectivePoint(QQ, (2, -3, 5))):
+        F = _derivation_form(kernel[0][0], P, 3)
+        assert not F.is_zero()
+        assert not any(c for z in Z.points for c in poly.taylor_coefficients(F, z.coeffs, 1))
+        assert not any(poly.taylor_coefficients(F, P.coeffs, 3))
+
+
 def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
     # one Bareiss rank per grid point, over Q(zeta_n) as over Q, and no _rank
     bareiss = _count_calls(monkeypatch, poly, "_echelon_int")
@@ -1872,6 +1927,26 @@ def test_grid_sweep_stops_at_the_rank_ceiling(monkeypatch):
         cert = symbolic_rank_bound(symbolic_conditions_matrix(FatPointScheme.of(Z), 3, 4))
         assert (cert.rank, cert.witness, cert.grid_points) == (rank, witness, points)
         assert (bareiss[0], ranks[0], certificates[0]) == (*evaluated, certified)
+    # at the ceiling the tangent derivations prove, dim I(Z)_d less the
+    # derivation bound at the first sample, the example stops at its witness
+    # (1, 1), the 12th of its 79 points, and dual F5 at (6, 7) at its 41st
+    # of 926, where it ranked all of them before
+    for Z, j, d, witness, evaluated, points in (
+        (example_quartic_config(), 3, 4, (1, 1), 12, 79),
+        (dual_fermat(5), 6, 7, (1, 1), 41, 926),
+    ):
+        X, dim_z, _, samples, value = unexpected._sample_and_floor(Z, j, d, GeneralPointStrategy())
+        ceiling = dim_z - linsys.derivation_bound(X, j, samples[0][0], value)
+        bareiss[0] = 0
+        cert = symbolic_rank_bound(symbolic_conditions_matrix(X, j, d), ceiling)
+        assert (cert.rank, cert.witness, cert.grid_points) == (ceiling, witness, points)
+        assert bareiss[0] == evaluated
+    # the certified suite ranks 80 grid points in all, 3 for the excluded
+    # pair, 3 x 12 for the example's quartic and 41 for F5, where with no
+    # ceiling but min(nrows, ncols) it ranked 1,248: 85, 3 x 79 and 926
+    bareiss[0] = 0
+    assert all(r.passed for r in verify.run_paper_suite(seed=0, certify=True))
+    assert bareiss[0] == 80
 
 
 def test_cyclotomic_grid_inverts_nothing_and_keeps_the_enclosing_store(monkeypatch):

@@ -684,6 +684,25 @@ def test_certified_grid_runs_only_for_positives(monkeypatch):
             assert (j, d) == (3, 4) and projective_equivalent(points, example)[0]
 
 
+def test_a_certified_positive_keeps_no_tangency_elimination(monkeypatch):
+    # the tangency matrix's eliminations and certificate are read once, and
+    # kept in neither store, so a certified positive leaves the keys it left
+    # before the derivation bound: the full-rank test's, a certificate's at
+    # primes 1 and 0, and four certificates, all of the 15 columns of quartics
+    bounds = []
+    derivation_bound = unexpected.derivation_bound
+
+    def recorded(*args):
+        bounds.append(derivation_bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(unexpected, "derivation_bound", recorded)
+    rep = detect_unexpected(example_quartic_config(), 4, GeneralPointStrategy(mode="certified"))
+    assert rep.unexpected and bounds == [1]
+    assert list(poly._eliminations) == [(QQ, (15, "lead"), 0, 0), (QQ, 15, 1, 0), (QQ, 15, 0, 0)]
+    assert [key[:2] for key in poly._certificates] == [(QQ, 15)] * 4
+
+
 def test_sample_and_floor_refuses_a_sample_below_the_floor(monkeypatch):
     # a sample below the condition-count bound would be a wrong rank: it is
     # reported in either mode, never clamped to the floor; a sample at the
